@@ -9,8 +9,7 @@ from .errors import (DegenerateRoots, EmptyDataset, EmptyWindow,
                      IllConditioned, InvalidRegime, NotAdmissible,
                      PairpackError, ParseError, RemovablePoint)
 from .measures import (Measure, NormEquivalence, extended_sigma_threshold,
-                       g_surface, norm_bounds, nu_hat, nu_hat_grid, sup_g,
-                       sup_g_point)
+                       g_surface, norm_bounds, nu_hat, sup_g, sup_g_point)
 from .kernels import (CaseTag, EtaPair, KernelEvaluation, LimitPath, aux_A,
                       aux_B, aux_C, kernel_c3zero, kernel_k00, kernel_k0z,
                       kernel_k0z_grid, mu, quartic_roots, script_L)
@@ -20,13 +19,13 @@ from .bounds import (BoundsReport, average_bounds, dedekind_bounds,
                      figure1_data, gonek_ki_conjectured_average,
                      refutation_threshold, reim_zeta_bounds, s0,
                      selberg_bounds)
-from .formfactor import (FormFactorGrid, Window, ZeroDataset, ep1_ratio_check,
-                         fejer_check, fejer_poisson_check, form_factor,
+from .formfactor import (Window, ZeroDataset, ep1_ratio_check, fejer_check,
+                         fejer_poisson_check, form_factor,
                          form_factor_positive, load_zeros, phi_functional,
                          symmetric_average, windowed_average)
 
 __all__ = [
-    "Measure", "NormEquivalence", "nu_hat", "nu_hat_grid", "g_surface",
+    "Measure", "NormEquivalence", "nu_hat", "g_surface",
     "sup_g", "sup_g_point", "norm_bounds", "extended_sigma_threshold",
     "EtaPair", "KernelEvaluation", "CaseTag", "LimitPath", "quartic_roots",
     "aux_A", "aux_B", "aux_C", "mu", "kernel_k00", "kernel_k0z",
@@ -36,7 +35,7 @@ __all__ = [
     "BoundsReport", "s0", "average_bounds", "selberg_bounds",
     "dedekind_bounds", "reim_zeta_bounds", "figure1_data",
     "gonek_ki_conjectured_average", "refutation_threshold",
-    "ZeroDataset", "FormFactorGrid", "Window", "load_zeros", "form_factor",
+    "ZeroDataset", "Window", "load_zeros", "form_factor",
     "form_factor_positive", "windowed_average", "symmetric_average",
     "phi_functional", "ep1_ratio_check", "fejer_check", "fejer_poisson_check",
     "PairpackError", "NotAdmissible", "InvalidRegime", "DegenerateRoots",

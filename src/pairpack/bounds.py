@@ -118,9 +118,8 @@ def reim_zeta_bounds(c: float) -> tuple[float, float]:
     Returns (1 + s0 (1/K - 1), 1/K)."""
     if c < 0:
         raise ValueError("c must be >= 0")
-    m = Measure(c1=1.0, c2=1.0, c3=4.0 * c, delta=0.5)
-    inv_k = 1.0 / kernel_k00(m)
-    return 1.0 + s0() * (inv_k - 1.0), inv_k
+    rep = average_bounds(Measure(c1=1.0, c2=1.0, c3=4.0 * c, delta=0.5))
+    return rep.lower_thm1, rep.upper
 
 
 def figure1_data(c_min: float, c_max: float, steps: int) -> list[tuple[float, float, float]]:
@@ -133,10 +132,8 @@ def figure1_data(c_min: float, c_max: float, steps: int) -> list[tuple[float, fl
         raise ValueError("steps must be >= 1")
     rows = []
     for c in np.linspace(c_min, c_max, steps + 1):
-        lo1, up = reim_zeta_bounds(float(c))
-        m = Measure(1.0, 1.0, 4.0 * float(c), 0.5)
-        rep = average_bounds(m)
-        rows.append((float(c), max(lo1, rep.lower_cor8), up))
+        rep = average_bounds(Measure(1.0, 1.0, 4.0 * float(c), 0.5))
+        rows.append((float(c), max(rep.lower_thm1, rep.lower_cor8), rep.upper))
     return rows
 
 

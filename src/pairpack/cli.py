@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -31,6 +31,8 @@ from .formfactor import (Window, form_factor, load_zeros, windowed_average)
 from .kernels import (kernel_k00, kernel_k0z_grid, quartic_roots, script_L)
 from .measures import Measure, norm_bounds
 from . import verify as verify_mod
+
+MAX_POINTS = 10 ** 6    # largest --grid / --alpha range and figure1 --steps + 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,13 +56,19 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
+def _check_points(count: float, what: str) -> None:
+    if count > MAX_POINTS:
+        raise ValueError(f"{what} asks for {count:.6g} points; the cap is {MAX_POINTS}")
+
+
 def _parse_range(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ValueError(f"bad range {spec!r}")
+    _check_points((stop - start) / step + 1, f"range {spec!r}")
     n = int(round((stop - start) / step))
     return np.linspace(start, start + n * step, n + 1)
 
@@ -80,6 +88,7 @@ def _add_measure_flags(p):
 
 def cmd_kernel(args) -> int:
     m = _measure_from(args)
+    zs = _parse_range(args.grid) if args.grid else None
     k00 = kernel_k00(m, extended=args.extended)
     nb = norm_bounds(m, extended=args.extended)
     payload = {
@@ -115,8 +124,7 @@ def cmd_kernel(args) -> int:
             else:
                 lines.append(f"{key},{val}")
         _emit(lines, args.out)
-    if args.grid:
-        zs = _parse_range(args.grid)
+    if zs is not None:
         kv = np.real(kernel_k0z_grid(m, zs.astype(complex), extended=args.extended))
         lines = ["z,K0z"] + [f"{_fmt(z)},{_fmt(v)}" for z, v in zip(zs, kv)]
         _emit(lines, args.grid_out)
@@ -159,6 +167,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    _check_points(args.steps + 1, f"--steps {args.steps}")
     rows = figure1_data(args.c_min, args.c_max, args.steps)
     lines = ["c,lower,upper"]
     lines += [f"{_fmt(c)},{_fmt(lo)},{_fmt(up)}" for (c, lo, up) in rows]
@@ -176,13 +185,7 @@ def cmd_formfactor(args) -> int:
     blocks = []
     if args.alpha:
         alphas = _parse_range(args.alpha)
-        threads = int(os.environ.get("PAIRPACK_THREADS", "1"))
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                vals = list(ex.map(lambda a: form_factor(ds, T, a), alphas))
-        else:
-            vals = [form_factor(ds, T, a) for a in alphas]
+        vals = [form_factor(ds, T, a) for a in alphas]
         blocks.append(["alpha,F"] + [f"{_fmt(a)},{_fmt(v)}"
                                      for a, v in zip(alphas, vals)])
     if args.avg:

@@ -24,7 +24,7 @@ from scipy.special import polygamma
 
 from .errors import EmptyDataset, EmptyWindow, ParseError
 from .kernels import k0_endpoint_value, kernel_k00, kernel_k0z_grid
-from .measures import Measure, nu_hat_grid
+from .measures import Measure, nu_hat
 from .quadrature import panel_rule
 
 _PAIR_CHUNK = 512            # rows per chunk of the double sum
@@ -78,14 +78,6 @@ class ZeroDataset:
         g = self.ordinates
         return (f"{len(g)} ordinates in [{g[0]:.6g}, {g[-1]:.6g}], "
                 f"lam={self.lam:.6g}, window={self.window.value}")
-
-
-@dataclass(frozen=True)
-class FormFactorGrid:
-    alphas: np.ndarray
-    values: np.ndarray
-    T: float
-    dataset_ref: str = ""
 
 
 def load_zeros(path, lam: float = None,
@@ -189,12 +181,6 @@ def form_factor_positive(ds: ZeroDataset, T: float, alpha: float,
     return 2.0 * np.pi * val / _normalizer(ds, T)
 
 
-def form_factor_grid(ds: ZeroDataset, T: float, alphas) -> FormFactorGrid:
-    alphas = np.asarray(alphas, dtype=float)
-    vals = np.array([form_factor(ds, T, a) for a in alphas])
-    return FormFactorGrid(alphas=alphas, values=vals, T=T, dataset_ref=ds.source)
-
-
 def windowed_average(ds: ZeroDataset, T: float, b: float, ell: float,
                      grid_step: float) -> float:
     """Trapezoid average (1/ell) integral_b^{b+ell} F(alpha, T) d alpha."""
@@ -264,7 +250,7 @@ def ep1_ratio_check(m: Measure, truncation: float = None,
         truncation = 2000.0 / m.delta
     pts, wts = panel_rule(-truncation, truncation, 1.0 / (2.0 * m.delta))
     kv = np.real(kernel_k0z_grid(m, pts.astype(complex), extended=extended))
-    integral = float(np.dot(wts, kv * kv * nu_hat_grid(m, pts)))
+    integral = float(np.dot(wts, kv * kv * nu_hat(m, pts)))
     # far field K(0,x) ~ uL sin(pi Delta x)/(pi x): non-oscillatory tail part
     u_end = k0_endpoint_value(m)
     integral += m.c1 * u_end ** 2 / (np.pi ** 2 * truncation)

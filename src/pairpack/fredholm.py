@@ -26,7 +26,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import IllConditioned, InvalidRegime, RemovablePoint
-from .measures import Measure, norm_bounds, nu_hat_grid
+from .kernels import _coeff_abc, _near_coeff_zero
+from .measures import Measure, norm_bounds, nu_hat
 from .quadrature import (barycentric_matrix, barycentric_weights,
                          gauss_legendre, panel_rule)
 from .special import sinc_band, sinc_band_c
@@ -113,15 +114,20 @@ def system_residual(sol: NystromSolution) -> float:
     return float(np.linalg.norm(M @ sol.u_values - rhs) / np.linalg.norm(rhs))
 
 
-def homogeneous_solution_norm(m: Measure, n: int = DEFAULT_NODES) -> float:
-    """Max norm of the solution with zero right-hand side; the unique
-    solvability of the equation shows up as this being zero."""
+def uniqueness_ratio(m: Measure, n: int = DEFAULT_NODES) -> float:
+    """sigma_min(W^1/2 M W^-1/2) / a_sq for the Nystrom matrix M and the
+    Gauss-Legendre weights W.  The weighted matrix is the integral operator
+    T in the L2 norm of the support, and <T u, u> = integral of |u_hat|^2
+    nu_hat >= a_sq ||u||^2 for every u supported there, so a ratio below 1
+    means the discretization has lost the unique solvability of the
+    equation."""
     L = m.delta / 2.0
-    nodes, _ = gauss_legendre(n, -L, L)
-    bary_w = barycentric_weights(nodes)
-    M = _assemble_matrix(m, nodes, bary_w)
-    u = np.linalg.solve(M, np.zeros(n))
-    return float(np.max(np.abs(u)))
+    nodes, weights = gauss_legendre(n, -L, L)
+    M = _assemble_matrix(m, nodes, barycentric_weights(nodes))
+    root_w = np.sqrt(weights)
+    weighted = root_w[:, None] * M / root_w[None, :]
+    sigma_min = float(np.linalg.svd(weighted, compute_uv=False)[-1])
+    return sigma_min / norm_bounds(m, extended=True).a_sq
 
 
 def closed_form_u(m: Measure, w: complex, xi) -> Union[complex, np.ndarray]:
@@ -140,18 +146,11 @@ def closed_form_u(m: Measure, w: complex, xi) -> Union[complex, np.ndarray]:
         out = np.exp(-2j * np.pi * w * xi_arr) / m.c1
         out = np.where(inside, out, 0.0)
         return out if out.shape else complex(out)
-    den = 2.0 * m.c1 * np.pi ** 2 * w * w - m.c2
-    if abs(den) <= 1e-8 * m.c2:
+    if _near_coeff_zero(m, w):
         raise RemovablePoint(
             "w is at the coefficient pole; perturb or use a limit")
     om = np.sqrt(2.0 * m.c2 / m.c1)
-    th = om * m.delta / 2.0
-    cw = np.cos(np.pi * m.delta * w)
-    sw = np.sin(np.pi * m.delta * w)
-    a = -2.0 * m.c2 * (cw + np.pi * m.delta * w * sw) / (
-        m.c1 * den * (2.0 * np.cos(th) + om * m.delta * np.sin(th)))
-    b = om * 1j * np.pi * w * cw / (den * np.cos(th))
-    c = 2.0 * np.pi ** 2 * w * w / den
+    a, b, c = _coeff_abc(m, w)
     out = a * np.cos(om * xi_arr) + b * np.sin(om * xi_arr) \
         + c * np.exp(-2j * np.pi * w * xi_arr)
     out = np.where(inside, out, 0.0)
@@ -229,7 +228,7 @@ def reproducing_residual(m: Measure, w: complex,
     # quadrature core
     pts, wts = panel_rule(-X0, X0, plen)
     total = np.sum(wts * f_vals(pts) * k_from_u(sol, pts)
-                   * nu_hat_grid(m, pts))
+                   * nu_hat(m, pts))
 
     # far region with the boundary expansion of k_w
     def k_far(x):
@@ -242,7 +241,7 @@ def reproducing_residual(m: Measure, w: complex,
 
     for (a, b) in ((X0, X1), (-X1, -X0)):
         pts, wts = panel_rule(a, b, plen)
-        total += np.sum(wts * f_vals(pts) * k_far(pts) * nu_hat_grid(m, pts))
+        total += np.sum(wts * f_vals(pts) * k_far(pts) * nu_hat(m, pts))
 
     # analytic tail: non-oscillatory components of f * k_far * c1
     for (t, c) in terms:

@@ -10,9 +10,12 @@ Two regimes:
 
 * c3 > 0: only the section K(0, z) has a closed form.  It is built from the
   characteristic quartic roots eta1, eta2, the moment functions A, B, the
-  transform C(eta, z), and the constant mu.  When the two roots collide
-  (lam = 4 c3^2) the formula degenerates and the derivative forms A', B',
-  dC/deta take over.
+  transform C(eta, z), and the constant mu.  Numerator and divisor of the
+  two-root formula are both antisymmetric in the roots, so the section is
+  written in the means and eta^2-divided differences of A, B and C.  That
+  one formula holds on the degenerate line lam = 4 c3^2 as well; for close
+  roots the divided differences come from the eta^2 power series of the
+  moments.
 
 Sign conventions: B carries a minus sign on its integral term and the
 second basis transform r(z) a minus sign on its first term.  Both are fixed
@@ -23,14 +26,16 @@ confirmed against the independent integral-equation oracle in the tests.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import (cosh_moment, cosh_moment_deta, cosh_scaled, sin_quot,
-                      sinc_band_c, sinh_quot, sinh_quot_ds, sinh_quot_scaled)
+from .special import (_SERIES_RADIUS, cosh_moment, cosh_scaled, exp_moment,
+                      sin_quot, sinc_band_c, sinh_quot, sinh_quot_scaled)
 
 DEGENERACY_RTOL = 1e-9
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
@@ -135,19 +140,6 @@ def aux_B(m: Measure, eta: complex) -> complex:
     return out
 
 
-def aux_A_prime(m: Measure, eta: complex) -> complex:
-    if m.c2 == 0.0:
-        return 0.0 + 0.0j
-    return m.lam() * cosh_moment_deta(1, eta, m.c3, m.delta)
-
-
-def aux_B_prime(m: Measure, eta: complex) -> complex:
-    out = 2.0 * eta
-    if m.c2 != 0.0 and m.c3 != 0.0:
-        out -= 2.0 * m.lam() * m.c3 * cosh_moment_deta(0, eta, m.c3, m.delta)
-    return out
-
-
 def aux_C(m: Measure, eta: complex, z: complex) -> complex:
     """C(eta, z) = integral of cosh(eta t) e^{2 pi i z t} over
     [-Delta/2, Delta/2], written as two sinh quotients so the removable
@@ -157,15 +149,9 @@ def aux_C(m: Measure, eta: complex, z: complex) -> complex:
     return sinh_quot(eta + s, L) + sinh_quot(-eta + s, L)
 
 
-def aux_C_deta(m: Measure, eta: complex, z: complex) -> complex:
-    """d/d_eta of C(eta, z), the transform of t sinh(eta t)."""
-    L = m.delta / 2.0
-    s = 2j * np.pi * z
-    return sinh_quot_ds(eta + s, L) - sinh_quot_ds(-eta + s, L)
-
-
 def script_L(m: Measure) -> complex:
-    """The divisor A(eta1) B(eta2) - B(eta1) A(eta2) of the c3 > 0 kernel.
+    """The divisor A(eta1) B(eta2) - B(eta1) A(eta2) of the c3 > 0 kernel,
+    evaluated as (eta1^2 - eta2^2) (A' Bbar - Abar B').
 
     Real and negative when the roots are purely imaginary; purely imaginary
     with negative imaginary part when they sit in conjugate quadrants.
@@ -180,69 +166,114 @@ def script_L(m: Measure) -> complex:
     roots = quartic_roots(m)
     if roots.degenerate:
         raise DegenerateRoots("lam = 4 c3^2: the two-root divisor is not defined")
-    a1, a2 = aux_A(m, roots.eta1), aux_A(m, roots.eta2)
-    b1, b2 = aux_B(m, roots.eta1), aux_B(m, roots.eta2)
-    return a1 * b2 - b1 * a2
+    a, a_dd, b, b_dd = _divisor_terms(m, roots, _power_sums(roots, m.delta / 2.0))
+    return (roots.eta1 ** 2 - roots.eta2 ** 2) * (a_dd * b - a * b_dd)
+
+
+# ---------------------------------------------------------------------------
+# c3 > 0: the section in means and eta^2-divided differences
+# ---------------------------------------------------------------------------
+#
+# Each root-dependent quantity X (A, B, C(., z), cosh(. L)) is an even entire
+# function of eta, hence of zeta = eta^2.  The section needs only the mean
+# Xbar = (X1 + X2) / 2 and the divided difference X' = (X1 - X2) / (zeta1 -
+# zeta2), both finite where the roots meet.  For close roots X' is summed from
+# the Taylor coefficients x_n of X in zeta as sum_n x_n h_n, with the power
+# sums h_n = sum_{i<n} zeta1^i zeta2^(n-1-i) (McCurdy, Ng and Parlett, Math.
+# Comp. 43, 1984).  The roots can meet only where |eta| L <= sqrt(3 sigma)/4,
+# well inside the series radius.
+
+_CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which X1 - X2 cancels
+_CLOSE_RADIUS = 0.5     # largest |zeta| L^2 handed to the series
+_ORDERS = np.arange(1, 13)  # terms below 1e-20 of the first at |zeta| L^2 < 0.5
+_FACT_2N = np.array([math.factorial(2 * n) for n in _ORDERS], dtype=float)
+
+
+def _power_sums(roots: EtaPair, L: float) -> Optional[np.ndarray]:
+    """h_n for n in _ORDERS when the squared roots are close and small enough
+    for the series, else None (direct difference quotients)."""
+    z1, z2 = roots.eta1 ** 2, roots.eta2 ** 2
+    if (abs(z1 - z2) * L * L >= _CLOSE_GAP
+            or max(abs(z1), abs(z2)) * L * L >= _CLOSE_RADIUS):
+        return None
+    h = np.empty(len(_ORDERS), dtype=complex)
+    h[0], power = 1.0, 1.0
+    for i in range(1, len(_ORDERS)):
+        power *= z2
+        h[i] = z1 * h[i - 1] + power
+    return h
+
+
+def _split(values, roots: EtaPair, h, taylor):
+    """Mean and eta^2-divided difference of X from its values at eta1, eta2
+    (stacked on axis 0).  With power sums ``h`` the difference is taken from
+    ``taylor()``, X's Taylor coefficients in zeta for the orders _ORDERS."""
+    mean = 0.5 * (values[0] + values[1])
+    if h is None:
+        return mean, (values[0] - values[1]) / (roots.eta1 ** 2 - roots.eta2 ** 2)
+    return mean, np.tensordot(h, taylor(), axes=1)
+
+
+def _divisor_terms(m: Measure, roots: EtaPair, h):
+    """(Abar, A', Bbar, B').  Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly."""
+    lam, c3, L = m.lam(), m.c3, m.delta / 2.0
+    eta = np.array([roots.eta1, roots.eta2])
+    i0, i0_dd = _split(cosh_moment(0, eta, c3, m.delta), roots, h,
+                       lambda: 2.0 * exp_moment(2 * _ORDERS, -c3, L) / _FACT_2N)
+    i1, i1_dd = _split(cosh_moment(1, eta, c3, m.delta), roots, h,
+                       lambda: 2.0 * exp_moment(2 * _ORDERS + 1, -c3, L) / _FACT_2N)
+    return (1.0 + lam * i1, lam * i1_dd,
+            lam * (1.0 - 2.0 * c3 * i0), 1.0 - 2.0 * lam * c3 * i0_dd)
 
 
 @dataclass(frozen=True)
 class TransformSolution:
-    """Fourier-side solution u0 of the kernel section K(0, .), expressed in
-    the cosh basis: u0(t) = T1 cosh(eta1 t) + T2 cosh(eta2 t) + mu for the
-    generic case, u0(t) = T1 cosh(eta1 t) + T2 t sinh(eta1 t) + mu when the
-    roots are degenerate.
+    """Fourier-side solution u0 of the kernel section K(0, .):
+
+        u0(t) = e^{-scale} (p_scaled cbar(t) + q_scaled c'(t)) + mu,
+
+    with cbar and c' the mean and eta^2-divided difference of cosh(eta1 t)
+    and cosh(eta2 t).  Both coefficients stay finite where the roots meet.
+    ``power_sums`` is set when the divided differences come from the
+    close-root series.
 
     The coefficients are stored with the exponential damping e^{-c3 Delta/2}
-    factored out (T_i = t_i_scaled * e^{-scale}): both right-hand sides of
-    the defining linear system carry that factor exactly, and keeping it
-    symbolic lets the assembly survive c3 Delta in the thousands, where T_i
-    underflows and cosh(eta L) overflows individually.
+    factored out: both right-hand sides of the defining linear system carry
+    that factor exactly, and keeping it symbolic lets the assembly survive
+    c3 Delta in the thousands, where the coefficients underflow and
+    cosh(eta L) overflows individually.
     """
 
     roots: EtaPair
-    t1_scaled: complex
-    t2_scaled: complex
+    p_scaled: complex
+    q_scaled: complex
     mu: float
-    degenerate: bool
     scale: float        # c3 * delta / 2
+    power_sums: Optional[np.ndarray] = None
 
     def endpoint_value(self, m: Measure) -> complex:
         """u0 at the endpoint Delta/2 (used by far-field tail corrections)."""
         L = m.delta / 2.0
-        e1 = self.roots.eta1
-        if self.degenerate:
-            damp = np.exp(-self.scale)
-            return (self.t1_scaled * cosh_scaled(e1, L, m.c3)
-                    + self.t2_scaled * damp * L * np.sinh(e1 * L) + self.mu)
-        return (self.t1_scaled * cosh_scaled(e1, L, m.c3)
-                + self.t2_scaled * cosh_scaled(self.roots.eta2, L, m.c3)
-                + self.mu)
+        damp = np.exp(-self.scale)
+        eta = np.array([self.roots.eta1, self.roots.eta2])
+        mean, dd = _split(cosh_scaled(eta, L, m.c3), self.roots, self.power_sums,
+                          lambda: damp * L ** (2 * _ORDERS) / _FACT_2N)
+        return self.p_scaled * mean + self.q_scaled * dd + self.mu
 
 
 def k0_transform_solution(m: Measure) -> TransformSolution:
     roots = quartic_roots(m)
-    mu_val = mu(m)
     L = m.delta / 2.0
     # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
     denom = m.c1 * (2.0 * m.c2 + m.c3 ** 2 * m.c1)
     rho1 = 2.0 * m.c2 * (1.0 + m.c3 * L) / denom
     rho2 = 4.0 * m.c2 * m.c3 ** 2 / denom
-    e1, e2 = roots.eta1, roots.eta2
-    if roots.degenerate:
-        a1, b1 = aux_A(m, e1), aux_B(m, e1)
-        ap, bp = aux_A_prime(m, e1), aux_B_prime(m, e1)
-        det = a1 * bp - ap * b1
-        t1 = (rho1 * bp + rho2 * ap) / det
-        t2 = -(rho1 * b1 + rho2 * a1) / det
-    else:
-        a1, a2 = aux_A(m, e1), aux_A(m, e2)
-        b1, b2 = aux_B(m, e1), aux_B(m, e2)
-        div = a1 * b2 - b1 * a2
-        t1 = (rho1 * b2 + rho2 * a2) / div
-        t2 = -(rho1 * b1 + rho2 * a1) / div
-    return TransformSolution(roots=roots, t1_scaled=t1, t2_scaled=t2,
-                             mu=mu_val, degenerate=roots.degenerate,
-                             scale=m.c3 * L)
+    h = _power_sums(roots, L)
+    a, a_dd, b, b_dd = _divisor_terms(m, roots, h)
+    det = a_dd * b - a * b_dd
+    return TransformSolution(roots=roots, p_scaled=-(rho1 * b_dd + rho2 * a_dd) / det,
+                             q_scaled=(rho1 * b + rho2 * a) / det, mu=mu(m),
+                             scale=m.c3 * L, power_sums=h)
 
 
 def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluation:
@@ -255,7 +286,7 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
                                 at_w=0.0, at_z=complex(z))
     sol = k0_transform_solution(m)
     val = _k0z_assemble(m, sol, z)
-    path = LimitPath.DEGENERATE_ETA if sol.degenerate else LimitPath.NONE
+    path = LimitPath.NONE if sol.power_sums is None else LimitPath.DEGENERATE_ETA
     return KernelEvaluation(value=complex(val), at_w=0.0, at_z=complex(z),
                             limit_path=path)
 
@@ -268,34 +299,55 @@ def _aux_C_scaled(m: Measure, eta, z):
             + sinh_quot_scaled(-eta + s, L, m.c3))
 
 
+def _aux_C_split(m: Measure, sol: TransformSolution, z: np.ndarray):
+    """Mean and eta^2-divided difference of e^{-c3 Delta/2} C(eta, z).
+
+    For close roots the difference is the moment series sum_n h_n M_2n(s) /
+    (2n)!, M_j(s) = integral of t^j e^{s t} over the support, where |s L| is
+    inside exp_moment's series region.  Elsewhere it follows from
+    C = N(zeta) / (s^2 - zeta), N = 2 s sinh(sL) cosh(eta L) - 2 cosh(sL)
+    eta sinh(eta L), as Nbar g' + N' gbar with g = 1 / (s^2 - zeta); there
+    |s^2 - zeta| L^2 > 1/2, so g stays bounded.
+    """
+    L = m.delta / 2.0
+    roots, h = sol.roots, sol.power_sums
+    eta = np.array([roots.eta1, roots.eta2])
+    values = _aux_C_scaled(m, eta.reshape((2,) + (1,) * z.ndim), z)
+    if h is None:
+        return _split(values, roots, None, None)
+    s = np.atleast_1d(2j * np.pi * z)
+    dd = np.empty_like(s)
+    small = np.abs(s * L) < _SERIES_RADIUS
+    if small.any():
+        two_n = 2 * _ORDERS[:, None]
+        moments = exp_moment(two_n, s[small], L) + exp_moment(two_n, -s[small], L)
+        dd[small] = (h / _FACT_2N) @ moments
+    big = ~small
+    if big.any():
+        sb = s[big]
+        zeta = eta ** 2
+        cosh_l, eta_sinh_l = np.cosh(eta * L), eta * np.sinh(eta * L)
+        cosh_l_dd = h @ (L ** (2 * _ORDERS) / _FACT_2N)
+        eta_sinh_l_dd = h @ (2 * _ORDERS * L ** (2 * _ORDERS - 1) / _FACT_2N)
+        a, b = 2.0 * sb * np.sinh(sb * L), 2.0 * np.cosh(sb * L)
+        g1, g2 = 1.0 / (sb * sb - zeta[0]), 1.0 / (sb * sb - zeta[1])
+        dd[big] = ((a * cosh_l.mean() - b * eta_sinh_l.mean()) * g1 * g2
+                   + (a * cosh_l_dd - b * eta_sinh_l_dd) * 0.5 * (g1 + g2))
+    return 0.5 * (values[0] + values[1]), np.exp(-sol.scale) * dd.reshape(z.shape)
+
+
 def _k0z_assemble(m: Measure, sol: TransformSolution, z):
-    sinc_term = 2.0 * sin_quot(2.0 * np.pi * np.asarray(z, dtype=complex),
-                               m.delta / 2.0)
-    if sol.degenerate:
-        # degenerate roots force c3 = sqrt(lam)/2, so the scale is small and
-        # the derivative transform needs no stabilization
-        damp = np.exp(-sol.scale)
-        return (sol.t1_scaled * _aux_C_scaled(m, sol.roots.eta1, z)
-                + sol.t2_scaled * damp * aux_C_deta(m, sol.roots.eta1, z)
-                + sol.mu * sinc_term)
-    return (sol.t1_scaled * _aux_C_scaled(m, sol.roots.eta1, z)
-            + sol.t2_scaled * _aux_C_scaled(m, sol.roots.eta2, z)
-            + sol.mu * sinc_term)
+    z = np.asarray(z, dtype=complex)
+    c_mean, c_dd = _aux_C_split(m, sol, z)
+    sinc_term = 2.0 * sin_quot(2.0 * np.pi * z, m.delta / 2.0)
+    return sol.p_scaled * c_mean + sol.q_scaled * c_dd + sol.mu * sinc_term
 
 
 def kernel_k00(m: Measure, extended: bool = False) -> float:
     """K(0, 0), the diagonal kernel value whose reciprocal upper-bounds the
-    optimization constant of the averaged form factor."""
-    m.require_admissible(extended=extended)
-    if m.c2 == 0.0:
-        return m.delta / m.c1
-    if m.c3 == 0.0:
-        # K = (Delta/c1) (sin th / th) / (cos th + th sin th), th^2 = sigma/2;
-        # this arrangement is stable down to c2 -> 0
-        th = np.sqrt(m.c2 / (2.0 * m.c1)) * m.delta
-        return (m.delta / m.c1) * np.sinc(th / np.pi) / (np.cos(th) + th * np.sin(th))
-    val = kernel_k0z(m, 0.0, extended=extended).value
-    return float(val.real)
+    optimization constant of the averaged form factor: the real section at
+    z = 0."""
+    return float(np.real(kernel_k0z_grid(m, 0.0, extended=extended)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +439,18 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
         return np.asarray(sinc_band_c(m.delta, z)) / m.c1
     if m.c3 == 0.0:
         # b(0) = c(0) = 0, so the section collapses to a(0) q(z)
-        a0, _, _ = _coeff_abc_at_zero(m)
         q, _ = _qr_transforms(m, z)
-        return a0 * q
+        return _coeff_abc(m, 0.0)[0] * q
     return _k0z_assemble(m, k0_transform_solution(m), z)
-
-
-def _coeff_abc_at_zero(m: Measure):
-    """a(0), b(0), c(0) for the c3 = 0 kernel; b and c vanish at w = 0."""
-    th = np.sqrt(m.c2 / (2.0 * m.c1)) * m.delta
-    a0 = 1.0 / (m.c1 * (np.cos(th) + th * np.sin(th)))
-    return a0, 0.0, 0.0
 
 
 def k0_endpoint_value(m: Measure) -> float:
     """Value of the transform-side solution u0 at the support endpoint
-    Delta/2; the coefficient of the 1/x far field of K(0, x)."""
-    if m.c2 == 0.0:
-        return 1.0 / m.c1
-    if m.c3 == 0.0:
-        om = np.sqrt(2.0 * m.c2 / m.c1)
-        th = om * m.delta / 2.0
-        a0, _, _ = _coeff_abc_at_zero(m)
-        return float(a0 * np.cos(th))
-    return float(k0_transform_solution(m).endpoint_value(m).real)
+    Delta/2; the coefficient of the 1/x far field of K(0, x).  The measure
+    must pass the extended admissibility gate."""
+    if m.c3 > 0.0 and m.c2 > 0.0:
+        return float(k0_transform_solution(m).endpoint_value(m).real)
+    # u0(t) = a(0) cos(om t) and K(0, 0) = a(0) q(0); om = 0 for a pure atom
+    om = np.sqrt(2.0 * m.c2 / m.c1)
+    q0, _ = _qr_transforms(m, 0.0)
+    return float(kernel_k00(m, extended=True) * np.cos(om * m.delta / 2.0) / q0.real)

@@ -10,7 +10,8 @@ wider range sigma < 1/sup_g() is available behind an explicit flag.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -18,10 +19,6 @@ from scipy.optimize import minimize_scalar
 from .errors import NotAdmissible
 
 ADMISSIBLE_SIGMA = 5.0 / 3.0
-
-# nu_hat(x) - c1 = c2 Delta^2 [sin(2u)/u - (sin u / u)^2] with u = pi Delta x;
-# Taylor coefficients of the bracket, used for |u| below _NUHAT_SERIES_CUT.
-_NUHAT_SERIES_CUT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -40,6 +37,10 @@ class Measure:
     delta: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not (self.c1 > 0):
             raise ValueError(f"c1 must be > 0, got {self.c1}")
         if not (self.c2 >= 0):
@@ -76,10 +77,7 @@ class Measure:
 
     def total_mass(self) -> float:
         """nu_hat(0) = c1 + c2 * integral of |a| e^{-c3|a|} over the support."""
-        if self.c3 == 0.0:
-            return self.c1 + self.c2 * self.delta ** 2
-        c3d = self.c3 * self.delta
-        return self.c1 + 2.0 * self.c2 * (1.0 - np.exp(-c3d) * (1.0 + c3d)) / self.c3 ** 2
+        return nu_hat(self, 0.0)
 
 
 @dataclass(frozen=True)
@@ -90,88 +88,47 @@ class NormEquivalence:
     b_sq: float
 
 
-def nu_hat(m: Measure, x: float) -> float:
-    """Fourier transform of the measure at frequency x (real, even in x).
-
-    Closed form throughout; for c3 = 0 the removable point x = 0 is handled
-    by a sixth-order series in u = pi Delta x.
-    """
-    c1, c2, c3, d = m.c1, m.c2, m.c3, m.delta
-    if c2 == 0.0:
-        return c1
-    if c3 == 0.0:
-        u = np.pi * d * x
-        if abs(u) < _NUHAT_SERIES_CUT:
-            u2 = u * u
-            bracket = 1.0 - u2 + (2.0 / 9.0) * u2 * u2 - u2 ** 3 / 45.0
-            return c1 + c2 * d * d * bracket
-        return (c1 + c2 * d * np.sin(2 * np.pi * d * x) / (np.pi * x)
-                - c2 * (np.sin(np.pi * d * x) / (np.pi * x)) ** 2)
-    # c3 > 0: the denominator (c3^2 + 4 pi^2 x^2)^2 never vanishes
-    p2 = 4.0 * np.pi ** 2 * x * x
-    den = (c3 ** 2 + p2) ** 2
-    cos2 = np.cos(2 * np.pi * d * x)
-    sin2 = np.sin(2 * np.pi * d * x)
-    bracket = (2.0 * np.exp(c3 * d) * (c3 ** 2 - p2)
-               - 2.0 * (c3 ** 2 - p2 + c3 ** 3 * d + c3 * p2 * d) * cos2
-               + 4.0 * np.pi * x * (2.0 * c3 + c3 ** 2 * d + p2 * d) * sin2)
-    return c1 + c2 * np.exp(-c3 * d) * bracket / den
+def nu_hat(m: Measure, x):
+    """Fourier transform of the measure at frequency x (real, even in x),
+    c1 - c2 Delta^2 G(c3 Delta, 2 pi Delta x).  Accepts scalars or arrays."""
+    t = 2.0 * np.pi * m.delta * np.asarray(x, dtype=float)
+    return m.c1 - m.c2 * m.delta ** 2 * g_surface(m.c3 * m.delta, t)
 
 
-def nu_hat_grid(m: Measure, x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`nu_hat` over a real array."""
-    x = np.asarray(x, dtype=float)
-    c1, c2, c3, d = m.c1, m.c2, m.c3, m.delta
-    if c2 == 0.0:
-        return np.full_like(x, c1)
-    if c3 == 0.0:
-        u = np.pi * d * x
-        small = np.abs(u) < _NUHAT_SERIES_CUT
-        xs = np.where(small, 1.0, x)        # placeholder, overwritten below
-        out = (c1 + c2 * d * np.sin(2 * np.pi * d * xs) / (np.pi * xs)
-               - c2 * (np.sin(np.pi * d * xs) / (np.pi * xs)) ** 2)
-        if small.any():
-            u2 = u[small] ** 2
-            out[small] = c1 + c2 * d * d * (
-                1.0 - u2 + (2.0 / 9.0) * u2 * u2 - u2 ** 3 / 45.0)
-        return out
-    p2 = 4.0 * np.pi ** 2 * x * x
-    den = (c3 ** 2 + p2) ** 2
-    cos2 = np.cos(2 * np.pi * d * x)
-    sin2 = np.sin(2 * np.pi * d * x)
-    bracket = (2.0 * np.exp(c3 * d) * (c3 ** 2 - p2)
-               - 2.0 * (c3 ** 2 - p2 + c3 ** 3 * d + c3 * p2 * d) * cos2
-               + 4.0 * np.pi * x * (2.0 * c3 + c3 ** 2 * d + p2 * d) * sin2)
-    return c1 + c2 * np.exp(-c3 * d) * bracket / den
-
-
-def g_surface(sigma_var: float, t: float) -> float:
+def g_surface(sigma_var, t):
     """The surface G(sigma, t) controlling nu_hat from below:
 
         nu_hat(x) = c2 Delta^2 ( c1/(c2 Delta^2) - G(c3 Delta, 2 pi Delta x) ).
 
     Continuous at t = 0 and at the origin, where the limit is -1; G(sigma, 0)
-    is nonpositive for all sigma >= 0.
+    is nonpositive for all sigma >= 0.  Accepts scalars or arrays; near the
+    origin, |sigma - i t| < 1/4, the closed form cancels and a power series
+    is used.
     """
-    if sigma_var < 0:
+    s, t = np.asarray(sigma_var, dtype=float), np.asarray(t, dtype=float)
+    if np.any(s < 0):
         raise ValueError("sigma_var must be >= 0")
-    z = complex(-sigma_var, t)
-    if abs(z) < 0.25:
-        # G = 2 Re sum_{k>=0} -(k+1)/(k+2)! z^k
-        total = 0.0 + 0.0j
-        zk = 1.0 + 0.0j
+    tt = t * t
+    r2 = s * s + tt
+    d = s * s - tt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = d - np.exp(-s) * ((d + s * r2) * np.cos(t)
+                                    - t * (2.0 * s + r2) * np.sin(t))
+        out = np.asarray(-2.0 * bracket / (r2 * r2))
+    small = r2 < 0.0625
+    if small.any():
+        # G = 2 Re sum_{k>=0} -(k+1)/(k+2)! z^k  with z = -sigma + i t
+        z = (-np.broadcast_to(s, small.shape)[small]
+             + 1j * np.broadcast_to(t, small.shape)[small])
+        total = np.zeros(z.shape, dtype=complex)
+        zk = np.ones(z.shape, dtype=complex)
         fact = 2.0       # (k+2)!
         for k in range(16):
             total -= (k + 1) / fact * zk
             zk *= z
             fact *= (k + 3)
-        return 2.0 * total.real
-    s, tt = sigma_var, t
-    r2 = s * s + tt * tt
-    bracket = (2.0 * np.exp(s) * (s * s - tt * tt)
-               - 2.0 * (s * s - tt * tt + s ** 3 + tt * tt * s) * np.cos(tt)
-               + 2.0 * tt * (2.0 * s + s * s + tt * tt) * np.sin(tt))
-    return -np.exp(-s) * bracket / r2 ** 2
+        out[small] = 2.0 * total.real
+    return out[()]
 
 
 @functools.lru_cache(maxsize=1)
@@ -179,8 +136,7 @@ def sup_g_point() -> tuple[float, float]:
     """Argmax and value of G(0, t) over t > 0 (the global max of G over the
     quadrant sits on the sigma = 0 line)."""
     ts = np.linspace(0.05, 60.0, 6000)
-    vals = np.array([g_surface(0.0, t) for t in ts])
-    t0 = ts[int(np.argmax(vals))]
+    t0 = ts[int(np.argmax(g_surface(0.0, ts)))]
     res = minimize_scalar(lambda t: -g_surface(0.0, t),
                           bounds=(t0 - 0.2, t0 + 0.2), method="bounded",
                           options={"xatol": 1e-13})

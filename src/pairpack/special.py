@@ -3,7 +3,7 @@ are built from: moment integrals of complex exponentials over [0, L] and
 sinc-type quotients with removable zeros.
 
 All functions accept complex scalars or arrays.  Near the cancellation-prone
-region |s| L < 0.5 they switch to truncated power series; the switch radius
+region |s| L < 1 they switch to truncated power series; the switch radius
 keeps both branches well inside 1e-13 relative accuracy.
 """
 
@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_SERIES_RADIUS = 0.5
-_SERIES_TERMS = 30
+_SERIES_RADIUS = 1.0
+_SERIES_TERMS = 20          # (1/20!) < 5e-19: the truncation error at |s L| = 1
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
 
 
 def _as_complex(s):
@@ -20,56 +21,54 @@ def _as_complex(s):
     return arr, (arr.shape == ())
 
 
-def exp_moment(k: int, s, L: float):
-    """phi_k(s) = integral_0^L  a^k e^{s a} da  for k in {0, 1, 2, 3}.
+def exp_moment(k, s, L: float):
+    """phi_k(s) = integral_0^L  a^k e^{s a} da  for any integer order k >= 0.
 
-    The explicit antiderivatives cancel catastrophically for small |s L|,
-    where the power series in s is used instead.
+    ``k`` and ``s`` broadcast against each other.  For |s L| < 1 the power
+    series  L^{k+1} sum_j (sL)^j / (j! (k+j+1))  is used; elsewhere the upward
+    recurrence  phi_j = (L^j e^{sL} - j phi_{j-1}) / s  from
+    phi_0 = (e^{sL} - 1) / s.  The recurrence amplifies rounding by about
+    prod_j (1 + (j+1)/|sL|), at most 60 for k <= 3, so orders above 3 are
+    meant for the series region.
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"k={k} not supported")
-    s, scalar = _as_complex(s)
-    small = np.abs(s) * L < _SERIES_RADIUS
-    out = np.empty_like(s)
+    k = np.asarray(k)
+    if np.any(k < 0):
+        raise ValueError("order k must be >= 0")
+    k, s = np.broadcast_arrays(k, np.asarray(s, dtype=complex))
+    scalar = s.shape == ()
+    k, s = np.atleast_1d(k), np.atleast_1d(s)
+    x = s * L
+    small = np.abs(x) < _SERIES_RADIUS
+    out = np.empty(s.shape, dtype=complex)
 
     if small.any():
-        ss = s[small]
-        total = np.zeros_like(ss)
-        term = np.ones_like(ss)          # s^j / j!
-        for j in range(_SERIES_TERMS):
-            total += term * L ** (k + j + 1) / (k + j + 1)
-            term *= ss / (j + 1)
-        out[small] = total
+        ks, xs = k[small], x[small]
+        # Horner in sL over the coefficients 1 / (j! (k+j+1))
+        j = np.arange(_SERIES_TERMS)[:, None]
+        coef = 1.0 / (_FACTORIALS[:, None] * (ks + j + 1))
+        total = coef[-1].astype(complex)
+        for c in coef[-2::-1]:
+            total = total * xs + c
+        out[small] = total * float(L) ** (ks + 1)
 
     big = ~small
     if big.any():
-        sb = s[big]
-        e = np.exp(sb * L)
-        sl = sb * L
-        if k == 0:
-            val = (e - 1.0) / sb
-        elif k == 1:
-            val = (e * (sl - 1.0) + 1.0) / sb ** 2
-        elif k == 2:
-            val = (e * (sl * sl - 2.0 * sl + 2.0) - 2.0) / sb ** 3
-        else:
-            val = (e * (sl ** 3 - 3.0 * sl ** 2 + 6.0 * sl - 6.0) + 6.0) / sb ** 4
+        kb, sb = k[big], s[big]
+        e = np.exp(x[big])
+        phi = (e - 1.0) / sb
+        val = phi.copy()
+        for j in range(1, int(kb.max()) + 1):
+            phi = (L ** j * e - j * phi) / sb
+            val = np.where(kb == j, phi, val)
         out[big] = val
-    return complex(out) if scalar else out
+    return complex(out[0]) if scalar else out
 
 
-def cosh_moment(k: int, eta, c3: float, delta: float):
+def cosh_moment(k, eta, c3: float, delta: float):
     """I_k(eta) = integral_{-d/2}^{d/2} cosh(eta a) |a|^k e^{-c3 |a|} da."""
     L = delta / 2.0
-    return exp_moment(k, np.asarray(eta, dtype=complex) - c3, L) \
-        + exp_moment(k, -np.asarray(eta, dtype=complex) - c3, L)
-
-
-def cosh_moment_deta(k: int, eta, c3: float, delta: float):
-    """d/d_eta of cosh_moment(k, eta)."""
-    L = delta / 2.0
-    return exp_moment(k + 1, np.asarray(eta, dtype=complex) - c3, L) \
-        - exp_moment(k + 1, -np.asarray(eta, dtype=complex) - c3, L)
+    eta = np.asarray(eta, dtype=complex)
+    return exp_moment(k, eta - c3, L) + exp_moment(k, -eta - c3, L)
 
 
 def _series_quot(s, L: float, sign: float):
@@ -104,28 +103,6 @@ def sinh_quot(s, L: float):
         out[small] = _series_quot(s[small], L, 1.0)
     if (~small).any():
         out[~small] = np.sinh(s[~small] * L) / s[~small]
-    return complex(out) if scalar else out
-
-
-def sinh_quot_ds(s, L: float):
-    """d/ds of sinh(s L)/s, which is (L cosh(s L) - sinh(s L)/s) / s."""
-    s, scalar = _as_complex(s)
-    small = np.abs(s) * L < _SERIES_RADIUS
-    out = np.empty_like(s)
-    if small.any():
-        ss = s[small]
-        # sum_{j>=1} 2j / (2j+1)!  (sL)^{2j-1} L^2
-        total = np.zeros_like(ss)
-        term = (ss * L) * L * L / 3.0          # j = 1 term
-        x2 = (ss * L) ** 2
-        for j in range(1, _SERIES_TERMS // 2):
-            total += term
-            term *= x2 * (j + 1) / (j * (2 * j + 2) * (2 * j + 3))
-        out[small] = total
-    big = ~small
-    if big.any():
-        sb = s[big]
-        out[big] = (L * np.cosh(sb * L) - np.sinh(sb * L) / sb) / sb
     return complex(out) if scalar else out
 
 

@@ -19,9 +19,9 @@ from .formfactor import (ZeroDataset, fejer_check, fejer_poisson_check,
                          ep1_ratio_check, form_factor, form_factor_positive,
                          pair_weight, phi_functional, symmetric_average,
                          windowed_average)
-from .fredholm import (closed_form_u, homogeneous_solution_norm, k_from_u,
-                       ode_residual, reproducing_residual, solve_integral_eq,
-                       system_residual)
+from .fredholm import (closed_form_u, k_from_u, ode_residual,
+                       reproducing_residual, solve_integral_eq, system_residual,
+                       uniqueness_ratio)
 from .kernels import (kernel_c3zero, kernel_k00, kernel_k0z,
                       quartic_roots, quartic_residual, script_L)
 from .measures import Measure, g_surface, sup_g, sup_g_point
@@ -210,7 +210,8 @@ def suite_oracle(rep: Report) -> None:
               float(np.max(np.abs(s200.interpolate(at) - s400.interpolate(at)))),
               1e-10)
     rep.check("linear_system_residual", system_residual(s200), 1e-12)
-    rep.check("homogeneous_only_trivial", homogeneous_solution_norm(m), 1e-10)
+    # sigma_min of the weighted Nystrom matrix must stay >= a_sq
+    rep.check("uniqueness_a_sq_over_sigma_min", 1.0 / uniqueness_ratio(m), 1.0)
 
     sol0 = solve_integral_eq(m, 0.0)
     rep.check("w0_solution_real", float(np.max(np.abs(sol0.u_values.imag))), 1e-10)

@@ -145,6 +145,19 @@ class TestFigure1:
         assert up_mid == up_ref
         assert lo_mid >= lo_ref - 1e-15
 
+    def test_one_diagonal_evaluation_per_row(self, monkeypatch):
+        import pairpack.bounds as bounds_mod
+        calls = []
+        k00 = bounds_mod.kernel_k00
+
+        def counted(m, **kwargs):
+            calls.append(m)
+            return k00(m, **kwargs)
+
+        monkeypatch.setattr(bounds_mod, "kernel_k00", counted)
+        assert len(figure1_data(0.0, 1.0, 10)) == 11
+        assert len(calls) == 11
+
     def test_bad_ranges(self):
         with pytest.raises(ValueError):
             figure1_data(2.0, 1.0, 10)

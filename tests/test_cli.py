@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pairpack.cli import main
+from pairpack.cli import MAX_POINTS, _parse_range, main
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +83,30 @@ class TestExitCodes:
     def test_negative_measure_param_is_one(self, capsys):
         code, _, _ = run_cli(capsys, "kernel", "--c1", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--c1", "--c2", "--c3", "--delta"])
+    def test_non_finite_measure_param_is_one(self, capsys, flag):
+        code, out, err = run_cli(capsys, "kernel", flag, "inf")
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err
+
+    def test_over_cap_ranges_are_one(self, capsys, tmp_path):
+        # the cap is checked before anything is allocated
+        with pytest.raises(ValueError, match="cap"):
+            _parse_range("0:1e12:1e-3")
+        with pytest.raises(ValueError):
+            _parse_range("0:nan:0.1")
+        assert len(_parse_range("0:1:0.25")) == 5
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("# lambda=1\n14.1347\n21.0220\n")
+        for argv in (("kernel", "--grid", "0:1e12:1e-3"),
+                     ("formfactor", "--zeros", str(zeros), "--alpha", "0:1e9:1e-4"),
+                     ("figure1", "--steps", str(MAX_POINTS))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "cap" in err
 
     def test_verify_ok_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "appendix")

@@ -205,13 +205,14 @@ class TestPhiFunctional:
         sol = k0_transform_solution(m)
         L = m.delta / 2.0
         damp = np.exp(-sol.scale)
-        t1 = sol.t1_scaled * damp
-        t2 = sol.t2_scaled * damp
+        e1, e2 = sol.roots.eta1, sol.roots.eta2
 
         def u0(t):
+            # mean and eta^2-divided difference of cosh(eta1 t), cosh(eta2 t)
             t = np.asarray(t, dtype=complex)
-            return (t1 * np.cosh(sol.roots.eta1 * t)
-                    + t2 * np.cosh(sol.roots.eta2 * t) + sol.mu).real
+            mean = 0.5 * (np.cosh(e1 * t) + np.cosh(e2 * t))
+            dd = (np.cosh(e1 * t) - np.cosh(e2 * t)) / (e1 ** 2 - e2 ** 2)
+            return (damp * (sol.p_scaled * mean + sol.q_scaled * dd) + sol.mu).real
 
         def g_hat(a):
             # autocorrelation int u0(t) u0(t - a) dt over the overlap

@@ -6,8 +6,8 @@ import pytest
 from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
                       k_from_u, kernel_k0z, ode_residual, nu_hat,
                       reproducing_residual, solve_integral_eq)
-from pairpack.fredholm import (CONDITION_LIMIT, homogeneous_solution_norm,
-                               system_residual)
+from pairpack.fredholm import (CONDITION_LIMIT, system_residual,
+                               uniqueness_ratio)
 from pairpack.errors import IllConditioned
 from pairpack.quadrature import integrate_with_kink
 
@@ -76,9 +76,22 @@ class TestSolver:
             assert equation_residual_by_quadrature(
                 m, 0.3, sol.interpolate, xi) <= 1e-10
 
-    def test_homogeneous_only_trivial(self):
-        assert homogeneous_solution_norm(Measure(1, 1, 0, 0.5)) <= 1e-10
-        assert homogeneous_solution_norm(Measure(1, 1, 2.0, 0.9)) <= 1e-10
+    def test_homogeneous_only_trivial(self, monkeypatch):
+        # sigma_min of the weighted matrix certifies unique solvability
+        ms = (Measure(1, 1, 0, 0.5), Measure(1, 1, 2.0, 0.9))
+        ratios = [uniqueness_ratio(m) for m in ms]
+        assert min(ratios) >= 1.0
+        # a planted matrix with a_sq taken off the diagonal fails the check
+        import pairpack.fredholm as fredholm
+        assemble = fredholm._assemble_matrix
+
+        def shifted(m, nodes, bary_w):
+            a_sq = fredholm.norm_bounds(m, extended=True).a_sq
+            return assemble(m, nodes, bary_w) - a_sq * np.eye(len(nodes))
+
+        monkeypatch.setattr(fredholm, "_assemble_matrix", shifted)
+        planted = [uniqueness_ratio(m) for m in ms]
+        assert max(planted) < 1.0
 
     def test_node_count_guard(self):
         with pytest.raises(ValueError):

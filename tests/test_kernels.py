@@ -8,8 +8,7 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       k_from_u, kernel_c3zero, kernel_k00, kernel_k0z,
                       kernel_k0z_grid, mu, quartic_roots, script_L,
                       solve_integral_eq, sup_g)
-from pairpack.kernels import (aux_A_prime, aux_B_prime, quartic_residual,
-                              k0_transform_solution)
+from pairpack.kernels import k0_transform_solution, quartic_residual
 from pairpack.quadrature import integrate_with_kink
 
 
@@ -104,15 +103,6 @@ class TestAuxFunctions:
         val = aux_A(m, r.eta1) * aux_B(m, r.eta2) - aux_B(m, r.eta1) * aux_A(m, r.eta2)
         assert np.isfinite(val)
         assert val == pytest.approx(script_L(m), abs=1e-13)
-
-    def test_derivatives_by_finite_difference(self):
-        m = Measure(1.0, 1.0, 2.0, 0.6)
-        eta = 0.8 + 0.3j
-        h = 1e-6
-        fd_A = (aux_A(m, eta + h) - aux_A(m, eta - h)) / (2 * h)
-        fd_B = (aux_B(m, eta + h) - aux_B(m, eta - h)) / (2 * h)
-        assert aux_A_prime(m, eta) == pytest.approx(fd_A, abs=1e-8)
-        assert aux_B_prime(m, eta) == pytest.approx(fd_B, abs=1e-8)
 
 
 class TestAuxC:
@@ -278,6 +268,22 @@ class TestKernelK0z:
             kernel_k0z(Measure(1, 1 * (1 + s), c3, 0.5), 0.3).value.real
             for s in (-1e-6, 1e-6))
         assert lo_hi[0] - 1e-5 <= v <= lo_hi[1] + 1e-5
+
+    def test_near_degenerate_matches_oracle(self):
+        # both sides of the line lam = 4 c3^2, from on it to 1e-2 away; the
+        # two-root formula cancels there unless the divided differences are
+        # taken from the close-root series
+        zs = np.array([0.0, 0.3, 1.1, 3.7])
+        worst = 0.0
+        for delta, sigma in ((0.5, 0.25), (0.7, 1.0), (1.0, 1.66), (0.3, 0.05)):
+            c3 = np.sqrt(sigma) / delta / 2.0
+            for eps in (0.0, 1e-15, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2):
+                for sign in ((1.0,) if eps == 0.0 else (1.0, -1.0)):
+                    m = Measure(1.0, 4.0 * c3 ** 2 * (1.0 + sign * eps), c3, delta)
+                    oracle = k_from_u(solve_integral_eq(m, 0.0, n=200), zs)
+                    closed = [kernel_k0z(m, z, extended=True).value for z in zs]
+                    worst = max(worst, float(np.max(np.abs(closed - oracle))))
+        assert worst <= 1e-13
 
     def test_root_swap_invariance(self):
         # reassemble with eta1 <-> eta2 by flipping the discriminant branch

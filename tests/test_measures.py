@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pairpack import (Measure, NotAdmissible, extended_sigma_threshold,
-                      g_surface, norm_bounds, nu_hat, nu_hat_grid, sup_g,
-                      sup_g_point)
+                      g_surface, norm_bounds, nu_hat, sup_g, sup_g_point)
 from pairpack.quadrature import integrate_with_kink
 
 
@@ -28,6 +27,14 @@ class TestMeasure:
             Measure(1, 1, -1.0, 0.5)
         with pytest.raises(ValueError):
             Measure(1, 1, 0, 0.0)
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "c3", "delta"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, field, value):
+        params = dict(c1=1.0, c2=1.0, c3=0.5, delta=0.5)
+        params[field] = value
+        with pytest.raises(ValueError, match=field):
+            Measure(**params)
 
     def test_sigma_and_gates(self):
         m = Measure(1.0, 1.0, 0.0, 0.5)
@@ -84,12 +91,28 @@ class TestNuHat:
         for x in (1e-5, 4.5e-5, -3e-5):
             assert nu_hat(m, x) == pytest.approx(nu_hat_quadrature(m, x), abs=1e-12)
 
-    def test_grid_matches_scalar(self):
+    def test_small_c3_against_multiprecision(self):
+        # the closed form cancels as c3 -> 0; the G-surface series does not
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for c3 in (1e-2, 1e-4, 1e-6, 1e-8):
+            m = Measure(1.0, 1.0, c3, 0.5)
+            for x in (0.0, 1e-3, 0.3):
+                dens = mpmath.quad(
+                    lambda a: mpmath.cos(2 * mpmath.pi * x * a) * a
+                    * mpmath.exp(-c3 * a), [0, m.delta])
+                ref = float(m.c1 + 2 * m.c2 * dens)
+                assert abs(nu_hat(m, x) - ref) <= 1e-13 * ref
+                if x == 0.0:
+                    assert abs(m.total_mass() - ref) <= 1e-13
+
+    def test_array_matches_scalar(self):
         m = Measure(1.0, 0.8, 1.3, 0.6)
         xs = np.linspace(-5, 5, 101)
-        grid = nu_hat_grid(m, xs)
+        grid = nu_hat(m, xs)
+        assert grid.shape == xs.shape
         for i in (0, 3, 50, 77, 100):
-            assert grid[i] == pytest.approx(nu_hat(m, xs[i]), abs=1e-14)
+            assert grid[i] == nu_hat(m, xs[i])
 
 
 class TestGSurface:
@@ -168,7 +191,7 @@ class TestNormBounds:
                   Measure(1.0, 1.5, 0.7, 1.0)):
             nb = norm_bounds(m)
             xs = np.linspace(-1000.0, 1000.0, 200001)
-            vals = nu_hat_grid(m, xs)
+            vals = nu_hat(m, xs)
             assert vals.min() >= nb.a_sq - 1e-9
             assert vals.max() <= nb.b_sq + 1e-9
 
@@ -177,7 +200,7 @@ class TestNormBounds:
         m = Measure(1.0, 1.0, 1.0, 0.5)
         nb = norm_bounds(m)
         xs = rng.uniform(-1e4, 1e4, 10000)
-        vals = nu_hat_grid(m, xs)
+        vals = nu_hat(m, xs)
         assert np.all(vals >= nb.a_sq - 1e-9)
         assert np.all(vals <= nb.b_sq + 1e-9)
 
