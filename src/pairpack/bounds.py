@@ -15,13 +15,14 @@ constants; no asymptotic slack is added.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .kernels import kernel_k00
 from .measures import Measure
+from .quadrature import bisect
 
 THEOREM2_FLOOR = 0.5
 
@@ -33,8 +34,7 @@ def s0_point() -> tuple[float, float]:
     The first-order condition is tan x = x; the deepest critical point sits
     in (pi, 3 pi / 2) since the envelope 1/|x| decays.
     """
-    xs = brentq(lambda x: x * np.cos(x) - np.sin(x), np.pi, 1.5 * np.pi,
-                xtol=1e-15, rtol=8.9e-16)
+    xs = bisect(lambda x: x * math.cos(x) - math.sin(x), math.pi, 1.5 * math.pi)
     return float(xs), float(np.sin(xs) / xs)
 
 
@@ -179,5 +179,5 @@ def refutation_threshold(c: float, b: float, floor: float = THEOREM2_FLOOR,
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("no crossing found below ell = 1e12")
-    return float(brentq(lambda ell: gonek_ki_conjectured_average(b, ell, c) - floor,
-                        lo, hi, xtol=tol))
+    return bisect(lambda ell: gonek_ki_conjectured_average(b, ell, c) - floor,
+                  lo, hi, xtol=tol)

@@ -25,6 +25,11 @@ class IllConditioned(PairpackError):
     """The discretized linear system is too ill-conditioned to trust."""
 
 
+class NotCancelled(PairpackError):
+    """A part of a sum that must cancel exactly (such as the imaginary part
+    of a form-factor double sum) did not cancel to rounding."""
+
+
 class RemovablePoint(PairpackError):
     """Evaluation was requested exactly at a removable singularity of a
     closed-form expression; the caller should perturb or use a limit."""

@@ -15,20 +15,21 @@ of the universal 1/2 floor).
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import polygamma
 
-from .errors import EmptyDataset, EmptyWindow, ParseError
+from .errors import EmptyDataset, EmptyWindow, NotCancelled, ParseError
 from .kernels import k0_endpoint_value, kernel_k00, kernel_k0z_grid
 from .measures import Measure, nu_hat
 from .quadrature import panel_rule
 
 _PAIR_CHUNK = 512            # rows per chunk of the double sum
 MAX_ORDINATES = 100_000
+MAX_ALPHAS = 10 ** 6         # largest alpha grid of an average
 
 
 class Window(enum.Enum):
@@ -147,7 +148,7 @@ def form_factor(ds: ZeroDataset, T: float, alpha: float) -> float:
         diff = g[lo:hi, None] - g[None, :]
         total += np.sum(phase[lo:hi, None] * np.conj(phase)[None, :] * pair_weight(diff))
     if abs(total.imag) > 1e-10 * n * n:
-        raise AssertionError(f"imaginary part {total.imag:.3e} did not cancel")
+        raise NotCancelled(f"imaginary part {total.imag:.3e} did not cancel")
     return float(total.real) / _normalizer(ds, T)
 
 
@@ -181,14 +182,24 @@ def form_factor_positive(ds: ZeroDataset, T: float, alpha: float,
     return 2.0 * np.pi * val / _normalizer(ds, T)
 
 
+def _alpha_steps(span: float, grid_step: float) -> int:
+    """ceil(span / grid_step) for a positive grid_step, refused before
+    anything is allocated when the grid would pass MAX_ALPHAS points."""
+    steps = span / grid_step
+    if not steps + 1 <= MAX_ALPHAS:
+        raise ValueError(f"the alpha grid asks for {steps + 1:.6g} points; "
+                         f"the cap is {MAX_ALPHAS}")
+    return int(np.ceil(steps))
+
+
 def windowed_average(ds: ZeroDataset, T: float, b: float, ell: float,
                      grid_step: float) -> float:
     """Trapezoid average (1/ell) integral_b^{b+ell} F(alpha, T) d alpha."""
-    if b < 0 or ell <= 0:
-        raise ValueError("need b >= 0 and ell > 0")
-    if grid_step > ell / 16.0:
-        raise ValueError("grid_step must be <= ell / 16")
-    n = int(np.ceil(ell / grid_step))
+    if not (math.isfinite(b) and b >= 0 and ell > 0):
+        raise ValueError("need finite b >= 0 and ell > 0")
+    if not 0 < grid_step <= ell / 16.0:
+        raise ValueError("grid_step must be in (0, ell / 16]")
+    n = _alpha_steps(ell, grid_step)
     alphas = np.linspace(b, b + ell, n + 1)
     vals = np.array([form_factor(ds, T, a) for a in alphas])
     return float(np.trapezoid(vals, alphas) / ell)
@@ -197,9 +208,11 @@ def windowed_average(ds: ZeroDataset, T: float, b: float, ell: float,
 def symmetric_average(ds: ZeroDataset, T: float, beta: float,
                       grid_step: float) -> float:
     """(1 / 2 beta) integral_{-beta}^{beta} F(alpha, T) d alpha."""
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be > 0")
-    n = int(np.ceil(2.0 * beta / grid_step))
+    if not grid_step > 0:
+        raise ValueError("grid_step must be > 0")
+    n = _alpha_steps(2.0 * beta, grid_step)
     if n % 2:
         n += 1          # keep 0 on the grid
     alphas = np.linspace(-beta, beta, n + 1)
@@ -285,6 +298,25 @@ def fejer_check(beta: float, grid_points: int = 2001) -> float:
     return float(beta)
 
 
+def _trigamma(x: float) -> float:
+    """psi'(x) = sum_{k>=0} 1/(x+k)^2 for x > 0: the recurrence
+    psi'(x) = psi'(x+1) + 1/x^2 up to x >= 20, then the asymptotic series
+    1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) through B_14, whose first omitted
+    term is below 1e-20 relative there."""
+    head = 0.0
+    while x < 20.0:
+        head += 1.0 / (x * x)
+        x += 1.0
+    inv = 1.0 / x
+    inv2 = inv * inv
+    bern = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+            -691.0 / 2730.0, 7.0 / 6.0)
+    tail = 0.0
+    for b2k in reversed(bern):
+        tail = b2k + inv2 * tail
+    return head + (inv + 0.5 * inv2 + inv * inv2 * tail)
+
+
 def fejer_poisson_check(beta: float, n_max: int = 2000) -> tuple[float, float, float]:
     """Both sides of the lattice identity  sum_n g(n) = sum_k g_hat(k)  for
     the rescaled triangle witness, with the left tail beyond n_max evaluated
@@ -302,7 +334,7 @@ def fejer_poisson_check(beta: float, n_max: int = 2000) -> tuple[float, float, f
     lhs = beta + (2.0 / (np.pi ** 2 * beta)) * float(np.sum(s2 / n ** 2))
     # analytic tail: sum_{n>N} (1 - cos(2 pi beta n)) / (2 n^2), both sides
     frac = beta - np.floor(beta)
-    tail_one = float(polygamma(1, n_max + 1))
+    tail_one = _trigamma(n_max + 1.0)
     cos_full = np.pi ** 2 * (frac * frac - frac + 1.0 / 6.0)
     cos_partial = float(np.sum(np.cos(2.0 * np.pi * beta * n) / n ** 2))
     tail_cos = cos_full - cos_partial

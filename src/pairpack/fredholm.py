@@ -12,6 +12,11 @@ the barycentric interpolant of u.  Because u extends to an entire function,
 the scheme converges spectrally; at the default 200 nodes it reproduces the
 closed forms to machine precision.
 
+The system matrix does not depend on w.  It is assembled once per
+(measure, node count) and kept, read-only, in a small cache together with
+its nodes, weights and condition number; every solve of that measure and
+the linear-system residual of each solution use that one matrix.
+
 Everything downstream of a solve (transform evaluation, reproducing-property
 residuals, differential-equation residuals) never touches the closed-form
 kernels, so agreement between the two routes is a genuine cross-check.
@@ -19,6 +24,7 @@ kernels, so agreement between the two routes is a genuine cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -34,6 +40,7 @@ from .special import sinc_band, sinc_band_c
 
 DEFAULT_NODES = 200
 _PANEL_ORDER = 40
+_ROW_BLOCK = 8           # matrix rows per batched product (~1 MB of temporaries at n = 200)
 CONDITION_LIMIT = 1e8
 
 TestFunction = Sequence[tuple[float, float]]
@@ -48,7 +55,10 @@ SINC_PRESETS: dict[str, TestFunction] = {
 
 @dataclass
 class NystromSolution:
-    """Discrete solution of the integral equation at Gauss-Legendre nodes."""
+    """Discrete solution of the integral equation at Gauss-Legendre nodes.
+
+    ``nodes``, ``weights`` and the system matrix are read-only arrays shared
+    by every solve of the same measure and node count."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -57,6 +67,7 @@ class NystromSolution:
     w: complex
     condition_estimate: float
     _bary_w: np.ndarray = field(repr=False, default=None)
+    _matrix: np.ndarray = field(repr=False, default=None)
 
     def interpolate(self, targets) -> np.ndarray:
         """Barycentric interpolation of u to arbitrary points of the support."""
@@ -65,23 +76,66 @@ class NystromSolution:
 
 
 def _assemble_matrix(m: Measure, nodes: np.ndarray, bary_w: np.ndarray) -> np.ndarray:
-    n = len(nodes)
+    """The Nystrom matrix c1 I + c2 K.
+
+    Row i integrates the kernel against the barycentric interpolant of u over
+    the 2 x 40 Gauss points q of the panels (-L, x_i) and (x_i, L).  In
+    Cauchy form, with R_i = [1 / (q - x_j)], s_i = R_i beta and
+    r_i = (qw k) / s_i, that row of K is beta * (r_i^T R_i), so a block of
+    rows costs two batched matrix products.  A panel point within 1e-14 of
+    the node spread from its nearest node x_j interpolates to the unit
+    vector e_j instead.
+    """
+    x = np.asarray(nodes, dtype=float)
+    n = len(x)
     L = m.delta / 2.0
-    M = np.zeros((n, n))
     gx, gw = gauss_legendre(_PANEL_ORDER, -1.0, 1.0)  # reference panel
-    for i, xi in enumerate(nodes):
-        row = np.zeros(n)
-        for (a, b) in ((-L, xi), (xi, L)):
-            if b - a <= 1e-15 * m.delta:
-                continue
-            q = 0.5 * (b - a) * gx + 0.5 * (a + b)
-            qw = 0.5 * (b - a) * gw
-            P = barycentric_matrix(nodes, bary_w, q)
-            ker = np.abs(xi - q) * np.exp(-m.c3 * np.abs(xi - q))
-            row += (qw * ker) @ P
-        M[i, :] = m.c2 * row
+    a = np.stack([np.full(n, -L), x], axis=1)          # (n, 2) panel ends
+    b = np.stack([x, np.full(n, L)], axis=1)
+    half = 0.5 * (b - a)
+    q = (half[:, :, None] * gx + (0.5 * (a + b))[:, :, None]).reshape(n, -1)
+    qw = (half[:, :, None] * gw).reshape(n, -1)
+    dist = np.abs(x[:, None] - q)
+    qwk = qw * (dist * np.exp(-m.c3 * dist))
+    live = np.repeat(b - a > 1e-15 * m.delta, _PANEL_ORDER, axis=1)
+
+    # exact hits, from the nearest node of every panel point
+    order = np.argsort(x)
+    xs = x[order]
+    right = np.clip(np.searchsorted(xs, q), 1, n - 1)
+    near = np.where(q - xs[right - 1] < xs[right] - q, right - 1, right)
+    hit = np.abs(q - xs[near]) < 1e-14 * max(np.ptp(x), 1e-300)
+    use = live & ~hit
+
+    K = np.empty((n, n))
+    buf = np.empty((_ROW_BLOCK, 2 * _PANEL_ORDER, n))
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        R = np.subtract(q[lo:hi, :, None], x, out=buf[:hi - lo])
+        R[hit[lo:hi]] = 1.0
+        np.reciprocal(R, out=R)
+        r = np.where(use[lo:hi], qwk[lo:hi] / (R @ bary_w), 0.0)
+        K[lo:hi] = (r[:, None, :] @ R)[:, 0, :] * bary_w
+    rows, pts = np.nonzero(hit & live)
+    np.add.at(K, (rows, order[near[rows, pts]]), qwk[rows, pts])
+    M = m.c2 * K
     M[np.diag_indices(n)] += m.c1
     return M
+
+
+@functools.lru_cache(maxsize=4)
+def _nystrom_system(m: Measure, n: int):
+    """(nodes, weights, barycentric weights, M, cond(M, 1)) for the measure
+    and node count.  M does not depend on w, so every solve and residual of
+    one measure shares one assembly; the arrays are read-only."""
+    L = m.delta / 2.0
+    nodes, weights = gauss_legendre(n, -L, L)
+    bary_w = barycentric_weights(nodes)
+    M = _assemble_matrix(m, nodes, bary_w)
+    cond = float(np.linalg.cond(M, 1))
+    for arr in (nodes, weights, bary_w, M):
+        arr.flags.writeable = False
+    return nodes, weights, bary_w, M, cond
 
 
 def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> NystromSolution:
@@ -93,25 +147,21 @@ def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> Nystrom
     m.require_admissible(extended=True)
     if n < 16:
         raise ValueError("need at least 16 nodes")
-    L = m.delta / 2.0
-    nodes, weights = gauss_legendre(n, -L, L)
-    bary_w = barycentric_weights(nodes)
-    M = _assemble_matrix(m, nodes, bary_w)
-    cond = float(np.linalg.cond(M, 1))
+    nodes, weights, bary_w, M, cond = _nystrom_system(m, n)
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"1-norm condition estimate {cond:.3e} > {CONDITION_LIMIT:.0e}")
     rhs = np.exp(-2j * np.pi * w * nodes)
     u = np.linalg.solve(M, rhs)
     return NystromSolution(nodes=nodes, weights=weights, u_values=u,
                            measure=m, w=complex(w), condition_estimate=cond,
-                           _bary_w=bary_w)
+                           _bary_w=bary_w, _matrix=M)
 
 
 def system_residual(sol: NystromSolution) -> float:
-    """Relative residual of the solved linear system (reassembled)."""
-    M = _assemble_matrix(sol.measure, sol.nodes, sol._bary_w)
+    """Relative residual of the solved linear system, against the matrix
+    the solve used (shared by every solve of the measure)."""
     rhs = np.exp(-2j * np.pi * sol.w * sol.nodes)
-    return float(np.linalg.norm(M @ sol.u_values - rhs) / np.linalg.norm(rhs))
+    return float(np.linalg.norm(sol._matrix @ sol.u_values - rhs) / np.linalg.norm(rhs))
 
 
 def uniqueness_ratio(m: Measure, n: int = DEFAULT_NODES) -> float:
@@ -121,9 +171,7 @@ def uniqueness_ratio(m: Measure, n: int = DEFAULT_NODES) -> float:
     nu_hat >= a_sq ||u||^2 for every u supported there, so a ratio below 1
     means the discretization has lost the unique solvability of the
     equation."""
-    L = m.delta / 2.0
-    nodes, weights = gauss_legendre(n, -L, L)
-    M = _assemble_matrix(m, nodes, barycentric_weights(nodes))
+    _, weights, _, M, _ = _nystrom_system(m, n)
     root_w = np.sqrt(weights)
     weighted = root_w[:, None] * M / root_w[None, :]
     sigma_min = float(np.linalg.svd(weighted, compute_uv=False)[-1])
@@ -265,27 +313,21 @@ def reproducing_residual(m: Measure, w: complex,
 # differential-equation residual
 # ---------------------------------------------------------------------------
 
-def _weighted_integral(sol: NystromSolution, kind: str) -> complex:
-    """integral of u(a) g(a) da over the support, split at the |a| kink,
-    with u interpolated barycentrically."""
-    m = sol.measure
-    L = m.delta / 2.0
-    total = 0.0 + 0.0j
-    for (a, b) in ((-L, 0.0), (0.0, L)):
-        q, qw = gauss_legendre(60, a, b)
-        uq = sol.interpolate(q)
-        if kind == "abs_exp":
-            g = np.abs(q) * np.exp(-m.c3 * np.abs(q))
-        elif kind == "sgn_exp":
-            g = np.sign(q) * np.exp(-m.c3 * np.abs(q))
-        elif kind == "exp":
-            g = np.exp(-m.c3 * np.abs(q))
-        elif kind == "alpha_exp":
-            g = q * np.exp(-m.c3 * np.abs(q))
-        else:
-            raise ValueError(kind)
-        total += np.sum(qw * uq * g)
-    return total
+def _weighted_integrals(sol: NystromSolution) -> dict[str, complex]:
+    """integral of u(a) g(a) da over the support for each weight g used by
+    the conditions at xi = 0, split at the |a| kink, with u interpolated
+    barycentrically once:  abs_exp = |a| e,  sgn_exp = sgn(a) e,  exp = e,
+    alpha_exp = a e,  with e = e^{-c3 |a|}."""
+    L = sol.measure.delta / 2.0
+    q, qw = (np.stack(parts) for parts in zip(gauss_legendre(60, -L, 0.0),
+                                               gauss_legendre(60, 0.0, L)))
+    uq = sol.interpolate(q.ravel()).reshape(q.shape)
+    e = np.exp(-sol.measure.c3 * np.abs(q))
+    weights = {"abs_exp": np.abs(q) * e, "sgn_exp": np.sign(q) * e,
+               "exp": e, "alpha_exp": q * e}
+    # one sum per panel, then the two panels
+    return {kind: complex(np.sum(np.sum(qw * uq * g, axis=1)))
+            for kind, g in weights.items()}
 
 
 def ode_residual(m: Measure, sol: NystromSolution) -> float:
@@ -318,12 +360,13 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
     at0 = [cheb.chebval(0.0, derivs[k]) for k in range(4)]
 
     c1, c2, c3 = m.c1, m.c2, m.c3
+    wi = _weighted_integrals(sol)
     if c3 == 0.0:
         rhs = -4.0 * np.pi ** 2 * w ** 2 * np.exp(-2j * np.pi * w * xg)
         scale = max(1.0, float(np.max(np.abs(rhs))))
         interior = np.max(np.abs(c1 * u2g + 2.0 * c2 * u0g - rhs)) / scale
-        bc1 = abs(c1 * at0[0] + c2 * _weighted_integral(sol, "abs_exp") - 1.0)
-        bc2 = abs(c1 * at0[1] - c2 * _weighted_integral(sol, "sgn_exp")
+        bc1 = abs(c1 * at0[0] + c2 * wi["abs_exp"] - 1.0)
+        bc2 = abs(c1 * at0[1] - c2 * wi["sgn_exp"]
                   + 2j * np.pi * w)
         return float(max(interior, bc1, bc2))
 
@@ -333,19 +376,19 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
     interior = np.max(np.abs(
         c1 * u4g + 2.0 * (c2 - c1 * c3 ** 2) * u2g
         + (2.0 * c2 * c3 ** 2 + c1 * c3 ** 4) * u0g - rhs)) / scale
-    bc1 = abs(c1 * at0[0] + c2 * _weighted_integral(sol, "abs_exp") - 1.0)
+    bc1 = abs(c1 * at0[0] + c2 * wi["abs_exp"] - 1.0)
     bc3 = abs(c1 * at0[2] + (2.0 * c2 - c1 * c3 ** 2) * at0[0]
-              - 2.0 * c2 * c3 * _weighted_integral(sol, "exp")
+              - 2.0 * c2 * c3 * wi["exp"]
               + 4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) / scale
     if w == 0:
         # even solution: the odd-order conditions collapse to u'(0) = u'''(0) = 0
         bc2 = abs(at0[1])
         bc4 = abs(at0[3]) / scale
     else:
-        bc2 = abs(c1 * at0[1] - c2 * _weighted_integral(sol, "sgn_exp")
-                  + c2 * c3 * _weighted_integral(sol, "alpha_exp")
+        bc2 = abs(c1 * at0[1] - c2 * wi["sgn_exp"]
+                  + c2 * c3 * wi["alpha_exp"]
                   + 2j * np.pi * w)
         bc4 = abs(c1 * at0[3] - (c1 * c3 ** 2 - 2.0 * c2) * at0[1]
-                  - 2.0 * c2 * c3 ** 2 * _weighted_integral(sol, "sgn_exp")
+                  - 2.0 * c2 * c3 ** 2 * wi["sgn_exp"]
                   - 2j * np.pi * w * (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2)) / scale
     return float(max(interior, bc1, bc2, bc3, bc4))

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NotAdmissible
+from .quadrature import bisect
 
 ADMISSIBLE_SIGMA = 5.0 / 3.0
 
@@ -137,10 +137,10 @@ def sup_g_point() -> tuple[float, float]:
     quadrant sits on the sigma = 0 line)."""
     ts = np.linspace(0.05, 60.0, 6000)
     t0 = ts[int(np.argmax(g_surface(0.0, ts)))]
-    res = minimize_scalar(lambda t: -g_surface(0.0, t),
-                          bounds=(t0 - 0.2, t0 + 0.2), method="bounded",
-                          options={"xatol": 1e-13})
-    return float(res.x), float(g_surface(0.0, float(res.x)))
+    # dG/dt (0, t) = -2 h(t) / t^3 with h = t^2 cos t + 2 - 2 cos t - 2 t sin t
+    tstar = bisect(lambda t: (t * t * math.cos(t) + 2.0 - 2.0 * math.cos(t)
+                              - 2.0 * t * math.sin(t)), t0 - 0.2, t0 + 0.2)
+    return float(tstar), float(g_surface(0.0, tstar))
 
 
 def sup_g() -> float:

@@ -1,8 +1,9 @@
 """Gauss-Legendre quadrature utilities.
 
 Provides cached Gauss-Legendre rules, composite panel rules, an adaptive
-integrator used as the brute-force oracle throughout the package, and
-barycentric Lagrange interpolation from arbitrary node sets.
+integrator used as the brute-force oracle throughout the package,
+barycentric Lagrange interpolation from arbitrary node sets, and the
+bracketed bisection that locates the package's constants.
 """
 
 from __future__ import annotations
@@ -70,6 +71,26 @@ def integrate_with_kink(f, a: float, b: float, kink: float = 0.0,
     return adaptive_quad(f, a, b, tol)
 
 
+def bisect(f, lo: float, hi: float, xtol: float = 0.0) -> float:
+    """Root of a continuous scalar function that changes sign on [lo, hi],
+    by bisection.  Returns the midpoint of the first bracket at most
+    ``xtol`` wide or, when the bracket shrinks to two adjacent floats, the
+    endpoint where |f| is smaller."""
+    lo_positive = f(lo) > 0
+    if (f(hi) > 0) == lo_positive:
+        raise ValueError("f does not change sign on [lo, hi]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol:
+            return mid
+        if not lo < mid < hi:
+            return lo if abs(f(lo)) <= abs(f(hi)) else hi
+        if (f(mid) > 0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+
+
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Barycentric weights for Lagrange interpolation from ``nodes``.
 
@@ -77,13 +98,10 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     not underflow; the common scale cancels in the barycentric formula.
     """
     x = np.asarray(nodes, dtype=float)
-    n = len(x)
-    log_w = np.zeros(n)
-    sign = np.ones(n)
-    for j in range(n):
-        d = x[j] - np.delete(x, j)
-        log_w[j] = -np.sum(np.log(np.abs(d)))
-        sign[j] = np.prod(np.sign(d))
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, 1.0)
+    log_w = -np.sum(np.log(np.abs(d)), axis=1)
+    sign = np.where(np.count_nonzero(d < 0, axis=1) % 2, -1.0, 1.0)
     log_w -= np.max(log_w)
     return sign * np.exp(log_w)
 

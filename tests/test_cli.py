@@ -108,6 +108,28 @@ class TestExitCodes:
             assert out == ""
             assert "cap" in err
 
+    def test_average_over_cap_is_one(self, capsys, tmp_path):
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("# lambda=1\n14.1347\n21.0220\n")
+        code, out, err = run_cli(capsys, "formfactor", "--zeros", str(zeros),
+                                 "--avg", "0:1e12", "--grid-step", "1")
+        assert code == 1
+        assert out == ""
+        assert "cap" in err
+
+    def test_uncancelled_form_factor_is_one(self, capsys, tmp_path, monkeypatch):
+        import pairpack.formfactor as formfactor
+        monkeypatch.setattr(formfactor, "pair_weight",
+                            lambda u: 4.0 / (4.0 + u * u) * (1.0 + u))
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("# lambda=1\n14.1347\n21.0220\n25.0109\n")
+        code, out, err = run_cli(capsys, "formfactor", "--zeros", str(zeros),
+                                 "--alpha", "0.8:0.8:1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: imaginary part")
+        assert len(err.strip().splitlines()) == 1
+
     def test_verify_ok_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "appendix")
         assert code == 0
@@ -188,6 +210,16 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, "figure1", "--steps", "25")
         _, out2, _ = run_cli(capsys, "figure1", "--steps", "25")
         assert out1 == out2
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pairpack.cli; "
+         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from pairpack import (EmptyDataset, EmptyWindow, Measure, ParseError, Window,
+from pairpack import (EmptyDataset, EmptyWindow, Measure, NotCancelled,
+                      ParseError, Window,
                       ZeroDataset, ep1_ratio_check, fejer_check,
                       fejer_poisson_check, form_factor, form_factor_positive,
                       kernel_k00, kernel_k0z_grid, load_zeros, phi_functional,
                       symmetric_average, windowed_average)
-from pairpack.formfactor import fejer_witness, pair_weight
+from pairpack.formfactor import MAX_ALPHAS, fejer_witness, pair_weight
 from pairpack.kernels import k0_transform_solution
 from pairpack.quadrature import gauss_legendre
 
@@ -119,6 +120,15 @@ class TestFormFactor:
         with pytest.raises(EmptyWindow):
             form_factor(ds, 20.0, 0.3)
 
+    def test_uncancelled_imaginary_part(self, monkeypatch):
+        # an asymmetric weight leaves an imaginary part behind
+        import pairpack.formfactor as formfactor
+        monkeypatch.setattr(formfactor, "pair_weight",
+                            lambda u: 4.0 / (4.0 + u * u) * (1.0 + u))
+        ds = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
+        with pytest.raises(NotCancelled):
+            form_factor(ds, 100.0, 0.8)
+
 
 class TestFormFactorPositive:
     def test_single_ordinate_matches_direct(self):
@@ -182,6 +192,22 @@ class TestWindowedAverage:
         ds = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
         with pytest.raises(ValueError):
             windowed_average(ds, 100.0, 1.0, 1.0, 0.5)
+        for step in (0.0, -0.01, float("nan")):
+            with pytest.raises(ValueError):
+                windowed_average(ds, 100.0, 1.0, 1.0, step)
+            with pytest.raises(ValueError):
+                symmetric_average(ds, 100.0, 1.0, step)
+
+    def test_alpha_grid_cap(self):
+        # refused before the alpha grid is allocated
+        ds = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
+        with pytest.raises(ValueError, match="cap"):
+            windowed_average(ds, 100.0, 0.0, 1e12, 1.0)
+        with pytest.raises(ValueError, match="cap"):
+            windowed_average(ds, 100.0, 0.0, float("inf"), 1.0)
+        with pytest.raises(ValueError, match="cap"):
+            symmetric_average(ds, 100.0, 1e12, 1.0)
+        assert MAX_ALPHAS == 10 ** 6
 
 
 class TestPhiFunctional:

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import pairpack.fredholm as fredholm
 from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
                       k_from_u, kernel_k0z, ode_residual, nu_hat,
                       reproducing_residual, solve_integral_eq)
 from pairpack.fredholm import (CONDITION_LIMIT, system_residual,
                                uniqueness_ratio)
 from pairpack.errors import IllConditioned
-from pairpack.quadrature import integrate_with_kink
+from pairpack.quadrature import (barycentric_matrix, barycentric_weights,
+                                 gauss_legendre, integrate_with_kink)
 
 
 def equation_residual_by_quadrature(m, w, u_fn, xi):
@@ -76,19 +78,21 @@ class TestSolver:
             assert equation_residual_by_quadrature(
                 m, 0.3, sol.interpolate, xi) <= 1e-10
 
-    def test_homogeneous_only_trivial(self, monkeypatch):
+    def test_homogeneous_only_trivial(self, monkeypatch, request):
         # sigma_min of the weighted matrix certifies unique solvability
         ms = (Measure(1, 1, 0, 0.5), Measure(1, 1, 2.0, 0.9))
         ratios = [uniqueness_ratio(m) for m in ms]
         assert min(ratios) >= 1.0
-        # a planted matrix with a_sq taken off the diagonal fails the check
-        import pairpack.fredholm as fredholm
+        # a planted matrix with a_sq taken off the diagonal fails the check;
+        # the shared systems are dropped so that no planted one outlives the test
         assemble = fredholm._assemble_matrix
 
         def shifted(m, nodes, bary_w):
             a_sq = fredholm.norm_bounds(m, extended=True).a_sq
             return assemble(m, nodes, bary_w) - a_sq * np.eye(len(nodes))
 
+        request.addfinalizer(fredholm._nystrom_system.cache_clear)
+        fredholm._nystrom_system.cache_clear()
         monkeypatch.setattr(fredholm, "_assemble_matrix", shifted)
         planted = [uniqueness_ratio(m) for m in ms]
         assert max(planted) < 1.0
@@ -103,6 +107,86 @@ class TestSolver:
         with pytest.raises(IllConditioned):
             solve_integral_eq(Measure(1, 1, 0, 0.5), 0.0)
         assert CONDITION_LIMIT == 1e8
+
+
+def per_row_matrix(m, nodes, bary_w):
+    """Reference Nystrom matrix, one barycentric matrix per row and panel."""
+    n = len(nodes)
+    L = m.delta / 2.0
+    gx, gw = gauss_legendre(40, -1.0, 1.0)
+    M = np.zeros((n, n))
+    for i, xi in enumerate(nodes):
+        for (a, b) in ((-L, xi), (xi, L)):
+            if b - a <= 1e-15 * m.delta:
+                continue
+            q = 0.5 * (b - a) * gx + 0.5 * (a + b)
+            qw = 0.5 * (b - a) * gw
+            ker = np.abs(xi - q) * np.exp(-m.c3 * np.abs(xi - q))
+            M[i] += (qw * ker) @ barycentric_matrix(nodes, bary_w, q)
+    return m.c2 * M + m.c1 * np.eye(n)
+
+
+class TestSharedSystem:
+    MEASURES = {
+        "c3zero": Measure(1.0, 1.0, 0.0, 0.5),
+        "generic": Measure(1.3, 2.1, 1.7, 0.7),
+        "near_degenerate": Measure(1.0, 1.0 + 1e-12, 0.5, 0.5),  # lam = 4 c3^2
+        "large_c3_delta": Measure(1.0, 4.0, 100.0, 0.5),         # c3 Delta = 50
+        "c3_delta_500": Measure(2.0, 1.2, 500.0, 1.0),
+    }
+
+    @pytest.mark.parametrize("n", [16, 200, 400])
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_batched_matches_per_row(self, name, n):
+        m = self.MEASURES[name]
+        nodes, _ = gauss_legendre(n, -m.delta / 2, m.delta / 2)
+        bary_w = barycentric_weights(nodes)
+        ref = per_row_matrix(m, nodes, bary_w)
+        got = fredholm._assemble_matrix(m, nodes, bary_w)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_exact_hit_interpolates_to_unit_vector(self):
+        # move the node nearest to one panel point of row 5 onto it
+        m = self.MEASURES["generic"]
+        L = m.delta / 2
+        nodes, _ = gauss_legendre(32, -L, L)
+        gx, _ = gauss_legendre(40, -1.0, 1.0)
+        q = 0.5 * (L - nodes[5]) * gx + 0.5 * (nodes[5] + L)
+        j = int(np.argmin(np.abs(nodes - q[20])))
+        assert j != 5
+        nodes = nodes.copy()
+        nodes[j] = q[20]
+        bary_w = barycentric_weights(nodes)
+        ref = per_row_matrix(m, nodes, bary_w)
+        got = fredholm._assemble_matrix(m, nodes, bary_w)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_one_assembly_per_measure(self, monkeypatch):
+        calls = []
+        assemble = fredholm._assemble_matrix
+
+        def counted(m, nodes, bary_w):
+            calls.append(m)
+            return assemble(m, nodes, bary_w)
+
+        monkeypatch.setattr(fredholm, "_assemble_matrix", counted)
+        fredholm._nystrom_system.cache_clear()
+        m = Measure(1.1, 0.9, 0.8, 0.6)
+        sols = [solve_integral_eq(m, w) for w in (0.0, 0.4, -1.3, 1.9)]
+        assert system_residual(sols[-1]) <= 1e-12
+        assert len(calls) == 1
+        assert all(s._matrix is sols[0]._matrix for s in sols)
+
+    def test_shared_arrays_are_read_only(self):
+        sol = solve_integral_eq(Measure(1.0, 1.0, 1.0, 0.5), 0.3)
+        with pytest.raises(ValueError):
+            sol.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            sol.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            sol._matrix[0, 0] = 0.0
+        sol.u_values[0] += 0.0          # the solution itself is the caller's
 
 
 class TestClosedFormU:
