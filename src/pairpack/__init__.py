@@ -6,8 +6,9 @@ integral-equation oracle cross-validating every closed form."""
 __version__ = "0.1.0"
 
 from .errors import (DegenerateRoots, EmptyDataset, EmptyWindow,
-                     IllConditioned, InvalidRegime, NotAdmissible,
-                     NotCancelled, PairpackError, ParseError, RemovablePoint)
+                     IllConditioned, InfeasibleWitness, InvalidRegime,
+                     NotAdmissible, NotCancelled, PairpackError, ParseError,
+                     RemovablePoint)
 from .measures import (Measure, NormEquivalence, extended_sigma_threshold,
                        g_surface, norm_bounds, nu_hat, sup_g, sup_g_point)
 from .kernels import (CaseTag, EtaPair, KernelEvaluation, LimitPath, aux_A,
@@ -39,6 +40,6 @@ __all__ = [
     "form_factor_positive", "windowed_average", "symmetric_average",
     "phi_functional", "ep1_ratio_check", "fejer_check", "fejer_poisson_check",
     "PairpackError", "NotAdmissible", "InvalidRegime", "DegenerateRoots",
-    "IllConditioned", "NotCancelled", "RemovablePoint", "ParseError",
-    "EmptyDataset", "EmptyWindow",
+    "IllConditioned", "InfeasibleWitness", "NotCancelled", "RemovablePoint",
+    "ParseError", "EmptyDataset", "EmptyWindow",
 ]

@@ -7,10 +7,11 @@ Subcommands expose every computation with CSV or JSON output:
     figure1     (c, lower, upper) sweep of the shifted-line bounds
     formfactor  empirical form factor of a zero dataset, plus averages
     oracle      integral-equation solve summary and transform values
-    verify      self-checking suites; exit 3 on any failure
+    verify      the check registry of pairpack.verify, one line per check,
+                by suite; exit 3 on any failure
 
 Output is deterministic: fixed 12-significant-digit formatting, fixed
-summation orders, fixed seeds inside the verify suites.  Data goes to
+summation orders, fixed seeds inside every verify check.  Data goes to
 stdout (or --out), diagnostics to stderr.
 """
 
@@ -288,9 +289,7 @@ def build_parser() -> _Parser:
     po.set_defaults(func=cmd_oracle)
 
     pv = sub.add_parser("verify", help="self-checking suites")
-    pv.add_argument("--suite", default="all",
-                    choices=("all", "constants", "kernels", "oracle",
-                             "appendix", "formfactor"))
+    pv.add_argument("--suite", default="all", choices=("all",) + verify_mod.SUITES)
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
     return p

@@ -30,6 +30,11 @@ class NotCancelled(PairpackError):
     of a form-factor double sum) did not cancel to rounding."""
 
 
+class InfeasibleWitness(PairpackError):
+    """A candidate function fails a membership condition of its extremal
+    problem."""
+
+
 class RemovablePoint(PairpackError):
     """Evaluation was requested exactly at a removable singularity of a
     closed-form expression; the caller should perturb or use a limit."""

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDataset, EmptyWindow, NotCancelled, ParseError
+from .errors import (EmptyDataset, EmptyWindow, InfeasibleWitness, NotCancelled,
+                     ParseError)
 from .kernels import k0_endpoint_value, kernel_k00, kernel_k0z_grid
 from .measures import Measure, nu_hat
 from .quadrature import panel_rule
@@ -111,10 +112,10 @@ def load_zeros(path, lam: float = None,
             except ValueError:
                 raise ParseError(lineno, line.rstrip("\n"),
                                  "not a decimal literal") from None
+            if len(ordinates) > MAX_ORDINATES:
+                raise ValueError(f"dataset exceeds the {MAX_ORDINATES}-ordinate cap")
     if not ordinates:
         raise EmptyDataset(str(path))
-    if len(ordinates) > MAX_ORDINATES:
-        raise ValueError(f"dataset exceeds the {MAX_ORDINATES}-ordinate cap")
     arr = np.array(ordinates, dtype=float)
     if np.any(np.diff(arr) < 0):
         warnings.warn(f"{path}: ordinates were not sorted; sorting on load")
@@ -284,18 +285,19 @@ def fejer_witness(beta: float, x):
 def fejer_check(beta: float, grid_points: int = 2001) -> float:
     """Verify the witness membership conditions on a grid and return its
     value at the origin, which is exactly beta (the optimum of the
-    second extremal problem)."""
+    second extremal problem).  Raises InfeasibleWitness when a membership
+    condition fails."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
     a = np.linspace(-2.0 * beta, 2.0 * beta, grid_points)
     triangle = np.maximum(1.0 - np.abs(a) / beta, 0.0)
     indicator = (np.abs(a) <= beta).astype(float)
     if np.any(triangle > indicator + 1e-15):
-        raise AssertionError("transform exceeds the indicator")
+        raise InfeasibleWitness("transform exceeds the indicator")
     x = np.linspace(-50.0, 50.0, grid_points)
     if np.any(fejer_witness(beta, x) < -1e-15):
-        raise AssertionError("witness is negative somewhere")
-    return float(beta)
+        raise InfeasibleWitness("witness is negative somewhere")
+    return float(fejer_witness(beta, 0.0))
 
 
 def _trigamma(x: float) -> float:

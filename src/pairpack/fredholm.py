@@ -42,6 +42,7 @@ DEFAULT_NODES = 200
 _PANEL_ORDER = 40
 _ROW_BLOCK = 8           # matrix rows per batched product (~1 MB of temporaries at n = 200)
 CONDITION_LIMIT = 1e8
+MAX_NODES = 2048         # largest node count: M alone is 32 MB there
 
 TestFunction = Sequence[tuple[float, float]]
 
@@ -127,7 +128,12 @@ def _assemble_matrix(m: Measure, nodes: np.ndarray, bary_w: np.ndarray) -> np.nd
 def _nystrom_system(m: Measure, n: int):
     """(nodes, weights, barycentric weights, M, cond(M, 1)) for the measure
     and node count.  M does not depend on w, so every solve and residual of
-    one measure shares one assembly; the arrays are read-only."""
+    one measure shares one assembly; the arrays are read-only.  A node count
+    outside [16, MAX_NODES] is refused before anything is allocated."""
+    if n < 16:
+        raise ValueError("need at least 16 nodes")
+    if n > MAX_NODES:
+        raise ValueError(f"{n} nodes exceed the cap of {MAX_NODES}")
     L = m.delta / 2.0
     nodes, weights = gauss_legendre(n, -L, L)
     bary_w = barycentric_weights(nodes)
@@ -142,11 +148,10 @@ def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> Nystrom
     """Solve the defining integral equation for the data e^{-2 pi i w xi}.
 
     Requires an admissible measure (which keeps the integral operator a
-    contraction, hence the system uniquely solvable) and n >= 16 nodes.
+    contraction, hence the system uniquely solvable) and 16 <= n <= MAX_NODES
+    nodes.
     """
     m.require_admissible(extended=True)
-    if n < 16:
-        raise ValueError("need at least 16 nodes")
     nodes, weights, bary_w, M, cond = _nystrom_system(m, n)
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"1-norm condition estimate {cond:.3e} > {CONDITION_LIMIT:.0e}")

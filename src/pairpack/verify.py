@@ -1,31 +1,598 @@
-"""Self-checking suites behind ``pairpack verify``.
+"""The check registry behind ``pairpack verify`` and the acceptance tests.
 
-Every check re-derives a quantity through an independent route (quadrature
-oracle, integral-equation solve, hand expansion, analytic identity) and
-compares at a fixed tolerance.  All randomness is seeded and all output is
-formatted deterministically, so two runs produce byte-identical reports.
+Every numerical check of the package is written here, once.  A check
+re-derives a quantity through an independent route (quadrature oracle,
+integral-equation solve, hand expansion, analytic identity) and returns
+either ``(measured, tol)``, which passes when measured <= tol, or
+``(passed, detail)``.  ``CHECKS`` is the table of named checks in report
+order, grouped by suite; ``run_suite`` prints one line per check, and
+``tests/test_acceptance.py`` runs the same table as one parametrized test.
+
+Each check draws its inputs from its own seeded generators (checks drawing
+from one shared seed regenerate that seed's whole stream), so a check gives
+the same line whether it runs alone or in a suite, and two runs produce
+byte-identical reports.  A check that raises a ``PairpackError`` fails on
+its own line.  Time budgets are pytest assertions, never report lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
 from .bounds import (average_bounds, dedekind_bounds,
                      gonek_ki_conjectured_average, refutation_threshold,
                      reim_zeta_bounds, s0, s0_point, selberg_bounds)
+from .errors import PairpackError
 from .formfactor import (ZeroDataset, fejer_check, fejer_poisson_check,
                          ep1_ratio_check, form_factor, form_factor_positive,
-                         pair_weight, phi_functional, symmetric_average,
-                         windowed_average)
+                         phi_functional, symmetric_average, windowed_average)
 from .fredholm import (closed_form_u, k_from_u, ode_residual,
                        reproducing_residual, solve_integral_eq, system_residual,
                        uniqueness_ratio)
 from .kernels import (kernel_c3zero, kernel_k00, kernel_k0z,
                       quartic_roots, quartic_residual, script_L)
 from .measures import Measure, g_surface, sup_g, sup_g_point
-_SEED = 20240613
+
+_SEED = 20240613        # seeds of the suites' own draws
+_ACC_SEED = 424242      # seeds of the acceptance sweeps' draws
+
+_M0 = Measure(1.0, 1.0, 0.0, 0.5)     # anchor measure of Corollary 11
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check of a suite; ``fn()`` returns ``(measured, tol)`` or
+    ``(passed, detail)``."""
+
+    suite: str
+    name: str
+    fn: Callable[[], tuple]
+
+    def run(self) -> tuple[bool, str]:
+        """(passed, report line)."""
+        try:
+            first, second = self.fn()
+        except PairpackError as exc:
+            return False, f"FAIL {self.name} {type(exc).__name__}: {exc}"
+        if isinstance(first, bool):
+            passed, tail = first, f" {second}" if second else ""
+        else:
+            passed, tail = bool(first <= second), f" measured={first:.6e} tol={second:.1e}"
+        return passed, f"{'PASS' if passed else 'FAIL'} {self.name}{tail}"
+
+
+def _random_measure(rng, c3_range=(0.0, 0.0), sigma_max=1.6) -> Measure:
+    c1 = float(rng.uniform(0.5, 2.0))
+    delta = float(rng.uniform(0.3, 1.2))
+    sigma = float(rng.uniform(0.05, sigma_max))
+    c3 = float(rng.uniform(*c3_range))
+    return Measure(c1=c1, c2=sigma * c1 / delta ** 2, c3=c3, delta=delta)
+
+
+def _point(rng, re: float, im: float) -> complex:
+    return complex(rng.uniform(-re, re), rng.uniform(-im, im))
+
+
+# ---------------------------------------------------------------------------
+# constants
+# ---------------------------------------------------------------------------
+
+def _s0_first_order_condition():
+    # |tan x - x| = |x cos x - sin x| / |cos x| bounds the product form too
+    xs, _ = s0_point()
+    return abs(np.tan(xs) - xs), 1e-10
+
+
+def _s0_grid_dominance():
+    xr = np.concatenate([np.random.default_rng(_SEED).uniform(-60.0, 60.0, 10_000),
+                         np.random.default_rng(17).uniform(-80.0, 80.0, 10_000)])
+    return bool(np.all(np.sin(xr) / xr >= s0() - 1e-15)), ""
+
+
+def _sup_g_bracket():
+    sg = sup_g()
+    return bool(0.586 < sg < 0.587), f"value={sg:.9f}"
+
+
+def _sup_g_argmax_consistency():
+    # the bisection's argmax against a golden-section refinement around it
+    tstar, sval = sup_g_point()
+    a, b = tstar - 0.05, tstar + 0.05
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        if g_surface(0.0, c) > g_surface(0.0, d):
+            b = d
+        else:
+            a = c
+    return max(abs(g_surface(0.0, tstar) - sval),
+               abs(g_surface(0.0, 0.5 * (a + b)) - sval)), 1e-9
+
+
+def _sup_g_dominates_pi():
+    sg = sup_g()
+    samples = g_surface(0.0, np.linspace(0.01, 100.0, 20000))
+    return bool(sg >= g_surface(0.0, np.pi) and sg >= np.max(samples) - 1e-12), ""
+
+
+def _identity_defect(bounds_fn, measure_of):
+    worst = 0.0
+    for degree in range(1, 21):
+        lo, up = bounds_fn(degree)
+        rep = average_bounds(measure_of(degree))
+        worst = max(worst, abs(up - rep.upper), abs(lo - rep.lower_cor8))
+    return worst, 1e-12
+
+
+def _fejer_witness(beta: float):
+    return abs(fejer_check(beta) - beta), 0.0
+
+
+def _fejer_poisson(beta: float, tol: float):
+    return fejer_poisson_check(beta)[2], tol
+
+
+def _gonek_ki_bisection():
+    ell = refutation_threshold(0.1, 1.0, floor=0.3)
+    return abs(gonek_ki_conjectured_average(1.0, ell, 0.1) - 0.3), 1e-5
+
+
+def _gonek_ki_bisection_bracket():
+    # the crossing is localized to the bisection tolerance 1e-6 in ell
+    ell = refutation_threshold(0.1, 1.0, floor=0.3)
+    passed = (ell > 0 and gonek_ki_conjectured_average(1.0, ell - 2e-6, 0.1) > 0.3
+              > gonek_ki_conjectured_average(1.0, ell + 2e-6, 0.1))
+    return bool(passed), f"ell={ell:.6f}"
+
+
+def _refutation_windows(c: float) -> np.ndarray:
+    """Window lengths from just above the b = 1 refutation threshold to 50."""
+    threshold = refutation_threshold(c, 1.0)
+    ells = np.concatenate([[max(threshold, 1e-9) + 1e-9], np.linspace(0.1, 50.0, 200)])
+    return ells[ells >= threshold]
+
+
+def _gonek_ki_below_half():
+    cases = [(c, ell) for c in (0.01, 0.1, 1.0) for ell in (1e-6, 0.1, 1.0, 10.0)]
+    cases += [(0.1, float(ell)) for ell in _refutation_windows(0.1)]
+    return all(gonek_ki_conjectured_average(1.0, ell, c) < 0.5 for c, ell in cases), ""
+
+
+def _gonek_ki_below_cor11():
+    lower, _ = reim_zeta_bounds(0.1)
+    return all(gonek_ki_conjectured_average(1.0, float(ell), 0.1) < lower
+               for ell in _refutation_windows(0.1)), f"lower={lower:.6f}"
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+def _kernel_stream():
+    """The kernels suite's draws, in stream order: 20 (w, z) pairs, 20 z,
+    10 (measure, x) and 10 measures."""
+    rng = np.random.default_rng(_SEED + 1)
+    pairs = [(_point(rng, 2, 0.5), _point(rng, 2, 0.5)) for _ in range(20)]
+    zs = [_point(rng, 2, 1) for _ in range(20)]
+    diag = [(_random_measure(rng, (0.0, 3.0)), float(rng.uniform(-2, 2))) for _ in range(10)]
+    quartic = [_random_measure(rng, (0.1, 3.0)) for _ in range(10)]
+    return pairs, zs, diag, quartic
+
+
+def _k0z_gap(m: Measure, zs) -> float:
+    """Closed-form K(0, z) and K(0, 0) against the w = 0 oracle solve."""
+    sol = solve_integral_eq(m, 0.0)
+    return max([abs(kernel_k00(m) - k_from_u(sol, 0.0))]
+               + [abs(kernel_k0z(m, z).value - k_from_u(sol, z)) for z in zs])
+
+
+def _k0z_vs_oracle_random():
+    rng = np.random.default_rng(_ACC_SEED + 1)
+    ms = [_random_measure(rng, (0.05, 10.0), sigma_max=5.0 / 3.0) for _ in range(20)]
+    return max(_k0z_gap(m, (0.0, 0.3, 1 + 0.5j)) for m in ms), 1e-7
+
+
+def _c3zero_hermitian():
+    rng = np.random.default_rng(5)
+    pairs = _kernel_stream()[0] + [(_point(rng, 2, 1), _point(rng, 2, 1)) for _ in range(100)]
+    return max(abs(kernel_c3zero(_M0, w, z).value - np.conj(kernel_c3zero(_M0, z, w).value))
+               for w, z in pairs), 1e-10
+
+
+def _k0z_even():
+    rng = np.random.default_rng(10)
+    cases = [(Measure(1, 1, 1.0, 0.5), z) for z in _kernel_stream()[1]]
+    cases += [(Measure(1, 1, 4.0, 0.5), _point(rng, 2, 1)) for _ in range(20)]
+    return max(abs(kernel_k0z(m, z).value - kernel_k0z(m, -z).value) for m, z in cases), 1e-12
+
+
+def _diagonal_positive():
+    # K(0,0) > 0 always; on the real line the c3 = 0 diagonal K(x, x) is
+    # real and positive, and the c3 > 0 section is real
+    rng = np.random.default_rng(6)
+    cases = _kernel_stream()[2] + [(_M0, float(rng.uniform(-3, 3))) for _ in range(20)]
+    passed = True
+    for m, x in cases:
+        passed = passed and kernel_k00(m) > 0
+        if m.c3 > 0:
+            val = kernel_k0z(m, x).value
+            passed = passed and abs(val.imag) <= 1e-12 * max(1.0, abs(val.real))
+        else:
+            val = kernel_c3zero(m, x, x).value
+            passed = passed and val.real > 0 and abs(val.imag) <= 1e-12
+    return bool(passed), ""
+
+
+def _c3_continuity():
+    base = kernel_k00(Measure(1, 1, 0.0, 0.5))
+    gaps = [abs(kernel_k00(Measure(1, 1, eps, 0.5)) - base) for eps in (1e-2, 1e-3, 1e-4)]
+    return (bool(gaps[0] > gaps[1] > gaps[2]),
+            f"gaps={gaps[0]:.3e},{gaps[1]:.3e},{gaps[2]:.3e}")
+
+
+def _large_c3_decay_slope():
+    # remark asymptotics: |1/K - c1/Delta| decays at least like 1/c3
+    c3s = [10.0, 100.0, 1000.0]
+    gaps = [abs(1.0 / kernel_k00(Measure(1, 1, c3, 0.5)) - 2.0) for c3 in c3s]
+    return np.polyfit(np.log(c3s), np.log(gaps), 1)[0], -0.9
+
+
+def _degenerate_bracket():
+    c3 = 0.5
+    v_deg = kernel_k0z(Measure(1.0, 1.0, c3, 0.5), 0.3).value.real   # lam = 4 c3^2
+    v_lo = kernel_k0z(Measure(1.0, 1.0 * (1 - 1e-6), c3, 0.5), 0.3).value.real
+    v_hi = kernel_k0z(Measure(1.0, 1.0 * (1 + 1e-6), c3, 0.5), 0.3).value.real
+    lo, hi = min(v_lo, v_hi), max(v_lo, v_hi)
+    return max(lo - v_deg, v_deg - hi, 0.0), 1e-5
+
+
+def _quartic_residual():
+    worst = 0.0
+    for m in _kernel_stream()[3]:
+        roots = quartic_roots(m)
+        worst = max(worst, quartic_residual(m, roots.eta1), quartic_residual(m, roots.eta2))
+    return worst, 1e-10
+
+
+# ---------------------------------------------------------------------------
+# oracle
+# ---------------------------------------------------------------------------
+
+def _off_removable(m: Measure, w: complex, step: float) -> complex:
+    """w moved by step off the removable point 2 c1 pi^2 w^2 = c2."""
+    if abs(2 * m.c1 * np.pi ** 2 * w * w - m.c2) < 1e-3 * m.c2:
+        w += step
+    return w
+
+
+def _nystrom_vs_closed_form():
+    cases = [(_M0, 0.7, 200)]
+    rng = np.random.default_rng(15)
+    for _ in range(12):
+        m = _random_measure(rng, sigma_max=5.0 / 3.0)
+        cases.append((m, _off_removable(m, _point(rng, 2, 0.5), 0.05), 256))
+    rng = np.random.default_rng(_ACC_SEED)
+    for _ in range(50):
+        m = _random_measure(rng, sigma_max=5.0 / 3.0)
+        w = _point(rng, 2, 2)
+        while abs(w) > 2:
+            w /= 2.0
+        cases.append((m, _off_removable(m, w, 0.05), 256))
+    worst = 0.0
+    for m, w, n in cases:
+        sol = solve_integral_eq(m, w, n=n)
+        uc = closed_form_u(m, w, sol.nodes)
+        worst = max(worst, float(np.max(np.abs(sol.u_values - uc))))
+    return worst, 1e-9
+
+
+def _self_convergence_200_400():
+    at = np.union1d(np.linspace(-0.24, 0.24, 33), np.linspace(-0.24, 0.24, 49))
+    worst = 0.0
+    for c3 in (1.0, 1.3):
+        m = Measure(1, 1, c3, 0.5)
+        s200 = solve_integral_eq(m, 0.7, n=200)
+        s400 = solve_integral_eq(m, 0.7, n=400)
+        worst = max(worst, float(np.max(np.abs(s200.interpolate(at) - s400.interpolate(at)))))
+    return worst, 1e-10
+
+
+def _uniqueness_a_sq_over_sigma_min():
+    # sigma_min of the weighted Nystrom matrix must stay >= a_sq
+    ms = (Measure(1, 1, 1.0, 0.5), Measure(1, 1, 0.0, 0.5), Measure(1, 1, 2.0, 0.9))
+    return max(1.0 / uniqueness_ratio(m) for m in ms), 1.0
+
+
+def _w0_solution():
+    return solve_integral_eq(Measure(1, 1, 1.0, 0.5), 0.0).u_values
+
+
+def _w0_solution_even():
+    u = _w0_solution()
+    return float(np.max(np.abs(u - u[::-1]))), 1e-10
+
+
+def _c2zero_exact():
+    solz = solve_integral_eq(Measure(2.0, 0.0, 0.0, 0.8), 0.4)
+    exact = np.exp(-2j * np.pi * 0.4 * solz.nodes) / 2.0
+    return float(np.max(np.abs(solz.u_values - exact))), 1e-14
+
+
+_REPRODUCING_CASES = (
+    (Measure(1, 1, 0.0, 0.5), 0.0, "center0"),
+    (Measure(1, 1, 0.0, 0.5), 1 + 0.2j, "center2p5"),
+    (Measure(1, 1, 1.0, 0.5), 0.3, "offcenter_pair"),
+    (Measure(1, 1, 4.0, 0.5), 0.0, "center0"),
+    (Measure(1.0, 0.5, 0.0, 0.8), 0.7, "offcenter_pair"),
+    (Measure(2.0, 1.0, 0.0, 0.6), -0.4, "center0"),
+    (Measure(1.0, 0.0, 0.0, 0.5), 0.2, "center2p5"),
+    (Measure(1.0, 1.0, 1.0, 0.5), 0.3, "center0"),
+    (Measure(1.0, 1.0, 2.0, 0.7), 0.5 - 0.3j, "offcenter_pair"),
+    (Measure(1.5, 2.0, 0.5, 0.9), 1.0, "center0"),
+    (Measure(1.0, 0.8, 6.0, 0.4), -1.2, "center2p5"),
+)
+
+
+def _ode_draws():
+    """The acceptance sweep's (measure, w) draws: c3 = 0, then c3 > 0."""
+    rng = np.random.default_rng(_ACC_SEED + 2)
+    c3zero = [(_random_measure(rng, sigma_max=5.0 / 3.0), _point(rng, 1.5, 0.3))
+              for _ in range(10)]
+    c3pos = [(_random_measure(rng, (0.1, 5.0), sigma_max=5.0 / 3.0), 0.0) for _ in range(10)]
+    return c3zero, c3pos
+
+
+def _ode_residual_c3zero():
+    cases = [(Measure(1, 1, 0.0, 0.5), 0.3), (Measure(1, 0.5, 0.0, 0.8), 1.1)]
+    cases += _ode_draws()[0]
+    return max(ode_residual(m, solve_integral_eq(m, w)) for m, w in cases), 1e-7
+
+
+def _ode_residual_c3pos():
+    cases = [(Measure(1, 1, 1.0, 0.5), 0.0), (Measure(1, 1, 4.0, 0.5), 0.0),
+             (Measure(1, 2, 2.0, 0.6), 0.5), (Measure(1, 1, 2.0, 0.6), 0.7)]
+    cases += _ode_draws()[1]
+    return max(ode_residual(m, solve_integral_eq(m, w)) for m, w in cases), 1e-6
+
+
+# ---------------------------------------------------------------------------
+# appendix
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _divisor_grid() -> tuple:
+    """(ratio, script_L) at delta = 0.7 over the 40 sigmas x 79 ratios of
+    the two 40 x 40 grids and a coarse 15 x 6 grid, with
+    c3 = ratio * sqrt(lam) / 2; both appendix checks read it."""
+    delta = 0.7
+    ratios = np.union1d(
+        np.concatenate([np.linspace(0.08, 0.92, 20), np.linspace(1.08, 3.0, 20)]),
+        np.concatenate([np.linspace(0.05, 0.95, 20), np.linspace(1.05, 3.0, 20)]))
+    grids = ((np.linspace(2.9 / 40.0, 2.9, 40), ratios),
+             (np.linspace(0.1, 2.9, 15), (0.2, 0.6, 0.9, 1.1, 1.7, 2.5)))
+    out = []
+    for sigmas, rs in grids:
+        for sg in sigmas:
+            lam = sg / delta ** 2
+            for r in rs:
+                out.append((r, script_L(Measure(1.0, lam, float(r * np.sqrt(lam) / 2.0), delta))))
+    return tuple(out)
+
+
+def _script_L_nonvanishing():
+    min_abs = min(abs(val) for _, val in _divisor_grid())
+    return bool(min_abs > 0.0), f"min_abs={min_abs:.6e}"
+
+
+def _script_L_case_signs():
+    # purely imaginary roots (ratio < 1) give a real negative divisor, the
+    # conjugate quadrant a purely imaginary one with Im < 0
+    return all(val.real < 0 and abs(val.imag) <= 1e-10 * abs(val) if r < 1.0
+               else val.imag < 0 and abs(val.real) <= 1e-10 * abs(val)
+               for r, val in _divisor_grid()), ""
+
+
+# ---------------------------------------------------------------------------
+# formfactor
+# ---------------------------------------------------------------------------
+
+def _pair_draw(rng, n_min: int, g_lo: float, g_hi: float, T: float):
+    n = int(rng.integers(n_min, 6))
+    g = np.sort(rng.uniform(g_lo, g_hi, n))
+    ds = ZeroDataset(ordinates=g, lam=float(rng.uniform(0.5, 2.0)))
+    return ds, T, float(rng.uniform(-2.0, 2.0))
+
+
+def _formfactor_stream():
+    """The formfactor suite's draws, in stream order: 8 (dataset, T, alpha)
+    cases and 48 ordinates for the averages."""
+    rng = np.random.default_rng(_SEED + 3)
+    cases = [_pair_draw(rng, 2, 5.0, 40.0, 100.0) for _ in range(8)]
+    return cases, np.sort(rng.uniform(3.0, 60.0, 48))
+
+
+def _pair_cases() -> list:
+    """(dataset, T, alpha) for the pair-sum checks: the suite's and the
+    acceptance sweep's draws, one and two ordinates, a 12-ordinate set at
+    two alphas and ten draws of up to 7 ordinates."""
+    cases, _ = _formfactor_stream()
+    rng = np.random.default_rng(_ACC_SEED + 3)
+    cases += [_pair_draw(rng, 1, 4.0, 30.0, 50.0) for _ in range(12)]
+    cases += [(ZeroDataset(ordinates=np.array([10.0]), lam=1.0), 100.0, 0.5),
+              (ZeroDataset(ordinates=np.array([10.0, 10.5]), lam=1.0), 100.0, 0.8)]
+    ds = ZeroDataset(ordinates=np.sort(np.random.default_rng(21).uniform(5, 50, 12)), lam=1.3)
+    cases += [(ds, 60.0, 0.3), (ds, 60.0, 1.7)]
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        n = int(rng.integers(1, 8))
+        ds = ZeroDataset(ordinates=np.sort(rng.uniform(1, 30, n)), lam=1.0)
+        cases.append((ds, 40.0, float(rng.uniform(-3, 3))))
+    return cases
+
+
+def _worst_pair_gap(other) -> float:
+    """Largest |F(alpha) - other(ds, T, alpha)| over the pair cases."""
+    return max(abs(form_factor(ds, T, a) - other(ds, T, a)) for ds, T, a in _pair_cases())
+
+
+def _hand_form_factor(ds: ZeroDataset, T: float, alpha: float) -> float:
+    """Term-by-term expansion of the normalized double sum, with the weight
+    4 / (4 + u^2) written out."""
+    total = 0.0
+    for gi in ds.ordinates:
+        for gj in ds.ordinates:
+            total += np.cos(ds.lam * alpha * np.log(T) * (gi - gj)) * 4.0 / (4.0 + (gi - gj) ** 2)
+    return total / ((ds.lam * T / (2 * np.pi)) * np.log(T))
+
+
+def _formfactor_nonnegative():
+    most_neg = min([0.0] + [form_factor(ds, T, a) for ds, T, a in _pair_cases()])
+    return bool(most_neg >= -1e-10), f"min={most_neg:.3e}"
+
+
+def _average_datasets(seed: int, count: int) -> list:
+    """The suite's 48 averaging ordinates and a seeded set of count more."""
+    extra = np.sort(np.random.default_rng(seed).uniform(3, 60, count))
+    return [ZeroDataset(ordinates=g, lam=1.0) for g in (_formfactor_stream()[1], extra)]
+
+
+def _windowed_average_identity():
+    # symmetric-window decomposition, exact on nested grids by evenness
+    T, b, ell, h = 60.0, 1.0, 1.0, 1.0 / 32.0
+    beta = b + ell
+    worst = 0.0
+    for ds in _average_datasets(25, 40):
+        lhs = windowed_average(ds, T, b, ell, h)
+        sym_beta = symmetric_average(ds, T, beta, h)
+        sym_b = symmetric_average(ds, T, b, h)
+        worst = max(worst, abs(lhs - (sym_beta + (b / ell) * (sym_beta - sym_b))))
+    return worst, 1e-9
+
+
+def _windowed_average_self_convergence():
+    worst = 0.0
+    for ds in _average_datasets(24, 64):
+        coarse = windowed_average(ds, 60.0, 1.0, 1.0, 1.0 / 32.0)
+        half = windowed_average(ds, 60.0, 1.0, 1.0, 1.0 / 64.0)
+        worst = max(worst, abs(coarse - half) / abs(half))
+    return worst, np.nextafter(1e-3, 0.0)      # strictly below 1e-3
+
+
+def _phi_constant_transform():
+    grid = np.linspace(-0.5, 0.5, 2001)
+    return abs(phi_functional(_M0, np.ones_like(grid), grid) - 1.25), 1e-12
+
+
+def _phi_fejer_transform():
+    grid = np.linspace(-1.0, 1.0, 4001)
+    fejer_hat = np.maximum(1.0 - np.abs(grid), 0.0)
+    return abs(phi_functional(Measure(1, 1, 0.0, 1.0), fejer_hat, grid) - (1 + 1.0 / 3.0)), 1e-6
+
+
+def _ep1_ratio(m: Measure):
+    return abs(ep1_ratio_check(m) - 1.0 / kernel_k00(m)), 1e-5
+
+
+_TABLE = {
+    "constants": (
+        ("s0_value", lambda: (abs(s0() - (-0.217233)), 1e-6)),
+        ("s0_first_order_condition", _s0_first_order_condition),
+        ("s0_grid_dominance", _s0_grid_dominance),
+        ("sup_g_value", lambda: (abs(sup_g() - 0.5864), 1e-3)),
+        ("sup_g_bracket", _sup_g_bracket),
+        ("sup_g_argmax_consistency", _sup_g_argmax_consistency),
+        ("sup_g_dominates_pi", _sup_g_dominates_pi),
+        ("corollary11_upper", lambda: (abs(reim_zeta_bounds(0.0)[1] - 2.1659), 5e-4)),
+        ("corollary11_lower", lambda: (abs(reim_zeta_bounds(0.0)[0] - 0.7467), 5e-4)),
+        ("selberg_identity_m_le_20",
+         partial(_identity_defect, selberg_bounds, lambda md: Measure(1.0, 1.0, 0.0, 1.0 / md))),
+        ("dedekind_identity_n_le_20",
+         partial(_identity_defect, dedekind_bounds,
+                  lambda nd: Measure(1.0, float(nd), 0.0, 1.0 / nd))),
+        ("fejer_witness_beta_0.5", partial(_fejer_witness, 0.5)),
+        ("fejer_poisson_beta_0.5", partial(_fejer_poisson, 0.5, 1e-9)),
+        ("fejer_witness_beta_1.0", partial(_fejer_witness, 1.0)),
+        # exact at beta = 1, where both sides are 1
+        ("fejer_poisson_beta_1.0", partial(_fejer_poisson, 1.0, 0.0)),
+        ("fejer_witness_beta_2.5", partial(_fejer_witness, 2.5)),
+        ("fejer_poisson_beta_2.5", partial(_fejer_poisson, 2.5, 1e-9)),
+        ("gonek_ki_value",
+         lambda: (abs(gonek_ki_conjectured_average(1.0, 1.0, 1.0) - 0.0022475), 1e-6)),
+        ("gonek_ki_c_to_zero",
+         lambda: (abs(gonek_ki_conjectured_average(1.0, 1.0, 1e-12) - 0.5), 1e-9)),
+        ("gonek_ki_threshold_floor_half",
+         lambda: (max(refutation_threshold(c, 1.0) for c in (0.1, 1.0, 0.01)), 0.0)),
+        ("gonek_ki_bisection", _gonek_ki_bisection),
+        ("gonek_ki_bisection_bracket", _gonek_ki_bisection_bracket),
+        ("gonek_ki_below_half", _gonek_ki_below_half),
+        ("gonek_ki_below_cor11", _gonek_ki_below_cor11),
+    ),
+    "kernels": (
+        ("k00_vs_oracle_c3zero",
+         lambda: (abs(k_from_u(solve_integral_eq(_M0, 0.0), 0.0) - kernel_k00(_M0)), 1e-10)),
+        ("k00_corollary11_reciprocal", lambda: (abs(1.0 / kernel_k00(_M0) - 2.1659), 5e-4)),
+        ("k0z_vs_oracle_c3_1.0",
+         lambda: (_k0z_gap(Measure(1, 1, 1.0, 0.5), (0.0, 0.3, 1.1, 1 + 0.5j)), 1e-7)),
+        ("k0z_vs_oracle_c3_4.0",
+         lambda: (_k0z_gap(Measure(1, 1, 4.0, 0.5), (0.0, 0.3, 1.1)), 1e-7)),
+        ("k0z_vs_oracle_c3_0.3",
+         lambda: (_k0z_gap(Measure(1, 2, 0.3, 0.7), (0.0, 0.3, 1.1)), 1e-7)),
+        ("k0z_vs_oracle_random", _k0z_vs_oracle_random),
+        ("c3zero_hermitian", _c3zero_hermitian),
+        ("k0z_even", _k0z_even),
+        ("diagonal_positive", _diagonal_positive),
+        ("c3_continuity", _c3_continuity),
+        ("large_c3_decay_slope", _large_c3_decay_slope),
+        ("degenerate_bracket", _degenerate_bracket),
+        ("quartic_residual", _quartic_residual),
+    ),
+    "oracle": (
+        ("nystrom_vs_closed_form", _nystrom_vs_closed_form),
+        ("self_convergence_200_400", _self_convergence_200_400),
+        ("linear_system_residual",
+         lambda: (max(system_residual(solve_integral_eq(Measure(1, 1, 1.0, 0.5), w, n=200))
+                      for w in (0.7, 0.0)), 1e-12)),
+        ("uniqueness_a_sq_over_sigma_min", _uniqueness_a_sq_over_sigma_min),
+        ("w0_solution_real", lambda: (float(np.max(np.abs(_w0_solution().imag))), 1e-10)),
+        ("w0_solution_even", _w0_solution_even),
+        ("c2zero_exact", _c2zero_exact),
+        ("reproducing_residual",
+         lambda: (max(reproducing_residual(m, w, fn) for m, w, fn in _REPRODUCING_CASES), 1e-6)),
+        # c2 = 0: the classical reproducing identity, near machine accuracy
+        ("reproducing_residual_band_limited",
+         lambda: (reproducing_residual(Measure(1.0, 0.0, 0.0, 0.5), 0.2, ((0.5, 1.0),)), 1e-10)),
+        ("ode_residual_c3zero", _ode_residual_c3zero),
+        ("ode_residual_c3pos", _ode_residual_c3pos),
+    ),
+    "appendix": (
+        ("script_L_nonvanishing", _script_L_nonvanishing),
+        ("script_L_case_signs", _script_L_case_signs),
+    ),
+    "formfactor": (
+        # a single ordinate: only the diagonal term survives
+        ("single_ordinate_anchor",
+         lambda: (abs(form_factor(ZeroDataset(ordinates=np.array([10.0]), lam=1.0), 100.0, 0.7)
+                      - 0.013644), 1e-6)),
+        ("formfactor_hand_expansion", lambda: (_worst_pair_gap(_hand_form_factor), 1e-14)),
+        ("formfactor_positive_route", lambda: (_worst_pair_gap(form_factor_positive), 1e-8)),
+        ("formfactor_even",
+         lambda: (_worst_pair_gap(lambda ds, T, a: form_factor(ds, T, -a)), 1e-12)),
+        ("formfactor_nonnegative", _formfactor_nonnegative),
+        ("windowed_average_identity", _windowed_average_identity),
+        ("windowed_average_self_convergence", _windowed_average_self_convergence),
+        ("phi_constant_transform", _phi_constant_transform),
+        ("phi_fejer_transform", _phi_fejer_transform),
+        ("ep1_ratio_c3_0.0", partial(_ep1_ratio, Measure(1, 1, 0.0, 0.5))),
+        ("ep1_ratio_c3_1.0", partial(_ep1_ratio, Measure(1, 1, 1.0, 0.5))),
+    ),
+}
+
+CHECKS = tuple(Check(suite, name, fn) for suite, rows in _TABLE.items() for name, fn in rows)
+SUITES = tuple(_TABLE)
 
 
 @dataclass
@@ -37,319 +604,21 @@ class Report:
     def all_passed(self) -> bool:
         return self.failures == 0
 
-    def check(self, name: str, measured: float, tol: float) -> None:
-        ok = measured <= tol
-        if not ok:
-            self.failures += 1
-        self.lines.append(
-            f"{'PASS' if ok else 'FAIL'} {name} measured={measured:.6e} tol={tol:.1e}")
 
-    def check_true(self, name: str, ok: bool, detail: str = "") -> None:
-        if not ok:
-            self.failures += 1
-        suffix = f" {detail}" if detail else ""
-        self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
+def run_suite(name: str, outcome: Callable[[Check], tuple[bool, str]] = Check.run) -> Report:
+    """The report of one suite, or of every suite for ``"all"``.
 
-
-def _random_admissible(rng, c3_range=(0.0, 0.0)):
-    c1 = float(rng.uniform(0.5, 2.0))
-    delta = float(rng.uniform(0.3, 1.2))
-    sigma = float(rng.uniform(0.05, 1.6))
-    c2 = sigma * c1 / delta ** 2
-    c3 = float(rng.uniform(*c3_range))
-    return Measure(c1=c1, c2=c2, c3=c3, delta=delta)
-
-
-def suite_constants(rep: Report) -> None:
-    rep.check("s0_value", abs(s0() - (-0.217233)), 1e-6)
-    xs, _ = s0_point()
-    rep.check("s0_first_order_condition", abs(xs * np.cos(xs) - np.sin(xs)), 1e-10)
-    rng = np.random.default_rng(_SEED)
-    xr = rng.uniform(-60.0, 60.0, 10_000)
-    rep.check_true("s0_grid_dominance", bool(np.all(np.sin(xr) / xr >= s0() - 1e-15)))
-
-    sg = sup_g()
-    rep.check("sup_g_value", abs(sg - 0.5864), 1e-3)
-    rep.check_true("sup_g_bracket", 0.586 < sg < 0.587, f"value={sg:.9f}")
-    tstar, sval = sup_g_point()
-    rep.check("sup_g_argmax_consistency", abs(g_surface(0.0, tstar) - sval), 1e-9)
-    rep.check_true("sup_g_dominates_pi", sg >= g_surface(0.0, np.pi))
-
-    lo, up = reim_zeta_bounds(0.0)
-    rep.check("corollary11_upper", abs(up - 2.1659), 5e-4)
-    rep.check("corollary11_lower", abs(lo - 0.7467), 5e-4)
-
-    worst = 0.0
-    for md in range(1, 21):
-        lo_f, up_f = selberg_bounds(md)
-        repb = average_bounds(Measure(1.0, 1.0, 0.0, 1.0 / md))
-        worst = max(worst, abs(up_f - repb.upper), abs(lo_f - repb.lower_cor8))
-    rep.check("selberg_identity_m_le_20", worst, 1e-12)
-    worst = 0.0
-    for nd in range(1, 21):
-        lo_f, up_f = dedekind_bounds(nd)
-        repb = average_bounds(Measure(1.0, float(nd), 0.0, 1.0 / nd))
-        worst = max(worst, abs(up_f - repb.upper), abs(lo_f - repb.lower_cor8))
-    rep.check("dedekind_identity_n_le_20", worst, 1e-12)
-
-    for beta in (0.5, 1.0, 2.5):
-        rep.check(f"fejer_witness_beta_{beta}", abs(fejer_check(beta) - beta), 0.0)
-        _, _, diff = fejer_poisson_check(beta)
-        rep.check(f"fejer_poisson_beta_{beta}", diff, 1e-9)
-
-    rep.check("gonek_ki_value",
-              abs(gonek_ki_conjectured_average(1.0, 1.0, 1.0) - 0.0022475), 1e-6)
-    rep.check("gonek_ki_c_to_zero",
-              abs(gonek_ki_conjectured_average(1.0, 1.0, 1e-12) - 0.5), 1e-9)
-    rep.check("gonek_ki_threshold_floor_half",
-              refutation_threshold(0.1, 1.0), 0.0)
-    ell_star = refutation_threshold(0.1, 1.0, floor=0.3)
-    rep.check("gonek_ki_bisection",
-              abs(gonek_ki_conjectured_average(1.0, ell_star, 0.1) - 0.3), 1e-5)
-
-
-def suite_kernels(rep: Report) -> None:
-    rng = np.random.default_rng(_SEED + 1)
-
-    m0 = Measure(1.0, 1.0, 0.0, 0.5)
-    k00 = kernel_k00(m0)
-    sol = solve_integral_eq(m0, 0.0)
-    rep.check("k00_vs_oracle_c3zero", abs(k_from_u(sol, 0.0) - k00), 1e-9)
-    rep.check("k00_corollary11_reciprocal", abs(1.0 / k00 - 2.1659), 5e-4)
-
-    for m in (Measure(1, 1, 1.0, 0.5), Measure(1, 1, 4.0, 0.5),
-              Measure(1, 2, 0.3, 0.7)):
-        sol = solve_integral_eq(m, 0.0)
-        worst = 0.0
-        for z in (0.0, 0.3, 1.1):
-            kc = kernel_k0z(m, z).value
-            worst = max(worst, abs(kc - k_from_u(sol, z)))
-        rep.check(f"k0z_vs_oracle_c3_{m.c3}", worst, 1e-7)
-
-    worst = 0.0
-    for _ in range(20):
-        w = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5))
-        z = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5))
-        k1 = kernel_c3zero(m0, w, z).value
-        k2 = kernel_c3zero(m0, z, w).value
-        worst = max(worst, abs(k1 - np.conj(k2)))
-    rep.check("c3zero_hermitian", worst, 1e-10)
-
-    worst = 0.0
-    m1 = Measure(1, 1, 1.0, 0.5)
-    for _ in range(20):
-        z = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        worst = max(worst, abs(kernel_k0z(m1, z).value - kernel_k0z(m1, -z).value))
-    rep.check("k0z_even", worst, 1e-12)
-
-    # diagonal positivity: K(x, x) > 0 on the full c3 = 0 kernel, K(0,0) > 0
-    # always; the c3 > 0 section is real on the real line
-    ok = True
-    for _ in range(10):
-        m = _random_admissible(rng, c3_range=(0.0, 3.0))
-        ok = ok and kernel_k00(m) > 0
-        x = float(rng.uniform(-2, 2))
-        if m.c3 > 0:
-            val = kernel_k0z(m, x).value
-            ok = ok and abs(val.imag) <= 1e-12 * max(1.0, abs(val.real))
-        else:
-            diag = kernel_c3zero(m, x, x).value
-            ok = ok and diag.real > 0 and abs(diag.imag) <= 1e-10
-    rep.check_true("diagonal_positive", ok)
-
-    base = kernel_k00(Measure(1, 1, 0.0, 0.5))
-    gaps = [abs(kernel_k00(Measure(1, 1, eps, 0.5)) - base)
-            for eps in (1e-2, 1e-3, 1e-4)]
-    rep.check_true("c3_continuity", gaps[0] > gaps[1] > gaps[2],
-                   f"gaps={gaps[0]:.3e},{gaps[1]:.3e},{gaps[2]:.3e}")
-
-    # remark asymptotics: |1/K - c1/Delta| decays at least like 1/c3
-    gaps = []
-    for c3 in (10.0, 100.0, 1000.0):
-        gaps.append(abs(1.0 / kernel_k00(Measure(1, 1, c3, 0.5)) - 2.0))
-    slope = np.polyfit(np.log([10.0, 100.0, 1000.0]), np.log(gaps), 1)[0]
-    rep.check("large_c3_decay_slope", slope, -0.9)
-
-    # degenerate branch bracketing
-    c3 = 0.5
-    m_deg = Measure(1.0, 1.0, c3, 0.5)       # lam = 4 c3^2 exactly
-    v_deg = kernel_k0z(m_deg, 0.3).value.real
-    v_lo = kernel_k0z(Measure(1.0, 1.0 * (1 - 1e-6), c3, 0.5), 0.3).value.real
-    v_hi = kernel_k0z(Measure(1.0, 1.0 * (1 + 1e-6), c3, 0.5), 0.3).value.real
-    lo, hi = min(v_lo, v_hi), max(v_lo, v_hi)
-    rep.check("degenerate_bracket", max(lo - v_deg, v_deg - hi, 0.0), 1e-5)
-
-    worst = 0.0
-    for _ in range(10):
-        m = _random_admissible(rng, c3_range=(0.1, 3.0))
-        roots = quartic_roots(m)
-        worst = max(worst, quartic_residual(m, roots.eta1),
-                    quartic_residual(m, roots.eta2))
-    rep.check("quartic_residual", worst, 1e-10)
-
-
-def suite_oracle(rep: Report) -> None:
-    rng = np.random.default_rng(_SEED + 2)
-
-    worst = 0.0
-    for _ in range(10):
-        m = _random_admissible(rng)
-        w = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5))
-        if abs(2 * m.c1 * np.pi ** 2 * w * w - m.c2) < 1e-3 * m.c2:
-            w += 0.1
-        sol = solve_integral_eq(m, w, n=256)
-        uc = closed_form_u(m, w, sol.nodes)
-        worst = max(worst, float(np.max(np.abs(sol.u_values - uc))))
-    rep.check("nystrom_vs_closed_form", worst, 1e-8)
-
-    m = Measure(1, 1, 1.0, 0.5)
-    s200 = solve_integral_eq(m, 0.7, n=200)
-    s400 = solve_integral_eq(m, 0.7, n=400)
-    at = np.linspace(-0.24, 0.24, 33)
-    rep.check("self_convergence_200_400",
-              float(np.max(np.abs(s200.interpolate(at) - s400.interpolate(at)))),
-              1e-10)
-    rep.check("linear_system_residual", system_residual(s200), 1e-12)
-    # sigma_min of the weighted Nystrom matrix must stay >= a_sq
-    rep.check("uniqueness_a_sq_over_sigma_min", 1.0 / uniqueness_ratio(m), 1.0)
-
-    sol0 = solve_integral_eq(m, 0.0)
-    rep.check("w0_solution_real", float(np.max(np.abs(sol0.u_values.imag))), 1e-10)
-    rep.check("w0_solution_even",
-              float(np.max(np.abs(sol0.u_values - sol0.u_values[::-1]))), 1e-10)
-
-    mc2 = Measure(2.0, 0.0, 0.0, 0.8)
-    solz = solve_integral_eq(mc2, 0.4)
-    exact = np.exp(-2j * np.pi * 0.4 * solz.nodes) / 2.0
-    rep.check("c2zero_exact", float(np.max(np.abs(solz.u_values - exact))), 1e-13)
-
-    cases = [
-        (Measure(1, 1, 0.0, 0.5), 0.0, "center0"),
-        (Measure(1, 1, 0.0, 0.5), 1 + 0.2j, "center2p5"),
-        (Measure(1, 1, 1.0, 0.5), 0.3, "offcenter_pair"),
-        (Measure(1, 1, 4.0, 0.5), 0.0, "center0"),
-    ]
-    worst = 0.0
-    for m, w, fn in cases:
-        worst = max(worst, reproducing_residual(m, w, fn))
-    rep.check("reproducing_residual", worst, 1e-6)
-
-    worst = 0.0
-    for m, w in ((Measure(1, 1, 0.0, 0.5), 0.3),
-                 (Measure(1, 0.5, 0.0, 0.8), 1.1)):
-        worst = max(worst, ode_residual(m, solve_integral_eq(m, w)))
-    rep.check("ode_residual_c3zero", worst, 1e-6)
-    worst = 0.0
-    for m, w in ((Measure(1, 1, 1.0, 0.5), 0.0),
-                 (Measure(1, 1, 4.0, 0.5), 0.0),
-                 (Measure(1, 2, 2.0, 0.6), 0.5)):
-        worst = max(worst, ode_residual(m, solve_integral_eq(m, w)))
-    rep.check("ode_residual_c3pos", worst, 1e-6)
-
-
-def suite_appendix(rep: Report) -> None:
-    sigmas = np.linspace(2.9 / 40.0, 2.9, 40)
-    ratios = np.concatenate([np.linspace(0.08, 0.92, 20),
-                             np.linspace(1.08, 3.0, 20)])
-    delta = 0.7
-    min_abs = np.inf
-    sign_ok = True
-    for sg in sigmas:
-        lam = sg / delta ** 2
-        for r in ratios:
-            c3 = r * np.sqrt(lam) / 2.0
-            m = Measure(1.0, lam, float(c3), delta)
-            val = script_L(m)
-            min_abs = min(min_abs, abs(val))
-            if r < 1.0:     # purely imaginary roots: real negative divisor
-                sign_ok = sign_ok and val.real < 0 and abs(val.imag) <= 1e-10 * abs(val)
-            else:           # conjugate quadrant: purely imaginary, Im < 0
-                sign_ok = sign_ok and val.imag < 0 and abs(val.real) <= 1e-10 * abs(val)
-    rep.check_true("script_L_nonvanishing", min_abs > 0.0, f"min_abs={min_abs:.6e}")
-    rep.check_true("script_L_case_signs", sign_ok)
-
-
-def suite_formfactor(rep: Report) -> None:
-    rng = np.random.default_rng(_SEED + 3)
-
-    # single ordinate: only the diagonal term survives
-    ds1 = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
-    rep.check("single_ordinate_anchor",
-              abs(form_factor(ds1, 100.0, 0.7) - 0.013644), 1e-6)
-
-    worst_hand = worst_pos = worst_even = most_neg = 0.0
-    for _ in range(8):
-        n = int(rng.integers(2, 6))
-        g = np.sort(rng.uniform(5.0, 40.0, n))
-        ds = ZeroDataset(ordinates=g, lam=float(rng.uniform(0.5, 2.0)))
-        T = 100.0
-        alpha = float(rng.uniform(-2.0, 2.0))
-        hand = 0.0
-        for gi in g:
-            for gj in g:
-                hand += np.cos(ds.lam * alpha * np.log(T) * (gi - gj)) \
-                    * float(pair_weight(gi - gj))
-        hand /= (ds.lam * T / (2 * np.pi)) * np.log(T)
-        val = form_factor(ds, T, alpha)
-        worst_hand = max(worst_hand, abs(val - hand))
-        worst_pos = max(worst_pos, abs(val - form_factor_positive(ds, T, alpha)))
-        worst_even = max(worst_even, abs(val - form_factor(ds, T, -alpha)))
-        most_neg = min(most_neg, val)
-    rep.check("formfactor_hand_expansion", worst_hand, 1e-12)
-    rep.check("formfactor_positive_route", worst_pos, 1e-6)
-    rep.check("formfactor_even", worst_even, 1e-12)
-    rep.check_true("formfactor_nonnegative", most_neg >= -1e-10,
-                   f"min={most_neg:.3e}")
-
-    # averaged form factor: symmetric-window decomposition, exact on nested grids
-    g = np.sort(rng.uniform(3.0, 60.0, 48))
-    ds = ZeroDataset(ordinates=g, lam=1.0)
-    T, b, ell = 60.0, 1.0, 1.0
-    beta = b + ell
-    h = 1.0 / 32.0
-    lhs = windowed_average(ds, T, b, ell, h)
-    sym_beta = symmetric_average(ds, T, beta, h)
-    sym_b = symmetric_average(ds, T, b, h)
-    rhs = sym_beta + (b / ell) * (sym_beta - sym_b)
-    rep.check("windowed_average_identity", abs(lhs - rhs), 1e-9)
-
-    half = windowed_average(ds, T, b, ell, h / 2.0)
-    rep.check("windowed_average_self_convergence", abs(lhs - half) / abs(half), 1e-3)
-
-    m = Measure(1, 1, 0.0, 0.5)
-    grid = np.linspace(-0.5, 0.5, 2001)
-    rep.check("phi_constant_transform",
-              abs(phi_functional(m, np.ones_like(grid), grid) - 1.25), 1e-12)
-    m2 = Measure(1, 1, 0.0, 1.0)
-    grid2 = np.linspace(-1.0, 1.0, 4001)
-    fejer_hat = np.maximum(1.0 - np.abs(grid2), 0.0)
-    rep.check("phi_fejer_transform",
-              abs(phi_functional(m2, fejer_hat, grid2) - (1 + 1.0 / 3.0)), 1e-6)
-
-    for m in (Measure(1, 1, 0.0, 0.5), Measure(1, 1, 1.0, 0.5)):
-        ratio = ep1_ratio_check(m)
-        rep.check(f"ep1_ratio_c3_{m.c3}",
-                  abs(ratio - 1.0 / kernel_k00(m)), 1e-5)
-
-
-_SUITES = {
-    "constants": (suite_constants,),
-    "kernels": (suite_kernels,),
-    "oracle": (suite_oracle,),
-    "appendix": (suite_appendix,),
-    "formfactor": (suite_formfactor,),
-    "all": (suite_constants, suite_kernels, suite_oracle,
-            suite_appendix, suite_formfactor),
-}
-
-
-def run_suite(name: str) -> Report:
-    if name not in _SUITES:
+    ``outcome(check)`` gives the check's (passed, line); the default runs it.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     rep = Report()
-    for fn in _SUITES[name]:
-        rep.lines.append(f"== {fn.__name__.removeprefix('suite_')} ==")
-        fn(rep)
-    rep.lines.append(f"{'OK' if rep.all_passed else 'FAILED'} "
-                     f"({rep.failures} failures)")
+    for suite in SUITES if name == "all" else (name,):
+        rep.lines.append(f"== {suite} ==")
+        for check in CHECKS:
+            if check.suite == suite:
+                passed, line = outcome(check)
+                rep.failures += not passed
+                rep.lines.append(line)
+    rep.lines.append(f"{'OK' if rep.all_passed else 'FAILED'} ({rep.failures} failures)")
     return rep

@@ -2,33 +2,23 @@
 
 import numpy as np
 import pytest
+from conftest import registry_test
 
 from pairpack import (Measure, NotAdmissible, average_bounds, dedekind_bounds,
                       figure1_data, gonek_ki_conjectured_average, kernel_k00,
                       refutation_threshold, reim_zeta_bounds, s0,
                       selberg_bounds)
-from pairpack.bounds import s0_point
 
 
 class TestS0:
-    def test_value(self):
-        assert s0() == pytest.approx(-0.217233, abs=1e-6)
-
-    def test_first_order_condition(self):
-        xs, _ = s0_point()
-        assert abs(np.tan(xs) - xs) <= 1e-10
-
-    def test_grid_dominance(self):
-        rng = np.random.default_rng(17)
-        x = rng.uniform(-80.0, 80.0, 10000)
-        assert np.all(np.sin(x) / x >= s0() - 1e-15)
+    test_value = registry_test("s0_value")
+    test_first_order_condition = registry_test("s0_first_order_condition")
+    test_grid_dominance = registry_test("s0_grid_dominance")
 
 
 class TestAverageBounds:
     def test_anchor_measure(self):
         rep = average_bounds(Measure(1.0, 1.0, 0.0, 0.5))
-        assert rep.upper == pytest.approx(2.1659, abs=5e-4)
-        assert rep.lower_thm1 == pytest.approx(0.7467, abs=5e-4)
         # clamp is slack here, so the two lower bounds coincide
         assert not rep.clamp_active
         assert rep.lower_cor8 == pytest.approx(rep.lower_thm1, abs=1e-14)
@@ -61,6 +51,8 @@ class TestAverageBounds:
 
 
 class TestSelberg:
+    test_identity_with_average_bounds = registry_test("selberg_identity_m_le_20")
+
     def test_degree_one_values(self):
         lo, up = selberg_bounds(1)
         assert up == pytest.approx(1.327504, abs=1e-5)
@@ -74,19 +66,14 @@ class TestSelberg:
         assert up == pytest.approx(1000.0 + 1.0 / 3000.0, abs=1e-9)
         assert lo == 0.5          # clamp binds for large degree
 
-    def test_identity_with_average_bounds(self):
-        for md in range(1, 21):
-            lo, up = selberg_bounds(md)
-            rep = average_bounds(Measure(1.0, 1.0, 0.0, 1.0 / md))
-            assert up == pytest.approx(rep.upper, abs=1e-12)
-            assert lo == pytest.approx(rep.lower_cor8, abs=1e-12)
-
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             selberg_bounds(0)
 
 
 class TestDedekind:
+    test_identity_with_average_bounds = registry_test("dedekind_identity_n_le_20")
+
     def test_degree_one_matches_selberg(self):
         assert dedekind_bounds(1) == pytest.approx(selberg_bounds(1), abs=1e-14)
 
@@ -94,22 +81,10 @@ class TestDedekind:
         lo, up = dedekind_bounds(2)
         assert up == pytest.approx(1.0 / np.tan(0.5) + 0.5, abs=1e-13)
         assert up == pytest.approx(2.3304, abs=1e-3)
-        assert up == pytest.approx(1.0 / kernel_k00(Measure(1.0, 2.0, 0.0, 0.5)),
-                                   abs=1e-12)
-
-    def test_identity_with_average_bounds(self):
-        for n in range(1, 21):
-            lo, up = dedekind_bounds(n)
-            rep = average_bounds(Measure(1.0, float(n), 0.0, 1.0 / n))
-            assert up == pytest.approx(rep.upper, abs=1e-12)
-            assert lo == pytest.approx(rep.lower_cor8, abs=1e-12)
 
 
 class TestReimZeta:
-    def test_anchor_at_zero(self):
-        lo, up = reim_zeta_bounds(0.0)
-        assert lo == pytest.approx(0.7467, abs=5e-4)
-        assert up == pytest.approx(2.1659, abs=5e-4)
+    test_anchor_at_zero = registry_test("corollary11_lower", "corollary11_upper")
 
     def test_large_c_limit(self):
         _, up = reim_zeta_bounds(1000.0)
@@ -166,15 +141,11 @@ class TestFigure1:
 
 
 class TestGonekKi:
+    test_point_value = registry_test("gonek_ki_value")
+    test_always_below_half = registry_test("gonek_ki_below_half")
+
     def test_continuous_at_zero(self):
         assert gonek_ki_conjectured_average(1.0, 1.0, 0.0) == 0.5
-        assert gonek_ki_conjectured_average(1.0, 1.0, 1e-12) == pytest.approx(
-            0.5, abs=1e-9)
-
-    def test_point_value(self):
-        # e^{-4} (1 - e^{-4}) / 8
-        assert gonek_ki_conjectured_average(1.0, 1.0, 1.0) == pytest.approx(
-            0.0022475, abs=1e-6)
 
     def test_vanishes_for_long_windows(self):
         assert gonek_ki_conjectured_average(1.0, 1e6, 1.0) < 1e-6
@@ -185,28 +156,11 @@ class TestGonekKi:
         assert gonek_ki_conjectured_average(1.0, 2.0, 0.5) < base
         assert gonek_ki_conjectured_average(1.0, 1.0, 0.9) < base
 
-    def test_always_below_half(self):
-        # the ell -> 0 limit is e^{-4 c b}/2 < 1/2 for any c > 0, and the
-        # average decreases in ell, so the universal floor is violated on
-        # every window
-        for c in (0.01, 0.1, 1.0):
-            for ell in (1e-6, 0.1, 1.0, 10.0):
-                assert gonek_ki_conjectured_average(1.0, ell, c) < 0.5
-
 
 class TestRefutationThreshold:
-    def test_already_below_at_default_floor(self):
-        assert refutation_threshold(1.0, 1.0) == 0.0
-        assert refutation_threshold(0.01, 1.0) == 0.0
-
-    def test_bisection_at_attainable_floor(self):
-        ell = refutation_threshold(0.1, 1.0, floor=0.3)
-        assert ell > 0
-        assert gonek_ki_conjectured_average(1.0, ell, 0.1) == pytest.approx(
-            0.3, abs=1e-5)
-        # crossing localized to the stated tolerance in ell
-        assert gonek_ki_conjectured_average(1.0, ell - 2e-6, 0.1) > 0.3
-        assert gonek_ki_conjectured_average(1.0, ell + 2e-6, 0.1) < 0.3
+    test_already_below_at_default_floor = registry_test("gonek_ki_threshold_floor_half")
+    test_bisection_at_attainable_floor = registry_test(
+        "gonek_ki_bisection", "gonek_ki_bisection_bracket")
 
     def test_smaller_c_gives_larger_threshold(self):
         ts = [refutation_threshold(c, 1.0, floor=0.3) for c in (0.05, 0.08, 0.1)]

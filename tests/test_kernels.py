@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import registry_test
 
 from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, aux_A, aux_B, aux_C,
@@ -149,22 +150,12 @@ class TestMu:
 
 
 class TestKernelK00:
+    test_anchor_value = registry_test("k00_corollary11_reciprocal", "k00_vs_oracle_c3zero")
+    test_positive_c3_vs_oracle = registry_test("k0z_vs_oracle_c3_1.0")
+
     def test_pure_atom_limit(self):
         assert kernel_k00(Measure(1.0, 0.0, 0.0, 0.5)) == pytest.approx(0.5, abs=0)
         assert kernel_k00(Measure(1.0, 1e-12, 0.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_anchor_value(self):
-        # 1/K = 2.1659... for (1, 1, 0, 1/2); cross-checked against the
-        # integral-equation oracle below and in the acceptance suite
-        k = kernel_k00(Measure(1.0, 1.0, 0.0, 0.5))
-        assert 1.0 / k == pytest.approx(2.1659, abs=5e-4)
-        sol = solve_integral_eq(Measure(1.0, 1.0, 0.0, 0.5), 0.0)
-        assert k == pytest.approx(k_from_u(sol, 0.0).real, abs=1e-10)
-
-    def test_positive_c3_vs_oracle(self):
-        m = Measure(1.0, 1.0, 1.0, 0.5)      # c3 = 4c with c = 1/4
-        sol = solve_integral_eq(m, 0.0)
-        assert kernel_k00(m) == pytest.approx(k_from_u(sol, 0.0).real, abs=1e-7)
 
     def test_not_admissible(self):
         with pytest.raises(NotAdmissible):
@@ -172,21 +163,15 @@ class TestKernelK00:
 
 
 class TestKernelC3Zero:
+    test_hermitian_symmetry = registry_test("c3zero_hermitian")
+    test_diagonal_positive = registry_test("diagonal_positive")
+
     m = Measure(1.0, 1.0, 0.0, 0.5)
 
     def test_origin_matches_k00(self):
         ev = kernel_c3zero(self.m, 0.0, 0.0)
         assert ev.value == pytest.approx(kernel_k00(self.m), abs=1e-14)
         assert ev.value.real == pytest.approx(0.4617, abs=1e-4)
-
-    def test_hermitian_symmetry(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            w = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-            z = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-            k1 = kernel_c3zero(self.m, w, z).value
-            k2 = kernel_c3zero(self.m, z, w).value
-            assert abs(k1 - np.conj(k2)) <= 1e-10
 
     def test_removable_w_limit(self):
         w0 = np.sqrt(self.m.c2 / (2 * self.m.c1)) / np.pi
@@ -205,14 +190,6 @@ class TestKernelC3Zero:
         assert ev.limit_path is LimitPath.REMOVABLE_Z
         near = kernel_c3zero(self.m, 0.2, z0 + 1e-7)
         assert abs(ev.value - near.value) <= 1e-6
-
-    def test_diagonal_positive(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            x = float(rng.uniform(-3, 3))
-            val = kernel_c3zero(self.m, x, x).value
-            assert abs(val.imag) <= 1e-12
-            assert val.real > 0
 
     def test_oracle_agreement_complex_args(self):
         rng = np.random.default_rng(9)
@@ -236,23 +213,13 @@ class TestKernelC3Zero:
 
 
 class TestKernelK0z:
+    test_oracle_agreement = registry_test("k0z_vs_oracle_c3_1.0")
+    test_even = registry_test("k0z_even")
+    test_degenerate_bracketed_by_generic = registry_test("degenerate_bracket")
+
     def test_z_zero_equals_k00(self):
         m = Measure(1.0, 1.0, 1.0, 0.5)
         assert kernel_k0z(m, 0.0).value == pytest.approx(kernel_k00(m), abs=1e-12)
-
-    def test_oracle_agreement(self):
-        m = Measure(1.0, 1.0, 1.0, 0.5)      # conjugate-quadrant roots
-        sol = solve_integral_eq(m, 0.0)
-        for z in (0.0, 0.3, 1.1, 1 + 0.5j):
-            assert kernel_k0z(m, z).value == pytest.approx(
-                np.conj(k_from_u(sol, np.conj(z))), abs=1e-7)
-
-    def test_even(self):
-        m = Measure(1.0, 1.0, 4.0, 0.5)
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            z = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-            assert abs(kernel_k0z(m, z).value - kernel_k0z(m, -z).value) <= 1e-12
 
     def test_degenerate_branch(self):
         m = Measure(1.0, 1.0, 0.5, 0.5)      # lam = 4 c3^2 exactly
@@ -260,14 +227,6 @@ class TestKernelK0z:
         assert ev.limit_path is LimitPath.DEGENERATE_ETA
         sol = solve_integral_eq(m, 0.0)
         assert ev.value == pytest.approx(k_from_u(sol, 0.3), abs=1e-7)
-
-    def test_degenerate_bracketed_by_generic(self):
-        c3 = 0.5
-        v = kernel_k0z(Measure(1, 1, c3, 0.5), 0.3).value.real
-        lo_hi = sorted(
-            kernel_k0z(Measure(1, 1 * (1 + s), c3, 0.5), 0.3).value.real
-            for s in (-1e-6, 1e-6))
-        assert lo_hi[0] - 1e-5 <= v <= lo_hi[1] + 1e-5
 
     def test_near_degenerate_matches_oracle(self):
         # both sides of the line lam = 4 c3^2, from on it to 1e-2 away; the
@@ -315,30 +274,14 @@ class TestKernelK0z:
 
 
 class TestContinuityAndAsymptotics:
-    def test_continuity_in_c3(self):
-        base = kernel_k00(Measure(1, 1, 0.0, 0.5))
-        gaps = [abs(kernel_k00(Measure(1, 1, eps, 0.5)) - base)
-                for eps in (1e-2, 1e-3, 1e-4)]
-        assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_large_c3_rate(self):
-        # |1/K - c1/Delta| bounded by C c2 Delta / c3: log-log slope <= -0.9
-        c3s = np.array([10.0, 100.0, 1000.0])
-        gaps = np.array([abs(1.0 / kernel_k00(Measure(1, 1, c, 0.5)) - 2.0)
-                         for c in c3s])
-        slope = np.polyfit(np.log(c3s), np.log(gaps), 1)[0]
-        assert slope <= -0.9
-
-    def test_corollary_identity_c3zero(self):
-        # 1/K for (1, 1, 0, 1/m) equals cot(1/(sqrt2 m))/sqrt2 + 1/(2m)
-        for md in range(1, 21):
-            k = kernel_k00(Measure(1.0, 1.0, 0.0, 1.0 / md))
-            rhs = (1.0 / np.sqrt(2.0)) / np.tan(1.0 / (np.sqrt(2.0) * md)) \
-                + 1.0 / (2.0 * md)
-            assert 1.0 / k == pytest.approx(rhs, abs=1e-12)
+    test_continuity_in_c3 = registry_test("c3_continuity")
+    test_large_c3_rate = registry_test("large_c3_decay_slope")
+    test_corollary_identity_c3zero = registry_test("selberg_identity_m_le_20")
 
 
 class TestScriptL:
+    test_nonvanishing_grid = registry_test("script_L_nonvanishing")
+
     def test_case_one_real_negative(self):
         val = script_L(Measure(1.0, 1.0, 0.1, 0.5))
         assert val.real < 0
@@ -348,15 +291,6 @@ class TestScriptL:
         val = script_L(Measure(1.0, 1.0, 1.0, 0.5))
         assert abs(val.real) <= 1e-10
         assert val.imag < 0
-
-    def test_nonvanishing_grid(self):
-        # coarse sweep here; the acceptance suite runs the 40 x 40 version
-        delta = 0.7
-        for sigma in np.linspace(0.1, 2.9, 15):
-            lam = sigma / delta ** 2
-            for ratio in (0.2, 0.6, 0.9, 1.1, 1.7, 2.5):
-                c3 = ratio * np.sqrt(lam) / 2.0
-                assert abs(script_L(Measure(1.0, lam, float(c3), delta))) > 0
 
     def test_degenerate_refused(self):
         with pytest.raises(DegenerateRoots):

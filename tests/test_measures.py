@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import registry_test
 
 from pairpack import (Measure, NotAdmissible, extended_sigma_threshold,
-                      g_surface, norm_bounds, nu_hat, sup_g, sup_g_point)
+                      g_surface, norm_bounds, nu_hat, sup_g)
 from pairpack.quadrature import integrate_with_kink
 
 
@@ -147,32 +148,9 @@ class TestGSurface:
 
 
 class TestSupG:
-    def test_value(self):
-        assert sup_g() == pytest.approx(0.5864, abs=1e-3)
-        assert 0.586 < sup_g() < 0.587
-
-    def test_dominates_samples(self):
-        ts = np.linspace(0.01, 100.0, 20000)
-        vals = np.array([g_surface(0.0, float(t)) for t in ts])
-        assert sup_g() >= vals.max() - 1e-12
-        assert sup_g() >= g_surface(0.0, np.pi)
-
-    def test_argmax_reproduces_sup(self):
-        tstar, val = sup_g_point()
-        assert abs(g_surface(0.0, tstar) - val) <= 1e-9
-        # golden-section refinement oracle around the argmax
-        lo, hi = tstar - 0.05, tstar + 0.05
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        for _ in range(80):
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            if g_surface(0.0, c) > g_surface(0.0, d):
-                b = d
-            else:
-                a = c
-        refined = 0.5 * (a + b)
-        assert abs(g_surface(0.0, refined) - val) <= 1e-9
+    test_value = registry_test("sup_g_value", "sup_g_bracket")
+    test_dominates_samples = registry_test("sup_g_dominates_pi")
+    test_argmax_reproduces_sup = registry_test("sup_g_argmax_consistency")
 
 
 class TestNormBounds:
