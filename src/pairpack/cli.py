@@ -10,9 +10,13 @@ Subcommands expose every computation with CSV or JSON output:
     verify      the check registry of pairpack.verify, one line per check,
                 by suite; exit 3 on any failure
 
-Output is deterministic: fixed 12-significant-digit formatting, fixed
-summation orders, fixed seeds inside every verify check.  Data goes to
-stdout (or --out), diagnostics to stderr.
+Output is deterministic for a fixed OPENBLAS_NUM_THREADS: fixed
+12-significant-digit formatting, fixed summation and block orders, fixed
+seeds inside every verify check.  The BLAS thread count can move the last
+bits of a matrix product or a long dot product (the Nystrom solves, the
+form-factor GEMM and its positive-definite route), so reports compare byte
+for byte only at the same count.  Data goes to stdout (or --out),
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -186,7 +190,7 @@ def cmd_formfactor(args) -> int:
     blocks = []
     if args.alpha:
         alphas = _parse_range(args.alpha)
-        vals = [form_factor(ds, T, a) for a in alphas]
+        vals = form_factor(ds, T, alphas)
         blocks.append(["alpha,F"] + [f"{_fmt(a)},{_fmt(v)}"
                                      for a, v in zip(alphas, vals)])
     if args.avg:

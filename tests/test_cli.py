@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from pairpack import verify
-from pairpack.cli import MAX_POINTS, _parse_range, build_parser, main
+from pairpack import form_factor, load_zeros, verify
+from pairpack.cli import MAX_POINTS, _fmt, _parse_range, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +218,18 @@ class TestFormfactorCommand:
         assert out.startswith("alpha,F")
         assert "b,ell,grid_step,average" in out
         assert "ordinates" in err
+
+    def test_alpha_grid_matches_scalar_calls(self, capsys, zeros_file):
+        code, out, _ = run_cli(capsys, "formfactor", "--zeros", str(zeros_file),
+                               "--alpha=-1.5:2:0.125")
+        assert code == 0
+        ds = load_zeros(zeros_file)
+        T = float(ds.ordinates[-1])
+        lines = out.strip().splitlines()
+        assert lines[0] == "alpha,F" and len(lines) == 30
+        for line in lines[1:]:
+            a, f = line.split(",")
+            assert f == _fmt(form_factor(ds, T, float(a)))
 
     def test_average_halved_step_converges(self, capsys, zeros_file):
         def avg_with(step):

@@ -10,6 +10,7 @@ from pairpack import (EmptyDataset, EmptyWindow, Measure, NotCancelled,
                       form_factor, form_factor_positive,
                       kernel_k00, kernel_k0z_grid, load_zeros, phi_functional,
                       symmetric_average, windowed_average)
+from pairpack import formfactor
 from pairpack.formfactor import MAX_ALPHAS, MAX_ORDINATES, fejer_witness
 from pairpack.kernels import k0_transform_solution
 from pairpack.quadrature import gauss_legendre
@@ -112,6 +113,33 @@ class TestFormFactor:
         ds = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
         with pytest.raises(NotCancelled):
             form_factor(ds, 100.0, 0.8)
+
+
+class TestBatchedFormFactor:
+    def test_block_and_batch_boundaries(self):
+        # more in-window ordinates than one row block, more alphas than one batch
+        g = np.sort(np.random.default_rng(31).uniform(1.0, 300.0, 600))
+        ds = ZeroDataset(ordinates=g, lam=0.9)
+        T = 280.0
+        gw = g[(g > 0) & (g <= T)]
+        assert len(gw) > formfactor._BLOCK_ELEMENTS // len(gw)
+        batch = formfactor._ALPHA_BATCH
+        alphas = np.linspace(-3.0, 3.0, batch + 6)
+        picks = [0, batch // 2, batch - 1, batch, batch + 5]     # both batches
+        diff = gw[:, None] - gw[None, :]
+        w = 4.0 / (4.0 + diff ** 2)
+        norm = (ds.lam * T / (2 * np.pi)) * np.log(T)
+        theta = ds.lam * alphas[picks] * np.log(T)
+        dense = np.array([np.sum(np.cos(t * diff) * w) for t in theta]) / norm
+        np.testing.assert_allclose(form_factor(ds, T, alphas)[picks], dense,
+                                   rtol=1e-13, atol=0)
+
+    def test_shapes(self):
+        ds = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
+        for alpha in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(form_factor(ds, 100.0, alpha)) is float
+        empty = form_factor(ds, 100.0, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 class TestFormFactorPositive:
