@@ -26,6 +26,7 @@ confirmed against the independent integral-equation oracle in the tests.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -261,7 +262,12 @@ class TransformSolution:
         return self.p_scaled * mean + self.q_scaled * dd + self.mu
 
 
+@functools.lru_cache(maxsize=8)
 def k0_transform_solution(m: Measure) -> TransformSolution:
+    """The section's TransformSolution, cached per measure: a bounds sweep
+    and an oracle cross-check each evaluate several sections of one
+    measure.  The returned object and its ``power_sums`` are shared and
+    read-only."""
     roots = quartic_roots(m)
     L = m.delta / 2.0
     # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
@@ -269,6 +275,8 @@ def k0_transform_solution(m: Measure) -> TransformSolution:
     rho1 = 2.0 * m.c2 * (1.0 + m.c3 * L) / denom
     rho2 = 4.0 * m.c2 * m.c3 ** 2 / denom
     h = _power_sums(roots, L)
+    if h is not None:
+        h.flags.writeable = False
     a, a_dd, b, b_dd = _divisor_terms(m, roots, h)
     det = a_dd * b - a * b_dd
     return TransformSolution(roots=roots, p_scaled=-(rho1 * b_dd + rho2 * a_dd) / det,

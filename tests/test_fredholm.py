@@ -1,5 +1,8 @@
 """Integral-equation oracle: solver, closed form, transform, residuals."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from conftest import registry_test
@@ -7,11 +10,12 @@ from conftest import registry_test
 import pairpack.fredholm as fredholm
 from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
                       k_from_u, ode_residual, nu_hat, solve_integral_eq)
-from pairpack.fredholm import (CONDITION_LIMIT, MAX_NODES, system_residual,
-                               uniqueness_ratio)
+from pairpack.fredholm import (CONDITION_LIMIT, MAX_NODES, SPECTRAL_C3_DELTA,
+                               system_residual, uniqueness_ratio)
 from pairpack.errors import IllConditioned
 from pairpack.quadrature import (barycentric_matrix, barycentric_weights,
                                  gauss_legendre, integrate_with_kink)
+from pairpack.verify import ODE_TOL_C3POS
 
 
 def equation_residual_by_quadrature(m, w, u_fn, xi):
@@ -61,17 +65,18 @@ class TestSolver:
     def test_homogeneous_only_trivial(self, monkeypatch, request):
         # sigma_min of the weighted matrix certifies unique solvability (a
         # verify check); a planted matrix with a_sq off the diagonal fails it;
-        # the shared systems are dropped so that no planted one outlives the test
-        ms = (Measure(1, 1, 0, 0.5), Measure(1, 1, 2.0, 0.9))
-        assemble = fredholm._assemble_matrix
+        # the shared systems are dropped so that no planted one outlives the test;
+        # the last measure takes the product-quadrature route (c3 Delta = 6)
+        ms = (Measure(1, 1, 0, 0.5), Measure(1, 1, 2.0, 0.9), Measure(1, 1, 12.0, 0.5))
+        assemble = fredholm._system_matrix
 
-        def shifted(m, nodes, bary_w):
+        def shifted(m, nodes, weights, bary_w):
             a_sq = fredholm.norm_bounds(m, extended=True).a_sq
-            return assemble(m, nodes, bary_w) - a_sq * np.eye(len(nodes))
+            return assemble(m, nodes, weights, bary_w) - a_sq * np.eye(len(nodes))
 
         request.addfinalizer(fredholm._nystrom_system.cache_clear)
         fredholm._nystrom_system.cache_clear()
-        monkeypatch.setattr(fredholm, "_assemble_matrix", shifted)
+        monkeypatch.setattr(fredholm, "_system_matrix", shifted)
         planted = [uniqueness_ratio(m) for m in ms]
         assert max(planted) < 1.0
 
@@ -154,13 +159,13 @@ class TestSharedSystem:
 
     def test_one_assembly_per_measure(self, monkeypatch):
         calls = []
-        assemble = fredholm._assemble_matrix
+        assemble = fredholm._system_matrix
 
-        def counted(m, nodes, bary_w):
+        def counted(m, nodes, weights, bary_w):
             calls.append(m)
-            return assemble(m, nodes, bary_w)
+            return assemble(m, nodes, weights, bary_w)
 
-        monkeypatch.setattr(fredholm, "_assemble_matrix", counted)
+        monkeypatch.setattr(fredholm, "_system_matrix", counted)
         fredholm._nystrom_system.cache_clear()
         m = Measure(1.1, 0.9, 0.8, 0.6)
         sols = [solve_integral_eq(m, w) for w in (0.0, 0.4, -1.3, 1.9)]
@@ -177,6 +182,68 @@ class TestSharedSystem:
         with pytest.raises(ValueError):
             sol._matrix[0, 0] = 0.0
         sol.u_values[0] += 0.0          # the solution itself is the caller's
+
+
+class TestSpectralIntegration:
+    @pytest.mark.parametrize("n", [16, 120])
+    def test_gauss_rule_against_mpmath(self, n):
+        # J's exactness rests on the rule; numpy's leggauss weights are off
+        # by 1e-11 relative at n = 120
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        x, w = gauss_legendre(n, -1.0, 1.0)
+        for j in range(n // 2, n):                   # the rule is symmetric
+            t = mpmath.mpf(float(x[j]))
+            for _ in range(3):
+                p_prev, p = mpmath.mpf(1), t
+                for k in range(1, n):
+                    p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+                dp = n * (t * p - p_prev) / (t * t - 1)
+                t -= p / dp
+            assert abs(float(t) - x[j]) <= 2.3e-16
+            assert abs(w[j] - 2 / ((1 - t * t) * dp * dp)) <= 2e-15 * w[j]
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", [16, 200, 400, 800])
+    def test_integrates_monomials_below_degree_n(self, n):
+        x, _ = gauss_legendre(n, -1.0, 1.0)
+        k = np.arange(n)
+        exact = (x[:, None] ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        got = fredholm._integration_matrix(n) @ x[:, None] ** k
+        assert np.max(np.abs(got - exact)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [16, 200, 400, 800])
+    @pytest.mark.parametrize("c3_delta", [0.0, 0.5, 2.0, 5.0])
+    def test_routes_agree(self, c3_delta, n):
+        # K(0, 0) and u of the w = 0 solve; at 16 nodes the spectral route
+        # resolves u times the kernel's exponential branch less well
+        m = Measure(1.2, 1.5, c3_delta / 0.7, 0.7)
+        nodes, weights = gauss_legendre(n, -0.35, 0.35)
+        spectral = fredholm._assemble_spectral(m, nodes, weights)
+        product = fredholm._assemble_matrix(m, nodes, barycentric_weights(nodes))
+        u_s, u_p = (np.linalg.solve(M, np.ones(n)) for M in (spectral, product))
+        assert abs(weights @ u_s - weights @ u_p) <= 1e-14
+        assert np.max(np.abs(u_s - u_p)) <= (1e-9 if n == 16 else 1e-14)
+
+    def test_route_at_threshold(self, monkeypatch):
+        routes = []
+        monkeypatch.setattr(fredholm, "_assemble_spectral",
+                            lambda m, nodes, weights: routes.append("spectral"))
+        monkeypatch.setattr(fredholm, "_assemble_matrix",
+                            lambda m, nodes, bary_w: routes.append("product"))
+        nodes, weights = gauss_legendre(16, -0.25, 0.25)
+        for c3 in (0.0, 10.0, np.nextafter(10.0, 11.0)):
+            m = Measure(1.0, 1.0, c3, 0.5)
+            fredholm._system_matrix(m, nodes, weights, barycentric_weights(nodes))
+        assert 10.0 * 0.5 == SPECTRAL_C3_DELTA
+        assert routes == ["spectral", "spectral", "product"]
+
+    @pytest.mark.parametrize("m", [Measure(1.0, 1.0, 0.0, 0.5), Measure(1.3, 2.1, 1.7, 0.7),
+                                   Measure(1.0, 4.0, 100.0, 0.5)])
+    def test_condition_is_numpys(self, m):
+        sol = solve_integral_eq(m, 0.3)
+        cond = np.linalg.cond(sol._matrix, 1)
+        assert abs(sol.condition_estimate - cond) <= 1e-12 * cond
 
 
 class TestClosedFormU:
@@ -252,6 +319,40 @@ class TestOdeResidual:
     def test_c2_zero_convention(self):
         m = Measure(1.0, 0.0, 0.0, 0.5)
         assert ode_residual(m, solve_integral_eq(m, 0.3)) == 0.0
+
+    @pytest.mark.parametrize("m, w", [
+        (Measure(1, 1, 0, 0.5), 0.3), (Measure(1, 1, 0, 0.5), 0.0), (Measure(1, 1, 1, 0.5), 0.0),
+        (Measure(1.3, 2.1, 1.7, 0.7), 0.7), (Measure(1, 1, 2, 0.3), -1.5),
+        (Measure(1, 4, 100, 0.5), 0.4)])
+    def test_interior_term_is_derivative_free(self, m, w):
+        # the integrated equation reads at the rounding level on the solution
+        # and sees a planted 1e-10 relative perturbation of u
+        sol = solve_integral_eq(m, w)
+        f = fredholm._ode_data(m, sol)
+        planted = dataclasses.replace(
+            sol, u_values=sol.u_values * (1 + 1e-10 * np.cos(7 * sol.nodes)))
+        assert fredholm._interior_residual(m, sol, f) <= 1e-14
+        assert fredholm._interior_residual(m, planted, f) >= 1e-13
+
+    def test_tolerance_catches_planted_perturbation(self):
+        # oracle_xcheck-style c3 > 0 measures (generic and near the
+        # degenerate line), each at w = 0 and 3 real w: every solve passes
+        # the tolerance, every u (1 + 1e-7 cos 7 xi) fails it
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            c1, delta = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2)
+            lam = rng.uniform(0.05, 1.6) / delta ** 2
+            if rng.random() < 0.8:
+                ratio = rng.uniform(0.08, 0.92) if rng.random() < 0.5 else rng.uniform(1.08, 3.0)
+            else:
+                ratio = math.sqrt(1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-12, -2))
+            m = Measure(c1, lam * c1, ratio * math.sqrt(lam) / 2.0, delta)
+            for w in (0.0, *rng.uniform(-2.0, 2.0, 3)):
+                sol = solve_integral_eq(m, w)
+                planted = dataclasses.replace(
+                    sol, u_values=sol.u_values * (1.0 + 1e-7 * np.cos(7.0 * sol.nodes)))
+                assert ode_residual(m, sol) <= ODE_TOL_C3POS
+                assert ode_residual(m, planted) > ODE_TOL_C3POS
 
 
 class TestOracleAgreementSweep:

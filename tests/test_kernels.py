@@ -316,3 +316,17 @@ class TestLargeC3Stability:
         nys = solve_integral_eq(m, 0.0)
         u_end = nys.interpolate(np.array([m.delta / 2.0]))[0]
         assert sol.endpoint_value(m) == pytest.approx(u_end, abs=1e-9)
+
+
+class TestTransformSolutionCache:
+    def test_repeated_calls_share_one_read_only_solution(self):
+        # near the degenerate line the divided differences use power sums
+        m = Measure(1.0, 1.0 + 1e-6, 0.5, 0.5)
+        sol = k0_transform_solution(m)
+        assert k0_transform_solution(Measure(1.0, 1.0 + 1e-6, 0.5, 0.5)) is sol
+        assert sol.power_sums is not None
+        with pytest.raises(ValueError):
+            sol.power_sums[0] = 0.0
+        with pytest.raises(AttributeError):
+            sol.mu = 0.0
+        assert k0_transform_solution(Measure(1.0, 1.0, 1.5, 0.5)) is not sol
