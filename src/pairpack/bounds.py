@@ -67,15 +67,17 @@ class BoundsReport:
 
 
 def average_bounds(m: Measure, extended: bool = False) -> BoundsReport:
-    """Assemble the full bounds report from K(0,0) and s0."""
-    inv_k = 1.0 / float(kernel_k00(m, extended=extended))
+    """Assemble the full bounds report from K(0,0) and s0.  For a batch
+    measure every field but ``measure`` and ``lower_thm2`` is an array over
+    the batch, from one batched K(0,0) call."""
+    inv_k = 1.0 / kernel_k00(m, extended=extended)
     s = s0()
     lower_thm1 = 1.0 + s * (inv_k - 1.0)
     inner = 0.5 + s * (inv_k - 1.0)
     return BoundsReport(c_nu_upper=inv_k, lower_thm1=lower_thm1,
-                        lower_cor8=max(inner, 0.0) + 0.5,
+                        lower_cor8=np.maximum(inner, 0.0) + 0.5,
                         lower_thm2=THEOREM2_FLOOR, upper=inv_k, measure=m,
-                        clamp_active=bool(inner < 0.0))
+                        clamp_active=inner < 0.0)
 
 
 def selberg_bounds(m_degree: int) -> tuple[float, float]:
@@ -130,11 +132,10 @@ def figure1_data(c_min: float, c_max: float, steps: int) -> list[tuple[float, fl
         raise ValueError("need 0 <= c_min < c_max")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rows = []
-    for c in np.linspace(c_min, c_max, steps + 1):
-        rep = average_bounds(Measure(1.0, 1.0, 4.0 * float(c), 0.5))
-        rows.append((float(c), max(rep.lower_thm1, rep.lower_cor8), rep.upper))
-    return rows
+    cs = np.linspace(c_min, c_max, steps + 1)
+    rep = average_bounds(Measure(1.0, 1.0, 4.0 * cs, 0.5))
+    return list(zip(cs.tolist(), np.maximum(rep.lower_thm1, rep.lower_cor8).tolist(),
+                    rep.upper.tolist()))
 
 
 def gonek_ki_conjectured_average(b: float, ell: float, c: float) -> float:

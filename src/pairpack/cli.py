@@ -110,7 +110,7 @@ def cmd_kernel(args) -> int:
             "eta1": [roots.eta1.real, roots.eta1.imag],
             "eta2": [roots.eta2.real, roots.eta2.imag],
             "case": roots.case_tag.value,
-            "degenerate": roots.degenerate,
+            "degenerate": bool(roots.degenerate),
         })
         if not roots.degenerate:
             sl = script_L(m)

@@ -29,7 +29,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -82,29 +81,25 @@ class KernelEvaluation:
 def quartic_roots(m: Measure) -> EtaPair:
     """Roots eta1, eta2 of  eta^4 + 2(lam - c3^2) eta^2 + c3^2 (2 lam + c3^2) = 0
     with lam = c2/c1, taking eta^2 = c3^2 - lam +/- sqrt(lam) Lam and the
-    square roots with nonnegative real part."""
-    if m.c3 == 0.0:
+    square roots with nonnegative real part.  Lam = sqrt(lam - 4 c3^2 + 0j)
+    is real in the purely imaginary case and +i|Lam| in the conjugate
+    quadrant.  For a batch measure every field is an array over the batch
+    (``case_tag`` an object array)."""
+    if np.any(m.c3 == 0.0):
         raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
-    if m.c2 == 0.0:
+    if np.any(m.c2 == 0.0):
         raise InvalidRegime("c2 = 0 degenerates to the pure sinc kernel")
     lam, c3 = m.lam(), m.c3
-    if lam >= 4.0 * c3 ** 2:
-        big_lam = complex(np.sqrt(lam - 4.0 * c3 ** 2))
-    else:
-        big_lam = 1j * np.sqrt(4.0 * c3 ** 2 - lam)
+    big_lam = np.sqrt(lam - 4.0 * c3 ** 2 + 0j)
     eta1_sq = c3 ** 2 - lam + np.sqrt(lam) * big_lam
     eta2_sq = c3 ** 2 - lam - np.sqrt(lam) * big_lam
     eta1 = np.sqrt(eta1_sq)   # principal branch has Re >= 0
     eta2 = np.sqrt(eta2_sq)
     degenerate = abs(eta1_sq - eta2_sq) <= DEGENERACY_RTOL * (abs(eta1_sq) + abs(eta2_sq))
-    if degenerate:
-        tag = CaseTag.DEGENERATE
-    elif lam > 4.0 * c3 ** 2:
-        tag = CaseTag.PURELY_IMAGINARY
-    else:
-        tag = CaseTag.CONJUGATE_QUADRANT
-    return EtaPair(eta1=complex(eta1), eta2=complex(eta2),
-                   degenerate=bool(degenerate), case_tag=tag)
+    tag = np.where(degenerate, CaseTag.DEGENERATE,
+                   np.where(lam > 4.0 * c3 ** 2, CaseTag.PURELY_IMAGINARY,
+                            CaseTag.CONJUGATE_QUADRANT))
+    return EtaPair(eta1=eta1, eta2=eta2, degenerate=degenerate, case_tag=tag[()])
 
 
 def quartic_residual(m: Measure, eta: complex) -> float:
@@ -118,7 +113,7 @@ def quartic_residual(m: Measure, eta: complex) -> float:
 
 def mu(m: Measure) -> float:
     """mu = c3^2 / (2 c2 + c3^2 c1); zero exactly when c3 = 0."""
-    if m.c2 == 0.0 and m.c3 == 0.0:
+    if np.any((m.c2 == 0.0) & (m.c3 == 0.0)):
         raise ValueError("mu requires c2 > 0 or c3 > 0")
     return m.c3 ** 2 / (2.0 * m.c2 + m.c3 ** 2 * m.c1)
 
@@ -152,23 +147,23 @@ def aux_C(m: Measure, eta: complex, z: complex) -> complex:
 
 def script_L(m: Measure) -> complex:
     """The divisor A(eta1) B(eta2) - B(eta1) A(eta2) of the c3 > 0 kernel,
-    evaluated as (eta1^2 - eta2^2) (A' Bbar - Abar B').
+    evaluated as (eta1^2 - eta2^2) (A' Bbar - Abar B') from the section's
+    transform solution.  For a batch measure, an array over the batch.
 
     Real and negative when the roots are purely imaginary; purely imaginary
     with negative imaginary part when they sit in conjugate quadrants.
     Certified nonzero for sigma <= 2.9 away from the degenerate line.
     """
-    if m.c3 == 0.0 or m.c2 == 0.0:
+    if np.any(m.c3 == 0.0) or np.any(m.c2 == 0.0):
         raise InvalidRegime("script_L needs c2 > 0 and c3 > 0")
-    if m.sigma() > SCRIPT_L_SIGMA_MAX:
+    if np.any(m.sigma() > SCRIPT_L_SIGMA_MAX):
         raise NotAdmissible(
-            f"sigma = {m.sigma():.6g} > {SCRIPT_L_SIGMA_MAX}: nonvanishing of the "
+            f"sigma = {np.max(m.sigma()):.6g} > {SCRIPT_L_SIGMA_MAX}: nonvanishing of the "
             "divisor is not certified there")
-    roots = quartic_roots(m)
-    if roots.degenerate:
+    sol = k0_transform_solution(m)
+    if np.any(sol.roots.degenerate):
         raise DegenerateRoots("lam = 4 c3^2: the two-root divisor is not defined")
-    a, a_dd, b, b_dd = _divisor_terms(m, roots, _power_sums(roots, m.delta / 2.0))
-    return (roots.eta1 ** 2 - roots.eta2 ** 2) * (a_dd * b - a * b_dd)
+    return (sol.roots.eta1 ** 2 - sol.roots.eta2 ** 2) * sol.det
 
 
 # ---------------------------------------------------------------------------
@@ -183,46 +178,49 @@ def script_L(m: Measure) -> complex:
 # sums h_n = sum_{i<n} zeta1^i zeta2^(n-1-i) (McCurdy, Ng and Parlett, Math.
 # Comp. 43, 1984).  The roots can meet only where |eta| L <= sqrt(3 sigma)/4,
 # well inside the series radius.
+#
+# Every step works on arrays of measures; "close roots" is a mask over them.
 
 _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which X1 - X2 cancels
 _CLOSE_RADIUS = 0.5     # largest |zeta| L^2 handed to the series
 _ORDERS = np.arange(1, 13)  # terms below 1e-20 of the first at |zeta| L^2 < 0.5
 _FACT_2N = np.array([math.factorial(2 * n) for n in _ORDERS], dtype=float)
+_K01 = np.arange(2)[:, None, None]                              # I_0 and I_1
+_K_TAYLOR = np.stack([2 * _ORDERS, 2 * _ORDERS + 1])[:, None]   # their series
 
 
-def _power_sums(roots: EtaPair, L: float) -> Optional[np.ndarray]:
-    """h_n for n in _ORDERS when the squared roots are close and small enough
-    for the series, else None (direct difference quotients)."""
-    z1, z2 = roots.eta1 ** 2, roots.eta2 ** 2
-    if (abs(z1 - z2) * L * L >= _CLOSE_GAP
-            or max(abs(z1), abs(z2)) * L * L >= _CLOSE_RADIUS):
-        return None
-    h = np.empty(len(_ORDERS), dtype=complex)
-    h[0], power = 1.0, 1.0
-    for i in range(1, len(_ORDERS)):
-        power *= z2
-        h[i] = z1 * h[i - 1] + power
-    return h
+def _power_sums(zeta1, zeta2, L):
+    """The power sums h_n, n in _ORDERS, on a trailing axis, and the mask of
+    measures whose roots are close enough for the series (the others get
+    h = (1, 0, ..., 0)).  Arguments are 1-d arrays over measures."""
+    close = ((np.abs(zeta1 - zeta2) * L * L < _CLOSE_GAP)
+             & (np.maximum(np.abs(zeta1), np.abs(zeta2)) * L * L < _CLOSE_RADIUS))
+    h = np.zeros(close.shape + _ORDERS.shape, dtype=complex)
+    h[:, 0] = 1.0
+    if close.any():
+        z1, z2 = zeta1[close], zeta2[close]
+        power = np.ones_like(z2)
+        for i in range(1, len(_ORDERS)):
+            power = power * z2
+            h[close, i] = z1 * h[close, i - 1] + power
+    return h, close
 
 
-def _split(values, roots: EtaPair, h, taylor):
-    """Mean and eta^2-divided difference of X from its values at eta1, eta2
-    (stacked on axis 0).  With power sums ``h`` the difference is taken from
-    ``taylor()``, X's Taylor coefficients in zeta for the orders _ORDERS."""
-    mean = 0.5 * (values[0] + values[1])
-    if h is None:
-        return mean, (values[0] - values[1]) / (roots.eta1 ** 2 - roots.eta2 ** 2)
-    return mean, np.tensordot(h, taylor(), axes=1)
-
-
-def _divisor_terms(m: Measure, roots: EtaPair, h):
-    """(Abar, A', Bbar, B').  Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly."""
-    lam, c3, L = m.lam(), m.c3, m.delta / 2.0
-    eta = np.array([roots.eta1, roots.eta2])
-    i0, i0_dd = _split(cosh_moment(0, eta, c3, m.delta), roots, h,
-                       lambda: 2.0 * exp_moment(2 * _ORDERS, -c3, L) / _FACT_2N)
-    i1, i1_dd = _split(cosh_moment(1, eta, c3, m.delta), roots, h,
-                       lambda: 2.0 * exp_moment(2 * _ORDERS + 1, -c3, L) / _FACT_2N)
+def _divisor_terms(lam, c3, L, eta1, eta2, h, close):
+    """(Abar, A', Bbar, B') over 1-d arrays of measures.  One moment call
+    gives I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3) for k = 0, 1 at both
+    roots; one more gives both Taylor rows of the close-root series.  Bbar
+    uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly."""
+    mom = exp_moment(_K01, np.array([eta1, -eta1, eta2, -eta2]) - c3, L)
+    i = mom[:, 0::2] + mom[:, 1::2]                  # (order k, root, measure)
+    mean = 0.5 * (i[:, 0] + i[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dd = (i[:, 0] - i[:, 1]) / (eta1 ** 2 - eta2 ** 2)
+    if close.any():
+        # Taylor coefficients of I_k in zeta: 2 phi_{2n+k}(-c3) / (2n)!
+        taylor = 2.0 * exp_moment(_K_TAYLOR, -c3[close, None], L[close, None]) / _FACT_2N
+        dd[:, close] = np.sum(h[close] * taylor, axis=-1)
+    (i0, i1), (i0_dd, i1_dd) = mean, dd
     return (1.0 + lam * i1, lam * i1_dd,
             lam * (1.0 - 2.0 * c3 * i0), 1.0 - 2.0 * lam * c3 * i0_dd)
 
@@ -235,8 +233,11 @@ class TransformSolution:
 
     with cbar and c' the mean and eta^2-divided difference of cosh(eta1 t)
     and cosh(eta2 t).  Both coefficients stay finite where the roots meet.
-    ``power_sums`` is set when the divided differences come from the
-    close-root series.
+    ``det`` = A' Bbar - Abar B' is the divisor over eta1^2 - eta2^2.
+    ``close`` is set where the divided differences come from the close-root
+    series with the power sums ``power_sums``.  For a batch measure every
+    field is an array of the batch's shape (``power_sums`` with one more,
+    trailing axis).
 
     The coefficients are stored with the exponential damping e^{-c3 Delta/2}
     factored out: both right-hand sides of the defining linear system carry
@@ -248,67 +249,71 @@ class TransformSolution:
     roots: EtaPair
     p_scaled: complex
     q_scaled: complex
+    det: complex
     mu: float
     scale: float        # c3 * delta / 2
-    power_sums: Optional[np.ndarray] = None
+    power_sums: np.ndarray
+    close: bool
 
     def endpoint_value(self, m: Measure) -> complex:
         """u0 at the endpoint Delta/2 (used by far-field tail corrections)."""
         L = m.delta / 2.0
-        damp = np.exp(-self.scale)
-        eta = np.array([self.roots.eta1, self.roots.eta2])
-        mean, dd = _split(cosh_scaled(eta, L, m.c3), self.roots, self.power_sums,
-                          lambda: damp * L ** (2 * _ORDERS) / _FACT_2N)
-        return self.p_scaled * mean + self.q_scaled * dd + self.mu
+        e1, e2 = self.roots.eta1, self.roots.eta2
+        c1, c2 = cosh_scaled(e1, L, m.c3), cosh_scaled(e2, L, m.c3)
+        series = np.exp(-self.scale) * np.sum(
+            self.power_sums * np.expand_dims(L, -1) ** (2 * _ORDERS) / _FACT_2N, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dd = np.where(self.close, series, (c1 - c2) / (e1 ** 2 - e2 ** 2))
+        return self.p_scaled * 0.5 * (c1 + c2) + self.q_scaled * dd + self.mu
 
 
-@functools.lru_cache(maxsize=8)
 def k0_transform_solution(m: Measure) -> TransformSolution:
-    """The section's TransformSolution, cached per measure: a bounds sweep
-    and an oracle cross-check each evaluate several sections of one
-    measure.  The returned object and its ``power_sums`` are shared and
-    read-only."""
+    """The section's TransformSolution (c2 > 0, c3 > 0).  One measure's is
+    cached: a bounds sweep and an oracle cross-check each evaluate several
+    sections of one measure, and the returned object and its
+    ``power_sums`` are shared and read-only.  A batch is solved in one
+    uncached pass."""
+    return _cached_solution(m) if np.ndim(m.c3) == 0 else _transform_solution(m)
+
+
+def _transform_solution(m: Measure) -> TransformSolution:
     roots = quartic_roots(m)
-    L = m.delta / 2.0
-    # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
-    denom = m.c1 * (2.0 * m.c2 + m.c3 ** 2 * m.c1)
-    rho1 = 2.0 * m.c2 * (1.0 + m.c3 * L) / denom
-    rho2 = 4.0 * m.c2 * m.c3 ** 2 / denom
-    h = _power_sums(roots, L)
-    if h is not None:
-        h.flags.writeable = False
-    a, a_dd, b, b_dd = _divisor_terms(m, roots, h)
+    shape = np.shape(m.c3)
+    c1, c2, c3, eta1, eta2 = (np.ravel(v) for v in (m.c1, m.c2, m.c3, roots.eta1, roots.eta2))
+    L, lam = np.ravel(m.delta) / 2.0, c2 / c1
+    h, close = _power_sums(eta1 ** 2, eta2 ** 2, L)
+    a, a_dd, b, b_dd = _divisor_terms(lam, c3, L, eta1, eta2, h, close)
     det = a_dd * b - a * b_dd
-    return TransformSolution(roots=roots, p_scaled=-(rho1 * b_dd + rho2 * a_dd) / det,
-                             q_scaled=(rho1 * b + rho2 * a) / det, mu=mu(m),
-                             scale=m.c3 * L, power_sums=h)
+    # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
+    denom = c1 * (2.0 * c2 + c3 ** 2 * c1)
+    rho1 = 2.0 * c2 * (1.0 + c3 * L) / denom
+    rho2 = 4.0 * c2 * c3 ** 2 / denom
+    h = h.reshape(shape + _ORDERS.shape)
+    h.flags.writeable = False
+    fields = dict(p_scaled=-(rho1 * b_dd + rho2 * a_dd) / det, det=det,
+                  q_scaled=(rho1 * b + rho2 * a) / det, mu=np.ravel(mu(m)), scale=c3 * L,
+                  close=close)
+    return TransformSolution(roots=roots, power_sums=h,
+                             **{k: v.reshape(shape)[()] for k, v in fields.items()})
+
+
+_cached_solution = functools.lru_cache(maxsize=8)(_transform_solution)
 
 
 def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluation:
     """K(0, z) for c3 > 0, real entire and even in z."""
     if m.c3 == 0.0:
         raise InvalidRegime("use kernel_c3zero for c3 = 0")
-    m.require_admissible(extended=extended)
-    if m.c2 == 0.0:
-        return KernelEvaluation(value=complex(sinc_band_c(m.delta, z) / m.c1),
-                                at_w=0.0, at_z=complex(z))
-    sol = k0_transform_solution(m)
-    val = _k0z_assemble(m, sol, z)
-    path = LimitPath.NONE if sol.power_sums is None else LimitPath.DEGENERATE_ETA
-    return KernelEvaluation(value=complex(val), at_w=0.0, at_z=complex(z),
-                            limit_path=path)
+    value = complex(kernel_k0z_grid(m, z, extended=extended))
+    close = m.c2 > 0.0 and k0_transform_solution(m).close
+    return KernelEvaluation(value=value, at_w=0.0, at_z=complex(z),
+                            limit_path=LimitPath.DEGENERATE_ETA if close else LimitPath.NONE)
 
 
-def _aux_C_scaled(m: Measure, eta, z):
-    """e^{-c3 Delta/2} C(eta, z), overflow-free for large c3."""
-    L = m.delta / 2.0
-    s = 2j * np.pi * np.asarray(z, dtype=complex)
-    return (sinh_quot_scaled(eta + s, L, m.c3)
-            + sinh_quot_scaled(-eta + s, L, m.c3))
-
-
-def _aux_C_split(m: Measure, sol: TransformSolution, z: np.ndarray):
-    """Mean and eta^2-divided difference of e^{-c3 Delta/2} C(eta, z).
+def _aux_C_split(m: Measure, sol: TransformSolution, z):
+    """Mean and eta^2-divided difference of e^{-c3 Delta/2} C(eta, z), the
+    measures broadcast against z.  C is the sum of two scaled sinh
+    quotients, overflow-free for large c3.
 
     For close roots the difference is the moment series sum_n h_n M_2n(s) /
     (2n)!, M_j(s) = integral of t^j e^{s t} over the support, where |s L| is
@@ -317,35 +322,43 @@ def _aux_C_split(m: Measure, sol: TransformSolution, z: np.ndarray):
     eta sinh(eta L), as Nbar g' + N' gbar with g = 1 / (s^2 - zeta); there
     |s^2 - zeta| L^2 > 1/2, so g stays bounded.
     """
-    L = m.delta / 2.0
-    roots, h = sol.roots, sol.power_sums
-    eta = np.array([roots.eta1, roots.eta2])
-    values = _aux_C_scaled(m, eta.reshape((2,) + (1,) * z.ndim), z)
-    if h is None:
-        return _split(values, roots, None, None)
-    s = np.atleast_1d(2j * np.pi * z)
-    dd = np.empty_like(s)
-    small = np.abs(s * L) < _SERIES_RADIUS
-    if small.any():
-        two_n = 2 * _ORDERS[:, None]
-        moments = exp_moment(two_n, s[small], L) + exp_moment(two_n, -s[small], L)
-        dd[small] = (h / _FACT_2N) @ moments
-    big = ~small
-    if big.any():
-        sb = s[big]
-        zeta = eta ** 2
-        cosh_l, eta_sinh_l = np.cosh(eta * L), eta * np.sinh(eta * L)
-        cosh_l_dd = h @ (L ** (2 * _ORDERS) / _FACT_2N)
-        eta_sinh_l_dd = h @ (2 * _ORDERS * L ** (2 * _ORDERS - 1) / _FACT_2N)
-        a, b = 2.0 * sb * np.sinh(sb * L), 2.0 * np.cosh(sb * L)
-        g1, g2 = 1.0 / (sb * sb - zeta[0]), 1.0 / (sb * sb - zeta[1])
-        dd[big] = ((a * cosh_l.mean() - b * eta_sinh_l.mean()) * g1 * g2
-                   + (a * cosh_l_dd - b * eta_sinh_l_dd) * 0.5 * (g1 + g2))
-    return 0.5 * (values[0] + values[1]), np.exp(-sol.scale) * dd.reshape(z.shape)
+    L, e1, e2 = m.delta / 2.0, sol.roots.eta1, sol.roots.eta2
+    s = 2j * np.pi * z
+    q = sinh_quot_scaled(np.array([e1 + s, e2 + s, s - e1, s - e2]), L, m.c3)
+    v1, v2 = q[0] + q[2], q[1] + q[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dd = np.asarray((v1 - v2) / (e1 ** 2 - e2 ** 2))
+    if sol.close.any():
+        close = np.broadcast_to(sol.close, dd.shape)
+
+        def pick(x, *tail):
+            return np.broadcast_to(x, dd.shape + tail)[close]
+        s, L, e1, e2 = pick(s), pick(L), pick(e1), pick(e2)
+        h = pick(sol.power_sums, len(_ORDERS))
+        series = np.empty_like(s)
+        small = np.abs(s * L) < _SERIES_RADIUS
+        if small.any():
+            ss, Ls = s[small, None], L[small, None]
+            moments = exp_moment(2 * _ORDERS, np.array([ss, -ss]), Ls).sum(axis=0)
+            series[small] = np.sum(h[small] / _FACT_2N * moments, axis=-1)
+        big = ~small
+        if big.any():
+            sb, Lb, hb = s[big], L[big], h[big]
+            e = np.array([e1[big], e2[big]])
+            cosh_l, eta_sinh_l = np.cosh(e * Lb), e * np.sinh(e * Lb)
+            odd = hb * Lb[:, None] ** (2 * _ORDERS - 1) / _FACT_2N    # h_n L^(2n-1) / (2n)!
+            cosh_l_dd, eta_sinh_l_dd = (odd * Lb[:, None]).sum(-1), (odd * 2 * _ORDERS).sum(-1)
+            a, b = 2.0 * sb * np.sinh(sb * Lb), 2.0 * np.cosh(sb * Lb)
+            g1, g2 = 1.0 / (sb * sb - e[0] ** 2), 1.0 / (sb * sb - e[1] ** 2)
+            series[big] = ((a * cosh_l.mean(axis=0) - b * eta_sinh_l.mean(axis=0)) * g1 * g2
+                           + (a * cosh_l_dd - b * eta_sinh_l_dd) * 0.5 * (g1 + g2))
+        dd[close] = np.exp(-pick(sol.scale)) * series
+    return 0.5 * (v1 + v2), dd
 
 
-def _k0z_assemble(m: Measure, sol: TransformSolution, z):
-    z = np.asarray(z, dtype=complex)
+def _k0z_section(m: Measure, z):
+    """K(0, z) for c2 > 0, c3 > 0; the measures broadcast against z."""
+    sol = k0_transform_solution(m)
     c_mean, c_dd = _aux_C_split(m, sol, z)
     sinc_term = 2.0 * sin_quot(2.0 * np.pi * z, m.delta / 2.0)
     return sol.p_scaled * c_mean + sol.q_scaled * c_dd + sol.mu * sinc_term
@@ -354,8 +367,9 @@ def _k0z_assemble(m: Measure, sol: TransformSolution, z):
 def kernel_k00(m: Measure, extended: bool = False) -> float:
     """K(0, 0), the diagonal kernel value whose reciprocal upper-bounds the
     optimization constant of the averaged form factor: the real section at
-    z = 0."""
-    return float(np.real(kernel_k0z_grid(m, 0.0, extended=extended)))
+    z = 0.  For a batch measure, an array over the batch."""
+    k00 = np.real(kernel_k0z_grid(m, 0.0, extended=extended))
+    return float(k00) if k00.ndim == 0 else k00
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +453,34 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
 # vectorized section evaluation
 # ---------------------------------------------------------------------------
 
+def _k0z_atom(m: Measure, z):
+    return sinc_band_c(m.delta, z) / m.c1
+
+
+def _k0z_c3zero(m: Measure, z):
+    # b(0) = c(0) = 0, so the section collapses to a(0) q(z)
+    return _coeff_abc(m, 0.0)[0] * _qr_transforms(m, z)[0]
+
+
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
-    """K(0, z) over an array of points, for any c3 >= 0."""
+    """K(0, z) over an array of points, for any c3 >= 0.  For a batch measure
+    the result has the batch's shape followed by z's: the regimes (pure
+    atom, c3 = 0, the c3 > 0 section) are masks over the batch, and each
+    regime's measures are evaluated in one call."""
     m.require_admissible(extended=extended)
     z = np.asarray(z, dtype=complex)
-    if m.c2 == 0.0:
-        return np.asarray(sinc_band_c(m.delta, z)) / m.c1
-    if m.c3 == 0.0:
-        # b(0) = c(0) = 0, so the section collapses to a(0) q(z)
-        q, _ = _qr_transforms(m, z)
-        return _coeff_abc(m, 0.0)[0] * q
-    return _k0z_assemble(m, k0_transform_solution(m), z)
+    if np.ndim(m.c1) == 0:
+        regime = _k0z_atom if m.c2 == 0.0 else _k0z_c3zero if m.c3 == 0.0 else _k0z_section
+        return np.asarray(regime(m, z))
+    c1, c2, c3, delta = (np.reshape(v, (-1,) + (1,) * z.ndim)
+                         for v in (m.c1, m.c2, m.c3, m.delta))
+    out = np.empty(c1.shape[:1] + z.shape, dtype=complex)
+    for mask, regime in ((c2 == 0.0, _k0z_atom), ((c2 > 0.0) & (c3 == 0.0), _k0z_c3zero),
+                         ((c2 > 0.0) & (c3 > 0.0), _k0z_section)):
+        mask = mask.ravel()
+        if mask.any():
+            out[mask] = regime(Measure(c1[mask], c2[mask], c3[mask], delta[mask]), z)
+    return out.reshape(np.shape(m.c1) + z.shape)
 
 
 def k0_endpoint_value(m: Measure) -> float:

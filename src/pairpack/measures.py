@@ -29,6 +29,12 @@ class Measure:
     c2    : coefficient of the density |a| e^{-c3|a|} (>= 0)
     c3    : exponential decay rate (>= 0)
     delta : half-length of the support interval (> 0)
+
+    The parameters may also be arrays that broadcast together (they are
+    stored broadcast): the Measure is then a batch, one measure per element,
+    which the closed forms ``quartic_roots``, ``k0_transform_solution``,
+    ``script_L``, ``kernel_k0z_grid``, ``kernel_k00`` and ``average_bounds``
+    evaluate in one call.  A batch is not hashable.
     """
 
     c1: float
@@ -37,18 +43,21 @@ class Measure:
     delta: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if not (self.c1 > 0):
-            raise ValueError(f"c1 must be > 0, got {self.c1}")
-        if not (self.c2 >= 0):
-            raise ValueError(f"c2 must be >= 0, got {self.c2}")
-        if not (self.c3 >= 0):
-            raise ValueError(f"c3 must be >= 0, got {self.c3}")
-        if not (self.delta > 0):
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        names = [f.name for f in fields(self)]
+        if any(isinstance(getattr(self, n), np.ndarray) for n in names):
+            for name, value in zip(names, np.broadcast_arrays(
+                    *(np.asarray(getattr(self, n), dtype=float) for n in names))):
+                object.__setattr__(self, name, value if value.ndim else float(value))
+        batch = isinstance(self.c1, np.ndarray)
+        every, finite = (np.all, np.isfinite) if batch else (bool, math.isfinite)
+        for name in names:
+            value = getattr(self, name)
+            if not every(finite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name, rule, ok in (("c1", "> 0", self.c1 > 0), ("c2", ">= 0", self.c2 >= 0),
+                               ("c3", ">= 0", self.c3 >= 0), ("delta", "> 0", self.delta > 0)):
+            if not every(ok):
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     def sigma(self) -> float:
         """(c2/c1) Delta^2, the quantity every admissibility test is stated in."""
@@ -65,15 +74,15 @@ class Measure:
         return self.sigma() < extended_sigma_threshold()
 
     def require_admissible(self, extended: bool = False) -> None:
+        ok = self.is_extended_admissible() if extended else self.is_admissible()
+        if ok is True or np.all(ok):    # a plain bool for one measure
+            return
+        sigma = np.max(self.sigma())     # the worst measure of a batch
         if extended:
-            if not self.is_extended_admissible():
-                raise NotAdmissible(
-                    f"sigma = {self.sigma():.6g} >= {extended_sigma_threshold():.6g} "
-                    "(extended threshold)")
-        elif not self.is_admissible():
-            raise NotAdmissible(
-                f"sigma = {self.sigma():.6g} > 5/3; pass extended=True to use the "
-                f"wider gate sigma < {extended_sigma_threshold():.6g}")
+            raise NotAdmissible(f"sigma = {sigma:.6g} >= {extended_sigma_threshold():.6g} "
+                                "(extended threshold)")
+        raise NotAdmissible(f"sigma = {sigma:.6g} > 5/3; pass extended=True to use the "
+                            f"wider gate sigma < {extended_sigma_threshold():.6g}")
 
     def total_mass(self) -> float:
         """nu_hat(0) = c1 + c2 * integral of |a| e^{-c3|a|} over the support."""

@@ -1,9 +1,8 @@
 """Gauss-Legendre quadrature utilities.
 
-Provides cached Gauss-Legendre rules, composite panel rules, an adaptive
-integrator used as the brute-force oracle throughout the package,
-barycentric Lagrange interpolation from arbitrary node sets, and the
-bracketed bisection that locates the package's constants.
+Provides cached Gauss-Legendre rules, composite panel rules, barycentric
+Lagrange interpolation from arbitrary node sets, and the bracketed
+bisection that locates the package's constants.
 """
 
 from __future__ import annotations
@@ -69,39 +68,6 @@ def panel_rule(a: float, b: float, panel_length: float, order: int = 24):
     pts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     wts = (half[:, None] * gw[None, :]).ravel()
     return pts, wts
-
-
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
-                  max_depth: int = 40) -> float:
-    """Adaptive Gauss-Legendre integration of a vectorized callable.
-
-    Each subinterval is integrated with 20- and 40-point rules; the
-    difference drives bisection.  ``tol`` is an absolute tolerance on the
-    whole interval, distributed over subintervals.
-    """
-    def recurse(lo, hi, tol_loc, depth):
-        x1, w1 = gauss_legendre(20, lo, hi)
-        x2, w2 = gauss_legendre(40, lo, hi)
-        i1 = np.dot(w1, f(x1))
-        i2 = np.dot(w2, f(x2))
-        if abs(i2 - i1) <= tol_loc or depth >= max_depth:
-            return i2
-        mid = 0.5 * (lo + hi)
-        return (recurse(lo, mid, tol_loc / 2, depth + 1)
-                + recurse(mid, hi, tol_loc / 2, depth + 1))
-
-    if b <= a:
-        return 0.0
-    return recurse(a, b, tol, 0)
-
-
-def integrate_with_kink(f, a: float, b: float, kink: float = 0.0,
-                        tol: float = 1e-12) -> float:
-    """Adaptive integration of ``f`` on [a, b], splitting at one interior
-    kink so each piece is smooth."""
-    if a < kink < b:
-        return adaptive_quad(f, a, kink, tol / 2) + adaptive_quad(f, kink, b, tol / 2)
-    return adaptive_quad(f, a, b, tol)
 
 
 def bisect(f, lo: float, hi: float, xtol: float = 0.0) -> float:

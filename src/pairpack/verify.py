@@ -373,35 +373,32 @@ def _ode_residual_c3pos():
 
 @lru_cache(maxsize=1)
 def _divisor_grid() -> tuple:
-    """(ratio, script_L) at delta = 0.7 over the 40 sigmas x 79 ratios of
-    the two 40 x 40 grids and a coarse 15 x 6 grid, with
-    c3 = ratio * sqrt(lam) / 2; both appendix checks read it."""
+    """(ratios, script_L values) at delta = 0.7 over the 40 sigmas x 79
+    ratios of the two 40 x 40 grids and a coarse 15 x 6 grid, with
+    c3 = ratio * sqrt(lam) / 2, as one batch; both appendix checks read it."""
     delta = 0.7
     ratios = np.union1d(
         np.concatenate([np.linspace(0.08, 0.92, 20), np.linspace(1.08, 3.0, 20)]),
         np.concatenate([np.linspace(0.05, 0.95, 20), np.linspace(1.05, 3.0, 20)]))
     grids = ((np.linspace(2.9 / 40.0, 2.9, 40), ratios),
-             (np.linspace(0.1, 2.9, 15), (0.2, 0.6, 0.9, 1.1, 1.7, 2.5)))
-    out = []
-    for sigmas, rs in grids:
-        for sg in sigmas:
-            lam = sg / delta ** 2
-            for r in rs:
-                out.append((r, script_L(Measure(1.0, lam, float(r * np.sqrt(lam) / 2.0), delta))))
-    return tuple(out)
+             (np.linspace(0.1, 2.9, 15), np.array([0.2, 0.6, 0.9, 1.1, 1.7, 2.5])))
+    lam = np.concatenate([np.repeat(sg, len(rs)) for sg, rs in grids]) / delta ** 2
+    r = np.concatenate([np.tile(rs, len(sg)) for sg, rs in grids])
+    return r, script_L(Measure(1.0, lam, r * np.sqrt(lam) / 2.0, delta))
 
 
 def _script_L_nonvanishing():
-    min_abs = min(abs(val) for _, val in _divisor_grid())
+    min_abs = np.min(np.abs(_divisor_grid()[1]))
     return bool(min_abs > 0.0), f"min_abs={min_abs:.6e}"
 
 
 def _script_L_case_signs():
     # purely imaginary roots (ratio < 1) give a real negative divisor, the
     # conjugate quadrant a purely imaginary one with Im < 0
-    return all(val.real < 0 and abs(val.imag) <= 1e-10 * abs(val) if r < 1.0
-               else val.imag < 0 and abs(val.real) <= 1e-10 * abs(val)
-               for r, val in _divisor_grid()), ""
+    r, val = _divisor_grid()
+    scale = 1e-10 * np.abs(val)
+    return bool(np.all(np.where(r < 1.0, (val.real < 0) & (np.abs(val.imag) <= scale),
+                                (val.imag < 0) & (np.abs(val.real) <= scale)))), ""
 
 
 # ---------------------------------------------------------------------------

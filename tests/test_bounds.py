@@ -131,7 +131,9 @@ class TestFigure1:
 
         monkeypatch.setattr(bounds_mod, "kernel_k00", counted)
         assert len(figure1_data(0.0, 1.0, 10)) == 11
-        assert len(calls) == 11
+        # one batched call whose batch holds each row's measure once
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0].c3, 4.0 * np.linspace(0.0, 1.0, 11))
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Command-line interface: flags, output schemas, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -253,6 +254,15 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, "figure1", "--steps", "25")
         _, out2, _ = run_cli(capsys, "figure1", "--steps", "25")
         assert out1 == out2
+
+    def test_figure1_output_pinned(self, capsys):
+        # the sha256 of the rows as computed one measure at a time; the batched
+        # evaluation must print the same bytes
+        code, out, _ = run_cli(capsys, "figure1", "--c-min", "0", "--c-max", "2",
+                               "--steps", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "0b4190f4d1464dd6eac20cc1c6982e0742e7ae79a6c46c1f98fee2c350ab3c75"
 
 
 def test_cli_import_does_not_load_scipy():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import registry_test
+from conftest import integrate_with_kink, registry_test
 
 import pairpack.fredholm as fredholm
 from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
@@ -13,8 +13,7 @@ from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
 from pairpack.fredholm import (CONDITION_LIMIT, MAX_NODES, SPECTRAL_C3_DELTA,
                                system_residual, uniqueness_ratio)
 from pairpack.errors import IllConditioned
-from pairpack.quadrature import (barycentric_matrix, barycentric_weights,
-                                 gauss_legendre, integrate_with_kink)
+from pairpack.quadrature import barycentric_matrix, barycentric_weights, gauss_legendre
 from pairpack.verify import ODE_TOL_C3POS
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import registry_test
+from conftest import integrate_with_kink, registry_test
 
 from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, aux_A, aux_B, aux_C,
@@ -10,7 +10,6 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       kernel_k0z_grid, mu, quartic_roots, script_L,
                       solve_integral_eq, sup_g)
 from pairpack.kernels import k0_transform_solution, quartic_residual
-from pairpack.quadrature import integrate_with_kink
 
 
 class TestQuarticRoots:
@@ -267,6 +266,18 @@ class TestKernelK0z:
         grid = kernel_k0z_grid(m, zs)
         for i in (0, 7, 20, 33):
             assert grid[i] == pytest.approx(kernel_k0z(m, zs[i]).value, abs=1e-13)
+
+    def test_grid_of_a_batch_matches_single_measures(self):
+        # every regime in one 2 x 3 batch (pure atom, c3 = 0, close roots on
+        # and off the degenerate line, generic, c3 Delta = 200) on a 2 x 2 grid
+        rows = np.array([[1, 0, 3, 0.5], [1, 1, 0, 0.5], [1, 1, 0.5, 0.5],
+                         [1, 1 + 1e-6, 0.5, 0.5], [1.3, 1.1, 2.0, 0.7], [1, 1, 400, 0.5]])
+        batch = Measure(*rows.T.reshape(4, 2, 3))
+        zs = np.array([[0.0, 0.3 + 0.1j], [1.1, 2.0]])
+        grid = kernel_k0z_grid(batch, zs)
+        assert grid.shape == (2, 3, 2, 2)
+        single = np.array([kernel_k0z_grid(Measure(*r), zs) for r in rows])
+        np.testing.assert_allclose(grid.reshape(6, 2, 2), single, rtol=1e-15, atol=0)
 
     def test_wrong_regime(self):
         with pytest.raises(InvalidRegime):

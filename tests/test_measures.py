@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import registry_test
+from conftest import integrate_with_kink, registry_test
 
 from pairpack import (Measure, NotAdmissible, extended_sigma_threshold,
                       g_surface, norm_bounds, nu_hat, sup_g)
-from pairpack.quadrature import integrate_with_kink
 
 
 def nu_hat_quadrature(m, x):
@@ -49,6 +48,22 @@ class TestMeasure:
         assert not m_over.is_admissible()
         assert m_over.is_extended_admissible()
         assert extended_sigma_threshold() == pytest.approx(1.0 / sup_g(), abs=0)
+
+    def test_batch_is_validated_elementwise(self):
+        m = Measure(1.0, np.array([0.5, 1.0, 2.0]), 0.5, 0.5)
+        assert m.c1.shape == m.delta.shape == (3,)
+        np.testing.assert_array_equal(m.sigma(), [0.125, 0.25, 0.5])
+        with pytest.raises(ValueError, match="c2 must be >= 0"):
+            Measure(1.0, np.array([1.0, -1.0]), 0.5, 0.5)
+        with pytest.raises(ValueError, match="delta must be finite"):
+            Measure(1.0, 1.0, 0.5, np.array([0.5, np.nan]))
+        # a 0-d array is one measure, stored as a float (hashable, cacheable)
+        assert hash(Measure(np.array(1.0), 1.0, 0.5, 0.5)) == hash(Measure(1.0, 1.0, 0.5, 0.5))
+
+    def test_batch_gate_names_worst_sigma(self):
+        Measure(1.0, np.array([1.0, 6.0]), 0.0, 0.5).require_admissible()
+        with pytest.raises(NotAdmissible, match="sigma = 2 "):
+            Measure(1.0, np.array([1.0, 8.0]), 0.0, 0.5).require_admissible()
 
     def test_total_mass_is_transform_at_zero(self):
         for m in (Measure(1, 1, 0, 0.5), Measure(1, 1, 4, 0.5),

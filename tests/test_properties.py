@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from pairpack import (Measure, ZeroDataset, form_factor, form_factor_positive,  # noqa: E402
-                      k_from_u, kernel_k0z_grid, solve_integral_eq)
+                      k_from_u, kernel_k00, kernel_k0z_grid, solve_integral_eq)
+from pairpack.kernels import k0_transform_solution  # noqa: E402
 
 T = 100.0
 ordinates = st.lists(st.floats(1.0, 90.0), min_size=1, max_size=8)
@@ -73,3 +74,47 @@ class TestOracleProperties:
         # the oracle's K(w, 0) = conj k_w(0) against conj K(0, w)
         k_w0 = np.conj(k_from_u(solve_integral_eq(m, w), 0.0))
         assert abs(k_w0 - np.conj(complex(kernel_k0z_grid(m, w)))) <= TOL_K0Z_ORACLE
+
+
+# one measure of each kind the closed forms branch on: c2 = 0, c3 = 0, the
+# degenerate line lam = 4 c3^2 exactly (c1 a power of two, so c2 / c1
+# reproduces 4 c3^2 bit for bit), near it with |lam / 4 c3^2 - 1| in
+# [1e-12, 1e-2], and generic with c3 Delta up to 500; sigma <= 1.6
+deltas, sigmas = st.floats(0.3, 1.2), st.floats(0.05, 1.6)
+rows = st.one_of(
+    st.builds(lambda c1, d, c3d: (c1, 0.0, c3d / d, d), st.floats(0.5, 2.0), deltas,
+              st.floats(0.0, 500.0)),
+    st.builds(lambda c1, d, sg: (c1, sg * c1 / d ** 2, 0.0, d), st.floats(0.5, 2.0), deltas,
+              sigmas),
+    st.builds(lambda c1, d, sg: (c1, 4.0 * (np.sqrt(sg) / d / 2.0) ** 2 * c1,
+                                 np.sqrt(sg) / d / 2.0, d),
+              st.sampled_from([0.5, 1.0, 2.0]), deltas, sigmas),
+    st.builds(lambda c1, d, sg, log_eps, sign: (
+        c1, sg * c1 / d ** 2, np.sqrt(sg / d ** 2 / (4.0 * (1.0 + sign * 10.0 ** log_eps))), d),
+        st.floats(0.5, 2.0), deltas, sigmas, st.floats(-12.0, -2.0), st.sampled_from([-1, 1])),
+    st.builds(lambda c1, d, sg, c3d: (c1, sg * c1 / d ** 2, c3d / d, d), st.floats(0.5, 2.0),
+              deltas, sigmas, st.floats(1e-3, 500.0)))
+batches = st.lists(rows, min_size=1, max_size=8)
+
+
+class TestMeasureBatches:
+    @fixed
+    @given(batches)
+    def test_batched_k00_matches_single_measures(self, rs):
+        batch = Measure(*np.array(rs).T)
+        single = [kernel_k00(Measure(*r)) for r in rs]
+        np.testing.assert_allclose(kernel_k00(batch), single, rtol=1e-15, atol=0)
+
+    @fixed
+    @given(batches)
+    def test_batched_transform_solution_matches_single_measures(self, rs):
+        rs = [r for r in rs if r[1] > 0.0 and r[2] > 0.0]
+        assume(rs)
+        batch = k0_transform_solution(Measure(*np.array(rs).T))
+        for i, r in enumerate(rs):
+            one = k0_transform_solution(Measure(*r))
+            assert batch.close[i] == one.close
+            np.testing.assert_array_equal(batch.power_sums[i], one.power_sums)
+            for name in ("p_scaled", "q_scaled", "det", "mu", "scale"):
+                np.testing.assert_allclose(getattr(batch, name)[i], getattr(one, name),
+                                           rtol=1e-15, atol=0, err_msg=name)
