@@ -13,7 +13,8 @@ class NotAdmissible(PairpackError):
 
 class InvalidRegime(PairpackError):
     """The requested formula does not apply to this parameter regime
-    (wrong decay-rate branch)."""
+    (wrong decay-rate branch), or a function that takes one measure was
+    given a batch."""
 
 
 class DegenerateRoots(PairpackError):

@@ -286,6 +286,7 @@ def ep1_ratio_check(m: Measure, truncation: float = None,
     The real-line integral is truncated with a closed-form correction for
     the non-oscillatory 1/x^2 far field of |K(0, x)|^2.
     """
+    m.require_single()
     m.require_admissible(extended=extended)
     k00 = kernel_k00(m, extended=extended)
     if truncation is None:

@@ -30,7 +30,9 @@ linear-system residual of each solution uses that one matrix.
 
 Everything downstream of a solve (transform evaluation, reproducing-property
 residuals, differential-equation residuals) never touches the closed-form
-kernels, so agreement between the two routes is a genuine cross-check.
+kernels, so agreement between the two routes is a genuine cross-check.  The
+residuals take u's derivatives at the ends of the support from the integral
+equation differentiated under the integral sign, never from a fit.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
-from numpy.polynomial import legendre as leg
 
 from .errors import IllConditioned, InvalidRegime, RemovablePoint
 from .kernels import _coeff_abc, _near_coeff_zero
@@ -57,7 +57,6 @@ _ROW_BLOCK = 8           # matrix rows per batched product (~1 MB of temporaries
 # two routes' solutions agree to 3e-15 up to 5, 2e-13 at 10 and 3e-9 at 20
 SPECTRAL_C3_DELTA = 5.0
 _BLOCK_ENTRIES = 1 << 18  # matrix entries per row block of the spectral assembly
-_CHEB_DEG = 80           # degree of the Chebyshev interpolant behind u's derivatives
 CONDITION_LIMIT = 1e8
 MAX_NODES = 2048         # largest node count: M alone is 32 MB there
 
@@ -84,12 +83,12 @@ class NystromSolution:
     measure: Measure
     w: complex
     condition_estimate: float
-    _bary_w: np.ndarray = field(repr=False, default=None)
     _matrix: np.ndarray = field(repr=False, default=None)
 
     def interpolate(self, targets) -> np.ndarray:
         """Barycentric interpolation of u to arbitrary points of the support."""
-        P = barycentric_matrix(self.nodes, self._bary_w, np.atleast_1d(targets))
+        P = barycentric_matrix(self.nodes, _barycentric_weights(len(self.nodes)),
+                               np.atleast_1d(targets))
         return P @ self.u_values
 
 
@@ -116,6 +115,17 @@ def _integration_matrix(n: int) -> np.ndarray:
     J *= 0.5 * w
     J.flags.writeable = False
     return J
+
+
+@functools.lru_cache(maxsize=4)
+def _barycentric_weights(n: int) -> np.ndarray:
+    """Barycentric weights of the n Gauss-Legendre nodes of [-1, 1];
+    read-only.  They serve the nodes of any interval: an affine map of the
+    nodes scales every weight by one factor, which cancels in the
+    barycentric formula."""
+    bary_w = barycentric_weights(gauss_legendre(n, -1.0, 1.0)[0])
+    bary_w.flags.writeable = False
+    return bary_w
 
 
 def _assemble_spectral(m: Measure, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -189,7 +199,8 @@ def _assemble_matrix(m: Measure, nodes: np.ndarray, bary_w: np.ndarray) -> np.nd
         R = np.subtract(q[lo:hi, :, None], x, out=buf[:hi - lo])
         R[hit[lo:hi]] = 1.0
         np.reciprocal(R, out=R)
-        r = np.where(use[lo:hi], qwk[lo:hi] / (R @ bary_w), 0.0)
+        # only where used: at a hit the weights' sum can be exactly 0
+        r = np.divide(qwk[lo:hi], R @ bary_w, out=np.zeros_like(qwk[lo:hi]), where=use[lo:hi])
         K[lo:hi] = (r[:, None, :] @ R)[:, 0, :] * bary_w
     rows, pts = np.nonzero(hit & live)
     np.add.at(K, (rows, order[near[rows, pts]]), qwk[rows, pts])
@@ -200,25 +211,23 @@ def _assemble_matrix(m: Measure, nodes: np.ndarray, bary_w: np.ndarray) -> np.nd
 
 @functools.lru_cache(maxsize=4)
 def _nystrom_system(m: Measure, n: int):
-    """(nodes, weights, barycentric weights, M, M^-1, cond(M, 1)) for the
-    measure and node count.  M does not depend on w, so every solve and
-    residual of one measure shares one assembly and one inverse; the arrays
-    are read-only.  cond is ||M||_1 ||M^-1||_1, numpy's formula for
-    cond(M, 1).  A node count outside [16, MAX_NODES] is refused before
-    anything is allocated."""
+    """(nodes, weights, M, M^-1, cond(M, 1)) for the measure and node
+    count.  M does not depend on w, so every solve and residual of one
+    measure shares one assembly and one inverse; the arrays are read-only.
+    cond is ||M||_1 ||M^-1||_1, numpy's formula for cond(M, 1).  A node
+    count outside [16, MAX_NODES] is refused before anything is allocated."""
     if n < 16:
         raise ValueError("need at least 16 nodes")
     if n > MAX_NODES:
         raise ValueError(f"{n} nodes exceed the cap of {MAX_NODES}")
     L = m.delta / 2.0
     nodes, weights = gauss_legendre(n, -L, L)
-    bary_w = barycentric_weights(nodes)
-    M = _system_matrix(m, nodes, weights, bary_w)
+    M = _system_matrix(m, nodes, weights, _barycentric_weights(n))
     M_inv = np.linalg.inv(M)
     cond = float(np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1))
-    for arr in (nodes, weights, bary_w, M, M_inv):
+    for arr in (nodes, weights, M, M_inv):
         arr.flags.writeable = False
-    return nodes, weights, bary_w, M, M_inv, cond
+    return nodes, weights, M, M_inv, cond
 
 
 def _real_columns(v: np.ndarray) -> np.ndarray:
@@ -241,16 +250,16 @@ def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> Nystrom
     the integral operator a contraction, hence the system uniquely
     solvable) and 16 <= n <= MAX_NODES nodes.
     """
+    m.require_single()
     m.require_admissible(extended=True)
-    nodes, weights, bary_w, M, M_inv, cond = _nystrom_system(m, n)
+    nodes, weights, M, M_inv, cond = _nystrom_system(m, n)
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"1-norm condition estimate {cond:.3e} > {CONDITION_LIMIT:.0e}")
     b = _real_columns(np.exp(-2j * np.pi * w * nodes)[:, None])
     u = M_inv @ b
     u += M_inv @ (b - M @ u)
     return NystromSolution(nodes=nodes, weights=weights, u_values=_complex_columns(u)[:, 0],
-                           measure=m, w=complex(w), condition_estimate=cond,
-                           _bary_w=bary_w, _matrix=M)
+                           measure=m, w=complex(w), condition_estimate=cond, _matrix=M)
 
 
 def system_residual(sol: NystromSolution) -> float:
@@ -268,7 +277,8 @@ def uniqueness_ratio(m: Measure, n: int = DEFAULT_NODES) -> float:
     nu_hat >= a_sq ||u||^2 for every u supported there, so a ratio below 1
     means the discretization has lost the unique solvability of the
     equation."""
-    _, weights, _, M, _, _ = _nystrom_system(m, n)
+    m.require_single()
+    _, weights, M, _, _ = _nystrom_system(m, n)
     root_w = np.sqrt(weights)
     weighted = root_w[:, None] * M / root_w[None, :]
     sigma_min = float(np.linalg.svd(weighted, compute_uv=False)[-1])
@@ -283,6 +293,7 @@ def closed_form_u(m: Measure, w: complex, xi) -> Union[complex, np.ndarray]:
     on the support and zero outside, om = sqrt(2 c2 / c1).  Not defined at
     the coefficient poles w = +/- sqrt(c2 / (2 c1)) / pi.
     """
+    m.require_single()
     if m.c3 != 0.0:
         raise InvalidRegime("closed_form_u only covers c3 = 0")
     xi_arr = np.asarray(xi, dtype=float)
@@ -315,39 +326,41 @@ def k_from_u(sol: NystromSolution, z) -> Union[complex, np.ndarray]:
     return vals
 
 
+
+
 # ---------------------------------------------------------------------------
-# reproducing-property residual
+# residuals, from u's derivatives at the ends of the support
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _chebyshev_map(n: int) -> np.ndarray:
-    """(81, n) map from u at the n Gauss-Legendre nodes to the Chebyshev
-    coefficients of its interpolant at the 81 Chebyshev points of the
-    support, the points' values taken by barycentric interpolation.
-    Interpolation at Chebyshev points is a discrete cosine transform."""
-    x, _ = gauss_legendre(n, -1.0, 1.0)
-    k = np.arange(_CHEB_DEG + 1)
-    P = barycentric_matrix(x, barycentric_weights(x), np.cos(np.pi * k / _CHEB_DEG))
-    dct = np.cos(np.pi * np.outer(k, k) / _CHEB_DEG) * (2.0 / _CHEB_DEG)
-    dct[:, [0, -1]] *= 0.5
-    dct[[0, -1]] *= 0.5
-    out = dct @ P
-    out.flags.writeable = False
-    return out
+def _boundary_jet(sol: NystromSolution, side: int) -> np.ndarray:
+    """u, u', u'', u''' at xi = side Delta/2 (side = -1 or +1), from the
+    integral equation differentiated under the integral sign.
 
+    With h(s) = s e^{-c3 s} and s_j = Delta/2 - side x_j the nodes' distance
+    from the end, the m-th derivative of the integral term there is
 
-def _chebyshev_fit(sol: NystromSolution):
-    """Chebyshev coefficients of u on the support, noise-truncated."""
-    coef = _chebyshev_map(len(sol.nodes)) @ sol.u_values
-    mx = np.max(np.abs(coef))
-    keep = np.nonzero(np.abs(coef) > 1e-13 * mx)[0]
-    return coef[:keep.max() + 1] if len(keep) else coef[:1]
+        F_m = side^m sum_j w_j u_j h^(m)(s_j) + 2 u^(m-2)   (last term m >= 2),
+
+    and c1 u^(m) = (-2 pi i w)^m e^{-2 pi i w xi} - c2 F_m.  The kernel's
+    kink, which gives the 2 u^(m-2), sits at the end, so every integrand is
+    smooth and the nodes' Gauss rule integrates it.
+    """
+    m, w = sol.measure, sol.w
+    L, c3 = m.delta / 2.0, m.c3
+    s = L - side * sol.nodes
+    e = np.exp(-c3 * s)
+    h = np.stack([s * e, (1.0 - c3 * s) * e, c3 * (c3 * s - 2.0) * e,
+                  c3 * c3 * (3.0 - c3 * s) * e])
+    k = np.arange(4)
+    F = side ** k * (h @ (sol.weights * sol.u_values))
+    jet = ((-2j * np.pi * w) ** k * np.exp(-2j * np.pi * w * side * L) - m.c2 * F) / m.c1
+    jet[2:] -= 2.0 * m.c2 / m.c1 * jet[:2]        # the kink's 2 u^(m-2) in F_m
+    return jet
 
 
 def reproducing_residual(m: Measure, w: complex,
                          test_fn: Union[str, TestFunction] = "center0",
-                         n: int = DEFAULT_NODES,
-                         truncation: float = None) -> float:
+                         n: int = DEFAULT_NODES) -> float:
     """| integral of f(x) k_w(x) nu_hat(x) over the real line  -  f(w) |
     for a test function f given as a combination of translated sinc kernels
     (members of the band-limited space).
@@ -356,26 +369,21 @@ def reproducing_residual(m: Measure, w: complex,
     core |x| <= X0 where the discrete transform is trustworthy, a far region
     where k_w is replaced by its three-term boundary expansion (exact up to
     O(1/x^4)), and a closed-form tail beyond the outer truncation consisting
-    of the non-oscillatory components integrated analytically.
+    of the non-oscillatory components integrated analytically.  The
+    expansion takes u, u' and u'' at the ends of the support from the
+    boundary jets.
     """
     if isinstance(test_fn, str):
         test_fn = SINC_PRESETS[test_fn]
     terms = [(float(t), float(c)) for (t, c) in test_fn]
 
     sol = solve_integral_eq(m, w, n=n)
-    L = m.delta / 2.0
-    coef = _chebyshev_fit(sol)
-    d1 = cheb.chebder(coef) / L
-    d2 = cheb.chebder(d1) / L
-    ub = cheb.chebval([-1.0, 1.0], coef)
-    upb = cheb.chebval([-1.0, 1.0], d1)
-    uppb = cheb.chebval([-1.0, 1.0], d2)
+    # u, u', u'' at -Delta/2 and Delta/2
+    ub, upb, uppb, _ = np.stack([_boundary_jet(sol, -1), _boundary_jet(sol, 1)], axis=1)
 
     X0 = 0.5 * n / (np.pi * m.delta)
-    if truncation is None:
-        a_sq = norm_bounds(m, extended=True).a_sq
-        truncation = max(50.0, 20.0 / a_sq) * 40.0 / m.delta
-    X1 = max(truncation, 2.0 * X0)
+    a_sq = norm_bounds(m, extended=True).a_sq
+    X1 = max(max(50.0, 20.0 / a_sq) * 40.0 / m.delta, 2.0 * X0)
     plen = 1.0 / (2.0 * m.delta)
 
     def f_vals(x):
@@ -420,132 +428,49 @@ def reproducing_residual(m: Measure, w: complex,
     return float(abs(total - f_at_w))
 
 
-# ---------------------------------------------------------------------------
-# differential-equation residual
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=4)
-def _half_panels(n: int):
-    """60-point Gauss rules (q, qw) on [-1, 0] and [0, 1], stacked, and the
-    (120, n) map from values at the n Gauss-Legendre nodes of [-1, 1] to
-    the barycentric interpolant at the panels' points; read-only."""
-    x, _ = gauss_legendre(n, -1.0, 1.0)
-    q, qw = (np.stack(parts) for parts in zip(gauss_legendre(60, -1.0, 0.0),
-                                               gauss_legendre(60, 0.0, 1.0)))
-    interp = barycentric_matrix(x, barycentric_weights(x), q.ravel())
-    for arr in (q, qw, interp):
-        arr.flags.writeable = False
-    return q, qw, interp
-
-
-def _weighted_integrals(sol: NystromSolution) -> dict[str, complex]:
-    """integral of u(a) g(a) da over the support for each weight g used by
-    the conditions at xi = 0, split at the |a| kink:  abs_exp = |a| e,
-    sgn_exp = sgn(a) e,  exp = e,  alpha_exp = a e,  with e = e^{-c3 |a|}."""
-    L = sol.measure.delta / 2.0
-    q, qw, interp = _half_panels(len(sol.nodes))
-    q, qw = L * q, L * qw
-    uq = (interp @ sol.u_values).reshape(q.shape)
-    e = np.exp(-sol.measure.c3 * np.abs(q))
-    weights = {"abs_exp": np.abs(q) * e, "sgn_exp": np.sign(q) * e,
-               "exp": e, "alpha_exp": q * e}
-    # one sum per panel, then the two panels
-    return {kind: complex(np.sum(np.sum(qw * uq * g, axis=1)))
-            for kind, g in weights.items()}
-
-
-def _off_polynomials(sol: NystromSolution, v: np.ndarray, degree: int) -> float:
-    """Largest distance at the nodes of v from its Gauss-weighted
-    projection onto the polynomials of the given degree."""
-    L = sol.measure.delta / 2.0
-    P = leg.legvander(sol.nodes / L, degree)
-    coef = (P.T * (sol.weights * (np.arange(degree + 1)[:, None] + 0.5) / L)) @ v
-    return float(np.max(np.abs(v - P @ coef)))
-
-
-def _ode_data(m: Measure, sol: NystromSolution) -> np.ndarray:
-    """The right side f of ode_residual's equation at the nodes."""
-    data = np.exp(-2j * np.pi * sol.w * sol.nodes)
-    if m.c3 == 0.0:
-        return -4.0 * np.pi ** 2 * sol.w ** 2 * data
-    return (4.0 * np.pi ** 2 * sol.w ** 2 + m.c3 ** 2) ** 2 * data
-
-
-def _interior_residual(m: Measure, sol: NystromSolution, f: np.ndarray) -> float:
-    """The interior term of ode_residual for the data f at the nodes."""
-    L = m.delta / 2.0
-    c1, c2, c3 = m.c1, m.c2, m.c3
-    J = _integration_matrix(len(sol.nodes))
-    u = sol.u_values
-    # [u, f] integrated twice and four times from -Delta/2
-    twice = L * L * (J @ (J @ _real_columns(np.stack([u, f], axis=1))))
-    u2, f2 = _complex_columns(twice).T
-    if c3 == 0.0:
-        terms, degree = (c1 * u, 2.0 * c2 * u2, -f2), 1
-    else:
-        u4, f4 = _complex_columns(L * L * (J @ (J @ twice))).T
-        terms, degree = (c1 * u, 2.0 * (c2 - c1 * c3 ** 2) * u2,
-                         (2.0 * c2 * c3 ** 2 + c1 * c3 ** 4) * u4, -f4), 3
-    largest = max(float(np.max(np.abs(t))) for t in terms)
-    return _off_polynomials(sol, sum(terms), degree) / largest
-
-
 def ode_residual(m: Measure, sol: NystromSolution) -> float:
-    """Largest of the interior differential-equation residual and the
-    residuals of the integro-differential conditions at xi = 0.
+    """Residual of the differential equation u satisfies on the support,
 
-    c3 = 0:  c1 u'' + 2 c2 u = f = -4 pi^2 w^2 e^{-2 pi i w xi}, two
-             conditions.
-    c3 > 0:  c1 u'''' + 2 (c2 - c1 c3^2) u'' + (2 c2 c3^2 + c1 c3^4) u
-             = f = (4 pi^2 w^2 + c3^2)^2 e^{-2 pi i w xi}, four conditions;
-             the w = 0 instance uses the even-solution form
-             u'(0) = u'''(0) = 0.
+    c3 = 0:  c1 u'' + 2 c2 u = f = -4 pi^2 w^2 e^{-2 pi i w xi},
+    c3 > 0:  c1 u'''' + a u'' + b u = f = (4 pi^2 w^2 + c3^2)^2 e^{-2 pi i w xi},
+             a = 2 (c2 - c1 c3^2),  b = 2 c2 c3^2 + c1 c3^4,
 
-    The interior term is derivative-free.  With J the indefinite
-    integration from -Delta/2 on the nodes (exact for degree < n), the
-    equation holds exactly when
+    without differentiating the nodal u.  With J the indefinite integration
+    from -Delta/2 on the nodes (exact for degree < n), the equation
+    integrated four times from there reads
 
-        v = c1 u + 2 (c2 - c1 c3^2) J^2 u + (2 c2 c3^2 + c1 c3^4) J^4 u - J^4 f
+        v = c1 u + a J^2 u + b J^4 u - J^4 f = P,
 
-    is a cubic (for c3 = 0: when v = c1 u + 2 c2 J^2 u - J^2 f is a line).
-    The term is v's distance from those polynomials relative to the largest
-    of its terms.  The conditions take u(0) ... u'''(0) from the
-    noise-truncated Chebyshev coefficients of u and are normalized by the
-    data magnitude.  Returns 0 by convention when c2 = 0.
+    P the cubic in t = xi + Delta/2 with Taylor coefficients c1 u, c1 u',
+    c1 u'' + a u and c1 u''' + a u' at -Delta/2.  For c3 = 0, integrated
+    twice, v = c1 u + 2 c2 J^2 u - J^2 f and P = c1 u + c1 u' t.  v comes
+    from the nodal u and P from the boundary jet, the integral equation
+    itself, so v = P holds to rounding exactly when the nodal u solves the
+    equation.  Returns max |v - P| over the nodes relative to the largest
+    term of v; 0 by convention when c2 = 0.
     """
     if m.c2 == 0.0:
         return 0.0
-    w = sol.w
+    c1, c2, c3, w = m.c1, m.c2, m.c3, sol.w
     L = m.delta / 2.0
-    c1, c2, c3 = m.c1, m.c2, m.c3
-    f = _ode_data(m, sol)
-    interior = _interior_residual(m, sol, f)
-
-    coef = _chebyshev_fit(sol)
-    at0 = [cheb.chebval(0.0, coef)]
-    for _ in range(3):
-        coef = cheb.chebder(coef) / L
-        at0.append(cheb.chebval(0.0, coef))
-    wi = _weighted_integrals(sol)
-    bc1 = abs(c1 * at0[0] + c2 * wi["abs_exp"] - 1.0)
+    J = _integration_matrix(len(sol.nodes))
+    u, t = sol.u_values, sol.nodes + L
+    u0, u1, u2, u3 = _boundary_jet(sol, -1)
+    data = np.exp(-2j * np.pi * w * sol.nodes)
     if c3 == 0.0:
-        bc2 = abs(c1 * at0[1] - c2 * wi["sgn_exp"]
-                  + 2j * np.pi * w)
-        return float(max(interior, bc1, bc2))
-
-    scale = max(1.0, float(np.max(np.abs(f))))
-    bc3 = abs(c1 * at0[2] + (2.0 * c2 - c1 * c3 ** 2) * at0[0]
-              - 2.0 * c2 * c3 * wi["exp"]
-              + 4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) / scale
-    if w == 0:
-        # even solution: the odd-order conditions collapse to u'(0) = u'''(0) = 0
-        bc2 = abs(at0[1])
-        bc4 = abs(at0[3]) / scale
+        f = -4.0 * np.pi ** 2 * w ** 2 * data
     else:
-        bc2 = abs(c1 * at0[1] - c2 * wi["sgn_exp"]
-                  + c2 * c3 * wi["alpha_exp"]
-                  + 2j * np.pi * w)
-        bc4 = abs(c1 * at0[3] - (c1 * c3 ** 2 - 2.0 * c2) * at0[1]
-                  - 2.0 * c2 * c3 ** 2 * wi["sgn_exp"]
-                  - 2j * np.pi * w * (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2)) / scale
-    return float(max(interior, bc1, bc2, bc3, bc4))
+        f = (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) ** 2 * data
+    twice = L * L * (J @ (J @ _real_columns(np.stack([u, f], axis=1))))
+    u_2, f_2 = _complex_columns(twice).T
+    if c3 == 0.0:
+        terms = (c1 * u, 2.0 * c2 * u_2, -f_2)
+        P = c1 * (u0 + u1 * t)
+    else:
+        u_4, f_4 = _complex_columns(L * L * (J @ (J @ twice))).T
+        a, b = 2.0 * (c2 - c1 * c3 ** 2), 2.0 * c2 * c3 ** 2 + c1 * c3 ** 4
+        terms = (c1 * u, a * u_2, b * u_4, -f_4)
+        P = c1 * u0 + t * (c1 * u1 + t * ((c1 * u2 + a * u0) / 2.0
+                                          + t * (c1 * u3 + a * u1) / 6.0))
+    largest = max(float(np.max(np.abs(x))) for x in terms)
+    return float(np.max(np.abs(sum(terms) - P))) / largest

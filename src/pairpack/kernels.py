@@ -302,6 +302,7 @@ _cached_solution = functools.lru_cache(maxsize=8)(_transform_solution)
 
 def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluation:
     """K(0, z) for c3 > 0, real entire and even in z."""
+    m.require_single()
     if m.c3 == 0.0:
         raise InvalidRegime("use kernel_c3zero for c3 = 0")
     value = complex(kernel_k0z_grid(m, z, extended=extended))
@@ -425,6 +426,7 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
     recovered as a 4-point circle average around the singular parameter,
     exact to fourth order because the kernel is analytic there.
     """
+    m.require_single()
     if m.c3 != 0.0:
         raise InvalidRegime("use kernel_k0z for c3 > 0")
     m.require_admissible(extended=extended)
@@ -487,6 +489,7 @@ def k0_endpoint_value(m: Measure) -> float:
     """Value of the transform-side solution u0 at the support endpoint
     Delta/2; the coefficient of the 1/x far field of K(0, x).  The measure
     must pass the extended admissibility gate."""
+    m.require_single()
     if m.c3 > 0.0 and m.c2 > 0.0:
         return float(k0_transform_solution(m).endpoint_value(m).real)
     # u0(t) = a(0) cos(om t) and K(0, 0) = a(0) q(0); om = 0 for a pure atom

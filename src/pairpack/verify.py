@@ -348,23 +348,22 @@ def _ode_draws():
 
 # 3x the largest ode_residual measured on these checks' cases and on 450
 # oracle_xcheck-style measures, each solved at w = 0 and 3 real w in [-2, 2]
-# (1.09e-8 for c3 > 0, from the derivatives in the conditions at xi = 0, and
-# 1.01e-11 for c3 = 0), rounded up to one digit
-ODE_TOL_C3ZERO = 4e-11
-ODE_TOL_C3POS = 4e-8
+# (2.0e-15, both regimes), rounded up to one digit; a 1e-10 relative
+# perturbation of u reads 1.8e-13 or more
+ODE_TOL = 6e-15
 
 
 def _ode_residual_c3zero():
     cases = [(Measure(1, 1, 0.0, 0.5), 0.3), (Measure(1, 0.5, 0.0, 0.8), 1.1)]
     cases += _ode_draws()[0]
-    return max(ode_residual(m, solve_integral_eq(m, w)) for m, w in cases), ODE_TOL_C3ZERO
+    return max(ode_residual(m, solve_integral_eq(m, w)) for m, w in cases), ODE_TOL
 
 
 def _ode_residual_c3pos():
     cases = [(Measure(1, 1, 1.0, 0.5), 0.0), (Measure(1, 1, 4.0, 0.5), 0.0),
              (Measure(1, 2, 2.0, 0.6), 0.5), (Measure(1, 1, 2.0, 0.6), 0.7)]
     cases += _ode_draws()[1]
-    return max(ode_residual(m, solve_integral_eq(m, w)) for m, w in cases), ODE_TOL_C3POS
+    return max(ode_residual(m, solve_integral_eq(m, w)) for m, w in cases), ODE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from conftest import integrate_with_kink, registry_test
 
-from pairpack import (Measure, NotAdmissible, extended_sigma_threshold,
-                      g_surface, norm_bounds, nu_hat, sup_g)
+from pairpack import (InvalidRegime, Measure, NotAdmissible, closed_form_u,
+                      ep1_ratio_check, extended_sigma_threshold, g_surface,
+                      kernel_c3zero, kernel_k0z, norm_bounds, nu_hat,
+                      reproducing_residual, solve_integral_eq, sup_g)
+from pairpack.fredholm import uniqueness_ratio
+from pairpack.kernels import k0_endpoint_value
 
 
 def nu_hat_quadrature(m, x):
@@ -64,6 +68,23 @@ class TestMeasure:
         Measure(1.0, np.array([1.0, 6.0]), 0.0, 0.5).require_admissible()
         with pytest.raises(NotAdmissible, match="sigma = 2 "):
             Measure(1.0, np.array([1.0, 8.0]), 0.0, 0.5).require_admissible()
+
+    @pytest.mark.parametrize("c3, call", [
+        (1.0, lambda m: kernel_k0z(m, 0.3)),
+        (0.0, lambda m: kernel_c3zero(m, 0.3, 0.1)),
+        (0.0, lambda m: closed_form_u(m, 0.3, 0.1)),
+        (1.0, norm_bounds),
+        (1.0, k0_endpoint_value),
+        (1.0, ep1_ratio_check),
+        (1.0, lambda m: solve_integral_eq(m, 0.3)),
+        (1.0, uniqueness_ratio),
+        (1.0, lambda m: reproducing_residual(m, 0.3)),
+    ], ids=["kernel_k0z", "kernel_c3zero", "closed_form_u", "norm_bounds",
+            "k0_endpoint_value", "ep1_ratio_check", "solve_integral_eq",
+            "uniqueness_ratio", "reproducing_residual"])
+    def test_batch_refused_by_one_measure_functions(self, c3, call):
+        with pytest.raises(InvalidRegime, match="batch of shape \\(2,\\)"):
+            call(Measure(1.0, np.array([0.5, 1.0]), c3, 0.5))
 
     def test_total_mass_is_transform_at_zero(self):
         for m in (Measure(1, 1, 0, 0.5), Measure(1, 1, 4, 0.5),
