@@ -10,10 +10,12 @@ two extremal-problem functionals (the measure functional ratio that the
 kernel diagonal optimizes, and the triangle-transform witness of the
 universal 1/2 floor).
 
-The double sum is one blocked real matrix product per batch of alphas: the
-weight matrix, which does not depend on alpha, is built a fixed number of
-rows at a time and multiplied by [cos(theta g) | sin(theta g)], so an alpha
-grid, an average or a CLI --alpha range costs one call.  Two independent
+The double sum is a real matrix product per batch of alphas, taken in square
+tiles: the weight matrix, which does not depend on alpha, is built _TILE x
+_TILE entries at a time (128 KB, which stays in L2 while it is multiplied)
+and applied to [cos(theta g) | sin(theta g)], so an alpha grid, an average
+or a CLI --alpha range costs one call and no array holds n^2 weights or an
+n-wide row of them.  Two independent
 routes check it: the term-by-term hand expansion of the verify registry
 (pairpack.verify._hand_form_factor) and the positive-definite integral
 representation (form_factor_positive).
@@ -35,9 +37,9 @@ from .kernels import k0_endpoint_value, kernel_k00, kernel_k0z_grid
 from .measures import Measure, nu_hat
 from .quadrature import panel_rule
 
-_BLOCK_ELEMENTS = 1 << 18   # weight entries per row block of the double sum
-_ALPHA_BATCH = 64            # alphas per pass over the weight rows
-MAX_ORDINATES = 100_000      # one alpha at 1e5 ordinates: 117 s, peak RSS 42 MB (2-vCPU Xeon)
+_TILE = 128                  # ordinates per side of a weight tile (128 KB, stays in L2)
+_ALPHA_BATCH = 64            # alphas per pass over the weight tiles
+MAX_ORDINATES = 100_000      # one alpha at 1e5 ordinates: 35 s, peak RSS 37 MB (2-vCPU Xeon)
 MAX_ALPHAS = 10 ** 6         # largest alpha grid of an average
 
 
@@ -49,8 +51,8 @@ class Window(enum.Enum):
 
 def pair_weight(u):
     """Montgomery's weight w(u) = 4 / (4 + u^2)."""
-    w = np.array(u, dtype=float)
-    w *= w
+    u = np.asarray(u, dtype=float)
+    w = np.square(u, out=np.empty_like(u))
     w += 4.0
     return np.divide(4.0, w, out=w)
 
@@ -139,8 +141,8 @@ def load_zeros(path, lam: float = None,
 
 
 def _normalizer(ds: ZeroDataset, T: float) -> float:
-    if T <= 1.0:
-        raise ValueError("need T > 1 so log T > 0")
+    if not 1.0 < T < math.inf:
+        raise ValueError("need a finite T > 1 so log T > 0")
     return (ds.lam * T / (2.0 * np.pi)) * np.log(T)
 
 
@@ -149,37 +151,46 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
     and even in alpha; a 0-d alpha gives a float).
 
     With c = cos(theta g), s = sin(theta g) and W_ij = pair_weight(g_i - g_j),
-    the sum is  Re = c.(W c) + s.(W s)  and  Im = c.(W s) - s.(W c).  Blocks
-    of rows and batches of alphas have fixed sizes and order, so no
-    temporary grows with the ordinate count times the alpha count.  The
-    imaginary part cancels pairwise for an even weight and is checked.
+    the sum is  Re = c.(W c) + s.(W s)  and  Im = c.(W s) - s.(W c).  W is
+    built in square _TILE x _TILE tiles that stay in L2: each row tile r sums
+    W[r, c] @ [c | s][c] over the column tiles c and adds [c | s][r]^T times
+    that sum to the Gram matrix of the batch, whose diagonals give Re and Im.
+    Tiles and batches of alphas have fixed sizes and order, so no temporary
+    grows with the square of the ordinate count or with the ordinate count
+    times the alpha count.  The imaginary part, summed over every tile,
+    cancels pairwise for an even weight and is checked.  A non-finite alpha
+    or T raises ValueError before the window is read.
     """
+    norm = _normalizer(ds, T)
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha must be finite")
     g = ds.in_window(T)
     n = len(g)
     if n == 0:
         raise EmptyWindow(f"no ordinates in the {ds.window.value} window for T={T}")
-    alpha = np.asarray(alpha, dtype=float)
     theta = (ds.lam * np.log(T)) * alpha.ravel()
     out = np.empty(theta.size)
-    rows = max(1, _BLOCK_ELEMENTS // n)
     for a0 in range(0, theta.size, _ALPHA_BATCH):
         k = min(_ALPHA_BATCH, theta.size - a0)
         cs = np.empty((n, 2 * k))
         np.multiply.outer(g, theta[a0:a0 + k], out=cs[:, k:])
         np.cos(cs[:, k:], out=cs[:, :k])
         np.sin(cs[:, k:], out=cs[:, k:])
-        re = np.zeros(k)
-        im = np.zeros(k)
-        for lo in range(0, n, rows):
-            wcs = pair_weight(g[lo:lo + rows, None] - g[None, :]) @ cs
-            c, s = cs[lo:lo + rows, :k], cs[lo:lo + rows, k:]
-            re += np.sum(c * wcs[:, :k] + s * wcs[:, k:], axis=0)
-            im += np.sum(c * wcs[:, k:] - s * wcs[:, :k], axis=0)
+        gram = np.zeros((2 * k, 2 * k))    # gram[a, b] = cs[:, a] . (W cs)[:, b]
+        for lo in range(0, n, _TILE):
+            rows = g[lo:lo + _TILE, None]
+            wcs = np.zeros((len(rows), 2 * k))
+            for c0 in range(0, n, _TILE):
+                wcs += pair_weight(rows - g[c0:c0 + _TILE]) @ cs[c0:c0 + _TILE]
+            gram += cs[lo:lo + _TILE].T @ wcs
+        re = np.diagonal(gram)[:k] + np.diagonal(gram)[k:]
+        im = np.diagonal(gram, k) - np.diagonal(gram, -k)
         worst = np.max(np.abs(im))
-        if worst > 1e-10 * n * n:
+        if not worst <= 1e-10 * n * n:      # a nan fails too
             raise NotCancelled(f"imaginary part {worst:.3e} did not cancel")
         out[a0:a0 + k] = re
-    out /= _normalizer(ds, T)
+    out /= norm
     return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
 
 
@@ -190,8 +201,11 @@ def form_factor_positive(ds: ZeroDataset, T: float, alpha: float,
         2 pi * integral e^{-4 pi |u|} | sum_g T^{i lam alpha g} e^{2 pi i g u} |^2 du,
 
     truncated at |u| <= u_cutoff (the integrand dies like e^{-4 pi u}).
-    Nonnegative by construction.
+    Nonnegative by construction.  A non-finite alpha or T raises ValueError.
     """
+    norm = _normalizer(ds, T)
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if u_cutoff <= 0:
         raise ValueError("u_cutoff must be > 0")
     g = ds.in_window(T)
@@ -210,7 +224,7 @@ def form_factor_positive(ds: ZeroDataset, T: float, alpha: float,
     for (a, b) in ((-u_cutoff, 0.0), (0.0, u_cutoff)):   # kink of e^{-4 pi |u|}
         pts, wts = panel_rule(a, b, panel_length=0.25 / spread, order=16)
         val += float(np.dot(wts, integrand(pts)))
-    return 2.0 * np.pi * val / _normalizer(ds, T)
+    return 2.0 * np.pi * val / norm
 
 
 def _alpha_steps(span: float, grid_step: float) -> int:

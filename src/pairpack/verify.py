@@ -453,6 +453,19 @@ def _hand_form_factor(ds: ZeroDataset, T: float, alpha: float) -> float:
     return total / ((ds.lam * T / (2 * np.pi)) * np.log(T))
 
 
+def _formfactor_dense_tiles():
+    """Worst relative gap to the dense route Re(p^H W p), p = e^{i theta g},
+    on a window of 333 ordinates (two full tiles and a ragged third per side)
+    at 70 alphas (two batches)."""
+    g = np.sort(np.random.default_rng(_SEED + 4).uniform(1.0, 400.0, 333))
+    ds, T = ZeroDataset(ordinates=g, lam=1.1), 400.0
+    alphas = np.linspace(-3.0, 3.0, 70)
+    p = np.exp(1j * np.multiply.outer(g, ds.lam * np.log(T) * alphas))
+    w = 4.0 / (4.0 + np.subtract.outer(g, g) ** 2)
+    dense = np.real(np.sum(np.conj(p) * (w @ p), axis=0)) / ((ds.lam * T / (2 * np.pi)) * np.log(T))
+    return float(np.max(np.abs(form_factor(ds, T, alphas) / dense - 1.0))), 1e-13
+
+
 def _formfactor_nonnegative():
     most_neg = min([0.0] + [form_factor(ds, T, a) for ds, T, a in _pair_cases()])
     return bool(most_neg >= -1e-10), f"min={most_neg:.3e}"
@@ -586,6 +599,7 @@ _TABLE = {
         ("formfactor_even",
          lambda: (_worst_pair_gap(lambda ds, T, a: form_factor(ds, T, -a)), 1e-12)),
         ("formfactor_nonnegative", _formfactor_nonnegative),
+        ("formfactor_dense_tiles", _formfactor_dense_tiles),
         ("windowed_average_identity", _windowed_average_identity),
         ("windowed_average_self_convergence", _windowed_average_self_convergence),
         ("phi_constant_transform", _phi_constant_transform),

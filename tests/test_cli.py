@@ -120,6 +120,17 @@ class TestExitCodes:
         assert out == ""
         assert "cap" in err
 
+    def test_non_finite_T_is_one(self, capsys, tmp_path):
+        # a non-finite T is bad input, not a nan on stdout
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("# lambda=1\n14.1347\n21.0220\n")
+        for T in ("inf", "nan"):
+            code, out, err = run_cli(capsys, "formfactor", "--zeros", str(zeros),
+                                     "--T", T, "--alpha", "0.5:0.6:0.1")
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "finite" in err
+
     def test_uncancelled_form_factor_is_one(self, capsys, tmp_path, monkeypatch):
         import pairpack.formfactor as formfactor
         monkeypatch.setattr(formfactor, "pair_weight",

@@ -106,33 +106,78 @@ class TestFormFactor:
             form_factor(ds, 20.0, 0.3)
 
     def test_uncancelled_imaginary_part(self, monkeypatch):
-        # an asymmetric weight leaves an imaginary part behind
+        # an asymmetric weight leaves an imaginary part behind: everywhere on
+        # three ordinates, and on 300 unit-spaced ordinates only for
+        # g - g' > 200, which no diagonal tile holds; a nan weight fails too
         import pairpack.formfactor as formfactor
-        monkeypatch.setattr(formfactor, "pair_weight",
-                            lambda u: 4.0 / (4.0 + u * u) * (1.0 + u))
-        ds = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
-        with pytest.raises(NotCancelled):
-            form_factor(ds, 100.0, 0.8)
+        three = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
+        unit = ZeroDataset(ordinates=10.0 + np.arange(300.0), lam=1.0)
+        assert len(unit.ordinates) > 2 * formfactor._TILE
+        for weight, ds in ((lambda u: 4.0 / (4.0 + u * u) * (1.0 + u), three),
+                           (lambda u: 4.0 / (4.0 + u * u) * (1.0 + (u > 200.0)), unit),
+                           (lambda u: u * float("nan"), three)):
+            monkeypatch.setattr(formfactor, "pair_weight", weight)
+            with pytest.raises(NotCancelled):
+                form_factor(ds, 400.0, 0.8)
+
+    def test_non_finite_inputs_refused(self, monkeypatch):
+        # refused with ValueError before the window is read, so no nan
+        # reaches the pair sum or its cancellation check
+        nan, inf = float("nan"), float("inf")
+        ds = ZeroDataset(ordinates=np.array([10.0, 10.5]), lam=1.0)
+        monkeypatch.setattr(ZeroDataset, "in_window",
+                            lambda self, T: pytest.fail("window read"))
+        for T, alpha in ((100.0, nan), (100.0, inf), (100.0, -inf), (inf, 0.3),
+                         (nan, 0.3), (-inf, 0.3)):
+            with pytest.raises(ValueError, match="finite"):
+                form_factor(ds, T, alpha)
+            with pytest.raises(ValueError, match="finite"):
+                form_factor_positive(ds, T, alpha)
+        with pytest.raises(ValueError, match="finite"):
+            form_factor(ds, 100.0, np.array([0.3, nan, 0.5]))
 
 
 class TestBatchedFormFactor:
     def test_block_and_batch_boundaries(self):
-        # more in-window ordinates than one row block, more alphas than one batch
-        g = np.sort(np.random.default_rng(31).uniform(1.0, 300.0, 600))
-        ds = ZeroDataset(ordinates=g, lam=0.9)
+        # ragged windows of more than two tiles per side in each convention,
+        # more alphas than one batch
+        g = np.sort(np.random.default_rng(31).uniform(-300.0, 600.0, 1200))
         T = 280.0
-        gw = g[(g > 0) & (g <= T)]
-        assert len(gw) > formfactor._BLOCK_ELEMENTS // len(gw)
-        batch = formfactor._ALPHA_BATCH
+        masks = {Window.ZERO_TO_T: (g > 0) & (g <= T),
+                 Window.T_TO_TWO_T: (g > T) & (g <= 2 * T),
+                 Window.SYMMETRIC_T: (g >= -T / 2) & (g <= T / 2)}
+        tile, batch = formfactor._TILE, formfactor._ALPHA_BATCH
         alphas = np.linspace(-3.0, 3.0, batch + 6)
         picks = [0, batch // 2, batch - 1, batch, batch + 5]     # both batches
-        diff = gw[:, None] - gw[None, :]
-        w = 4.0 / (4.0 + diff ** 2)
-        norm = (ds.lam * T / (2 * np.pi)) * np.log(T)
-        theta = ds.lam * alphas[picks] * np.log(T)
-        dense = np.array([np.sum(np.cos(t * diff) * w) for t in theta]) / norm
-        np.testing.assert_allclose(form_factor(ds, T, alphas)[picks], dense,
-                                   rtol=1e-13, atol=0)
+        for window, mask in masks.items():
+            ds = ZeroDataset(ordinates=g, lam=0.9, window=window)
+            gw = g[mask]
+            assert len(gw) > 2 * tile and len(gw) % tile
+            diff = gw[:, None] - gw[None, :]
+            w = 4.0 / (4.0 + diff ** 2)
+            norm = (ds.lam * T / (2 * np.pi)) * np.log(T)
+            theta = ds.lam * alphas[picks] * np.log(T)
+            dense = np.array([np.sum(np.cos(t * diff) * w) for t in theta]) / norm
+            np.testing.assert_allclose(form_factor(ds, T, alphas)[picks], dense,
+                                       rtol=1e-13, atol=0)
+
+    test_dense_tiles = registry_test("formfactor_dense_tiles")
+
+    def test_peak_memory_below_two_megabytes(self):
+        # tiles, not rows: 3000 ordinates and 17 alphas need a 0.8 MB
+        # [cos | sin] table and a few 128 KB tiles; an n-wide row block of
+        # weights and its copy would take 5 MB
+        import tracemalloc
+        ds = ZeroDataset(ordinates=np.sort(np.random.default_rng(32).uniform(1.0, 3000.0, 3000)),
+                         lam=1.0)
+        alphas = np.linspace(0.25, 0.5, 17)
+        tracemalloc.start()
+        try:
+            form_factor(ds, 3000.0, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 
     def test_shapes(self):
         ds = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
