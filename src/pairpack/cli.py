@@ -287,7 +287,9 @@ def build_parser() -> _Parser:
     _add_measure_flags(po)
     po.add_argument("--w-re", type=float, default=0.0)
     po.add_argument("--w-im", type=float, default=0.0)
-    po.add_argument("--n", type=int, default=200)
+    po.add_argument("--n", type=int, default=200,
+                    help="nodes (>= 16), split over ceil(c3*delta/5) panels of at least 24 "
+                         "when c3*delta > 5; over 2048 in all (c3*delta > ~425) exits 1")
     po.add_argument("--z", help="comma-separated real z values for k_w(z)")
     po.add_argument("--out")
     po.set_defaults(func=cmd_oracle)

@@ -5,22 +5,25 @@ Solves
     c1 u(xi) + c2 * integral_{-d/2}^{d/2} u(a) |xi - a| e^{-c3 |xi - a|} da
         = e^{-2 pi i w xi},      xi in [-d/2, d/2],
 
-by a Nystrom scheme on a global Gauss-Legendre grid.  The kernel is smooth
-on each side of its kink a = xi, and the system matrix is assembled by one
-of two routes, chosen from c3 * Delta:
+by a Nystrom scheme on a composite Gauss-Legendre rule.  The support is cut
+into P = ceil(c3 Delta / PANEL_C3_WIDTH) equal panels, so that the kernel's
+exponential spans at most e^5 across one panel.  Each panel carries its own
+Gauss-Legendre nodes: n of them when P = 1, otherwise max(24, ceil(n / P)).
+A layout of more than MAX_NODES nodes, which every c3 Delta above about 425
+needs, is refused before anything is allocated.
 
-* c3 Delta <= 5, spectral integration.  J_ij = integral from -d/2 to x_i of
-  the Lagrange basis function l_j is exact for degree < n (Greengard,
-  SIAM J. Numer. Anal. 28, 1991).  Row i integrates the left branch of the
-  kernel with J_i and the right branch with w - J_i.  J depends only on n
-  and is built once per node count.
-* above that, product quadrature.  The integral is split at the kink and
-  evaluated by per-panel Gauss rules applied to the barycentric interpolant
-  of u.  The right branch grows like e^{c3 Delta} on the nodes, which J's
-  weights would have to cancel; this route has no such cancellation.
+Within a panel the kernel is smooth on each side of its kink a = xi, and the
+panel's block of the system matrix is built by spectral integration:
+J_ij = integral from the panel's left end to x_i of the Lagrange basis
+function l_j is exact for degree below the panel's node count (Greengard,
+SIAM J. Numer. Anal. 28, 1991).  Row i integrates the left branch of the
+kernel with J_i and the right branch with w - J_i.  Across panels the kernel
+has no kink, its exponential factor is at most 1, and the column's Gauss
+weight integrates it (Lee and Greengard, SIAM J. Sci. Comput. 18, 1997).  J
+depends only on the panel's node count and is built once per count.
 
-Because u extends to an entire function, both converge spectrally; at the
-default 200 nodes they reproduce the closed forms to machine precision.
+Because u extends to an entire function, the scheme converges spectrally; at
+the default 200 nodes it reproduces the closed forms to machine precision.
 
 The system matrix does not depend on w.  It is assembled and inverted once
 per (measure, node count) and kept, read-only, in a small cache together
@@ -38,6 +41,7 @@ equation differentiated under the integral sign, never from a fit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -51,12 +55,11 @@ from .quadrature import (barycentric_matrix, barycentric_weights,
 from .special import sinc_band, sinc_band_c
 
 DEFAULT_NODES = 200
-_PANEL_ORDER = 40
-_ROW_BLOCK = 8           # matrix rows per batched product (~1 MB of temporaries at n = 200)
-# largest c3 Delta assembled by spectral integration; at 200 to 800 nodes the
-# two routes' solutions agree to 3e-15 up to 5, 2e-13 at 10 and 3e-9 at 20
-SPECTRAL_C3_DELTA = 5.0
-_BLOCK_ENTRIES = 1 << 18  # matrix entries per row block of the spectral assembly
+# largest c3 times panel width; at 200 to 800 nodes on one panel, spectral
+# integration agrees with a product quadrature to 3e-15 up to 5, 2e-13 at 10
+# and 3e-9 at 20
+PANEL_C3_WIDTH = 5.0
+_BLOCK_ENTRIES = 1 << 18  # matrix entries per row block of the assembly
 CONDITION_LIMIT = 1e8
 MAX_NODES = 2048         # largest node count: M alone is 32 MB there
 
@@ -86,10 +89,23 @@ class NystromSolution:
     _matrix: np.ndarray = field(repr=False, default=None)
 
     def interpolate(self, targets) -> np.ndarray:
-        """Barycentric interpolation of u to arbitrary points of the support."""
-        P = barycentric_matrix(self.nodes, _barycentric_weights(len(self.nodes)),
-                               np.atleast_1d(targets))
-        return P @ self.u_values
+        """Barycentric interpolation of u to arbitrary points of the support,
+        each point from the nodes of its panel."""
+        t = np.atleast_1d(np.asarray(targets, dtype=float))
+        panels = _panel_count(self.measure)
+        per = len(self.nodes) // panels
+        which = np.clip(np.floor((t / self.measure.delta + 0.5) * panels), 0, panels - 1)
+        out = np.empty(len(t), dtype=complex)
+        for p in np.unique(which).astype(int):
+            at, own = which == p, slice(p * per, (p + 1) * per)
+            out[at] = barycentric_matrix(self.nodes[own], _barycentric_weights(per),
+                                         t[at]) @ self.u_values[own]
+        return out
+
+
+def _panel_count(m: Measure) -> int:
+    """P >= 1 (held to MAX_NODES, past which every layout is refused)."""
+    return max(1, math.ceil(min(m.c3 * m.delta / PANEL_C3_WIDTH, MAX_NODES)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -117,6 +133,23 @@ def _integration_matrix(n: int) -> np.ndarray:
     return J
 
 
+def _indefinite_integrals(v: np.ndarray, panels: int) -> np.ndarray:
+    """J v on panels of half-width 1: the panel's J plus the whole integrals
+    of the panels before it, for each column of v.  Scale by the half-width
+    for panels of another width."""
+    per = len(v) // panels
+    J = _integration_matrix(per)
+    if panels == 1:                      # nothing before it: J alone, at J's cost
+        return J @ v
+    # the panels' columns side by side, so that J acts on all in one product
+    cols = v.reshape(panels, per, -1).swapaxes(0, 1).reshape(per, -1)
+    totals = (gauss_legendre(per, -1.0, 1.0)[1] @ cols).reshape(panels, -1)
+    before = np.zeros_like(totals)
+    np.cumsum(totals[:-1], axis=0, out=before[1:])
+    out = J @ cols + before.ravel()
+    return out.reshape(per, panels, -1).swapaxes(0, 1).reshape(v.shape)
+
+
 @functools.lru_cache(maxsize=4)
 def _barycentric_weights(n: int) -> np.ndarray:
     """Barycentric weights of the n Gauss-Legendre nodes of [-1, 1];
@@ -128,83 +161,37 @@ def _barycentric_weights(n: int) -> np.ndarray:
     return bary_w
 
 
-def _assemble_spectral(m: Measure, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The Nystrom matrix c1 I + c2 K by spectral integration.
+def _assemble(m: Measure, nodes: np.ndarray, weights: np.ndarray, panels: int) -> np.ndarray:
+    """The Nystrom matrix c1 I + c2 K on the composite rule.
 
-    On (-L, x_i) the kernel is the smooth (x_i - a) e^{-c3 (x_i - a)}, on
-    (x_i, L) the smooth (a - x_i) e^{-c3 (a - x_i)}; J integrates the first
-    against u over (-L, x_i), and w - J the second over (x_i, L):
+    Within the panel (a, b) of x_i, on (a, x_i) the kernel is the smooth
+    (x_i - t) e^{-c3 (x_i - t)}, on (x_i, b) the smooth
+    (t - x_i) e^{-c3 (t - x_i)}; the panel's J integrates the first against
+    u over (a, x_i), and w - J the second over (x_i, b):
 
         K_ij = d_ij (J_ij e_ij - (w_j - J_ij) / e_ij),
-        d_ij = x_i - x_j,  e_ij = e^{-c3 d_ij}.
+        d_ij = x_i - x_j,  e_ij = e^{-c3 d_ij},
+
+    where the panel width keeps e_ij and 1 / e_ij below e^PANEL_C3_WIDTH.
+    Every other panel lies on one side of x_i, and its Gauss rule integrates
+    the kernel there: K_ij = w_j |d_ij| e^{-c3 |d_ij|}.
     """
     n = len(nodes)
-    L = m.delta / 2.0
-    J = _integration_matrix(n)
+    per, h = n // panels, m.delta / (2 * panels)
+    J = _integration_matrix(per)
     M = np.empty((n, n))
     rows = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, n, rows):
-        d = nodes[lo:lo + rows, None] - nodes
-        e = np.exp(-m.c3 * d)
-        left = L * J[lo:lo + rows]
-        M[lo:lo + rows] = (m.c2 * d) * (left * e - (weights - left) / e)
-    M[np.diag_indices(n)] += m.c1
-    return M
-
-
-def _system_matrix(m: Measure, nodes: np.ndarray, weights: np.ndarray,
-                   bary_w: np.ndarray) -> np.ndarray:
-    """The Nystrom matrix by the route c3 Delta selects (module docstring)."""
-    if m.c3 * m.delta <= SPECTRAL_C3_DELTA:
-        return _assemble_spectral(m, nodes, weights)
-    return _assemble_matrix(m, nodes, bary_w)
-
-
-def _assemble_matrix(m: Measure, nodes: np.ndarray, bary_w: np.ndarray) -> np.ndarray:
-    """The Nystrom matrix c1 I + c2 K by product quadrature.
-
-    Row i integrates the kernel against the barycentric interpolant of u over
-    the 2 x 40 Gauss points q of the panels (-L, x_i) and (x_i, L).  In
-    Cauchy form, with R_i = [1 / (q - x_j)], s_i = R_i beta and
-    r_i = (qw k) / s_i, that row of K is beta * (r_i^T R_i), so a block of
-    rows costs two batched matrix products.  A panel point within 1e-14 of
-    the node spread from its nearest node x_j interpolates to the unit
-    vector e_j instead.
-    """
-    x = np.asarray(nodes, dtype=float)
-    n = len(x)
-    L = m.delta / 2.0
-    gx, gw = gauss_legendre(_PANEL_ORDER, -1.0, 1.0)  # reference panel
-    a = np.stack([np.full(n, -L), x], axis=1)          # (n, 2) panel ends
-    b = np.stack([x, np.full(n, L)], axis=1)
-    half = 0.5 * (b - a)
-    q = (half[:, :, None] * gx + (0.5 * (a + b))[:, :, None]).reshape(n, -1)
-    qw = (half[:, :, None] * gw).reshape(n, -1)
-    dist = np.abs(x[:, None] - q)
-    qwk = qw * (dist * np.exp(-m.c3 * dist))
-    live = np.repeat(b - a > 1e-15 * m.delta, _PANEL_ORDER, axis=1)
-
-    # exact hits, from the nearest node of every panel point
-    order = np.argsort(x)
-    xs = x[order]
-    right = np.clip(np.searchsorted(xs, q), 1, n - 1)
-    near = np.where(q - xs[right - 1] < xs[right] - q, right - 1, right)
-    hit = np.abs(q - xs[near]) < 1e-14 * max(np.ptp(x), 1e-300)
-    use = live & ~hit
-
-    K = np.empty((n, n))
-    buf = np.empty((_ROW_BLOCK, 2 * _PANEL_ORDER, n))
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        R = np.subtract(q[lo:hi, :, None], x, out=buf[:hi - lo])
-        R[hit[lo:hi]] = 1.0
-        np.reciprocal(R, out=R)
-        # only where used: at a hit the weights' sum can be exactly 0
-        r = np.divide(qwk[lo:hi], R @ bary_w, out=np.zeros_like(qwk[lo:hi]), where=use[lo:hi])
-        K[lo:hi] = (r[:, None, :] @ R)[:, 0, :] * bary_w
-    rows, pts = np.nonzero(hit & live)
-    np.add.at(K, (rows, order[near[rows, pts]]), qwk[rows, pts])
-    M = m.c2 * K
+    for lo in range(0, n, per):
+        own = slice(lo, lo + per)
+        for r in range(lo, lo + per, rows):
+            i = slice(r, min(r + rows, lo + per))
+            d = nodes[i, None] - nodes[own]
+            e = np.exp(-m.c3 * d)
+            left = h * J[r - lo:i.stop - lo]
+            M[i, own] = (m.c2 * d) * (left * e - (weights[own] - left) / e)
+            for far in (slice(0, lo), slice(lo + per, n)):
+                s = np.abs(nodes[i, None] - nodes[far])
+                M[i, far] = (m.c2 * weights[far]) * s * np.exp(-m.c3 * s)
     M[np.diag_indices(n)] += m.c1
     return M
 
@@ -214,15 +201,20 @@ def _nystrom_system(m: Measure, n: int):
     """(nodes, weights, M, M^-1, cond(M, 1)) for the measure and node
     count.  M does not depend on w, so every solve and residual of one
     measure shares one assembly and one inverse; the arrays are read-only.
-    cond is ||M||_1 ||M^-1||_1, numpy's formula for cond(M, 1).  A node
-    count outside [16, MAX_NODES] is refused before anything is allocated."""
+    cond is ||M||_1 ||M^-1||_1, numpy's formula for cond(M, 1).  A bad node
+    count or layout is refused before anything is allocated."""
     if n < 16:
         raise ValueError("need at least 16 nodes")
-    if n > MAX_NODES:
-        raise ValueError(f"{n} nodes exceed the cap of {MAX_NODES}")
-    L = m.delta / 2.0
-    nodes, weights = gauss_legendre(n, -L, L)
-    M = _system_matrix(m, nodes, weights, _barycentric_weights(n))
+    panels = _panel_count(m)
+    per = n if panels == 1 else max(24, -(-n // panels))
+    if panels * per > MAX_NODES:
+        raise ValueError(f"{panels * per} nodes exceed the cap of {MAX_NODES} "
+                         f"({panels} panels of {per} at c3 Delta = {m.c3 * m.delta:.6g})")
+    h = m.delta / (2 * panels)
+    x, w = gauss_legendre(per, -h, h)
+    nodes = (h * (2 * np.arange(panels) + 1) - m.delta / 2.0)[:, None] + x
+    nodes, weights = nodes.ravel(), np.tile(w, panels)
+    M = _assemble(m, nodes, weights, panels)
     M_inv = np.linalg.inv(M)
     cond = float(np.linalg.norm(M, 1) * np.linalg.norm(M_inv, 1))
     for arr in (nodes, weights, M, M_inv):
@@ -248,7 +240,8 @@ def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> Nystrom
     u = M^-1 b, then one refinement step u += M^-1 (b - M u), each a real
     product on [Re b | Im b].  Requires an admissible measure (which keeps
     the integral operator a contraction, hence the system uniquely
-    solvable) and 16 <= n <= MAX_NODES nodes.
+    solvable) and n >= 16, laid out in panels as the module docstring
+    says; a layout of more than MAX_NODES nodes raises ValueError.
     """
     m.require_single()
     m.require_admissible(extended=True)
@@ -436,7 +429,8 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
              a = 2 (c2 - c1 c3^2),  b = 2 c2 c3^2 + c1 c3^4,
 
     without differentiating the nodal u.  With J the indefinite integration
-    from -Delta/2 on the nodes (exact for degree < n), the equation
+    from -Delta/2 on the nodes, panel by panel (exact for piecewise
+    polynomials of degree below the nodes per panel), the equation
     integrated four times from there reads
 
         v = c1 u + a J^2 u + b J^4 u - J^4 f = P,
@@ -452,8 +446,12 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
     if m.c2 == 0.0:
         return 0.0
     c1, c2, c3, w = m.c1, m.c2, m.c3, sol.w
-    L = m.delta / 2.0
-    J = _integration_matrix(len(sol.nodes))
+    L, panels = m.delta / 2.0, _panel_count(m)
+    h = m.delta / (2 * panels)
+
+    def twice(v):
+        return h * h * _indefinite_integrals(_indefinite_integrals(v, panels), panels)
+
     u, t = sol.u_values, sol.nodes + L
     u0, u1, u2, u3 = _boundary_jet(sol, -1)
     data = np.exp(-2j * np.pi * w * sol.nodes)
@@ -461,13 +459,13 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
         f = -4.0 * np.pi ** 2 * w ** 2 * data
     else:
         f = (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) ** 2 * data
-    twice = L * L * (J @ (J @ _real_columns(np.stack([u, f], axis=1))))
-    u_2, f_2 = _complex_columns(twice).T
+    uf_2 = twice(_real_columns(np.stack([u, f], axis=1)))
+    u_2, f_2 = _complex_columns(uf_2).T
     if c3 == 0.0:
         terms = (c1 * u, 2.0 * c2 * u_2, -f_2)
         P = c1 * (u0 + u1 * t)
     else:
-        u_4, f_4 = _complex_columns(L * L * (J @ (J @ twice))).T
+        u_4, f_4 = _complex_columns(twice(uf_2)).T
         a, b = 2.0 * (c2 - c1 * c3 ** 2), 2.0 * c2 * c3 ** 2 + c1 * c3 ** 4
         terms = (c1 * u, a * u_2, b * u_4, -f_4)
         P = c1 * u0 + t * (c1 * u1 + t * ((c1 * u2 + a * u0) / 2.0

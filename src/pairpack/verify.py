@@ -183,6 +183,13 @@ def _kernel_stream():
     return pairs, zs, diag, quartic
 
 
+# 3x the largest closed-vs-oracle gap on these checks' cases and on 468
+# measures of _random_measure's range with c3 Delta up to the node cap
+# (3.6e-15, at c1 = 0.5, Delta = 1.2, c3 Delta = 425), rounded up to one
+# digit; a 1e-12 relative perturbation of u reads 1.0e-13 or more
+K0Z_TOL = 2e-14
+
+
 def _k0z_gap(m: Measure, zs) -> float:
     """Closed-form K(0, z) and K(0, 0) against the w = 0 oracle solve."""
     sol = solve_integral_eq(m, 0.0)
@@ -193,7 +200,7 @@ def _k0z_gap(m: Measure, zs) -> float:
 def _k0z_vs_oracle_random():
     rng = np.random.default_rng(_ACC_SEED + 1)
     ms = [_random_measure(rng, (0.05, 10.0), sigma_max=5.0 / 3.0) for _ in range(20)]
-    return max(_k0z_gap(m, (0.0, 0.3, 1 + 0.5j)) for m in ms), 1e-7
+    return max(_k0z_gap(m, (0.0, 0.3, 1 + 0.5j)) for m in ms), K0Z_TOL
 
 
 def _c3zero_hermitian():
@@ -293,7 +300,7 @@ def _nystrom_vs_closed_form():
 def _self_convergence_200_400():
     at = np.union1d(np.linspace(-0.24, 0.24, 33), np.linspace(-0.24, 0.24, 49))
     worst = 0.0
-    for c3 in (1.0, 1.3):
+    for c3 in (1.0, 1.3, 100.0):            # 100: ten panels
         m = Measure(1, 1, c3, 0.5)
         s200 = solve_integral_eq(m, 0.7, n=200)
         s400 = solve_integral_eq(m, 0.7, n=400)
@@ -361,7 +368,8 @@ def _ode_residual_c3zero():
 
 def _ode_residual_c3pos():
     cases = [(Measure(1, 1, 1.0, 0.5), 0.0), (Measure(1, 1, 4.0, 0.5), 0.0),
-             (Measure(1, 2, 2.0, 0.6), 0.5), (Measure(1, 1, 2.0, 0.6), 0.7)]
+             (Measure(1, 2, 2.0, 0.6), 0.5), (Measure(1, 1, 2.0, 0.6), 0.7),
+             (Measure(1, 1, 100.0, 0.5), 0.0), (Measure(1, 1, 300.0, 0.5), 1.3)]
     cases += _ode_draws()[1]
     return max(ode_residual(m, solve_integral_eq(m, w)) for m, w in cases), ODE_TOL
 
@@ -553,12 +561,17 @@ _TABLE = {
          lambda: (abs(k_from_u(solve_integral_eq(_M0, 0.0), 0.0) - kernel_k00(_M0)), 1e-10)),
         ("k00_corollary11_reciprocal", lambda: (abs(1.0 / kernel_k00(_M0) - 2.1659), 5e-4)),
         ("k0z_vs_oracle_c3_1.0",
-         lambda: (_k0z_gap(Measure(1, 1, 1.0, 0.5), (0.0, 0.3, 1.1, 1 + 0.5j)), 1e-7)),
+         lambda: (_k0z_gap(Measure(1, 1, 1.0, 0.5), (0.0, 0.3, 1.1, 1 + 0.5j)), K0Z_TOL)),
         ("k0z_vs_oracle_c3_4.0",
-         lambda: (_k0z_gap(Measure(1, 1, 4.0, 0.5), (0.0, 0.3, 1.1)), 1e-7)),
+         lambda: (_k0z_gap(Measure(1, 1, 4.0, 0.5), (0.0, 0.3, 1.1)), K0Z_TOL)),
         ("k0z_vs_oracle_c3_0.3",
-         lambda: (_k0z_gap(Measure(1, 2, 0.3, 0.7), (0.0, 0.3, 1.1)), 1e-7)),
+         lambda: (_k0z_gap(Measure(1, 2, 0.3, 0.7), (0.0, 0.3, 1.1)), K0Z_TOL)),
         ("k0z_vs_oracle_random", _k0z_vs_oracle_random),
+        # c3 Delta = 20, 60 and 150: 4, 12 and 30 oracle panels
+        ("k0z_vs_oracle_large_c3",
+         lambda: (max(_k0z_gap(m, (0.0, 0.3, 1.1, 1 + 0.5j)) for m in (
+             Measure(1, 1, 40.0, 0.5), Measure(1.3, 2.0, 60.0 / 0.7, 0.7),
+             Measure(0.8, 1.0, 150.0 / 0.9, 0.9))), K0Z_TOL)),
         ("c3zero_hermitian", _c3zero_hermitian),
         ("k0z_even", _k0z_even),
         ("diagonal_positive", _diagonal_positive),

@@ -151,6 +151,14 @@ class TestExitCodes:
         assert err.startswith("error: 100000 nodes exceed the cap")
         assert len(err.strip().splitlines()) == 1
 
+    def test_oracle_over_panel_cap_is_one(self, capsys):
+        # c3 Delta = 500 needs 100 panels of at least 24 nodes
+        code, out, err = run_cli(capsys, "oracle", "--c3", "1000", "--delta", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: 2400 nodes exceed the cap")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("name, plant", [
         ("fejer_witness", lambda f: lambda beta, x: 1.5 * f(beta, x)),   # wrong g(0)
         ("fejer_witness", lambda f: lambda beta, x: -f(beta, x)),        # not a witness

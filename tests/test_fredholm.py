@@ -11,10 +11,11 @@ import pairpack.fredholm as fredholm
 import pairpack.kernels as kernels
 from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
                       k_from_u, ode_residual, nu_hat, solve_integral_eq)
-from pairpack.fredholm import (CONDITION_LIMIT, MAX_NODES, SPECTRAL_C3_DELTA,
+from pairpack.fredholm import (CONDITION_LIMIT, MAX_NODES, PANEL_C3_WIDTH,
                                system_residual, uniqueness_ratio)
 from pairpack.errors import IllConditioned
 from pairpack.quadrature import barycentric_matrix, barycentric_weights, gauss_legendre
+import pairpack.verify as verify
 from pairpack.verify import ODE_TOL
 
 
@@ -66,17 +67,17 @@ class TestSolver:
         # sigma_min of the weighted matrix certifies unique solvability (a
         # verify check); a planted matrix with a_sq off the diagonal fails it;
         # the shared systems are dropped so that no planted one outlives the test;
-        # the last measure takes the product-quadrature route (c3 Delta = 6)
+        # the last measure is assembled on two panels (c3 Delta = 6)
         ms = (Measure(1, 1, 0, 0.5), Measure(1, 1, 2.0, 0.9), Measure(1, 1, 12.0, 0.5))
-        assemble = fredholm._system_matrix
+        assemble = fredholm._assemble
 
-        def shifted(m, nodes, weights, bary_w):
+        def shifted(m, nodes, weights, panels):
             a_sq = fredholm.norm_bounds(m, extended=True).a_sq
-            return assemble(m, nodes, weights, bary_w) - a_sq * np.eye(len(nodes))
+            return assemble(m, nodes, weights, panels) - a_sq * np.eye(len(nodes))
 
         request.addfinalizer(fredholm._nystrom_system.cache_clear)
         fredholm._nystrom_system.cache_clear()
-        monkeypatch.setattr(fredholm, "_system_matrix", shifted)
+        monkeypatch.setattr(fredholm, "_assemble", shifted)
         planted = [uniqueness_ratio(m) for m in ms]
         assert max(planted) < 1.0
 
@@ -94,6 +95,9 @@ class TestSolver:
             solve_integral_eq(Measure(1, 1, 0, 0.5), 0.0, n=MAX_NODES + 1)
         with pytest.raises(ValueError, match="cap"):
             uniqueness_ratio(Measure(1, 1, 0, 0.5), n=100_000)
+        # c3 Delta = 500: 100 panels of at least 24 nodes
+        with pytest.raises(ValueError, match="^2400 nodes exceed the cap"):
+            solve_integral_eq(Measure(1, 1, 1000, 0.5), 0.0)
         assert MAX_NODES == 2048
 
     def test_ill_conditioned_guard(self, monkeypatch):
@@ -122,50 +126,30 @@ def per_row_matrix(m, nodes, bary_w):
 
 
 class TestSharedSystem:
-    MEASURES = {
-        "c3zero": Measure(1.0, 1.0, 0.0, 0.5),
-        "generic": Measure(1.3, 2.1, 1.7, 0.7),
-        "near_degenerate": Measure(1.0, 1.0 + 1e-12, 0.5, 0.5),  # lam = 4 c3^2
-        "large_c3_delta": Measure(1.0, 4.0, 100.0, 0.5),         # c3 Delta = 50
-        "c3_delta_500": Measure(2.0, 1.2, 500.0, 1.0),
-    }
-
-    @pytest.mark.parametrize("n", [16, 200, 400])
-    @pytest.mark.parametrize("name", sorted(MEASURES))
-    def test_batched_matches_per_row(self, name, n):
-        m = self.MEASURES[name]
-        nodes, _ = gauss_legendre(n, -m.delta / 2, m.delta / 2)
+    @pytest.mark.parametrize("c3_delta", [0.5, 5.0, 12.0, 50.0, 150.0])
+    def test_composite_matches_product_reference(self, c3_delta):
+        # one panel up to c3 Delta = 5, then 3, 10 and 30 panels: the
+        # interpolated solutions against a product-quadrature solve at 200
+        # nodes, where the reference still resolves the kernel
+        m = Measure(1.0, 1.5, c3_delta / 0.6, 0.6)
+        nodes, _ = gauss_legendre(200, -0.3, 0.3)
         bary_w = barycentric_weights(nodes)
-        ref = per_row_matrix(m, nodes, bary_w)
-        got = fredholm._assemble_matrix(m, nodes, bary_w)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    def test_exact_hit_interpolates_to_unit_vector(self):
-        # move the node nearest to one panel point of row 5 onto it
-        m = self.MEASURES["generic"]
-        L = m.delta / 2
-        nodes, _ = gauss_legendre(32, -L, L)
-        gx, _ = gauss_legendre(40, -1.0, 1.0)
-        q = 0.5 * (L - nodes[5]) * gx + 0.5 * (nodes[5] + L)
-        j = int(np.argmin(np.abs(nodes - q[20])))
-        assert j != 5
-        nodes = nodes.copy()
-        nodes[j] = q[20]
-        bary_w = barycentric_weights(nodes)
-        ref = per_row_matrix(m, nodes, bary_w)
-        got = fredholm._assemble_matrix(m, nodes, bary_w)
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        at = np.linspace(-0.29, 0.29, 41)
+        for w in (0.0, 1.3):
+            ref = np.linalg.solve(per_row_matrix(m, nodes, bary_w).astype(complex),
+                                  np.exp(-2j * np.pi * w * nodes))
+            got = solve_integral_eq(m, w).interpolate(at)
+            assert np.max(np.abs(got - barycentric_matrix(nodes, bary_w, at) @ ref)) <= 1e-14
 
     def test_one_assembly_per_measure(self, monkeypatch):
         calls = []
-        assemble = fredholm._system_matrix
+        assemble = fredholm._assemble
 
-        def counted(m, nodes, weights, bary_w):
+        def counted(m, nodes, weights, panels):
             calls.append(m)
-            return assemble(m, nodes, weights, bary_w)
+            return assemble(m, nodes, weights, panels)
 
-        monkeypatch.setattr(fredholm, "_system_matrix", counted)
+        monkeypatch.setattr(fredholm, "_assemble", counted)
         fredholm._nystrom_system.cache_clear()
         m = Measure(1.1, 0.9, 0.8, 0.6)
         sols = [solve_integral_eq(m, w) for w in (0.0, 0.4, -1.3, 1.9)]
@@ -225,31 +209,33 @@ class TestSpectralIntegration:
         got = fredholm._integration_matrix(n) @ x[:, None] ** k
         assert np.max(np.abs(got - exact)) <= 1e-14
 
-    @pytest.mark.parametrize("n", [16, 200, 400, 800])
-    @pytest.mark.parametrize("c3_delta", [0.0, 0.5, 2.0, 5.0])
-    def test_routes_agree(self, c3_delta, n):
-        # K(0, 0) and u of the w = 0 solve; at 16 nodes the spectral route
-        # resolves u times the kernel's exponential branch less well
-        m = Measure(1.2, 1.5, c3_delta / 0.7, 0.7)
-        nodes, weights = gauss_legendre(n, -0.35, 0.35)
-        spectral = fredholm._assemble_spectral(m, nodes, weights)
-        product = fredholm._assemble_matrix(m, nodes, barycentric_weights(nodes))
-        u_s, u_p = (np.linalg.solve(M, np.ones(n)) for M in (spectral, product))
-        assert abs(weights @ u_s - weights @ u_p) <= 1e-14
-        assert np.max(np.abs(u_s - u_p)) <= (1e-9 if n == 16 else 1e-14)
+    @pytest.mark.parametrize("panels, per", [(1, 16), (3, 24), (10, 24), (7, 40)])
+    def test_piecewise_integrates_piecewise_monomials(self, panels, per):
+        # panels of half-width 1 from -1: on panel p the columns are
+        # (1 + p / panels) x^k in the panel's own coordinate x, k < per
+        x, _ = gauss_legendre(per, -1.0, 1.0)
+        k = np.arange(per)
+        scale = 1.0 + np.arange(panels)[:, None, None] / panels
+        v = (scale * x[:, None] ** k).reshape(-1, per)
+        whole = scale[:, 0] * (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        before = np.concatenate([np.zeros((1, per)), np.cumsum(whole, axis=0)[:-1]])
+        exact = before[:, None] + scale * (x[:, None] ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        got = fredholm._indefinite_integrals(v, panels)
+        assert np.max(np.abs(got - exact.reshape(-1, per))) <= 1e-14 * panels
 
-    def test_route_at_threshold(self, monkeypatch):
-        routes = []
-        monkeypatch.setattr(fredholm, "_assemble_spectral",
-                            lambda m, nodes, weights: routes.append("spectral"))
-        monkeypatch.setattr(fredholm, "_assemble_matrix",
-                            lambda m, nodes, bary_w: routes.append("product"))
-        nodes, weights = gauss_legendre(16, -0.25, 0.25)
-        for c3 in (0.0, 10.0, np.nextafter(10.0, 11.0)):
-            m = Measure(1.0, 1.0, c3, 0.5)
-            fredholm._system_matrix(m, nodes, weights, barycentric_weights(nodes))
-        assert 10.0 * 0.5 == SPECTRAL_C3_DELTA
-        assert routes == ["spectral", "spectral", "product"]
+    def test_panel_layout(self):
+        # up to c3 Delta = 5 the plain n-point Gauss rule; above it panels of
+        # max(24, ceil(n / P)) nodes each
+        nodes, weights, *_ = fredholm._nystrom_system(Measure(1, 1, 10.0, 0.5), 200)
+        plain = gauss_legendre(200, -0.25, 0.25)
+        assert np.array_equal(nodes, plain[0]) and np.array_equal(weights, plain[1])
+        assert 10.0 * 0.5 == PANEL_C3_WIDTH
+        for c3, n, count in ((np.nextafter(10.0, 11.0), 200, 200), (10.5, 16, 48),
+                             (300.0, 200, 720), (100.0, 400, 400)):
+            nodes, weights, *_ = fredholm._nystrom_system(Measure(1, 1, c3, 0.5), n)
+            assert len(nodes) == count and np.all(np.diff(nodes) > 0)
+            assert -0.25 < nodes[0] and nodes[-1] < 0.25
+            assert abs(np.sum(weights) - 0.5) <= 1e-15
 
     @pytest.mark.parametrize("m", [Measure(1.0, 1.0, 0.0, 0.5), Measure(1.3, 2.1, 1.7, 0.7),
                                    Measure(1.0, 4.0, 100.0, 0.5)])
@@ -289,6 +275,20 @@ class TestClosedFormU:
 
 class TestKFromU:
     test_matches_kernel_section = registry_test("k0z_vs_oracle_c3_1.0")
+
+    def test_k0z_tolerance_catches_planted_perturbation(self, monkeypatch):
+        # every closed-vs-oracle K(0, z) check fails on u (1 + 1e-12 cos 7 xi)
+        solve = verify.solve_integral_eq
+
+        def planted(m, w, n=fredholm.DEFAULT_NODES):
+            sol = solve(m, w, n)
+            return dataclasses.replace(
+                sol, u_values=sol.u_values * (1.0 + 1e-12 * np.cos(7.0 * sol.nodes)))
+
+        monkeypatch.setattr(verify, "solve_integral_eq", planted)
+        checks = [c for c in verify.CHECKS if c.name.startswith("k0z_vs_oracle")]
+        assert len(checks) == 5
+        assert not any(c.run()[0] for c in checks)
 
     def test_diagonal_anchor(self):
         m = Measure(1.0, 1.0, 0.0, 0.5)
