@@ -11,9 +11,9 @@ from .errors import (DegenerateRoots, EmptyDataset, EmptyWindow,
                      RemovablePoint)
 from .measures import (Measure, NormEquivalence, extended_sigma_threshold,
                        g_surface, norm_bounds, nu_hat, sup_g, sup_g_point)
-from .kernels import (CaseTag, EtaPair, KernelEvaluation, LimitPath, aux_A,
-                      aux_B, aux_C, kernel_c3zero, kernel_k00, kernel_k0z,
-                      kernel_k0z_grid, mu, quartic_roots, script_L)
+from .kernels import (CaseTag, EtaPair, KernelEvaluation, LimitPath,
+                      kernel_c3zero, kernel_k00, kernel_k0z, kernel_k0z_grid, mu,
+                      quartic_roots, script_L)
 from .fredholm import (NystromSolution, closed_form_u, k_from_u,
                        ode_residual, reproducing_residual, solve_integral_eq)
 from .bounds import (BoundsReport, average_bounds, dedekind_bounds,
@@ -29,7 +29,7 @@ __all__ = [
     "Measure", "NormEquivalence", "nu_hat", "g_surface",
     "sup_g", "sup_g_point", "norm_bounds", "extended_sigma_threshold",
     "EtaPair", "KernelEvaluation", "CaseTag", "LimitPath", "quartic_roots",
-    "aux_A", "aux_B", "aux_C", "mu", "kernel_k00", "kernel_k0z",
+    "mu", "kernel_k00", "kernel_k0z",
     "kernel_k0z_grid", "kernel_c3zero", "script_L",
     "NystromSolution", "solve_integral_eq", "closed_form_u", "k_from_u",
     "reproducing_residual", "ode_residual",

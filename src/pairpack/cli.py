@@ -288,8 +288,9 @@ def build_parser() -> _Parser:
     po.add_argument("--w-re", type=float, default=0.0)
     po.add_argument("--w-im", type=float, default=0.0)
     po.add_argument("--n", type=int, default=200,
-                    help="nodes (>= 16), split over ceil(c3*delta/5) panels of at least 24 "
-                         "when c3*delta > 5; over 2048 in all (c3*delta > ~425) exits 1")
+                    help="nodes (>= 16), split over max(ceil(c3*delta/5), ceil(n/40)) panels "
+                         "of at least 24; over 2048 panels (c3*delta > 10240 or n > 81920) "
+                         "exits 1")
     po.add_argument("--z", help="comma-separated real z values for k_w(z)")
     po.add_argument("--out")
     po.set_defaults(func=cmd_oracle)

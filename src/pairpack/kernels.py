@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import (_SERIES_RADIUS, cosh_moment, cosh_scaled, exp_moment,
-                      sin_quot, sinc_band_c, sinh_quot, sinh_quot_scaled)
+from .special import (_SERIES_RADIUS, cosh_scaled, exp_moment, sin_quot,
+                      sinc_band_c, sinh_quot_scaled)
 
 DEGENERACY_RTOL = 1e-9
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
@@ -116,33 +116,6 @@ def mu(m: Measure) -> float:
     if np.any((m.c2 == 0.0) & (m.c3 == 0.0)):
         raise ValueError("mu requires c2 > 0 or c3 > 0")
     return m.c3 ** 2 / (2.0 * m.c2 + m.c3 ** 2 * m.c1)
-
-
-def aux_A(m: Measure, eta: complex) -> complex:
-    """A(eta) = 1 + lam * integral of cosh(eta a) |a| e^{-c3|a|} over the
-    half-support interval [-Delta/2, Delta/2].  Even in eta."""
-    if m.c2 == 0.0:
-        return 1.0 + 0.0j
-    return 1.0 + m.lam() * cosh_moment(1, eta, m.c3, m.delta)
-
-
-def aux_B(m: Measure, eta: complex) -> complex:
-    """B(eta) = eta^2 + 2 lam - c3^2 - 2 lam c3 * integral of
-    cosh(eta a) e^{-c3|a|}.  Even in eta."""
-    lam, c3 = m.lam(), m.c3
-    out = eta * eta + 2.0 * lam - c3 ** 2
-    if m.c2 != 0.0 and c3 != 0.0:
-        out -= 2.0 * lam * c3 * cosh_moment(0, eta, c3, m.delta)
-    return out
-
-
-def aux_C(m: Measure, eta: complex, z: complex) -> complex:
-    """C(eta, z) = integral of cosh(eta t) e^{2 pi i z t} over
-    [-Delta/2, Delta/2], written as two sinh quotients so the removable
-    points z = +/- i eta / (2 pi) need no special casing."""
-    L = m.delta / 2.0
-    s = 2j * np.pi * z
-    return sinh_quot(eta + s, L) + sinh_quot(-eta + s, L)
 
 
 def script_L(m: Measure) -> complex:

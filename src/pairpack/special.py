@@ -61,13 +61,6 @@ def exp_moment(k, s, L):
     return complex(out) if out.ndim == 0 else out
 
 
-def cosh_moment(k, eta, c3: float, delta: float):
-    """I_k(eta) = integral_{-d/2}^{d/2} cosh(eta a) |a|^k e^{-c3 |a|} da."""
-    L = delta / 2.0
-    eta = np.asarray(eta, dtype=complex)
-    return exp_moment(k, eta - c3, L) + exp_moment(k, -eta - c3, L)
-
-
 def _series_quot(s, L, sign: float):
     """sum_j (sign)^j (sL)^{2j} L / (2j+1)!  (sin for sign=-1, sinh for +1):
     the terms are one cumulative product of L and the ratios

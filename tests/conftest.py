@@ -14,6 +14,9 @@ a registry check holds (``registry_test``) read the same outcome.
 
 ``integrate_with_kink`` is the brute-force quadrature oracle of the unit
 tests: adaptive Gauss-Legendre integration, independent of every closed form.
+``aux_A``, ``aux_B`` and ``aux_C`` are the paper's moment functions A, B and
+the transform C in their scalar defining forms, the test oracles of the
+kernels' batched means and divided differences.
 """
 
 import functools
@@ -27,6 +30,7 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402
 
 from pairpack.quadrature import gauss_legendre  # noqa: E402
+from pairpack.special import exp_moment, sinh_quot  # noqa: E402
 from pairpack.verify import CHECKS  # noqa: E402  (after the BLAS setting)
 
 BY_NAME = {check.name: check for check in CHECKS}
@@ -81,3 +85,37 @@ def integrate_with_kink(f, a: float, b: float, kink: float = 0.0,
     if a < kink < b:
         return adaptive_quad(f, a, kink, tol / 2) + adaptive_quad(f, kink, b, tol / 2)
     return adaptive_quad(f, a, b, tol)
+
+
+def cosh_moment(k, eta, c3: float, delta: float):
+    """I_k(eta) = integral_{-d/2}^{d/2} cosh(eta a) |a|^k e^{-c3 |a|} da."""
+    L = delta / 2.0
+    eta = np.asarray(eta, dtype=complex)
+    return exp_moment(k, eta - c3, L) + exp_moment(k, -eta - c3, L)
+
+
+def aux_A(m, eta: complex) -> complex:
+    """A(eta) = 1 + lam * integral of cosh(eta a) |a| e^{-c3|a|} over the
+    half-support interval [-Delta/2, Delta/2].  Even in eta."""
+    if m.c2 == 0.0:
+        return 1.0 + 0.0j
+    return 1.0 + m.lam() * cosh_moment(1, eta, m.c3, m.delta)
+
+
+def aux_B(m, eta: complex) -> complex:
+    """B(eta) = eta^2 + 2 lam - c3^2 - 2 lam c3 * integral of
+    cosh(eta a) e^{-c3|a|}.  Even in eta."""
+    lam, c3 = m.lam(), m.c3
+    out = eta * eta + 2.0 * lam - c3 ** 2
+    if m.c2 != 0.0 and c3 != 0.0:
+        out -= 2.0 * lam * c3 * cosh_moment(0, eta, c3, m.delta)
+    return out
+
+
+def aux_C(m, eta: complex, z: complex) -> complex:
+    """C(eta, z) = integral of cosh(eta t) e^{2 pi i z t} over
+    [-Delta/2, Delta/2], written as two sinh quotients so the removable
+    points z = +/- i eta / (2 pi) need no special casing."""
+    L = m.delta / 2.0
+    s = 2j * np.pi * z
+    return sinh_quot(eta + s, L) + sinh_quot(-eta + s, L)

@@ -145,19 +145,22 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     def test_oracle_over_node_cap_is_one(self, capsys):
+        # 100000 nodes need 2500 panels of at most 40
         code, out, err = run_cli(capsys, "oracle", "--n", "100000")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: 100000 nodes exceed the cap")
+        assert err.startswith("error: 2500 panels exceed the cap")
         assert len(err.strip().splitlines()) == 1
 
     def test_oracle_over_panel_cap_is_one(self, capsys):
-        # c3 Delta = 500 needs 100 panels of at least 24 nodes
-        code, out, err = run_cli(capsys, "oracle", "--c3", "1000", "--delta", "0.5")
+        # c3 Delta = 15000 needs 3000 panels; c3 Delta = 10^4 (2000) solves
+        code, out, err = run_cli(capsys, "oracle", "--c3", "30000", "--delta", "0.5")
         assert code == 1
         assert out == ""
-        assert err.startswith("error: 2400 nodes exceed the cap")
+        assert err.startswith("error: 3000 panels exceed the cap")
         assert len(err.strip().splitlines()) == 1
+        code, out, _ = run_cli(capsys, "oracle", "--c3", "20000", "--delta", "0.5")
+        assert code == 0 and out.startswith("n,48000\n")
 
     @pytest.mark.parametrize("name, plant", [
         ("fejer_witness", lambda f: lambda beta, x: 1.5 * f(beta, x)),   # wrong g(0)

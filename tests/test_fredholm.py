@@ -10,9 +10,10 @@ from conftest import integrate_with_kink, registry_test
 import pairpack.fredholm as fredholm
 import pairpack.kernels as kernels
 from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
-                      k_from_u, ode_residual, nu_hat, solve_integral_eq)
-from pairpack.fredholm import (CONDITION_LIMIT, MAX_NODES, PANEL_C3_WIDTH,
-                               system_residual, uniqueness_ratio)
+                      k_from_u, kernel_k00, ode_residual, nu_hat, solve_integral_eq)
+from pairpack.fredholm import (CONDITION_LIMIT, MAX_DENSE_NODES, MAX_PANELS,
+                               PANEL_C3_WIDTH, PANEL_NODES, system_residual,
+                               uniqueness_ratio)
 from pairpack.errors import IllConditioned
 from pairpack.quadrature import barycentric_matrix, barycentric_weights, gauss_legendre
 import pairpack.verify as verify
@@ -86,19 +87,22 @@ class TestSolver:
             solve_integral_eq(Measure(1, 1, 0, 0.5), 0.0, n=8)
 
     def test_node_cap(self, monkeypatch):
-        # refused before the Gauss rule or the matrix is allocated
+        # refused before the Gauss rule or any matrix is allocated
         def unreachable(*args):
-            raise AssertionError("allocated past the node cap")
+            raise AssertionError("allocated past the cap")
 
         monkeypatch.setattr(fredholm, "gauss_legendre", unreachable)
-        with pytest.raises(ValueError, match="cap"):
-            solve_integral_eq(Measure(1, 1, 0, 0.5), 0.0, n=MAX_NODES + 1)
-        with pytest.raises(ValueError, match="cap"):
-            uniqueness_ratio(Measure(1, 1, 0, 0.5), n=100_000)
-        # c3 Delta = 500: 100 panels of at least 24 nodes
-        with pytest.raises(ValueError, match="^2400 nodes exceed the cap"):
-            solve_integral_eq(Measure(1, 1, 1000, 0.5), 0.0)
-        assert MAX_NODES == 2048
+        with pytest.raises(ValueError, match="^25000000 panels exceed the cap"):
+            solve_integral_eq(Measure(1, 1, 0, 0.5), 0.0, n=10 ** 9)
+        # c3 Delta = 15000: 3000 panels
+        with pytest.raises(ValueError, match="^3000 panels exceed the cap"):
+            solve_integral_eq(Measure(1, 1, 30000, 0.5), 0.0)
+        # the dense SVD: 2080 nodes (52 panels of 40), or the panel cap first
+        with pytest.raises(ValueError, match="^2080 nodes exceed the dense cap"):
+            uniqueness_ratio(Measure(1, 1, 0, 0.5), n=2080)
+        with pytest.raises(ValueError, match="panels exceed the cap"):
+            uniqueness_ratio(Measure(1, 1, 0, 0.5), n=100_000_000)
+        assert (MAX_PANELS, MAX_DENSE_NODES, PANEL_NODES) == (2048, 2048, 40)
 
     def test_ill_conditioned_guard(self, monkeypatch):
         # admissible systems are far from singular; force the guard to fire
@@ -141,30 +145,53 @@ class TestSharedSystem:
             got = solve_integral_eq(m, w).interpolate(at)
             assert np.max(np.abs(got - barycentric_matrix(nodes, bary_w, at) @ ref)) <= 1e-14
 
+    @pytest.mark.parametrize("m, n", [
+        (Measure(1, 1, 0, 0.5), 200), (Measure(1.3, 2.1, 1.7, 0.7), 64),
+        (Measure(1, 4, 100, 0.5), 200), (Measure(0.5, 0.55, 30, 1.2), 400)])
+    def test_panel_solve_matches_dense(self, m, n):
+        # M^-1 b and, for the condition estimate, M^-T b and M^T b through the
+        # factored interface system, against LAPACK on the dense matrix
+        nodes, weights, op, _ = fredholm._nystrom_system(m, n)
+        M = fredholm._assemble(m, nodes, weights, op.panels)
+        b = np.random.default_rng(3).standard_normal((3, len(nodes)))
+        op_t = op.transpose()
+        for got, ref in ((op.solve(b), np.linalg.solve(M, b.T).T),
+                         (op_t.solve(b), np.linalg.solve(M.T, b.T).T), (op_t.matvec(b), b @ M)):
+            assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+    def test_far_beyond_the_dense_node_cap(self):
+        # c3 Delta = 10^4: 2000 panels of 24 nodes (a dense layout refused
+        # every c3 Delta above about 425)
+        m = Measure(1.0, 1.0, 2e4, 0.5)
+        sol = solve_integral_eq(m, 0.0)
+        assert (sol.panels, sol.per) == (2000, 24)
+        # summed pairwise: a running sum of the 48000 terms is off by 3.9e-15
+        assert abs(k_from_u(sol, 0.0) - kernel_k00(m)) <= 1e-15
+        assert system_residual(sol) <= 1e-12
+
     def test_one_assembly_per_measure(self, monkeypatch):
+        # one panel block, factored once, serves every solve and residual
         calls = []
-        assemble = fredholm._assemble
+        block = fredholm._panel_block
 
-        def counted(m, nodes, weights, panels):
+        def counted(m, x, w, h):
             calls.append(m)
-            return assemble(m, nodes, weights, panels)
+            return block(m, x, w, h)
 
-        monkeypatch.setattr(fredholm, "_assemble", counted)
+        monkeypatch.setattr(fredholm, "_panel_block", counted)
         fredholm._nystrom_system.cache_clear()
         m = Measure(1.1, 0.9, 0.8, 0.6)
         sols = [solve_integral_eq(m, w) for w in (0.0, 0.4, -1.3, 1.9)]
         assert system_residual(sols[-1]) <= 1e-12
         assert len(calls) == 1
-        assert all(s._matrix is sols[0]._matrix for s in sols)
+        assert all(s._system is sols[0]._system for s in sols)
 
     def test_shared_arrays_are_read_only(self):
         sol = solve_integral_eq(Measure(1.0, 1.0, 1.0, 0.5), 0.3)
-        with pytest.raises(ValueError):
-            sol.nodes[0] = 0.0
-        with pytest.raises(ValueError):
-            sol.weights[0] = 0.0
-        with pytest.raises(ValueError):
-            sol._matrix[0, 0] = 0.0
+        op = sol._system
+        for shared in (sol.nodes, sol.weights, op.A, op.E, op.R, op.T, op.inv_t, op.S_inv_t):
+            with pytest.raises(ValueError):
+                shared[(0,) * shared.ndim] = 0.0
         sol.u_values[0] += 0.0          # the solution itself is the caller's
 
 
@@ -224,25 +251,56 @@ class TestSpectralIntegration:
         assert np.max(np.abs(got - exact.reshape(-1, per))) <= 1e-14 * panels
 
     def test_panel_layout(self):
-        # up to c3 Delta = 5 the plain n-point Gauss rule; above it panels of
+        # up to 40 nodes and c3 Delta = 5 the plain n-point Gauss rule; above
+        # either, P = max(ceil(c3 Delta / 5), ceil(n / 40)) panels of
         # max(24, ceil(n / P)) nodes each
-        nodes, weights, *_ = fredholm._nystrom_system(Measure(1, 1, 10.0, 0.5), 200)
-        plain = gauss_legendre(200, -0.25, 0.25)
-        assert np.array_equal(nodes, plain[0]) and np.array_equal(weights, plain[1])
+        for n in (16, 40):
+            sol = solve_integral_eq(Measure(1, 1, 10.0, 0.5), 0.0, n=n)
+            plain = gauss_legendre(n, -0.25, 0.25)
+            assert np.array_equal(sol.nodes, plain[0]) and np.array_equal(sol.weights, plain[1])
+            assert (sol.panels, sol.per) == (1, n)
         assert 10.0 * 0.5 == PANEL_C3_WIDTH
-        for c3, n, count in ((np.nextafter(10.0, 11.0), 200, 200), (10.5, 16, 48),
-                             (300.0, 200, 720), (100.0, 400, 400)):
-            nodes, weights, *_ = fredholm._nystrom_system(Measure(1, 1, c3, 0.5), n)
-            assert len(nodes) == count and np.all(np.diff(nodes) > 0)
-            assert -0.25 < nodes[0] and nodes[-1] < 0.25
-            assert abs(np.sum(weights) - 0.5) <= 1e-15
+        for c3, n, panels, per in ((10.0, 41, 2, 24), (10.0, 200, 5, 40), (0.0, 400, 10, 40),
+                                   (np.nextafter(10.0, 11.0), 40, 2, 24), (10.5, 16, 2, 24),
+                                   (300.0, 200, 30, 24), (100.0, 400, 10, 40),
+                                   (2e4, 200, 2000, 24)):
+            sol = solve_integral_eq(Measure(1, 1, c3, 0.5), 0.0, n=n)
+            assert (sol.panels, sol.per, len(sol.nodes)) == (panels, per, panels * per)
+            assert np.all(np.diff(sol.nodes) > 0)
+            assert -0.25 < sol.nodes[0] and sol.nodes[-1] < 0.25
+            assert abs(np.sum(sol.weights) - 0.5) <= 1e-15 * panels
 
     @pytest.mark.parametrize("m", [Measure(1.0, 1.0, 0.0, 0.5), Measure(1.3, 2.1, 1.7, 0.7),
-                                   Measure(1.0, 4.0, 100.0, 0.5)])
+                                   Measure(1.0, 4.0, 100.0, 0.5), Measure(0.5, 0.55, 0.3, 1.2)])
     def test_condition_is_numpys(self, m):
-        sol = solve_integral_eq(m, 0.3)
-        cond = np.linalg.cond(sol._matrix, 1)
-        assert abs(sol.condition_estimate - cond) <= 1e-12 * cond
+        # ||M||_1 exactly, ||M^-1||_1 by Hager-Higham from the widest column
+        # of M: a lower estimate of numpy's cond(M, 1) of the dense matrix.
+        # On 300 random measures it read 0.89 to 1 of it on one panel of 32
+        # nodes and 0.99996 to 1 on five panels of 40 (the uniform start:
+        # 0.88 to 1 at 200 nodes).  At c3 Delta = 50 the panel block has
+        # negative entries: signed column sums would read 2.3e-4 low
+        for n, floor in ((32, 0.85), (200, 0.9999)):
+            sol = solve_integral_eq(m, 0.3, n=n)
+            cond = np.linalg.cond(fredholm._assemble(m, sol.nodes, sol.weights, sol.panels), 1)
+            assert floor * cond <= sol.condition_estimate <= cond * (1.0 + 1e-12)
+
+    def test_condition_estimate_settles_in_two_solves(self, monkeypatch):
+        # started at the widest column of M, Hager's iteration confirms its
+        # first step: one solve with M (two rows) and one with M^T; from e_0
+        # it takes 6 to 8
+        calls = []
+        solve = fredholm._PanelOperator.solve
+
+        def counted(self, b):
+            calls.append(len(b))
+            return solve(self, b)
+
+        monkeypatch.setattr(fredholm._PanelOperator, "solve", counted)
+        for m in (Measure(1.1, 0.9, 0.8, 0.6), Measure(1, 1, 0, 0.5), Measure(1.3, 2.1, 1.7, 0.7)):
+            fredholm._nystrom_system.cache_clear()
+            calls.clear()
+            fredholm._nystrom_system(m, 200)
+            assert calls == [2, 1]
 
 
 class TestClosedFormU:

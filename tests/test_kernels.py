@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import integrate_with_kink, registry_test
+from conftest import aux_A, aux_B, aux_C, integrate_with_kink, registry_test
 
 from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
-                      Measure, NotAdmissible, aux_A, aux_B, aux_C,
-                      k_from_u, kernel_c3zero, kernel_k00, kernel_k0z,
-                      kernel_k0z_grid, mu, quartic_roots, script_L,
-                      solve_integral_eq, sup_g)
+                      Measure, NotAdmissible, k_from_u, kernel_c3zero,
+                      kernel_k00, kernel_k0z, kernel_k0z_grid, mu,
+                      quartic_roots, script_L, solve_integral_eq, sup_g)
 from pairpack.kernels import k0_transform_solution, quartic_residual
 
 

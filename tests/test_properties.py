@@ -7,9 +7,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+import pairpack.fredholm as fredholm  # noqa: E402
 from pairpack import (Measure, ZeroDataset, form_factor, form_factor_positive,  # noqa: E402
                       k_from_u, kernel_k00, kernel_k0z_grid, solve_integral_eq)
 from pairpack.kernels import k0_transform_solution  # noqa: E402
+from pairpack.quadrature import gauss_legendre  # noqa: E402
 from pairpack.verify import K0Z_TOL  # noqa: E402
 
 T = 100.0
@@ -74,6 +76,51 @@ class TestOracleProperties:
         # the oracle's K(w, 0) = conj k_w(0) against conj K(0, w)
         k_w0 = np.conj(k_from_u(solve_integral_eq(m, w), 0.0))
         assert abs(k_w0 - np.conj(complex(kernel_k0z_grid(m, w)))) <= K0Z_TOL
+
+
+def panel_matvec_error(m, panels, per, seed=0):
+    """||M u - A u||_inf / (||A||_inf ||u||_inf) for the panel product M u
+    and the dense matrix A of the same layout (fredholm._assemble), the
+    dense product summed in long double so that its own rounding (about
+    1e-15 of |A| |u| at 2000 nodes in doubles) does not hide the panel
+    product's."""
+    h = m.delta / (2 * panels)
+    x, w = gauss_legendre(per, -h, h)
+    nodes, weights = fredholm._composite_rule(m, x, w, panels)
+    op = fredholm._panel_operator(m, x, w, h, panels)
+    u = np.random.default_rng(seed).standard_normal((2, panels * per))
+    A = fredholm._assemble(m, nodes, weights, panels)
+    exact = u.astype(np.longdouble) @ A.T.astype(np.longdouble)
+    scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(u))
+    return float(np.max(np.abs(op.matvec(u) - exact)) / scale)
+
+
+# any layout: 1 to 40 panels of 24 to 48 nodes, c3 Delta in [0, 200]
+layouts = st.tuples(measures.map(lambda m: (m.c1, m.c2, m.delta)), st.integers(1, 40),
+                    st.integers(24, 48), st.one_of(st.just(0.0), st.floats(0.0, 200.0)))
+
+
+class TestPanelOperatorProperties:
+    @settings(fixed, max_examples=25)
+    @given(layouts)
+    def test_matvec_matches_dense(self, layout):
+        (c1, c2, delta), panels, per, c3_delta = layout
+        m = Measure(c1, c2, c3_delta / delta, delta)
+        assert panel_matvec_error(m, panels, per) <= 1e-15
+
+    def test_planted_coupling_error_fails(self, monkeypatch):
+        # T(H)'s off-diagonal entry H e^{-c3 H} off by 1e-12 relative
+        m = Measure(1.2, 1.5, 3.0, 0.8)
+        assert panel_matvec_error(m, 5, 40) <= 1e-15
+        init = fredholm._PanelOperator.__init__
+
+        def planted(self, A, A_inv, E, R, T, panels):
+            T = T.copy()
+            T[1, 0] *= 1.0 + 1e-12
+            init(self, A, A_inv, E, R, T, panels)
+
+        monkeypatch.setattr(fredholm._PanelOperator, "__init__", planted)
+        assert panel_matvec_error(m, 5, 40) > 1e-15
 
 
 # one measure of each kind the closed forms branch on: c2 = 0, c3 = 0, the
