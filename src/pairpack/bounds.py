@@ -49,7 +49,8 @@ class BoundsReport:
 
     c_nu_upper  : 1 / K(0,0), an upper bound for the optimization constant
                   and hence for the limiting averages.
-    lower_thm1  : 1 + s0 (1/K - 1), always <= 1.
+    lower_thm1  : 1 + s0 (1/K - 1); <= 1 exactly when upper >= 1.  Where
+                  K(0,0) > 1 it exceeds both 1 and ``upper``: the curves cross.
     lower_cor8  : (1/2 + s0 (1/K - 1))_+ + 1/2.
     lower_thm2  : the universal floor 1/2.
     upper       : same as c_nu_upper.
@@ -128,6 +129,9 @@ def figure1_data(c_min: float, c_max: float, steps: int) -> list[tuple[float, fl
     """Rows (c, lower, upper) of the bound curves on a uniform c-grid,
     ready for plotting.  The lower value is the better of the two lower
     bounds (they coincide whenever the clamp is slack)."""
+    for name, value in (("c_min", c_min), ("c_max", c_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (0 <= c_min < c_max):
         raise ValueError("need 0 <= c_min < c_max")
     if steps < 1:

@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import (_SERIES_RADIUS, cosh_scaled, exp_moment, sin_quot,
-                      sinc_band_c, sinh_quot_scaled)
+from .special import _SERIES_RADIUS, exp_moment, sin_quot, sinc_band_c, sinh_quot_scaled
 
 DEGENERACY_RTOL = 1e-9
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
@@ -47,6 +46,11 @@ class CaseTag(enum.Enum):
     PURELY_IMAGINARY = "purely_imaginary"    # lam > 4 c3^2
     CONJUGATE_QUADRANT = "conjugate_quadrant"  # lam < 4 c3^2
     DEGENERATE = "degenerate"                # lam = 4 c3^2
+
+
+# indexed by 2 degenerate + (lam > 4 c3^2)
+_CASE_TAGS = np.array([CaseTag.CONJUGATE_QUADRANT, CaseTag.PURELY_IMAGINARY,
+                       CaseTag.DEGENERATE, CaseTag.DEGENERATE], dtype=object)
 
 
 class LimitPath(enum.Enum):
@@ -96,10 +100,8 @@ def quartic_roots(m: Measure) -> EtaPair:
     eta1 = np.sqrt(eta1_sq)   # principal branch has Re >= 0
     eta2 = np.sqrt(eta2_sq)
     degenerate = abs(eta1_sq - eta2_sq) <= DEGENERACY_RTOL * (abs(eta1_sq) + abs(eta2_sq))
-    tag = np.where(degenerate, CaseTag.DEGENERATE,
-                   np.where(lam > 4.0 * c3 ** 2, CaseTag.PURELY_IMAGINARY,
-                            CaseTag.CONJUGATE_QUADRANT))
-    return EtaPair(eta1=eta1, eta2=eta2, degenerate=degenerate, case_tag=tag[()])
+    tag = _CASE_TAGS[2 * degenerate + (lam > 4.0 * c3 ** 2)]
+    return EtaPair(eta1=eta1, eta2=eta2, degenerate=degenerate, case_tag=tag)
 
 
 def quartic_residual(m: Measure, eta: complex) -> float:
@@ -160,6 +162,9 @@ _ORDERS = np.arange(1, 13)  # terms below 1e-20 of the first at |zeta| L^2 < 0.5
 _FACT_2N = np.array([math.factorial(2 * n) for n in _ORDERS], dtype=float)
 _K01 = np.arange(2)[:, None, None]                              # I_0 and I_1
 _K_TAYLOR = np.stack([2 * _ORDERS, 2 * _ORDERS + 1])[:, None]   # their series
+_EVEN = 2 * np.arange(10)   # (sL)^20 / 20! < 5e-19 at |s L| < 1
+_FACT_EVEN = np.array([math.factorial(j) for j in _EVEN], dtype=float)
+_ODD_DIV = 1.0 / (2 * _ORDERS + _EVEN[:, None] + 1)    # 1 / (2n + 2m + 1)
 
 
 def _power_sums(zeta1, zeta2, L):
@@ -179,16 +184,16 @@ def _power_sums(zeta1, zeta2, L):
     return h, close
 
 
-def _divisor_terms(lam, c3, L, eta1, eta2, h, close):
-    """(Abar, A', Bbar, B') over 1-d arrays of measures.  One moment call
+def _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, h, close):
+    """(Abar, A', Bbar, B') over 1-d arrays of measures, inv_gap =
+    1 / (zeta1 - zeta2) off the close roots.  One moment call
     gives I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3) for k = 0, 1 at both
     roots; one more gives both Taylor rows of the close-root series.  Bbar
     uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly."""
     mom = exp_moment(_K01, np.array([eta1, -eta1, eta2, -eta2]) - c3, L)
     i = mom[:, 0::2] + mom[:, 1::2]                  # (order k, root, measure)
     mean = 0.5 * (i[:, 0] + i[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dd = (i[:, 0] - i[:, 1]) / (eta1 ** 2 - eta2 ** 2)
+    dd = (i[:, 0] - i[:, 1]) * inv_gap
     if close.any():
         # Taylor coefficients of I_k in zeta: 2 phi_{2n+k}(-c3) / (2n)!
         taylor = 2.0 * exp_moment(_K_TAYLOR, -c3[close, None], L[close, None]) / _FACT_2N
@@ -208,9 +213,14 @@ class TransformSolution:
     and cosh(eta2 t).  Both coefficients stay finite where the roots meet.
     ``det`` = A' Bbar - Abar B' is the divisor over eta1^2 - eta2^2.
     ``close`` is set where the divided differences come from the close-root
-    series with the power sums ``power_sums``.  For a batch measure every
-    field is an array of the batch's shape (``power_sums`` with one more,
-    trailing axis).
+    series with the power sums ``power_sums``.  The section is
+    K(0, z) = sum_r weights_r e^{-shifts_r L} sinh((s + offsets_r) L) /
+    (s + offsets_r), s = 2 pi i z, over five rows: offsets (eta1, eta2, -eta1,
+    -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1, w2, w1, w2, 2 mu),
+    w1,2 = p_scaled/2 +- q_scaled/(eta1^2 - eta2^2); where ``close`` is set,
+    w1,2 = p_scaled/2 and q_scaled times the series of C' is added.  For a
+    batch measure every field is an array of the batch's shape (the rows and
+    ``power_sums`` with one more, trailing axis), and every array is read-only.
 
     The coefficients are stored with the exponential damping e^{-c3 Delta/2}
     factored out: both right-hand sides of the defining linear system carry
@@ -227,12 +237,16 @@ class TransformSolution:
     scale: float        # c3 * delta / 2
     power_sums: np.ndarray
     close: bool
+    offsets: np.ndarray
+    shifts: np.ndarray
+    weights: np.ndarray
 
     def endpoint_value(self, m: Measure) -> complex:
         """u0 at the endpoint Delta/2 (used by far-field tail corrections)."""
         L = m.delta / 2.0
         e1, e2 = self.roots.eta1, self.roots.eta2
-        c1, c2 = cosh_scaled(e1, L, m.c3), cosh_scaled(e2, L, m.c3)
+        # e^{-c3 L} cosh(eta L): both exponents are nonpositive for large c3
+        c1, c2 = ((np.exp((e - m.c3) * L) + np.exp(-(e + m.c3) * L)) / 2.0 for e in (e1, e2))
         series = np.exp(-self.scale) * np.sum(
             self.power_sums * np.expand_dims(L, -1) ** (2 * _ORDERS) / _FACT_2N, axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,8 +257,8 @@ class TransformSolution:
 def k0_transform_solution(m: Measure) -> TransformSolution:
     """The section's TransformSolution (c2 > 0, c3 > 0).  One measure's is
     cached: a bounds sweep and an oracle cross-check each evaluate several
-    sections of one measure, and the returned object and its
-    ``power_sums`` are shared and read-only.  A batch is solved in one
+    sections of one measure, and the returned object and its arrays are
+    shared and read-only.  A batch is solved in one
     uncached pass."""
     return _cached_solution(m) if np.ndim(m.c3) == 0 else _transform_solution(m)
 
@@ -254,20 +268,26 @@ def _transform_solution(m: Measure) -> TransformSolution:
     shape = np.shape(m.c3)
     c1, c2, c3, eta1, eta2 = (np.ravel(v) for v in (m.c1, m.c2, m.c3, roots.eta1, roots.eta2))
     L, lam = np.ravel(m.delta) / 2.0, c2 / c1
-    h, close = _power_sums(eta1 ** 2, eta2 ** 2, L)
-    a, a_dd, b, b_dd = _divisor_terms(lam, c3, L, eta1, eta2, h, close)
+    zeta1, zeta2 = eta1 ** 2, eta2 ** 2
+    h, close = _power_sums(zeta1, zeta2, L)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_gap = np.where(close, 0.0, 1.0 / (zeta1 - zeta2))
+    a, a_dd, b, b_dd = _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, h, close)
     det = a_dd * b - a * b_dd
     # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
     denom = c1 * (2.0 * c2 + c3 ** 2 * c1)
     rho1 = 2.0 * c2 * (1.0 + c3 * L) / denom
     rho2 = 4.0 * c2 * c3 ** 2 / denom
-    h = h.reshape(shape + _ORDERS.shape)
-    h.flags.writeable = False
-    fields = dict(p_scaled=-(rho1 * b_dd + rho2 * a_dd) / det, det=det,
-                  q_scaled=(rho1 * b + rho2 * a) / det, mu=np.ravel(mu(m)), scale=c3 * L,
-                  close=close)
-    return TransformSolution(roots=roots, power_sums=h,
-                             **{k: v.reshape(shape)[()] for k, v in fields.items()})
+    p, q, mu_v = -(rho1 * b_dd + rho2 * a_dd) / det, (rho1 * b + rho2 * a) / det, np.ravel(mu(m))
+    w1, w2, zero = 0.5 * p + q * inv_gap, 0.5 * p - q * inv_gap, np.zeros_like(c3)
+    fields = dict(p_scaled=p, q_scaled=q, det=det, mu=mu_v, scale=c3 * L, close=close,
+                  power_sums=h, offsets=np.array([eta1, eta2, -eta1, -eta2, zero]).T,
+                  shifts=np.array([c3, c3, c3, c3, zero]).T,
+                  weights=np.array([w1, w2, w1, w2, 2.0 * mu_v]).T)
+    for name, v in fields.items():
+        fields[name] = v = v.reshape(shape + v.shape[1:])
+        v.flags.writeable = False
+    return TransformSolution(roots=roots, **{k: v[()] for k, v in fields.items()})
 
 
 _cached_solution = functools.lru_cache(maxsize=8)(_transform_solution)
@@ -284,58 +304,60 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
                             limit_path=LimitPath.DEGENERATE_ETA if close else LimitPath.NONE)
 
 
-def _aux_C_split(m: Measure, sol: TransformSolution, z):
-    """Mean and eta^2-divided difference of e^{-c3 Delta/2} C(eta, z), the
-    measures broadcast against z.  C is the sum of two scaled sinh
-    quotients, overflow-free for large c3.
+def _aux_C_split(m: Measure, sol: TransformSolution, s, close):
+    """q_scaled times the eta^2-divided difference of e^{-c3 Delta/2}
+    C(eta, z) at the entries of the mask ``close`` over the measures
+    broadcast against s = 2 pi i z: the measures whose roots are close,
+    where the five-row sum leaves it out.  C is the sum of two sinh
+    quotients.
 
-    For close roots the difference is the moment series sum_n h_n M_2n(s) /
-    (2n)!, M_j(s) = integral of t^j e^{s t} over the support, where |s L| is
-    inside exp_moment's series region.  Elsewhere it follows from
-    C = N(zeta) / (s^2 - zeta), N = 2 s sinh(sL) cosh(eta L) - 2 cosh(sL)
-    eta sinh(eta L), as Nbar g' + N' gbar with g = 1 / (s^2 - zeta); there
-    |s^2 - zeta| L^2 > 1/2, so g stays bounded.
+    The difference is the moment series sum_n h_n M_2n(s) / (2n)!,
+    M_j(s) = integral of t^j e^{s t} over the support, where |s L| < 1.
+    Elsewhere it follows from C = N(zeta) / (s^2 - zeta), N = 2 s sinh(sL)
+    cosh(eta L) - 2 cosh(sL) eta sinh(eta L), as Nbar g' + N' gbar with
+    g = 1 / (s^2 - zeta); there |s^2 - zeta| L^2 > 1/2, so g stays bounded.
     """
-    L, e1, e2 = m.delta / 2.0, sol.roots.eta1, sol.roots.eta2
-    s = 2j * np.pi * z
-    q = sinh_quot_scaled(np.array([e1 + s, e2 + s, s - e1, s - e2]), L, m.c3)
-    v1, v2 = q[0] + q[2], q[1] + q[3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dd = np.asarray((v1 - v2) / (e1 ** 2 - e2 ** 2))
-    if sol.close.any():
-        close = np.broadcast_to(sol.close, dd.shape)
-
-        def pick(x, *tail):
-            return np.broadcast_to(x, dd.shape + tail)[close]
-        s, L, e1, e2 = pick(s), pick(L), pick(e1), pick(e2)
-        h = pick(sol.power_sums, len(_ORDERS))
-        series = np.empty_like(s)
-        small = np.abs(s * L) < _SERIES_RADIUS
-        if small.any():
-            ss, Ls = s[small, None], L[small, None]
-            moments = exp_moment(2 * _ORDERS, np.array([ss, -ss]), Ls).sum(axis=0)
-            series[small] = np.sum(h[small] / _FACT_2N * moments, axis=-1)
-        big = ~small
-        if big.any():
-            sb, Lb, hb = s[big], L[big], h[big]
-            e = np.array([e1[big], e2[big]])
-            cosh_l, eta_sinh_l = np.cosh(e * Lb), e * np.sinh(e * Lb)
-            odd = hb * Lb[:, None] ** (2 * _ORDERS - 1) / _FACT_2N    # h_n L^(2n-1) / (2n)!
-            cosh_l_dd, eta_sinh_l_dd = (odd * Lb[:, None]).sum(-1), (odd * 2 * _ORDERS).sum(-1)
-            a, b = 2.0 * sb * np.sinh(sb * Lb), 2.0 * np.cosh(sb * Lb)
-            g1, g2 = 1.0 / (sb * sb - e[0] ** 2), 1.0 / (sb * sb - e[1] ** 2)
-            series[big] = ((a * cosh_l.mean(axis=0) - b * eta_sinh_l.mean(axis=0)) * g1 * g2
-                           + (a * cosh_l_dd - b * eta_sinh_l_dd) * 0.5 * (g1 + g2))
-        dd[close] = np.exp(-pick(sol.scale)) * series
-    return 0.5 * (v1 + v2), dd
+    def pick(x, *tail):
+        return np.broadcast_to(x, close.shape + tail)[close]
+    s, L, e1, e2 = pick(s), pick(m.delta / 2.0), pick(sol.roots.eta1), pick(sol.roots.eta2)
+    h = pick(sol.power_sums, len(_ORDERS))
+    series = np.empty_like(s)
+    small = np.abs(s * L) < _SERIES_RADIUS
+    if small.any():
+        # M_2n(s) + M_2n(-s) = 2 sum_m s^2m L^(2n+2m+1) / ((2m)! (2n+2m+1)),
+        # both sums taken in sequence from their smallest terms
+        ss, Ls = s[small], L[small]
+        even = (ss * Ls)[:, None] ** _EVEN / _FACT_EVEN
+        odd = h[small] * Ls[:, None] ** (2 * _ORDERS) / _FACT_2N
+        inner = np.cumsum(odd[:, None, ::-1] * _ODD_DIV[:, ::-1], axis=-1)[..., -1]
+        series[small] = 2.0 * Ls * np.cumsum((even * inner)[:, ::-1], axis=-1)[:, -1]
+    big = ~small
+    if big.any():
+        sb, Lb, hb = s[big], L[big], h[big]
+        e = np.array([e1[big], e2[big]])
+        cosh_l, eta_sinh_l = np.cosh(e * Lb), e * np.sinh(e * Lb)
+        odd = hb * Lb[:, None] ** (2 * _ORDERS - 1) / _FACT_2N    # h_n L^(2n-1) / (2n)!
+        cosh_l_dd, eta_sinh_l_dd = (odd * Lb[:, None]).sum(-1), (odd * 2 * _ORDERS).sum(-1)
+        a, b = 2.0 * sb * np.sinh(sb * Lb), 2.0 * np.cosh(sb * Lb)
+        g1, g2 = 1.0 / (sb * sb - e[0] ** 2), 1.0 / (sb * sb - e[1] ** 2)
+        series[big] = ((a * cosh_l.mean(axis=0) - b * eta_sinh_l.mean(axis=0)) * g1 * g2
+                       + (a * cosh_l_dd - b * eta_sinh_l_dd) * 0.5 * (g1 + g2))
+    return pick(sol.q_scaled) * np.exp(-pick(sol.scale)) * series
 
 
 def _k0z_section(m: Measure, z):
-    """K(0, z) for c2 > 0, c3 > 0; the measures broadcast against z."""
+    """K(0, z) for c2 > 0, c3 > 0, the measures broadcast against z: one
+    quotient call over the five rows of TransformSolution."""
     sol = k0_transform_solution(m)
-    c_mean, c_dd = _aux_C_split(m, sol, z)
-    sinc_term = 2.0 * sin_quot(2.0 * np.pi * z, m.delta / 2.0)
-    return sol.p_scaled * c_mean + sol.q_scaled * c_dd + sol.mu * sinc_term
+    s = 2j * np.pi * z
+    quot = sinh_quot_scaled(s[..., None] + sol.offsets, np.asarray(m.delta / 2.0)[..., None],
+                            sol.shifts)
+    val = np.sum(sol.weights * quot, axis=-1)
+    if sol.close.any():
+        val = np.array(val)             # writable, also at one measure and one z
+        close = np.broadcast_to(sol.close, val.shape)
+        val[close] += _aux_C_split(m, sol, s, close)
+    return val
 
 
 def kernel_k00(m: Measure, extended: bool = False) -> float:
@@ -366,14 +388,11 @@ def _coeff_abc(m: Measure, w: complex):
     return a, b, c
 
 
-def _qr_transforms(m: Measure, z: complex):
-    """q(z), r(z): transforms of cos(om t) and sin(om t) over the support."""
-    om = np.sqrt(2.0 * m.c2 / m.c1)
-    L = m.delta / 2.0
-    s = 2.0 * np.pi * z
-    q = sin_quot(s + om, L) + sin_quot(s - om, L)
-    r = 1j * (sin_quot(s - om, L) - sin_quot(s + om, L))
-    return q, r
+def _a0(m: Measure):
+    """a(0) = 2 / (c1 (2 cos(th) + 2 th sin(th))), th = om Delta / 2, the one
+    coefficient left at w = 0 (b(0) = c(0) = 0); 1/c1 for a pure atom."""
+    th = np.sqrt(2.0 * m.c2 / m.c1) * m.delta / 2.0
+    return 2.0 / (m.c1 * (2.0 * np.cos(th) + 2.0 * th * np.sin(th)))
 
 
 def _near_coeff_zero(m: Measure, v: complex) -> bool:
@@ -384,11 +403,14 @@ def _near_coeff_zero(m: Measure, v: complex) -> bool:
 
 
 def _kernel_c3zero_raw(m: Measure, w: complex, z: complex) -> complex:
+    # a q(z) + b r(z) + 2 c sin(2 pi (z - wb) L) / (2 pi (z - wb)), q and r
+    # the transforms of cos(om t) and sin(om t): three quotients, one call
     wb = np.conj(w)
     a, b, c = _coeff_abc(m, wb)
-    q, r = _qr_transforms(m, z)
-    sinc_term = 2.0 * sin_quot(2.0 * np.pi * (z - wb), m.delta / 2.0)
-    return a * q + b * r + c * sinc_term
+    s, om = 2.0 * np.pi * z, np.sqrt(2.0 * m.c2 / m.c1)
+    plus, minus, shifted = sin_quot(np.array([s + om, s - om, 2.0 * np.pi * (z - wb)]),
+                                    m.delta / 2.0)
+    return a * (plus + minus) + 1j * b * (minus - plus) + 2.0 * c * shifted
 
 
 def kernel_c3zero(m: Measure, w: complex, z: complex,
@@ -428,31 +450,30 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
 # vectorized section evaluation
 # ---------------------------------------------------------------------------
 
-def _k0z_atom(m: Measure, z):
-    return sinc_band_c(m.delta, z) / m.c1
-
-
 def _k0z_c3zero(m: Measure, z):
-    # b(0) = c(0) = 0, so the section collapses to a(0) q(z)
-    return _coeff_abc(m, 0.0)[0] * _qr_transforms(m, z)[0]
+    """K(0, z) = a(0) q(z) for c3 = 0 or a pure atom (c2 = 0, om = 0), the
+    two rows of q(z) = sum_+- sin((2 pi z +- om) L) / (2 pi z +- om) in one call."""
+    om = np.multiply.outer(np.sqrt(2.0 * m.c2 / m.c1), [1.0, -1.0])
+    q = sin_quot(2.0 * np.pi * z[..., None] + om, np.asarray(m.delta / 2.0)[..., None])
+    return _a0(m) * np.sum(q, axis=-1)
 
 
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
-    """K(0, z) over an array of points, for any c3 >= 0.  For a batch measure
-    the result has the batch's shape followed by z's: the regimes (pure
-    atom, c3 = 0, the c3 > 0 section) are masks over the batch, and each
-    regime's measures are evaluated in one call."""
+    """K(0, z) over an array of points, for any c3 >= 0: one quotient call
+    per regime, over two rows (c3 = 0 or a pure atom) or the section's five
+    cached rows (plus the close-root series where the roots nearly meet).
+    For a batch measure the result has the batch's shape followed by z's,
+    and the regimes are masks over the batch."""
     m.require_admissible(extended=extended)
     z = np.asarray(z, dtype=complex)
     if np.ndim(m.c1) == 0:
-        regime = _k0z_atom if m.c2 == 0.0 else _k0z_c3zero if m.c3 == 0.0 else _k0z_section
+        regime = _k0z_section if m.c2 > 0.0 and m.c3 > 0.0 else _k0z_c3zero
         return np.asarray(regime(m, z))
     c1, c2, c3, delta = (np.reshape(v, (-1,) + (1,) * z.ndim)
                          for v in (m.c1, m.c2, m.c3, m.delta))
     out = np.empty(c1.shape[:1] + z.shape, dtype=complex)
-    for mask, regime in ((c2 == 0.0, _k0z_atom), ((c2 > 0.0) & (c3 == 0.0), _k0z_c3zero),
-                         ((c2 > 0.0) & (c3 > 0.0), _k0z_section)):
-        mask = mask.ravel()
+    section = ((c2 > 0.0) & (c3 > 0.0)).ravel()
+    for mask, regime in ((~section, _k0z_c3zero), (section, _k0z_section)):
         if mask.any():
             out[mask] = regime(Measure(c1[mask], c2[mask], c3[mask], delta[mask]), z)
     return out.reshape(np.shape(m.c1) + z.shape)
@@ -465,7 +486,6 @@ def k0_endpoint_value(m: Measure) -> float:
     m.require_single()
     if m.c3 > 0.0 and m.c2 > 0.0:
         return float(k0_transform_solution(m).endpoint_value(m).real)
-    # u0(t) = a(0) cos(om t) and K(0, 0) = a(0) q(0); om = 0 for a pure atom
-    om = np.sqrt(2.0 * m.c2 / m.c1)
-    q0, _ = _qr_transforms(m, 0.0)
-    return float(kernel_k00(m, extended=True) * np.cos(om * m.delta / 2.0) / q0.real)
+    # u0(t) = a(0) cos(om t); om = 0 for a pure atom
+    m.require_admissible(extended=True)
+    return float(_a0(m) * np.cos(np.sqrt(2.0 * m.c2 / m.c1) * m.delta / 2.0))

@@ -4,9 +4,10 @@ sinc-type quotients with removable zeros.
 
 All functions accept complex scalars or arrays, and ``L`` (and ``shift``) may
 be arrays that broadcast against the arguments: one call then evaluates a
-batch of measures.  Near the cancellation-prone region |s| L < 1 they switch
-to truncated power series, summed from one table of powers of s L; the
-switch radius keeps both branches well inside 1e-13 relative accuracy.
+batch of measures.  The moment integrals switch to a truncated power series
+where |s| L < 1, summed from one table of powers of s L; the switch radius
+keeps both branches well inside 1e-13 relative accuracy.  The sinh and sin
+quotients need no switch: one expm1 formula holds for every s.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ _SERIES_RADIUS = 1.0
 _SERIES_TERMS = 20          # (1/20!) < 5e-19: the truncation error at |s L| = 1
 _J = np.arange(_SERIES_TERMS)
 _FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
-# ratios (2j+2)(2j+3) of consecutive odd factorials: the series of sin(sL)/s
-# and sinh(sL)/s to the term (sL)^18 / 19!
-_ODD_STEPS = np.array([(2.0 * j + 2) * (2 * j + 3) for j in range(_SERIES_TERMS // 2 - 1)])
 
 
 def exp_moment(k, s, L):
@@ -36,7 +34,10 @@ def exp_moment(k, s, L):
     k = np.asarray(k)
     if (k < 0).any():
         raise ValueError("order k must be >= 0")
-    k, s, L = np.broadcast_arrays(k, np.asarray(s, dtype=complex), np.asarray(L, dtype=float))
+    # broadcast by adding zeros, at a fifth of np.broadcast_arrays' cost
+    s, L = np.asarray(s, dtype=complex), np.asarray(L, dtype=float)
+    zero = np.zeros(np.broadcast(k, s, L).shape)
+    k, s, L = k + zero, s + zero, L + zero
     x = s * L
     small = np.abs(x) < _SERIES_RADIUS
     out = np.empty(x.shape, dtype=complex)
@@ -61,59 +62,32 @@ def exp_moment(k, s, L):
     return complex(out) if out.ndim == 0 else out
 
 
-def _series_quot(s, L, sign: float):
-    """sum_j (sign)^j (sL)^{2j} L / (2j+1)!  (sin for sign=-1, sinh for +1):
-    the terms are one cumulative product of L and the ratios
-    sign (sL)^2 / ((2j+2)(2j+3)), summed in sequence."""
-    ratios = np.empty(s.shape + (len(_ODD_STEPS) + 1,), dtype=complex)
-    ratios[..., 0] = L
-    ratios[..., 1:] = (sign * (s * L) ** 2)[..., None] / _ODD_STEPS
-    return np.cumsum(np.cumprod(ratios, axis=-1), axis=-1)[..., -1]
+def sinh_quot_scaled(s, L, shift):
+    """e^{-shift L} sinh(s L) / s for every complex s (L e^{-shift L} at s = 0).
 
-
-def _quotient(s, L, shift, sign: float, direct):
-    """e^{-shift L} sin(sL)/s (sign -1) or sinh(sL)/s (sign +1): the series
-    where |s| L < 1, ``direct(s, L, shift)`` elsewhere."""
-    s, L, shift = (np.asarray(s, dtype=complex), np.asarray(L, dtype=float),
-                   np.asarray(shift, dtype=float))
-    if L.ndim or shift.ndim:
-        s, L, shift = np.broadcast_arrays(s, L, shift)
-
-    def at(a, mask):
-        return a[mask] if a.ndim else a
-    small = np.abs(s) * L < _SERIES_RADIUS
-    out = np.empty(s.shape, dtype=complex)
-    if small.any():
-        Ls = at(L, small)
-        out[small] = np.exp(-at(shift, small) * Ls) * _series_quot(s[small], Ls, sign)
-    big = ~small
-    if big.any():
-        out[big] = direct(s[big], at(L, big), at(shift, big))
-    return complex(out) if out.ndim == 0 else out
-
-
-def sin_quot(s, L):
-    """sin(s L) / s with the removable zero at s = 0 filled by series."""
-    return _quotient(s, L, 0.0, -1.0, lambda s, L, _: np.sin(s * L) / s)
+    The quotient is even in s: s is reflected into Re s >= 0 and evaluated as
+    L e^{(s - shift) L} expm1(y) / y, y = -2 s L, which neither cancels near
+    s = 0 nor overflows while (|Re s| - shift) L < 709, so shift L may run
+    into the thousands.  Scalars are evaluated as 1-element arrays, so a
+    scalar call and a batched one round alike.
+    """
+    scalar = np.ndim(s) == 0 and np.ndim(L) == 0 and np.ndim(shift) == 0
+    s = np.array(s, dtype=complex, ndmin=1, copy=None)
+    s = s * np.copysign(1.0, s.real)
+    y = -2.0 * L * s
+    exprel = np.divide(np.expm1(y), y, out=np.ones_like(y), where=y != 0.0)
+    out = L * np.exp((s - shift) * L) * exprel
+    return complex(out[0]) if scalar else out
 
 
 def sinh_quot(s, L):
-    """sinh(s L) / s with the removable zero at s = 0 filled by series."""
-    return _quotient(s, L, 0.0, 1.0, lambda s, L, _: np.sinh(s * L) / s)
+    """sinh(s L) / s, with the value L at s = 0."""
+    return sinh_quot_scaled(s, L, 0.0)
 
 
-def sinh_quot_scaled(s, L, shift):
-    """e^{-shift L} sinh(s L) / s, stable when |Re s| is close to ``shift``
-    (both exponentials then have nonpositive real exponents of moderate
-    size, so nothing overflows even for shift L in the hundreds)."""
-    return _quotient(s, L, shift, 1.0, lambda s, L, c: (np.exp((s - c) * L)
-                                                         - np.exp(-(s + c) * L)) / (2.0 * s))
-
-
-def cosh_scaled(s, L: float, shift: float):
-    """e^{-shift L} cosh(s L), same stabilization as sinh_quot_scaled."""
-    s = np.asarray(s, dtype=complex)
-    return (np.exp((s - shift) * L) + np.exp(-(s + shift) * L)) / 2.0
+def sin_quot(s, L):
+    """sin(s L) / s = sinh(i s L) / (i s), with the value L at s = 0."""
+    return sinh_quot_scaled(1j * np.asarray(s, dtype=complex), L, 0.0)
 
 
 def sinc_band(delta: float, x, center=0.0):

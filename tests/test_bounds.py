@@ -140,6 +140,9 @@ class TestFigure1:
             figure1_data(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             figure1_data(0.0, 1.0, 0)
+        for c_min, c_max, name in ((0.0, np.inf, "c_max"), (np.nan, 1.0, "c_min")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                figure1_data(c_min, c_max, 10)
 
 
 class TestGonekKi:

@@ -203,6 +203,15 @@ class TestFigure1Command:
         assert lo0 == pytest.approx(0.746708, abs=5e-4)
         assert up0 == pytest.approx(2.16599, abs=5e-4)
 
+    def test_non_finite_range_is_one(self):
+        # refused before the c-grid is built: no numpy warning on stderr
+        proc = subprocess.run([sys.executable, "-m", "pairpack.cli", "figure1",
+                               "--c-min", "0", "--c-max", "inf"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: c_max must be finite, got inf\n"
+
 
 class TestBoundsCommand:
     def test_selberg_degree(self, capsys):

@@ -8,7 +8,7 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, k_from_u, kernel_c3zero,
                       kernel_k00, kernel_k0z, kernel_k0z_grid, mu,
                       quartic_roots, script_L, solve_integral_eq, sup_g)
-from pairpack.kernels import k0_transform_solution, quartic_residual
+from pairpack.kernels import k0_endpoint_value, k0_transform_solution, quartic_residual
 
 
 class TestQuarticRoots:
@@ -208,6 +208,15 @@ class TestKernelC3Zero:
     def test_wrong_regime(self):
         with pytest.raises(InvalidRegime):
             kernel_c3zero(Measure(1, 1, 1.0, 0.5), 0.0, 0.0)
+
+    def test_endpoint_value_c3zero_and_atom(self):
+        # u0(Delta/2) = a(0) cos(om Delta/2) against the oracle's endpoint
+        # value (measured within 9e-16); 1/c1 for a pure atom at any c3
+        for m in (Measure(1.0, 1.0, 0.0, 0.5), Measure(1.3, 2.0, 0.0, 0.9),
+                  Measure(0.8, 0.0, 0.0, 0.5)):
+            u_end = solve_integral_eq(m, 0.0).interpolate(np.array([m.delta / 2.0]))[0]
+            assert k0_endpoint_value(m) == pytest.approx(u_end.real, abs=1e-14)
+        assert k0_endpoint_value(Measure(0.8, 0.0, 2.0, 0.5)) == 1.0 / 0.8
 
 
 class TestKernelK0z:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import pairpack.fredholm as fredholm  # noqa: E402
-from pairpack import (Measure, ZeroDataset, form_factor, form_factor_positive,  # noqa: E402
-                      k_from_u, kernel_k00, kernel_k0z_grid, solve_integral_eq)
+from pairpack import (Measure, ZeroDataset, average_bounds, form_factor,  # noqa: E402
+                      form_factor_positive, k_from_u, kernel_k00, kernel_k0z_grid,
+                      solve_integral_eq)
 from pairpack.kernels import k0_transform_solution  # noqa: E402
 from pairpack.quadrature import gauss_legendre  # noqa: E402
 from pairpack.verify import K0Z_TOL  # noqa: E402
@@ -165,3 +166,24 @@ class TestMeasureBatches:
             for name in ("p_scaled", "q_scaled", "det", "mu", "scale"):
                 np.testing.assert_allclose(getattr(batch, name)[i], getattr(one, name),
                                            rtol=1e-15, atol=0, err_msg=name)
+
+
+class TestBoundsProperties:
+    # K(0,0) > 1 (here 2.4, upper = 0.417) puts lower_thm1 above 1 and upper
+    @fixed
+    @given(batches)
+    @example([(0.5, 0.0, 0.0, 1.2)])
+    def test_bounds_relations(self, rs):
+        # lower_cor8 = max(lower_thm1, 1/2) to rounding; the clamp binds
+        # exactly when lower_thm1 < 1/2; lower_thm1 <= 1 exactly when
+        # upper >= 1.  The two equivalences are checked away from the
+        # rounding-level neighbourhood of their thresholds.
+        for m in [Measure(*np.array(rs).T)] + [Measure(*r) for r in rs]:
+            rep = average_bounds(m)
+            thm1, cor8, upper = (np.atleast_1d(v) for v in (rep.lower_thm1, rep.lower_cor8,
+                                                            rep.upper))
+            np.testing.assert_allclose(cor8, np.maximum(thm1, 0.5), rtol=4.5e-16, atol=0)
+            clamp, decided = np.atleast_1d(rep.clamp_active), np.abs(thm1 - 0.5) > 1e-15
+            np.testing.assert_array_equal(clamp[decided], (thm1 < 0.5)[decided])
+            decided = np.abs(upper - 1.0) > 1e-15
+            np.testing.assert_array_equal((thm1 <= 1.0)[decided], (upper >= 1.0)[decided])
