@@ -25,6 +25,7 @@ from .measures import Measure
 from .quadrature import bisect
 
 THEOREM2_FLOOR = 0.5
+_REFUTATION_XTOL = 1e-6      # refutation_threshold's bisection tolerance in ell
 
 
 @functools.lru_cache(maxsize=1)
@@ -134,6 +135,8 @@ def figure1_data(c_min: float, c_max: float, steps: int) -> list[tuple[float, fl
             raise ValueError(f"{name} must be finite, got {value}")
     if not (0 <= c_min < c_max):
         raise ValueError("need 0 <= c_min < c_max")
+    if not math.isfinite(4.0 * c_max):
+        raise ValueError(f"c_max must keep c3 = 4 c_max finite, got {c_max:g}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     cs = np.linspace(c_min, c_max, steps + 1)
@@ -163,14 +166,13 @@ def gonek_ki_conjectured_average(b: float, ell: float, c: float) -> float:
     return float(np.exp(-4.0 * c * b) * (-np.expm1(-x)) / (2.0 * x))
 
 
-def refutation_threshold(c: float, b: float, floor: float = THEOREM2_FLOOR,
-                         tol: float = 1e-6) -> float:
+def refutation_threshold(c: float, b: float, floor: float = THEOREM2_FLOOR) -> float:
     """Smallest ell at which the conjectured average drops below ``floor``.
 
     The average decreases in ell from its ell -> 0 limit e^{-4 c b} / 2, so
-    the crossing is found by bracketing and bisection to ``tol``.  Returns
-    0.0 when the average is already below the floor in the ell -> 0 limit;
-    for the default floor 1/2 that is always the case when c > 0.
+    the crossing is found by bracketing and bisection to _REFUTATION_XTOL.
+    Returns 0.0 when the average is already below the floor in the ell -> 0
+    limit; for the default floor 1/2 that is always the case when c > 0.
     """
     if c <= 0:
         raise ValueError("c must be > 0")
@@ -185,4 +187,4 @@ def refutation_threshold(c: float, b: float, floor: float = THEOREM2_FLOOR,
         if hi > 1e12:
             raise RuntimeError("no crossing found below ell = 1e12")
     return bisect(lambda ell: gonek_ki_conjectured_average(b, ell, c) - floor,
-                  lo, hi, xtol=tol)
+                  lo, hi, xtol=_REFUTATION_XTOL)

@@ -41,6 +41,9 @@ _TILE = 128                  # ordinates per side of a weight tile (128 KB, stay
 _ALPHA_BATCH = 64            # alphas per pass over the weight tiles
 MAX_ORDINATES = 100_000      # one alpha at 1e5 ordinates: 35 s, peak RSS 37 MB (2-vCPU Xeon)
 MAX_ALPHAS = 10 ** 6         # largest alpha grid of an average
+_U_CUTOFF = 10.0             # form_factor_positive's |u| range: e^{-40 pi} < 1e-54
+_FEJER_GRID = 2001           # fejer_check's grid points on each membership condition
+_LATTICE_TERMS = 2000        # fejer_poisson_check's summed terms; the tail is in closed form
 
 
 class Window(enum.Enum):
@@ -194,20 +197,17 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
     return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
 
 
-def form_factor_positive(ds: ZeroDataset, T: float, alpha: float,
-                         u_cutoff: float = 10.0) -> float:
+def form_factor_positive(ds: ZeroDataset, T: float, alpha: float) -> float:
     """The same quantity through the positive-definite representation
 
         2 pi * integral e^{-4 pi |u|} | sum_g T^{i lam alpha g} e^{2 pi i g u} |^2 du,
 
-    truncated at |u| <= u_cutoff (the integrand dies like e^{-4 pi u}).
+    truncated at |u| <= _U_CUTOFF (the integrand dies like e^{-4 pi u}).
     Nonnegative by construction.  A non-finite alpha or T raises ValueError.
     """
     norm = _normalizer(ds, T)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    if u_cutoff <= 0:
-        raise ValueError("u_cutoff must be > 0")
     g = ds.in_window(T)
     if len(g) == 0:
         raise EmptyWindow(f"no ordinates in the {ds.window.value} window for T={T}")
@@ -221,7 +221,7 @@ def form_factor_positive(ds: ZeroDataset, T: float, alpha: float,
 
     spread = max(float(g[-1] - g[0]), 1.0)
     val = 0.0
-    for (a, b) in ((-u_cutoff, 0.0), (0.0, u_cutoff)):   # kink of e^{-4 pi |u|}
+    for (a, b) in ((-_U_CUTOFF, 0.0), (0.0, _U_CUTOFF)):   # kink of e^{-4 pi |u|}
         pts, wts = panel_rule(a, b, panel_length=0.25 / spread, order=16)
         val += float(np.dot(wts, integrand(pts)))
     return 2.0 * np.pi * val / norm
@@ -325,19 +325,19 @@ def fejer_witness(beta: float, x):
     return beta * np.sinc(arg) ** 2
 
 
-def fejer_check(beta: float, grid_points: int = 2001) -> float:
-    """Verify the witness membership conditions on a grid and return its
-    value at the origin, which is exactly beta (the optimum of the
-    second extremal problem).  Raises InfeasibleWitness when a membership
-    condition fails."""
+def fejer_check(beta: float) -> float:
+    """Verify the witness membership conditions on grids of _FEJER_GRID
+    points and return its value at the origin, which is exactly beta (the
+    optimum of the second extremal problem).  Raises InfeasibleWitness when
+    a membership condition fails."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    a = np.linspace(-2.0 * beta, 2.0 * beta, grid_points)
+    a = np.linspace(-2.0 * beta, 2.0 * beta, _FEJER_GRID)
     triangle = np.maximum(1.0 - np.abs(a) / beta, 0.0)
     indicator = (np.abs(a) <= beta).astype(float)
     if np.any(triangle > indicator + 1e-15):
         raise InfeasibleWitness("transform exceeds the indicator")
-    x = np.linspace(-50.0, 50.0, grid_points)
+    x = np.linspace(-50.0, 50.0, _FEJER_GRID)
     if np.any(fejer_witness(beta, x) < -1e-15):
         raise InfeasibleWitness("witness is negative somewhere")
     return float(fejer_witness(beta, 0.0))
@@ -362,10 +362,11 @@ def _trigamma(x: float) -> float:
     return head + (inv + 0.5 * inv2 + inv * inv2 * tail)
 
 
-def fejer_poisson_check(beta: float, n_max: int = 2000) -> tuple[float, float, float]:
+def fejer_poisson_check(beta: float) -> tuple[float, float, float]:
     """Both sides of the lattice identity  sum_n g(n) = sum_k g_hat(k)  for
-    the rescaled triangle witness, with the left tail beyond n_max evaluated
-    in closed form.  Returns (lhs, rhs, |lhs - rhs|).
+    the rescaled triangle witness, with the left tail beyond
+    N = _LATTICE_TERMS evaluated in closed form.  Returns (lhs, rhs,
+    |lhs - rhs|).
 
     Tail machinery: g(n) = sin^2(pi beta n) / (pi^2 beta n^2) for n != 0,
     and sum_{n>N} n^{-2} = psi'(N+1)  while
@@ -374,12 +375,12 @@ def fejer_poisson_check(beta: float, n_max: int = 2000) -> tuple[float, float, f
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    n = np.arange(1, n_max + 1, dtype=float)
+    n = np.arange(1, _LATTICE_TERMS + 1, dtype=float)
     s2 = np.sin(np.pi * beta * n) ** 2
     lhs = beta + (2.0 / (np.pi ** 2 * beta)) * float(np.sum(s2 / n ** 2))
     # analytic tail: sum_{n>N} (1 - cos(2 pi beta n)) / (2 n^2), both sides
     frac = beta - np.floor(beta)
-    tail_one = _trigamma(n_max + 1.0)
+    tail_one = _trigamma(_LATTICE_TERMS + 1.0)
     cos_full = np.pi ** 2 * (frac * frac - frac + 1.0 / 6.0)
     cos_partial = float(np.sum(np.cos(2.0 * np.pi * beta * n) / n ** 2))
     tail_cos = cos_full - cos_partial

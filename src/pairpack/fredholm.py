@@ -39,8 +39,8 @@ machine precision.
 
 The system does not depend on w.  It is set up once per (measure, node
 count) and kept, read-only, in a small cache together with its nodes,
-weights and condition estimate: ||M||_1 exactly, from column sums, times
-Hager and Higham's estimate of ||M^-1||_1, which never exceeds it.
+weights and condition estimate: ||M||_1 exactly times Hager and Higham's
+estimate of ||M^-1||_1, which never exceeds it, both from M alone.
 
 Everything downstream of a solve (transform evaluation, reproducing-property
 residuals, differential-equation residuals) never touches the closed-form
@@ -274,8 +274,9 @@ class _PanelOperator:
     matrix acts on every panel of every row in one product.
     """
 
-    def __init__(self, A, A_inv, E, R, T, panels: int):
-        self.A, self.E, self.R, self.T, self.panels = A, E, R, T, panels
+    def __init__(self, A, E, R, T, panels: int):
+        self.A, self.E, self.panels = A, E, panels
+        A_inv = np.linalg.inv(A)
         # rows times [A^T | R^T] and [A^-T | (R A^-1)^T]: one product each
         self.apply_t = np.hstack([A.T, R.T])
         self.inv_t = np.hstack([A_inv.T, (R @ A_inv).T])
@@ -303,7 +304,7 @@ class _PanelOperator:
         n_b[:, 2:] = -(S_inv[:, :, 2:] @ up).swapaxes(1, 2)
         self.forward = _doubling(n_f, panels - 1)
         self.backward = _doubling(n_b[::-1], panels - 1)
-        for arr in (A, E, R, T, self.apply_t, self.inv_t, self.corr_t, self.S_inv_t):
+        for arr in (A, E, self.apply_t, self.inv_t, self.corr_t, self.S_inv_t):
             arr.flags.writeable = False
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -337,15 +338,6 @@ class _PanelOperator:
             u -= X.swapaxes(0, 1).reshape(-1, 4) @ self.corr_t
         return u.reshape(b.shape)
 
-    def transpose(self) -> "_PanelOperator":
-        """M^T in the same form: A^T on the diagonal, and block (p, q) the
-        transpose of block (q, p), so E' = [R_R^T | R_L^T], R' = [E_R^T; E_L^T]
-        and T' = T^T."""
-        swap = [2, 3, 0, 1]
-        A_inv = self.inv_t[:, :len(self.A)]              # (A^-1)^T = (A^T)^-1
-        return _PanelOperator(self.A.T, A_inv, self.R[swap].T, self.E[:, swap].T,
-                              self.T.T, self.panels)
-
 
 def _panel_operator(m: Measure, x: np.ndarray, w: np.ndarray, h: float,
                     panels: int) -> _PanelOperator:
@@ -369,27 +361,30 @@ def _panel_operator(m: Measure, x: np.ndarray, w: np.ndarray, h: float,
     E = m.c2 * np.stack([t * et, et, s * es, es], axis=1)
     R = np.stack([w * es, w * s * es, w * et, w * t * et])
     T = math.exp(-2.0 * m.c3 * h) * np.array([[1.0, 0.0], [2.0 * h, 1.0]])
-    return _PanelOperator(A, np.linalg.inv(A), E, R, T, panels)
+    return _PanelOperator(A, E, R, T, panels)
 
 
-def _inverse_norm1(op: _PanelOperator, op_t: _PanelOperator, start: int) -> float:
-    """A lower estimate of ||M^-1||_1 from solves with M and M^T: Hager's
-    iteration with Higham's safeguards (ACM TOMS 14, 1988; LAPACK xLACON).
-    From a unit vector e_j it moves to the e_j that M^-T sign(M^-1 e_j)
-    points at, and stops after five moves, on a repeated sign vector or j,
-    or when the estimate stops growing; the alternating vector
-    x_i = (-1)^i (1 + i / (n - 1)) is solved beside the first step.  Every
-    value it returns is ||M^-1 x||_1 / ||x||_1 of some x, so it never
-    exceeds the norm.
+def _inverse_norm1(op: _PanelOperator, weights: np.ndarray, start: int) -> float:
+    """A lower estimate of ||M^-1||_1: Hager's iteration with Higham's
+    safeguards (ACM TOMS 14, 1988; LAPACK xLACON).  From a unit vector e_j
+    it moves to the e_j that M^-T sign(M^-1 e_j) points at, and stops after
+    five moves, on a repeated sign vector or j, or when the estimate stops
+    growing; the alternating vector x_i = (-1)^i (1 + i / (n - 1)) is solved
+    beside the first step.  Every value it returns is ||M^-1 x||_1 / ||x||_1
+    of some x, so it never exceeds the norm.
+
+    M^-T y is taken as W M^-1 W^-1 y, W the quadrature weights: the
+    kernel is symmetric, so M^T = W M W^-1 off the diagonal blocks and
+    nearly on them.  It only picks the next column to try.
 
     It starts at e_start, not at xLACON's (1, ..., 1) / n.  For c1 I plus a
     small positive kernel, M^-1's largest column sits where M's does, so the
     column of M that attains ||M||_1 is the start.  From there, on 300
-    random admissible measures, it read 0.99996 to 1 of the exact norm at
-    200 and 400 nodes, mostly in two solves, and 0.89 to 1 on one panel of
-    32 nodes; from the uniform start it needed about ten solves to read
-    0.88 to 1 at 200 nodes."""
-    n = op.panels * len(op.A)
+    random admissible measures with c3 Delta up to 60, it read 0.99996 to 1
+    of the exact norm at 200 nodes and 0.9999998 to 1 at 400, mostly in two
+    solves, and 0.87 to 1 on one panel of 32 nodes; from the uniform start
+    it needed about ten solves to read 0.88 to 1 at 200 nodes."""
+    n = len(weights)
     i = np.arange(n)
     y = op.solve(np.stack([i == start, (-1.0) ** i * (1.0 + i / max(n - 1, 1))]).astype(float))
     alt = 2.0 * float(np.abs(y[1]).sum()) / (3.0 * n)
@@ -399,7 +394,7 @@ def _inverse_norm1(op: _PanelOperator, op_t: _PanelOperator, start: int) -> floa
         last, sign = sign, np.where(y >= 0.0, 1.0, -1.0)
         if last is not None and np.array_equal(sign, last):
             break
-        z = np.abs(op_t.solve(sign)[0])
+        z = np.abs(weights * op.solve(sign / weights)[0])
         j, j_last = int(np.argmax(z)), j
         if z[j_last] == z[j]:
             break
@@ -419,6 +414,16 @@ def _composite_rule(m: Measure, x: np.ndarray, w: np.ndarray, panels: int):
     return nodes.ravel(), np.tile(w, panels)
 
 
+def _column_sums(op: _PanelOperator, weights: np.ndarray) -> np.ndarray:
+    """Column sums of |M| from one product: off the diagonal blocks M >= 0
+    and M^T = W M W^-1, so they sum to w_j (M W^-1 1)_j less the diagonal
+    blocks' share, to which the column sums of |A| are added."""
+    w = weights[:len(op.A)]
+    columns = weights * op.matvec(1.0 / weights[None, :])[0]
+    columns += np.tile(np.abs(op.A).sum(axis=0) - w * (op.A @ (1.0 / w)), op.panels)
+    return columns
+
+
 @functools.lru_cache(maxsize=4)
 def _nystrom_system(m: Measure, n: int):
     """(nodes, weights, M in panel form, cond) for the measure and node
@@ -426,20 +431,15 @@ def _nystrom_system(m: Measure, n: int):
     residual of one measure shares one panel block, one inverse of it and
     one factored interface system; the arrays are read-only.
 
-    cond estimates ||M||_1 ||M^-1||_1: ||M||_1 is exact, from the column
-    sums of |A| and of the off-diagonal blocks (whose entries are >= 0),
-    and ||M^-1||_1 is _inverse_norm1's lower estimate."""
+    cond = ||M||_1 from _column_sums times _inverse_norm1's estimate."""
     panels, per = _layout(m, n)
     h = m.delta / (2 * panels)
     x, w = gauss_legendre(per, -h, h)
     nodes, weights = _composite_rule(m, x, w, panels)
     op = _panel_operator(m, x, w, h, panels)
-    op_t = op.transpose()
-    # 1^T M with the diagonal blocks' columns taken in absolute value
-    columns = op_t.matvec(np.ones((1, panels * per)))[0]
-    columns += np.tile(np.abs(op.A).sum(axis=0) - op.A.sum(axis=0), panels)
+    columns = _column_sums(op, weights)
     widest = int(np.argmax(columns))
-    cond = float(columns[widest]) * _inverse_norm1(op, op_t, widest)
+    cond = float(columns[widest]) * _inverse_norm1(op, weights, widest)
     for arr in (nodes, weights):
         arr.flags.writeable = False
     return nodes, weights, op, cond
@@ -550,8 +550,6 @@ def k_from_u(sol: NystromSolution, z) -> Union[complex, np.ndarray]:
     if np.isscalar(z) or np.asarray(z).shape == ():
         return complex(vals[0])
     return vals
-
-
 
 
 # ---------------------------------------------------------------------------

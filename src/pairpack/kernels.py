@@ -5,8 +5,10 @@ Two regimes:
 * c3 = 0: the full kernel K(w, z) is available for all complex w, z.  It is
   assembled from coefficient functions of w and two transformed basis
   functions of z, plus a shifted sinc term.  The w-side coefficients share
-  a removable singularity at 2 c1 pi^2 w^2 = c2, handled by a symmetric
-  circle average (the kernel is entire in each variable).
+  a removable singularity at 2 c1 pi^2 w^2 = c2.  Within 1e-2 c2 of it,
+  where they cancel, the value is an 8-point circle average of radius
+  1e-2 max(1, |w|), off by order radius^8 because the kernel is entire in
+  each variable.
 
 * c3 > 0: only the section K(0, z) has a closed form.  It is built from the
   characteristic quartic roots eta1, eta2, the moment functions A, B, the
@@ -39,7 +41,8 @@ from .special import _SERIES_RADIUS, exp_moment, sin_quot, sinc_band_c, sinh_quo
 DEGENERACY_RTOL = 1e-9
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
 _REMOVABLE_RTOL = 1e-8       # w-side singularity detection, relative to c2
-_CIRCLE_RADIUS = 1e-3        # radius of the 4-point limit average
+_CIRCLE_BAND, _CIRCLE_RADIUS = 1e-2, 1e-2   # kernel_c3zero's circle average
+_CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # its 8 points, unit radius
 
 
 class CaseTag(enum.Enum):
@@ -395,21 +398,22 @@ def _a0(m: Measure):
     return 2.0 / (m.c1 * (2.0 * np.cos(th) + 2.0 * th * np.sin(th)))
 
 
-def _near_coeff_zero(m: Measure, v: complex) -> bool:
-    """True when 2 c1 pi^2 v^2 - c2 is within tolerance of its zero."""
+def _near_coeff_zero(m: Measure, v: complex, rtol: float = _REMOVABLE_RTOL) -> bool:
+    """True when 2 c1 pi^2 v^2 - c2 is within rtol c2 of its zero."""
     if m.c2 == 0.0:
         return False
-    return abs(2.0 * m.c1 * np.pi ** 2 * v * v - m.c2) <= _REMOVABLE_RTOL * m.c2
+    return abs(2.0 * m.c1 * np.pi ** 2 * v * v - m.c2) <= rtol * m.c2
 
 
-def _kernel_c3zero_raw(m: Measure, w: complex, z: complex) -> complex:
+def _kernel_c3zero_raw(m: Measure, w, z: complex):
     # a q(z) + b r(z) + 2 c sin(2 pi (z - wb) L) / (2 pi (z - wb)), q and r
-    # the transforms of cos(om t) and sin(om t): three quotients, one call
+    # the transforms of cos(om t) and sin(om t): three quotients per w, one
+    # call, whose first two rows are broadcast to w's shape by adding zero
     wb = np.conj(w)
     a, b, c = _coeff_abc(m, wb)
-    s, om = 2.0 * np.pi * z, np.sqrt(2.0 * m.c2 / m.c1)
-    plus, minus, shifted = sin_quot(np.array([s + om, s - om, 2.0 * np.pi * (z - wb)]),
-                                    m.delta / 2.0)
+    s, om, zero = 2.0 * np.pi * z, np.sqrt(2.0 * m.c2 / m.c1), 0.0 * wb
+    plus, minus, shifted = sin_quot(np.array([s + om + zero, s - om + zero,
+                                              2.0 * np.pi * (z - wb)]), m.delta / 2.0)
     return a * (plus + minus) + 1j * b * (minus - plus) + 2.0 * c * shifted
 
 
@@ -417,9 +421,13 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
                   extended: bool = False) -> KernelEvaluation:
     """Full kernel K(w, z) for c3 = 0; Hermitian, entire in each variable.
 
-    Near the shared zero of the coefficient denominators the value is
-    recovered as a 4-point circle average around the singular parameter,
-    exact to fourth order because the kernel is analytic there.
+    Within |2 c1 pi^2 w^2 - c2| <= 1e-2 c2 of the shared zero of the
+    coefficient denominators, where the coefficients cancel, the value is
+    the average over 8 points on a circle of radius 1e-2 max(1, |w|) around
+    w, all in one call: the kernel is entire in w, so the average is exact
+    up to terms of order 8 in the radius, and no point comes nearer the zero
+    than where the raw formula's cancellation costs about 1e-13.  limit_path
+    reports REMOVABLE_W only within 1e-8 c2, where closed_form_u refuses.
     """
     m.require_single()
     if m.c3 != 0.0:
@@ -438,9 +446,8 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
         path = LimitPath.REMOVABLE_Z
     if _near_coeff_zero(m, w):
         path = LimitPath.REMOVABLE_W
-        r0 = _CIRCLE_RADIUS * max(1.0, abs(w))
-        pts = [w + r0 * np.exp(1j * np.pi * (k + 0.5) / 2.0) for k in range(4)]
-        val = sum(_kernel_c3zero_raw(m, p, z) for p in pts) / 4.0
+    if _near_coeff_zero(m, w, _CIRCLE_BAND):
+        val = np.mean(_kernel_c3zero_raw(m, w + _CIRCLE_RADIUS * max(1.0, abs(w)) * _CIRCLE, z))
     else:
         val = _kernel_c3zero_raw(m, w, z)
     return KernelEvaluation(value=complex(val), at_w=w, at_z=z, limit_path=path)

@@ -51,14 +51,14 @@ class Measure:
                 object.__setattr__(self, name, value if value.ndim else float(value))
         batch = isinstance(self.c1, np.ndarray)
         every, finite = (np.all, np.isfinite) if batch else (bool, math.isfinite)
-        for name in names:
-            value = getattr(self, name)
-            if not every(finite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name, rule, ok in (("c1", "> 0", self.c1 > 0), ("c2", ">= 0", self.c2 >= 0),
-                               ("c3", ">= 0", self.c3 >= 0), ("delta", "> 0", self.delta > 0)):
+        for name, rule, ok in [(n, "finite", finite(getattr(self, n))) for n in names] + [
+                ("c1", "> 0", self.c1 > 0), ("c2", ">= 0", self.c2 >= 0),
+                ("c3", ">= 0", self.c3 >= 0), ("delta", "> 0", self.delta > 0)]:
             if not every(ok):
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+                value = getattr(self, name)
+                if batch:           # its first bad value and how many, not the array
+                    value = f"{value[~ok][0]} ({np.count_nonzero(~ok)} of {value.size} values)"
+                raise ValueError(f"{name} must be {rule}, got {value}")
 
     def sigma(self) -> float:
         """(c2/c1) Delta^2, the quantity every admissibility test is stated in."""

@@ -33,14 +33,19 @@ class TestAverageBounds:
         assert rep.lower_thm1 == pytest.approx(1.0, abs=1e-10)
 
     def test_report_invariants(self):
+        # lower_thm1 <= 1 exactly where upper = 1 / K(0, 0) >= 1: every
+        # seeded draw has K(0, 0) < 1, the last measure K(0, 0) = 2.4
         rng = np.random.default_rng(18)
+        draws = []
         for _ in range(20):
             c1 = float(rng.uniform(0.5, 2.0))
             delta = float(rng.uniform(0.3, 1.2))
             sigma = float(rng.uniform(0.01, 5.0 / 3.0))
             c3 = float(rng.uniform(0.0, 4.0))
-            rep = average_bounds(Measure(c1, sigma * c1 / delta ** 2, c3, delta))
-            assert rep.lower_thm1 <= 1.0 + 1e-14
+            draws.append(Measure(c1, sigma * c1 / delta ** 2, c3, delta))
+        for m in draws + [Measure(0.5, 0.0, 0.0, 1.2)]:
+            rep = average_bounds(m)
+            assert (rep.lower_thm1 <= 1.0) == (rep.upper >= 1.0)
             assert rep.lower_cor8 >= 0.5
             assert rep.lower_thm2 == 0.5
             assert rep.upper > 0
@@ -143,6 +148,8 @@ class TestFigure1:
         for c_min, c_max, name in ((0.0, np.inf, "c_max"), (np.nan, 1.0, "c_min")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 figure1_data(c_min, c_max, 10)
+        with pytest.raises(ValueError, match="c3 = 4 c_max finite"):
+            figure1_data(0.0, 1e308, 10)
 
 
 class TestGonekKi:

@@ -212,6 +212,16 @@ class TestFigure1Command:
         assert proc.stdout == ""
         assert proc.stderr == "error: c_max must be finite, got inf\n"
 
+    def test_overflowing_c_max_is_one(self):
+        # a finite c_max whose c3 = 4 c_max overflows: one error line, no
+        # numpy warning and no dump of the c3 grid
+        proc = subprocess.run([sys.executable, "-m", "pairpack.cli", "figure1",
+                               "--c-min", "0", "--c-max", "1e308"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: c_max must keep c3 = 4 c_max finite, got 1e+308\n"
+
 
 class TestBoundsCommand:
     def test_selberg_degree(self, capsys):

@@ -149,14 +149,14 @@ class TestSharedSystem:
         (Measure(1, 1, 0, 0.5), 200), (Measure(1.3, 2.1, 1.7, 0.7), 64),
         (Measure(1, 4, 100, 0.5), 200), (Measure(0.5, 0.55, 30, 1.2), 400)])
     def test_panel_solve_matches_dense(self, m, n):
-        # M^-1 b and, for the condition estimate, M^-T b and M^T b through the
-        # factored interface system, against LAPACK on the dense matrix
+        # M^-1 b through the factored interface system against LAPACK on the
+        # dense matrix, and the condition estimate's column sums of |M|, taken
+        # from one product with M by the kernel's symmetry, against numpy's
         nodes, weights, op, _ = fredholm._nystrom_system(m, n)
         M = fredholm._assemble(m, nodes, weights, op.panels)
         b = np.random.default_rng(3).standard_normal((3, len(nodes)))
-        op_t = op.transpose()
         for got, ref in ((op.solve(b), np.linalg.solve(M, b.T).T),
-                         (op_t.solve(b), np.linalg.solve(M.T, b.T).T), (op_t.matvec(b), b @ M)):
+                         (fredholm._column_sums(op, weights), np.abs(M).sum(axis=0))):
             assert np.max(np.abs(got - ref)) <= 4e-15 * np.max(np.abs(ref))
 
     def test_far_beyond_the_dense_node_cap(self):
@@ -186,10 +186,29 @@ class TestSharedSystem:
         assert len(calls) == 1
         assert all(s._system is sols[0]._system for s in sols)
 
+    def test_one_operator_per_system(self, monkeypatch):
+        # the condition estimate takes M^T's column sums and solves from M
+        # itself: a cold system builds one panel operator, not M and M^T
+        built = []
+        init = fredholm._PanelOperator.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(fredholm._PanelOperator, "__init__", counted)
+        for m, n in ((Measure(1.1, 0.9, 0.8, 0.6), 200), (Measure(1, 4, 100, 0.5), 200),
+                     (Measure(1, 1, 0, 0.5), 32)):
+            fredholm._nystrom_system.cache_clear()
+            built.clear()
+            assert fredholm._nystrom_system(m, n)[2] is built[0]
+            assert len(built) == 1
+
     def test_shared_arrays_are_read_only(self):
         sol = solve_integral_eq(Measure(1.0, 1.0, 1.0, 0.5), 0.3)
         op = sol._system
-        for shared in (sol.nodes, sol.weights, op.A, op.E, op.R, op.T, op.inv_t, op.S_inv_t):
+        for shared in (sol.nodes, sol.weights, op.A, op.E, op.apply_t, op.inv_t, op.corr_t,
+                       op.S_inv_t):
             with pytest.raises(ValueError):
                 shared[(0,) * shared.ndim] = 0.0
         sol.u_values[0] += 0.0          # the solution itself is the caller's

@@ -198,6 +198,26 @@ class TestKernelC3Zero:
             oracle = np.conj(k_from_u(sol, np.conj(z)))
             assert kernel_c3zero(self.m, w, z).value == pytest.approx(oracle, abs=1e-10)
 
+    @pytest.mark.parametrize("args", [(0.5, 0.451, 0, 1.2), (1, 1, 0, 0.5), (1.0, 1e-4, 0, 0.5)])
+    def test_removable_w_sweep_against_oracle(self, args):
+        # w = +/- w0 (1 + eps) around the removable point, eps real and
+        # complex in 1e-11 ... 1e-1, where the raw coefficients cancel: a
+        # 4-point average taken only within 1e-8 c2 reads 4.7e-9 to 6.1e-8
+        # here, the 8-point one within 1e-2 c2 at most 3.4e-14.  w0 of the
+        # last measure is below the circle's radius, so the circle holds
+        # both removable points
+        m = Measure(*args)
+        w0 = np.sqrt(m.c2 / (2 * m.c1)) / np.pi
+        eps = np.logspace(-11, -1, 11)
+        worst = 0.0
+        for w in np.multiply.outer([w0, -w0], 1.0 + np.concatenate(
+                [eps, -eps, 1j * eps, (1 - 1j) * eps / np.sqrt(2)])).ravel():
+            sol = solve_integral_eq(m, w)
+            for z in (0.3, -1.1 + 0.2j):
+                oracle = np.conj(k_from_u(sol, np.conj(z)))
+                worst = max(worst, abs(kernel_c3zero(m, w, z).value - oracle))
+        assert worst <= 1e-12
+
     def test_pure_atom_is_sinc(self):
         m = Measure(2.0, 0.0, 0.0, 0.8)
         val = kernel_c3zero(m, 0.3, 0.9).value

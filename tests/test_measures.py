@@ -57,10 +57,11 @@ class TestMeasure:
         m = Measure(1.0, np.array([0.5, 1.0, 2.0]), 0.5, 0.5)
         assert m.c1.shape == m.delta.shape == (3,)
         np.testing.assert_array_equal(m.sigma(), [0.125, 0.25, 0.5])
-        with pytest.raises(ValueError, match="c2 must be >= 0"):
+        # a batch names its first bad value and their count, not the array
+        with pytest.raises(ValueError, match=r"^c2 must be >= 0, got -1.0 \(1 of 2 values\)$"):
             Measure(1.0, np.array([1.0, -1.0]), 0.5, 0.5)
-        with pytest.raises(ValueError, match="delta must be finite"):
-            Measure(1.0, 1.0, 0.5, np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match=r"^delta must be finite, got nan \(2 of 3 values\)$"):
+            Measure(1.0, 1.0, 0.5, np.array([0.5, np.nan, np.inf]))
         # a 0-d array is one measure, stored as a float (hashable, cacheable)
         assert hash(Measure(np.array(1.0), 1.0, 0.5, 0.5)) == hash(Measure(1.0, 1.0, 0.5, 0.5))
 

@@ -115,10 +115,10 @@ class TestPanelOperatorProperties:
         assert panel_matvec_error(m, 5, 40) <= 1e-15
         init = fredholm._PanelOperator.__init__
 
-        def planted(self, A, A_inv, E, R, T, panels):
+        def planted(self, A, E, R, T, panels):
             T = T.copy()
             T[1, 0] *= 1.0 + 1e-12
-            init(self, A, A_inv, E, R, T, panels)
+            init(self, A, E, R, T, panels)
 
         monkeypatch.setattr(fredholm._PanelOperator, "__init__", planted)
         assert panel_matvec_error(m, 5, 40) > 1e-15
