@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_k00
+from .kernels import C3_MAX, kernel_k00
 from .measures import Measure
 from .quadrature import bisect
 
@@ -135,8 +135,8 @@ def figure1_data(c_min: float, c_max: float, steps: int) -> list[tuple[float, fl
             raise ValueError(f"{name} must be finite, got {value}")
     if not (0 <= c_min < c_max):
         raise ValueError("need 0 <= c_min < c_max")
-    if not math.isfinite(4.0 * c_max):
-        raise ValueError(f"c_max must keep c3 = 4 c_max finite, got {c_max:g}")
+    if c_max > C3_MAX / 4.0:
+        raise ValueError(f"c_max must keep c3 = 4 c_max <= {C3_MAX:g}, got {c_max:g}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     cs = np.linspace(c_min, c_max, steps + 1)

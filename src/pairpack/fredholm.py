@@ -445,18 +445,6 @@ def _nystrom_system(m: Measure, n: int):
     return nodes, weights, op, cond
 
 
-def _real_columns(v: np.ndarray) -> np.ndarray:
-    """[Re v | Im v] for a matrix v of complex columns, so that a real
-    matrix acts on all of them in one real product."""
-    return np.concatenate([v.real, v.imag], axis=1)
-
-
-def _complex_columns(r: np.ndarray) -> np.ndarray:
-    """Inverse of _real_columns."""
-    k = r.shape[1] // 2
-    return r[:, :k] + 1j * r[:, k:]
-
-
 def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> NystromSolution:
     """Solve the defining integral equation for the data e^{-2 pi i w xi}.
 
@@ -690,13 +678,15 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
         f = -4.0 * np.pi ** 2 * w ** 2 * data
     else:
         f = (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) ** 2 * data
-    uf_2 = twice(_real_columns(np.stack([u, f], axis=1)))
-    u_2, f_2 = _complex_columns(uf_2).T
+    # J acts column by column: the real and imaginary parts of u and f go
+    # through it as four interleaved real columns
+    uf_2 = twice(np.stack([u, f], axis=1).view(float))
+    u_2, f_2 = np.ascontiguousarray(uf_2).view(complex).T
     if c3 == 0.0:
         terms = (c1 * u, 2.0 * c2 * u_2, -f_2)
         P = c1 * (u0 + u1 * t)
     else:
-        u_4, f_4 = _complex_columns(twice(uf_2)).T
+        u_4, f_4 = np.ascontiguousarray(twice(uf_2)).view(complex).T
         a, b = 2.0 * (c2 - c1 * c3 ** 2), 2.0 * c2 * c3 ** 2 + c1 * c3 ** 4
         terms = (c1 * u, a * u_2, b * u_4, -f_4)
         P = c1 * u0 + t * (c1 * u1 + t * ((c1 * u2 + a * u0) / 2.0

@@ -16,8 +16,8 @@ Two regimes:
   two-root formula are both antisymmetric in the roots, so the section is
   written in the means and eta^2-divided differences of A, B and C.  That
   one formula holds on the degenerate line lam = 4 c3^2 as well; for close
-  roots the divided differences come from the eta^2 power series of the
-  moments.
+  roots the divided differences are Cauchy integrals, taken by the 8-point
+  trapezoid rule on a circle around both roots.
 
 Sign conventions: B carries a minus sign on its integral term and the
 second basis transform r(z) a minus sign on its first term.  Both are fixed
@@ -29,20 +29,22 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import _SERIES_RADIUS, exp_moment, sin_quot, sinc_band_c, sinh_quot_scaled
+from .special import exp_moment, sin_quot, sinc_band_c, sinh_quot_scaled
 
 DEGENERACY_RTOL = 1e-9
+# largest c3 of the c3 > 0 closed forms: correct to 1e145 for c1 in [1e-6, 1e6]
+# and Delta in [1e-4, 1e3]; c2 c3^2 can overflow at 1e150, c3^2 at 1.3e154
+C3_MAX = 1e140
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
 _REMOVABLE_RTOL = 1e-8       # w-side singularity detection, relative to c2
 _CIRCLE_BAND, _CIRCLE_RADIUS = 1e-2, 1e-2   # kernel_c3zero's circle average
-_CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # its 8 points, unit radius
+_CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # its and _contour's 8 points
 
 
 class CaseTag(enum.Enum):
@@ -92,6 +94,7 @@ def quartic_roots(m: Measure) -> EtaPair:
     is real in the purely imaginary case and +i|Lam| in the conjugate
     quadrant.  For a batch measure every field is an array over the batch
     (``case_tag`` an object array)."""
+    _require_c3_bound(m)
     if np.any(m.c3 == 0.0):
         raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
     if np.any(m.c2 == 0.0):
@@ -116,8 +119,15 @@ def quartic_residual(m: Measure, eta: complex) -> float:
     return abs(val) / max(scale, 1e-300)
 
 
+def _require_c3_bound(m: Measure) -> None:
+    """Refuse a measure, or any entry of a batch, with c3 > C3_MAX."""
+    if np.greater(m.c3, C3_MAX).any():
+        raise ValueError(f"c3 must be <= {C3_MAX:g}, got {np.max(m.c3):g}")
+
+
 def mu(m: Measure) -> float:
     """mu = c3^2 / (2 c2 + c3^2 c1); zero exactly when c3 = 0."""
+    _require_c3_bound(m)
     if np.any((m.c2 == 0.0) & (m.c3 == 0.0)):
         raise ValueError("mu requires c2 > 0 or c3 > 0")
     return m.c3 ** 2 / (2.0 * m.c2 + m.c3 ** 2 * m.c1)
@@ -151,56 +161,42 @@ def script_L(m: Measure) -> complex:
 # Each root-dependent quantity X (A, B, C(., z), cosh(. L)) is an even entire
 # function of eta, hence of zeta = eta^2.  The section needs only the mean
 # Xbar = (X1 + X2) / 2 and the divided difference X' = (X1 - X2) / (zeta1 -
-# zeta2), both finite where the roots meet.  For close roots X' is summed from
-# the Taylor coefficients x_n of X in zeta as sum_n x_n h_n, with the power
-# sums h_n = sum_{i<n} zeta1^i zeta2^(n-1-i) (McCurdy, Ng and Parlett, Math.
-# Comp. 43, 1984).  The roots can meet only where |eta| L <= sqrt(3 sigma)/4,
-# well inside the series radius.
+# zeta2), both finite where the roots meet.  For close roots X' is Cauchy's
+# integral of X(zeta) / ((zeta - zeta1) (zeta - zeta2)) over a circle around
+# both roots, taken by the trapezoid rule (Kassam and Trefethen, SIAM J. Sci.
+# Comput. 26, 2005): a weighted sum of X at 8 nodes, which no cancellation
+# between X1 and X2 enters.
 #
 # Every step works on arrays of measures; "close roots" is a mask over them.
 
 _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which X1 - X2 cancels
-_CLOSE_RADIUS = 0.5     # largest |zeta| L^2 handed to the series
-_ORDERS = np.arange(1, 13)  # terms below 1e-20 of the first at |zeta| L^2 < 0.5
-_FACT_2N = np.array([math.factorial(2 * n) for n in _ORDERS], dtype=float)
-_K01 = np.arange(2)[:, None, None]                              # I_0 and I_1
-_K_TAYLOR = np.stack([2 * _ORDERS, 2 * _ORDERS + 1])[:, None]   # their series
-_EVEN = 2 * np.arange(10)   # (sL)^20 / 20! < 5e-19 at |s L| < 1
-_FACT_EVEN = np.array([math.factorial(j) for j in _EVEN], dtype=float)
-_ODD_DIV = 1.0 / (2 * _ORDERS + _EVEN[:, None] + 1)    # 1 / (2n + 2m + 1)
+_K01 = np.arange(2)[:, None, None, None]                        # I_0 and I_1
 
 
-def _power_sums(zeta1, zeta2, L):
-    """The power sums h_n, n in _ORDERS, on a trailing axis, and the mask of
-    measures whose roots are close enough for the series (the others get
-    h = (1, 0, ..., 0)).  Arguments are 1-d arrays over measures."""
-    close = ((np.abs(zeta1 - zeta2) * L * L < _CLOSE_GAP)
-             & (np.maximum(np.abs(zeta1), np.abs(zeta2)) * L * L < _CLOSE_RADIUS))
-    h = np.zeros(close.shape + _ORDERS.shape, dtype=complex)
-    h[:, 0] = 1.0
-    if close.any():
-        z1, z2 = zeta1[close], zeta2[close]
-        power = np.ones_like(z2)
-        for i in range(1, len(_ORDERS)):
-            power = power * z2
-            h[close, i] = z1 * h[close, i - 1] + power
-    return h, close
+def _contour(zeta1, zeta2, L):
+    """Nodes eta_k = sqrt(zeta_k) and weights c_k, on a trailing axis of 8,
+    with X' = sum_k c_k X(eta_k) for every even entire X.  zeta_k =
+    (zeta1 + zeta2)/2 + rho _CIRCLE_k with rho = 1 / (2 L^2), and c_k =
+    rho _CIRCLE_k / (8 (zeta_k - zeta1) (zeta_k - zeta2)).  The rule's
+    aliasing error is (|zeta1 - zeta2| / (2 rho))^8 relative, at most 1e-16
+    where |zeta1 - zeta2| L^2 < _CLOSE_GAP.  The arguments broadcast against
+    a trailing axis; the circle must not pass through zeta1 or zeta2."""
+    arc = 0.5 / (L * L) * _CIRCLE
+    zeta = 0.5 * (zeta1 + zeta2) + arc
+    return np.sqrt(zeta), arc / (8.0 * (zeta - zeta1) * (zeta - zeta2))
 
 
-def _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, h, close):
-    """(Abar, A', Bbar, B') over 1-d arrays of measures, inv_gap =
-    1 / (zeta1 - zeta2) off the close roots.  One moment call
-    gives I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3) for k = 0, 1 at both
-    roots; one more gives both Taylor rows of the close-root series.  Bbar
-    uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly."""
-    mom = exp_moment(_K01, np.array([eta1, -eta1, eta2, -eta2]) - c3, L)
-    i = mom[:, 0::2] + mom[:, 1::2]                  # (order k, root, measure)
-    mean = 0.5 * (i[:, 0] + i[:, 1])
-    dd = (i[:, 0] - i[:, 1]) * inv_gap
-    if close.any():
-        # Taylor coefficients of I_k in zeta: 2 phi_{2n+k}(-c3) / (2n)!
-        taylor = 2.0 * exp_moment(_K_TAYLOR, -c3[close, None], L[close, None]) / _FACT_2N
-        dd[:, close] = np.sum(h[close] * taylor, axis=-1)
+def _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, nodes, c):
+    """(Abar, A', Bbar, B') over 1-d arrays of measures, inv_gap = 1 / (zeta1
+    - zeta2) off the close roots (0 on them), and the contour nodes and
+    weights (weight 0 off the close roots).  One moment call gives I_k(eta) =
+    phi_k(eta - c3) + phi_k(-eta - c3), k = 0, 1, at both roots and every
+    node.  Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly."""
+    eta = np.concatenate([eta1[:, None], eta2[:, None], nodes], axis=1)
+    mom = exp_moment(_K01, np.array([eta, -eta]) - c3[:, None], L[:, None])
+    i = mom[:, 0] + mom[:, 1]                        # (order k, measure, point)
+    mean = 0.5 * (i[..., 0] + i[..., 1])
+    dd = (i[..., 0] - i[..., 1]) * inv_gap + (c * i[..., 2:]).sum(-1)
     (i0, i1), (i0_dd, i1_dd) = mean, dd
     return (1.0 + lam * i1, lam * i1_dd,
             lam * (1.0 - 2.0 * c3 * i0), 1.0 - 2.0 * lam * c3 * i0_dd)
@@ -215,15 +211,16 @@ class TransformSolution:
     with cbar and c' the mean and eta^2-divided difference of cosh(eta1 t)
     and cosh(eta2 t).  Both coefficients stay finite where the roots meet.
     ``det`` = A' Bbar - Abar B' is the divisor over eta1^2 - eta2^2.
-    ``close`` is set where the divided differences come from the close-root
-    series with the power sums ``power_sums``.  The section is
-    K(0, z) = sum_r weights_r e^{-shifts_r L} sinh((s + offsets_r) L) /
-    (s + offsets_r), s = 2 pi i z, over five rows: offsets (eta1, eta2, -eta1,
-    -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1, w2, w1, w2, 2 mu),
-    w1,2 = p_scaled/2 +- q_scaled/(eta1^2 - eta2^2); where ``close`` is set,
-    w1,2 = p_scaled/2 and q_scaled times the series of C' is added.  For a
-    batch measure every field is an array of the batch's shape (the rows and
-    ``power_sums`` with one more, trailing axis), and every array is read-only.
+    ``close`` is set where the divided differences come from ``_contour``.
+    The section is K(0, z) = sum_r weights_r e^{-shifts_r L} sinh((s +
+    offsets_r) L) / (s + offsets_r), s = 2 pi i z, over five rows: offsets
+    (eta1, eta2, -eta1, -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1,
+    w2, w1, w2, 2 mu), w1,2 = p_scaled/2 +- q_scaled/(eta1^2 - eta2^2).
+    Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
+    q_scaled c': offsets +-eta_k, shift c3, weights q_scaled c_k at the 8
+    contour nodes (weight 0 for the other measures of such a batch).  For a
+    batch measure every field is an array of the batch's shape (the rows
+    with one more, trailing axis), and every array is read-only.
 
     The coefficients are stored with the exponential damping e^{-c3 Delta/2}
     factored out: both right-hand sides of the defining linear system carry
@@ -238,23 +235,16 @@ class TransformSolution:
     det: complex
     mu: float
     scale: float        # c3 * delta / 2
-    power_sums: np.ndarray
     close: bool
     offsets: np.ndarray
     shifts: np.ndarray
     weights: np.ndarray
 
     def endpoint_value(self, m: Measure) -> complex:
-        """u0 at the endpoint Delta/2 (used by far-field tail corrections)."""
-        L = m.delta / 2.0
-        e1, e2 = self.roots.eta1, self.roots.eta2
-        # e^{-c3 L} cosh(eta L): both exponents are nonpositive for large c3
-        c1, c2 = ((np.exp((e - m.c3) * L) + np.exp(-(e + m.c3) * L)) / 2.0 for e in (e1, e2))
-        series = np.exp(-self.scale) * np.sum(
-            self.power_sums * np.expand_dims(L, -1) ** (2 * _ORDERS) / _FACT_2N, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dd = np.where(self.close, series, (c1 - c2) / (e1 ** 2 - e2 ** 2))
-        return self.p_scaled * 0.5 * (c1 + c2) + self.q_scaled * dd + self.mu
+        """u0 at the endpoint Delta/2 (used by far-field tail corrections):
+        half the rows' sum of weights_r e^{(offsets_r - shifts_r) Delta/2}."""
+        return 0.5 * np.sum(self.weights * np.exp(
+            (self.offsets - self.shifts) * np.expand_dims(m.delta / 2.0, -1)), axis=-1)
 
 
 def k0_transform_solution(m: Measure) -> TransformSolution:
@@ -272,10 +262,14 @@ def _transform_solution(m: Measure) -> TransformSolution:
     c1, c2, c3, eta1, eta2 = (np.ravel(v) for v in (m.c1, m.c2, m.c3, roots.eta1, roots.eta2))
     L, lam = np.ravel(m.delta) / 2.0, c2 / c1
     zeta1, zeta2 = eta1 ** 2, eta2 ** 2
-    h, close = _power_sums(zeta1, zeta2, L)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_gap = np.where(close, 0.0, 1.0 / (zeta1 - zeta2))
-    a, a_dd, b, b_dd = _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, h, close)
+    close = np.abs(zeta1 - zeta2) * L * L < _CLOSE_GAP
+    inv_gap = np.divide(1.0, zeta1 - zeta2, out=np.zeros_like(zeta1), where=~close)
+    # contour nodes and weights, on the close measures only (elsewhere a
+    # circle node may hit a root); the others get node 0 and weight 0
+    nodes, c = np.zeros((2, len(c3), len(_CIRCLE) * close.any()), dtype=complex)
+    if c.size:
+        nodes[close], c[close] = _contour(*(v[close, None] for v in (zeta1, zeta2, L)))
+    a, a_dd, b, b_dd = _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, nodes, c)
     det = a_dd * b - a * b_dd
     # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
     denom = c1 * (2.0 * c2 + c3 ** 2 * c1)
@@ -283,10 +277,11 @@ def _transform_solution(m: Measure) -> TransformSolution:
     rho2 = 4.0 * c2 * c3 ** 2 / denom
     p, q, mu_v = -(rho1 * b_dd + rho2 * a_dd) / det, (rho1 * b + rho2 * a) / det, np.ravel(mu(m))
     w1, w2, zero = 0.5 * p + q * inv_gap, 0.5 * p - q * inv_gap, np.zeros_like(c3)
+    qc = q[:, None] * c
     fields = dict(p_scaled=p, q_scaled=q, det=det, mu=mu_v, scale=c3 * L, close=close,
-                  power_sums=h, offsets=np.array([eta1, eta2, -eta1, -eta2, zero]).T,
-                  shifts=np.array([c3, c3, c3, c3, zero]).T,
-                  weights=np.array([w1, w2, w1, w2, 2.0 * mu_v]).T)
+                  offsets=np.column_stack([eta1, eta2, -eta1, -eta2, zero, nodes, -nodes]),
+                  shifts=np.column_stack([c3] * 4 + [zero] + [c3] * (2 * c.shape[1])),
+                  weights=np.column_stack([w1, w2, w1, w2, 2.0 * mu_v, qc, qc]))
     for name, v in fields.items():
         fields[name] = v = v.reshape(shape + v.shape[1:])
         v.flags.writeable = False
@@ -307,60 +302,15 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
                             limit_path=LimitPath.DEGENERATE_ETA if close else LimitPath.NONE)
 
 
-def _aux_C_split(m: Measure, sol: TransformSolution, s, close):
-    """q_scaled times the eta^2-divided difference of e^{-c3 Delta/2}
-    C(eta, z) at the entries of the mask ``close`` over the measures
-    broadcast against s = 2 pi i z: the measures whose roots are close,
-    where the five-row sum leaves it out.  C is the sum of two sinh
-    quotients.
-
-    The difference is the moment series sum_n h_n M_2n(s) / (2n)!,
-    M_j(s) = integral of t^j e^{s t} over the support, where |s L| < 1.
-    Elsewhere it follows from C = N(zeta) / (s^2 - zeta), N = 2 s sinh(sL)
-    cosh(eta L) - 2 cosh(sL) eta sinh(eta L), as Nbar g' + N' gbar with
-    g = 1 / (s^2 - zeta); there |s^2 - zeta| L^2 > 1/2, so g stays bounded.
-    """
-    def pick(x, *tail):
-        return np.broadcast_to(x, close.shape + tail)[close]
-    s, L, e1, e2 = pick(s), pick(m.delta / 2.0), pick(sol.roots.eta1), pick(sol.roots.eta2)
-    h = pick(sol.power_sums, len(_ORDERS))
-    series = np.empty_like(s)
-    small = np.abs(s * L) < _SERIES_RADIUS
-    if small.any():
-        # M_2n(s) + M_2n(-s) = 2 sum_m s^2m L^(2n+2m+1) / ((2m)! (2n+2m+1)),
-        # both sums taken in sequence from their smallest terms
-        ss, Ls = s[small], L[small]
-        even = (ss * Ls)[:, None] ** _EVEN / _FACT_EVEN
-        odd = h[small] * Ls[:, None] ** (2 * _ORDERS) / _FACT_2N
-        inner = np.cumsum(odd[:, None, ::-1] * _ODD_DIV[:, ::-1], axis=-1)[..., -1]
-        series[small] = 2.0 * Ls * np.cumsum((even * inner)[:, ::-1], axis=-1)[:, -1]
-    big = ~small
-    if big.any():
-        sb, Lb, hb = s[big], L[big], h[big]
-        e = np.array([e1[big], e2[big]])
-        cosh_l, eta_sinh_l = np.cosh(e * Lb), e * np.sinh(e * Lb)
-        odd = hb * Lb[:, None] ** (2 * _ORDERS - 1) / _FACT_2N    # h_n L^(2n-1) / (2n)!
-        cosh_l_dd, eta_sinh_l_dd = (odd * Lb[:, None]).sum(-1), (odd * 2 * _ORDERS).sum(-1)
-        a, b = 2.0 * sb * np.sinh(sb * Lb), 2.0 * np.cosh(sb * Lb)
-        g1, g2 = 1.0 / (sb * sb - e[0] ** 2), 1.0 / (sb * sb - e[1] ** 2)
-        series[big] = ((a * cosh_l.mean(axis=0) - b * eta_sinh_l.mean(axis=0)) * g1 * g2
-                       + (a * cosh_l_dd - b * eta_sinh_l_dd) * 0.5 * (g1 + g2))
-    return pick(sol.q_scaled) * np.exp(-pick(sol.scale)) * series
-
-
 def _k0z_section(m: Measure, z):
     """K(0, z) for c2 > 0, c3 > 0, the measures broadcast against z: one
-    quotient call over the five rows of TransformSolution."""
+    quotient call over TransformSolution's rows.  The five root rows are
+    summed apart, so a batch's zero-weight padding leaves their rounding."""
     sol = k0_transform_solution(m)
-    s = 2j * np.pi * z
-    quot = sinh_quot_scaled(s[..., None] + sol.offsets, np.asarray(m.delta / 2.0)[..., None],
-                            sol.shifts)
-    val = np.sum(sol.weights * quot, axis=-1)
-    if sol.close.any():
-        val = np.array(val)             # writable, also at one measure and one z
-        close = np.broadcast_to(sol.close, val.shape)
-        val[close] += _aux_C_split(m, sol, s, close)
-    return val
+    quot = sinh_quot_scaled(2j * np.pi * z[..., None] + sol.offsets,
+                            np.asarray(m.delta / 2.0)[..., None], sol.shifts)
+    terms = sol.weights * quot
+    return terms[..., :5].sum(-1) + terms[..., 5:].sum(-1)
 
 
 def kernel_k00(m: Measure, extended: bool = False) -> float:
@@ -467,8 +417,8 @@ def _k0z_c3zero(m: Measure, z):
 
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
     """K(0, z) over an array of points, for any c3 >= 0: one quotient call
-    per regime, over two rows (c3 = 0 or a pure atom) or the section's five
-    cached rows (plus the close-root series where the roots nearly meet).
+    per regime, over two rows (c3 = 0 or a pure atom) or the section's
+    cached rows (5, or 21 where the roots nearly meet).
     For a batch measure the result has the batch's shape followed by z's,
     and the regimes are masks over the batch."""
     m.require_admissible(extended=extended)

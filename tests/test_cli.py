@@ -144,6 +144,17 @@ class TestExitCodes:
         assert err.startswith("error: imaginary part")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["figure1", "--c-min", "0", "--c-max", "1e160"],
+                                      ["kernel", "--c3", "1e154"], ["bounds", "--c3", "1e155"]])
+    def test_c3_above_bound_is_one(self, argv):
+        # refused before any arithmetic: one error line, no numpy warning
+        proc = subprocess.run([sys.executable, "-m", "pairpack.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "<= 1e+140, got 1e+1" in proc.stderr
+
     def test_oracle_over_node_cap_is_one(self, capsys):
         # 100000 nodes need 2500 panels of at most 40
         code, out, err = run_cli(capsys, "oracle", "--n", "100000")
@@ -220,7 +231,7 @@ class TestFigure1Command:
                               capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr == "error: c_max must keep c3 = 4 c_max finite, got 1e+308\n"
+        assert proc.stderr == "error: c_max must keep c3 = 4 c_max <= 1e+140, got 1e+308\n"
 
 
 class TestBoundsCommand:

@@ -1,5 +1,7 @@
 """Closed-form kernels: roots, moment functions, sections, the divisor."""
 
+import functools
+
 import numpy as np
 import pytest
 from conftest import aux_A, aux_B, aux_C, integrate_with_kink, registry_test
@@ -8,7 +10,9 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, k_from_u, kernel_c3zero,
                       kernel_k00, kernel_k0z, kernel_k0z_grid, mu,
                       quartic_roots, script_L, solve_integral_eq, sup_g)
-from pairpack.kernels import k0_endpoint_value, k0_transform_solution, quartic_residual
+from pairpack.kernels import (_CLOSE_GAP, C3_MAX, _contour, k0_endpoint_value,
+                              k0_transform_solution, quartic_residual)
+from pairpack.special import exp_moment
 
 
 class TestQuarticRoots:
@@ -258,8 +262,8 @@ class TestKernelK0z:
     def test_near_degenerate_matches_oracle(self):
         # both sides of the line lam = 4 c3^2, from on it to 1e-2 away; the
         # two-root formula cancels there unless the divided differences are
-        # taken from the close-root series
-        zs = np.array([0.0, 0.3, 1.1, 3.7])
+        # taken from the contour rows
+        zs = np.array([0.0, 0.3, 1.1, 3.7, 2.0 + 1.5j, 6.0 - 0.5j])
         worst = 0.0
         for delta, sigma in ((0.5, 0.25), (0.7, 1.0), (1.0, 1.66), (0.3, 0.05)):
             c3 = np.sqrt(sigma) / delta / 2.0
@@ -307,9 +311,73 @@ class TestKernelK0z:
         single = np.array([kernel_k0z_grid(Measure(*r), zs) for r in rows])
         np.testing.assert_allclose(grid.reshape(6, 2, 2), single, rtol=1e-15, atol=0)
 
+    def test_batch_padding_keeps_values_exact(self):
+        # a batch with a close-root measure gives the others 16 zero-weight
+        # rows; their values stay bit-identical to their own evaluation
+        zs = np.linspace(-5.0, 5.0, 33) + 0.5j
+        rows = np.array([[1.3, 1.1, 2.0, 0.7], [1, 1 + 1e-6, 0.5, 0.5], [1, 1, 400, 0.5]])
+        grid = kernel_k0z_grid(Measure(*rows.T), zs)
+        for r, g in zip(rows, grid):
+            np.testing.assert_array_equal(g, kernel_k0z_grid(Measure(*r), zs))
+
     def test_wrong_regime(self):
         with pytest.raises(InvalidRegime):
             kernel_k0z(Measure(1, 1, 0.0, 0.5), 0.3)
+
+
+class TestContour:
+    @staticmethod
+    def functions(mpmath, zeta, L, c3):
+        # cosh(eta L) and I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3), k = 0, 1,
+        # phi_k(s) the k-th moment of e^{s a} over [0, L]
+        eta = mpmath.sqrt(zeta)
+        phi = [lambda s: mpmath.expm1(s * L) / s,
+               lambda s: L * mpmath.exp(s * L) / s - mpmath.expm1(s * L) / s ** 2]
+        return [mpmath.cosh(eta * L)] + [f(eta - c3) + f(-eta - c3) for f in phi]
+
+    def test_divided_differences_against_mpmath(self):
+        # the rule against 50-digit divided differences (a derivative where the
+        # roots coincide), with |zeta1 - zeta2| L^2 from 0 up to _CLOSE_GAP on
+        # both sides of the degenerate line; the weights' own rounding enters
+        # times sum_k |c_k X(eta_k)|, up to 13 |X'| for I_0, so the error is
+        # measured relative to that sum (worst 2.8e-16 of it)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        worst = 0.0
+        for delta, sigma in ((0.5, 0.25), (0.7, 1.0), (1.0, 1.66), (0.3, 0.05)):
+            c3, L = np.sqrt(sigma) / delta / 2.0, delta / 2.0
+            for gap in (0.0, 1e-8, 1e-5, 1e-3, 4e-3, 0.99 * _CLOSE_GAP):
+                for sign in ((1.0,) if gap == 0.0 else (1.0, -1.0)):
+                    # |zeta1 - zeta2| L^2 = sigma/2 sqrt((1 + eps) |eps|) = gap
+                    t = (2.0 * gap / sigma) ** 2
+                    eps = sign * 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * sign * t))
+                    r = quartic_roots(Measure(1.0, 4.0 * c3 ** 2 * (1.0 + eps), c3, delta))
+                    z1, z2 = r.eta1 ** 2, r.eta2 ** 2
+                    assert abs(z1 - z2) * L * L < _CLOSE_GAP
+                    nodes, c = _contour(z1, z2, L)
+                    values = [np.cosh(nodes * L)] + [
+                        exp_moment(k, nodes - c3, L) + exp_moment(k, -nodes - c3, L)
+                        for k in (0, 1)]
+                    Z1, Z2 = mpmath.mpc(z1), mpmath.mpc(z2)
+                    exact = functools.partial(self.functions, mpmath, L=mpmath.mpf(L),
+                                              c3=mpmath.mpf(c3))
+                    if z1 == z2:
+                        ref = [mpmath.diff(lambda z, j=j: exact(z)[j], Z1) for j in range(3)]
+                    else:
+                        ref = [(a - b) / (Z1 - Z2) for a, b in zip(exact(Z1), exact(Z2))]
+                    for x, dd in zip(values, ref):
+                        err = abs(np.sum(c * x) - complex(dd)) / np.sum(np.abs(c * x))
+                        worst = max(worst, err)
+        assert worst <= 1e-15
+
+    def test_endpoint_value_at_close_roots(self):
+        # u0(Delta/2) as half the rows' exponential sum, contour rows included,
+        # against the oracle's interpolated endpoint (measured within 8.9e-16)
+        for eps in (0.0, 1e-12, 1e-8, 1e-4):
+            m = Measure(1.0, 1.0 + eps, 0.5, 0.5)
+            assert k0_transform_solution(m).close
+            u_end = solve_integral_eq(m, 0.0, n=400).interpolate(np.array([m.delta / 2.0]))[0]
+            assert abs(k0_endpoint_value(m) - u_end) <= 1e-14
 
 
 class TestContinuityAndAsymptotics:
@@ -348,6 +416,15 @@ class TestLargeC3Stability:
             assert np.isfinite(val)
             assert val == pytest.approx(2.0, abs=1e-3)
 
+    def test_c3_above_bound_refused(self):
+        # C3_MAX itself still reads Delta / c1; above it a scalar or any batch
+        # entry is refused before any arithmetic (1.4e154 overflowed c3 ** 2)
+        assert kernel_k00(Measure(1.0, 1.0, C3_MAX, 0.5)) == 0.5
+        for m in (Measure(1.0, 1.0, 1.4e154, 0.5), Measure(1.0, 1.0, np.array([1.0, 1e141]), 0.5)):
+            for f in (quartic_roots, mu, kernel_k00):
+                with pytest.raises(ValueError, match=r"c3 must be <= 1e\+140"):
+                    f(m)
+
     def test_scaled_solution_consistent(self):
         m = Measure(1.0, 1.0, 4.0, 0.5)
         sol = k0_transform_solution(m)
@@ -359,13 +436,13 @@ class TestLargeC3Stability:
 
 class TestTransformSolutionCache:
     def test_repeated_calls_share_one_read_only_solution(self):
-        # near the degenerate line the divided differences use power sums
+        # near the degenerate line the divided differences use contour rows
         m = Measure(1.0, 1.0 + 1e-6, 0.5, 0.5)
         sol = k0_transform_solution(m)
         assert k0_transform_solution(Measure(1.0, 1.0 + 1e-6, 0.5, 0.5)) is sol
-        assert sol.power_sums is not None
+        assert sol.close and sol.weights.shape == (21,)
         with pytest.raises(ValueError):
-            sol.power_sums[0] = 0.0
+            sol.weights[0] = 0.0
         with pytest.raises(AttributeError):
             sol.mu = 0.0
         assert k0_transform_solution(Measure(1.0, 1.0, 1.5, 0.5)) is not sol
