@@ -17,7 +17,11 @@ Two regimes:
   written in the means and eta^2-divided differences of A, B and C.  That
   one formula holds on the degenerate line lam = 4 c3^2 as well; for close
   roots the divided differences are Cauchy integrals, taken by the 8-point
-  trapezoid rule on a circle around both roots.
+  trapezoid rule on a circle around both roots.  One measure is the 0-d
+  case of a batch: its real parameters stay Python floats, its complex
+  values are arrays with leading axes (roots, moment orders, contour
+  nodes), and its values are bit-identical alone and inside a batch (the
+  layout notes above ``_contour`` say why).
 
 Sign conventions: B carries a minus sign on its integral term and the
 second basis transform r(z) a minus sign on its first term.  Both are fixed
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import exp_moment, sin_quot, sinc_band_c, sinh_quot_scaled
+from .special import exp_moments, sin_quot, sinc_band_c, sinh_quot_scaled
 
 DEGENERACY_RTOL = 1e-9
 # largest c3 of the c3 > 0 closed forms: correct to 1e145 for c1 in [1e-6, 1e6]
@@ -95,42 +99,43 @@ def quartic_roots(m: Measure) -> EtaPair:
     quadrant.  For a batch measure every field is an array over the batch
     (``case_tag`` an object array)."""
     _require_c3_bound(m)
-    if np.any(m.c3 == 0.0):
+    if np.count_nonzero(m.c3 == 0.0):
         raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
-    if np.any(m.c2 == 0.0):
+    if np.count_nonzero(m.c2 == 0.0):
         raise InvalidRegime("c2 = 0 degenerates to the pure sinc kernel")
-    lam, c3 = m.lam(), m.c3
-    big_lam = np.sqrt(lam - 4.0 * c3 ** 2 + 0j)
-    eta1_sq = c3 ** 2 - lam + np.sqrt(lam) * big_lam
-    eta2_sq = c3 ** 2 - lam - np.sqrt(lam) * big_lam
+    lam, c3_sq = m.lam(), m.c3 * m.c3
+    root = np.sqrt(lam) * np.sqrt(lam - 4.0 * c3_sq + 0j)
+    eta1_sq = c3_sq - lam + root
+    eta2_sq = c3_sq - lam - root
     eta1 = np.sqrt(eta1_sq)   # principal branch has Re >= 0
     eta2 = np.sqrt(eta2_sq)
     degenerate = abs(eta1_sq - eta2_sq) <= DEGENERACY_RTOL * (abs(eta1_sq) + abs(eta2_sq))
-    tag = _CASE_TAGS[2 * degenerate + (lam > 4.0 * c3 ** 2)]
+    tag = _CASE_TAGS[2 * degenerate + (lam > 4.0 * c3_sq)]
     return EtaPair(eta1=eta1, eta2=eta2, degenerate=degenerate, case_tag=tag)
 
 
 def quartic_residual(m: Measure, eta: complex) -> float:
     """Relative residual of eta in the characteristic quartic (test hook)."""
-    lam, c3 = m.lam(), m.c3
-    val = eta ** 4 + 2.0 * (lam - c3 ** 2) * eta ** 2 + c3 ** 2 * (2.0 * lam + c3 ** 2)
-    scale = abs(eta) ** 4 + 2.0 * abs(lam - c3 ** 2) * abs(eta) ** 2 \
-        + c3 ** 2 * (2.0 * lam + c3 ** 2)
+    lam, c3_sq = m.lam(), m.c3 * m.c3
+    val = eta ** 4 + 2.0 * (lam - c3_sq) * eta ** 2 + c3_sq * (2.0 * lam + c3_sq)
+    scale = abs(eta) ** 4 + 2.0 * abs(lam - c3_sq) * abs(eta) ** 2 \
+        + c3_sq * (2.0 * lam + c3_sq)
     return abs(val) / max(scale, 1e-300)
 
 
 def _require_c3_bound(m: Measure) -> None:
     """Refuse a measure, or any entry of a batch, with c3 > C3_MAX."""
-    if np.greater(m.c3, C3_MAX).any():
+    if np.count_nonzero(m.c3 > C3_MAX):
         raise ValueError(f"c3 must be <= {C3_MAX:g}, got {np.max(m.c3):g}")
 
 
 def mu(m: Measure) -> float:
     """mu = c3^2 / (2 c2 + c3^2 c1); zero exactly when c3 = 0."""
     _require_c3_bound(m)
-    if np.any((m.c2 == 0.0) & (m.c3 == 0.0)):
+    if np.count_nonzero((m.c2 == 0.0) & (m.c3 == 0.0)):
         raise ValueError("mu requires c2 > 0 or c3 > 0")
-    return m.c3 ** 2 / (2.0 * m.c2 + m.c3 ** 2 * m.c1)
+    c3_sq = m.c3 * m.c3
+    return c3_sq / (2.0 * m.c2 + c3_sq * m.c1)
 
 
 def script_L(m: Measure) -> complex:
@@ -142,16 +147,19 @@ def script_L(m: Measure) -> complex:
     with negative imaginary part when they sit in conjugate quadrants.
     Certified nonzero for sigma <= 2.9 away from the degenerate line.
     """
-    if np.any(m.c3 == 0.0) or np.any(m.c2 == 0.0):
+    if np.count_nonzero((m.c3 == 0.0) | (m.c2 == 0.0)):
         raise InvalidRegime("script_L needs c2 > 0 and c3 > 0")
-    if np.any(m.sigma() > SCRIPT_L_SIGMA_MAX):
+    if np.count_nonzero(m.sigma() > SCRIPT_L_SIGMA_MAX):
         raise NotAdmissible(
             f"sigma = {np.max(m.sigma()):.6g} > {SCRIPT_L_SIGMA_MAX}: nonvanishing of the "
             "divisor is not certified there")
     sol = k0_transform_solution(m)
-    if np.any(sol.roots.degenerate):
+    if np.count_nonzero(sol.roots.degenerate):
         raise DegenerateRoots("lam = 4 c3^2: the two-root divisor is not defined")
-    return (sol.roots.eta1 ** 2 - sol.roots.eta2 ** 2) * sol.det
+    # complex products on arrays, as in the transform solution, so that a
+    # measure's divisor is the same alone and in a batch
+    zeta = np.array([sol.roots.eta1, sol.roots.eta2]) ** 2
+    return ((zeta[:1] - zeta[1:]) * sol.det)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +175,27 @@ def script_L(m: Measure) -> complex:
 # Comput. 26, 2005): a weighted sum of X at 8 nodes, which no cancellation
 # between X1 and X2 enters.
 #
-# Every step works on arrays of measures; "close roots" is a mask over them.
+# One code path serves one measure and a batch; "close roots" is a mask over
+# the measures.  Layout:
+#
+# * Real parameters keep their own type: c1, c2, c3, L = Delta/2 and lam are
+#   Python floats for one measure and arrays of the batch's shape for a
+#   batch, so every real-only step (denominators, rho1, rho2, mu, the close
+#   test) costs a Python float operation for one measure.
+# * Complex quantities are arrays, with the measures on trailing axes and
+#   roots, moment orders and contour nodes on leading ones.  A per-measure
+#   complex value keeps a leading axis of length 1 (``mean[:1]``, never
+#   ``mean[0]``): numpy's complex multiply on numpy scalars skips the fused
+#   multiply-add of its array loop, so a 0-d product would round apart from
+#   the same measure's product inside a batch.
+# * A square that a Python float can reach is written as a product, c3 * c3:
+#   Python's ``**`` calls libm pow, which rounds apart from numpy's square
+#   in about 0.1% of doubles, and so would tag roots on the degenerate line
+#   differently alone and in a batch.
+# * Every sum over rows or over the 8 contour nodes runs over a contiguous
+#   last axis, so that one measure and a batch sum in the same order.
 
 _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which X1 - X2 cancels
-_K01 = np.arange(2)[:, None, None, None]                        # I_0 and I_1
 
 
 def _contour(zeta1, zeta2, L):
@@ -184,22 +209,6 @@ def _contour(zeta1, zeta2, L):
     arc = 0.5 / (L * L) * _CIRCLE
     zeta = 0.5 * (zeta1 + zeta2) + arc
     return np.sqrt(zeta), arc / (8.0 * (zeta - zeta1) * (zeta - zeta2))
-
-
-def _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, nodes, c):
-    """(Abar, A', Bbar, B') over 1-d arrays of measures, inv_gap = 1 / (zeta1
-    - zeta2) off the close roots (0 on them), and the contour nodes and
-    weights (weight 0 off the close roots).  One moment call gives I_k(eta) =
-    phi_k(eta - c3) + phi_k(-eta - c3), k = 0, 1, at both roots and every
-    node.  Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly."""
-    eta = np.concatenate([eta1[:, None], eta2[:, None], nodes], axis=1)
-    mom = exp_moment(_K01, np.array([eta, -eta]) - c3[:, None], L[:, None])
-    i = mom[:, 0] + mom[:, 1]                        # (order k, measure, point)
-    mean = 0.5 * (i[..., 0] + i[..., 1])
-    dd = (i[..., 0] - i[..., 1]) * inv_gap + (c * i[..., 2:]).sum(-1)
-    (i0, i1), (i0_dd, i1_dd) = mean, dd
-    return (1.0 + lam * i1, lam * i1_dd,
-            lam * (1.0 - 2.0 * c3 * i0), 1.0 - 2.0 * lam * c3 * i0_dd)
 
 
 @dataclass(frozen=True)
@@ -218,9 +227,11 @@ class TransformSolution:
     w2, w1, w2, 2 mu), w1,2 = p_scaled/2 +- q_scaled/(eta1^2 - eta2^2).
     Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
     q_scaled c': offsets +-eta_k, shift c3, weights q_scaled c_k at the 8
-    contour nodes (weight 0 for the other measures of such a batch).  For a
-    batch measure every field is an array of the batch's shape (the rows
-    with one more, trailing axis), and every array is read-only.
+    contour nodes (weight 0 for the other measures of such a batch).  For
+    one measure the scalar fields are numpy scalars and the rows have shape
+    (5,) or (21,); for a batch measure every field is an array of the
+    batch's shape (the rows with one more, trailing, C-contiguous axis).
+    Every array is read-only.
 
     The coefficients are stored with the exponential damping e^{-c3 Delta/2}
     factored out: both right-hand sides of the defining linear system carry
@@ -253,39 +264,75 @@ def k0_transform_solution(m: Measure) -> TransformSolution:
     sections of one measure, and the returned object and its arrays are
     shared and read-only.  A batch is solved in one
     uncached pass."""
-    return _cached_solution(m) if np.ndim(m.c3) == 0 else _transform_solution(m)
+    return _transform_solution(m) if isinstance(m.c3, np.ndarray) else _cached_solution(m)
 
 
 def _transform_solution(m: Measure) -> TransformSolution:
     roots = quartic_roots(m)
-    shape = np.shape(m.c3)
-    c1, c2, c3, eta1, eta2 = (np.ravel(v) for v in (m.c1, m.c2, m.c3, roots.eta1, roots.eta2))
-    L, lam = np.ravel(m.delta) / 2.0, c2 / c1
-    zeta1, zeta2 = eta1 ** 2, eta2 ** 2
-    close = np.abs(zeta1 - zeta2) * L * L < _CLOSE_GAP
-    inv_gap = np.divide(1.0, zeta1 - zeta2, out=np.zeros_like(zeta1), where=~close)
-    # contour nodes and weights, on the close measures only (elsewhere a
-    # circle node may hit a root); the others get node 0 and weight 0
-    nodes, c = np.zeros((2, len(c3), len(_CIRCLE) * close.any()), dtype=complex)
-    if c.size:
-        nodes[close], c[close] = _contour(*(v[close, None] for v in (zeta1, zeta2, L)))
-    a, a_dd, b, b_dd = _divisor_terms(lam, c3, L, eta1, eta2, inv_gap, nodes, c)
+    c1, c2, c3, L = m.c1, m.c2, m.c3, m.delta / 2.0
+    lam, c3_sq = c2 / c1, c3 * c3
+    eta = np.array([roots.eta1, roots.eta2])
+    zeta = eta ** 2
+    gap = zeta[:1] - zeta[1:]
+    close = abs(gap) * L * L < _CLOSE_GAP
+    zero = np.zeros(close.shape)
+    inv_gap = np.divide(1.0, gap, out=zero + 0j, where=~close)
+    # one moment call gives I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3),
+    # k = 0, 1, at both roots and, for the close measures only, at the 8
+    # contour nodes (elsewhere a circle node may hit a root)
+    s, L_s = np.concatenate([eta, -eta]) - c3, L
+    n_close = np.count_nonzero(close)
+    if n_close:
+        z1, z2, L_c, c3_c = (np.broadcast_to(v, close.shape)[close][:, None]
+                             for v in (zeta[:1], zeta[1:], L, c3))
+        nodes, c = _contour(z1, z2, L_c)
+        s_c = np.concatenate([nodes, -nodes], axis=1) - c3_c
+        L_s = np.concatenate([np.broadcast_to(L, s.shape).ravel(),
+                              np.broadcast_to(L_c, s_c.shape).ravel()])
+        s = np.concatenate([s.ravel(), s_c.ravel()])
+    mom = exp_moments(1, s, L_s).reshape(2, -1)
+    i = mom[:, :4 * close.size].reshape((2, 4) + close.shape[1:])
+    i = i[:, :2] + i[:, 2:]                                 # (order k, root, ...)
+    mean = 0.5 * (i[:, :1] + i[:, 1:])
+    dd = (i[:, :1] - i[:, 1:]) * inv_gap
+    if n_close:
+        i_c = mom[:, 4 * close.size:].reshape(2, -1, 16)
+        dd[:, close] += (c * (i_c[..., :8] + i_c[..., 8:])).sum(-1)
+    (i0, i1), (i0_dd, i1_dd) = mean, dd
+    # Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly
+    a, a_dd = 1.0 + lam * i1, lam * i1_dd
+    b, b_dd = lam * (1.0 - 2.0 * c3 * i0), 1.0 - 2.0 * lam * c3 * i0_dd
     det = a_dd * b - a * b_dd
     # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
-    denom = c1 * (2.0 * c2 + c3 ** 2 * c1)
+    d = 2.0 * c2 + c3_sq * c1
+    mu_v, denom = c3_sq / d, c1 * d
     rho1 = 2.0 * c2 * (1.0 + c3 * L) / denom
-    rho2 = 4.0 * c2 * c3 ** 2 / denom
-    p, q, mu_v = -(rho1 * b_dd + rho2 * a_dd) / det, (rho1 * b + rho2 * a) / det, np.ravel(mu(m))
-    w1, w2, zero = 0.5 * p + q * inv_gap, 0.5 * p - q * inv_gap, np.zeros_like(c3)
-    qc = q[:, None] * c
-    fields = dict(p_scaled=p, q_scaled=q, det=det, mu=mu_v, scale=c3 * L, close=close,
-                  offsets=np.column_stack([eta1, eta2, -eta1, -eta2, zero, nodes, -nodes]),
-                  shifts=np.column_stack([c3] * 4 + [zero] + [c3] * (2 * c.shape[1])),
-                  weights=np.column_stack([w1, w2, w1, w2, 2.0 * mu_v, qc, qc]))
-    for name, v in fields.items():
-        fields[name] = v = v.reshape(shape + v.shape[1:])
-        v.flags.writeable = False
-    return TransformSolution(roots=roots, **{k: v[()] for k, v in fields.items()})
+    rho2 = 4.0 * c2 * c3_sq / denom
+    p, q = -(rho1 * b_dd + rho2 * a_dd) / det, (rho1 * b + rho2 * a) / det
+    q_gap = q * inv_gap
+    w1, w2 = 0.5 * p + q_gap, 0.5 * p - q_gap
+    c3_row = c3 + zero
+    offsets, shifts = [eta, -eta, zero], [c3_row] * 4 + [zero]
+    weights = [w1, w2, w1, w2, 2.0 * mu_v + zero]
+    if n_close:     # contour rows: node 0 and weight 0 for the measures not close
+        node_rows, qc_rows = np.zeros((2, 8) + close.shape, dtype=complex)
+        node_rows[:, close], qc_rows[:, close] = nodes.T, (q[close][:, None] * c).T
+        offsets += [node_rows[:, 0], -node_rows[:, 0]]
+        shifts += [c3_row] * 16
+        weights += [qc_rows[:, 0]] * 2
+    axes = (*range(1, close.ndim), 0)        # the row axis last, C-ordered
+    rows = (np.ascontiguousarray(np.concatenate(r).transpose(axes))
+            for r in (offsets, shifts, weights))
+    fields = dict(zip(("offsets", "shifts", "weights"), rows), p_scaled=p[0], q_scaled=q[0],
+                  det=det[0], mu=mu_v, scale=c3 * L, close=close[0])
+    return TransformSolution(roots=roots, **{k: _read_only(v) for k, v in fields.items()})
+
+
+def _read_only(v):
+    """v as a read-only array, or as a numpy scalar where it is 0-d."""
+    v = np.asarray(v)
+    v.flags.writeable = False
+    return v[()]
 
 
 _cached_solution = functools.lru_cache(maxsize=8)(_transform_solution)
@@ -423,7 +470,7 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
     and the regimes are masks over the batch."""
     m.require_admissible(extended=extended)
     z = np.asarray(z, dtype=complex)
-    if np.ndim(m.c1) == 0:
+    if not isinstance(m.c1, np.ndarray):
         regime = _k0z_section if m.c2 > 0.0 and m.c3 > 0.0 else _k0z_c3zero
         return np.asarray(regime(m, z))
     c1, c2, c3, delta = (np.reshape(v, (-1,) + (1,) * z.ndim)

@@ -62,7 +62,7 @@ class Measure:
 
     def sigma(self) -> float:
         """(c2/c1) Delta^2, the quantity every admissibility test is stated in."""
-        return (self.c2 / self.c1) * self.delta ** 2
+        return (self.c2 / self.c1) * (self.delta * self.delta)
 
     def lam(self) -> float:
         """c2/c1, the density-to-atom ratio the kernel formulas use."""

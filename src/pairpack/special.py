@@ -4,10 +4,11 @@ sinc-type quotients with removable zeros.
 
 All functions accept complex scalars or arrays, and ``L`` (and ``shift``) may
 be arrays that broadcast against the arguments: one call then evaluates a
-batch of measures.  The moment integrals switch to a truncated power series
-where |s| L < 1, summed from one table of powers of s L; the switch radius
-keeps both branches well inside 1e-13 relative accuracy.  The sinh and sin
-quotients need no switch: one expm1 formula holds for every s.
+batch of measures.  One moment call gives every order up to k_max: a
+truncated power series where |s| L < 1, summed from one table of powers of
+s L, and elsewhere one exp per point and the upward recurrence; the switch
+radius keeps both branches well inside 1e-13 relative accuracy.  The sinh
+and sin quotients need no switch: one expm1 formula holds for every s.
 """
 
 from __future__ import annotations
@@ -16,50 +17,55 @@ import numpy as np
 
 _SERIES_RADIUS = 1.0
 _SERIES_TERMS = 20          # (1/20!) < 5e-19: the truncation error at |s L| = 1
-_J = np.arange(_SERIES_TERMS)
+_MAX_ORDER = 31             # highest order of the divisor table below
 _FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
+# the series' divisors j! (k + j + 1) of every order k, exact in float64
+_DIVISORS = _FACTORIALS * (np.arange(_MAX_ORDER + 1.0)[:, None, None]
+                           + np.arange(_SERIES_TERMS) + 1.0)
 
 
-def exp_moment(k, s, L):
-    """phi_k(s) = integral_0^L  a^k e^{s a} da  for any integer order k >= 0.
+def exp_moments(k_max, s, L):
+    """phi_k(s) = integral_0^L  a^k e^{s a} da  for the orders k = 0..k_max,
+    on a leading axis of length k_max + 1 (k_max <= 31).
 
-    ``k``, ``s`` and ``L`` broadcast against each other.  For |s L| < 1 the
-    power series  L^{k+1} sum_j (sL)^j / (j! (k+j+1))  is used, from one
-    table of powers of sL times those coefficients; elsewhere the
-    upward recurrence  phi_j = (L^j e^{sL} - j phi_{j-1}) / s  from
-    phi_0 = (e^{sL} - 1) / s.  The recurrence amplifies rounding by about
-    prod_j (1 + (j+1)/|sL|), at most 60 for k <= 3, so orders above 3 are
-    meant for the series region.
+    ``s`` and ``L`` broadcast against each other.  For |s L| < 1 the power
+    series  L^{k+1} sum_j (sL)^j / (j! (k+j+1))  is used, every order from
+    one table of powers of sL; elsewhere the upward recurrence
+    phi_j = (L^j e^{sL} - j phi_{j-1}) / s  from  phi_0 = (e^{sL} - 1) / s,
+    which passes through every lower order, from one exp per point.  The
+    recurrence amplifies rounding by about prod_j (1 + (j+1)/|sL|), at most
+    60 for k <= 3, so orders above 3 are meant for the series region.  Each
+    point's values are the same whatever the other points of the call.
     """
-    k = np.asarray(k)
-    if (k < 0).any():
-        raise ValueError("order k must be >= 0")
+    if not 0 <= k_max <= _MAX_ORDER:
+        raise ValueError(f"order k_max must be in [0, {_MAX_ORDER}], got {k_max}")
     # broadcast by adding zeros, at a fifth of np.broadcast_arrays' cost
-    s, L = np.asarray(s, dtype=complex), np.asarray(L, dtype=float)
-    zero = np.zeros(np.broadcast(k, s, L).shape)
-    k, s, L = k + zero, s + zero, L + zero
+    s = np.asarray(s, dtype=complex)
+    zero = np.zeros(np.broadcast(s, L).shape)
+    s, L = s + zero, L + zero
     x = s * L
     small = np.abs(x) < _SERIES_RADIUS
-    out = np.empty(x.shape, dtype=complex)
+    out = np.empty((k_max + 1,) + x.shape, dtype=complex)
 
-    if small.any():
-        ks, powers = k[small], np.ones((small.sum(), _SERIES_TERMS), dtype=complex)
+    n_small = np.count_nonzero(small)
+    if n_small:
+        powers = np.ones((n_small, _SERIES_TERMS), dtype=complex)
         powers[:, 1:] = x[small, None]
-        terms = np.cumprod(powers, axis=1) / (_FACTORIALS * (ks[:, None] + _J + 1))
-        # summed in sequence from the smallest term (a pairwise sum loses 2x)
-        out[small] = np.cumsum(terms[:, ::-1], axis=-1)[:, -1] * L[small] ** (ks + 1)
+        terms = np.multiply.accumulate(powers, axis=1) / _DIVISORS[:k_max + 1]
+        # summed in sequence from the smallest term (a pairwise sum loses 2x),
+        # times L^{k+1} as running products: a power's rounding would depend
+        # on how numpy's loop meets the exponent's layout
+        out[:, small] = (np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
+                         * np.multiply.accumulate(np.array([L[small]] * (k_max + 1))))
 
-    big = ~small
-    if big.any():
-        kb, sb, Lb = k[big], s[big], L[big]
+    if n_small < small.size:
+        big = ~small
+        sb, Lb = s[big], L[big]
         e = np.exp(x[big])
-        phi = (e - 1.0) / sb
-        val = phi.copy()
-        for j in range(1, int(kb.max()) + 1):
-            phi = (Lb ** j * e - j * phi) / sb
-            val = np.where(kb == j, phi, val)
-        out[big] = val
-    return complex(out) if out.ndim == 0 else out
+        out[0, big] = phi = (e - 1.0) / sb
+        for j in range(1, k_max + 1):
+            out[j, big] = phi = (Lb ** j * e - j * phi) / sb
+    return out
 
 
 def sinh_quot_scaled(s, L, shift):

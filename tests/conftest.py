@@ -30,7 +30,7 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402
 
 from pairpack.quadrature import gauss_legendre  # noqa: E402
-from pairpack.special import exp_moment, sinh_quot  # noqa: E402
+from pairpack.special import exp_moments, sinh_quot  # noqa: E402
 from pairpack.verify import CHECKS  # noqa: E402  (after the BLAS setting)
 
 BY_NAME = {check.name: check for check in CHECKS}
@@ -87,11 +87,16 @@ def integrate_with_kink(f, a: float, b: float, kink: float = 0.0,
     return adaptive_quad(f, a, b, tol)
 
 
+# on the degenerate line, c2 = 4 c3 c3 c1 bit for bit, where a Python float's
+# c3 ** 2 (libm pow) rounds apart from c3 * c3
+LINE_MEASURE = (1.0, 2.2339406167140052, 0.7473186430021007, 0.709283836724323)
+
+
 def cosh_moment(k, eta, c3: float, delta: float):
     """I_k(eta) = integral_{-d/2}^{d/2} cosh(eta a) |a|^k e^{-c3 |a|} da."""
     L = delta / 2.0
     eta = np.asarray(eta, dtype=complex)
-    return exp_moment(k, eta - c3, L) + exp_moment(k, -eta - c3, L)
+    return exp_moments(k, eta - c3, L)[k] + exp_moments(k, -eta - c3, L)[k]
 
 
 def aux_A(m, eta: complex) -> complex:

@@ -1,10 +1,11 @@
 """Closed-form kernels: roots, moment functions, sections, the divisor."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
-from conftest import aux_A, aux_B, aux_C, integrate_with_kink, registry_test
+from conftest import LINE_MEASURE, aux_A, aux_B, aux_C, integrate_with_kink, registry_test
 
 from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, k_from_u, kernel_c3zero,
@@ -12,7 +13,7 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       quartic_roots, script_L, solve_integral_eq, sup_g)
 from pairpack.kernels import (_CLOSE_GAP, C3_MAX, _contour, k0_endpoint_value,
                               k0_transform_solution, quartic_residual)
-from pairpack.special import exp_moment
+from pairpack.special import exp_moments
 
 
 class TestQuarticRoots:
@@ -300,16 +301,39 @@ class TestKernelK0z:
             assert grid[i] == pytest.approx(kernel_k0z(m, zs[i]).value, abs=1e-13)
 
     def test_grid_of_a_batch_matches_single_measures(self):
-        # every regime in one 2 x 3 batch (pure atom, c3 = 0, close roots on
-        # and off the degenerate line, generic, c3 Delta = 200) on a 2 x 2 grid
+        # every regime in one 2 x 4 batch (pure atom, c3 = 0, close roots on
+        # and off the degenerate line, generic, c3 Delta = 200 and 500, and a
+        # measure on the line built as c2 = 4 c3 c3 c1) on a 2 x 2 grid, bit
+        # for bit
         rows = np.array([[1, 0, 3, 0.5], [1, 1, 0, 0.5], [1, 1, 0.5, 0.5],
-                         [1, 1 + 1e-6, 0.5, 0.5], [1.3, 1.1, 2.0, 0.7], [1, 1, 400, 0.5]])
-        batch = Measure(*rows.T.reshape(4, 2, 3))
+                         [1, 1 + 1e-6, 0.5, 0.5], [1.3, 1.1, 2.0, 0.7], [1, 1, 400, 0.5],
+                         [1.3, 1.1, 500 / 0.7, 0.7], LINE_MEASURE])
+        batch = Measure(*rows.T.reshape(4, 2, 4))
         zs = np.array([[0.0, 0.3 + 0.1j], [1.1, 2.0]])
         grid = kernel_k0z_grid(batch, zs)
-        assert grid.shape == (2, 3, 2, 2)
+        assert grid.shape == (2, 4, 2, 2)
         single = np.array([kernel_k0z_grid(Measure(*r), zs) for r in rows])
-        np.testing.assert_allclose(grid.reshape(6, 2, 2), single, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(grid.reshape(8, 2, 2), single)
+
+    def test_degenerate_line_alone_and_in_a_batch(self):
+        # measures with c2 = 4 c3 c3 c1 bit for bit, built as the benchmark
+        # builds them: tags, roots and K(0, z) are the same alone and in a
+        # batch (on a Python float, c3 ** 2 is libm pow, which rounds apart
+        # from c3 * c3 and would tag LINE_MEASURE's roots purely imaginary)
+        rng = np.random.default_rng(1717)
+        rows = [LINE_MEASURE]
+        for _ in range(300):
+            c1, delta = float(rng.choice([0.5, 1.0, 2.0])), float(rng.uniform(0.3, 1.2))
+            c3 = math.sqrt(float(rng.uniform(0.05, 1.66)) / delta ** 2) / 2.0
+            rows.append((c1, 4.0 * c3 * c3 * c1, c3, delta))
+        batch = Measure(*np.array(rows).T)
+        zs = np.array([0.0, 1.3, 2.5 - 0.4j])
+        roots, grid = quartic_roots(batch), kernel_k0z_grid(batch, zs)
+        for i, r in enumerate(rows):
+            one = quartic_roots(Measure(*r))
+            assert one.case_tag is roots.case_tag[i] is CaseTag.DEGENERATE
+            assert (one.eta1, one.eta2) == (roots.eta1[i], roots.eta2[i])
+            np.testing.assert_array_equal(kernel_k0z_grid(Measure(*r), zs), grid[i])
 
     def test_batch_padding_keeps_values_exact(self):
         # a batch with a close-root measure gives the others 16 zero-weight
@@ -356,7 +380,7 @@ class TestContour:
                     assert abs(z1 - z2) * L * L < _CLOSE_GAP
                     nodes, c = _contour(z1, z2, L)
                     values = [np.cosh(nodes * L)] + [
-                        exp_moment(k, nodes - c3, L) + exp_moment(k, -nodes - c3, L)
+                        exp_moments(k, nodes - c3, L)[k] + exp_moments(k, -nodes - c3, L)[k]
                         for k in (0, 1)]
                     Z1, Z2 = mpmath.mpc(z1), mpmath.mpc(z2)
                     exact = functools.partial(self.functions, mpmath, L=mpmath.mpf(L),
@@ -446,3 +470,21 @@ class TestTransformSolutionCache:
         with pytest.raises(AttributeError):
             sol.mu = 0.0
         assert k0_transform_solution(Measure(1.0, 1.0, 1.5, 0.5)) is not sol
+
+    def test_one_measure_has_numpy_scalars_and_read_only_rows(self):
+        # one measure is the 0-d case: numpy scalars, not 1-element arrays
+        for m, rows in ((Measure(1.3, 1.1, 2.0, 0.7), 5), (Measure(1.0, 1.0, 0.5, 0.5), 21)):
+            sol = k0_transform_solution(m)
+            for name in ("p_scaled", "q_scaled", "det"):
+                assert type(getattr(sol, name)) is np.complex128, name
+            assert type(sol.mu) is np.float64 and type(sol.scale) is np.float64
+            assert type(sol.close) is np.bool_ and sol.close == (rows == 21)
+            assert type(sol.roots.eta1) is np.complex128
+            for name, dtype in (("offsets", complex), ("shifts", float), ("weights", complex)):
+                v = getattr(sol, name)
+                assert v.shape == (rows,) and v.dtype == dtype, name
+                assert not v.flags.writeable and v.flags.c_contiguous, name
+        batch = k0_transform_solution(Measure(1.0, 1.0, np.array([[0.5, 2.0]]), 0.5))
+        assert batch.weights.shape == (1, 2, 21) and batch.weights.flags.c_contiguous
+        for name in ("p_scaled", "mu", "close", "offsets", "shifts", "weights"):
+            assert not getattr(batch, name).flags.writeable, name
