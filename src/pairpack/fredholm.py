@@ -30,8 +30,8 @@ that a 2 x 2 semigroup step T carries from panel to panel.  The system is
 never formed.  A is inverted once, the interface unknowns form a
 block-tridiagonal system with 4 x 4 blocks that is factored once, and a
 solve or a product with the matrix costs O(P per^2) (_PanelOperator).  The
-dense matrix (_assemble) is built only for uniqueness_ratio's SVD, up to
-MAX_DENSE_NODES nodes, and as the tests' reference.
+uniqueness certificate runs Lanczos through the same solve; only the tests
+build the dense matrix, as their reference.
 
 Because u extends to an entire function, the scheme converges spectrally; at
 the default 200 nodes (five panels of 40) it reproduces the closed forms to
@@ -72,7 +72,6 @@ DEFAULT_NODES = 200
 PANEL_C3_WIDTH = 5.0
 PANEL_NODES = 40         # most nodes on a panel; more nodes mean more panels
 MAX_PANELS = 2048        # c3 Delta up to 10240, n up to 81920; O(P) 4 x 4 blocks
-MAX_DENSE_NODES = 2048   # largest dense matrix (uniqueness_ratio): 32 MB
 CONDITION_LIMIT = 1e8
 
 TestFunction = Sequence[tuple[float, float]]
@@ -203,21 +202,6 @@ def _panel_block(m: Measure, x: np.ndarray, w: np.ndarray, h: float) -> np.ndarr
     A = (m.c2 * d) * (left * e - (w - left) / e)
     A[np.diag_indices(len(x))] += m.c1
     return A
-
-
-def _assemble(m: Measure, nodes: np.ndarray, weights: np.ndarray, panels: int) -> np.ndarray:
-    """The dense Nystrom matrix c1 I + c2 K on the composite rule: the
-    panel block A on the diagonal, and, where x_j lies in another panel than
-    x_i, the Gauss rule K_ij = w_j |d_ij| e^{-c3 |d_ij|}.  The reference for
-    the panel solve, and the matrix of uniqueness_ratio."""
-    per, h = len(nodes) // panels, m.delta / (2 * panels)
-    M = np.abs(nodes[:, None] - nodes)
-    M *= np.exp(-m.c3 * M)
-    M *= m.c2 * weights
-    A = _panel_block(m, gauss_legendre(per, -h, h)[0], weights[:per], h)
-    for lo in range(0, len(nodes), per):
-        M[lo:lo + per, lo:lo + per] = A
-    return M
 
 
 def _doubling(N: np.ndarray, length: int) -> list:
@@ -406,14 +390,6 @@ def _inverse_norm1(op: _PanelOperator, weights: np.ndarray, start: int) -> float
     return max(est, alt)
 
 
-def _composite_rule(m: Measure, x: np.ndarray, w: np.ndarray, panels: int):
-    """Nodes and weights of the panel rule (x, w), centred, on each of the
-    P equal panels of the support."""
-    h = m.delta / (2 * panels)
-    nodes = (h * (2 * np.arange(panels) + 1) - m.delta / 2.0)[:, None] + x
-    return nodes.ravel(), np.tile(w, panels)
-
-
 def _column_sums(op: _PanelOperator, weights: np.ndarray) -> np.ndarray:
     """Column sums of |M| from one product: off the diagonal blocks M >= 0
     and M^T = W M W^-1, so they sum to w_j (M W^-1 1)_j less the diagonal
@@ -435,7 +411,8 @@ def _nystrom_system(m: Measure, n: int):
     panels, per = _layout(m, n)
     h = m.delta / (2 * panels)
     x, w = gauss_legendre(per, -h, h)
-    nodes, weights = _composite_rule(m, x, w, panels)
+    nodes = ((h * (2 * np.arange(panels) + 1) - m.delta / 2.0)[:, None] + x).ravel()
+    weights = np.tile(w, panels)
     op = _panel_operator(m, x, w, h, panels)
     columns = _column_sums(op, weights)
     widest = int(np.argmax(columns))
@@ -478,23 +455,35 @@ def system_residual(sol: NystromSolution) -> float:
 
 
 def uniqueness_ratio(m: Measure, n: int = DEFAULT_NODES) -> float:
-    """sigma_min(W^1/2 M W^-1/2) / a_sq for the dense Nystrom matrix M and
-    the Gauss-Legendre weights W.  The weighted matrix is the integral
-    operator T in the L2 norm of the support, and <T u, u> = integral of
-    |u_hat|^2 nu_hat >= a_sq ||u||^2 for every u supported there, so a
-    ratio below 1 means the discretization has lost the unique solvability
-    of the equation.  A dense SVD: a layout of more than MAX_DENSE_NODES
-    nodes raises ValueError before anything is allocated."""
+    """sigma_min(S) / a_sq for S = W^1/2 M W^-1/2, M the Nystrom matrix and W
+    the Gauss-Legendre weights, on any layout solve_integral_eq accepts.  S is
+    the integral operator T in L2 of the support, with <T u, u> >= a_sq ||u||^2:
+    a ratio below 1 means the discretization has lost unique solvability.
+
+    S is symmetric, so sigma_min = 1 / |theta|, theta the Ritz value of
+    largest modulus of S^-1 = W^1/2 M^-1 W^-1/2 by Lanczos (Paige, 1972;
+    Parlett, 1980): per step a panel solve and two classical Gram-Schmidt
+    passes, until the Ritz residual beta_k |e_k^T y| is 1e-13 |theta|, at
+    most one step per node.  At small c3 Delta sigma_min's eigenvector is
+    odd, and an even start read the ratio 2-4% high at a residual of 4e-14;
+    the start 1 + i / (N - 1) on N nodes has both parities.  |theta| never
+    exceeds S^-1's spectral radius, so the ratio can only read high, and the
+    tests hold it to a dense SVD."""
     m.require_single()
-    panels, per = _layout(m, n)
-    if panels * per > MAX_DENSE_NODES:
-        raise ValueError(f"{panels * per} nodes exceed the dense cap of {MAX_DENSE_NODES}")
-    h = m.delta / (2 * panels)
-    nodes, weights = _composite_rule(m, *gauss_legendre(per, -h, h), panels)
-    root_w = np.sqrt(weights)
-    weighted = root_w[:, None] * _assemble(m, nodes, weights, panels) / root_w[None, :]
-    sigma_min = float(np.linalg.svd(weighted, compute_uv=False)[-1])
-    return sigma_min / norm_bounds(m, extended=True).a_sq
+    _, weights, op, _ = _nystrom_system(m, n)
+    root_w, size = np.sqrt(weights), len(weights)
+    q, Q, alpha, beta = 1.0 + np.arange(size) / (size - 1), np.empty((0, size)), [], []
+    while True:
+        Q = np.vstack([Q, q / np.linalg.norm(q)])
+        q = root_w * op.solve(Q[-1:] / root_w)[0]
+        alpha.append(Q[-1] @ q)
+        for _ in range(2):
+            q -= (Q @ q) @ Q
+        beta.append(np.linalg.norm(q))
+        theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))  # lower triangle only
+        top = np.argmax(abs(theta))
+        if beta[-1] * abs(y[-1, top]) <= 1e-13 * abs(theta[top]) or len(Q) == size:
+            return 1.0 / (abs(float(theta[top])) * norm_bounds(m, extended=True).a_sq)
 
 
 def closed_form_u(m: Measure, w: complex, xi) -> Union[complex, np.ndarray]:

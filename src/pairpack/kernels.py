@@ -109,7 +109,8 @@ def quartic_roots(m: Measure) -> EtaPair:
     eta2_sq = c3_sq - lam - root
     eta1 = np.sqrt(eta1_sq)   # principal branch has Re >= 0
     eta2 = np.sqrt(eta2_sq)
-    degenerate = abs(eta1_sq - eta2_sq) <= DEGENERACY_RTOL * (abs(eta1_sq) + abs(eta2_sq))
+    # eta1^2 - eta2^2 scales as sqrt(lam - 4 c3^2), hence the squared rtol
+    degenerate = abs(lam - 4.0 * c3_sq) <= DEGENERACY_RTOL ** 2 * (lam + 4.0 * c3_sq)
     tag = _CASE_TAGS[2 * degenerate + (lam > 4.0 * c3_sq)]
     return EtaPair(eta1=eta1, eta2=eta2, degenerate=degenerate, case_tag=tag)
 

@@ -33,7 +33,7 @@ from .formfactor import (ZeroDataset, fejer_check, fejer_poisson_check,
 from .fredholm import (closed_form_u, k_from_u, ode_residual,
                        reproducing_residual, solve_integral_eq, system_residual,
                        uniqueness_ratio)
-from .kernels import (kernel_c3zero, kernel_k00, kernel_k0z,
+from .kernels import (k0_transform_solution, kernel_c3zero, kernel_k00, kernel_k0z,
                       quartic_roots, quartic_residual, script_L)
 from .measures import Measure, g_surface, sup_g, sup_g_point
 
@@ -312,7 +312,8 @@ def _self_convergence_200_400():
 
 def _uniqueness_a_sq_over_sigma_min():
     # sigma_min of the weighted Nystrom matrix must stay >= a_sq
-    ms = (Measure(1, 1, 1.0, 0.5), Measure(1, 1, 0.0, 0.5), Measure(1, 1, 2.0, 0.9))
+    ms = (Measure(1, 1, 1.0, 0.5), Measure(1, 1, 0.0, 0.5), Measure(1, 1, 2.0, 0.9),
+          Measure(1, 1, 2e4, 0.5))          # c3 Delta = 10^4: 48000 nodes
     return max(1.0 / uniqueness_ratio(m) for m in ms), 1.0
 
 
@@ -383,11 +384,10 @@ def _ode_residual_c3pos():
 # appendix
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def _divisor_grid() -> tuple:
-    """(ratios, script_L values) at delta = 0.7 over the 40 sigmas x 79
-    ratios of the two 40 x 40 grids and a coarse 15 x 6 grid, with
-    c3 = ratio * sqrt(lam) / 2, as one batch; both appendix checks read it."""
+    """(ratios, measures) at delta = 0.7 over the 40 sigmas x 79 ratios of
+    the two 40 x 40 grids and a coarse 15 x 6 grid, with c3 = ratio *
+    sqrt(lam) / 2, as one batch."""
     delta = 0.7
     ratios = np.union1d(
         np.concatenate([np.linspace(0.08, 0.92, 20), np.linspace(1.08, 3.0, 20)]),
@@ -396,18 +396,27 @@ def _divisor_grid() -> tuple:
              (np.linspace(0.1, 2.9, 15), np.array([0.2, 0.6, 0.9, 1.1, 1.7, 2.5])))
     lam = np.concatenate([np.repeat(sg, len(rs)) for sg, rs in grids]) / delta ** 2
     r = np.concatenate([np.tile(rs, len(sg)) for sg, rs in grids])
-    return r, script_L(Measure(1.0, lam, r * np.sqrt(lam) / 2.0, delta))
+    return r, Measure(1.0, lam, r * np.sqrt(lam) / 2.0, delta)
 
 
-def _script_L_nonvanishing():
-    min_abs = np.min(np.abs(_divisor_grid()[1]))
-    return bool(min_abs > 0.0), f"min_abs={min_abs:.6e}"
+@lru_cache(maxsize=1)
+def _divisor_margins() -> tuple:
+    """(max Re det + 1, max |Im det| / |det|) for det = A' Bbar - Abar B' =
+    script_L / (eta1^2 - eta2^2) on the divisor grid and on 40 measures of
+    the line lam = 4 c3^2 (c1 = 1, sigma 0.01 to 2.9, close-root contour).
+    det <= -1 keeps the divisor off zero.  They read -1.4e-2 and 0 on the grid,
+    -2.4e-3 and 1.7e-16 on the line (tolerance 3x that, up to one digit)."""
+    c3 = np.sqrt(np.linspace(0.01, 2.9, 40)) / (2.0 * 0.7)
+    line = Measure(1.0, 4.0 * c3 * c3, c3, 0.7)
+    det = np.concatenate([k0_transform_solution(m).det for m in (_divisor_grid()[1], line)])
+    return float(np.max(det.real)) + 1.0, float(np.max(np.abs(det.imag) / np.abs(det)))
 
 
 def _script_L_case_signs():
     # purely imaginary roots (ratio < 1) give a real negative divisor, the
     # conjugate quadrant a purely imaginary one with Im < 0
-    r, val = _divisor_grid()
+    r, m = _divisor_grid()
+    val = script_L(m)
     scale = 1e-10 * np.abs(val)
     return bool(np.all(np.where(r < 1.0, (val.real < 0) & (np.abs(val.imag) <= scale),
                                 (val.imag < 0) & (np.abs(val.real) <= scale)))), ""
@@ -606,7 +615,8 @@ _TABLE = {
         ("ode_residual_c3pos", _ode_residual_c3pos),
     ),
     "appendix": (
-        ("script_L_nonvanishing", _script_L_nonvanishing),
+        ("script_L_nonvanishing", lambda: (_divisor_margins()[0], 0.0)),
+        ("script_L_det_real", lambda: (_divisor_margins()[1], 6e-16)),
         ("script_L_case_signs", _script_L_case_signs),
     ),
     "formfactor": (

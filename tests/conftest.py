@@ -16,7 +16,10 @@ a registry check holds (``registry_test``) read the same outcome.
 tests: adaptive Gauss-Legendre integration, independent of every closed form.
 ``aux_A``, ``aux_B`` and ``aux_C`` are the paper's moment functions A, B and
 the transform C in their scalar defining forms, the test oracles of the
-kernels' batched means and divided differences.
+kernels' batched means and divided differences.  ``assemble`` is the dense
+Nystrom matrix, the oracle of the oracle's panel operator: of its solve,
+its product, its condition estimate and ``uniqueness_ratio``
+(``dense_sigma_min``).
 """
 
 import functools
@@ -29,6 +32,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np  # noqa: E402
 
+from pairpack.fredholm import _nystrom_system, _panel_block  # noqa: E402
 from pairpack.quadrature import gauss_legendre  # noqa: E402
 from pairpack.special import exp_moments, sinh_quot  # noqa: E402
 from pairpack.verify import CHECKS  # noqa: E402  (after the BLAS setting)
@@ -85,6 +89,29 @@ def integrate_with_kink(f, a: float, b: float, kink: float = 0.0,
     if a < kink < b:
         return adaptive_quad(f, a, kink, tol / 2) + adaptive_quad(f, kink, b, tol / 2)
     return adaptive_quad(f, a, b, tol)
+
+
+def assemble(m, nodes, weights, panels):
+    """The dense Nystrom matrix c1 I + c2 K on the composite rule: the
+    panel block A on the diagonal, and, where x_j lies in another panel than
+    x_i, the Gauss rule K_ij = w_j |d_ij| e^{-c3 |d_ij|}."""
+    per, h = len(nodes) // panels, m.delta / (2 * panels)
+    M = np.abs(nodes[:, None] - nodes)
+    M *= np.exp(-m.c3 * M)
+    M *= m.c2 * weights
+    A = _panel_block(m, gauss_legendre(per, -h, h)[0], weights[:per], h)
+    for lo in range(0, len(nodes), per):
+        M[lo:lo + per, lo:lo + per] = A
+    return M
+
+
+def dense_sigma_min(m, n=200):
+    """sigma_min(W^1/2 M W^-1/2) by a dense SVD of the weighted matrix, on
+    the nodes of ``fredholm.uniqueness_ratio``."""
+    nodes, weights, op, _ = _nystrom_system(m, n)
+    root_w = np.sqrt(weights)
+    weighted = root_w[:, None] * assemble(m, nodes, weights, op.panels) / root_w[None, :]
+    return float(np.linalg.svd(weighted, compute_uv=False)[-1])
 
 
 # on the degenerate line, c2 = 4 c3 c3 c1 bit for bit, where a Python float's

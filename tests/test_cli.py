@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -57,6 +58,12 @@ class TestKernelCommand:
         rows = csv_dict(out)
         assert rows["case"] == "conjugate_quadrant"
         assert "script_L" in rows
+
+    def test_huge_c3_roots_stay_apart(self, capsys):
+        code, out, _ = run_cli(capsys, "kernel", "--c3", "1e140")
+        rows = csv_dict(out)
+        assert code == 0 and rows["case"] == "conjugate_quadrant"
+        assert all(math.isfinite(float(v)) for v in rows["script_L"].split(","))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--format", "json")

@@ -5,15 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import integrate_with_kink, registry_test
+from conftest import assemble, dense_sigma_min, integrate_with_kink, registry_test
 
 import pairpack.fredholm as fredholm
 import pairpack.kernels as kernels
 from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
                       k_from_u, kernel_k00, ode_residual, nu_hat, solve_integral_eq)
-from pairpack.fredholm import (CONDITION_LIMIT, MAX_DENSE_NODES, MAX_PANELS,
-                               PANEL_C3_WIDTH, PANEL_NODES, system_residual,
-                               uniqueness_ratio)
+from pairpack.fredholm import (CONDITION_LIMIT, MAX_PANELS, PANEL_C3_WIDTH,
+                               PANEL_NODES, system_residual, uniqueness_ratio)
 from pairpack.errors import IllConditioned
 from pairpack.quadrature import barycentric_matrix, barycentric_weights, gauss_legendre
 import pairpack.verify as verify
@@ -64,23 +63,56 @@ class TestSolver:
             assert equation_residual_by_quadrature(
                 m, 0.3, sol.interpolate, xi) <= 1e-10
 
-    def test_homogeneous_only_trivial(self, monkeypatch, request):
+    def test_homogeneous_only_trivial(self, monkeypatch):
         # sigma_min of the weighted matrix certifies unique solvability (a
-        # verify check); a planted matrix with a_sq off the diagonal fails it;
-        # the shared systems are dropped so that no planted one outlives the test;
-        # the last measure is assembled on two panels (c3 Delta = 6)
+        # verify check); planted through the operator, with a_sq off the
+        # diagonal, it fails: M - a_sq I is the panel operator of the measure
+        # with c1 - a_sq, as c1 enters the panel block's diagonal alone, and
+        # its ratio is the measure's less 1; the last measure has two panels
+        # (c3 Delta = 6)
         ms = (Measure(1, 1, 0, 0.5), Measure(1, 1, 2.0, 0.9), Measure(1, 1, 12.0, 0.5))
-        assemble = fredholm._assemble
+        ratios = [uniqueness_ratio(m) for m in ms]
+        system = fredholm._nystrom_system
 
-        def shifted(m, nodes, weights, panels):
+        def shifted(m, n):
             a_sq = fredholm.norm_bounds(m, extended=True).a_sq
-            return assemble(m, nodes, weights, panels) - a_sq * np.eye(len(nodes))
+            return system(dataclasses.replace(m, c1=m.c1 - a_sq), n)
 
-        request.addfinalizer(fredholm._nystrom_system.cache_clear)
-        fredholm._nystrom_system.cache_clear()
-        monkeypatch.setattr(fredholm, "_assemble", shifted)
+        monkeypatch.setattr(fredholm, "_nystrom_system", shifted)
         planted = [uniqueness_ratio(m) for m in ms]
         assert max(planted) < 1.0
+        np.testing.assert_allclose(planted, np.subtract(ratios, 1.0), rtol=1e-12)
+
+    def test_uniqueness_ratio_matches_dense_svd(self):
+        # Lanczos's largest Ritz value of S^-1 through the panel solve against
+        # the dense SVD of S, on 32 seeded admissible measures with c3 Delta
+        # from 0 to 400 and both root cases; at c3 Delta <= 1 the eigenvector
+        # of sigma_min is odd, which an even start vector never reaches
+        rng = np.random.default_rng(19)
+        c3_deltas = np.concatenate([[0.0, 0.0, 400.0], rng.uniform(0.0, 1.0, 10),
+                                    10.0 ** rng.uniform(0.0, 2.0, 14),
+                                    rng.uniform(100.0, 300.0, 2)])
+        tags = set()
+        for c3_delta in c3_deltas:
+            c1, delta, sigma = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2), rng.uniform(0.05, 1.66)
+            m = Measure(c1, sigma * c1 / delta ** 2, c3_delta / delta, delta)
+            if c3_delta:
+                tags.add(kernels.quartic_roots(m).case_tag)
+            dense = dense_sigma_min(m) / fredholm.norm_bounds(m, extended=True).a_sq
+            assert abs(uniqueness_ratio(m) - dense) <= 1e-12 * dense
+        assert tags == {kernels.CaseTag.PURELY_IMAGINARY, kernels.CaseTag.CONJUGATE_QUADRANT}
+
+    def test_uniqueness_ratio_of_an_indefinite_system(self, monkeypatch):
+        # planted through the operator, M - 1.8894 a_sq I lies between two
+        # eigenvalues of M, and the one nearer to zero is negative: sigma_min
+        # is its modulus, which the largest Ritz value of S^-1 read 3x high
+        m = Measure(1, 1, 2.0, 0.9)
+        a_sq = fredholm.norm_bounds(m, extended=True).a_sq
+        shifted = dataclasses.replace(m, c1=m.c1 - 1.8894 * a_sq)
+        sigma_min = dense_sigma_min(shifted)
+        system = fredholm._nystrom_system
+        monkeypatch.setattr(fredholm, "_nystrom_system", lambda _, n: system(shifted, n))
+        assert abs(uniqueness_ratio(m) * a_sq - sigma_min) <= 1e-12 * sigma_min
 
     def test_node_count_guard(self):
         with pytest.raises(ValueError):
@@ -97,12 +129,9 @@ class TestSolver:
         # c3 Delta = 15000: 3000 panels
         with pytest.raises(ValueError, match="^3000 panels exceed the cap"):
             solve_integral_eq(Measure(1, 1, 30000, 0.5), 0.0)
-        # the dense SVD: 2080 nodes (52 panels of 40), or the panel cap first
-        with pytest.raises(ValueError, match="^2080 nodes exceed the dense cap"):
-            uniqueness_ratio(Measure(1, 1, 0, 0.5), n=2080)
         with pytest.raises(ValueError, match="panels exceed the cap"):
             uniqueness_ratio(Measure(1, 1, 0, 0.5), n=100_000_000)
-        assert (MAX_PANELS, MAX_DENSE_NODES, PANEL_NODES) == (2048, 2048, 40)
+        assert (MAX_PANELS, PANEL_NODES) == (2048, 40)
 
     def test_ill_conditioned_guard(self, monkeypatch):
         # admissible systems are far from singular; force the guard to fire
@@ -153,7 +182,7 @@ class TestSharedSystem:
         # dense matrix, and the condition estimate's column sums of |M|, taken
         # from one product with M by the kernel's symmetry, against numpy's
         nodes, weights, op, _ = fredholm._nystrom_system(m, n)
-        M = fredholm._assemble(m, nodes, weights, op.panels)
+        M = assemble(m, nodes, weights, op.panels)
         b = np.random.default_rng(3).standard_normal((3, len(nodes)))
         for got, ref in ((op.solve(b), np.linalg.solve(M, b.T).T),
                          (fredholm._column_sums(op, weights), np.abs(M).sum(axis=0))):
@@ -168,6 +197,10 @@ class TestSharedSystem:
         # summed pairwise: a running sum of the 48000 terms is off by 3.9e-15
         assert abs(k_from_u(sol, 0.0) - kernel_k00(m)) <= 1e-15
         assert system_residual(sol) <= 1e-12
+
+    def test_uniqueness_far_beyond_the_dense_node_cap(self):
+        # c3 Delta = 10^4, 48000 nodes, which a dense SVD of 2048 nodes refused
+        assert uniqueness_ratio(Measure(1.0, 1.0, 2e4, 0.5)) == pytest.approx(1.171841, abs=1e-6)
 
     def test_one_assembly_per_measure(self, monkeypatch):
         # one panel block, factored once, serves every solve and residual
@@ -300,7 +333,7 @@ class TestSpectralIntegration:
         # negative entries: signed column sums would read 2.3e-4 low
         for n, floor in ((32, 0.85), (200, 0.9999)):
             sol = solve_integral_eq(m, 0.3, n=n)
-            cond = np.linalg.cond(fredholm._assemble(m, sol.nodes, sol.weights, sol.panels), 1)
+            cond = np.linalg.cond(assemble(m, sol.nodes, sol.weights, sol.panels), 1)
             assert floor * cond <= sol.condition_estimate <= cond * (1.0 + 1e-12)
 
     def test_condition_estimate_settles_in_two_solves(self, monkeypatch):

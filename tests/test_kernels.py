@@ -2,10 +2,12 @@
 
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
-from conftest import LINE_MEASURE, aux_A, aux_B, aux_C, integrate_with_kink, registry_test
+from conftest import (BY_NAME, LINE_MEASURE, aux_A, aux_B, aux_C, integrate_with_kink,
+                      registry_test)
 
 from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, k_from_u, kernel_c3zero,
@@ -14,6 +16,7 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
 from pairpack.kernels import (_CLOSE_GAP, C3_MAX, _contour, k0_endpoint_value,
                               k0_transform_solution, quartic_residual)
 from pairpack.special import exp_moments
+import pairpack.verify as verify
 
 
 class TestQuarticRoots:
@@ -47,6 +50,36 @@ class TestQuarticRoots:
             r = quartic_roots(m)
             assert r.eta1.real >= 0 and r.eta2.real >= 0
             assert abs(r.eta1 + r.eta2) > 1e-12
+
+    def test_huge_c3_roots_stay_apart(self):
+        # eta1^2 - eta2^2 grows like c3 and the roots like c3^2, so a test on
+        # their gap tagged these roots degenerate above c3 ~ 2e9; the
+        # discriminant lam - 4 c3^2 and lam + 4 c3^2 grow alike
+        for c3 in (10 ** 9.5, 1e12, C3_MAX):
+            m = Measure(1.0, 1.0, c3, 0.5)
+            assert quartic_roots(m).case_tag is CaseTag.CONJUGATE_QUADRANT
+            assert script_L(m) == pytest.approx(-4j * c3, rel=1e-14)
+            assert kernel_k00(m) == pytest.approx(0.5, rel=1e-9)
+
+    def test_near_degenerate_tags_as_drawn(self):
+        # the benchmark's near-degenerate mix: |lam / 4 c3^2 - 1| log-uniform
+        # in [1e-12, 1e-2] takes the tag of its side of the line, and a draw
+        # with c2 = 4 c3 c3 c1 (c1 a power of two) is on it
+        rng = np.random.default_rng(1919)
+        rows, tags = [], []
+        for _ in range(2000):
+            c1, delta = float(rng.choice([0.5, 1.0, 2.0])), float(rng.uniform(0.3, 1.2))
+            lam = float(rng.uniform(0.05, 1.66)) / delta ** 2
+            side = int(rng.integers(-1, 2))
+            if side:
+                c3 = math.sqrt(lam / (4.0 * (1.0 + side * 10.0 ** rng.uniform(-12.0, -2.0))))
+                rows.append((c1, lam * c1, c3, delta))
+            else:
+                c3 = math.sqrt(lam) / 2.0
+                rows.append((c1, 4.0 * c3 * c3 * c1, c3, delta))
+            tags.append({-1: CaseTag.CONJUGATE_QUADRANT, 0: CaseTag.DEGENERATE,
+                         1: CaseTag.PURELY_IMAGINARY}[side])
+        assert list(quartic_roots(Measure(*np.array(rows).T)).case_tag) == tags
 
     def test_invalid_regimes(self):
         with pytest.raises(InvalidRegime):
@@ -411,7 +444,20 @@ class TestContinuityAndAsymptotics:
 
 
 class TestScriptL:
-    test_nonvanishing_grid = registry_test("script_L_nonvanishing")
+    test_nonvanishing_grid = registry_test("script_L_nonvanishing", "script_L_det_real")
+
+    @pytest.mark.parametrize("plant, fails", [
+        (lambda det: det * (1.0 + 1e-10j), "script_L_det_real"),
+        (lambda det: det + 2e-2, "script_L_nonvanishing")])
+    def test_planted_divisor_fails(self, monkeypatch, request, plant, fails):
+        # det leaves the real axis by 1e-10, or rises above -1 on the line
+        monkeypatch.setattr(verify, "k0_transform_solution", lambda m: types.SimpleNamespace(
+            det=plant(k0_transform_solution(m).det)))
+        request.addfinalizer(verify._divisor_margins.cache_clear)
+        verify._divisor_margins.cache_clear()
+        outcomes = {name: BY_NAME[name].run()[0]
+                    for name in ("script_L_nonvanishing", "script_L_det_real")}
+        assert outcomes == {name: name != fails for name in outcomes}
 
     def test_case_one_real_negative(self):
         val = script_L(Measure(1.0, 1.0, 0.1, 0.5))

@@ -16,7 +16,7 @@ from pairpack import (Measure, ZeroDataset, average_bounds, form_factor,  # noqa
 from pairpack.kernels import k0_transform_solution  # noqa: E402
 from pairpack.quadrature import gauss_legendre  # noqa: E402
 from pairpack.verify import K0Z_TOL  # noqa: E402
-from conftest import LINE_MEASURE  # noqa: E402
+from conftest import LINE_MEASURE, assemble  # noqa: E402
 
 T = 100.0
 ordinates = st.lists(st.floats(1.0, 90.0), min_size=1, max_size=8)
@@ -84,16 +84,17 @@ class TestOracleProperties:
 
 def panel_matvec_error(m, panels, per, seed=0):
     """||M u - A u||_inf / (||A||_inf ||u||_inf) for the panel product M u
-    and the dense matrix A of the same layout (fredholm._assemble), the
+    and the dense matrix A of the same layout (conftest.assemble), the
     dense product summed in long double so that its own rounding (about
     1e-15 of |A| |u| at 2000 nodes in doubles) does not hide the panel
     product's."""
     h = m.delta / (2 * panels)
     x, w = gauss_legendre(per, -h, h)
-    nodes, weights = fredholm._composite_rule(m, x, w, panels)
+    nodes = ((h * (2 * np.arange(panels) + 1) - m.delta / 2.0)[:, None] + x).ravel()
+    weights = np.tile(w, panels)
     op = fredholm._panel_operator(m, x, w, h, panels)
     u = np.random.default_rng(seed).standard_normal((2, panels * per))
-    A = fredholm._assemble(m, nodes, weights, panels)
+    A = assemble(m, nodes, weights, panels)
     exact = u.astype(np.longdouble) @ A.T.astype(np.longdouble)
     scale = np.max(np.abs(A).sum(axis=1)) * np.max(np.abs(u))
     return float(np.max(np.abs(op.matvec(u) - exact)) / scale)
