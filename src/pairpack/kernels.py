@@ -49,6 +49,11 @@ SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
 _REMOVABLE_RTOL = 1e-8       # w-side singularity detection, relative to c2
 _CIRCLE_BAND, _CIRCLE_RADIUS = 1e-2, 1e-2   # kernel_c3zero's circle average
 _CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # its and _contour's 8 points
+# complex constants, as arrays: their products with complex arrays skip a
+# Python scalar's conversion and a float array's cast
+_PLUS_MINUS = np.array([1.0, -1.0], dtype=complex)
+_Z0, _HALF, _ONE = np.zeros((), dtype=complex), np.array(0.5 + 0j), np.array(1.0 + 0j)
+_TWO_PI, _TWO_PI_I = np.array(2.0 * np.pi + 0j), np.array(2j * np.pi)
 
 
 class CaseTag(enum.Enum):
@@ -96,23 +101,39 @@ def quartic_roots(m: Measure) -> EtaPair:
     with lam = c2/c1, taking eta^2 = c3^2 - lam +/- sqrt(lam) Lam and the
     square roots with nonnegative real part.  Lam = sqrt(lam - 4 c3^2 + 0j)
     is real in the purely imaginary case and +i|Lam| in the conjugate
-    quadrant.  For a batch measure every field is an array over the batch
-    (``case_tag`` an object array)."""
-    _require_c3_bound(m)
-    if np.count_nonzero(m.c3 == 0.0):
-        raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
-    if np.count_nonzero(m.c2 == 0.0):
+    quadrant.  eta2^2 takes the '-' sign; in the purely imaginary case
+    eta1^2 = c3^2 (2 lam + c3^2) / eta2^2 (Vieta), so that both stay
+    accurate as c3 -> 0.  For a batch measure every field is an array over
+    the batch (``case_tag`` an object array)."""
+    return _roots(m)[0]
+
+
+def _roots(m: Measure):
+    """The EtaPair and the roots stacked as one array, (eta1, eta2) on a
+    leading axis."""
+    c2, c3 = m.c2, m.c3
+    if np.count_nonzero((c3 > C3_MAX) | (c3 == 0.0) | (c2 == 0.0)):
+        _require_c3_bound(m)
+        if np.count_nonzero(c3 == 0.0):
+            raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
         raise InvalidRegime("c2 = 0 degenerates to the pure sinc kernel")
-    lam, c3_sq = m.lam(), m.c3 * m.c3
-    root = np.sqrt(lam) * np.sqrt(lam - 4.0 * c3_sq + 0j)
-    eta1_sq = c3_sq - lam + root
-    eta2_sq = c3_sq - lam - root
-    eta1 = np.sqrt(eta1_sq)   # principal branch has Re >= 0
-    eta2 = np.sqrt(eta2_sq)
+    lam, c3_sq = c2 / m.c1, c3 * c3
+    # eta2^2 = c3^2 - lam - sqrt(lam) Lam adds terms of one sign.  Where Lam
+    # is real, eta1^2 comes from the product of the roots, c3^2 (2 lam +
+    # c3^2), as the sum c3^2 - lam + sqrt(lam) Lam cancels when c3 -> 0;
+    # elsewhere eta1^2 is the conjugate of eta2^2.  The choice is a sum of
+    # products by 1 and 0, exact for finite values, at a numpy scalar's cost
+    # for one measure.  A real eta1^2 < 0 can carry the imaginary part -0;
+    # + 0 makes it +0, so that the principal square root takes the '+' branch
+    real_lam = lam > 4.0 * c3_sq
+    eta2_sq = c3_sq - lam - np.sqrt(lam) * np.sqrt(lam - 4.0 * c3_sq + 0j)
+    eta1_sq = (c3_sq * ((2.0 * lam + c3_sq) / eta2_sq) * real_lam
+               + np.conj(eta2_sq) * (1 - real_lam) + 0.0)
+    eta = np.sqrt(np.array([eta1_sq, eta2_sq]))
     # eta1^2 - eta2^2 scales as sqrt(lam - 4 c3^2), hence the squared rtol
     degenerate = abs(lam - 4.0 * c3_sq) <= DEGENERACY_RTOL ** 2 * (lam + 4.0 * c3_sq)
-    tag = _CASE_TAGS[2 * degenerate + (lam > 4.0 * c3_sq)]
-    return EtaPair(eta1=eta1, eta2=eta2, degenerate=degenerate, case_tag=tag)
+    tag = _CASE_TAGS[2 * degenerate + real_lam]
+    return EtaPair(eta1=eta[0], eta2=eta[1], degenerate=degenerate, case_tag=tag), eta
 
 
 def quartic_residual(m: Measure, eta: complex) -> float:
@@ -180,23 +201,34 @@ def script_L(m: Measure) -> complex:
 # the measures.  Layout:
 #
 # * Real parameters keep their own type: c1, c2, c3, L = Delta/2 and lam are
-#   Python floats for one measure and arrays of the batch's shape for a
-#   batch, so every real-only step (denominators, rho1, rho2, mu, the close
-#   test) costs a Python float operation for one measure.
-# * Complex quantities are arrays, with the measures on trailing axes and
-#   roots, moment orders and contour nodes on leading ones.  A per-measure
-#   complex value keeps a leading axis of length 1 (``mean[:1]``, never
-#   ``mean[0]``): numpy's complex multiply on numpy scalars skips the fused
-#   multiply-add of its array loop, so a 0-d product would round apart from
-#   the same measure's product inside a batch.
+#   Python floats for one measure and arrays over the batch, flattened to
+#   one axis, for a batch; every real-only step (denominators, rho1, rho2,
+#   mu, the close test) costs a Python float operation for one measure.  The
+#   real coefficients that multiply complex values are cast once, as one
+#   complex array.
+# * Complex quantities are arrays with the measures on the last axis (one
+#   entry for one measure) and roots, signs, moment orders and contour nodes
+#   on leading ones, so that a constant of shape (k, 1) broadcasts alike
+#   against one measure and a batch.  A per-measure complex value keeps its
+#   measure axis (``det`` has shape (1,), never ()): numpy's complex multiply
+#   on numpy scalars skips the fused multiply-add of its array loop, so a
+#   0-d product would round apart from the same measure's product inside a
+#   batch.  Several values of one measure are stacked on a leading axis and
+#   computed by one ufunc call.
 # * A square that a Python float can reach is written as a product, c3 * c3:
 #   Python's ``**`` calls libm pow, which rounds apart from numpy's square
 #   in about 0.1% of doubles, and so would tag roots on the degenerate line
 #   differently alone and in a batch.
 # * Every sum over rows or over the 8 contour nodes runs over a contiguous
-#   last axis, so that one measure and a batch sum in the same order.
+#   last axis, so that one measure and a batch sum in the same order
+#   (``exp_moments`` returns C-contiguous arrays for this reason).
 
 _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which X1 - X2 cancels
+# c3 on the four root rows and the contour rows, 0 on the mu row
+_SHIFT_PATTERN = {n: np.array([1.0] * 4 + [0.0] + [1.0] * (n - 5)) for n in (5, 21)}
+_SIGNS = _PLUS_MINUS[:, None, None]       # +-, before (root or order, measure)
+_AB_OFFSET = np.array([[1.0], [1.0], [1.0], [0.0]], dtype=complex)
+_W_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex)    # w1, w2, w1, w2
 
 
 def _contour(zeta1, zeta2, L):
@@ -269,70 +301,78 @@ def k0_transform_solution(m: Measure) -> TransformSolution:
 
 
 def _transform_solution(m: Measure) -> TransformSolution:
-    roots = quartic_roots(m)
-    c1, c2, c3, L = m.c1, m.c2, m.c3, m.delta / 2.0
+    roots, eta = _roots(m)
+    shape = getattr(m.c1, "shape", ())
+    c1, c2, c3, L = _flat(m.c1), _flat(m.c2), _flat(m.c3), _flat(m.delta / 2.0)
     lam, c3_sq = c2 / c1, c3 * c3
-    eta = np.array([roots.eta1, roots.eta2])
+    eta = eta.reshape(2, -1)                                # (root, measure)
     zeta = eta ** 2
-    gap = zeta[:1] - zeta[1:]
+    gap = zeta[0] - zeta[1]
     close = abs(gap) * L * L < _CLOSE_GAP
-    zero = np.zeros(close.shape)
-    inv_gap = np.divide(1.0, gap, out=zero + 0j, where=~close)
-    # one moment call gives I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3),
-    # k = 0, 1, at both roots and, for the close measures only, at the 8
-    # contour nodes (elsewhere a circle node may hit a root)
-    s, L_s = np.concatenate([eta, -eta]) - c3, L
     n_close = np.count_nonzero(close)
+    # I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3), k = 0, 1, at both roots
+    pm_eta = _SIGNS * eta                                   # (sign, root, measure)
+    i = exp_moments(1, pm_eta - c3, L)                      # (k, sign, root, measure)
+    i = i[:, 0] + i[:, 1]
+    # ((2 I0bar, 2 I1bar), (I0', I1')): sums and differences over the roots,
+    # the differences then divided by zeta1 - zeta2
+    sd = i[:, 0] + _SIGNS * i[:, 1]
     if n_close:
-        z1, z2, L_c, c3_c = (np.broadcast_to(v, close.shape)[close][:, None]
-                             for v in (zeta[:1], zeta[1:], L, c3))
+        inv_gap = np.divide(1.0, gap, out=np.zeros(gap.shape, dtype=complex), where=~close)
+    else:
+        inv_gap = _ONE / gap
+    sd[1] *= inv_gap
+    if n_close:     # the close measures' divided differences at the 8 contour nodes
+        z1, z2 = zeta[:, close, None]
+        L_c, c3_c = np.array([L, c3]).reshape(2, -1)[:, close, None]
         nodes, c = _contour(z1, z2, L_c)
-        s_c = np.concatenate([nodes, -nodes], axis=1) - c3_c
-        L_s = np.concatenate([np.broadcast_to(L, s.shape).ravel(),
-                              np.broadcast_to(L_c, s_c.shape).ravel()])
-        s = np.concatenate([s.ravel(), s_c.ravel()])
-    mom = exp_moments(1, s, L_s).reshape(2, -1)
-    i = mom[:, :4 * close.size].reshape((2, 4) + close.shape[1:])
-    i = i[:, :2] + i[:, 2:]                                 # (order k, root, ...)
-    mean = 0.5 * (i[:, :1] + i[:, 1:])
-    dd = (i[:, :1] - i[:, 1:]) * inv_gap
-    if n_close:
-        i_c = mom[:, 4 * close.size:].reshape(2, -1, 16)
-        dd[:, close] += (c * (i_c[..., :8] + i_c[..., 8:])).sum(-1)
-    (i0, i1), (i0_dd, i1_dd) = mean, dd
-    # Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam) exactly
-    a, a_dd = 1.0 + lam * i1, lam * i1_dd
-    b, b_dd = lam * (1.0 - 2.0 * c3 * i0), 1.0 - 2.0 * lam * c3 * i0_dd
-    det = a_dd * b - a * b_dd
-    # exact closed forms: R1 = e^{-c3 L} rho1, R2 = e^{-c3 L} rho2
+        i_c = exp_moments(1, np.concatenate([nodes, -nodes], axis=1) - c3_c, L_c)
+        sd[1][:, close] += (c * (i_c[..., :8] + i_c[..., 8:])).sum(-1)
+    # the real coefficients below, and exact closed forms R1 = e^{-c3 L} rho1,
+    # R2 = e^{-c3 L} rho2
     d = 2.0 * c2 + c3_sq * c1
     mu_v, denom = c3_sq / d, c1 * d
-    rho1 = 2.0 * c2 * (1.0 + c3 * L) / denom
-    rho2 = 4.0 * c2 * c3_sq / denom
-    p, q = -(rho1 * b_dd + rho2 * a_dd) / det, (rho1 * b + rho2 * a) / det
-    q_gap = q * inv_gap
-    w1, w2 = 0.5 * p + q_gap, 0.5 * p - q_gap
-    c3_row = c3 + zero
-    offsets, shifts = [eta, -eta, zero], [c3_row] * 4 + [zero]
-    weights = [w1, w2, w1, w2, 2.0 * mu_v + zero]
+    rho1, rho2 = 2.0 * c2 * (1.0 + c3 * L) / denom, 4.0 * c2 * c3_sq / denom
+    coef = np.array([-c3, 0.5 * lam, -(2.0 * lam * c3), lam, rho1, rho2, -rho1, -rho2],
+                    dtype=complex).reshape(8, -1)
+    # (Bbar / lam, Abar, B', A') = (1 - 2 c3 I0bar, 1 + lam I1bar,
+    # 1 - 2 lam c3 I0', lam I1'); Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam)
+    ab = sd.reshape(4, -1) * coef[:4] + _AB_OFFSET
+    ab[0] *= coef[3]
+    ab = ab.reshape(2, 2, -1)                               # ((Bbar, Abar), (B', A'))
+    det = ab[1, 1] * ab[0, 0] - ab[0, 1] * ab[1, 0]
+    # (q, p) = (rho1 Bbar + rho2 Abar, -rho1 B' - rho2 A') / det
+    qp = ab * coef[4:].reshape(2, 2, -1)
+    qp = (qp[:, 0] + qp[:, 1]) / det
+    # the rows, (measure, row): offsets and weights in one table
+    n_rows = 21 if n_close else 5
+    table = np.zeros((2, eta.shape[1], n_rows), dtype=complex)
+    table[0, :, :4] = pm_eta.reshape(4, -1).T
+    table[1, :, :4] = (_HALF * qp[1] + _W_SIGNS * (qp[0] * inv_gap)).T    # w1, w2, w1, w2
+    table[1, :, 4] = 2.0 * mu_v
     if n_close:     # contour rows: node 0 and weight 0 for the measures not close
-        node_rows, qc_rows = np.zeros((2, 8) + close.shape, dtype=complex)
-        node_rows[:, close], qc_rows[:, close] = nodes.T, (q[close][:, None] * c).T
-        offsets += [node_rows[:, 0], -node_rows[:, 0]]
-        shifts += [c3_row] * 16
-        weights += [qc_rows[:, 0]] * 2
-    axes = (*range(1, close.ndim), 0)        # the row axis last, C-ordered
-    rows = (np.ascontiguousarray(np.concatenate(r).transpose(axes))
-            for r in (offsets, shifts, weights))
-    fields = dict(zip(("offsets", "shifts", "weights"), rows), p_scaled=p[0], q_scaled=q[0],
-                  det=det[0], mu=mu_v, scale=c3 * L, close=close[0])
-    return TransformSolution(roots=roots, **{k: _read_only(v) for k, v in fields.items()})
+        table[0, close, 5:13], table[0, close, 13:] = nodes, -nodes
+        table[1, close, 5:13] = table[1, close, 13:] = qp[0][close][:, None] * c
+    shifts = np.asarray(c3).reshape(-1, 1) * _SHIFT_PATTERN[n_rows]
+    rows = shape + (n_rows,)
+    table.flags.writeable = qp.flags.writeable = False
+    return TransformSolution(
+        roots, qp[1].reshape(shape)[()], qp[0].reshape(shape)[()], _field(det, shape),
+        _field(np.asarray(mu_v), shape), _field(np.asarray(c3 * L), shape), _field(close, shape),
+        table[0].reshape(rows), _field(shifts, rows), table[1].reshape(rows))
 
 
-def _read_only(v):
-    """v as a read-only array, or as a numpy scalar where it is 0-d."""
-    v = np.asarray(v)
-    v.flags.writeable = False
+def _flat(v):
+    """A batch parameter on one axis; a Python float as it is."""
+    return v.reshape(-1) if isinstance(v, np.ndarray) else v
+
+
+def _field(v, shape):
+    """Array v in the batch's shape and read-only, or a numpy scalar for one
+    measure."""
+    v = v.reshape(shape)
+    if v.ndim:
+        v.flags.writeable = False
     return v[()]
 
 
@@ -351,21 +391,25 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
 
 
 def _k0z_section(m: Measure, z):
-    """K(0, z) for c2 > 0, c3 > 0, the measures broadcast against z: one
+    """K(0, z) for c2 > 0, c3 > 0, the measures' axes followed by z's: one
     quotient call over TransformSolution's rows.  The five root rows are
     summed apart, so a batch's zero-weight padding leaves their rounding."""
     sol = k0_transform_solution(m)
-    quot = sinh_quot_scaled(2j * np.pi * z[..., None] + sol.offsets,
-                            np.asarray(m.delta / 2.0)[..., None], sol.shifts)
-    terms = sol.weights * quot
-    return terms[..., :5].sum(-1) + terms[..., 5:].sum(-1)
+    offsets, shifts, weights = (_grid_axes(r, z.ndim, 1) for r in (sol.offsets, sol.shifts,
+                                                                    sol.weights))
+    quot = sinh_quot_scaled(_TWO_PI_I * z[..., None] + offsets,
+                            _grid_axes(m.delta / 2.0, z.ndim + 1), shifts)
+    terms = weights * quot
+    if terms.shape[-1] == 5:
+        return np.add.reduce(terms, -1)
+    return np.add.reduce(terms[..., :5], -1) + np.add.reduce(terms[..., 5:], -1)
 
 
 def kernel_k00(m: Measure, extended: bool = False) -> float:
     """K(0, 0), the diagonal kernel value whose reciprocal upper-bounds the
     optimization constant of the averaged form factor: the real section at
     z = 0.  For a batch measure, an array over the batch."""
-    k00 = np.real(kernel_k0z_grid(m, 0.0, extended=extended))
+    k00 = kernel_k0z_grid(m, _Z0, extended=extended).real
     return float(k00) if k00.ndim == 0 else k00
 
 
@@ -458,9 +502,19 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
 def _k0z_c3zero(m: Measure, z):
     """K(0, z) = a(0) q(z) for c3 = 0 or a pure atom (c2 = 0, om = 0), the
     two rows of q(z) = sum_+- sin((2 pi z +- om) L) / (2 pi z +- om) in one call."""
-    om = np.multiply.outer(np.sqrt(2.0 * m.c2 / m.c1), [1.0, -1.0])
-    q = sin_quot(2.0 * np.pi * z[..., None] + om, np.asarray(m.delta / 2.0)[..., None])
-    return _a0(m) * np.sum(q, axis=-1)
+    om = _grid_axes(np.sqrt(2.0 * m.c2 / m.c1), z.ndim + 1) * _PLUS_MINUS
+    q = sin_quot(_TWO_PI * z[..., None] + om, _grid_axes(m.delta / 2.0, z.ndim + 1))
+    return _grid_axes(_a0(m), z.ndim) * np.add.reduce(q, -1)
+
+
+def _grid_axes(v, n, rows=0):
+    """A batch's value v with n unit axes inserted before its last ``rows``
+    axes, so that it broadcasts against a grid of z; one measure's value
+    (no axes but the rows') as it is."""
+    if getattr(v, "ndim", 0) <= rows:
+        return v
+    at = v.ndim - rows
+    return v.reshape(v.shape[:at] + (1,) * n + v.shape[at:])
 
 
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
@@ -471,17 +525,16 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
     and the regimes are masks over the batch."""
     m.require_admissible(extended=extended)
     z = np.asarray(z, dtype=complex)
-    if not isinstance(m.c1, np.ndarray):
-        regime = _k0z_section if m.c2 > 0.0 and m.c3 > 0.0 else _k0z_c3zero
-        return np.asarray(regime(m, z))
-    c1, c2, c3, delta = (np.reshape(v, (-1,) + (1,) * z.ndim)
-                         for v in (m.c1, m.c2, m.c3, m.delta))
-    out = np.empty(c1.shape[:1] + z.shape, dtype=complex)
-    section = ((c2 > 0.0) & (c3 > 0.0)).ravel()
-    for mask, regime in ((~section, _k0z_c3zero), (section, _k0z_section)):
-        if mask.any():
-            out[mask] = regime(Measure(c1[mask], c2[mask], c3[mask], delta[mask]), z)
-    return out.reshape(np.shape(m.c1) + z.shape)
+    sinc = (m.c2 == 0.0) | (m.c3 == 0.0)
+    n_sinc = np.count_nonzero(sinc)
+    if not n_sinc:
+        return np.asarray(_k0z_section(m, z))
+    if n_sinc == getattr(sinc, "size", 1):
+        return np.asarray(_k0z_c3zero(m, z))
+    out = np.empty(sinc.shape + z.shape, dtype=complex)
+    for mask, regime in ((sinc, _k0z_c3zero), (~sinc, _k0z_section)):
+        out[mask] = regime(Measure(m.c1[mask], m.c2[mask], m.c3[mask], m.delta[mask]), z)
+    return out
 
 
 def k0_endpoint_value(m: Measure) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import InvalidRegime, NotAdmissible
 from .quadrature import bisect
 
 ADMISSIBLE_SIGMA = 5.0 / 3.0
+_FIELDS = ("c1", "c2", "c3", "delta")
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,19 @@ class Measure:
     delta: float
 
     def __post_init__(self):
-        names = [f.name for f in fields(self)]
-        if any(isinstance(getattr(self, n), np.ndarray) for n in names):
-            for name, value in zip(names, np.broadcast_arrays(
-                    *(np.asarray(getattr(self, n), dtype=float) for n in names))):
-                object.__setattr__(self, name, value if value.ndim else float(value))
-        batch = isinstance(self.c1, np.ndarray)
+        values = (self.c1, self.c2, self.c3, self.delta)
+        batch = any(isinstance(v, np.ndarray) for v in values)
+        if batch:
+            values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+            values = [v if v.ndim else float(v) for v in values]
+            for name, value in zip(_FIELDS, values):
+                object.__setattr__(self, name, value)
+            batch = isinstance(self.c1, np.ndarray)
         every, finite = (np.all, np.isfinite) if batch else (bool, math.isfinite)
-        for name, rule, ok in [(n, "finite", finite(getattr(self, n))) for n in names] + [
-                ("c1", "> 0", self.c1 > 0), ("c2", ">= 0", self.c2 >= 0),
-                ("c3", ">= 0", self.c3 >= 0), ("delta", "> 0", self.delta > 0)]:
+        c1, c2, c3, delta = values
+        for name, rule, ok in [(n, "finite", finite(v)) for n, v in zip(_FIELDS, values)] + [
+                ("c1", "> 0", c1 > 0), ("c2", ">= 0", c2 >= 0),
+                ("c3", ">= 0", c3 >= 0), ("delta", "> 0", delta > 0)]:
             if not every(ok):
                 value = getattr(self, name)
                 if batch:           # its first bad value and how many, not the array

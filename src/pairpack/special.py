@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-_SERIES_RADIUS = 1.0
+# constants as 0-d arrays, which a ufunc takes without a Python scalar's
+# conversion
+_SERIES_RADIUS = np.array(1.0)
+_ZERO, _I = np.zeros((), dtype=complex), np.array(1j)
 _SERIES_TERMS = 20          # (1/20!) < 5e-19: the truncation error at |s L| = 1
 _MAX_ORDER = 31             # highest order of the divisor table below
 _FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
-# the series' divisors j! (k + j + 1) of every order k, exact in float64
-_DIVISORS = _FACTORIALS * (np.arange(_MAX_ORDER + 1.0)[:, None, None]
-                           + np.arange(_SERIES_TERMS) + 1.0)
+# the series' divisors j! (k + j + 1) of every order k, exact in float64, the
+# terms' axis reversed, as complex numbers (they divide as numpy's cast would)
+_DIVISORS_C = (_FACTORIALS * (np.arange(_MAX_ORDER + 1.0)[:, None]
+                              + np.arange(_SERIES_TERMS) + 1.0))[:, ::-1].astype(complex)
 
 
 def exp_moments(k_max, s, L):
@@ -35,37 +39,63 @@ def exp_moments(k_max, s, L):
     which passes through every lower order, from one exp per point.  The
     recurrence amplifies rounding by about prod_j (1 + (j+1)/|sL|), at most
     60 for k <= 3, so orders above 3 are meant for the series region.  Each
-    point's values are the same whatever the other points of the call.
+    point's values are the same whatever the other points of the call, and
+    whether L is a scalar or an array.
     """
     if not 0 <= k_max <= _MAX_ORDER:
         raise ValueError(f"order k_max must be in [0, {_MAX_ORDER}], got {k_max}")
-    # broadcast by adding zeros, at a fifth of np.broadcast_arrays' cost
     s = np.asarray(s, dtype=complex)
-    zero = np.zeros(np.broadcast(s, L).shape)
-    s, L = s + zero, L + zero
     x = s * L
-    small = np.abs(x) < _SERIES_RADIUS
-    out = np.empty((k_max + 1,) + x.shape, dtype=complex)
-
+    small = abs(x) < _SERIES_RADIUS
     n_small = np.count_nonzero(small)
-    if n_small:
-        powers = np.ones((n_small, _SERIES_TERMS), dtype=complex)
-        powers[:, 1:] = x[small, None]
-        terms = np.multiply.accumulate(powers, axis=1) / _DIVISORS[:k_max + 1]
-        # summed in sequence from the smallest term (a pairwise sum loses 2x),
-        # times L^{k+1} as running products: a power's rounding would depend
-        # on how numpy's loop meets the exponent's layout
-        out[:, small] = (np.cumsum(terms[..., ::-1], axis=-1)[..., -1]
-                         * np.multiply.accumulate(np.array([L[small]] * (k_max + 1))))
-
-    if n_small < small.size:
-        big = ~small
-        sb, Lb = s[big], L[big]
-        e = np.exp(x[big])
-        out[0, big] = phi = (e - 1.0) / sb
-        for j in range(1, k_max + 1):
-            out[j, big] = phi = (Lb ** j * e - j * phi) / sb
+    if n_small == small.size:
+        return _series(k_max, x, L)
+    if not n_small:
+        return _recurrence(k_max, s, x, L)
+    # both regions: each region's points of s, x and an array L
+    if s.shape != x.shape:
+        s = np.broadcast_to(s, x.shape)
+    big = ~small
+    L_small = L_big = L
+    if getattr(L, "ndim", 0):
+        L = np.broadcast_to(L, x.shape)
+        L_small, L_big = L[small], L[big]
+    out = np.empty((k_max + 1,) + x.shape, dtype=complex)
+    out[:, small] = _series(k_max, x[small], L_small)
+    out[:, big] = _recurrence(k_max, s[big], x[big], L_big)
     return out
+
+
+def _series(k_max, x, L):
+    """The power series of every order at x = s L (|x| < 1), orders on a
+    leading axis, C-contiguous, L broadcasting against x."""
+    powers = np.empty(x.shape + (_SERIES_TERMS,), dtype=complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = x[..., None]
+    # the terms from the smallest, summed in sequence (a pairwise sum loses
+    # 2x), orders on the next-to-last axis
+    terms = np.multiply.accumulate(powers, axis=-1)[..., None, ::-1] / _DIVISORS_C[:k_max + 1]
+    # times L^{k+1} as running products, orders on the last axis: a power's
+    # rounding would depend on how numpy's loop meets the exponent's layout
+    L_powers = [L]
+    for _ in range(k_max):
+        L_powers.append(L_powers[-1] * L)
+    L_powers = np.array(L_powers, dtype=complex)
+    out = np.add.accumulate(terms, axis=-1)[..., -1] * L_powers.transpose(
+        (*range(1, L_powers.ndim), 0))
+    # C-contiguous, so that sums over the points' last axis keep their order
+    return np.ascontiguousarray(out.transpose((out.ndim - 1, *range(out.ndim - 1))))
+
+
+def _recurrence(k_max, s, x, L):
+    """The upward recurrence of every order from one exp per point."""
+    e = np.exp(x)
+    phi = [(e - 1.0) / s]
+    power = L
+    for j in range(1, k_max + 1):
+        phi.append((power * e - j * phi[-1]) / s)
+        power = power * L
+    return np.array(phi)
 
 
 def sinh_quot_scaled(s, L, shift):
@@ -78,22 +108,27 @@ def sinh_quot_scaled(s, L, shift):
     scalar call and a batched one round alike.
     """
     scalar = np.ndim(s) == 0 and np.ndim(L) == 0 and np.ndim(shift) == 0
-    s = np.array(s, dtype=complex, ndmin=1, copy=None)
-    s = s * np.copysign(1.0, s.real)
-    y = -2.0 * L * s
-    exprel = np.divide(np.expm1(y), y, out=np.ones_like(y), where=y != 0.0)
-    out = L * np.exp((s - shift) * L) * exprel
+    out = _sinh_quot(np.array(s, dtype=complex, ndmin=1, copy=None), L, shift)
     return complex(out[0]) if scalar else out
 
 
-def sinh_quot(s, L):
-    """sinh(s L) / s, with the value L at s = 0."""
-    return sinh_quot_scaled(s, L, 0.0)
+def _sinh_quot(s, L, shift=None):
+    """sinh_quot_scaled on an array s; shift None is shift 0, whose
+    subtraction would change no bit."""
+    s = s * np.copysign(1.0, s.real)
+    y = -2.0 * L * s
+    exprel = np.expm1(y)
+    nonzero = y != _ZERO
+    np.divide(exprel, y, out=exprel, where=nonzero)
+    exprel[~nonzero] = 1.0          # expm1(y) / y -> 1 at y = 0
+    return L * np.exp((s if shift is None else s - shift) * L) * exprel
 
 
 def sin_quot(s, L):
     """sin(s L) / s = sinh(i s L) / (i s), with the value L at s = 0."""
-    return sinh_quot_scaled(1j * np.asarray(s, dtype=complex), L, 0.0)
+    scalar = np.ndim(s) == 0 and np.ndim(L) == 0
+    out = _sinh_quot(_I * np.array(s, dtype=complex, ndmin=1, copy=None), L)
+    return complex(out[0]) if scalar else out
 
 
 def sinc_band(delta: float, x, center=0.0):

@@ -260,8 +260,12 @@ def _degenerate_bracket():
 
 
 def _quartic_residual():
+    # the kernels suite's draws, and c3 down to 1e-9, where eta1^2 formed as
+    # c3^2 - lam + sqrt(lam) Lam would lose everything to cancellation
+    small_c3 = [Measure(c1, c2, 10.0 ** -k, delta)
+                for k in range(2, 10) for c1, c2, delta in ((1.0, 1.0, 0.7), (0.6, 1.9, 0.4))]
     worst = 0.0
-    for m in _kernel_stream()[3]:
+    for m in _kernel_stream()[3] + small_c3:
         roots = quartic_roots(m)
         worst = max(worst, quartic_residual(m, roots.eta1), quartic_residual(m, roots.eta2))
     return worst, 1e-10

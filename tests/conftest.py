@@ -16,7 +16,8 @@ a registry check holds (``registry_test``) read the same outcome.
 tests: adaptive Gauss-Legendre integration, independent of every closed form.
 ``aux_A``, ``aux_B`` and ``aux_C`` are the paper's moment functions A, B and
 the transform C in their scalar defining forms, the test oracles of the
-kernels' batched means and divided differences.  ``assemble`` is the dense
+kernels' batched means and divided differences; ``sinh_quot`` is the
+shift-0 quotient that ``aux_C`` and ``test_special.py`` use.  ``assemble`` is the dense
 Nystrom matrix, the oracle of the oracle's panel operator: of its solve,
 its product, its condition estimate and ``uniqueness_ratio``
 (``dense_sigma_min``).
@@ -34,7 +35,7 @@ import numpy as np  # noqa: E402
 
 from pairpack.fredholm import _nystrom_system, _panel_block  # noqa: E402
 from pairpack.quadrature import gauss_legendre  # noqa: E402
-from pairpack.special import exp_moments, sinh_quot  # noqa: E402
+from pairpack.special import exp_moments, sinh_quot_scaled  # noqa: E402
 from pairpack.verify import CHECKS  # noqa: E402  (after the BLAS setting)
 
 BY_NAME = {check.name: check for check in CHECKS}
@@ -142,6 +143,11 @@ def aux_B(m, eta: complex) -> complex:
     if m.c2 != 0.0 and c3 != 0.0:
         out -= 2.0 * lam * c3 * cosh_moment(0, eta, c3, m.delta)
     return out
+
+
+def sinh_quot(s, L):
+    """sinh(s L) / s, with the value L at s = 0."""
+    return sinh_quot_scaled(s, L, 0.0)
 
 
 def aux_C(m, eta: complex, z: complex) -> complex:

@@ -65,6 +65,13 @@ class TestKernelCommand:
         assert code == 0 and rows["case"] == "conjugate_quadrant"
         assert all(math.isfinite(float(v)) for v in rows["script_L"].split(","))
 
+    def test_small_c3_root(self, capsys):
+        # eta1 = i c3 (1 + O(c3^2)): 1e-07 to four digits, not 9.996e-08
+        code, out, _ = run_cli(capsys, "kernel", "--c1", "1", "--c2", "1", "--c3", "1e-7",
+                               "--delta", "0.7")
+        re, im = (float(v) for v in csv_dict(out)["eta1"].split(","))
+        assert code == 0 and re == 0.0 and im == pytest.approx(1e-7, rel=5e-5)
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--format", "json")
         payload = json.loads(out)

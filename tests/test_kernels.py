@@ -81,6 +81,25 @@ class TestQuarticRoots:
                          1: CaseTag.PURELY_IMAGINARY}[side])
         assert list(quartic_roots(Measure(*np.array(rows).T)).case_tag) == tags
 
+    def test_small_c3_roots_against_mpmath(self):
+        # eta1^2 = c3^2 - lam + sqrt(lam) Lam cancels as c3 -> 0 (relative
+        # error 8e-4 at c3 = 1e-7 when formed as that sum); the Vieta form
+        # keeps both roots and the quartic residual at rounding level, and
+        # eta1 on the '+' branch (+i |eta1| for purely imaginary roots)
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for c1, c2, delta in ((1.0, 1.0, 0.7), (0.6, 1.9, 0.4), (2.0, 0.3, 1.1)):
+            for c3 in 10.0 ** -np.arange(1.0, 9.5, 0.5):
+                m = Measure(c1, c2, float(c3), delta)
+                r = quartic_roots(m)
+                lam, c = mpmath.mpf(c2) / c1, mpmath.mpf(float(c3))
+                lam_root = mpmath.sqrt(lam) * mpmath.sqrt(lam - 4 * c * c)
+                for eta, sign in ((r.eta1, 1), (r.eta2, -1)):
+                    ref = complex(mpmath.sqrt(mpmath.mpc(c * c - lam + sign * lam_root)))
+                    assert abs(eta - ref) <= 4e-16 * abs(ref)
+                    assert eta.real == 0.0 and eta.imag > 0.0
+                    assert quartic_residual(m, eta) <= 1e-15
+
     def test_invalid_regimes(self):
         with pytest.raises(InvalidRegime):
             quartic_roots(Measure(1, 1, 0.0, 0.5))
@@ -347,6 +366,24 @@ class TestKernelK0z:
         assert grid.shape == (2, 4, 2, 2)
         single = np.array([kernel_k0z_grid(Measure(*r), zs) for r in rows])
         np.testing.assert_array_equal(grid.reshape(8, 2, 2), single)
+
+    def test_all_section_batch_inside_a_mixed_batch(self):
+        # the section measures of a batch give the same bits whether the batch
+        # holds only section measures (one regime, no per-regime measure) or
+        # c3 = 0 and pure atoms as well
+        section = np.array([[1, 1, 0.5, 0.5], [1, 1 + 1e-6, 0.5, 0.5], [1.3, 1.1, 2.0, 0.7],
+                            [1, 1, 400, 0.5], LINE_MEASURE, [0.7, 1.2, 0.3, 0.9]])
+        other = np.array([[1, 0, 3, 0.5], [1, 1, 0, 0.5], [2, 0.5, 0, 1.1]])
+        zs = np.array([0.0, 0.3 + 0.1j, 1.1, 2.0])
+        alone = kernel_k0z_grid(Measure(*section.T.reshape(4, 2, 3)), zs)
+        mixed = kernel_k0z_grid(Measure(*np.concatenate([other[:2], section, other[2:]]).T), zs)
+        assert alone.shape == (2, 3, 4)
+        np.testing.assert_array_equal(alone.reshape(6, 4), mixed[2:8])
+        np.testing.assert_array_equal(kernel_k00(Measure(*section.T)), mixed[2:8, 0].real)
+        # and one measure of each regime
+        pair = np.array([other[1], section[2]])
+        np.testing.assert_array_equal(kernel_k0z_grid(Measure(*pair.T), zs),
+                                      [kernel_k0z_grid(Measure(*r), zs) for r in pair])
 
     def test_degenerate_line_alone_and_in_a_batch(self):
         # measures with c2 = 4 c3 c3 c1 bit for bit, built as the benchmark

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import sinh_quot
+
+from pairpack.special import sin_quot
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -13,6 +16,10 @@ _X = np.concatenate([np.sqrt(_rng.uniform(0, 1, 40)) * 0.999
                      [0.999, -0.999, 0.999j, -0.999j, 0.5, -0.5, 1e-9, 0.0]])
 _L = _rng.uniform(0.1, 1.2, _X.size)
 _S = _X / _L
+
+
+# sinh_quot is the tests' shift-0 case of pairpack.special.sinh_quot_scaled
+_QUOTIENTS = {"sin_quot": sin_quot, "sinh_quot": sinh_quot}
 
 
 def _rel_err(got, ref):
@@ -34,11 +41,10 @@ def test_exp_moment_orders_0_to_25_against_mpmath():
 
 @pytest.mark.parametrize("name, mp_fn", [("sin_quot", "sin"), ("sinh_quot", "sinh")])
 def test_sinc_quotients_against_mpmath(name, mp_fn):
-    import pairpack.special as special
     mpmath.mp.dps = 40
     ref = np.array([complex(getattr(mpmath, mp_fn)(mpmath.mpc(x)) / mpmath.mpc(s))
                     if x != 0 else complex(L) for x, s, L in zip(_X, _S, _L)])
-    assert _rel_err(getattr(special, name)(_S, _L), ref) <= 2e-15
+    assert _rel_err(_QUOTIENTS[name](_S, _L), ref) <= 2e-15
 
 
 # the whole range, as x = s L for sinh and x = i s L for sin: |x| log-uniform
@@ -83,10 +89,9 @@ def _quotient_errors(got, s, L, shift=0.0, trig=False):
 def test_sinc_quotients_whole_range_against_mpmath(name):
     # 4 eps for the arithmetic, plus 2 eps |sL| for rounding the product s L
     # where it is not exact
-    import pairpack.special as special
     trig = name == "sin_quot"
     s = (-1j if trig else 1.0) * _X_WIDE / _L_WIDE
-    err, away = _quotient_errors(getattr(special, name)(s, _L_WIDE), s, _L_WIDE, trig=trig)
+    err, away = _quotient_errors(_QUOTIENTS[name](s, _L_WIDE), s, _L_WIDE, trig=trig)
     assert 30 <= (~away).sum() and away.sum() >= 200
     assert np.all(err <= 4.0 + 2.0 * np.abs(_X_WIDE))
     assert np.all(err[_POW2] <= 4.0)
@@ -118,3 +123,52 @@ def test_batched_L_matches_scalar_calls():
     shift = 2.0 * _L
     np.testing.assert_array_equal(sinh_quot_scaled(_S, _L, shift),
                                   [sinh_quot_scaled(s, L, c) for s, L, c in zip(_S, _L, shift)])
+
+
+@pytest.mark.parametrize("region", ["series", "recurrence", "mixed"])
+def test_exp_moments_point_alone_and_in_a_call(region):
+    # one evaluation per region or both: each point's orders are the same
+    # bits alone, inside the call, with L a scalar or an array, and as a
+    # 2-d call
+    from pairpack.special import exp_moments
+    rng = np.random.default_rng(20261021)
+    radius = {"series": (0.05, 0.95), "recurrence": (1.05, 40.0), "mixed": (0.05, 40.0)}[region]
+    x = rng.uniform(*radius, 24) * np.exp(2j * np.pi * rng.uniform(0, 1, 24))
+    L = 0.35
+    s = x / L
+    small = np.abs(s * L) < 1.0
+    assert {"series": small.all(), "recurrence": not small.any(),
+            "mixed": 0 < small.sum() < small.size}[region]
+    call = exp_moments(3, s, L)
+    assert call.shape == (4, 24)
+    np.testing.assert_array_equal(call, exp_moments(3, s, np.full(24, L)))
+    np.testing.assert_array_equal(call, exp_moments(3, s.reshape(4, 6), L).reshape(4, 24))
+    for k in range(24):
+        np.testing.assert_array_equal(call[:, k], exp_moments(3, s[k], L))
+        np.testing.assert_array_equal(call[:, k], exp_moments(3, s[k:k + 1], np.array([L]))[:, 0])
+    # and an array L broadcast against a trailing axis of points
+    Ls = rng.uniform(0.1, 1.2, 6)
+    grid = exp_moments(1, x.reshape(4, 6) / Ls, Ls)
+    for k in range(24):
+        np.testing.assert_array_equal(grid[:, k // 6, k % 6],
+                                      exp_moments(1, x[k] / Ls[k % 6], Ls[k % 6]))
+
+
+def test_sinh_quot_scaled_exact_zeros_in_an_array():
+    # s = 0 inside an array takes the removable value L e^{-shift L} and
+    # raises no RuntimeWarning (the test session turns warnings into errors)
+    import warnings
+    from pairpack.special import sin_quot, sinh_quot_scaled
+    s = np.array([0.0, 0.3 + 1j, -0.0, 2j, -1.5, 0j, -0.0 - 0.0j])
+    L = np.array([0.25, 0.5, 1.0, 0.7, 0.2, 1.2, 0.4])
+    shift = np.array([0.0, 1.0, 3.0, 0.5, 0.0, 40.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sinh_quot_scaled(s, L, shift)
+        trig = sin_quot(s, L)
+    zero = s == 0
+    np.testing.assert_allclose(got[zero], L[zero] * np.exp(-shift[zero] * L[zero]), rtol=1e-15)
+    np.testing.assert_array_equal(trig[zero], L[zero])
+    np.testing.assert_array_equal(got[~zero], [sinh_quot_scaled(v, l, c) for v, l, c
+                                               in zip(s[~zero], L[~zero], shift[~zero])])
+    assert sinh_quot_scaled(0.0, 0.5, 2.0) == pytest.approx(0.5 * np.exp(-1.0), rel=1e-15)
