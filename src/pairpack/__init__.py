@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateRoots, EmptyDataset, EmptyWindow,
                      IllConditioned, InfeasibleWitness, InvalidRegime,
-                     NotAdmissible, NotCancelled, PairpackError, ParseError,
-                     RemovablePoint)
+                     NotAdmissible, NotCancelled, PairpackError, ParseError)
 from .measures import (Measure, NormEquivalence, extended_sigma_threshold,
                        g_surface, norm_bounds, nu_hat, sup_g, sup_g_point)
 from .kernels import (CaseTag, EtaPair, KernelEvaluation, LimitPath,
@@ -40,6 +39,6 @@ __all__ = [
     "form_factor_positive", "windowed_average", "symmetric_average",
     "phi_functional", "ep1_ratio_check", "fejer_check", "fejer_poisson_check",
     "PairpackError", "NotAdmissible", "InvalidRegime", "DegenerateRoots",
-    "IllConditioned", "InfeasibleWitness", "NotCancelled", "RemovablePoint",
+    "IllConditioned", "InfeasibleWitness", "NotCancelled",
     "ParseError", "EmptyDataset", "EmptyWindow",
 ]

@@ -36,11 +36,6 @@ class InfeasibleWitness(PairpackError):
     problem."""
 
 
-class RemovablePoint(PairpackError):
-    """Evaluation was requested exactly at a removable singularity of a
-    closed-form expression; the caller should perturb or use a limit."""
-
-
 class ParseError(PairpackError):
     """A dataset file could not be parsed.  Carries the line number and the
     offending content."""

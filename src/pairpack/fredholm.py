@@ -58,8 +58,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import IllConditioned, InvalidRegime, RemovablePoint
-from .kernels import _coeff_abc, _near_coeff_zero
+from .errors import IllConditioned, InvalidRegime
+from .kernels import _c3zero_rows
 from .measures import Measure, norm_bounds, nu_hat
 from .quadrature import (barycentric_matrix, barycentric_weights,
                          gauss_legendre, panel_rule)
@@ -487,29 +487,24 @@ def uniqueness_ratio(m: Measure, n: int = DEFAULT_NODES) -> float:
 
 
 def closed_form_u(m: Measure, w: complex, xi) -> Union[complex, np.ndarray]:
-    """Closed-form solution for c3 = 0:
-
-        u(xi) = a(w) cos(om xi) + b(w) sin(om xi) + c(w) e^{-2 pi i w xi}
-
-    on the support and zero outside, om = sqrt(2 c2 / c1).  Not defined at
-    the coefficient poles w = +/- sqrt(c2 / (2 c1)) / pi.
-    """
+    """Closed-form solution for c3 = 0 and any c2 >= 0, zero outside the
+    support: u = a(w) cos(om xi) + b(w) sin(om xi) + c(w) e^{-2 pi i w xi},
+    om = sqrt(2 c2 / c1), half the sum of ``kernels._c3zero_rows``' rows;
+    within their band around the coefficient poles 2 c1 pi^2 w^2 = c2 the
+    16 contour rows as well."""
     m.require_single()
     if m.c3 != 0.0:
         raise InvalidRegime("closed_form_u only covers c3 = 0")
     xi_arr = np.asarray(xi, dtype=float)
     inside = np.abs(xi_arr) <= m.delta / 2.0 + 1e-15
-    if m.c2 == 0.0:
-        out = np.exp(-2j * np.pi * w * xi_arr) / m.c1
-        out = np.where(inside, out, 0.0)
-        return out if out.shape else complex(out)
-    if _near_coeff_zero(m, w):
-        raise RemovablePoint(
-            "w is at the coefficient pole; perturb or use a limit")
-    om = np.sqrt(2.0 * m.c2 / m.c1)
-    a, b, c = _coeff_abc(m, w)
-    out = a * np.cos(om * xi_arr) + b * np.sin(om * xi_arr) \
-        + c * np.exp(-2j * np.pi * w * xi_arr)
+    offsets, weights, close = _c3zero_rows(m.c1, m.c2, m.delta, complex(w))
+    # half the rows' sum, the rows +-i om by Euler's formula from cos and sin
+    (i_om, _, s), (w_plus, w_minus, w_s) = offsets[:3].tolist(), weights[:3].tolist()
+    om_xi = i_om.imag * xi_arr
+    out = (0.5 * (w_plus + w_minus) * np.cos(om_xi) + 0.5j * (w_plus - w_minus) * np.sin(om_xi)
+           + 0.5 * w_s * np.exp(s * xi_arr))
+    if close:
+        out += 0.5 * (np.exp(xi_arr[..., None] * offsets[3:]) @ weights[3:])
     out = np.where(inside, out, 0.0)
     return out if out.shape else complex(out)
 
@@ -632,24 +627,23 @@ def reproducing_residual(m: Measure, w: complex,
 def ode_residual(m: Measure, sol: NystromSolution) -> float:
     """Residual of the differential equation u satisfies on the support,
 
-    c3 = 0:  c1 u'' + 2 c2 u = f = -4 pi^2 w^2 e^{-2 pi i w xi},
-    c3 > 0:  c1 u'''' + a u'' + b u = f = (4 pi^2 w^2 + c3^2)^2 e^{-2 pi i w xi},
-             a = 2 (c2 - c1 c3^2),  b = 2 c2 c3^2 + c1 c3^4,
+        c1 u'''' + a u'' + b u = f = (4 pi^2 w^2 + c3^2)^2 e^{-2 pi i w xi},
+        a = 2 (c2 - c1 c3^2),  b = 2 c2 c3^2 + c1 c3^4,
 
-    without differentiating the nodal u.  With J the indefinite integration
-    from -Delta/2 on the nodes, panel by panel (exact for piecewise
-    polynomials of degree below the nodes per panel), the equation
-    integrated four times from there reads
+    for every c3 >= 0 (at c3 = 0, c1 u'' + 2 c2 u = -4 pi^2 w^2 e^{-2 pi i w
+    xi} differentiated twice), without differentiating the nodal u.  With J
+    the indefinite integration from -Delta/2 on the nodes, panel by panel
+    (exact for piecewise polynomials of degree below the nodes per panel),
+    the equation integrated four times from there reads
 
         v = c1 u + a J^2 u + b J^4 u - J^4 f = P,
 
     P the cubic in t = xi + Delta/2 with Taylor coefficients c1 u, c1 u',
-    c1 u'' + a u and c1 u''' + a u' at -Delta/2.  For c3 = 0, integrated
-    twice, v = c1 u + 2 c2 J^2 u - J^2 f and P = c1 u + c1 u' t.  v comes
-    from the nodal u and P from the boundary jet, the integral equation
-    itself, so v = P holds to rounding exactly when the nodal u solves the
-    equation.  Returns max |v - P| over the nodes relative to the largest
-    term of v; 0 by convention when c2 = 0.
+    c1 u'' + a u and c1 u''' + a u' at -Delta/2.  v comes from the nodal u
+    and P from the boundary jet, the integral equation itself, so v = P
+    holds to rounding exactly when the nodal u solves the equation.  Returns
+    max |v - P| over the nodes relative to the largest term of v; 0 by
+    convention when c2 = 0.
     """
     if m.c2 == 0.0:
         return 0.0
@@ -662,23 +656,15 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
 
     u, t = sol.u_values, sol.nodes + L
     u0, u1, u2, u3 = _boundary_jet(sol, -1)
-    data = np.exp(-2j * np.pi * w * sol.nodes)
-    if c3 == 0.0:
-        f = -4.0 * np.pi ** 2 * w ** 2 * data
-    else:
-        f = (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) ** 2 * data
+    f = (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) ** 2 * np.exp(-2j * np.pi * w * sol.nodes)
     # J acts column by column: the real and imaginary parts of u and f go
     # through it as four interleaved real columns
     uf_2 = twice(np.stack([u, f], axis=1).view(float))
-    u_2, f_2 = np.ascontiguousarray(uf_2).view(complex).T
-    if c3 == 0.0:
-        terms = (c1 * u, 2.0 * c2 * u_2, -f_2)
-        P = c1 * (u0 + u1 * t)
-    else:
-        u_4, f_4 = np.ascontiguousarray(twice(uf_2)).view(complex).T
-        a, b = 2.0 * (c2 - c1 * c3 ** 2), 2.0 * c2 * c3 ** 2 + c1 * c3 ** 4
-        terms = (c1 * u, a * u_2, b * u_4, -f_4)
-        P = c1 * u0 + t * (c1 * u1 + t * ((c1 * u2 + a * u0) / 2.0
-                                          + t * (c1 * u3 + a * u1) / 6.0))
+    u_2 = np.ascontiguousarray(uf_2).view(complex)[:, 0]
+    u_4, f_4 = np.ascontiguousarray(twice(uf_2)).view(complex).T
+    a, b = 2.0 * (c2 - c1 * c3 ** 2), 2.0 * c2 * c3 ** 2 + c1 * c3 ** 4
+    terms = (c1 * u, a * u_2, b * u_4, -f_4)
+    P = c1 * u0 + t * (c1 * u1 + t * ((c1 * u2 + a * u0) / 2.0
+                                      + t * (c1 * u3 + a * u1) / 6.0))
     largest = max(float(np.max(np.abs(x))) for x in terms)
     return float(np.max(np.abs(sum(terms) - P))) / largest

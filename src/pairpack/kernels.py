@@ -2,13 +2,11 @@
 
 Two regimes:
 
-* c3 = 0: the full kernel K(w, z) is available for all complex w, z.  It is
-  assembled from coefficient functions of w and two transformed basis
-  functions of z, plus a shifted sinc term.  The w-side coefficients share
-  a removable singularity at 2 c1 pi^2 w^2 = c2.  Within 1e-2 c2 of it,
-  where they cancel, the value is an 8-point circle average of radius
-  1e-2 max(1, |w|), off by order radius^8 because the kernel is entire in
-  each variable.
+* c3 = 0: the full kernel K(w, z) for all complex w, z, the transform of
+  the solution u_w: rows e^{eta xi} at eta = +-i om and -2 pi i w.  Its
+  coefficients share a pole at 2 c1 pi^2 w^2 = c2; near it they are one
+  divided difference by the contour rule of close roots below, whose nodes
+  are 16 more rows.  A pure atom (c2 = 0) is that case at w = 0.
 
 * c3 > 0: only the section K(0, z) has a closed form.  It is built from the
   characteristic quartic roots eta1, eta2, the moment functions A, B, the
@@ -23,37 +21,35 @@ Two regimes:
   nodes), and its values are bit-identical alone and inside a batch (the
   layout notes above ``_contour`` say why).
 
-Sign conventions: B carries a minus sign on its integral term and the
-second basis transform r(z) a minus sign on its first term.  Both are fixed
-by requiring the removable singularities to actually cancel and are
-confirmed against the independent integral-equation oracle in the tests.
+Sign convention: B carries a minus sign on its integral term, fixed by
+requiring the removable singularities to cancel and confirmed against the
+independent integral-equation oracle in the tests.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import exp_moments, sin_quot, sinc_band_c, sinh_quot_scaled
+from .special import _sinh_quot, exp_moments, sinh_quot_scaled
 
 DEGENERACY_RTOL = 1e-9
 # largest c3 of the c3 > 0 closed forms: correct to 1e145 for c1 in [1e-6, 1e6]
 # and Delta in [1e-4, 1e3]; c2 c3^2 can overflow at 1e150, c3^2 at 1.3e154
 C3_MAX = 1e140
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
-_REMOVABLE_RTOL = 1e-8       # w-side singularity detection, relative to c2
-_CIRCLE_BAND, _CIRCLE_RADIUS = 1e-2, 1e-2   # kernel_c3zero's circle average
-_CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # its and _contour's 8 points
+_CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # _contour's 8 points
 # complex constants, as arrays: their products with complex arrays skip a
 # Python scalar's conversion and a float array's cast
-_PLUS_MINUS = np.array([1.0, -1.0], dtype=complex)
 _Z0, _HALF, _ONE = np.zeros((), dtype=complex), np.array(0.5 + 0j), np.array(1.0 + 0j)
-_TWO_PI, _TWO_PI_I = np.array(2.0 * np.pi + 0j), np.array(2j * np.pi)
+_TWO_PI_I = np.array(2j * np.pi)
 
 
 class CaseTag(enum.Enum):
@@ -68,6 +64,9 @@ _CASE_TAGS = np.array([CaseTag.CONJUGATE_QUADRANT, CaseTag.PURELY_IMAGINARY,
 
 
 class LimitPath(enum.Enum):
+    """Which limit a kernel value took: REMOVABLE_W, the c3 = 0 coefficients
+    as the contour sum at their pole; REMOVABLE_Z, z in that band, where the
+    quotient rows need no limit; DEGENERATE_ETA, close roots of c3 > 0."""
     NONE = "none"
     REMOVABLE_W = "removable_w"
     REMOVABLE_Z = "removable_z"
@@ -226,7 +225,7 @@ def script_L(m: Measure) -> complex:
 _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which X1 - X2 cancels
 # c3 on the four root rows and the contour rows, 0 on the mu row
 _SHIFT_PATTERN = {n: np.array([1.0] * 4 + [0.0] + [1.0] * (n - 5)) for n in (5, 21)}
-_SIGNS = _PLUS_MINUS[:, None, None]       # +-, before (root or order, measure)
+_SIGNS = np.array([1.0, -1.0], dtype=complex)[:, None, None]   # +-, then root or order
 _AB_OFFSET = np.array([[1.0], [1.0], [1.0], [0.0]], dtype=complex)
 _W_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex)    # w1, w2, w1, w2
 
@@ -392,17 +391,25 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
 
 def _k0z_section(m: Measure, z):
     """K(0, z) for c2 > 0, c3 > 0, the measures' axes followed by z's: one
-    quotient call over TransformSolution's rows.  The five root rows are
-    summed apart, so a batch's zero-weight padding leaves their rounding."""
+    quotient call over TransformSolution's rows."""
     sol = k0_transform_solution(m)
-    offsets, shifts, weights = (_grid_axes(r, z.ndim, 1) for r in (sol.offsets, sol.shifts,
-                                                                    sol.weights))
-    quot = sinh_quot_scaled(_TWO_PI_I * z[..., None] + offsets,
-                            _grid_axes(m.delta / 2.0, z.ndim + 1), shifts)
-    terms = weights * quot
-    if terms.shape[-1] == 5:
+    return _row_sum(sol.offsets, sol.weights, m.delta / 2.0, z, 5, sol.shifts)
+
+
+def _row_sum(offsets, weights, L, z, head, shifts=None):
+    """sum_r weights_r e^{-shifts_r L} sinh((s + offsets_r) L) / (s + offsets_r),
+    s = 2 pi i z, over rows on a last axis, the measures' axes followed by
+    z's.  The first ``head`` rows are summed apart from the contour rows after
+    them, so that a batch's zero-weight padding leaves their rounding."""
+    if offsets.ndim > 1:        # a batch: z's axes go between the measures' and the rows'
+        units = (1,) * z.ndim
+        offsets, weights, shifts = (r if r is None else r.reshape(r.shape[:-1] + units + (-1,))
+                                    for r in (offsets, weights, shifts))
+        L = L.reshape(L.shape + units + (1,))
+    terms = weights * _sinh_quot(_TWO_PI_I * z[..., None] + offsets, L, shifts)
+    if terms.shape[-1] <= head:
         return np.add.reduce(terms, -1)
-    return np.add.reduce(terms[..., :5], -1) + np.add.reduce(terms[..., 5:], -1)
+    return np.add.reduce(terms[..., :head], -1) + np.add.reduce(terms[..., head:], -1)
 
 
 def kernel_k00(m: Measure, extended: bool = False) -> float:
@@ -414,84 +421,93 @@ def kernel_k00(m: Measure, extended: bool = False) -> float:
 
 
 # ---------------------------------------------------------------------------
-# c3 = 0: the full two-variable kernel
+# c3 = 0: the full kernel, its coefficient pole a divided difference
 # ---------------------------------------------------------------------------
+#
+# With L = Delta/2, s = -2 pi i w, zeta = s^2, om^2 = 2 c2 / c1 and E(eta) =
+# cosh(eta L) - eta L sinh(eta L), the c3 = 0 solution is, on the support,
+#
+#     c1 u_w(xi) = e^{s xi} + om^2 (D[g_e] / E(i om) + s D[g_o] / cos(om L)),
+#     g_e(zeta) = E(sqrt zeta) cos(om xi) - E(i om) cosh(sqrt zeta xi),
+#     g_o(zeta) = cosh(sqrt zeta L) sin(om xi) / om - cos(om L) sinh(sqrt zeta xi) / sqrt zeta,
+#
+# D[g] = (g(zeta) - g(-om^2)) / (zeta + om^2) the divided difference at the
+# coefficient pole zeta = -om^2 (2 c1 pi^2 w^2 = c2), where g_e and g_o (the
+# numerators N_e, N_o of c1 u = D[N_e] / E(i om) + s D[N_o] / cos(om L) with
+# their factor zeta + om^2 divided out), even entire in sqrt zeta, vanish.
+# Away from the pole D[g] = g(zeta) / (zeta + om^2); within |zeta + om^2|
+# L^2 < _CLOSE_GAP it is ``_contour``'s 8-node sum.
 
-def _coeff_abc(m: Measure, w: complex):
-    """Coefficient functions a(w), b(w), c(w) of the c3 = 0 solution.  All
-    three share the denominator 2 c1 pi^2 w^2 - c2."""
-    c1, c2, d = m.c1, m.c2, m.delta
-    om = np.sqrt(2.0 * c2 / c1)
-    th = om * d / 2.0
-    den = 2.0 * c1 * np.pi ** 2 * w * w - c2
-    cw = np.cos(np.pi * d * w)
-    sw = np.sin(np.pi * d * w)
-    a = -2.0 * c2 * (cw + np.pi * d * w * sw) / (
-        c1 * den * (2.0 * np.cos(th) + om * d * np.sin(th)))
-    b = om * 1j * np.pi * w * cw / (den * np.cos(th))
-    c = 2.0 * np.pi ** 2 * w * w / den
-    return a, b, c
+def _c3zero_rows(c1, c2, delta, w: complex):
+    """(offsets, weights, close) of u_w (c3 = 0, one w): u_w(xi) = 1/2 sum_r
+    weights_r e^{offsets_r xi}, whose ``_row_sum`` at z is K(conj w, z).
+    The rows, on a last axis after a batch's axes, are (i om, -i om, s)
+    with weights (a - i b, a + i b, 2 c), and where ``close`` the 16 contour
+    rows +-eta_k (weight 0 for the other measures of a batch)."""
+    shape = getattr(c1, "shape", ())
+    c1, L = _flat(c1), _flat(delta / 2.0)
+    om = (np.sqrt if shape else math.sqrt)(2.0 * _flat(c2) / c1)
+    s = -2j * np.pi * w
+    close = abs(s * s + om * om) * (L * L) < _CLOSE_GAP
+    if not shape:
+        return (_pole_rows if close else _far_rows)(c1, om, L, s) + (close,)
+    table = np.zeros((2, close.size, 19 if np.count_nonzero(close) else 3), dtype=complex)
+    for mask, rows, width in ((~close, _far_rows, 3), (close, _pole_rows, 19)):
+        if np.count_nonzero(mask):
+            table[:, mask, :width] = rows(c1[mask], om[mask], L[mask], s)
+    rows = shape + table.shape[-1:]
+    return table[0].reshape(rows), table[1].reshape(rows), close.reshape(shape)
 
 
-def _a0(m: Measure):
-    """a(0) = 2 / (c1 (2 cos(th) + 2 th sin(th))), th = om Delta / 2, the one
-    coefficient left at w = 0 (b(0) = c(0) = 0); 1/c1 for a pure atom."""
-    th = np.sqrt(2.0 * m.c2 / m.c1) * m.delta / 2.0
-    return 2.0 / (m.c1 * (2.0 * np.cos(th) + 2.0 * th * np.sin(th)))
+def _far_rows(c1, om, L, s):
+    """The three rows with D[g] = g(zeta) / (zeta + om^2): a batch's values
+    are arrays, one measure's complex values Python numbers (``cmath``)."""
+    cm = np if isinstance(L, np.ndarray) else cmath
+    zeta, sL, th = s * s, s * L, om * L
+    gap, ch, cos_th = zeta + om * om, cm.cosh(sL), np.cos(th)
+    # om^2 / gap is 1 at w = 0: a(0) = 1 / (c1 E(i om)) exactly
+    alpha = om * om / gap * (ch - sL * cm.sinh(sL)) / (c1 * (cos_th + th * np.sin(th)))
+    i_beta = 1j * s * om * ch / (c1 * gap * cos_th)
+    return (np.array([1j * om, -1j * om, s + 0.0 * om]).T,
+            np.array([alpha - i_beta, alpha + i_beta, 2.0 * zeta / (c1 * gap) + 0.0 * om]).T)
 
 
-def _near_coeff_zero(m: Measure, v: complex, rtol: float = _REMOVABLE_RTOL) -> bool:
-    """True when 2 c1 pi^2 v^2 - c2 is within rtol c2 of its zero."""
-    if m.c2 == 0.0:
-        return False
-    return abs(2.0 * m.c1 * np.pi ** 2 * v * v - m.c2) <= rtol * m.c2
-
-
-def _kernel_c3zero_raw(m: Measure, w, z: complex):
-    # a q(z) + b r(z) + 2 c sin(2 pi (z - wb) L) / (2 pi (z - wb)), q and r
-    # the transforms of cos(om t) and sin(om t): three quotients per w, one
-    # call, whose first two rows are broadcast to w's shape by adding zero
-    wb = np.conj(w)
-    a, b, c = _coeff_abc(m, wb)
-    s, om, zero = 2.0 * np.pi * z, np.sqrt(2.0 * m.c2 / m.c1), 0.0 * wb
-    plus, minus, shifted = sin_quot(np.array([s + om + zero, s - om + zero,
-                                              2.0 * np.pi * (z - wb)]), m.delta / 2.0)
-    return a * (plus + minus) + 1j * b * (minus - plus) + 2.0 * c * shifted
+def _pole_rows(c1, om, L, s):
+    """The 19 rows with D[g] = sum_k c_k g(eta_k^2) at ``_contour``'s nodes
+    (d: om^2 D[E] and om D[cosh(. L)]), whose cosh(eta_k xi) and s sinh(eta_k
+    xi) / eta_k are the rows +-eta_k."""
+    rows = np.shape(c1) + (19,)
+    c1, om, L = np.array([c1, om, L], dtype=float).reshape(3, -1, 1)
+    om_sq, th, cos_th = om * om, om * L, np.cos(om * L)
+    nodes, c = _contour(s * s, -om_sq, L)                   # (measure, node)
+    nL = nodes * L
+    ch = np.cosh(nL)
+    d = (c * np.array([om_sq * (ch - nL * np.sinh(nL)), om * ch])).sum(-1, keepdims=True)
+    alpha, i_beta = d[0] / (c1 * (cos_th + th * np.sin(th))), 1j * s * d[1] / (c1 * cos_th)
+    k, ratio, ones = -om_sq / c1 * c, s / nodes, np.ones_like(alpha)
+    offsets = np.concatenate([1j * om * ones, -1j * om * ones, s * ones, nodes, -nodes], -1)
+    weights = np.concatenate([alpha - i_beta, alpha + i_beta, 2.0 / c1 * ones,
+                              k * (1.0 + ratio), k * (1.0 - ratio)], -1)
+    return offsets.reshape(rows), weights.reshape(rows)
 
 
 def kernel_c3zero(m: Measure, w: complex, z: complex,
                   extended: bool = False) -> KernelEvaluation:
-    """Full kernel K(w, z) for c3 = 0; Hermitian, entire in each variable.
-
-    Within |2 c1 pi^2 w^2 - c2| <= 1e-2 c2 of the shared zero of the
-    coefficient denominators, where the coefficients cancel, the value is
-    the average over 8 points on a circle of radius 1e-2 max(1, |w|) around
-    w, all in one call: the kernel is entire in w, so the average is exact
-    up to terms of order 8 in the radius, and no point comes nearer the zero
-    than where the raw formula's cancellation costs about 1e-13.  limit_path
-    reports REMOVABLE_W only within 1e-8 c2, where closed_form_u refuses.
-    """
+    """Full kernel K(w, z) for c3 = 0 and any c2 >= 0, Hermitian and entire in
+    each variable: the transform of u_{conj w} at z, one quotient call.
+    limit_path: REMOVABLE_W where the coefficients are the contour sum at
+    their pole 2 c1 pi^2 w^2 = c2, REMOVABLE_Z where z is in that band."""
     m.require_single()
     if m.c3 != 0.0:
         raise InvalidRegime("use kernel_k0z for c3 > 0")
     m.require_admissible(extended=extended)
-    w = complex(w)
-    z = complex(z)
-    if m.c2 == 0.0:
-        val = sinc_band_c(m.delta, z, center=np.conj(w)) / m.c1
-        return KernelEvaluation(value=complex(val), at_w=w, at_z=z)
-
-    # the z-side removable points are absorbed by the sinc-quotient split in
-    # q and r, so only the w side needs an actual limit branch
-    path = LimitPath.NONE
-    if _near_coeff_zero(m, z):
-        path = LimitPath.REMOVABLE_Z
-    if _near_coeff_zero(m, w):
-        path = LimitPath.REMOVABLE_W
-    if _near_coeff_zero(m, w, _CIRCLE_BAND):
-        val = np.mean(_kernel_c3zero_raw(m, w + _CIRCLE_RADIUS * max(1.0, abs(w)) * _CIRCLE, z))
-    else:
-        val = _kernel_c3zero_raw(m, w, z)
+    w, z = complex(w), complex(z)
+    offsets, weights, close = _c3zero_rows(m.c1, m.c2, m.delta, w.conjugate())
+    L = m.delta / 2.0
+    val = np.dot(weights, sinh_quot_scaled(_TWO_PI_I * z + offsets, L, 0.0))
+    path = (LimitPath.REMOVABLE_W if close else LimitPath.REMOVABLE_Z
+            if abs(4.0 * np.pi ** 2 * z * z - 2.0 * m.c2 / m.c1) * L * L < _CLOSE_GAP
+            else LimitPath.NONE)
     return KernelEvaluation(value=complex(val), at_w=w, at_z=z, limit_path=path)
 
 
@@ -500,27 +516,29 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
 # ---------------------------------------------------------------------------
 
 def _k0z_c3zero(m: Measure, z):
-    """K(0, z) = a(0) q(z) for c3 = 0 or a pure atom (c2 = 0, om = 0), the
-    two rows of q(z) = sum_+- sin((2 pi z +- om) L) / (2 pi z +- om) in one call."""
-    om = _grid_axes(np.sqrt(2.0 * m.c2 / m.c1), z.ndim + 1) * _PLUS_MINUS
-    q = sin_quot(_TWO_PI * z[..., None] + om, _grid_axes(m.delta / 2.0, z.ndim + 1))
-    return _grid_axes(_a0(m), z.ndim) * np.add.reduce(q, -1)
+    """K(0, z) for c3 = 0 or a pure atom over u_0's rows, one measure's
+    cached and read-only as its TransformSolution is for c3 > 0."""
+    rows = _c3zero_section if isinstance(m.c1, np.ndarray) else _section
+    offsets, weights = rows(m.c1, m.c2, m.delta)
+    return _row_sum(offsets, weights, m.delta / 2.0, z, 3)
 
 
-def _grid_axes(v, n, rows=0):
-    """A batch's value v with n unit axes inserted before its last ``rows``
-    axes, so that it broadcasts against a grid of z; one measure's value
-    (no axes but the rows') as it is."""
-    if getattr(v, "ndim", 0) <= rows:
-        return v
-    at = v.ndim - rows
-    return v.reshape(v.shape[:at] + (1,) * n + v.shape[at:])
+def _c3zero_section(c1, c2, delta):
+    """u_0's rows; away from the pole c(0) = 0, leaving the two rows +-i om."""
+    offsets, weights, _ = _c3zero_rows(c1, c2, delta, 0j)
+    if offsets.shape[-1] == 3:
+        offsets, weights = offsets[..., :2], weights[..., :2]
+    offsets.setflags(write=False), weights.setflags(write=False)
+    return offsets, weights
+
+
+_section = functools.lru_cache(maxsize=8)(_c3zero_section)
 
 
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
     """K(0, z) over an array of points, for any c3 >= 0: one quotient call
-    per regime, over two rows (c3 = 0 or a pure atom) or the section's
-    cached rows (5, or 21 where the roots nearly meet).
+    per regime over cached rows, u_0's for c3 = 0 or a pure atom (2, or 19
+    near the pole) or the section's (5, or 21 where the roots nearly meet).
     For a batch measure the result has the batch's shape followed by z's,
     and the regimes are masks over the batch."""
     m.require_admissible(extended=extended)
@@ -539,11 +557,12 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
 
 def k0_endpoint_value(m: Measure) -> float:
     """Value of the transform-side solution u0 at the support endpoint
-    Delta/2; the coefficient of the 1/x far field of K(0, x).  The measure
-    must pass the extended admissibility gate."""
+    Delta/2; the coefficient of the 1/x far field of K(0, x): half the
+    rows' sum of exponentials there.  The measure must pass the extended
+    admissibility gate."""
     m.require_single()
     if m.c3 > 0.0 and m.c2 > 0.0:
         return float(k0_transform_solution(m).endpoint_value(m).real)
-    # u0(t) = a(0) cos(om t); om = 0 for a pure atom
     m.require_admissible(extended=True)
-    return float(_a0(m) * np.cos(np.sqrt(2.0 * m.c2 / m.c1) * m.delta / 2.0))
+    offsets, weights = _section(m.c1, m.c2, m.delta)
+    return float(0.5 * np.sum(weights * np.exp(offsets * (m.delta / 2.0))).real)

@@ -50,6 +50,19 @@ class TestAverageBounds:
             assert rep.lower_thm2 == 0.5
             assert rep.upper > 0
 
+    def test_curves_cross_where_k00_exceeds_one(self):
+        # a c3 = 0 pure atom with K(0, 0) = Delta / c1 = 2.4: reported, not
+        # refused, with lower_thm1 = 1 + s0 (1/2.4 - 1) above upper = 1/2.4,
+        # as BoundsReport documents
+        m = Measure(0.5, 0.0, 0.0, 1.2)
+        assert kernel_k00(m) == pytest.approx(2.4, rel=1e-15)
+        rep = average_bounds(m)
+        assert rep.upper == pytest.approx(1.0 / 2.4, rel=1e-15)
+        assert rep.lower_thm1 == pytest.approx(1.0 + s0() * (1.0 / 2.4 - 1.0), rel=1e-15)
+        assert rep.lower_thm1 == pytest.approx(1.127, abs=1e-3)
+        assert rep.upper == pytest.approx(0.417, abs=1e-3)
+        assert rep.lower_thm1 > 1.0 > rep.upper
+
     def test_not_admissible(self):
         with pytest.raises(NotAdmissible):
             average_bounds(Measure(1.0, 2.0, 0.0, 1.0))

@@ -9,7 +9,7 @@ from conftest import assemble, dense_sigma_min, integrate_with_kink, registry_te
 
 import pairpack.fredholm as fredholm
 import pairpack.kernels as kernels
-from pairpack import (InvalidRegime, Measure, RemovablePoint, closed_form_u,
+from pairpack import (InvalidRegime, Measure, closed_form_u,
                       k_from_u, kernel_k00, ode_residual, nu_hat, solve_integral_eq)
 from pairpack.fredholm import (CONDITION_LIMIT, MAX_PANELS, PANEL_C3_WIDTH,
                                PANEL_NODES, system_residual, uniqueness_ratio)
@@ -373,10 +373,13 @@ class TestClosedFormU:
         assert np.max(np.abs(vals.imag)) == 0
         assert np.max(np.abs(vals - vals[::-1])) <= 1e-14
 
-    def test_removable_point_raises(self):
+    def test_at_the_pole_matches_oracle(self):
+        # at the coefficient pole w0 and at the pure atom's pole w = 0 the
+        # coefficients are one divided difference (measured within 6e-16)
         w0 = np.sqrt(self.m.c2 / (2 * self.m.c1)) / np.pi
-        with pytest.raises(RemovablePoint):
-            closed_form_u(self.m, w0, 0.1)
+        for m, w in ((self.m, w0), (self.m, -w0), (Measure(2.0, 0.0, 0.0, 0.8), 0.0)):
+            sol = solve_integral_eq(m, w)
+            assert np.max(np.abs(closed_form_u(m, w, sol.nodes) - sol.u_values)) <= 1e-14
 
     def test_wrong_regime(self):
         with pytest.raises(InvalidRegime):
@@ -461,15 +464,13 @@ class TestOdeResidual:
         (Measure(1, 1, 0, 0.5), 0.7), (Measure(1, 1, 0, 0.5), 0.0),
         (Measure(1.0, 0.5, 0.0, 0.8), 1.1 - 0.3j), (Measure(2.0, 1.0, 0.0, 0.6), -0.4)])
     def test_boundary_jet_against_closed_form(self, m, w):
-        # u = a cos(om xi) + b sin(om xi) + c e^{-2 pi i w xi} for c3 = 0
-        a, b, c = kernels._coeff_abc(m, w)
-        om, k = math.sqrt(2.0 * m.c2 / m.c1), -2j * np.pi * w
+        # u = 1/2 sum_r weights_r e^{offsets_r xi} for c3 = 0, differentiated row by row
+        offsets, weights, _ = kernels._c3zero_rows(m.c1, m.c2, m.delta, w)
         sol = solve_integral_eq(m, w)
         for side in (-1, 1):
             x = side * m.delta / 2.0
-            phase = om * x + np.arange(4) * np.pi / 2       # d^j/dx^j cos(om x) = om^j cos(phase)
-            exact = (a * np.cos(phase) + b * np.sin(phase)) * om ** np.arange(4) \
-                + c * k ** np.arange(4) * np.exp(k * x)
+            exact = 0.5 * (weights * offsets ** np.arange(4)[:, None]
+                           * np.exp(offsets * x)).sum(-1)
             err = np.abs(fredholm._boundary_jet(sol, side) - exact)
             assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(exact)))
 

@@ -257,12 +257,10 @@ class TestKernelC3Zero:
 
     @pytest.mark.parametrize("args", [(0.5, 0.451, 0, 1.2), (1, 1, 0, 0.5), (1.0, 1e-4, 0, 0.5)])
     def test_removable_w_sweep_against_oracle(self, args):
-        # w = +/- w0 (1 + eps) around the removable point, eps real and
-        # complex in 1e-11 ... 1e-1, where the raw coefficients cancel: a
-        # 4-point average taken only within 1e-8 c2 reads 4.7e-9 to 6.1e-8
-        # here, the 8-point one within 1e-2 c2 at most 3.4e-14.  w0 of the
-        # last measure is below the circle's radius, so the circle holds
-        # both removable points
+        # w = +/- w0 (1 + eps) around the coefficient pole, eps real and
+        # complex in 1e-11 ... 1e-1, where the raw coefficients cancel (the
+        # contour sum reads at most 2.0e-14 here).  w0 of the last measure
+        # is so small that the contour holds both poles and w = 0
         m = Measure(*args)
         w0 = np.sqrt(m.c2 / (2 * m.c1)) / np.pi
         eps = np.logspace(-11, -1, 11)
@@ -274,6 +272,15 @@ class TestKernelC3Zero:
                 oracle = np.conj(k_from_u(sol, np.conj(z)))
                 worst = max(worst, abs(kernel_c3zero(m, w, z).value - oracle))
         assert worst <= 1e-12
+
+    def test_pure_atom_at_its_pole(self):
+        # c2 = 0: the pole is w = 0, where K(0, z) is the sinc kernel / c1
+        m = Measure(2.0, 0.0, 0.0, 0.8)
+        for z in (0.0, 0.9, 0.3 - 0.2j):
+            ev = kernel_c3zero(m, 0.0, z)
+            assert ev.limit_path is LimitPath.REMOVABLE_W
+            ref = 0.8 if z == 0 else np.sin(np.pi * 0.8 * z) / (np.pi * z)
+            assert ev.value == pytest.approx(ref / 2.0, abs=1e-15)
 
     def test_pure_atom_is_sinc(self):
         m = Measure(2.0, 0.0, 0.0, 0.8)
