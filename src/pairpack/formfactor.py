@@ -14,8 +14,11 @@ The double sum is a real matrix product per batch of alphas, taken in square
 tiles: the weight matrix, which does not depend on alpha, is built _TILE x
 _TILE entries at a time (128 KB, which stays in L2 while it is multiplied)
 and applied to [cos(theta g) | sin(theta g)], so an alpha grid, an average
-or a CLI --alpha range costs one call and no array holds n^2 weights or an
-n-wide row of them.  Two independent
+or a CLI --alpha range costs one call.  A window of at most 724 ordinates
+(n^2 weights in _MEMO_BYTES = 4 MiB) builds its tiles once: later alpha
+batches reuse them, and so does the next call on the same window, from a
+single-entry memo of the last window.  A larger window keeps no array of
+n^2 weights or an n-wide row of them.  Two independent
 routes check it: the term-by-term hand expansion of the verify registry
 (pairpack.verify._hand_form_factor) and the positive-definite integral
 representation (form_factor_positive).
@@ -39,11 +42,14 @@ from .quadrature import panel_rule
 
 _TILE = 128                  # ordinates per side of a weight tile (128 KB, stays in L2)
 _ALPHA_BATCH = 64            # alphas per pass over the weight tiles
+_MEMO_BYTES = 4 * 2 ** 20    # weights kept for the next call up to n^2 * 8 bytes (n <= 724)
 MAX_ORDINATES = 100_000      # one alpha at 1e5 ordinates: 35 s, peak RSS 37 MB (2-vCPU Xeon)
 MAX_ALPHAS = 10 ** 6         # largest alpha grid of an average
 _U_CUTOFF = 10.0             # form_factor_positive's |u| range: e^{-40 pi} < 1e-54
 _FEJER_GRID = 2001           # fejer_check's grid points on each membership condition
 _LATTICE_TERMS = 2000        # fejer_poisson_check's summed terms; the tail is in closed form
+
+_memo = None                 # (pair_weight, window bytes) and its tiles, for the last window
 
 
 class Window(enum.Enum):
@@ -63,7 +69,8 @@ def pair_weight(u):
 @dataclass(frozen=True)
 class ZeroDataset:
     """Sorted ordinates with multiplicity, plus the density parameter lam
-    and the window convention used for all sums."""
+    and the window convention used for all sums.  The ordinates are kept as
+    a read-only float64 copy, so the caller's array can change afterwards."""
 
     ordinates: np.ndarray
     lam: float
@@ -71,7 +78,9 @@ class ZeroDataset:
     source: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.ordinates, dtype=float)
+        arr = np.array(self.ordinates, dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(self, "ordinates", arr)
         if arr.ndim != 1 or len(arr) == 0:
             raise EmptyDataset("no ordinates")
         if not np.all(np.isfinite(arr)):
@@ -149,6 +158,14 @@ def _normalizer(ds: ZeroDataset, T: float) -> float:
     return (ds.lam * T / (2.0 * np.pi)) * np.log(T)
 
 
+def _weight_tiles(g):
+    """The tiles W[r, c] = pair_weight(g[r] - g[c]) in row-major tile order."""
+    for lo in range(0, len(g), _TILE):
+        rows = g[lo:lo + _TILE, None]
+        for c0 in range(0, len(g), _TILE):
+            yield pair_weight(rows - g[c0:c0 + _TILE])
+
+
 def form_factor(ds: ZeroDataset, T: float, alpha):
     """Direct double sum of the form factor at every alpha of an array (real
     and even in alpha; a 0-d alpha gives a float).
@@ -158,12 +175,21 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
     built in square _TILE x _TILE tiles that stay in L2: each row tile r sums
     W[r, c] @ [c | s][c] over the column tiles c and adds [c | s][r]^T times
     that sum to the Gram matrix of the batch, whose diagonals give Re and Im.
-    Tiles and batches of alphas have fixed sizes and order, so no temporary
-    grows with the square of the ordinate count or with the ordinate count
-    times the alpha count.  The imaginary part, summed over every tile,
-    cancels pairwise for an even weight and is checked.  A non-finite alpha
-    or T raises ValueError before the window is read.
+    Tiles and batches of alphas have fixed sizes and order, so the values do
+    not depend on where a tile came from.  The imaginary part, summed over
+    every tile, cancels pairwise for an even weight and is checked.
+
+    When the window's n^2 weights fit in _MEMO_BYTES (n <= 724), the tiles
+    are built once per call, by the first batch, and kept in a module-level
+    memo of one entry keyed by (pair_weight, the window's bytes); the memo is
+    written only after every batch has passed the cancellation check, so a
+    call that raises NotCancelled leaves none, and a call on the same window
+    with the same weight builds no tile.  Above the cap nothing is kept: each
+    batch builds its tiles again, and no temporary grows with the square of
+    the ordinate count or with the ordinate count times the alpha count.  A
+    non-finite alpha or T raises ValueError before the window is read.
     """
+    global _memo
     norm = _normalizer(ds, T)
     alpha = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(alpha)):
@@ -173,6 +199,12 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
     if n == 0:
         raise EmptyWindow(f"no ordinates in the {ds.window.value} window for T={T}")
     theta = (ds.lam * np.log(T)) * alpha.ravel()
+    keep = n * n * 8 <= _MEMO_BYTES
+    tiles = None
+    if keep:
+        key = (pair_weight, g.tobytes())
+        if _memo is not None and _memo[0] == key:
+            tiles = _memo[1]
     out = np.empty(theta.size)
     for a0 in range(0, theta.size, _ALPHA_BATCH):
         k = min(_ALPHA_BATCH, theta.size - a0)
@@ -180,12 +212,14 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
         np.multiply.outer(g, theta[a0:a0 + k], out=cs[:, k:])
         np.cos(cs[:, k:], out=cs[:, :k])
         np.sin(cs[:, k:], out=cs[:, k:])
+        if keep and tiles is None:
+            tiles = list(_weight_tiles(g))
+        weights = iter(tiles) if keep else _weight_tiles(g)
         gram = np.zeros((2 * k, 2 * k))    # gram[a, b] = cs[:, a] . (W cs)[:, b]
         for lo in range(0, n, _TILE):
-            rows = g[lo:lo + _TILE, None]
-            wcs = np.zeros((len(rows), 2 * k))
+            wcs = np.zeros((min(_TILE, n - lo), 2 * k))
             for c0 in range(0, n, _TILE):
-                wcs += pair_weight(rows - g[c0:c0 + _TILE]) @ cs[c0:c0 + _TILE]
+                wcs += next(weights) @ cs[c0:c0 + _TILE]
             gram += cs[lo:lo + _TILE].T @ wcs
         re = np.diagonal(gram)[:k] + np.diagonal(gram)[k:]
         im = np.diagonal(gram, k) - np.diagonal(gram, -k)
@@ -193,6 +227,8 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
         if not worst <= 1e-10 * n * n:      # a nan fails too
             raise NotCancelled(f"imaginary part {worst:.3e} did not cancel")
         out[a0:a0 + k] = re
+    if tiles is not None:
+        _memo = (key, tiles)
     out /= norm
     return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
 

@@ -11,7 +11,7 @@ from pairpack import (EmptyDataset, EmptyWindow, Measure, NotCancelled,
                       kernel_k00, kernel_k0z_grid, load_zeros, phi_functional,
                       symmetric_average, windowed_average)
 from pairpack import formfactor
-from pairpack.formfactor import MAX_ALPHAS, MAX_ORDINATES, fejer_witness
+from pairpack.formfactor import MAX_ALPHAS, MAX_ORDINATES, fejer_witness, pair_weight
 from pairpack.kernels import k0_transform_solution
 from pairpack.quadrature import gauss_legendre
 
@@ -70,6 +70,22 @@ class TestLoadZeros:
         p.write_text("10.0\n")
         with pytest.raises(ValueError):
             load_zeros(p)
+
+
+class TestZeroDataset:
+    def test_list_ordinates(self):
+        ds = ZeroDataset(ordinates=[10.0, 10.5, 12.0], lam=1.0)
+        assert ds.ordinates.dtype == np.float64
+        arr = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
+        assert form_factor(ds, 100.0, 0.4) == form_factor(arr, 100.0, 0.4)
+
+    def test_caller_array_is_copied(self):
+        a = np.array([10.0, 10.5, 12.0])
+        ds = ZeroDataset(ordinates=a, lam=1.0)
+        a[0] = 11.0
+        assert list(ds.ordinates) == [10.0, 10.5, 12.0]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.ordinates[0] = 11.0
 
 
 class TestFormFactor:
@@ -185,6 +201,88 @@ class TestBatchedFormFactor:
             assert type(form_factor(ds, 100.0, alpha)) is float
         empty = form_factor(ds, 100.0, np.array([]))
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+class TestWeightMemo:
+    """The tiles of the last window of at most 724 ordinates are kept."""
+
+    @staticmethod
+    def counted(weight, calls):
+        def w(u):
+            calls.append(u.shape)
+            return weight(u)
+        return w
+
+    @staticmethod
+    def window(n, seed=33):
+        g = np.sort(np.random.default_rng(seed).uniform(1.0, 900.0, n))
+        return ZeroDataset(ordinates=g, lam=1.0)
+
+    def test_second_call_builds_no_tile(self, monkeypatch):
+        monkeypatch.setattr(formfactor, "_memo", None)
+        ds, alphas = self.window(300), np.linspace(0.1, 2.0, 17)
+        fresh = form_factor(self.window(300), 900.0, alphas)
+        monkeypatch.setattr(formfactor, "_memo", None)
+        calls = []
+        monkeypatch.setattr(formfactor, "pair_weight",
+                            self.counted(formfactor.pair_weight, calls))
+        first = form_factor(ds, 900.0, alphas)
+        assert len(calls) == 9                       # 3 x 3 tiles
+        calls.clear()
+        second = form_factor(ds, 900.0, alphas)
+        assert calls == []
+        assert first.tobytes() == fresh.tobytes() == second.tobytes()
+
+    def test_key_holds_the_weight(self, monkeypatch):
+        monkeypatch.setattr(formfactor, "_memo", None)
+        ds = self.window(300)
+        form_factor(ds, 900.0, 0.8)
+        monkeypatch.setattr(formfactor, "pair_weight",
+                            lambda u: 4.0 / (4.0 + u * u) * (1.0 + u))
+        with pytest.raises(NotCancelled):
+            form_factor(ds, 900.0, 0.8)
+
+    def test_refused_call_keeps_nothing(self, monkeypatch):
+        monkeypatch.setattr(formfactor, "_memo", None)
+        three = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
+        asymmetric = lambda u: 4.0 / (4.0 + u * u) * (1.0 + u)
+        monkeypatch.setattr(formfactor, "pair_weight", asymmetric)
+        with pytest.raises(NotCancelled):
+            form_factor(three, 100.0, 0.8)
+        assert formfactor._memo is None
+        # a refused call leaves the last good window's entry as it was
+        monkeypatch.setattr(formfactor, "pair_weight", pair_weight)
+        form_factor(self.window(300), 900.0, 0.8)
+        kept = formfactor._memo
+        monkeypatch.setattr(formfactor, "pair_weight", asymmetric)
+        with pytest.raises(NotCancelled):
+            form_factor(three, 100.0, 0.8)
+        assert formfactor._memo is kept
+
+    def test_nothing_kept_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr(formfactor, "_memo", None)
+        assert 724 ** 2 * 8 <= formfactor._MEMO_BYTES < 725 ** 2 * 8
+        calls = []
+        monkeypatch.setattr(formfactor, "pair_weight",
+                            self.counted(pair_weight, calls))
+        big = self.window(725)
+        for _ in range(2):
+            form_factor(big, 900.0, 0.3)
+        assert len(calls) == 2 * 36 and formfactor._memo is None
+        calls.clear()
+        form_factor(self.window(724), 900.0, 0.3)
+        assert len(calls) == 36 and formfactor._memo is not None
+
+    def test_batches_share_tiles(self, monkeypatch):
+        monkeypatch.setattr(formfactor, "_memo", None)
+        batch = formfactor._ALPHA_BATCH
+        alphas = np.linspace(-2.0, 2.0, 2 * batch + 1)
+        for n, tiles, builds in ((300, 9, 1), (725, 36, 3)):
+            calls = []
+            monkeypatch.setattr(formfactor, "pair_weight",
+                                self.counted(pair_weight, calls))
+            form_factor(self.window(n), 900.0, alphas)
+            assert len(calls) == tiles * builds
 
 
 class TestFormFactorPositive:
