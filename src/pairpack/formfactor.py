@@ -10,18 +10,19 @@ two extremal-problem functionals (the measure functional ratio that the
 kernel diagonal optimizes, and the triangle-transform witness of the
 universal 1/2 floor).
 
-The double sum is a real matrix product per batch of alphas, taken in square
-tiles: the weight matrix, which does not depend on alpha, is built _TILE x
-_TILE entries at a time (128 KB, which stays in L2 while it is multiplied)
-and applied to [cos(theta g) | sin(theta g)], so an alpha grid, an average
-or a CLI --alpha range costs one call.  A window of at most 724 ordinates
-(n^2 weights in _MEMO_BYTES = 4 MiB) builds its tiles once: later alpha
-batches reuse them, and so does the next call on the same window, from a
-single-entry memo of the last window.  A larger window keeps no array of
-n^2 weights or an n-wide row of them.  Two independent
-routes check it: the term-by-term hand expansion of the verify registry
-(pairpack.verify._hand_form_factor) and the positive-definite integral
-representation (form_factor_positive).
+The double sum is a real matrix product per batch of alphas, so an alpha
+grid, an average or a CLI --alpha range costs one call.  The phase table
+holds e^{i theta g} as complex numbers: its float view has cos(theta g) and
+sin(theta g) of each alpha in adjacent columns.  A window of at most 724
+ordinates (n^2 weights in _MEMO_BYTES = 4 MiB) keeps its whole weight matrix
+W, which does not depend on alpha: each batch is one BLAS product of the
+table with W, and a single-entry memo of the last window lets the next call
+on it build no weight.  A larger window streams W in square _TILE x _TILE
+tiles (128 KB, which stays in L2 while it is multiplied), built again for
+each batch, and keeps no array of n^2 weights or an n-wide row of them.
+Two independent routes check it: the term-by-term hand expansion of the
+verify registry (pairpack.verify._hand_form_factor) and the positive-definite
+integral representation (form_factor_positive).
 """
 
 from __future__ import annotations
@@ -40,16 +41,16 @@ from .kernels import k0_endpoint_value, kernel_k00, kernel_k0z_grid
 from .measures import Measure, nu_hat
 from .quadrature import panel_rule
 
-_TILE = 128                  # ordinates per side of a weight tile (128 KB, stays in L2)
-_ALPHA_BATCH = 64            # alphas per pass over the weight tiles
-_MEMO_BYTES = 4 * 2 ** 20    # weights kept for the next call up to n^2 * 8 bytes (n <= 724)
+_TILE = 128                  # ordinates per side of a tile of W (128 KB, stays in L2 when streamed)
+_ALPHA_BATCH = 64            # alphas per pass over W
+_MEMO_BYTES = 4 * 2 ** 20    # W kept whole, and for the next call, up to n^2 * 8 bytes (n <= 724)
 MAX_ORDINATES = 100_000      # one alpha at 1e5 ordinates: 35 s, peak RSS 37 MB (2-vCPU Xeon)
 MAX_ALPHAS = 10 ** 6         # largest alpha grid of an average
 _U_CUTOFF = 10.0             # form_factor_positive's |u| range: e^{-40 pi} < 1e-54
 _FEJER_GRID = 2001           # fejer_check's grid points on each membership condition
 _LATTICE_TERMS = 2000        # fejer_poisson_check's summed terms; the tail is in closed form
 
-_memo = None                 # (pair_weight, window bytes) and its tiles, for the last window
+_memo = None                 # (pair_weight, window bytes) and its W, for the last window
 
 
 class Window(enum.Enum):
@@ -66,11 +67,13 @@ def pair_weight(u):
     return np.divide(4.0, w, out=w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroDataset:
     """Sorted ordinates with multiplicity, plus the density parameter lam
     and the window convention used for all sums.  The ordinates are kept as
-    a read-only float64 copy, so the caller's array can change afterwards."""
+    a read-only float64 copy, so the caller's array can change afterwards.
+    Equality and hashing are the object's identity: an array field has no
+    single truth value."""
 
     ordinates: np.ndarray
     lam: float
@@ -159,11 +162,23 @@ def _normalizer(ds: ZeroDataset, T: float) -> float:
 
 
 def _weight_tiles(g):
-    """The tiles W[r, c] = pair_weight(g[r] - g[c]) in row-major tile order."""
-    for lo in range(0, len(g), _TILE):
-        rows = g[lo:lo + _TILE, None]
-        for c0 in range(0, len(g), _TILE):
-            yield pair_weight(rows - g[c0:c0 + _TILE])
+    """The tiles W[r, c] = pair_weight(g[r] - g[c]) in column-major tile order."""
+    for c0 in range(0, len(g), _TILE):
+        cols = g[c0:c0 + _TILE]
+        for r0 in range(0, len(g), _TILE):
+            yield pair_weight(g[r0:r0 + _TILE, None] - cols)
+
+
+def _weight_matrix(g):
+    """The whole n x n matrix W, filled from _weight_tiles, so the build
+    holds one tile beside it."""
+    n = len(g)
+    w = np.empty((n, n))
+    tiles = _weight_tiles(g)
+    for c0 in range(0, n, _TILE):
+        for r0 in range(0, n, _TILE):
+            w[r0:r0 + _TILE, c0:c0 + _TILE] = next(tiles)
+    return w
 
 
 def form_factor(ds: ZeroDataset, T: float, alpha):
@@ -171,23 +186,25 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
     and even in alpha; a 0-d alpha gives a float).
 
     With c = cos(theta g), s = sin(theta g) and W_ij = pair_weight(g_i - g_j),
-    the sum is  Re = c.(W c) + s.(W s)  and  Im = c.(W s) - s.(W c).  W is
-    built in square _TILE x _TILE tiles that stay in L2: each row tile r sums
-    W[r, c] @ [c | s][c] over the column tiles c and adds [c | s][r]^T times
-    that sum to the Gram matrix of the batch, whose diagonals give Re and Im.
-    Tiles and batches of alphas have fixed sizes and order, so the values do
-    not depend on where a tile came from.  The imaginary part, summed over
-    every tile, cancels pairwise for an even weight and is checked.
+    the sum is  Re = c.(W c) + s.(W s)  and  Im = c.(W s) - s.(W c).  Each
+    batch of alphas forms P = [c | s]^T W one column tile of W at a time and
+    sums P times [c | s]^T along the tile pairwise for Re (a second matrix
+    product would sum it as a dot, which rounds further from the exact sum);
+    Im, from the cross terms of the same P, cancels for an even weight and is
+    checked.
 
-    When the window's n^2 weights fit in _MEMO_BYTES (n <= 724), the tiles
-    are built once per call, by the first batch, and kept in a module-level
-    memo of one entry keyed by (pair_weight, the window's bytes); the memo is
-    written only after every batch has passed the cancellation check, so a
-    call that raises NotCancelled leaves none, and a call on the same window
-    with the same weight builds no tile.  Above the cap nothing is kept: each
-    batch builds its tiles again, and no temporary grows with the square of
-    the ordinate count or with the ordinate count times the alpha count.  A
-    non-finite alpha or T raises ValueError before the window is read.
+    A window whose n^2 weights fit in _MEMO_BYTES (n <= 724) is one tile: W
+    is built once per call, from _TILE x _TILE pieces into one array, so each
+    batch is a single BLAS product.  W is kept in a module-level memo of one
+    entry keyed by (pair_weight, the window's bytes), written only after
+    every batch has passed the cancellation check, so a call that raises
+    NotCancelled leaves none, and a call on the same window with the same
+    weight builds no weight.  Above the cap nothing is kept: each batch
+    streams W in _TILE x _TILE tiles that stay in L2, and no temporary grows
+    with the square of the ordinate count or with the ordinate count times
+    the alpha count.  W and the batches have a fixed layout and order, so a
+    value does not depend on whether W came from the memo.  A non-finite
+    alpha or T raises ValueError before the window is read.
     """
     global _memo
     norm = _normalizer(ds, T)
@@ -200,35 +217,36 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
         raise EmptyWindow(f"no ordinates in the {ds.window.value} window for T={T}")
     theta = (ds.lam * np.log(T)) * alpha.ravel()
     keep = n * n * 8 <= _MEMO_BYTES
-    tiles = None
+    w = None
     if keep:
         key = (pair_weight, g.tobytes())
         if _memo is not None and _memo[0] == key:
-            tiles = _memo[1]
+            w = _memo[1]
     out = np.empty(theta.size)
     for a0 in range(0, theta.size, _ALPHA_BATCH):
         k = min(_ALPHA_BATCH, theta.size - a0)
-        cs = np.empty((n, 2 * k))
-        np.multiply.outer(g, theta[a0:a0 + k], out=cs[:, k:])
-        np.cos(cs[:, k:], out=cs[:, :k])
-        np.sin(cs[:, k:], out=cs[:, k:])
-        if keep and tiles is None:
-            tiles = list(_weight_tiles(g))
-        weights = iter(tiles) if keep else _weight_tiles(g)
-        gram = np.zeros((2 * k, 2 * k))    # gram[a, b] = cs[:, a] . (W cs)[:, b]
-        for lo in range(0, n, _TILE):
-            wcs = np.zeros((min(_TILE, n - lo), 2 * k))
-            for c0 in range(0, n, _TILE):
-                wcs += next(weights) @ cs[c0:c0 + _TILE]
-            gram += cs[lo:lo + _TILE].T @ wcs
-        re = np.diagonal(gram)[:k] + np.diagonal(gram)[k:]
-        im = np.diagonal(gram, k) - np.diagonal(gram, -k)
+        p = np.empty((n, k), dtype=complex)
+        np.multiply.outer(g, theta[a0:a0 + k], out=p.imag)
+        p.real = 0.0
+        cs = np.exp(p, out=p).view(float)   # columns cos, sin of each alpha in turn
+        if keep and w is None:
+            w = _weight_matrix(g)
+        tile, tiles = (n, iter((w,))) if keep else (_TILE, _weight_tiles(g))
+        re, im = np.zeros(k), np.zeros(k)
+        for c0 in range(0, n, tile):
+            pw = cs[:tile].T @ next(tiles)      # pw[a] = (cs[:, a]^T W)[c0:c0 + tile]
+            for r0 in range(tile, n, tile):
+                pw += cs[r0:r0 + tile].T @ next(tiles)
+            cols = cs[c0:c0 + tile].T
+            p3, c3 = pw.reshape(k, 2, -1), cols.reshape(k, 2, -1)
+            im += np.vecdot(p3[:, 0], c3[:, 1]) - np.vecdot(p3[:, 1], c3[:, 0])
+            re += np.multiply(pw, cols, out=pw).reshape(k, -1).sum(axis=1)
         worst = np.max(np.abs(im))
         if not worst <= 1e-10 * n * n:      # a nan fails too
             raise NotCancelled(f"imaginary part {worst:.3e} did not cancel")
         out[a0:a0 + k] = re
-    if tiles is not None:
-        _memo = (key, tiles)
+    if w is not None:
+        _memo = (key, w)
     out /= norm
     return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
 

@@ -480,8 +480,8 @@ def _hand_form_factor(ds: ZeroDataset, T: float, alpha: float) -> float:
 
 def _formfactor_dense_tiles():
     """Worst relative gap to the dense route Re(p^H W p), p = e^{i theta g},
-    on a window of 333 ordinates (two full tiles and a ragged third per side)
-    at 70 alphas (two batches)."""
+    on a window of 333 ordinates, which form_factor keeps whole (one product
+    with W per batch), at 70 alphas (two batches)."""
     g = np.sort(np.random.default_rng(_SEED + 4).uniform(1.0, 400.0, 333))
     ds, T = ZeroDataset(ordinates=g, lam=1.1), 400.0
     alphas = np.linspace(-3.0, 3.0, 70)

@@ -1,5 +1,10 @@
 """Empirical form factor, functionals, and the triangle-transform witness."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import registry_test
@@ -87,6 +92,14 @@ class TestZeroDataset:
         with pytest.raises(ValueError, match="read-only"):
             ds.ordinates[0] = 11.0
 
+    def test_equality_is_identity(self):
+        # an ndarray field has no truth value: == and hash are the object's own
+        a = ZeroDataset(ordinates=[10.0, 10.5], lam=1.0)
+        b = ZeroDataset(ordinates=[10.0, 10.5], lam=1.0)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
 
 class TestFormFactor:
     test_even_in_alpha = registry_test("formfactor_even")
@@ -155,8 +168,8 @@ class TestFormFactor:
 
 class TestBatchedFormFactor:
     def test_block_and_batch_boundaries(self):
-        # ragged windows of more than two tiles per side in each convention,
-        # more alphas than one batch
+        # ragged windows of more than two tiles per side in each convention
+        # (kept whole, one product per batch), more alphas than one batch
         g = np.sort(np.random.default_rng(31).uniform(-300.0, 600.0, 1200))
         T = 280.0
         masks = {Window.ZERO_TO_T: (g > 0) & (g <= T),
@@ -178,6 +191,54 @@ class TestBatchedFormFactor:
                                        rtol=1e-13, atol=0)
 
     test_dense_tiles = registry_test("formfactor_dense_tiles")
+
+    @staticmethod
+    def two_batches(n, seed):
+        g = np.sort(np.random.default_rng(seed).uniform(1.0, 900.0, n))
+        alphas = np.linspace(-3.0, 3.0, formfactor._ALPHA_BATCH + 6)
+        return ZeroDataset(ordinates=g, lam=0.9), 900.0, alphas
+
+    def test_streamed_window_against_dense(self):
+        # above the memo's cap the tiles stream: a ragged last tile per side
+        # and two alpha batches, against the dense cos-sum
+        ds, T, alphas = self.two_batches(800, 34)
+        g = ds.in_window(T)
+        assert len(g) ** 2 * 8 > formfactor._MEMO_BYTES and len(g) % formfactor._TILE
+        diff = g[:, None] - g[None, :]
+        w = 4.0 / (4.0 + diff ** 2)
+        picks = [0, 40, 63, 64, 69]
+        theta = ds.lam * alphas[picks] * np.log(T)
+        dense = np.array([np.sum(np.cos(t * diff) * w) for t in theta])
+        dense /= (ds.lam * T / (2 * np.pi)) * np.log(T)
+        np.testing.assert_allclose(form_factor(ds, T, alphas)[picks], dense,
+                                   rtol=1e-13, atol=0)
+
+    def test_kept_product_matches_streamed_tiles(self, monkeypatch):
+        # one product with the whole kept W, and the tiles streamed when
+        # nothing may be kept, on the same window
+        monkeypatch.setattr(formfactor, "_memo", None)
+        ds, T, alphas = self.two_batches(600, 35)
+        kept = form_factor(ds, T, alphas)
+        assert formfactor._memo is not None
+        monkeypatch.setattr(formfactor, "_memo", None)
+        monkeypatch.setattr(formfactor, "_MEMO_BYTES", 0)
+        streamed = form_factor(ds, T, alphas)
+        assert formfactor._memo is None
+        np.testing.assert_allclose(kept, streamed, rtol=1e-13, atol=0)
+
+    def test_two_blas_threads(self):
+        # the test session pins one BLAS thread; a fresh process with two, as the
+        # benchmark runs, gives the same kept-window values
+        code = ("import json, sys, numpy as np; from pairpack import ZeroDataset, form_factor; "
+                "g = np.sort(np.random.default_rng(36).uniform(1.0, 900.0, 500)); "
+                "ds = ZeroDataset(ordinates=g, lam=1.0); "
+                "json.dump(form_factor(ds, 900.0, np.linspace(0.0, 3.0, 70)).tolist(), sys.stdout)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS="2"), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        g = np.sort(np.random.default_rng(36).uniform(1.0, 900.0, 500))
+        here = form_factor(ZeroDataset(ordinates=g, lam=1.0), 900.0, np.linspace(0.0, 3.0, 70))
+        np.testing.assert_allclose(json.loads(proc.stdout), here, rtol=1e-13, atol=0)
 
     def test_peak_memory_below_two_megabytes(self):
         # tiles, not rows: 3000 ordinates and 17 alphas need a 0.8 MB
