@@ -5,16 +5,16 @@ For an admissible measure the averaged form factor is squeezed between
     lower:  1 + s0 (C - 1)          and        upper:  C,
 
 where C is the optimization constant of the measure and s0 is the global
-minimum of sin x / x.  C itself is only known through its upper bound
-1 / K(0,0); since s0 < 0, substituting that bound into the lower-bound
-formula is still valid.  A second, measure-independent floor of 1/2 comes
-from the triangle-transform witness.  All reported numbers are the limiting
-constants; no asymptotic slack is added.
+minimum of sin x / x, held as the proven float literal ``S0``.  C itself
+is only known through its upper bound 1 / K(0,0); since s0 < 0,
+substituting that bound into the lower-bound formula is still valid.  A
+second, measure-independent floor of 1/2 comes from the triangle-transform
+witness.  All reported numbers are the limiting constants; no asymptotic
+slack is added.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,22 +26,12 @@ from .quadrature import bisect
 
 THEOREM2_FLOOR = 0.5
 _REFUTATION_XTOL = 1e-6      # refutation_threshold's bisection tolerance in ell
-
-
-@functools.lru_cache(maxsize=1)
-def s0_point() -> tuple[float, float]:
-    """Minimizer and value of the global minimum of sin x / x.
-
-    The first-order condition is tan x = x; the deepest critical point sits
-    in (pi, 3 pi / 2) since the envelope 1/|x| decays.
-    """
-    xs = bisect(lambda x: x * math.cos(x) - math.sin(x), math.pi, 1.5 * math.pi)
-    return float(xs), float(np.sin(xs) / xs)
-
-
-def s0() -> float:
-    """min over the reals of sin x / x, about -0.217234."""
-    return s0_point()[1]
+# s0 = min sin x / x, attained at the root of tan x = x in (pi, 3 pi / 2):
+# S0 is the largest double <= s0 (rounded down) and S0_ARGMIN the double
+# nearest that root (rounded to nearest), both proved by the interval
+# enclosures of tests/test_constants.py::test_literal_is_proven.
+S0 = -0.21723362821122166
+S0_ARGMIN = 4.493409457909064
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,8 @@ def average_bounds(m: Measure, extended: bool = False) -> BoundsReport:
     measure every field but ``measure`` and ``lower_thm2`` is an array over
     the batch, from one batched K(0,0) call."""
     inv_k = 1.0 / kernel_k00(m, extended=extended)
-    s = s0()
-    lower_thm1 = 1.0 + s * (inv_k - 1.0)
-    inner = 0.5 + s * (inv_k - 1.0)
+    lower_thm1 = 1.0 + S0 * (inv_k - 1.0)
+    inner = 0.5 + S0 * (inv_k - 1.0)
     return BoundsReport(c_nu_upper=inv_k, lower_thm1=lower_thm1,
                         lower_cor8=np.maximum(inner, 0.0) + 0.5,
                         lower_thm2=THEOREM2_FLOOR, upper=inv_k, measure=m,
@@ -94,7 +83,7 @@ def selberg_bounds(m_degree: int) -> tuple[float, float]:
     md = float(m_degree)
     th = 1.0 / (np.sqrt(2.0) * md)
     upper = (1.0 / np.sqrt(2.0)) / np.tan(th) + 1.0 / (2.0 * md)
-    inner = 0.5 + s0() * ((1.0 / np.sqrt(2.0)) / np.tan(th) - (2.0 * md - 1.0) / (2.0 * md))
+    inner = 0.5 + S0 * ((1.0 / np.sqrt(2.0)) / np.tan(th) - (2.0 * md - 1.0) / (2.0 * md))
     lower = max(inner, 0.0) + 0.5
     return lower, upper
 
@@ -110,7 +99,7 @@ def dedekind_bounds(n: int) -> tuple[float, float]:
     nd = float(n)
     th = 1.0 / np.sqrt(2.0 * nd)
     upper = np.sqrt(nd / 2.0) / np.tan(th) + 0.5
-    inner = 0.5 + s0() * (np.sqrt(nd / 2.0) / np.tan(th) - 0.5)
+    inner = 0.5 + S0 * (np.sqrt(nd / 2.0) / np.tan(th) - 0.5)
     lower = max(inner, 0.0) + 0.5
     return lower, upper
 

@@ -88,7 +88,7 @@ def _add_measure_flags(p):
     p.add_argument("--c3", type=float, default=0.0, help="exponential decay rate (>= 0)")
     p.add_argument("--delta", type=float, default=0.5, help="support half-length (> 0)")
     p.add_argument("--extended", action="store_true",
-                   help="use the extended admissibility gate sigma < 1/sup_g")
+                   help="use the extended admissibility gate sigma < 1/sup G")
 
 
 def cmd_kernel(args) -> int:

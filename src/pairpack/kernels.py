@@ -65,11 +65,9 @@ _CASE_TAGS = np.array([CaseTag.CONJUGATE_QUADRANT, CaseTag.PURELY_IMAGINARY,
 
 class LimitPath(enum.Enum):
     """Which limit a kernel value took: REMOVABLE_W, the c3 = 0 coefficients
-    as the contour sum at their pole; REMOVABLE_Z, z in that band, where the
-    quotient rows need no limit; DEGENERATE_ETA, close roots of c3 > 0."""
+    as the contour sum at their pole; DEGENERATE_ETA, close roots of c3 > 0."""
     NONE = "none"
     REMOVABLE_W = "removable_w"
-    REMOVABLE_Z = "removable_z"
     DEGENERATE_ETA = "degenerate_eta"
 
 
@@ -90,8 +88,6 @@ class EtaPair:
 @dataclass(frozen=True)
 class KernelEvaluation:
     value: complex
-    at_w: complex
-    at_z: complex
     limit_path: LimitPath = LimitPath.NONE
 
 
@@ -283,12 +279,6 @@ class TransformSolution:
     shifts: np.ndarray
     weights: np.ndarray
 
-    def endpoint_value(self, m: Measure) -> complex:
-        """u0 at the endpoint Delta/2 (used by far-field tail corrections):
-        half the rows' sum of weights_r e^{(offsets_r - shifts_r) Delta/2}."""
-        return 0.5 * np.sum(self.weights * np.exp(
-            (self.offsets - self.shifts) * np.expand_dims(m.delta / 2.0, -1)), axis=-1)
-
 
 def k0_transform_solution(m: Measure) -> TransformSolution:
     """The section's TransformSolution (c2 > 0, c3 > 0).  One measure's is
@@ -385,7 +375,7 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
         raise InvalidRegime("use kernel_c3zero for c3 = 0")
     value = complex(kernel_k0z_grid(m, z, extended=extended))
     close = m.c2 > 0.0 and k0_transform_solution(m).close
-    return KernelEvaluation(value=value, at_w=0.0, at_z=complex(z),
+    return KernelEvaluation(value=value,
                             limit_path=LimitPath.DEGENERATE_ETA if close else LimitPath.NONE)
 
 
@@ -495,20 +485,17 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
                   extended: bool = False) -> KernelEvaluation:
     """Full kernel K(w, z) for c3 = 0 and any c2 >= 0, Hermitian and entire in
     each variable: the transform of u_{conj w} at z, one quotient call.
-    limit_path: REMOVABLE_W where the coefficients are the contour sum at
-    their pole 2 c1 pi^2 w^2 = c2, REMOVABLE_Z where z is in that band."""
+    limit_path: REMOVABLE_W where ``_c3zero_rows`` took the contour rows at
+    the coefficients' pole 2 c1 pi^2 w^2 = c2, NONE elsewhere."""
     m.require_single()
     if m.c3 != 0.0:
         raise InvalidRegime("use kernel_k0z for c3 > 0")
     m.require_admissible(extended=extended)
     w, z = complex(w), complex(z)
     offsets, weights, close = _c3zero_rows(m.c1, m.c2, m.delta, w.conjugate())
-    L = m.delta / 2.0
-    val = np.dot(weights, sinh_quot_scaled(_TWO_PI_I * z + offsets, L, 0.0))
-    path = (LimitPath.REMOVABLE_W if close else LimitPath.REMOVABLE_Z
-            if abs(4.0 * np.pi ** 2 * z * z - 2.0 * m.c2 / m.c1) * L * L < _CLOSE_GAP
-            else LimitPath.NONE)
-    return KernelEvaluation(value=complex(val), at_w=w, at_z=z, limit_path=path)
+    val = np.dot(weights, sinh_quot_scaled(_TWO_PI_I * z + offsets, m.delta / 2.0, 0.0))
+    return KernelEvaluation(value=complex(val),
+                            limit_path=LimitPath.REMOVABLE_W if close else LimitPath.NONE)
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +543,16 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
 
 
 def k0_endpoint_value(m: Measure) -> float:
-    """Value of the transform-side solution u0 at the support endpoint
+    """Value of the transform-side solution u0 at the support endpoint L =
     Delta/2; the coefficient of the 1/x far field of K(0, x): half the
-    rows' sum of exponentials there.  The measure must pass the extended
-    admissibility gate."""
+    rows' sum of weights_r e^{(offsets_r - shifts_r) L}, the shifts 0 for
+    u_0's rows at c3 = 0 or a pure atom.  Such a measure must pass the
+    extended admissibility gate."""
     m.require_single()
     if m.c3 > 0.0 and m.c2 > 0.0:
-        return float(k0_transform_solution(m).endpoint_value(m).real)
-    m.require_admissible(extended=True)
-    offsets, weights = _section(m.c1, m.c2, m.delta)
-    return float(0.5 * np.sum(weights * np.exp(offsets * (m.delta / 2.0))).real)
+        sol = k0_transform_solution(m)
+        offsets, weights, shifts = sol.offsets, sol.weights, sol.shifts
+    else:
+        m.require_admissible(extended=True)
+        (offsets, weights), shifts = _section(m.c1, m.c2, m.delta), 0.0
+    return float(0.5 * np.sum(weights * np.exp((offsets - shifts) * (m.delta / 2.0))).real)

@@ -4,21 +4,31 @@ nu_hat, and the certified two-sided bounds on nu_hat that make the weighted
 norm equivalent to the plain L2 norm.
 
 Admissibility gate: sigma = (c2/c1) Delta^2 <= 5/3 by default.  The slightly
-wider range sigma < 1/sup_g() is available behind an explicit flag.
+wider range sigma < 1/sup G (``EXTENDED_SIGMA``, about 1.70483) is available
+behind an explicit flag; sup G is the proven float literal ``SUP_G``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidRegime, NotAdmissible
-from .quadrature import bisect
 
 ADMISSIBLE_SIGMA = 5.0 / 3.0
+# sup_t G(0, t) (g_surface), attained at the root t* in (pi, 2 pi) of h(t) =
+# t^2 cos t + 2 - 2 cos t - 2 t sin t (G' = -2 h / t^3); the max of G over
+# the quadrant sits on sigma = 0.  SUP_G is the smallest double >= sup G
+# (rounded up) and SUP_G_ARGMAX the double nearest t* (rounded to nearest).
+# EXTENDED_SIGMA, the widest sigma for which the lower bound on nu_hat stays
+# positive, is 1 / SUP_G, below the true 1 / sup G = 1.70483135280857647
+# (rounded down).  The interval enclosures of
+# tests/test_constants.py::test_literal_is_proven prove all three.
+SUP_G = 0.5865682833393334
+SUP_G_ARGMAX = 4.085573885476822
+EXTENDED_SIGMA = 1.0 / SUP_G
 _FIELDS = ("c1", "c2", "c3", "delta")
 
 
@@ -76,7 +86,7 @@ class Measure:
         return self.sigma() <= ADMISSIBLE_SIGMA
 
     def is_extended_admissible(self) -> bool:
-        return self.sigma() < extended_sigma_threshold()
+        return self.sigma() < EXTENDED_SIGMA
 
     def require_admissible(self, extended: bool = False) -> None:
         ok = self.is_extended_admissible() if extended else self.is_admissible()
@@ -84,19 +94,15 @@ class Measure:
             return
         sigma = np.max(self.sigma())     # the worst measure of a batch
         if extended:
-            raise NotAdmissible(f"sigma = {sigma:.6g} >= {extended_sigma_threshold():.6g} "
+            raise NotAdmissible(f"sigma = {sigma:.6g} >= {EXTENDED_SIGMA:.6g} "
                                 "(extended threshold)")
         raise NotAdmissible(f"sigma = {sigma:.6g} > 5/3; pass extended=True to use the "
-                            f"wider gate sigma < {extended_sigma_threshold():.6g}")
+                            f"wider gate sigma < {EXTENDED_SIGMA:.6g}")
 
     def require_single(self) -> None:
         """Raise InvalidRegime if this Measure is a batch."""
         if isinstance(self.c1, np.ndarray):
             raise InvalidRegime(f"expected one measure, got a batch of shape {self.c1.shape}")
-
-    def total_mass(self) -> float:
-        """nu_hat(0) = c1 + c2 * integral of |a| e^{-c3|a|} over the support."""
-        return nu_hat(self, 0.0)
 
 
 @dataclass(frozen=True)
@@ -150,30 +156,6 @@ def g_surface(sigma_var, t):
     return out[()]
 
 
-@functools.lru_cache(maxsize=1)
-def sup_g_point() -> tuple[float, float]:
-    """Argmax and value of G(0, t) over t > 0 (the global max of G over the
-    quadrant sits on the sigma = 0 line)."""
-    ts = np.linspace(0.05, 60.0, 6000)
-    t0 = ts[int(np.argmax(g_surface(0.0, ts)))]
-    # dG/dt (0, t) = -2 h(t) / t^3 with h = t^2 cos t + 2 - 2 cos t - 2 t sin t
-    tstar = bisect(lambda t: (t * t * math.cos(t) + 2.0 - 2.0 * math.cos(t)
-                              - 2.0 * t * math.sin(t)), t0 - 0.2, t0 + 0.2)
-    return float(tstar), float(g_surface(0.0, tstar))
-
-
-def sup_g() -> float:
-    """sup over t > 0 of (2 - 2 cos t - 2 t sin t)/t^2, about 0.5866."""
-    return sup_g_point()[1]
-
-
-@functools.lru_cache(maxsize=1)
-def extended_sigma_threshold() -> float:
-    """1 / sup_g(), the widest sigma for which the lower bound on nu_hat
-    stays positive.  About 1.70483."""
-    return 1.0 / sup_g()
-
-
 def norm_bounds(m: Measure, extended: bool = False) -> NormEquivalence:
     """Certified constants bracketing nu_hat on the real line.
 
@@ -185,5 +167,5 @@ def norm_bounds(m: Measure, extended: bool = False) -> NormEquivalence:
     b_sq = m.c1 + m.c2 * m.delta ** 2
     if m.c2 == 0.0:
         return NormEquivalence(a_sq=m.c1, b_sq=b_sq)
-    a_sq = m.c2 * m.delta ** 2 * (m.c1 / (m.c2 * m.delta ** 2) - sup_g())
+    a_sq = m.c2 * m.delta ** 2 * (m.c1 / (m.c2 * m.delta ** 2) - SUP_G)
     return NormEquivalence(a_sq=a_sq, b_sq=b_sq)

@@ -2,7 +2,7 @@
 
 Provides cached Gauss-Legendre rules, composite panel rules, barycentric
 Lagrange interpolation from arbitrary node sets, and the bracketed
-bisection that locates the package's constants.
+bisection behind ``bounds.refutation_threshold``.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ def panel_rule(a: float, b: float, panel_length: float, order: int = 24):
 
 def bisect(f, lo: float, hi: float, xtol: float = 0.0) -> float:
     """Root of a continuous scalar function that changes sign on [lo, hi],
-    by bisection.  Returns the midpoint of the first bracket at most
-    ``xtol`` wide or, when the bracket shrinks to two adjacent floats, the
-    endpoint where |f| is smaller."""
+    by bisection (``bounds.refutation_threshold``'s crossing in ell).
+    Returns the midpoint of the first bracket at most ``xtol`` wide or, when
+    the bracket shrinks to two adjacent floats, the endpoint where |f| is
+    smaller."""
     lo_positive = f(lo) > 0
     if (f(hi) > 0) == lo_positive:
         raise ValueError("f does not change sign on [lo, hi]")

@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (average_bounds, dedekind_bounds,
+from .bounds import (S0, S0_ARGMIN, average_bounds, dedekind_bounds,
                      gonek_ki_conjectured_average, refutation_threshold,
-                     reim_zeta_bounds, s0, s0_point, selberg_bounds)
+                     reim_zeta_bounds, selberg_bounds)
 from .errors import PairpackError
 from .formfactor import (ZeroDataset, fejer_check, fejer_poisson_check,
                          ep1_ratio_check, form_factor, form_factor_positive,
@@ -35,7 +35,7 @@ from .fredholm import (closed_form_u, k_from_u, ode_residual,
                        uniqueness_ratio)
 from .kernels import (k0_transform_solution, kernel_c3zero, kernel_k00, kernel_k0z,
                       quartic_roots, quartic_residual, script_L)
-from .measures import Measure, g_surface, sup_g, sup_g_point
+from .measures import SUP_G, SUP_G_ARGMAX, Measure, g_surface
 
 _SEED = 20240613        # seeds of the suites' own draws
 _ACC_SEED = 424242      # seeds of the acceptance sweeps' draws
@@ -83,25 +83,22 @@ def _point(rng, re: float, im: float) -> complex:
 
 def _s0_first_order_condition():
     # |tan x - x| = |x cos x - sin x| / |cos x| bounds the product form too
-    xs, _ = s0_point()
-    return abs(np.tan(xs) - xs), 1e-10
+    return abs(np.tan(S0_ARGMIN) - S0_ARGMIN), 1e-10
 
 
 def _s0_grid_dominance():
     xr = np.concatenate([np.random.default_rng(_SEED).uniform(-60.0, 60.0, 10_000),
                          np.random.default_rng(17).uniform(-80.0, 80.0, 10_000)])
-    return bool(np.all(np.sin(xr) / xr >= s0() - 1e-15)), ""
+    return bool(np.all(np.sin(xr) / xr >= S0 - 1e-15)), ""
 
 
 def _sup_g_bracket():
-    sg = sup_g()
-    return bool(0.586 < sg < 0.587), f"value={sg:.9f}"
+    return bool(0.586 < SUP_G < 0.587), f"value={SUP_G:.9f}"
 
 
 def _sup_g_argmax_consistency():
-    # the bisection's argmax against a golden-section refinement around it
-    tstar, sval = sup_g_point()
-    a, b = tstar - 0.05, tstar + 0.05
+    # the literal argmax against a golden-section refinement around it
+    a, b = SUP_G_ARGMAX - 0.05, SUP_G_ARGMAX + 0.05
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     for _ in range(80):
         c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -109,14 +106,13 @@ def _sup_g_argmax_consistency():
             b = d
         else:
             a = c
-    return max(abs(g_surface(0.0, tstar) - sval),
-               abs(g_surface(0.0, 0.5 * (a + b)) - sval)), 1e-9
+    return max(abs(g_surface(0.0, SUP_G_ARGMAX) - SUP_G),
+               abs(g_surface(0.0, 0.5 * (a + b)) - SUP_G)), 1e-9
 
 
 def _sup_g_dominates_pi():
-    sg = sup_g()
     samples = g_surface(0.0, np.linspace(0.01, 100.0, 20000))
-    return bool(sg >= g_surface(0.0, np.pi) and sg >= np.max(samples) - 1e-12), ""
+    return bool(SUP_G >= g_surface(0.0, np.pi) and SUP_G >= np.max(samples) - 1e-12), ""
 
 
 def _identity_defect(bounds_fn, measure_of):
@@ -478,17 +474,27 @@ def _hand_form_factor(ds: ZeroDataset, T: float, alpha: float) -> float:
     return total / ((ds.lam * T / (2 * np.pi)) * np.log(T))
 
 
+# 3x form_factor's gap to the long-double dense route (2.6e-16 at 1 and 2
+# BLAS threads), rounded up to one digit; the float64 dense route
+# Re(sum conj(p) (W p)) reads 1.1e-15 from the same sum
+FORMFACTOR_DENSE_TOL = 8e-16
+
+
 def _formfactor_dense_tiles():
-    """Worst relative gap to the dense route Re(p^H W p), p = e^{i theta g},
-    on a window of 333 ordinates, which form_factor keeps whole (one product
-    with W per batch), at 70 alphas (two batches)."""
+    """Worst relative gap to the dense route Re(p^H W p) = c.(W c) + s.(W s),
+    p = c + i s = e^{i theta g}: the products of the same float64 phases and
+    weights, summed in long double (x87's 80-bit format on x86-64) one alpha
+    at a time, on a window of 333 ordinates, which form_factor keeps whole
+    (one product with W per batch), at 70 alphas (two batches)."""
     g = np.sort(np.random.default_rng(_SEED + 4).uniform(1.0, 400.0, 333))
     ds, T = ZeroDataset(ordinates=g, lam=1.1), 400.0
     alphas = np.linspace(-3.0, 3.0, 70)
-    p = np.exp(1j * np.multiply.outer(g, ds.lam * np.log(T) * alphas))
-    w = 4.0 / (4.0 + np.subtract.outer(g, g) ** 2)
-    dense = np.real(np.sum(np.conj(p) * (w @ p), axis=0)) / ((ds.lam * T / (2 * np.pi)) * np.log(T))
-    return float(np.max(np.abs(form_factor(ds, T, alphas) / dense - 1.0))), 1e-13
+    p = np.exp(1j * np.multiply.outer(ds.lam * np.log(T) * alphas, g))
+    w = (4.0 / (4.0 + np.subtract.outer(g, g) ** 2)).astype(np.longdouble)
+    cs = zip(p.real.astype(np.longdouble), p.imag.astype(np.longdouble))
+    dense = np.array([c @ (w @ c) + s @ (w @ s) for c, s in cs])
+    dense /= (ds.lam * T / (2 * np.pi)) * np.log(T)
+    return float(np.max(np.abs(form_factor(ds, T, alphas) / dense - 1.0))), FORMFACTOR_DENSE_TOL
 
 
 def _formfactor_nonnegative():
@@ -541,10 +547,10 @@ def _ep1_ratio(m: Measure):
 
 _TABLE = {
     "constants": (
-        ("s0_value", lambda: (abs(s0() - (-0.217233)), 1e-6)),
+        ("s0_value", lambda: (abs(S0 - (-0.217233)), 1e-6)),
         ("s0_first_order_condition", _s0_first_order_condition),
         ("s0_grid_dominance", _s0_grid_dominance),
-        ("sup_g_value", lambda: (abs(sup_g() - 0.5864), 1e-3)),
+        ("sup_g_value", lambda: (abs(SUP_G - 0.5864), 1e-3)),
         ("sup_g_bracket", _sup_g_bracket),
         ("sup_g_argmax_consistency", _sup_g_argmax_consistency),
         ("sup_g_dominates_pi", _sup_g_dominates_pi),

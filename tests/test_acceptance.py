@@ -15,11 +15,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import BY_NAME, check_outcome
+from conftest import check_outcome
 
 from pairpack import Measure, average_bounds, kernel_k0z_grid, script_L
-from pairpack.bounds import s0_point
-from pairpack.measures import sup_g_point
 from pairpack.verify import CHECKS, run_suite
 
 
@@ -46,12 +44,12 @@ def test_check(check):
 
 
 def test_criterion_01_constants():
-    # s0 and sup G from cold caches
-    s0_point.cache_clear()
-    sup_g_point.cache_clear()
+    # the interval certificates of s0, sup G and their literals, from scratch
+    pytest.importorskip("mpmath")
+    from test_constants import CERTIFICATES, prove_constants
     t0 = time.perf_counter()
-    for name in ("s0_value", "sup_g_value"):
-        BY_NAME[name].run()
+    exact = prove_constants()
+    assert all(certificate(literal, exact) for literal, certificate in CERTIFICATES.values())
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from conftest import registry_test
 
-from pairpack import (Measure, NotAdmissible, average_bounds, dedekind_bounds,
+from pairpack import (S0, Measure, NotAdmissible, average_bounds, dedekind_bounds,
                       figure1_data, gonek_ki_conjectured_average, kernel_k00,
-                      refutation_threshold, reim_zeta_bounds, s0,
-                      selberg_bounds)
+                      refutation_threshold, reim_zeta_bounds, selberg_bounds)
 
 
 class TestS0:
@@ -25,7 +24,7 @@ class TestAverageBounds:
         # independent recomputation from the kernel diagonal
         inv_k = 1.0 / kernel_k00(Measure(1.0, 1.0, 0.0, 0.5))
         assert rep.lower_cor8 == pytest.approx(
-            max(0.5 + s0() * (inv_k - 1.0), 0.0) + 0.5, abs=1e-14)
+            max(0.5 + S0 * (inv_k - 1.0), 0.0) + 0.5, abs=1e-14)
 
     def test_atom_limit_pinches(self):
         rep = average_bounds(Measure(1.0, 1e-13, 0.0, 1.0))
@@ -58,7 +57,7 @@ class TestAverageBounds:
         assert kernel_k00(m) == pytest.approx(2.4, rel=1e-15)
         rep = average_bounds(m)
         assert rep.upper == pytest.approx(1.0 / 2.4, rel=1e-15)
-        assert rep.lower_thm1 == pytest.approx(1.0 + s0() * (1.0 / 2.4 - 1.0), rel=1e-15)
+        assert rep.lower_thm1 == pytest.approx(1.0 + S0 * (1.0 / 2.4 - 1.0), rel=1e-15)
         assert rep.lower_thm1 == pytest.approx(1.127, abs=1e-3)
         assert rep.upper == pytest.approx(0.417, abs=1e-3)
         assert rep.lower_thm1 > 1.0 > rep.upper

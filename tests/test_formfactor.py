@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import registry_test
+from conftest import BY_NAME, registry_test
 
 from pairpack import (EmptyDataset, EmptyWindow, Measure, NotCancelled,
                       ParseError, Window,
@@ -15,7 +15,7 @@ from pairpack import (EmptyDataset, EmptyWindow, Measure, NotCancelled,
                       form_factor, form_factor_positive,
                       kernel_k00, kernel_k0z_grid, load_zeros, phi_functional,
                       symmetric_average, windowed_average)
-from pairpack import formfactor
+from pairpack import formfactor, verify
 from pairpack.formfactor import MAX_ALPHAS, MAX_ORDINATES, fejer_witness, pair_weight
 from pairpack.kernels import k0_transform_solution
 from pairpack.quadrature import gauss_legendre
@@ -191,6 +191,13 @@ class TestBatchedFormFactor:
                                        rtol=1e-13, atol=0)
 
     test_dense_tiles = registry_test("formfactor_dense_tiles")
+
+    def test_dense_tiles_sees_planted_error(self, monkeypatch):
+        # a 1e-14 relative error of form_factor fails the long-double route
+        monkeypatch.setattr(verify, "form_factor",
+                            lambda ds, T, a: form_factor(ds, T, a) * (1.0 + 1e-14))
+        passed, line = BY_NAME["formfactor_dense_tiles"].run()
+        assert not passed, line
 
     @staticmethod
     def two_batches(n, seed):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from conftest import integrate_with_kink, registry_test
 
-from pairpack import (InvalidRegime, Measure, NotAdmissible, closed_form_u,
-                      ep1_ratio_check, extended_sigma_threshold, g_surface,
-                      kernel_c3zero, kernel_k0z, norm_bounds, nu_hat,
-                      reproducing_residual, solve_integral_eq, sup_g)
+from pairpack import (EXTENDED_SIGMA, SUP_G, InvalidRegime, Measure, NotAdmissible,
+                      closed_form_u, ep1_ratio_check, g_surface, kernel_c3zero,
+                      kernel_k0z, norm_bounds, nu_hat, reproducing_residual,
+                      solve_integral_eq)
 from pairpack.fredholm import uniqueness_ratio
 from pairpack.kernels import k0_endpoint_value
 
@@ -51,7 +51,9 @@ class TestMeasure:
         m_over = Measure(1.0, 1.7, 0.0, 1.0)
         assert not m_over.is_admissible()
         assert m_over.is_extended_admissible()
-        assert extended_sigma_threshold() == pytest.approx(1.0 / sup_g(), abs=0)
+        # the extended threshold is strict
+        assert not Measure(1.0, EXTENDED_SIGMA, 0.0, 1.0).is_extended_admissible()
+        assert Measure(1.0, np.nextafter(EXTENDED_SIGMA, 0.0), 0.0, 1.0).is_extended_admissible()
 
     def test_batch_is_validated_elementwise(self):
         m = Measure(1.0, np.array([0.5, 1.0, 2.0]), 0.5, 0.5)
@@ -86,11 +88,6 @@ class TestMeasure:
     def test_batch_refused_by_one_measure_functions(self, c3, call):
         with pytest.raises(InvalidRegime, match="batch of shape \\(2,\\)"):
             call(Measure(1.0, np.array([0.5, 1.0]), c3, 0.5))
-
-    def test_total_mass_is_transform_at_zero(self):
-        for m in (Measure(1, 1, 0, 0.5), Measure(1, 1, 4, 0.5),
-                  Measure(2, 0.3, 1.7, 0.9)):
-            assert nu_hat(m, 0.0) == pytest.approx(m.total_mass(), abs=1e-13)
 
 
 class TestNuHat:
@@ -141,8 +138,6 @@ class TestNuHat:
                     * mpmath.exp(-c3 * a), [0, m.delta])
                 ref = float(m.c1 + 2 * m.c2 * dens)
                 assert abs(nu_hat(m, x) - ref) <= 1e-13 * ref
-                if x == 0.0:
-                    assert abs(m.total_mass() - ref) <= 1e-13
 
     def test_array_matches_scalar(self):
         m = Measure(1.0, 0.8, 1.3, 0.6)
@@ -198,7 +193,7 @@ class TestNormBounds:
     def test_formula_example(self):
         nb = norm_bounds(Measure(1.0, 1.0, 0.0, 0.5))
         assert nb.b_sq == pytest.approx(1.25, abs=0)
-        assert nb.a_sq == pytest.approx(0.25 * (4.0 - sup_g()), abs=1e-14)
+        assert nb.a_sq == pytest.approx(0.25 * (4.0 - SUP_G), abs=1e-14)
         assert nb.a_sq == pytest.approx(0.8534, abs=1e-3)
 
     def test_bounds_bracket_transform_on_grid(self):
@@ -225,7 +220,7 @@ class TestNormBounds:
             norm_bounds(m)
         with pytest.raises(NotAdmissible):
             norm_bounds(m, extended=True)
-        m2 = Measure(1.0, 1.69, 0.0, 1.0)   # between 5/3 and 1/sup_g
+        m2 = Measure(1.0, 1.69, 0.0, 1.0)   # between 5/3 and 1/sup G
         with pytest.raises(NotAdmissible):
             norm_bounds(m2)
         nb = norm_bounds(m2, extended=True)
