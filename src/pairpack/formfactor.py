@@ -13,16 +13,25 @@ universal 1/2 floor).
 The double sum is a real matrix product per batch of alphas, so an alpha
 grid, an average or a CLI --alpha range costs one call.  The phase table
 holds e^{i theta g} as complex numbers: its float view has cos(theta g) and
-sin(theta g) of each alpha in adjacent columns.  A window of at most 724
-ordinates (n^2 weights in _MEMO_BYTES = 4 MiB) keeps its whole weight matrix
-W, which does not depend on alpha: each batch is one BLAS product of the
-table with W, and a single-entry memo of the last window lets the next call
-on it build no weight.  A larger window streams W in square _TILE x _TILE
-tiles (128 KB, which stays in L2 while it is multiplied), built again for
-each batch, and keeps no array of n^2 weights or an n-wide row of them.
+sin(theta g) of each alpha in adjacent columns.  Two builders feed one
+pair-sum loop (_pair_sums) a batch of the table at a time.  form_factor
+takes any alpha array and builds the exact table e^{i fl(theta_j g)}, one
+complex exponential per entry.  windowed_average and symmetric_average own
+a uniform grid theta_j = theta_0 + j dtheta, on which the phases are
+geometric in j: a batch is its first column e^{i theta_a0 g} times the
+powers of the call's one step column e^{i dtheta g}, so two exponentials per
+ordinate per batch.  A window of at most 724 ordinates (n^2 weights in
+_MEMO_BYTES = 4 MiB) keeps its whole weight matrix W, which does not depend
+on alpha: each batch is one BLAS product of the table with W, and a
+single-entry memo of the last window lets the next call on it build no
+weight.  A larger window streams W in square _TILE x _TILE tiles (128 KB,
+which stays in L2 while it is multiplied), built again for each batch, and
+keeps no array of n^2 weights or an n-wide row of them.
 Two independent routes check it: the term-by-term hand expansion of the
 verify registry (pairpack.verify._hand_form_factor) and the positive-definite
-integral representation (form_factor_positive).
+integral representation (form_factor_positive); the registry check
+formfactor_grid_route holds the averages to np.trapezoid of form_factor on
+the same nodes.
 """
 
 from __future__ import annotations
@@ -90,8 +99,10 @@ class ZeroDataset:
             raise ValueError("ordinates must be finite")
         if np.any(np.diff(arr) < 0):
             raise ValueError("ordinates must be sorted")
-        if not (self.lam > 0):
-            raise ValueError("lam must be > 0")
+        lam = float(self.lam)
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"lambda must be finite and > 0, got {lam!r}")
+        object.__setattr__(self, "lam", lam)
 
     def in_window(self, T: float) -> np.ndarray:
         g = self.ordinates
@@ -155,10 +166,19 @@ def load_zeros(path, lam: float = None,
                        source=str(path))
 
 
-def _normalizer(ds: ZeroDataset, T: float) -> float:
+def _normalizer(ds: ZeroDataset, T: float) -> tuple[float, float]:
+    """The normalizer (lam T / 2 pi) log T and the phase rate lam log T of
+    theta = rate * alpha, as Python floats, so an overflow gives no numpy
+    warning.  A T that is not a finite T > 1, or a lam whose normalizer
+    overflows, raises ValueError; a finite normalizer bounds the rate."""
     if not 1.0 < T < math.inf:
         raise ValueError("need a finite T > 1 so log T > 0")
-    return (ds.lam * T / (2.0 * np.pi)) * np.log(T)
+    log_t = float(np.log(T))
+    norm = (ds.lam * float(T) / (2.0 * math.pi)) * log_t
+    if not norm < math.inf:
+        raise ValueError(f"lambda = {ds.lam:.6g} overflows (lambda T / 2 pi) log T "
+                         f"at T = {T:.6g}")
+    return norm, ds.lam * log_t
 
 
 def _weight_tiles(g):
@@ -181,9 +201,56 @@ def _weight_matrix(g):
     return w
 
 
-def form_factor(ds: ZeroDataset, T: float, alpha):
-    """Direct double sum of the form factor at every alpha of an array (real
-    and even in alpha; a 0-d alpha gives a float).
+def _require_finite_phases(theta, ordinates) -> None:
+    """A phase builder's check, made before the window is read: theta g is
+    finite for every theta and every (sorted) ordinate g, so no nan reaches
+    the pair sum or its cancellation check."""
+    reach = max(-ordinates[0], ordinates[-1])
+    if not float(np.max(np.abs(theta), initial=0.0)) * float(reach) < math.inf:
+        raise ValueError("alpha * lambda * log T * g must be finite for every ordinate g")
+
+
+def _phases(g, theta):
+    """e^{i fl(theta g)}, a row per ordinate and a column per theta (none for
+    a 0-d theta): one complex exponential per entry."""
+    theta = np.asarray(theta)
+    p = np.empty(g.shape + theta.shape, dtype=complex)
+    np.multiply.outer(g, theta, out=p.imag)
+    p.real = 0.0
+    return np.exp(p, out=p)
+
+
+def _exact_phases(theta, ordinates):
+    """The batches of the exact table e^{i fl(theta_j g)} for an array of
+    thetas."""
+    _require_finite_phases(theta, ordinates)
+
+    def batches(g):
+        for a0 in range(0, theta.size, _ALPHA_BATCH):
+            yield _phases(g, theta[a0:a0 + _ALPHA_BATCH])
+    return batches
+
+
+def _geometric_phases(theta0: float, step: float, count: int, ordinates):
+    """The batches of the table e^{i (theta0 + j step) g}, j < count.  A
+    batch's first column is one exponential per ordinate, and each next
+    column is the last times the step column e^{i step g}, built once per
+    call (np.multiply.accumulate along the batch)."""
+    _require_finite_phases((theta0, step, theta0 + (count - 1) * step), ordinates)
+
+    def batches(g):
+        ratio = _phases(g, step)
+        for a0 in range(0, count, _ALPHA_BATCH):
+            p = np.empty((len(g), min(_ALPHA_BATCH, count - a0)), dtype=complex)
+            p[:, 0] = _phases(g, theta0 + a0 * step)
+            p[:, 1:] = ratio[:, None]
+            yield np.multiply.accumulate(p, axis=1, out=p)
+    return batches
+
+
+def _pair_sums(ds: ZeroDataset, T: float, count: int, phases):
+    """The unnormalized form factor at count alphas, from the batches of
+    their phase table that phases(g) yields for the window g.
 
     With c = cos(theta g), s = sin(theta g) and W_ij = pair_weight(g_i - g_j),
     the sum is  Re = c.(W c) + s.(W s)  and  Im = c.(W s) - s.(W c).  Each
@@ -203,32 +270,23 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
     streams W in _TILE x _TILE tiles that stay in L2, and no temporary grows
     with the square of the ordinate count or with the ordinate count times
     the alpha count.  W and the batches have a fixed layout and order, so a
-    value does not depend on whether W came from the memo.  A non-finite
-    alpha or T raises ValueError before the window is read.
+    value does not depend on whether W came from the memo.
     """
     global _memo
-    norm = _normalizer(ds, T)
-    alpha = np.asarray(alpha, dtype=float)
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("alpha must be finite")
     g = ds.in_window(T)
     n = len(g)
     if n == 0:
         raise EmptyWindow(f"no ordinates in the {ds.window.value} window for T={T}")
-    theta = (ds.lam * np.log(T)) * alpha.ravel()
     keep = n * n * 8 <= _MEMO_BYTES
     w = None
     if keep:
         key = (pair_weight, g.tobytes())
         if _memo is not None and _memo[0] == key:
             w = _memo[1]
-    out = np.empty(theta.size)
-    for a0 in range(0, theta.size, _ALPHA_BATCH):
-        k = min(_ALPHA_BATCH, theta.size - a0)
-        p = np.empty((n, k), dtype=complex)
-        np.multiply.outer(g, theta[a0:a0 + k], out=p.imag)
-        p.real = 0.0
-        cs = np.exp(p, out=p).view(float)   # columns cos, sin of each alpha in turn
+    out = np.empty(count)
+    for a0, p in zip(range(0, count, _ALPHA_BATCH), phases(g)):
+        k = p.shape[1]
+        cs = p.view(float)                  # columns cos, sin of each alpha in turn
         if keep and w is None:
             w = _weight_matrix(g)
         tile, tiles = (n, iter((w,))) if keep else (_TILE, _weight_tiles(g))
@@ -247,8 +305,31 @@ def form_factor(ds: ZeroDataset, T: float, alpha):
         out[a0:a0 + k] = re
     if w is not None:
         _memo = (key, w)
+    return out
+
+
+def form_factor(ds: ZeroDataset, T: float, alpha):
+    """Direct double sum of the form factor at every alpha of an array (real
+    and even in alpha; a 0-d alpha gives a float), from the exact phase table
+    e^{i fl(theta_j g)}, theta_j = lam log T alpha_j, through _pair_sums.  A
+    non-finite alpha or T, or a phase theta_j g that overflows, raises
+    ValueError before the window is read."""
+    norm, rate = _normalizer(ds, T)
+    alpha = np.asarray(alpha, dtype=float)
+    out = _pair_sums(ds, T, alpha.size, _exact_phases(rate * alpha.ravel(), ds.ordinates))
     out /= norm
     return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
+
+
+def _grid_form_factor(ds: ZeroDataset, T: float, start: float, step: float,
+                      count: int) -> np.ndarray:
+    """F(start + j step, T) for j < count, through _pair_sums from the
+    geometric phase table (two exponentials per ordinate per batch)."""
+    norm, rate = _normalizer(ds, T)
+    phases = _geometric_phases(rate * start, rate * step, count, ds.ordinates)
+    out = _pair_sums(ds, T, count, phases)
+    out /= norm
+    return out
 
 
 def form_factor_positive(ds: ZeroDataset, T: float, alpha: float) -> float:
@@ -259,7 +340,7 @@ def form_factor_positive(ds: ZeroDataset, T: float, alpha: float) -> float:
     truncated at |u| <= _U_CUTOFF (the integrand dies like e^{-4 pi u}).
     Nonnegative by construction.  A non-finite alpha or T raises ValueError.
     """
-    norm = _normalizer(ds, T)
+    norm, _ = _normalizer(ds, T)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     g = ds.in_window(T)
@@ -293,19 +374,22 @@ def _alpha_steps(span: float, grid_step: float) -> int:
 
 def windowed_average(ds: ZeroDataset, T: float, b: float, ell: float,
                      grid_step: float) -> float:
-    """Trapezoid average (1/ell) integral_b^{b+ell} F(alpha, T) d alpha."""
+    """Trapezoid average (1/ell) integral_b^{b+ell} F(alpha, T) d alpha on
+    the uniform grid b + j ell / n, n = ceil(ell / grid_step), whose phase
+    table is geometric (_grid_form_factor), not form_factor's exact one."""
     if not (math.isfinite(b) and b >= 0 and ell > 0):
         raise ValueError("need finite b >= 0 and ell > 0")
     if not 0 < grid_step <= ell / 16.0:
         raise ValueError("grid_step must be in (0, ell / 16]")
     n = _alpha_steps(ell, grid_step)
-    alphas = np.linspace(b, b + ell, n + 1)
-    return float(np.trapezoid(form_factor(ds, T, alphas), alphas) / ell)
+    return float(np.trapezoid(_grid_form_factor(ds, T, b, ell / n, n + 1)) / n)
 
 
 def symmetric_average(ds: ZeroDataset, T: float, beta: float,
                       grid_step: float) -> float:
-    """(1 / 2 beta) integral_{-beta}^{beta} F(alpha, T) d alpha."""
+    """(1 / 2 beta) integral_{-beta}^{beta} F(alpha, T) d alpha by the
+    trapezoid rule on the uniform grid -beta + j 2 beta / n, n even so that
+    0 is a node, from the geometric phase table as in windowed_average."""
     if not beta > 0:
         raise ValueError("beta must be > 0")
     if not grid_step > 0:
@@ -313,8 +397,7 @@ def symmetric_average(ds: ZeroDataset, T: float, beta: float,
     n = _alpha_steps(2.0 * beta, grid_step)
     if n % 2:
         n += 1          # keep 0 on the grid
-    alphas = np.linspace(-beta, beta, n + 1)
-    return float(np.trapezoid(form_factor(ds, T, alphas), alphas) / (2.0 * beta))
+    return float(np.trapezoid(_grid_form_factor(ds, T, -beta, 2.0 * beta / n, n + 1)) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -546,13 +546,13 @@ def k0_endpoint_value(m: Measure) -> float:
     """Value of the transform-side solution u0 at the support endpoint L =
     Delta/2; the coefficient of the 1/x far field of K(0, x): half the
     rows' sum of weights_r e^{(offsets_r - shifts_r) L}, the shifts 0 for
-    u_0's rows at c3 = 0 or a pure atom.  Such a measure must pass the
-    extended admissibility gate."""
+    u_0's rows at c3 = 0 or a pure atom.  The measure must pass the extended
+    admissibility gate."""
     m.require_single()
+    m.require_admissible(extended=True)
     if m.c3 > 0.0 and m.c2 > 0.0:
         sol = k0_transform_solution(m)
         offsets, weights, shifts = sol.offsets, sol.weights, sol.shifts
     else:
-        m.require_admissible(extended=True)
         (offsets, weights), shifts = _section(m.c1, m.c2, m.delta), 0.0
     return float(0.5 * np.sum(weights * np.exp((offsets - shifts) * (m.delta / 2.0))).real)

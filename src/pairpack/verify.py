@@ -478,6 +478,9 @@ def _hand_form_factor(ds: ZeroDataset, T: float, alpha: float) -> float:
 # BLAS threads), rounded up to one digit; the float64 dense route
 # Re(sum conj(p) (W p)) reads 1.1e-15 from the same sum
 FORMFACTOR_DENSE_TOL = 8e-16
+# 3x the measured worst of _formfactor_grid_route (6.0e-15 at 1 and 2 BLAS
+# threads), rounded up to one digit
+FORMFACTOR_GRID_TOL = 2e-14
 
 
 def _formfactor_dense_tiles():
@@ -495,6 +498,25 @@ def _formfactor_dense_tiles():
     dense = np.array([c @ (w @ c) + s @ (w @ s) for c, s in cs])
     dense /= (ds.lam * T / (2 * np.pi)) * np.log(T)
     return float(np.max(np.abs(form_factor(ds, T, alphas) / dense - 1.0))), FORMFACTOR_DENSE_TOL
+
+
+def _formfactor_grid_route():
+    """Worst relative gap of windowed_average and symmetric_average, whose
+    phase table is geometric, to np.trapezoid of form_factor, whose table is
+    exact, on the same linspace nodes: 129 alphas (three batches) and 17, on
+    a window of 333 ordinates, which form_factor keeps whole, and one of 800,
+    whose tiles stream; the symmetric grid crosses alpha = 0."""
+    worst = 0.0
+    for n, T in ((333, 400.0), (800, 900.0)):
+        g = np.sort(np.random.default_rng(_SEED + 5).uniform(1.0, T, n))
+        ds, h = ZeroDataset(ordinates=g, lam=1.1), 1.0 / 64.0
+        for b, ell in ((0.0, 2.0), (1.3, 0.25), (-1.0, 2.0)):
+            alphas = np.linspace(b, b + ell, round(ell / h) + 1)
+            direct = np.trapezoid(form_factor(ds, T, alphas), alphas) / ell
+            grid = (windowed_average(ds, T, b, ell, h) if b >= 0.0
+                    else symmetric_average(ds, T, -b, h))
+            worst = max(worst, abs(grid / direct - 1.0))
+    return worst, FORMFACTOR_GRID_TOL
 
 
 def _formfactor_nonnegative():
@@ -639,6 +661,7 @@ _TABLE = {
          lambda: (_worst_pair_gap(lambda ds, T, a: form_factor(ds, T, -a)), 1e-12)),
         ("formfactor_nonnegative", _formfactor_nonnegative),
         ("formfactor_dense_tiles", _formfactor_dense_tiles),
+        ("formfactor_grid_route", _formfactor_grid_route),
         ("windowed_average_identity", _windowed_average_identity),
         ("windowed_average_self_convergence", _windowed_average_self_convergence),
         ("phi_constant_transform", _phi_constant_transform),

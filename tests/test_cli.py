@@ -145,6 +145,21 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("header, action", [
+        ("inf", "--alpha=0.5:0.6:0.1"), ("1e308", "--alpha=0.5:0.6:0.1"), ("1e308", "--avg=1:1")])
+    def test_bad_lambda_is_one(self, tmp_path, header, action):
+        # an infinite lambda is refused on load, one whose normalizer
+        # overflows before any arithmetic: one error line, no numpy warning
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text(f"# lambda={header}\n14.1347\n21.0220\n")
+        proc = subprocess.run([sys.executable, "-m", "pairpack.cli", "formfactor",
+                               "--zeros", str(zeros), action],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: lambda") and "Warning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_uncancelled_form_factor_is_one(self, capsys, tmp_path, monkeypatch):
         import pairpack.formfactor as formfactor
         monkeypatch.setattr(formfactor, "pair_weight",

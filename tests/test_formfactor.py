@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,31 @@ class TestZeroDataset:
         with pytest.raises(ValueError, match="read-only"):
             ds.ordinates[0] = 11.0
 
+    def test_lambda_must_be_finite_and_positive(self, tmp_path):
+        for lam in (float("inf"), float("-inf"), float("nan"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="lambda must be finite and > 0"):
+                ZeroDataset(ordinates=[10.0], lam=lam)
+        p = tmp_path / "z.txt"
+        p.write_text("# lambda=inf\n10.0\n")
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            load_zeros(p)
+        assert type(ZeroDataset(ordinates=[10.0], lam=np.float64(2.0)).lam) is float
+
+    def test_overflowing_lambda_refused(self, monkeypatch):
+        # lam * T overflows the normalizer: ValueError naming lambda before
+        # the window is read, and no RuntimeWarning on the way
+        ds = ZeroDataset(ordinates=[10.0, 10.5], lam=1e308)
+        monkeypatch.setattr(ZeroDataset, "in_window",
+                            lambda self, T: pytest.fail("window read"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: form_factor(ds, 100.0, 0.3),
+                         lambda: form_factor_positive(ds, 100.0, 0.3),
+                         lambda: windowed_average(ds, 100.0, 0.0, 0.25, 1.0 / 64.0),
+                         lambda: symmetric_average(ds, 100.0, 1.0, 1.0 / 64.0)):
+                with pytest.raises(ValueError, match="lambda = 1e"):
+                    call()
+
     def test_equality_is_identity(self):
         # an ndarray field has no truth value: == and hash are the object's own
         a = ZeroDataset(ordinates=[10.0, 10.5], lam=1.0)
@@ -164,6 +190,13 @@ class TestFormFactor:
                 form_factor_positive(ds, T, alpha)
         with pytest.raises(ValueError, match="finite"):
             form_factor(ds, 100.0, np.array([0.3, nan, 0.5]))
+        # a finite theta whose phase theta g overflows, and a finite window
+        # start whose theta = lam log T b does
+        with pytest.raises(ValueError, match="finite"):
+            form_factor(ds, 100.0, 1e307)
+        for b in (1e307, 1e308):
+            with pytest.raises(ValueError, match="finite"):
+                windowed_average(ds, 100.0, b, 1.0, 1.0 / 16.0)
 
 
 class TestBatchedFormFactor:
@@ -351,6 +384,98 @@ class TestWeightMemo:
                                 self.counted(pair_weight, calls))
             form_factor(self.window(n), 900.0, alphas)
             assert len(calls) == tiles * builds
+
+
+class TestGridRoute:
+    """windowed_average and symmetric_average take F on their uniform grid
+    from the geometric phase table, form_factor from the exact one."""
+
+    @staticmethod
+    def window(n, seed):
+        g = np.sort(np.random.default_rng(seed).uniform(1.0, 900.0, n))
+        return ZeroDataset(ordinates=g, lam=0.9), 900.0
+
+    def test_two_batches_kept_and_streamed(self, monkeypatch):
+        # 2 * 64 + 1 alphas: two full batches and one of a single column, on a
+        # window kept whole and one whose tiles stream; one exponential
+        # column for the step and one per batch
+        columns = []
+        phases = formfactor._phases
+        monkeypatch.setattr(formfactor, "_phases",
+                            lambda g, theta: columns.append(theta) or phases(g, theta))
+        count = 2 * formfactor._ALPHA_BATCH + 1
+        for n in (600, 800):
+            ds, T = self.window(n, 37)
+            kept = len(ds.in_window(T)) ** 2 * 8 <= formfactor._MEMO_BYTES
+            assert kept == (n == 600)
+            columns.clear()
+            grid = formfactor._grid_form_factor(ds, T, 0.3, 1.0 / 64.0, count)
+            assert len(columns) == 4
+            direct = form_factor(ds, T, 0.3 + np.arange(count) / 64.0)
+            np.testing.assert_allclose(grid, direct, rtol=2e-13, atol=0)
+
+    def test_symmetric_grid_across_zero(self):
+        ds, T = self.window(300, 38)
+        beta, h = 1.0, 1.0 / 64.0
+        alphas = np.linspace(-beta, beta, 129)
+        grid = formfactor._grid_form_factor(ds, T, -beta, 2.0 * beta / 128, 129)
+        np.testing.assert_allclose(grid, grid[::-1], rtol=1e-15, atol=0)   # F is even
+        assert grid[64] == pytest.approx(form_factor(ds, T, 0.0), rel=1e-15, abs=0)
+        direct = np.trapezoid(form_factor(ds, T, alphas), alphas) / (2.0 * beta)
+        assert symmetric_average(ds, T, beta, h) == pytest.approx(direct, rel=1e-13, abs=0)
+
+    def test_second_average_builds_no_weight(self, monkeypatch):
+        monkeypatch.setattr(formfactor, "_memo", None)
+        calls = []
+        monkeypatch.setattr(formfactor, "pair_weight",
+                            TestWeightMemo.counted(pair_weight, calls))
+        ds, T = self.window(300, 33)
+        first = windowed_average(ds, T, 0.5, 2.0, 1.0 / 64.0)      # 129 alphas
+        assert len(calls) == 9                                     # 3 x 3 tiles, once
+        calls.clear()
+        assert windowed_average(ds, T, 0.5, 2.0, 1.0 / 64.0) == first
+        symmetric_average(ds, T, 1.0, 1.0 / 64.0)
+        assert calls == []
+
+    def test_exact_grid_against_long_double(self):
+        # F at the exact nodes b + j h, with the float64 rate lam log T, summed
+        # from cos and sin of theta g in long double (x87's 80-bit format on
+        # x86-64): the geometric table's worst error is at most twice the
+        # direct table's on the same draws
+        ds, T = self.window(200, 41)
+        norm, rate = formfactor._normalizer(ds, T)
+        g = ds.in_window(T).astype(np.longdouble)
+        w = 4.0 / (4.0 + np.subtract.outer(g, g) ** 2)
+        h, count = 1.0 / 64.0, 2 * formfactor._ALPHA_BATCH + 1
+        worst = {"direct": 0.0, "geometric": 0.0}
+        for b in (0.0, 1.25, 2.75):
+            nodes = np.longdouble(b) + np.arange(count).astype(np.longdouble) * np.longdouble(h)
+            theta_g = np.multiply.outer(g, np.longdouble(rate) * nodes)
+            c, s = np.cos(theta_g), np.sin(theta_g)
+            exact = (np.sum(c * (w @ c), axis=0) + np.sum(s * (w @ s), axis=0)) / norm
+            for route, f in (("direct", form_factor(ds, T, b + h * np.arange(count))),
+                             ("geometric", formfactor._grid_form_factor(ds, T, b, h, count))):
+                worst[route] = max(worst[route], float(np.max(np.abs(f / exact - 1.0))))
+        assert 0.0 < worst["geometric"] <= 2.0 * worst["direct"], worst
+
+    test_grid_route = registry_test("formfactor_grid_route")
+
+    def test_grid_route_sees_planted_step_error(self, monkeypatch):
+        # a 1e-12 relative error on the step column e^{i step g} compounds to
+        # a factor (1 + 1e-12)^j on column j of each batch
+        geometric = formfactor._geometric_phases
+
+        def planted(theta0, step, count, ordinates):
+            batches = geometric(theta0, step, count, ordinates)
+
+            def perturbed(g):
+                for p in batches(g):
+                    yield p * (1.0 + 1e-12) ** np.arange(p.shape[1])
+            return perturbed
+
+        monkeypatch.setattr(formfactor, "_geometric_phases", planted)
+        passed, line = BY_NAME["formfactor_grid_route"].run()
+        assert not passed, line
 
 
 class TestFormFactorPositive:

@@ -303,6 +303,10 @@ class TestKernelC3Zero:
             u_end = solve_integral_eq(m, 0.0).interpolate(np.array([m.delta / 2.0]))[0]
             assert k0_endpoint_value(m) == pytest.approx(u_end.real, abs=1e-14)
         assert k0_endpoint_value(Measure(0.8, 0.0, 2.0, 0.5)) == 1.0 / 0.8
+        # sigma = 10 is past the extended threshold at c3 > 0 as at c3 = 0
+        for c3 in (0.0, 1.0):
+            with pytest.raises(NotAdmissible, match="extended threshold"):
+                k0_endpoint_value(Measure(1.0, 10.0, c3, 1.0))
 
 
 class TestKernelK0z:
