@@ -11,16 +11,18 @@ kernel diagonal optimizes, and the triangle-transform witness of the
 universal 1/2 floor).
 
 The double sum is a real matrix product per batch of alphas, so an alpha
-grid, an average or a CLI --alpha range costs one call.  The phase table
-holds e^{i theta g} as complex numbers: its float view has cos(theta g) and
-sin(theta g) of each alpha in adjacent columns.  Two builders feed one
-pair-sum loop (_pair_sums) a batch of the table at a time.  form_factor
-takes any alpha array and builds the exact table e^{i fl(theta_j g)}, one
-complex exponential per entry.  windowed_average and symmetric_average own
-a uniform grid theta_j = theta_0 + j dtheta, on which the phases are
-geometric in j: a batch is its first column e^{i theta_a0 g} times the
-powers of the call's one step column e^{i dtheta g}, so two exponentials per
-ordinate per batch.  A window of at most 724 ordinates (n^2 weights in
+grid, an average or a CLI --alpha range costs one call.  Two builders feed
+one pair-sum loop (_pair_sums) a batch at a time, as a (2k, n) real operand
+whose rows are cos(theta g) and then sin(theta g) of each of its k alphas,
+in whichever memory order the builder writes cheapest.  form_factor takes
+any alpha array and builds the exact table e^{i fl(theta_j g)}, one complex
+exponential per entry, ordinate-major, and hands over its float view
+transposed, without a copy.  windowed_average and symmetric_average own a
+uniform grid theta_j = theta_0 + j dtheta, on which the phases are
+geometric in j: a batch starts from one row e^{i theta_a0 g}, and each next
+alpha's row is the last times the call's one step row e^{i dtheta g}, written
+straight into a C-contiguous operand, so two exponentials per ordinate per
+batch.  A window of at most 724 ordinates (n^2 weights in
 _MEMO_BYTES = 4 MiB) keeps its whole weight matrix W, which does not depend
 on alpha: each batch is one BLAS product of the table with W, and a
 single-entry memo of the last window lets the next call on it build no
@@ -105,14 +107,19 @@ class ZeroDataset:
         object.__setattr__(self, "lam", lam)
 
     def in_window(self, T: float) -> np.ndarray:
+        """The ordinates in the window at T, as a read-only slice of the
+        sorted ordinates (empty for a nan T, which no ordinate compares
+        with)."""
         g = self.ordinates
+        if T != T:
+            return g[:0]
         if self.window is Window.ZERO_TO_T:
-            mask = (g > 0) & (g <= T)
+            lo, hi = g.searchsorted(0.0, "right"), g.searchsorted(T, "right")
         elif self.window is Window.T_TO_TWO_T:
-            mask = (g > T) & (g <= 2 * T)
+            lo, hi = g.searchsorted(T, "right"), g.searchsorted(2 * T, "right")
         else:
-            mask = (g >= -T / 2) & (g <= T / 2)
-        return g[mask]
+            lo, hi = g.searchsorted(-T / 2, "left"), g.searchsorted(T / 2, "right")
+        return g[lo:hi]
 
     def summary(self) -> str:
         g = self.ordinates
@@ -201,12 +208,13 @@ def _weight_matrix(g):
     return w
 
 
-def _require_finite_phases(theta, ordinates) -> None:
-    """A phase builder's check, made before the window is read: theta g is
-    finite for every theta and every (sorted) ordinate g, so no nan reaches
-    the pair sum or its cancellation check."""
-    reach = max(-ordinates[0], ordinates[-1])
-    if not float(np.max(np.abs(theta), initial=0.0)) * float(reach) < math.inf:
+def _require_finite_phases(thetas, ordinates) -> None:
+    """A phase builder's check, made in Python floats before the window is
+    read: theta g is finite for every theta of thetas (which bound the
+    call's |theta|) and every (sorted) ordinate g, so no nan reaches the
+    pair sum or its cancellation check."""
+    reach = max(-float(ordinates[0]), float(ordinates[-1]))
+    if not all(abs(theta) * reach < math.inf for theta in thetas):
         raise ValueError("alpha * lambda * log T * g must be finite for every ordinate g")
 
 
@@ -222,35 +230,49 @@ def _phases(g, theta):
 
 def _exact_phases(theta, ordinates):
     """The batches of the exact table e^{i fl(theta_j g)} for an array of
-    thetas."""
-    _require_finite_phases(theta, ordinates)
+    thetas.  Each is built ordinate-major, an (n, k) complex table, where
+    the exponential runs fastest, and handed over as its float view
+    transposed: the (2k, n) operand with rows cos and sin of each alpha,
+    Fortran-ordered, without a copy."""
+    _require_finite_phases((float(np.max(np.abs(theta), initial=0.0)),), ordinates)
 
     def batches(g):
         for a0 in range(0, theta.size, _ALPHA_BATCH):
-            yield _phases(g, theta[a0:a0 + _ALPHA_BATCH])
+            yield _phases(g, theta[a0:a0 + _ALPHA_BATCH]).view(float).T
     return batches
 
 
 def _geometric_phases(theta0: float, step: float, count: int, ordinates):
-    """The batches of the table e^{i (theta0 + j step) g}, j < count.  A
-    batch's first column is one exponential per ordinate, and each next
-    column is the last times the step column e^{i step g}, built once per
-    call (np.multiply.accumulate along the batch)."""
+    """The batches of the table e^{i (theta0 + j step) g}, j < count, each a
+    C-contiguous (2k, n) operand with rows cos and sin of each alpha.  A
+    batch's first row is one exponential per ordinate; each next row is the
+    last times the step row e^{i step g}, built once per call, so an alpha
+    costs one complex multiply per ordinate and the copy of its real and
+    imaginary parts into the operand.  Only the step row and one running
+    row are held beside the operand, no complex table."""
     _require_finite_phases((theta0, step, theta0 + (count - 1) * step), ordinates)
 
     def batches(g):
+        n = len(g)
         ratio = _phases(g, step)
         for a0 in range(0, count, _ALPHA_BATCH):
-            p = np.empty((len(g), min(_ALPHA_BATCH, count - a0)), dtype=complex)
-            p[:, 0] = _phases(g, theta0 + a0 * step)
-            p[:, 1:] = ratio[:, None]
-            yield np.multiply.accumulate(p, axis=1, out=p)
+            k = min(_ALPHA_BATCH, count - a0)
+            cs = np.empty((k, 2, n))
+            row = _phases(g, theta0 + a0 * step)
+            parts = row.view(float).reshape(n, 2).T      # cos, sin rows of row
+            cs[0] = parts
+            for j in range(1, k):
+                np.multiply(row, ratio, out=row)
+                cs[j] = parts
+            yield cs.reshape(2 * k, n)
     return batches
 
 
 def _pair_sums(ds: ZeroDataset, T: float, count: int, phases):
-    """The unnormalized form factor at count alphas, from the batches of
-    their phase table that phases(g) yields for the window g.
+    """The unnormalized form factor at count alphas, from the batches that
+    phases(g) yields for the window g: each a (2k, n) real operand whose
+    rows are cos(theta g) and then sin(theta g) of each of its k alphas, in
+    either memory order (a value does not depend on it).
 
     With c = cos(theta g), s = sin(theta g) and W_ij = pair_weight(g_i - g_j),
     the sum is  Re = c.(W c) + s.(W s)  and  Im = c.(W s) - s.(W c).  Each
@@ -284,18 +306,17 @@ def _pair_sums(ds: ZeroDataset, T: float, count: int, phases):
         if _memo is not None and _memo[0] == key:
             w = _memo[1]
     out = np.empty(count)
-    for a0, p in zip(range(0, count, _ALPHA_BATCH), phases(g)):
-        k = p.shape[1]
-        cs = p.view(float)                  # columns cos, sin of each alpha in turn
+    for a0, cs in zip(range(0, count, _ALPHA_BATCH), phases(g)):
+        k = len(cs) // 2
         if keep and w is None:
             w = _weight_matrix(g)
         tile, tiles = (n, iter((w,))) if keep else (_TILE, _weight_tiles(g))
         re, im = np.zeros(k), np.zeros(k)
         for c0 in range(0, n, tile):
-            pw = cs[:tile].T @ next(tiles)      # pw[a] = (cs[:, a]^T W)[c0:c0 + tile]
+            pw = cs[:, :tile] @ next(tiles)         # pw[a] = (cs[a] W)[c0:c0 + tile]
             for r0 in range(tile, n, tile):
-                pw += cs[r0:r0 + tile].T @ next(tiles)
-            cols = cs[c0:c0 + tile].T
+                pw += cs[:, r0:r0 + tile] @ next(tiles)
+            cols = cs[:, c0:c0 + tile]
             p3, c3 = pw.reshape(k, 2, -1), cols.reshape(k, 2, -1)
             im += np.vecdot(p3[:, 0], c3[:, 1]) - np.vecdot(p3[:, 1], c3[:, 0])
             re += np.multiply(pw, cols, out=pw).reshape(k, -1).sum(axis=1)
@@ -362,14 +383,18 @@ def form_factor_positive(ds: ZeroDataset, T: float, alpha: float) -> float:
     return 2.0 * np.pi * val / norm
 
 
-def _alpha_steps(span: float, grid_step: float) -> int:
-    """ceil(span / grid_step) for a positive grid_step, refused before
-    anything is allocated when the grid would pass MAX_ALPHAS points."""
+def _alpha_steps(span: float, grid_step: float, even: bool = False) -> int:
+    """n = ceil(span / grid_step) for a positive grid_step, rounded up to
+    even when asked, refused before anything is allocated when the grid's
+    n + 1 points would pass MAX_ALPHAS."""
     steps = span / grid_step
-    if not steps + 1 <= MAX_ALPHAS:
-        raise ValueError(f"the alpha grid asks for {steps + 1:.6g} points; "
+    n = math.ceil(steps) if steps < MAX_ALPHAS else MAX_ALPHAS
+    if even:
+        n += n % 2
+    if not n + 1 <= MAX_ALPHAS:
+        raise ValueError(f"the alpha grid asks for {max(steps, n) + 1:.6g} points; "
                          f"the cap is {MAX_ALPHAS}")
-    return int(np.ceil(steps))
+    return n
 
 
 def windowed_average(ds: ZeroDataset, T: float, b: float, ell: float,
@@ -382,7 +407,8 @@ def windowed_average(ds: ZeroDataset, T: float, b: float, ell: float,
     if not 0 < grid_step <= ell / 16.0:
         raise ValueError("grid_step must be in (0, ell / 16]")
     n = _alpha_steps(ell, grid_step)
-    return float(np.trapezoid(_grid_form_factor(ds, T, b, ell / n, n + 1)) / n)
+    f = _grid_form_factor(ds, T, b, ell / n, n + 1)
+    return float((f.sum() - (f[0] + f[-1]) / 2.0) / n)      # trapezoid rule / ell
 
 
 def symmetric_average(ds: ZeroDataset, T: float, beta: float,
@@ -394,10 +420,9 @@ def symmetric_average(ds: ZeroDataset, T: float, beta: float,
         raise ValueError("beta must be > 0")
     if not grid_step > 0:
         raise ValueError("grid_step must be > 0")
-    n = _alpha_steps(2.0 * beta, grid_step)
-    if n % 2:
-        n += 1          # keep 0 on the grid
-    return float(np.trapezoid(_grid_form_factor(ds, T, -beta, 2.0 * beta / n, n + 1)) / n)
+    n = _alpha_steps(2.0 * beta, grid_step, even=True)      # keep 0 on the grid
+    f = _grid_form_factor(ds, T, -beta, 2.0 * beta / n, n + 1)
+    return float((f.sum() - (f[0] + f[-1]) / 2.0) / n)      # trapezoid rule / 2 beta
 
 
 # ---------------------------------------------------------------------------

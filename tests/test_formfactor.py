@@ -163,7 +163,9 @@ class TestFormFactor:
     def test_uncancelled_imaginary_part(self, monkeypatch):
         # an asymmetric weight leaves an imaginary part behind: everywhere on
         # three ordinates, and on 300 unit-spaced ordinates only for
-        # g - g' > 200, which no diagonal tile holds; a nan weight fails too
+        # g - g' > 200, which no diagonal tile holds; a nan weight fails too.
+        # form_factor hands the pair sum a transposed view, the averages a
+        # C-contiguous operand: the check sees both
         import pairpack.formfactor as formfactor
         three = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
         unit = ZeroDataset(ordinates=10.0 + np.arange(300.0), lam=1.0)
@@ -172,8 +174,11 @@ class TestFormFactor:
                            (lambda u: 4.0 / (4.0 + u * u) * (1.0 + (u > 200.0)), unit),
                            (lambda u: u * float("nan"), three)):
             monkeypatch.setattr(formfactor, "pair_weight", weight)
-            with pytest.raises(NotCancelled):
-                form_factor(ds, 400.0, 0.8)
+            for call in (lambda: form_factor(ds, 400.0, 0.8),
+                         lambda: windowed_average(ds, 400.0, 0.8, 0.25, 1.0 / 64.0),
+                         lambda: symmetric_average(ds, 400.0, 1.0, 1.0 / 64.0)):
+                with pytest.raises(NotCancelled):
+                    call()
 
     def test_non_finite_inputs_refused(self, monkeypatch):
         # refused with ValueError before the window is read, so no nan
@@ -460,17 +465,34 @@ class TestGridRoute:
 
     test_grid_route = registry_test("formfactor_grid_route")
 
+    def test_operand_order_does_not_change_a_value(self):
+        # one batch handed to the pair sum C-contiguous and as the transposed
+        # float view of its complex table gives the same bytes, on a window
+        # kept whole and on one whose tiles stream
+        for n in (300, 800):
+            ds, T = self.window(n, 42)
+            _, rate = formfactor._normalizer(ds, T)
+            table = formfactor._phases(ds.in_window(T), rate * np.linspace(0.2, 1.2, 17))
+            view = table.view(float).T
+            rows = np.ascontiguousarray(view)
+            assert view.flags.f_contiguous and not view.flags.c_contiguous
+            sums = [formfactor._pair_sums(ds, T, 17, lambda g, cs=cs: iter((cs,)))
+                    for cs in (view, rows)]
+            assert sums[0].tobytes() == sums[1].tobytes()
+
     def test_grid_route_sees_planted_step_error(self, monkeypatch):
-        # a 1e-12 relative error on the step column e^{i step g} compounds to
-        # a factor (1 + 1e-12)^j on column j of each batch
+        # a 1e-12 relative error on the step row e^{i step g} compounds to a
+        # factor (1 + 1e-12)^j on alpha j of each batch: rows 2j (cos) and
+        # 2j + 1 (sin) of its C-contiguous operand
         geometric = formfactor._geometric_phases
 
         def planted(theta0, step, count, ordinates):
             batches = geometric(theta0, step, count, ordinates)
 
             def perturbed(g):
-                for p in batches(g):
-                    yield p * (1.0 + 1e-12) ** np.arange(p.shape[1])
+                for cs in batches(g):
+                    assert cs.flags.c_contiguous and cs.shape[1] == len(g)
+                    yield cs * np.repeat((1.0 + 1e-12) ** np.arange(len(cs) // 2), 2)[:, None]
             return perturbed
 
         monkeypatch.setattr(formfactor, "_geometric_phases", planted)
@@ -526,6 +548,19 @@ class TestWindowedAverage:
         with pytest.raises(ValueError, match="cap"):
             symmetric_average(ds, 100.0, 1e12, 1.0)
         assert MAX_ALPHAS == 10 ** 6
+
+    def test_alpha_grid_cap_counts_the_even_rounding(self, monkeypatch):
+        # symmetric_average rounds its step count up to even, and the cap
+        # holds the final grid: 2 beta / step = 8.5 and 9 round to 10 steps,
+        # 11 points, one past a cap of 10, refused before the window is read
+        monkeypatch.setattr(formfactor, "MAX_ALPHAS", 10)
+        ds = ZeroDataset(ordinates=np.array([10.0]), lam=1.0)
+        assert symmetric_average(ds, 100.0, 4.0, 1.0) > 0.0        # 9 points
+        monkeypatch.setattr(ZeroDataset, "in_window",
+                            lambda self, T: pytest.fail("window read"))
+        for beta in (4.25, 4.5):
+            with pytest.raises(ValueError, match="asks for 11 points; the cap is 10"):
+                symmetric_average(ds, 100.0, beta, 1.0)
 
 
 class TestPhiFunctional:

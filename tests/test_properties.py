@@ -10,7 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import pairpack.fredholm as fredholm  # noqa: E402
-from pairpack import (Measure, ZeroDataset, average_bounds, form_factor,  # noqa: E402
+from pairpack import (EmptyWindow, Measure, Window, ZeroDataset,  # noqa: E402
+                      average_bounds, form_factor,
                       form_factor_positive, k_from_u, kernel_k00, kernel_k0z_grid,
                       solve_integral_eq)
 from pairpack.kernels import k0_transform_solution  # noqa: E402
@@ -52,6 +53,51 @@ class TestFormFactorProperties:
     def test_matches_positive_route(self, g, lam, alpha):
         ds = dataset(g, lam)
         assert abs(form_factor(ds, T, alpha) - form_factor_positive(ds, T, alpha)) <= 1e-8
+
+
+def mask_window(ds, T):
+    """The window at T as a boolean mask over the ordinates: in_window's
+    reference route."""
+    g = ds.ordinates
+    if ds.window is Window.ZERO_TO_T:
+        mask = (g > 0) & (g <= T)
+    elif ds.window is Window.T_TO_TWO_T:
+        mask = (g > T) & (g <= 2 * T)
+    else:
+        mask = (g >= -T / 2) & (g <= T / 2)
+    return g[mask]
+
+
+# a window's T: finite of either sign, zero of either sign, infinite or nan;
+# and factors f that put ordinates on the window edges f T = 0, +-T/2, T, 2T
+window_ts = st.one_of(st.floats(-60.0, 60.0),
+                      st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+edge_factors = st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0]), max_size=6)
+
+
+class TestWindowProperties:
+    @settings(fixed, max_examples=300)
+    @given(st.lists(st.floats(-130.0, 130.0), min_size=1, max_size=10), edge_factors,
+           window_ts, st.sampled_from(Window), st.integers(1, 3))
+    @example([1.0, 2.0], [], math.nan, Window.ZERO_TO_T, 1)
+    @example([-1.0, 2.0], [], math.nan, Window.SYMMETRIC_T, 1)
+    @example([1.0, 2.0], [], math.nan, Window.T_TO_TWO_T, 1)
+    @example([50.0], [0.0, 0.5, -0.5, 1.0, 2.0], 20.0, Window.ZERO_TO_T, 2)
+    def test_slice_matches_mask(self, g, edges, T, window, copies):
+        # duplicates enter with multiplicity, edge ordinates on the side the
+        # window's comparisons put them; the slice is read-only, a nan T
+        # gives an empty window, and an empty window is still refused
+        on_edges = [f * T for f in edges if math.isfinite(f * T)]
+        ds = ZeroDataset(ordinates=np.repeat(np.sort(g + on_edges), copies), lam=1.0,
+                         window=window)
+        got = ds.in_window(T)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.tobytes() == mask_window(ds, T).tobytes()
+        if math.isnan(T):
+            assert len(got) == 0
+        if len(got) == 0 and 1.0 < T < math.inf:
+            with pytest.raises(EmptyWindow):
+                form_factor(ds, T, 0.3)
 
 
 # admissible measures (sigma up to 1.6 < 5/3) with c3 Delta <= 50, one to ten
