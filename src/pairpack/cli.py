@@ -194,7 +194,10 @@ def cmd_formfactor(args) -> int:
         blocks.append(["alpha,F"] + [f"{_fmt(a)},{_fmt(v)}"
                                      for a, v in zip(alphas, vals)])
     if args.avg:
-        b, ell = (float(p) for p in args.avg.split(":"))
+        try:
+            b, ell = (float(p) for p in args.avg.split(":"))
+        except ValueError:      # a count other than two, or not a number
+            raise ValueError(f"--avg must be b:ell, got {args.avg!r}") from None
         avg = windowed_average(ds, T, b, ell, args.grid_step)
         blocks.append(["b,ell,grid_step,average",
                        f"{_fmt(b)},{_fmt(ell)},{_fmt(args.grid_step)},{_fmt(avg)}"])

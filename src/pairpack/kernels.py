@@ -1,6 +1,8 @@
 """Closed-form reproducing kernels of the weighted band-limited spaces.
 
-Two regimes:
+Every kernel value is one sum of sinh quotients over a table of rows,
+``_row_sum``: ``kernel_c3zero`` sums ``_c3zero_rows``, and every entry point
+of the section K(0, .) the table that ``_section_rows`` chooses.  Two regimes:
 
 * c3 = 0: the full kernel K(w, z) for all complex w, z, the transform of
   the solution u_w: rows e^{eta xi} at eta = +-i om and -2 pi i w.  Its
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import _sinh_quot, exp_moments, sinh_quot_scaled
+from .special import _sinh_quot, exp_moments
 
 DEGENERACY_RTOL = 1e-9
 # largest c3 of the c3 > 0 closed forms: correct to 1e145 for c1 in [1e-6, 1e6]
@@ -69,6 +71,9 @@ class LimitPath(enum.Enum):
     NONE = "none"
     REMOVABLE_W = "removable_w"
     DEGENERATE_ETA = "degenerate_eta"
+
+
+_CONTOUR_PATHS = {3: LimitPath.REMOVABLE_W, 5: LimitPath.DEGENERATE_ETA}
 
 
 @dataclass(frozen=True)
@@ -249,10 +254,9 @@ class TransformSolution:
     and cosh(eta2 t).  Both coefficients stay finite where the roots meet.
     ``det`` = A' Bbar - Abar B' is the divisor over eta1^2 - eta2^2.
     ``close`` is set where the divided differences come from ``_contour``.
-    The section is K(0, z) = sum_r weights_r e^{-shifts_r L} sinh((s +
-    offsets_r) L) / (s + offsets_r), s = 2 pi i z, over five rows: offsets
-    (eta1, eta2, -eta1, -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1,
-    w2, w1, w2, 2 mu), w1,2 = p_scaled/2 +- q_scaled/(eta1^2 - eta2^2).
+    The section K(0, z) is ``_row_sum`` over five rows: offsets (eta1, eta2,
+    -eta1, -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1, w2, w1, w2,
+    2 mu), w1,2 = p_scaled/2 +- q_scaled/(eta1^2 - eta2^2).
     Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
     q_scaled c': offsets +-eta_k, shift c3, weights q_scaled c_k at the 8
     contour nodes (weight 0 for the other measures of such a batch).  For
@@ -369,21 +373,20 @@ _cached_solution = functools.lru_cache(maxsize=8)(_transform_solution)
 
 
 def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluation:
-    """K(0, z) for c3 > 0, real entire and even in z."""
+    """K(0, z) for c3 > 0 and finite z, real entire and even in z, as
+    ``kernel_k0z_grid`` sums it.  limit_path: DEGENERATE_ETA for the section's
+    contour rows, REMOVABLE_W for a pure atom's (u_0's pole), NONE elsewhere."""
     m.require_single()
     if m.c3 == 0.0:
         raise InvalidRegime("use kernel_c3zero for c3 = 0")
-    value = complex(kernel_k0z_grid(m, z, extended=extended))
-    close = m.c2 > 0.0 and k0_transform_solution(m).close
-    return KernelEvaluation(value=value,
-                            limit_path=LimitPath.DEGENERATE_ETA if close else LimitPath.NONE)
-
-
-def _k0z_section(m: Measure, z):
-    """K(0, z) for c2 > 0, c3 > 0, the measures' axes followed by z's: one
-    quotient call over TransformSolution's rows."""
-    sol = k0_transform_solution(m)
-    return _row_sum(sol.offsets, sol.weights, m.delta / 2.0, z, 5, sol.shifts)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    m.require_admissible(extended=extended)
+    offsets, weights, shifts, head = _section_rows(m)
+    value = _row_sum(offsets, weights, m.delta / 2.0, np.array(z), head, shifts)
+    path = _CONTOUR_PATHS[head] if offsets.shape[-1] > head else LimitPath.NONE
+    return KernelEvaluation(value=complex(value), limit_path=path)
 
 
 def _row_sum(offsets, weights, L, z, head, shifts=None):
@@ -406,7 +409,7 @@ def kernel_k00(m: Measure, extended: bool = False) -> float:
     """K(0, 0), the diagonal kernel value whose reciprocal upper-bounds the
     optimization constant of the averaged form factor: the real section at
     z = 0.  For a batch measure, an array over the batch."""
-    k00 = kernel_k0z_grid(m, _Z0, extended=extended).real
+    k00 = _section(m, _Z0, extended).real
     return float(k00) if k00.ndim == 0 else k00
 
 
@@ -429,11 +432,13 @@ def kernel_k00(m: Measure, extended: bool = False) -> float:
 # L^2 < _CLOSE_GAP it is ``_contour``'s 8-node sum.
 
 def _c3zero_rows(c1, c2, delta, w: complex):
-    """(offsets, weights, close) of u_w (c3 = 0, one w): u_w(xi) = 1/2 sum_r
-    weights_r e^{offsets_r xi}, whose ``_row_sum`` at z is K(conj w, z).
+    """(offsets, weights, close) of u_w (c3 = 0, one finite w): u_w(xi) = 1/2
+    sum_r weights_r e^{offsets_r xi}, whose ``_row_sum`` at z is K(conj w, z).
     The rows, on a last axis after a batch's axes, are (i om, -i om, s)
     with weights (a - i b, a + i b, 2 c), and where ``close`` the 16 contour
     rows +-eta_k (weight 0 for the other measures of a batch)."""
+    if not cmath.isfinite(w):
+        raise ValueError(f"w must be finite, got {w}")
     shape = getattr(c1, "shape", ())
     c1, L = _flat(c1), _flat(delta / 2.0)
     om = (np.sqrt if shape else math.sqrt)(2.0 * _flat(c2) / c1)
@@ -484,30 +489,35 @@ def _pole_rows(c1, om, L, s):
 def kernel_c3zero(m: Measure, w: complex, z: complex,
                   extended: bool = False) -> KernelEvaluation:
     """Full kernel K(w, z) for c3 = 0 and any c2 >= 0, Hermitian and entire in
-    each variable: the transform of u_{conj w} at z, one quotient call.
-    limit_path: REMOVABLE_W where ``_c3zero_rows`` took the contour rows at
-    the coefficients' pole 2 c1 pi^2 w^2 = c2, NONE elsewhere."""
+    each variable, at finite w and z: the transform of u_{conj w} at z over
+    ``_c3zero_rows``.  limit_path: REMOVABLE_W where they include the contour
+    rows at the coefficients' pole 2 c1 pi^2 w^2 = c2, NONE elsewhere."""
     m.require_single()
     if m.c3 != 0.0:
         raise InvalidRegime("use kernel_k0z for c3 > 0")
     m.require_admissible(extended=extended)
     w, z = complex(w), complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     offsets, weights, close = _c3zero_rows(m.c1, m.c2, m.delta, w.conjugate())
-    val = np.dot(weights, sinh_quot_scaled(_TWO_PI_I * z + offsets, m.delta / 2.0, 0.0))
+    val = _row_sum(offsets, weights, m.delta / 2.0, np.array(z), 3)
     return KernelEvaluation(value=complex(val),
                             limit_path=LimitPath.REMOVABLE_W if close else LimitPath.NONE)
 
 
 # ---------------------------------------------------------------------------
-# vectorized section evaluation
+# the section K(0, z) of either regime
 # ---------------------------------------------------------------------------
 
-def _k0z_c3zero(m: Measure, z):
-    """K(0, z) for c3 = 0 or a pure atom over u_0's rows, one measure's
-    cached and read-only as its TransformSolution is for c3 > 0."""
-    rows = _c3zero_section if isinstance(m.c1, np.ndarray) else _section
-    offsets, weights = rows(m.c1, m.c2, m.delta)
-    return _row_sum(offsets, weights, m.delta / 2.0, z, 3)
+def _section_rows(m: Measure):
+    """``_row_sum``'s (offsets, weights, shifts, head) of K(0, .) for measures
+    of one regime: the TransformSolution's rows (head 5) where c2 > 0 and
+    c3 > 0, else u_0's (head 3, shifts None).  One measure's are cached."""
+    if np.count_nonzero((m.c2 == 0.0) | (m.c3 == 0.0)):
+        rows = _c3zero_section if isinstance(m.c1, np.ndarray) else _cached_c3zero_section
+        return rows(m.c1, m.c2, m.delta) + (None, 3)
+    sol = k0_transform_solution(m)
+    return sol.offsets, sol.weights, sol.shifts, 5
 
 
 def _c3zero_section(c1, c2, delta):
@@ -519,40 +529,41 @@ def _c3zero_section(c1, c2, delta):
     return offsets, weights
 
 
-_section = functools.lru_cache(maxsize=8)(_c3zero_section)
+_cached_c3zero_section = functools.lru_cache(maxsize=8)(_c3zero_section)
 
 
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
-    """K(0, z) over an array of points, for any c3 >= 0: one quotient call
-    per regime over cached rows, u_0's for c3 = 0 or a pure atom (2, or 19
-    near the pole) or the section's (5, or 21 where the roots nearly meet).
-    For a batch measure the result has the batch's shape followed by z's,
-    and the regimes are masks over the batch."""
-    m.require_admissible(extended=extended)
+    """K(0, z) over an array of finite points, for any c3 >= 0: one
+    ``_row_sum`` per regime over ``_section_rows``.  For a batch measure the
+    result has the batch's shape followed by z's, and the regimes are masks
+    over the batch."""
     z = np.asarray(z, dtype=complex)
+    if np.count_nonzero(np.isfinite(z)) < z.size:
+        raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
+    return _section(m, z, extended)
+
+
+def _section(m: Measure, z: np.ndarray, extended: bool) -> np.ndarray:
+    """``kernel_k0z_grid`` at points known to be finite."""
+    m.require_admissible(extended=extended)
     sinc = (m.c2 == 0.0) | (m.c3 == 0.0)
-    n_sinc = np.count_nonzero(sinc)
-    if not n_sinc:
-        return np.asarray(_k0z_section(m, z))
-    if n_sinc == getattr(sinc, "size", 1):
-        return np.asarray(_k0z_c3zero(m, z))
+    if np.count_nonzero(sinc) in (0, getattr(sinc, "size", 1)):
+        offsets, weights, shifts, head = _section_rows(m)
+        return np.asarray(_row_sum(offsets, weights, m.delta / 2.0, z, head, shifts))
     out = np.empty(sinc.shape + z.shape, dtype=complex)
-    for mask, regime in ((sinc, _k0z_c3zero), (~sinc, _k0z_section)):
-        out[mask] = regime(Measure(m.c1[mask], m.c2[mask], m.c3[mask], m.delta[mask]), z)
+    for mask in (sinc, ~sinc):
+        out[mask] = _section(Measure(m.c1[mask], m.c2[mask], m.c3[mask], m.delta[mask]),
+                             z, extended)
     return out
 
 
 def k0_endpoint_value(m: Measure) -> float:
     """Value of the transform-side solution u0 at the support endpoint L =
-    Delta/2; the coefficient of the 1/x far field of K(0, x): half the
-    rows' sum of weights_r e^{(offsets_r - shifts_r) L}, the shifts 0 for
-    u_0's rows at c3 = 0 or a pure atom.  The measure must pass the extended
-    admissibility gate."""
+    Delta/2; the coefficient of the 1/x far field of K(0, x): half the sum
+    of weights_r e^{(offsets_r - shifts_r) L} over ``_section_rows``.  The
+    measure must pass the extended admissibility gate."""
     m.require_single()
     m.require_admissible(extended=True)
-    if m.c3 > 0.0 and m.c2 > 0.0:
-        sol = k0_transform_solution(m)
-        offsets, weights, shifts = sol.offsets, sol.weights, sol.shifts
-    else:
-        (offsets, weights), shifts = _section(m.c1, m.c2, m.delta), 0.0
-    return float(0.5 * np.sum(weights * np.exp((offsets - shifts) * (m.delta / 2.0))).real)
+    offsets, weights, shifts, _ = _section_rows(m)
+    exponents = offsets if shifts is None else offsets - shifts
+    return float(0.5 * np.sum(weights * np.exp(exponents * (m.delta / 2.0))).real)

@@ -2,13 +2,15 @@
 are built from: moment integrals of complex exponentials over [0, L] and
 sinc-type quotients with removable zeros.
 
-All functions accept complex scalars or arrays, and ``L`` (and ``shift``) may
-be arrays that broadcast against the arguments: one call then evaluates a
-batch of measures.  One moment call gives every order up to k_max: a
-truncated power series where |s| L < 1, summed from one table of powers of
-s L, and elsewhere one exp per point and the upward recurrence; the switch
-radius keeps both branches well inside 1e-13 relative accuracy.  The sinh
-and sin quotients need no switch: one expm1 formula holds for every s.
+The functions take complex arrays (``exp_moments`` and ``sinc_band`` scalars
+too), and ``L`` (and ``shift``) may be arrays that broadcast against the
+arguments: one call then evaluates a batch of measures.  One moment call
+gives every order up to k_max: a truncated power series where |s| L < 1,
+summed from one table of powers of s L, and elsewhere one exp per point and
+the upward recurrence; the switch radius keeps both branches well inside
+1e-13 relative accuracy.  The sinh quotient, which every closed-form kernel
+value sums (``kernels._row_sum``), needs no switch: one expm1 formula holds
+for every s.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 # constants as 0-d arrays, which a ufunc takes without a Python scalar's
 # conversion
 _SERIES_RADIUS = np.array(1.0)
-_ZERO, _I = np.zeros((), dtype=complex), np.array(1j)
+_TINY = np.array(1e-300)
 _SERIES_TERMS = 20          # (1/20!) < 5e-19: the truncation error at |s L| = 1
 _MAX_ORDER = 31             # highest order of the divisor table below
 _FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
@@ -98,51 +100,31 @@ def _recurrence(k_max, s, x, L):
     return np.array(phi)
 
 
-def sinh_quot_scaled(s, L, shift):
-    """e^{-shift L} sinh(s L) / s for every complex s (L e^{-shift L} at s = 0).
+def _sinh_quot(s, L, shift=None):
+    """e^{-shift L} sinh(s L) / s on an array s, for every complex s (L
+    e^{-shift L} at s = 0); L and shift broadcast against s, and shift None
+    is shift 0, whose subtraction would change no bit.
 
     The quotient is even in s: s is reflected into Re s >= 0 and evaluated as
     L e^{(s - shift) L} expm1(y) / y, y = -2 s L, which neither cancels near
     s = 0 nor overflows while (|Re s| - shift) L < 709, so shift L may run
-    into the thousands.  Scalars are evaluated as 1-element arrays, so a
-    scalar call and a batched one round alike.
+    into the thousands.  Each point's value is the same whatever the other
+    points of the call.
     """
-    scalar = np.ndim(s) == 0 and np.ndim(L) == 0 and np.ndim(shift) == 0
-    out = _sinh_quot(np.array(s, dtype=complex, ndmin=1, copy=None), L, shift)
-    return complex(out[0]) if scalar else out
-
-
-def _sinh_quot(s, L, shift=None):
-    """sinh_quot_scaled on an array s; shift None is shift 0, whose
-    subtraction would change no bit."""
     s = s * np.copysign(1.0, s.real)
     y = -2.0 * L * s
     exprel = np.expm1(y)
-    nonzero = y != _ZERO
-    np.divide(exprel, y, out=exprel, where=nonzero)
-    exprel[~nonzero] = 1.0          # expm1(y) / y -> 1 at y = 0
+    big = abs(y) > _TINY    # else expm1(y) / y = 1, and dividing by a subnormal overflows
+    np.divide(exprel, y, out=exprel, where=big)
+    exprel[~big] = 1.0
     return L * np.exp((s if shift is None else s - shift) * L) * exprel
 
 
-def sin_quot(s, L):
-    """sin(s L) / s = sinh(i s L) / (i s), with the value L at s = 0."""
-    scalar = np.ndim(s) == 0 and np.ndim(L) == 0
-    out = _sinh_quot(_I * np.array(s, dtype=complex, ndmin=1, copy=None), L)
-    return complex(out[0]) if scalar else out
-
-
 def sinc_band(delta: float, x, center=0.0):
-    """sin(pi delta (x - center)) / (pi (x - center)) for real array x.
+    """sin(pi delta (x - center)) / (pi (x - center)) for real or complex x.
 
     The reproducing kernel of the classical band-limited space with
     transform support [-delta/2, delta/2]; value delta at the center.
     """
-    arg = np.pi * delta * (np.asarray(x, dtype=float) - center)
+    arg = np.pi * delta * (np.asarray(x) - center)
     return delta * np.sinc(arg / np.pi)
-
-
-def sinc_band_c(delta: float, z, center=0.0):
-    """Complex-argument version of :func:`sinc_band`:
-    sin(pi delta (z - center)) / (pi (z - center)) = sin_quot(pi (z - center), delta)."""
-    d = np.asarray(z, dtype=complex) - complex(center)
-    return sin_quot(np.pi * d, delta)

@@ -358,9 +358,9 @@ def _ode_draws():
 # 3x the largest ode_residual measured on these checks' cases and on 450
 # oracle_xcheck-style measures, each solved at w = 0 and 3 real w in [-2, 2]
 # (2.0e-15, both regimes), rounded up to one digit; a 1e-10 relative
-# perturbation of u reads 1.8e-13 or more.  On five panels of 40 nodes the
-# same kind of draws read up to 2.4e-15 (c3 = 0), and so does the closed
-# form u on those nodes: the rounding of the residual's own integrals
+# perturbation of u reads 1.8e-13 or more.  With the panel totals summed in
+# long double, draws at 960 to 2000 panels read up to 8.0e-16 (4.0e-15 with
+# a running sum in doubles, the residual's own rounding)
 ODE_TOL = 6e-15
 
 

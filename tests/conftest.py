@@ -16,8 +16,10 @@ a registry check holds (``registry_test``) read the same outcome.
 tests: adaptive Gauss-Legendre integration, independent of every closed form.
 ``aux_A``, ``aux_B`` and ``aux_C`` are the paper's moment functions A, B and
 the transform C in their scalar defining forms, the test oracles of the
-kernels' batched means and divided differences; ``sinh_quot`` is the
-shift-0 quotient that ``aux_C`` and ``test_special.py`` use.  ``assemble`` is the dense
+kernels' batched means and divided differences.  ``sinh_quot_scaled``,
+``sinh_quot`` (its shift-0 case, which ``aux_C`` uses) and ``sin_quot`` call
+the one quotient the kernels run, ``special._sinh_quot``, for
+``test_special.py``.  ``assemble`` is the dense
 Nystrom matrix, the oracle of the oracle's panel operator: of its solve,
 its product, its condition estimate and ``uniqueness_ratio``
 (``dense_sigma_min``).
@@ -35,7 +37,7 @@ import numpy as np  # noqa: E402
 
 from pairpack.fredholm import _nystrom_system, _panel_block  # noqa: E402
 from pairpack.quadrature import gauss_legendre  # noqa: E402
-from pairpack.special import exp_moments, sinh_quot_scaled  # noqa: E402
+from pairpack.special import _sinh_quot, exp_moments  # noqa: E402
 from pairpack.verify import CHECKS  # noqa: E402  (after the BLAS setting)
 
 BY_NAME = {check.name: check for check in CHECKS}
@@ -145,9 +147,21 @@ def aux_B(m, eta: complex) -> complex:
     return out
 
 
+def sinh_quot_scaled(s, L, shift=None):
+    """e^{-shift L} sinh(s L) / s (L e^{-shift L} at s = 0) by the kernels'
+    own ``special._sinh_quot``, a scalar s as a 1-element array."""
+    out = _sinh_quot(np.array(s, dtype=complex, ndmin=1, copy=None), L, shift)
+    return out if np.ndim(s) or np.ndim(L) or np.ndim(shift) else complex(out[0])
+
+
 def sinh_quot(s, L):
     """sinh(s L) / s, with the value L at s = 0."""
-    return sinh_quot_scaled(s, L, 0.0)
+    return sinh_quot_scaled(s, L)
+
+
+def sin_quot(s, L):
+    """sin(s L) / s = sinh(i s L) / (i s), with the value L at s = 0."""
+    return sinh_quot_scaled(1j * np.asarray(s), L)
 
 
 def aux_C(m, eta: complex, z: complex) -> complex:

@@ -184,6 +184,23 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "<= 1e+140, got 1e+1" in proc.stderr
 
+    @pytest.mark.parametrize("flags", [("--w-re", "nan"), ("--w-im", "inf"), ("--z", "1,nan")])
+    def test_oracle_non_finite_point_is_one(self, capsys, flags):
+        code, out, err = run_cli(capsys, "oracle", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("spec", ["1:2:3", "0.5", "1:x"])
+    def test_bad_average_window_names_the_flag(self, capsys, tmp_path, spec):
+        zeros = tmp_path / "zeros.txt"
+        zeros.write_text("# lambda=1\n14.1347\n21.0220\n")
+        code, out, err = run_cli(capsys, "formfactor", "--zeros", str(zeros), f"--avg={spec}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --avg must be b:ell, got {spec!r}\n"
+
     def test_oracle_over_node_cap_is_one(self, capsys):
         # 100000 nodes need 2500 panels of at most 40
         code, out, err = run_cli(capsys, "oracle", "--n", "100000")

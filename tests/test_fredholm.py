@@ -494,6 +494,23 @@ class TestOdeResidual:
                 assert ode_residual(m, sol) <= ODE_TOL
                 assert ode_residual(m, planted) > ODE_TOL
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs a long double wider than a double")
+    def test_many_panels_keep_the_documented_margin(self):
+        # 960 to 2000 panels; a running sum of the panel totals in doubles
+        # read up to 4.0e-15 here (2.9e-15 on the first case), more than
+        # ODE_TOL / 3
+        rng = np.random.default_rng(2000)
+        cases = [(Measure(1, 1, 20000, 0.5), 1.3)]
+        for _ in range(4):
+            c1, delta = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2)
+            cases.append((Measure(c1, rng.uniform(0.05, 1.66) * c1 / delta ** 2,
+                                  rng.uniform(4800, 10000) / delta, delta), rng.uniform(-2, 2)))
+        for m, w in cases:
+            sol = solve_integral_eq(m, w)
+            assert sol.panels >= 960
+            assert ode_residual(m, sol) <= ODE_TOL / 3
+
 
 class TestOracleAgreementSweep:
     test_random_c3zero_measures = registry_test("nystrom_vs_closed_form")

@@ -431,6 +431,15 @@ class TestKernelK0z:
         with pytest.raises(InvalidRegime):
             kernel_k0z(Measure(1, 1, 0.0, 0.5), 0.3)
 
+    def test_pure_atom_reports_the_rows_it_summed(self):
+        # a pure atom at c3 > 0 sums u_0's rows at their pole w = 0: the
+        # contour rows, which the marker names
+        m = Measure(2.0, 0.0, 1.5, 0.8)
+        ev = kernel_k0z(m, 0.9)
+        assert ev.limit_path is LimitPath.REMOVABLE_W
+        assert ev.value == pytest.approx(np.sin(np.pi * 0.8 * 0.9) / (np.pi * 0.9) / 2.0,
+                                         abs=1e-15)
+
 
 class TestContour:
     @staticmethod

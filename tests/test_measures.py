@@ -5,9 +5,9 @@ import pytest
 from conftest import integrate_with_kink, registry_test
 
 from pairpack import (EXTENDED_SIGMA, SUP_G, InvalidRegime, Measure, NotAdmissible,
-                      closed_form_u, ep1_ratio_check, g_surface, kernel_c3zero,
-                      kernel_k0z, norm_bounds, nu_hat, reproducing_residual,
-                      solve_integral_eq)
+                      closed_form_u, ep1_ratio_check, g_surface, k_from_u, kernel_c3zero,
+                      kernel_k0z, kernel_k0z_grid, norm_bounds, nu_hat,
+                      reproducing_residual, solve_integral_eq)
 from pairpack.fredholm import uniqueness_ratio
 from pairpack.kernels import k0_endpoint_value
 
@@ -88,6 +88,24 @@ class TestMeasure:
     def test_batch_refused_by_one_measure_functions(self, c3, call):
         with pytest.raises(InvalidRegime, match="batch of shape \\(2,\\)"):
             call(Measure(1.0, np.array([0.5, 1.0]), c3, 0.5))
+
+    @pytest.mark.parametrize("c3, call", [
+        (0.0, lambda m: kernel_c3zero(m, np.nan, 0.1)),
+        (0.0, lambda m: kernel_c3zero(m, 0.3, complex(0.1, np.inf))),
+        (1.0, lambda m: kernel_k0z(m, np.nan)),
+        (1.0, lambda m: kernel_k0z_grid(m, [0.3, np.inf])),
+        (0.0, lambda m: kernel_k0z_grid(Measure(1.0, np.array([0.0, 1.0]), 0.0, 0.5),
+                                        np.array([[0.1], [np.nan]]))),
+        (1.0, lambda m: solve_integral_eq(m, np.inf)),
+        (0.0, lambda m: closed_form_u(m, np.nan, 0.1)),
+        (1.0, lambda m: k_from_u(solve_integral_eq(m, 0.3), [0.2, -np.inf])),
+    ], ids=["kernel_c3zero_w", "kernel_c3zero_z", "kernel_k0z", "kernel_k0z_grid",
+            "kernel_k0z_grid_batch", "solve_integral_eq", "closed_form_u", "k_from_u"])
+    def test_non_finite_point_refused(self, c3, call):
+        # refused before any arithmetic: a RuntimeWarning would fail the
+        # test session before the ValueError
+        with pytest.raises(ValueError, match="must be finite, got (nan|inf|-inf|.*j)"):
+            call(Measure(1.0, 1.0, c3, 0.5))
 
 
 class TestNuHat:

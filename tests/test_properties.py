@@ -12,8 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 import pairpack.fredholm as fredholm  # noqa: E402
 from pairpack import (EmptyWindow, Measure, Window, ZeroDataset,  # noqa: E402
                       average_bounds, form_factor,
-                      form_factor_positive, k_from_u, kernel_k00, kernel_k0z_grid,
-                      solve_integral_eq)
+                      form_factor_positive, k_from_u, kernel_c3zero, kernel_k00,
+                      kernel_k0z, kernel_k0z_grid, solve_integral_eq)
 from pairpack.kernels import k0_transform_solution  # noqa: E402
 from pairpack.quadrature import gauss_legendre  # noqa: E402
 from pairpack.verify import K0Z_TOL  # noqa: E402
@@ -126,6 +126,36 @@ class TestOracleProperties:
         # the oracle's K(w, 0) = conj k_w(0) against conj K(0, w)
         k_w0 = np.conj(k_from_u(solve_integral_eq(m, w), 0.0))
         assert abs(k_w0 - np.conj(complex(kernel_k0z_grid(m, w)))) <= K0Z_TOL
+
+
+# c3 = 0: pure atoms, the coefficient pole's band around w = 0 (om^2 L^2 =
+# sigma / 2 below _CLOSE_GAP) and the rest of the gate.  c3 > 0: pure atoms,
+# the degenerate line lam = 4 c3^2 and c3 Delta up to 50
+c3zero_measures = st.builds(
+    lambda c1, delta, sigma: Measure(c1, sigma * c1 / delta ** 2, 0.0, delta),
+    st.floats(0.5, 2.0), st.floats(0.3, 1.2),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.03), st.floats(0.0, 1.66)))
+c3pos_measures = st.builds(
+    lambda c1, delta, sigma, c3_delta: Measure(
+        c1, sigma * c1 / delta ** 2,
+        math.sqrt(sigma) / (2.0 * delta) if c3_delta is None else c3_delta / delta, delta),
+    st.floats(0.5, 2.0), st.floats(0.3, 1.2), st.one_of(st.just(0.0), st.floats(0.0, 1.66)),
+    st.one_of(st.none(), st.floats(0.01, 50.0))).filter(lambda m: m.c3 > 0.0)
+
+
+class TestOneEvaluator:
+    @settings(fixed, max_examples=300)
+    @given(c3zero_measures, points)
+    @example(Measure(2.0, 0.0, 0.0, 0.8), 0.3 - 0.2j)
+    def test_c3zero_at_w0_is_the_section(self, m, z):
+        assert kernel_c3zero(m, 0.0, z).value == complex(kernel_k0z_grid(m, z))
+
+    @settings(fixed, max_examples=200)
+    @given(c3pos_measures, points)
+    @example(Measure(2.0, 0.0, 1.5, 0.8), 0.9)
+    @example(Measure(*LINE_MEASURE), 1.1 + 0.3j)
+    def test_k0z_is_the_grid(self, m, z):
+        assert kernel_k0z(m, z).value == complex(kernel_k0z_grid(m, z))
 
 
 def panel_matvec_error(m, panels, per, seed=0):

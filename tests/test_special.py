@@ -2,9 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import sinh_quot
-
-from pairpack.special import sin_quot
+from conftest import sin_quot, sinh_quot, sinh_quot_scaled
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -18,7 +16,7 @@ _L = _rng.uniform(0.1, 1.2, _X.size)
 _S = _X / _L
 
 
-# sinh_quot is the tests' shift-0 case of pairpack.special.sinh_quot_scaled
+# both through the kernels' quotient, pairpack.special._sinh_quot
 _QUOTIENTS = {"sin_quot": sin_quot, "sinh_quot": sinh_quot}
 
 
@@ -102,7 +100,6 @@ def test_sinh_quot_scaled_large_shift_against_mpmath():
     # the shift, so the value stays representable; |Im s L| up to 700.  The
     # bound allows 2 eps per unit of the exponent (s -+ shift) L, for its
     # rounding
-    from pairpack.special import sinh_quot_scaled
     rng = np.random.default_rng(20261020)
     n = 200
     L = rng.uniform(0.1, 1.2, n)
@@ -116,7 +113,7 @@ def test_sinh_quot_scaled_large_shift_against_mpmath():
 
 
 def test_batched_L_matches_scalar_calls():
-    from pairpack.special import exp_moments, sin_quot, sinh_quot_scaled
+    from pairpack.special import exp_moments
     np.testing.assert_array_equal(exp_moments(3, _S, _L)[3],
                                   [exp_moments(3, s, L)[3] for s, L in zip(_S, _L)])
     np.testing.assert_array_equal(sin_quot(_S, _L), [sin_quot(s, L) for s, L in zip(_S, _L)])
@@ -158,7 +155,6 @@ def test_sinh_quot_scaled_exact_zeros_in_an_array():
     # s = 0 inside an array takes the removable value L e^{-shift L} and
     # raises no RuntimeWarning (the test session turns warnings into errors)
     import warnings
-    from pairpack.special import sin_quot, sinh_quot_scaled
     s = np.array([0.0, 0.3 + 1j, -0.0, 2j, -1.5, 0j, -0.0 - 0.0j])
     L = np.array([0.25, 0.5, 1.0, 0.7, 0.2, 1.2, 0.4])
     shift = np.array([0.0, 1.0, 3.0, 0.5, 0.0, 40.0, 2.0])
@@ -172,3 +168,18 @@ def test_sinh_quot_scaled_exact_zeros_in_an_array():
     np.testing.assert_array_equal(got[~zero], [sinh_quot_scaled(v, l, c) for v, l, c
                                                in zip(s[~zero], L[~zero], shift[~zero])])
     assert sinh_quot_scaled(0.0, 0.5, 2.0) == pytest.approx(0.5 * np.exp(-1.0), rel=1e-15)
+
+
+def test_subnormal_arguments_take_the_removable_value():
+    # expm1(y) / y is 1 to rounding where |y| = 2 |s| L <= 1e-300; numpy's
+    # complex division by a subnormal y overflowed to inf with a
+    # RuntimeWarning (an error in this test session)
+    import warnings
+    s = np.array([5e-324, 2.2e-311j, -3e-309 + 1e-310j, 1e-305 - 1e-305j, 4e-301, 1e-290j])
+    L = np.array([0.5, 0.5, 1.2, 0.25, 0.7, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sinh_quot_scaled(s, L)
+        trig = sin_quot(s, L)
+    np.testing.assert_allclose(got, L, rtol=2.3e-16, atol=0)
+    np.testing.assert_allclose(trig, L, rtol=2.3e-16, atol=0)
