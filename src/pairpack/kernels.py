@@ -10,18 +10,14 @@ of the section K(0, .) the table that ``_section_rows`` chooses.  Two regimes:
   divided difference by the contour rule of close roots below, whose nodes
   are 16 more rows.  A pure atom (c2 = 0) is that case at w = 0.
 
-* c3 > 0: only the section K(0, z) has a closed form.  It is built from the
-  characteristic quartic roots eta1, eta2, the moment functions A, B, the
-  transform C(eta, z), and the constant mu.  Numerator and divisor of the
-  two-root formula are both antisymmetric in the roots, so the section is
-  written in the means and eta^2-divided differences of A, B and C.  That
-  one formula holds on the degenerate line lam = 4 c3^2 as well; for close
-  roots the divided differences are Cauchy integrals, taken by the 8-point
-  trapezoid rule on a circle around both roots.  One measure is the 0-d
-  case of a batch: its real parameters stay Python floats, its complex
-  values are arrays with leading axes (roots, moment orders, contour
-  nodes), and its values are bit-identical alone and inside a batch (the
-  layout notes above ``_contour`` say why).
+* c3 > 0: only the section K(0, z) has a closed form: mu plus cosh rows at
+  the characteristic quartic roots eta1, eta2, whose two weights solve one
+  2 x 2 boundary system per measure (the notes above ``_contour``), whose
+  determinant is the paper's divisor up to a factor.  Near the degenerate
+  line lam = 4 c3^2 the system is solved in means and divided differences,
+  Cauchy integrals taken by the contour rule, whose nodes give 16 more
+  rows.  One measure is the 0-d case of a batch, bit-identical alone and
+  inside a batch (the layout notes above ``_contour`` say why).
 
 Sign convention: B carries a minus sign on its integral term, fixed by
 requiring the removable singularities to cancel and confirmed against the
@@ -40,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateRoots, InvalidRegime, NotAdmissible
 from .measures import Measure
-from .special import _sinh_quot, exp_moments
+from .special import _sinh_quot
 
 DEGENERACY_RTOL = 1e-9
 # largest c3 of the c3 > 0 closed forms: correct to 1e145 for c1 in [1e-6, 1e6]
@@ -50,7 +46,7 @@ SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
 _CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # _contour's 8 points
 # complex constants, as arrays: their products with complex arrays skip a
 # Python scalar's conversion and a float array's cast
-_Z0, _HALF, _ONE = np.zeros((), dtype=complex), np.array(0.5 + 0j), np.array(1.0 + 0j)
+_Z0 = np.zeros((), dtype=complex)
 _TWO_PI_I = np.array(2j * np.pi)
 
 
@@ -105,19 +101,8 @@ def quartic_roots(m: Measure) -> EtaPair:
     eta1^2 = c3^2 (2 lam + c3^2) / eta2^2 (Vieta), so that both stay
     accurate as c3 -> 0.  For a batch measure every field is an array over
     the batch (``case_tag`` an object array)."""
-    return _roots(m)[0]
-
-
-def _roots(m: Measure):
-    """The EtaPair and the roots stacked as one array, (eta1, eta2) on a
-    leading axis."""
-    c2, c3 = m.c2, m.c3
-    if np.count_nonzero((c3 > C3_MAX) | (c3 == 0.0) | (c2 == 0.0)):
-        _require_c3_bound(m)
-        if np.count_nonzero(c3 == 0.0):
-            raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
-        raise InvalidRegime("c2 = 0 degenerates to the pure sinc kernel")
-    lam, c3_sq = c2 / m.c1, c3 * c3
+    _require_two_roots(m)
+    lam, c3_sq = m.c2 / m.c1, m.c3 * m.c3
     # eta2^2 = c3^2 - lam - sqrt(lam) Lam adds terms of one sign.  Where Lam
     # is real, eta1^2 comes from the product of the roots, c3^2 (2 lam +
     # c3^2), as the sum c3^2 - lam + sqrt(lam) Lam cancels when c3 -> 0;
@@ -129,11 +114,23 @@ def _roots(m: Measure):
     eta2_sq = c3_sq - lam - np.sqrt(lam) * np.sqrt(lam - 4.0 * c3_sq + 0j)
     eta1_sq = (c3_sq * ((2.0 * lam + c3_sq) / eta2_sq) * real_lam
                + np.conj(eta2_sq) * (1 - real_lam) + 0.0)
-    eta = np.sqrt(np.array([eta1_sq, eta2_sq]))
+    return _eta_pair(np.sqrt(np.array([eta1_sq, eta2_sq])), lam, c3_sq)
+
+
+def _require_two_roots(m: Measure) -> None:
+    """Refuse a measure, or any entry of a batch, without two quartic roots."""
+    if np.count_nonzero((m.c3 > C3_MAX) | (m.c3 == 0.0) | (m.c2 == 0.0)):
+        _require_c3_bound(m)
+        if np.count_nonzero(m.c3 == 0.0):
+            raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
+        raise InvalidRegime("c2 = 0 degenerates to the pure sinc kernel")
+
+
+def _eta_pair(eta, lam, c3_sq) -> EtaPair:
+    """The EtaPair of the roots (eta1, eta2) on a leading axis."""
     # eta1^2 - eta2^2 scales as sqrt(lam - 4 c3^2), hence the squared rtol
     degenerate = abs(lam - 4.0 * c3_sq) <= DEGENERACY_RTOL ** 2 * (lam + 4.0 * c3_sq)
-    tag = _CASE_TAGS[2 * degenerate + real_lam]
-    return EtaPair(eta1=eta[0], eta2=eta[1], degenerate=degenerate, case_tag=tag), eta
+    return EtaPair(eta[0], eta[1], degenerate, _CASE_TAGS[2 * degenerate + (lam > 4.0 * c3_sq)])
 
 
 def quartic_residual(m: Measure, eta: complex) -> float:
@@ -161,9 +158,11 @@ def mu(m: Measure) -> float:
 
 
 def script_L(m: Measure) -> complex:
-    """The divisor A(eta1) B(eta2) - B(eta1) A(eta2) of the c3 > 0 kernel,
-    evaluated as (eta1^2 - eta2^2) (A' Bbar - Abar B') from the section's
-    transform solution.  For a batch measure, an array over the batch.
+    """The divisor A(eta1) B(eta2) - B(eta1) A(eta2) = det Gamma' / (2 c3^3)
+    of the c3 > 0 kernel (notes above ``_contour``): the transform
+    solution's det times eta1^2 - eta2^2 = 2 sqrt(lam) sqrt(lam - 4 c3^2),
+    with c2 - 4 c3^2 c1 exact, so that it keeps its relative accuracy next
+    to the degenerate line.  For a batch measure, an array over the batch.
 
     Real and negative when the roots are purely imaginary; purely imaginary
     with negative imaginary part when they sit in conjugate quadrants.
@@ -178,57 +177,96 @@ def script_L(m: Measure) -> complex:
     sol = k0_transform_solution(m)
     if np.count_nonzero(sol.roots.degenerate):
         raise DegenerateRoots("lam = 4 c3^2: the two-root divisor is not defined")
-    # complex products on arrays, as in the transform solution, so that a
-    # measure's divisor is the same alone and in a batch
-    zeta = np.array([sol.roots.eta1, sol.roots.eta2]) ** 2
-    return ((zeta[:1] - zeta[1:]) * sol.det)[0]
+    c1, c2 = m.c1, m.c2
+    sq, sq_err = _two_product(m.c3, m.c3)
+    t, t_err = _two_product(sq, c1)
+    disc = ((c2 - 4.0 * t) - 4.0 * (t_err + sq_err * c1)) / c1      # lam - 4 c3^2
+    roots = np.sqrt(np.array([c2 / c1, disc]) + 0j)
+    return 2.0 * roots[0] * roots[1] * sol.det
+
+
+def _two_product(a, b):
+    """(p, e) with p = a b rounded and p + e = a b exactly (Dekker's product
+    over Veltkamp's halves), for Python floats or arrays."""
+    p, a_big, b_big = a * b, a * 134217729.0, b * 134217729.0      # 2^27 + 1
+    a_hi, b_hi = a_big - (a_big - a), b_big - (b_big - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 # ---------------------------------------------------------------------------
-# c3 > 0: the section in means and eta^2-divided differences
+# c3 > 0: the section from one boundary matrix per measure
 # ---------------------------------------------------------------------------
 #
-# Each root-dependent quantity X (A, B, C(., z), cosh(. L)) is an even entire
-# function of eta, hence of zeta = eta^2.  The section needs only the mean
-# Xbar = (X1 + X2) / 2 and the divided difference X' = (X1 - X2) / (zeta1 -
-# zeta2), both finite where the roots meet.  For close roots X' is Cauchy's
-# integral of X(zeta) / ((zeta - zeta1) (zeta - zeta2)) over a circle around
-# both roots, taken by the trapezoid rule (Kassam and Trefethen, SIAM J. Sci.
-# Comput. 26, 2005): a weighted sum of X at 8 nodes, which no cancellation
-# between X1 and X2 enters.
+# With L = Delta/2, lam = c2/c1 and mu = c3^2 / (c1 c3^2 + 2 c2), the
+# section's solution is u0(xi) = mu + e^{-c3 L} (w1 cosh(eta1 xi) + w2
+# cosh(eta2 xi)).  Its two end conditions (j = 1, 2) are one 2 x 2 boundary
+# system per measure, Gamma (w1, w2) = -mu (1/c3, 1/c3^2), with
 #
-# One code path serves one measure and a batch; "close roots" is a mask over
-# the measures.  Layout:
+#     Gamma_jk = e^{-c3 L} (e^{-eta_k L} / (c3 + eta_k)^j + e^{eta_k L} / (c3 - eta_k)^j) / 2.
 #
-# * Real parameters keep their own type: c1, c2, c3, L = Delta/2 and lam are
-#   Python floats for one measure and arrays over the batch, flattened to
-#   one axis, for a batch; every real-only step (denominators, rho1, rho2,
-#   mu, the close test) costs a Python float operation for one measure.  The
-#   real coefficients that multiply complex values are cast once, as one
-#   complex array.
+# Column k scaled by P_k^2, P = c3^2 - zeta, zeta = eta^2, is entire and
+# even in eta.  In units of c3 (P = 1 - zeta, Q = 1 + zeta, L for c3 L), with
+# u = 1 - eta = P / (1 + eta), b = e^{-u L} and E = expm1(-2 eta L), so
+# that e^{-(1 + eta) L} = b (1 + E), its entries are F1 = P b (1 + E u / 2)
+# = P phi1 and F2 = b (Q + E u^2 / 2), and Cramer's rule gives w1 = mu P1^2
+# G2 / det Gamma', w2 = -mu P2^2 G1 / det Gamma', with G = F1 - F2 = zeta
+# gamma, gamma = b (E u^2 / (2 eta) - 2).
+#
+# It is solved in numpy's long double (64-bit mantissa on x86-64) from lam
+# / c3^2 alone: P2 = lam + sqrt(lam (lam - 4)) and Q2 = 2 - P2 add terms of
+# one sign (or a real and an imaginary one), P1 = 4 lam / P2 and Q1 = 4 / Q2
+# (Vieta) keep the small root's factors as c3 -> 0, and zeta = 1 - P.  Each
+# weight is then one rounding from the exact solution (in double, with P, Q
+# and the roots rounded apart, bench-mix sections read up to 1.4e-15).
+#
+# The paper's divisor is det Gamma' / (2 c3^3) (``script_L``): the moments of
+# e^{-(c3 -+ eta) a} over [0, L] give A(eta) = 1 + 2 lam (Q / P^2 - Gamma_2 -
+# L Gamma_1) and B(eta) = zeta + 2 lam - c3^2 - 4 lam c3 (c3 / P - Gamma_1).
+# At a root of the quartic (mu(eta) = 0 for the operator's symbol), P^2 - 2
+# lam P + 4 lam c3^2 = 0, the constant parts cancel: A = -2 lam (Gamma_2 + L
+# Gamma_1) and B = 4 lam c3 Gamma_1.  The L terms drop out of A(eta1) B(eta2)
+# - B(eta1) A(eta2) = 8 lam^2 c3 det Gamma, and det Gamma' = (P1 P2)^2 det
+# Gamma with P1 P2 = 4 lam c3^2.
+#
+# Where the roots are near (|zeta1 - zeta2| < _NEAR_GAP lam), Cramer's rule
+# cancels (and divides 0 by 0 on the degenerate line lam = 4 c3^2).  There
+# the section is written in the means Xbar = (X1 + X2) / 2 and divided
+# differences X' = (X1 - X2) / (zeta1 - zeta2) of X = phi1, F2, gamma (even
+# and entire in eta), F1' and G' by the product rule, and det Gamma' /
+# (zeta1 - zeta2) = F1' F2bar - F1bar F2'.  X' is Cauchy's integral of
+# X(zeta) / ((zeta - zeta1) (zeta - zeta2)) around both roots, taken by the
+# trapezoid rule at ``_contour``'s 8 nodes (Kassam and Trefethen, SIAM J.
+# Sci. Comput. 26, 2005), which no cancellation between X1 and X2 enters.
+# Near roots are close (|zeta1 - zeta2| L^2 < _CLOSE_GAP) for sigma <= 40;
+# close roots take w1 = w2 = p/2 and 16 more rows, the divided difference of
+# cosh(eta xi) at the same nodes.
+#
+# One code path serves one measure and a batch; "near" and "close" are masks
+# over the measures.  Layout:
+#
+# * Real parameters are Python floats for one measure and arrays over the
+#   batch, flattened to one axis, for a batch; cast once to long double.
 # * Complex quantities are arrays with the measures on the last axis (one
-#   entry for one measure) and roots, signs, moment orders and contour nodes
-#   on leading ones, so that a constant of shape (k, 1) broadcasts alike
-#   against one measure and a batch.  A per-measure complex value keeps its
-#   measure axis (``det`` has shape (1,), never ()): numpy's complex multiply
-#   on numpy scalars skips the fused multiply-add of its array loop, so a
-#   0-d product would round apart from the same measure's product inside a
-#   batch.  Several values of one measure are stacked on a leading axis and
-#   computed by one ufunc call.
+#   entry for one measure; numpy's complex multiply on numpy scalars skips
+#   the fused multiply-add of its array loop, so a 0-d product would round
+#   apart from the same measure's product inside a batch), and entries,
+#   roots and contour nodes on leading ones.
 # * A square that a Python float can reach is written as a product, c3 * c3:
 #   Python's ``**`` calls libm pow, which rounds apart from numpy's square
 #   in about 0.1% of doubles, and so would tag roots on the degenerate line
 #   differently alone and in a batch.
-# * Every sum over rows or over the 8 contour nodes runs over a contiguous
-#   last axis, so that one measure and a batch sum in the same order
-#   (``exp_moments`` returns C-contiguous arrays for this reason).
+# * Every sum over rows or over contour nodes runs over a contiguous last
+#   axis, so that one measure and a batch sum in the same order.
 
-_CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which X1 - X2 cancels
+_CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which the rows take the contour
+_C3_FLOOR = 1e-60       # c3 / sqrt(lam) below which the section is solved at that floor
+_NEAR_GAP = 1e-3        # |zeta1 - zeta2| / lam below which Cramer's rule loses digits
 # c3 on the four root rows and the contour rows, 0 on the mu row
 _SHIFT_PATTERN = {n: np.array([1.0] * 4 + [0.0] + [1.0] * (n - 5)) for n in (5, 21)}
-_SIGNS = np.array([1.0, -1.0], dtype=complex)[:, None, None]   # +-, then root or order
-_AB_OFFSET = np.array([[1.0], [1.0], [1.0], [0.0]], dtype=complex)
-_W_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex)    # w1, w2, w1, w2
+_W_SIGNS = np.array([[1.0], [-1.0]], dtype=np.clongdouble)    # w1, w2
+# complex long-double constants, as 0-d arrays
+_ONE_X, _TWO_X, _FOUR_X, _HALF_X = (np.array(v, dtype=np.clongdouble) for v in (1, 2, 4, 0.5))
 
 
 def _contour(zeta1, zeta2, L):
@@ -244,6 +282,19 @@ def _contour(zeta1, zeta2, L):
     return np.sqrt(zeta), arc / (8.0 * (zeta - zeta1) * (zeta - zeta2))
 
 
+def _boundary_entries(eta, P, Q, mL):
+    """(phi1, F2, gamma) at the points eta (Re eta >= 0, eta != 0) in units of
+    c3, on a new leading axis: the scaled boundary matrix's entries F1 = P
+    phi1, F2 and G = F1 - F2 = eta^2 gamma.  P = 1 - eta^2, Q = 1 + eta^2 and
+    mL = -c3 Delta / 2 broadcast against eta; complex long doubles."""
+    u = P / (_ONE_X + eta)
+    half_u = u * _HALF_X
+    half_eu = np.expm1((eta + eta) * mL) * half_u
+    half_eu2 = half_eu * u
+    return np.exp(mL * u) * np.array([_ONE_X + half_eu, Q + half_eu2,
+                                       half_eu2 / eta - _TWO_X])
+
+
 @dataclass(frozen=True)
 class TransformSolution:
     """Fourier-side solution u0 of the kernel section K(0, .):
@@ -251,25 +302,24 @@ class TransformSolution:
         u0(t) = e^{-scale} (p_scaled cbar(t) + q_scaled c'(t)) + mu,
 
     with cbar and c' the mean and eta^2-divided difference of cosh(eta1 t)
-    and cosh(eta2 t).  Both coefficients stay finite where the roots meet.
-    ``det`` = A' Bbar - Abar B' is the divisor over eta1^2 - eta2^2.
-    ``close`` is set where the divided differences come from ``_contour``.
-    The section K(0, z) is ``_row_sum`` over five rows: offsets (eta1, eta2,
-    -eta1, -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1, w2, w1, w2,
-    2 mu), w1,2 = p_scaled/2 +- q_scaled/(eta1^2 - eta2^2).
-    Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
+    and cosh(eta2 t), finite where the roots meet: w1,2 = p_scaled/2 +-
+    q_scaled/(eta1^2 - eta2^2) solve the boundary system (see above).
+    ``det`` = script_L / (eta1^2 - eta2^2) = det Gamma' / (2 c3^3 (eta1^2 -
+    eta2^2)), read as (F1' F2bar - F1bar F2') / (2 c3^3) where the roots are
+    near.  ``close`` is set where the rows take the contour rule.  The
+    section K(0, z) is ``_row_sum`` over five rows: offsets (eta1, eta2,
+    -eta1, -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1, w2, w1, w2, 2
+    mu).  Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
     q_scaled c': offsets +-eta_k, shift c3, weights q_scaled c_k at the 8
-    contour nodes (weight 0 for the other measures of such a batch).  For
-    one measure the scalar fields are numpy scalars and the rows have shape
-    (5,) or (21,); for a batch measure every field is an array of the
-    batch's shape (the rows with one more, trailing, C-contiguous axis).
-    Every array is read-only.
+    contour nodes (weight 0 for the other measures of such a batch, whose
+    ``_row_sum`` skips them).  For one measure the scalar fields are numpy
+    scalars and the rows have shape (5,) or (21,); for a batch measure every
+    field is an array of the batch's shape (the rows with one more,
+    trailing, C-contiguous axis).  Every array is read-only.
 
-    The coefficients are stored with the exponential damping e^{-c3 Delta/2}
-    factored out: both right-hand sides of the defining linear system carry
-    that factor exactly, and keeping it symbolic lets the assembly survive
-    c3 Delta in the thousands, where the coefficients underflow and
-    cosh(eta L) overflows individually.
+    The coefficients are stored with the damping e^{-c3 Delta/2} factored
+    out of Gamma's entries, which keeps them finite for c3 Delta in the
+    thousands, where cosh(eta L) overflows.
     """
 
     roots: EtaPair
@@ -294,65 +344,83 @@ def k0_transform_solution(m: Measure) -> TransformSolution:
 
 
 def _transform_solution(m: Measure) -> TransformSolution:
-    roots, eta = _roots(m)
+    _require_two_roots(m)
+    # below c3 = 1e-60 sqrt(lam), where the section moves by less than 1e-60
+    # with c3, the system in units of c3 is solved at that floor
+    if np.count_nonzero(m.c3 * m.c3 < _C3_FLOOR * _C3_FLOOR * (m.c2 / m.c1)):
+        m = Measure(m.c1, m.c2, np.maximum(m.c3, _C3_FLOOR * np.sqrt(m.c2 / m.c1)), m.delta)
     shape = getattr(m.c1, "shape", ())
     c1, c2, c3, L = _flat(m.c1), _flat(m.c2), _flat(m.c3), _flat(m.delta / 2.0)
-    lam, c3_sq = c2 / c1, c3 * c3
-    eta = eta.reshape(2, -1)                                # (root, measure)
-    zeta = eta ** 2
-    gap = zeta[0] - zeta[1]
-    close = abs(gap) * L * L < _CLOSE_GAP
-    n_close = np.count_nonzero(close)
-    # I_k(eta) = phi_k(eta - c3) + phi_k(-eta - c3), k = 0, 1, at both roots
-    pm_eta = _SIGNS * eta                                   # (sign, root, measure)
-    i = exp_moments(1, pm_eta - c3, L)                      # (k, sign, root, measure)
-    i = i[:, 0] + i[:, 1]
-    # ((2 I0bar, 2 I1bar), (I0', I1')): sums and differences over the roots,
-    # the differences then divided by zeta1 - zeta2
-    sd = i[:, 0] + _SIGNS * i[:, 1]
-    if n_close:
-        inv_gap = np.divide(1.0, gap, out=np.zeros(gap.shape, dtype=complex), where=~close)
-    else:
-        inv_gap = _ONE / gap
-    sd[1] *= inv_gap
-    if n_close:     # the close measures' divided differences at the 8 contour nodes
-        z1, z2 = zeta[:, close, None]
-        L_c, c3_c = np.array([L, c3]).reshape(2, -1)[:, close, None]
-        nodes, c = _contour(z1, z2, L_c)
-        i_c = exp_moments(1, np.concatenate([nodes, -nodes], axis=1) - c3_c, L_c)
-        sd[1][:, close] += (c * (i_c[..., :8] + i_c[..., 8:])).sum(-1)
-    # the real coefficients below, and exact closed forms R1 = e^{-c3 L} rho1,
-    # R2 = e^{-c3 L} rho2
-    d = 2.0 * c2 + c3_sq * c1
-    mu_v, denom = c3_sq / d, c1 * d
-    rho1, rho2 = 2.0 * c2 * (1.0 + c3 * L) / denom, 4.0 * c2 * c3_sq / denom
-    coef = np.array([-c3, 0.5 * lam, -(2.0 * lam * c3), lam, rho1, rho2, -rho1, -rho2],
-                    dtype=complex).reshape(8, -1)
-    # (Bbar / lam, Abar, B', A') = (1 - 2 c3 I0bar, 1 + lam I1bar,
-    # 1 - 2 lam c3 I0', lam I1'); Bbar uses zeta1 + zeta2 = 2 (c3^2 - lam)
-    ab = sd.reshape(4, -1) * coef[:4] + _AB_OFFSET
-    ab[0] *= coef[3]
-    ab = ab.reshape(2, 2, -1)                               # ((Bbar, Abar), (B', A'))
-    det = ab[1, 1] * ab[0, 0] - ab[0, 1] * ab[1, 0]
-    # (q, p) = (rho1 Bbar + rho2 Abar, -rho1 B' - rho2 A') / det
-    qp = ab * coef[4:].reshape(2, 2, -1)
-    qp = (qp[:, 0] + qp[:, 1]) / det
+    # in units of c3 and long double: lam = c2 / (c1 c3^2), mL = -c3 L, mu,
+    # and per (root, measure) P, Q and the roots (notes above ``_contour``)
+    mu_v = c3 * c3 / (2.0 * c2 + c3 * c3 * c1)
+    c3_x, c2_x, c1_x, mL, mu = np.array([c3, c2, c1, -L, mu_v],
+                                        dtype=np.clongdouble).reshape(5, -1)
+    lam, mL = c2_x / (c1_x * c3_x * c3_x), c3_x * mL
+    root = np.sqrt(lam * (lam - _FOUR_X))
+    pq2 = np.array([lam + root, (_TWO_X - lam) - root])
+    quot = _FOUR_X / pq2
+    P, Q = np.array([quot[0] * lam, pq2[0]]), np.array([quot[1], pq2[1]])
+    zeta_u = _ONE_X - P
+    eta_u = np.sqrt(zeta_u)
+    gap_u = zeta_u[0] - zeta_u[1]
+    x = _boundary_entries(eta_u, P, Q, mL)                  # (phi1, F2, gamma; root; measure)
+    f1, g, p_sq = P * x[0], zeta_u * x[2], P * P            # F1, G, P^2
+    eta = (eta_u * c3_x).astype(complex)                    # the rows' roots
+    close = abs(gap_u) < _CLOSE_GAP / ((c3 * L) * (c3 * L))
+    near = close & (abs(gap_u) < _NEAR_GAP * lam.real)
+    n, any_close, any_near = close.size, close.any(), near.any()
+    # Cramer's rule: w1 = mu P1^2 G2 / det Gamma', w2 = -mu P2^2 G1 / det
+    # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1); q and p restate them
+    det_g, gap2 = f1[0] * x[1, 1] - f1[1] * x[1, 0], gap_u + gap_u
+    if any_near:    # replaced below: there det Gamma' and the gap can vanish
+        det_g[near] = gap2[near] = _ONE_X
+    w = _W_SIGNS * (p_sq * g[::-1]) * (mu / det_g)
+    det = det_g / gap2
+    qp = np.array([(w[0] - w[1]) * (gap_u * (c3_x * c3_x * _HALF_X)), w[0] + w[1]])
+    if any_close:   # the contour rule; near measures' means and divided differences
+        sel = slice(None) if close.all() else close
+        gap_c, c3_c = gap_u[sel], c3_x[sel, None]
+        nodes, c = _contour(zeta_u[0, sel, None], zeta_u[1, sel, None], -mL[sel, None])
+        if any_near:    # means of (phi1, F2, gamma, F1, G, P, zeta, P^2); F1'
+            # and G' by the product rule, with P' = -1 and zeta' = 1
+            zn = nodes * nodes
+            dd = (c * _boundary_entries(nodes, _ONE_X - zn, _ONE_X + zn, mL[sel, None])).sum(-1)
+            both = np.array([x[0], x[1], x[2], f1, g, P, zeta_u, p_sq])[:, :, sel]
+            mean = _HALF_X * (both[:, 0] + both[:, 1])
+            f1_dd = mean[5] * dd[0] - mean[0]
+            g_dd = mean[2] + mean[6] * dd[2]
+            det_dd = f1_dd * mean[1] - mean[3] * dd[1]     # det Gamma' / (zeta1 - zeta2)
+            p2_dd = -(mean[5] + mean[5])                    # (P^2)'
+            qp_dd = np.array([
+                c3_c[:, 0] * c3_c[:, 0] * (mean[7] * mean[4]
+                                           - _HALF_X * _HALF_X * gap_c * gap_c * p2_dd * g_dd),
+                p2_dd * mean[4] - mean[7] * g_dd]) * (mu[sel] / det_dd)
+            keep = near[sel]
+            qp[:, sel] = np.where(keep, qp_dd, qp[:, sel])
+            det[sel] = np.where(keep, _HALF_X * det_dd, det[sel])
+        w[:, sel] = _HALF_X * qp[1, sel]                    # and q c' on 16 more rows
+        nodes = (nodes * c3_c).astype(complex)
+        c = (qp[0, sel, None] * c / (c3_c * c3_c)).astype(complex)
+    w, qp, det = w.astype(complex), qp.astype(complex), det.astype(complex)
     # the rows, (measure, row): offsets and weights in one table
-    n_rows = 21 if n_close else 5
-    table = np.zeros((2, eta.shape[1], n_rows), dtype=complex)
-    table[0, :, :4] = pm_eta.reshape(4, -1).T
-    table[1, :, :4] = (_HALF * qp[1] + _W_SIGNS * (qp[0] * inv_gap)).T    # w1, w2, w1, w2
-    table[1, :, 4] = 2.0 * mu_v
-    if n_close:     # contour rows: node 0 and weight 0 for the measures not close
+    n_rows = 21 if any_close else 5
+    table = np.zeros((2, n, n_rows), dtype=complex)
+    table[0, :, :2] = eta.T
+    np.negative(eta.T, out=table[0, :, 2:4])
+    table[1, :, :2] = table[1, :, 2:4] = w.T                # w1, w2, w1, w2
+    table[1, :, 4] = mu_v + mu_v
+    if any_close:   # contour rows: node 0 and weight 0 for the measures not close
         table[0, close, 5:13], table[0, close, 13:] = nodes, -nodes
-        table[1, close, 5:13] = table[1, close, 13:] = qp[0][close][:, None] * c
-    shifts = np.asarray(c3).reshape(-1, 1) * _SHIFT_PATTERN[n_rows]
+        table[1, close, 5:13] = table[1, close, 13:] = c
     rows = shape + (n_rows,)
     table.flags.writeable = qp.flags.writeable = False
     return TransformSolution(
-        roots, qp[1].reshape(shape)[()], qp[0].reshape(shape)[()], _field(det, shape),
+        _eta_pair(eta.reshape((2,) + shape), m.c2 / m.c1, m.c3 * m.c3),
+        qp[1].reshape(shape)[()], qp[0].reshape(shape)[()], _field(det, shape),
         _field(np.asarray(mu_v), shape), _field(np.asarray(c3 * L), shape), _field(close, shape),
-        table[0].reshape(rows), _field(shifts, rows), table[1].reshape(rows))
+        table[0].reshape(rows), _field(np.multiply.outer(c3, _SHIFT_PATTERN[n_rows]), rows),
+        table[1].reshape(rows))
 
 
 def _flat(v):
@@ -383,17 +451,25 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     m.require_admissible(extended=extended)
-    offsets, weights, shifts, head = _section_rows(m)
+    offsets, weights, shifts, head, _ = _section_rows(m, m.c2 == 0.0)
     value = _row_sum(offsets, weights, m.delta / 2.0, np.array(z), head, shifts)
     path = _CONTOUR_PATHS[head] if offsets.shape[-1] > head else LimitPath.NONE
     return KernelEvaluation(value=complex(value), limit_path=path)
 
 
-def _row_sum(offsets, weights, L, z, head, shifts=None):
+def _row_sum(offsets, weights, L, z, head, shifts=None, close=None):
     """sum_r weights_r e^{-shifts_r L} sinh((s + offsets_r) L) / (s + offsets_r),
     s = 2 pi i z, over rows on a last axis, the measures' axes followed by
     z's.  The first ``head`` rows are summed apart from the contour rows after
-    them, so that a batch's zero-weight padding leaves their rounding."""
+    them; in a batch, the contour rows of the measures that ``close`` marks
+    alone, so that every measure's value is its own."""
+    if offsets.ndim > 1 and offsets.shape[-1] > head:   # a batch with contour rows
+        (o, w, sh), (o_c, w_c, sh_c) = (
+            [None if r is None else r[rows] for r in (offsets, weights, shifts)]
+            for rows in ((Ellipsis, slice(None, head)), (close, slice(head, None))))
+        out = _row_sum(o, w, L, z, head, sh)
+        out[close] += _row_sum(o_c, w_c, L[close], z, o_c.shape[-1], sh_c)
+        return out
     if offsets.ndim > 1:        # a batch: z's axes go between the measures' and the rows'
         units = (1,) * z.ndim
         offsets, weights, shifts = (r if r is None else r.reshape(r.shape[:-1] + units + (-1,))
@@ -509,24 +585,27 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
 # the section K(0, z) of either regime
 # ---------------------------------------------------------------------------
 
-def _section_rows(m: Measure):
-    """``_row_sum``'s (offsets, weights, shifts, head) of K(0, .) for measures
-    of one regime: the TransformSolution's rows (head 5) where c2 > 0 and
-    c3 > 0, else u_0's (head 3, shifts None).  One measure's are cached."""
-    if np.count_nonzero((m.c2 == 0.0) | (m.c3 == 0.0)):
+def _section_rows(m: Measure, sinc: bool):
+    """``_row_sum``'s (offsets, weights, shifts, head, close) of K(0, .) for
+    measures of one regime: u_0's (head 3, shifts None) where ``sinc`` (c2 =
+    0 or c3 = 0), else the TransformSolution's (head 5).  One measure's are
+    cached."""
+    if sinc:
         rows = _c3zero_section if isinstance(m.c1, np.ndarray) else _cached_c3zero_section
-        return rows(m.c1, m.c2, m.delta) + (None, 3)
+        offsets, weights, close = rows(m.c1, m.c2, m.delta)
+        return offsets, weights, None, 3, close
     sol = k0_transform_solution(m)
-    return sol.offsets, sol.weights, sol.shifts, 5
+    return sol.offsets, sol.weights, sol.shifts, 5, sol.close
 
 
 def _c3zero_section(c1, c2, delta):
-    """u_0's rows; away from the pole c(0) = 0, leaving the two rows +-i om."""
-    offsets, weights, _ = _c3zero_rows(c1, c2, delta, 0j)
+    """u_0's rows and close mask; away from the pole c(0) = 0, leaving the two
+    rows +-i om."""
+    offsets, weights, close = _c3zero_rows(c1, c2, delta, 0j)
     if offsets.shape[-1] == 3:
         offsets, weights = offsets[..., :2], weights[..., :2]
     offsets.setflags(write=False), weights.setflags(write=False)
-    return offsets, weights
+    return offsets, weights, close
 
 
 _cached_c3zero_section = functools.lru_cache(maxsize=8)(_c3zero_section)
@@ -544,17 +623,21 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
 
 
 def _section(m: Measure, z: np.ndarray, extended: bool) -> np.ndarray:
-    """``kernel_k0z_grid`` at points known to be finite."""
+    """``kernel_k0z_grid`` at points known to be finite; the regime is chosen
+    here, once (a batch of both regimes is split by it)."""
     m.require_admissible(extended=extended)
     sinc = (m.c2 == 0.0) | (m.c3 == 0.0)
-    if np.count_nonzero(sinc) in (0, getattr(sinc, "size", 1)):
-        offsets, weights, shifts, head = _section_rows(m)
-        return np.asarray(_row_sum(offsets, weights, m.delta / 2.0, z, head, shifts))
-    out = np.empty(sinc.shape + z.shape, dtype=complex)
-    for mask in (sinc, ~sinc):
-        out[mask] = _section(Measure(m.c1[mask], m.c2[mask], m.c3[mask], m.delta[mask]),
-                             z, extended)
-    return out
+    if isinstance(sinc, np.ndarray):
+        n_sinc = np.count_nonzero(sinc)
+        if 0 < n_sinc < sinc.size:
+            out = np.empty(sinc.shape + z.shape, dtype=complex)
+            for mask in (sinc, ~sinc):
+                out[mask] = _section(Measure(m.c1[mask], m.c2[mask], m.c3[mask], m.delta[mask]),
+                                     z, extended)
+            return out
+        sinc = n_sinc > 0
+    offsets, weights, shifts, head, close = _section_rows(m, sinc)
+    return np.asarray(_row_sum(offsets, weights, m.delta / 2.0, z, head, shifts, close))
 
 
 def k0_endpoint_value(m: Measure) -> float:
@@ -564,6 +647,6 @@ def k0_endpoint_value(m: Measure) -> float:
     measure must pass the extended admissibility gate."""
     m.require_single()
     m.require_admissible(extended=True)
-    offsets, weights, shifts, _ = _section_rows(m)
+    offsets, weights, shifts, _, _ = _section_rows(m, m.c2 == 0.0 or m.c3 == 0.0)
     exponents = offsets if shifts is None else offsets - shifts
     return float(0.5 * np.sum(weights * np.exp(exponents * (m.delta / 2.0))).real)

@@ -43,10 +43,12 @@ class Measure:
 
     The parameters may also be arrays that broadcast together (they are
     stored broadcast): the Measure is then a batch, one measure per element,
-    which the closed forms ``quartic_roots``, ``k0_transform_solution``,
-    ``script_L``, ``kernel_k0z_grid``, ``kernel_k00`` and ``average_bounds``
-    evaluate in one call.  A batch is not hashable; the functions that take
-    one measure refuse it (``require_single``).
+    which the closed forms ``quartic_roots``, ``k0_transform_solution`` (one
+    boundary system per measure, in one pass), ``script_L``,
+    ``kernel_k0z_grid``, ``kernel_k00`` and ``average_bounds`` evaluate in one
+    call; a measure's values are the same alone and in a batch.  A batch is
+    not hashable; the functions that take one measure refuse it
+    (``require_single``).
     """
 
     c1: float

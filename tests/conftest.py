@@ -16,8 +16,11 @@ a registry check holds (``registry_test``) read the same outcome.
 tests: adaptive Gauss-Legendre integration, independent of every closed form.
 ``aux_A``, ``aux_B`` and ``aux_C`` are the paper's moment functions A, B and
 the transform C in their scalar defining forms, the test oracles of the
-kernels' batched means and divided differences.  ``sinh_quot_scaled``,
-``sinh_quot`` (its shift-0 case, which ``aux_C`` uses) and ``sin_quot`` call
+kernels' boundary system: A and B come from ``exp_moments``, the moments of
+e^{s a} over [0, L] by a power series and an upward recurrence, which the
+kernels no longer evaluate, so that they stay an independent route.
+``sinh_quot_scaled``, ``sinh_quot`` (its shift-0 case, which ``aux_C``
+uses) and ``sin_quot`` call
 the one quotient the kernels run, ``special._sinh_quot``, for
 ``test_special.py``.  ``assemble`` is the dense
 Nystrom matrix, the oracle of the oracle's panel operator: of its solve,
@@ -37,7 +40,7 @@ import numpy as np  # noqa: E402
 
 from pairpack.fredholm import _nystrom_system, _panel_block  # noqa: E402
 from pairpack.quadrature import gauss_legendre  # noqa: E402
-from pairpack.special import _sinh_quot, exp_moments  # noqa: E402
+from pairpack.special import _sinh_quot  # noqa: E402
 from pairpack.verify import CHECKS  # noqa: E402  (after the BLAS setting)
 
 BY_NAME = {check.name: check for check in CHECKS}
@@ -120,6 +123,86 @@ def dense_sigma_min(m, n=200):
 # on the degenerate line, c2 = 4 c3 c3 c1 bit for bit, where a Python float's
 # c3 ** 2 (libm pow) rounds apart from c3 * c3
 LINE_MEASURE = (1.0, 2.2339406167140052, 0.7473186430021007, 0.709283836724323)
+
+
+_SERIES_RADIUS = np.array(1.0)
+_SERIES_TERMS = 20          # (1/20!) < 5e-19: the truncation error at |s L| = 1
+_MAX_ORDER = 31             # highest order of the divisor table below
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, _SERIES_TERMS)])
+# the series' divisors j! (k + j + 1) of every order k, exact in float64, the
+# terms' axis reversed, as complex numbers (they divide as numpy's cast would)
+_DIVISORS_C = (_FACTORIALS * (np.arange(_MAX_ORDER + 1.0)[:, None]
+                              + np.arange(_SERIES_TERMS) + 1.0))[:, ::-1].astype(complex)
+
+
+def exp_moments(k_max, s, L):
+    """phi_k(s) = integral_0^L  a^k e^{s a} da  for the orders k = 0..k_max,
+    on a leading axis of length k_max + 1 (k_max <= 31).
+
+    ``s`` and ``L`` broadcast against each other.  For |s L| < 1 the power
+    series  L^{k+1} sum_j (sL)^j / (j! (k+j+1))  is used, every order from
+    one table of powers of sL; elsewhere the upward recurrence
+    phi_j = (L^j e^{sL} - j phi_{j-1}) / s  from  phi_0 = (e^{sL} - 1) / s,
+    which passes through every lower order, from one exp per point.  The
+    recurrence amplifies rounding by about prod_j (1 + (j+1)/|sL|), at most
+    60 for k <= 3, so orders above 3 are meant for the series region.  Each
+    point's values are the same whatever the other points of the call, and
+    whether L is a scalar or an array.
+    """
+    if not 0 <= k_max <= _MAX_ORDER:
+        raise ValueError(f"order k_max must be in [0, {_MAX_ORDER}], got {k_max}")
+    s = np.asarray(s, dtype=complex)
+    x = s * L
+    small = abs(x) < _SERIES_RADIUS
+    n_small = np.count_nonzero(small)
+    if n_small == small.size:
+        return _series(k_max, x, L)
+    if not n_small:
+        return _recurrence(k_max, s, x, L)
+    # both regions: each region's points of s, x and an array L
+    if s.shape != x.shape:
+        s = np.broadcast_to(s, x.shape)
+    big = ~small
+    L_small = L_big = L
+    if getattr(L, "ndim", 0):
+        L = np.broadcast_to(L, x.shape)
+        L_small, L_big = L[small], L[big]
+    out = np.empty((k_max + 1,) + x.shape, dtype=complex)
+    out[:, small] = _series(k_max, x[small], L_small)
+    out[:, big] = _recurrence(k_max, s[big], x[big], L_big)
+    return out
+
+
+def _series(k_max, x, L):
+    """The power series of every order at x = s L (|x| < 1), orders on a
+    leading axis, C-contiguous, L broadcasting against x."""
+    powers = np.empty(x.shape + (_SERIES_TERMS,), dtype=complex)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = x[..., None]
+    # the terms from the smallest, summed in sequence (a pairwise sum loses
+    # 2x), orders on the next-to-last axis
+    terms = np.multiply.accumulate(powers, axis=-1)[..., None, ::-1] / _DIVISORS_C[:k_max + 1]
+    # times L^{k+1} as running products, orders on the last axis: a power's
+    # rounding would depend on how numpy's loop meets the exponent's layout
+    L_powers = [L]
+    for _ in range(k_max):
+        L_powers.append(L_powers[-1] * L)
+    L_powers = np.array(L_powers, dtype=complex)
+    out = np.add.accumulate(terms, axis=-1)[..., -1] * L_powers.transpose(
+        (*range(1, L_powers.ndim), 0))
+    # C-contiguous, so that sums over the points' last axis keep their order
+    return np.ascontiguousarray(out.transpose((out.ndim - 1, *range(out.ndim - 1))))
+
+
+def _recurrence(k_max, s, x, L):
+    """The upward recurrence of every order from one exp per point."""
+    e = np.exp(x)
+    phi = [(e - 1.0) / s]
+    power = L
+    for j in range(1, k_max + 1):
+        phi.append((power * e - j * phi[-1]) / s)
+        power = power * L
+    return np.array(phi)
 
 
 def cosh_moment(k, eta, c3: float, delta: float):

@@ -6,8 +6,8 @@ import types
 
 import numpy as np
 import pytest
-from conftest import (BY_NAME, LINE_MEASURE, aux_A, aux_B, aux_C, integrate_with_kink,
-                      registry_test)
+from conftest import (BY_NAME, LINE_MEASURE, aux_A, aux_B, aux_C, exp_moments,
+                      integrate_with_kink, registry_test)
 
 from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, k_from_u, kernel_c3zero,
@@ -15,7 +15,7 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       quartic_roots, script_L, solve_integral_eq)
 from pairpack.kernels import (_CLOSE_GAP, C3_MAX, _contour, k0_endpoint_value,
                               k0_transform_solution, quartic_residual)
-from pairpack.special import exp_moments
+import pairpack.kernels as kernels
 import pairpack.verify as verify
 
 
@@ -536,6 +536,119 @@ class TestScriptL:
         m = Measure(1.0, 3.0, 1.0, 1.0)      # sigma = 3 > 2.9
         with pytest.raises(NotAdmissible):
             script_L(m)
+
+
+def mp_section(c1, c2, c3, delta, zs):
+    """The paper's two-root formula at 40 + c3 Delta digits, its moments of
+    e^{s a} over [0, L] in closed form: (A(eta1) B(eta2) - B(eta1) A(eta2),
+    K(0, z) at the points zs).  No float routine of the package or of
+    conftest enters."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + int(c3 * delta)):
+        c1, c2, c3, L = (mpmath.mpf(v) for v in (c1, c2, c3, delta / 2))
+        lam = c2 / c1
+        lam_root = mpmath.sqrt(lam) * mpmath.sqrt(mpmath.mpc(lam - 4 * c3 * c3))
+        eta = [mpmath.sqrt(c3 * c3 - lam + sign * lam_root) for sign in (1, -1)]
+
+        def ab(e):
+            phi0 = [mpmath.expm1(s * L) / s for s in (e - c3, -e - c3)]
+            phi1 = [L * mpmath.exp(s * L) / s - mpmath.expm1(s * L) / s ** 2
+                    for s in (e - c3, -e - c3)]
+            return 1 + lam * sum(phi1), e * e + 2 * lam - c3 * c3 - 2 * lam * c3 * sum(phi0)
+
+        (a1, b1), (a2, b2), (a0, b0) = ab(eta[0]), ab(eta[1]), ab(mpmath.mpf(0))
+        div, mu_v = a1 * b2 - b1 * a2, c3 * c3 / (2 * c2 + c3 * c3 * c1)
+        r1, r2 = 1 / c1 - a0 * mu_v, c3 * c3 / c1 + b0 * mu_v
+        t1, t2 = (r1 * b2 + r2 * a2) / div, -(r1 * b1 + r2 * a1) / div
+        sh = lambda x: mpmath.sinh(x * L) / x if x != 0 else L      # noqa: E731
+        k = []
+        for z in zs:
+            s = 2j * mpmath.pi * mpmath.mpc(z)
+            k.append(complex(t1 * (sh(eta[0] + s) + sh(-eta[0] + s))
+                             + t2 * (sh(eta[1] + s) + sh(-eta[1] + s)) + 2 * mu_v * sh(s)))
+        return complex(div), np.array(k)
+
+
+def boundary_zones(n=60):
+    """Measures of three zones of the boundary system, n each: c3 Delta in
+    [20, 500] (conjugate quadrant), c3 Delta < 1 with lam > 4 c3^2, and
+    |lam / 4 c3^2 - 1| in [1e-4, 1e-2] of either sign, just outside the
+    contour band; c1 in [0.5, 2], Delta in [0.3, 1.2], sigma up to 1.66."""
+    rng = np.random.default_rng(20261020)
+    zones = {}
+    for zone in ("large_c3", "small_c3", "near_line"):
+        rows = []
+        for _ in range(n):
+            c1, delta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.3, 1.2))
+            if zone == "large_c3":
+                sigma = float(rng.uniform(0.05, 1.66))
+                c3 = math.exp(rng.uniform(math.log(20.0), math.log(500.0))) / delta
+            elif zone == "small_c3":
+                c3_delta = math.exp(rng.uniform(math.log(1e-3), math.log(0.55)))
+                sigma = float(rng.uniform(max(4.8 * c3_delta * c3_delta, 0.05), 1.66))
+                c3 = c3_delta / delta
+            else:
+                sigma = float(rng.uniform(0.05, 1.66))
+                eps = 10.0 ** rng.uniform(-4.0, -2.0) * rng.choice([-1.0, 1.0])
+                c3 = math.sqrt(sigma / (4.0 * (1.0 + eps))) / delta
+            rows.append((c1, sigma * c1 / delta ** 2, c3, delta))
+        zones[zone] = rows
+    return zones
+
+
+def boundary_errors():
+    """Per zone, the worst relative error of script_L and the worst error of
+    K(0, z) (relative to max(1, |K|)) at z = 0, 0.7, 2.3 - 0.4i against
+    ``mp_section``."""
+    zs = np.array([0.0, 0.7, 2.3 - 0.4j])
+    worst = {}
+    for zone, rows in boundary_zones().items():
+        e_div = e_k = 0.0
+        for r in rows:
+            div, k = mp_section(*r, zs)
+            m = Measure(*r)
+            e_div = max(e_div, abs(script_L(m) - div) / abs(div))
+            e_k = max(e_k, float(np.max(np.abs(kernel_k0z_grid(m, zs) - k)))
+                      / max(1.0, float(np.max(np.abs(k)))))
+        worst[zone] = (e_div, e_k)
+    return worst
+
+
+class TestBoundarySystem:
+    # measured worst (script_L, K): large c3 3.3e-16, 3.9e-16; small c3
+    # 2.7e-16, 2.4e-16; near the line 3.4e-16, 2.6e-15 (there the five rows'
+    # weights grow like 1 / (zeta1 - zeta2) and round apart)
+    DIVISOR_TOL, SECTION_TOL = 2e-15, 8e-15
+
+    def test_divisor_and_section_against_mpmath(self):
+        for zone, (e_div, e_k) in boundary_errors().items():
+            assert e_div <= self.DIVISOR_TOL, zone
+            assert e_k <= self.SECTION_TOL, zone
+
+    def test_planted_entry_fails(self, monkeypatch, request):
+        # a 1e-12 relative change of one entry of the scaled boundary matrix
+        # (F2 at the first root) fails the divisor test and script_L_det_real
+        entries = kernels._boundary_entries
+
+        def planted(*args):
+            x = entries(*args)
+            x[1, 0] *= 1.0 + 1e-12
+            return x
+
+        def clear():
+            kernels._cached_solution.cache_clear(), verify._divisor_margins.cache_clear()
+        monkeypatch.setattr(kernels, "_boundary_entries", planted)
+        request.addfinalizer(clear)
+        clear()
+        assert max(e_div for e_div, _ in boundary_errors().values()) > self.DIVISOR_TOL
+        assert not BY_NAME["script_L_det_real"].run()[0]
+
+    def test_tiny_c3_reads_the_floor(self):
+        # below c3 = 1e-60 sqrt(lam) the system is solved at that floor: the
+        # section stays within 1e-15 of c3 = 0's, down to the least double
+        at_zero = kernel_c3zero(Measure(1.0, 1e-6, 0.0, 1.0), 0.0, 0.0).value.real
+        for c3 in (1e-59, 1e-61, 1e-200, 5e-324):
+            assert kernel_k00(Measure(1.0, 1e-6, c3, 1.0)) == pytest.approx(at_zero, rel=1e-15)
 
 
 class TestLargeC3Stability:

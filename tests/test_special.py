@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import sin_quot, sinh_quot, sinh_quot_scaled
+from conftest import exp_moments, sin_quot, sinh_quot, sinh_quot_scaled
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -26,7 +26,6 @@ def _rel_err(got, ref):
 
 def test_exp_moment_orders_0_to_25_against_mpmath():
     # phi_k(s) = L^{k+1} 1F1(k+1; k+2; sL) / (k+1), an independent route
-    from pairpack.special import exp_moments
     mpmath.mp.dps = 40
     worst = 0.0
     for k in range(26):
@@ -113,7 +112,6 @@ def test_sinh_quot_scaled_large_shift_against_mpmath():
 
 
 def test_batched_L_matches_scalar_calls():
-    from pairpack.special import exp_moments
     np.testing.assert_array_equal(exp_moments(3, _S, _L)[3],
                                   [exp_moments(3, s, L)[3] for s, L in zip(_S, _L)])
     np.testing.assert_array_equal(sin_quot(_S, _L), [sin_quot(s, L) for s, L in zip(_S, _L)])
@@ -127,7 +125,6 @@ def test_exp_moments_point_alone_and_in_a_call(region):
     # one evaluation per region or both: each point's orders are the same
     # bits alone, inside the call, with L a scalar or an array, and as a
     # 2-d call
-    from pairpack.special import exp_moments
     rng = np.random.default_rng(20261021)
     radius = {"series": (0.05, 0.95), "recurrence": (1.05, 40.0), "mixed": (0.05, 40.0)}[region]
     x = rng.uniform(*radius, 24) * np.exp(2j * np.pi * rng.uniform(0, 1, 24))
