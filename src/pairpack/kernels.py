@@ -1,14 +1,18 @@
 """Closed-form reproducing kernels of the weighted band-limited spaces.
 
-Every kernel value is one sum of sinh quotients over a table of rows,
-``_row_sum``: ``kernel_c3zero`` sums ``_c3zero_rows``, and every entry point
-of the section K(0, .) the table that ``_section_rows`` chooses.  Two regimes:
+Every kernel value K(w, z) is one sum of sinh quotients over a table of
+rows, ``_row_sum``: ``kernel_c3zero`` sums ``_c3zero_rows``, and every entry
+point of the section K(0, .) the table that ``_section_rows`` chooses.  The
+diagonal K(0, 0), whose reciprocal every printed bound is, is read from each
+regime's own solve instead (``kernel_k00``).  Two regimes:
 
 * c3 = 0: the full kernel K(w, z) for all complex w, z, the transform of
   the solution u_w: rows e^{eta xi} at eta = +-i om and -2 pi i w.  Its
   coefficients share a pole at 2 c1 pi^2 w^2 = c2; near it they are one
   divided difference by the contour rule of close roots below, whose nodes
-  are 16 more rows.  A pure atom (c2 = 0) is that case at w = 0.
+  are 16 more rows.  A pure atom (c2 = 0) is that case at w = 0.  K(0, 0) =
+  Delta sinc(th) / (c1 (cos th + th sin th)), th = om Delta / 2 =
+  sqrt(sigma / 2); a pure atom's, Delta / c1, at any c3.
 
 * c3 > 0: only the section K(0, z) has a closed form: mu plus cosh rows at
   the characteristic quartic roots eta1, eta2, whose two weights solve one
@@ -16,8 +20,10 @@ of the section K(0, .) the table that ``_section_rows`` chooses.  Two regimes:
   determinant is the paper's divisor up to a factor.  Near the degenerate
   line lam = 4 c3^2 the system is solved in means and divided differences,
   Cauchy integrals taken by the contour rule, whose nodes give 16 more
-  rows.  One measure is the 0-d case of a batch, bit-identical alone and
-  inside a batch (the layout notes above ``_contour`` say why).
+  rows.  K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3 comes from
+  the same solve, from the factors b and E its boundary entries form.  One
+  measure is the 0-d case of a batch, bit-identical alone and inside a
+  batch (the layout notes above ``_contour`` say why).
 
 Sign convention: B carries a minus sign on its integral term, fixed by
 requiring the removable singularities to cancel and confirmed against the
@@ -30,7 +36,7 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +48,13 @@ DEGENERACY_RTOL = 1e-9
 # largest c3 of the c3 > 0 closed forms: correct to 1e145 for c1 in [1e-6, 1e6]
 # and Delta in [1e-4, 1e3]; c2 c3^2 can overflow at 1e150, c3^2 at 1.3e154
 C3_MAX = 1e140
+# smallest Delta of the closed forms: below about 1e-77 the c3 = 0 contour's
+# 1 / (4 L^4) overflows, and a subnormal Delta leaves no L = Delta / 2
+DELTA_MIN = 1e-70
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
 _CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # _contour's 8 points
 # complex constants, as arrays: their products with complex arrays skip a
 # Python scalar's conversion and a float array's cast
-_Z0 = np.zeros((), dtype=complex)
 _TWO_PI_I = np.array(2j * np.pi)
 
 
@@ -119,17 +127,29 @@ def quartic_roots(m: Measure) -> EtaPair:
 
 def _require_two_roots(m: Measure) -> None:
     """Refuse a measure, or any entry of a batch, without two quartic roots."""
-    if np.count_nonzero((m.c3 > C3_MAX) | (m.c3 == 0.0) | (m.c2 == 0.0)):
+    if _any((m.c3 > C3_MAX) | (m.c3 == 0.0) | (m.c2 == 0.0)):
         _require_c3_bound(m)
-        if np.count_nonzero(m.c3 == 0.0):
+        if _any(m.c3 == 0.0):
             raise InvalidRegime("c3 = 0 has its own kernel formula; no quartic roots")
         raise InvalidRegime("c2 = 0 degenerates to the pure sinc kernel")
 
 
+def _any(mask) -> bool:
+    """Whether a mask is set: one measure's Python bool as it is (a plain
+    ``if``), any entry of an array (``np.count_nonzero``, about a third of
+    ``ndarray.any``'s cost on a short mask)."""
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else mask
+
+
+def _degenerate(lam, c3_sq):
+    """The degenerate-line mask lam = 4 c3^2, to DEGENERACY_RTOL in the roots."""
+    # eta1^2 - eta2^2 scales as sqrt(lam - 4 c3^2), hence the squared rtol
+    return abs(lam - 4.0 * c3_sq) <= DEGENERACY_RTOL ** 2 * (lam + 4.0 * c3_sq)
+
+
 def _eta_pair(eta, lam, c3_sq) -> EtaPair:
     """The EtaPair of the roots (eta1, eta2) on a leading axis."""
-    # eta1^2 - eta2^2 scales as sqrt(lam - 4 c3^2), hence the squared rtol
-    degenerate = abs(lam - 4.0 * c3_sq) <= DEGENERACY_RTOL ** 2 * (lam + 4.0 * c3_sq)
+    degenerate = _degenerate(lam, c3_sq)
     return EtaPair(eta[0], eta[1], degenerate, _CASE_TAGS[2 * degenerate + (lam > 4.0 * c3_sq)])
 
 
@@ -144,14 +164,20 @@ def quartic_residual(m: Measure, eta: complex) -> float:
 
 def _require_c3_bound(m: Measure) -> None:
     """Refuse a measure, or any entry of a batch, with c3 > C3_MAX."""
-    if np.count_nonzero(m.c3 > C3_MAX):
+    if _any(m.c3 > C3_MAX):
         raise ValueError(f"c3 must be <= {C3_MAX:g}, got {np.max(m.c3):g}")
+
+
+def _require_delta_floor(delta) -> None:
+    """Refuse a Delta, or any entry of a batch's, below DELTA_MIN."""
+    if _any(delta < DELTA_MIN):
+        raise ValueError(f"delta must be >= {DELTA_MIN:g}, got {np.min(delta):g}")
 
 
 def mu(m: Measure) -> float:
     """mu = c3^2 / (2 c2 + c3^2 c1); zero exactly when c3 = 0."""
     _require_c3_bound(m)
-    if np.count_nonzero((m.c2 == 0.0) & (m.c3 == 0.0)):
+    if _any((m.c2 == 0.0) & (m.c3 == 0.0)):
         raise ValueError("mu requires c2 > 0 or c3 > 0")
     c3_sq = m.c3 * m.c3
     return c3_sq / (2.0 * m.c2 + c3_sq * m.c1)
@@ -168,21 +194,22 @@ def script_L(m: Measure) -> complex:
     with negative imaginary part when they sit in conjugate quadrants.
     Certified nonzero for sigma <= 2.9 away from the degenerate line.
     """
-    if np.count_nonzero((m.c3 == 0.0) | (m.c2 == 0.0)):
+    if _any((m.c3 == 0.0) | (m.c2 == 0.0)):
         raise InvalidRegime("script_L needs c2 > 0 and c3 > 0")
-    if np.count_nonzero(m.sigma() > SCRIPT_L_SIGMA_MAX):
+    if _any(m.sigma() > SCRIPT_L_SIGMA_MAX):
         raise NotAdmissible(
             f"sigma = {np.max(m.sigma()):.6g} > {SCRIPT_L_SIGMA_MAX}: nonvanishing of the "
             "divisor is not certified there")
-    sol = k0_transform_solution(m)
-    if np.count_nonzero(sol.roots.degenerate):
+    det = k0_transform_solution(m).det
+    # the roots' mask (their c3 floor moves no measure onto or off the line)
+    if _any(_degenerate(m.c2 / m.c1, m.c3 * m.c3)):
         raise DegenerateRoots("lam = 4 c3^2: the two-root divisor is not defined")
     c1, c2 = m.c1, m.c2
     sq, sq_err = _two_product(m.c3, m.c3)
     t, t_err = _two_product(sq, c1)
     disc = ((c2 - 4.0 * t) - 4.0 * (t_err + sq_err * c1)) / c1      # lam - 4 c3^2
     roots = np.sqrt(np.array([c2 / c1, disc]) + 0j)
-    return 2.0 * roots[0] * roots[1] * sol.det
+    return 2.0 * roots[0] * roots[1] * det
 
 
 def _two_product(a, b):
@@ -242,6 +269,14 @@ def _two_product(a, b):
 # close roots take w1 = w2 = p/2 and 16 more rows, the divided difference of
 # cosh(eta xi) at the same nodes.
 #
+# K(0, 0) needs no sinh quotient: at z = 0 the rows +-eta sum to 2 e^{-c3 L}
+# sinh(eta L) / eta = -b E / (c3 eta) in these units, and the mu row to 2 mu
+# L, so that K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3, plus the
+# same sum over the contour rows where the roots are close.  Summed in long
+# double from the solve's own b and E and rounded once, it is within an ulp
+# or two of mpmath where the five rows' weights, each rounded to double, put
+# the rows' sum at z = 0 up to 1.9e-15 away near the line.
+#
 # One code path serves one measure and a batch; "near" and "close" are masks
 # over the measures.  Layout:
 #
@@ -261,12 +296,14 @@ def _two_product(a, b):
 
 _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which the rows take the contour
 _C3_FLOOR = 1e-60       # c3 / sqrt(lam) below which the section is solved at that floor
+_C3_TINY = 1e-150       # and c3 itself, so that c3^2 stays a normal double
 _NEAR_GAP = 1e-3        # |zeta1 - zeta2| / lam below which Cramer's rule loses digits
 # c3 on the four root rows and the contour rows, 0 on the mu row
 _SHIFT_PATTERN = {n: np.array([1.0] * 4 + [0.0] + [1.0] * (n - 5)) for n in (5, 21)}
 _W_SIGNS = np.array([[1.0], [-1.0]], dtype=np.clongdouble)    # w1, w2
 # complex long-double constants, as 0-d arrays
 _ONE_X, _TWO_X, _FOUR_X, _HALF_X = (np.array(v, dtype=np.clongdouble) for v in (1, 2, 4, 0.5))
+_HALF, _TINY = np.longdouble(0.5), np.longdouble(1e-300)     # real long-double constants
 
 
 def _contour(zeta1, zeta2, L):
@@ -283,16 +320,18 @@ def _contour(zeta1, zeta2, L):
 
 
 def _boundary_entries(eta, P, Q, mL):
-    """(phi1, F2, gamma) at the points eta (Re eta >= 0, eta != 0) in units of
-    c3, on a new leading axis: the scaled boundary matrix's entries F1 = P
-    phi1, F2 and G = F1 - F2 = eta^2 gamma.  P = 1 - eta^2, Q = 1 + eta^2 and
-    mL = -c3 Delta / 2 broadcast against eta; complex long doubles."""
+    """((phi1, F2, gamma), k) at the points eta (Re eta >= 0, eta != 0) in
+    units of c3: the scaled boundary matrix's entries F1 = P phi1, F2 and G
+    = F1 - F2 = eta^2 gamma on a new leading axis, and k = b E / eta, -c3
+    times a row pair's value at z = 0 (the notes above ``_contour``).  P =
+    1 - eta^2, Q = 1 + eta^2 and mL = -c3 Delta / 2 broadcast against eta;
+    complex long doubles."""
     u = P / (_ONE_X + eta)
+    b, e = np.exp(mL * u), np.expm1((eta + eta) * mL)
     half_u = u * _HALF_X
-    half_eu = np.expm1((eta + eta) * mL) * half_u
+    half_eu = e * half_u
     half_eu2 = half_eu * u
-    return np.exp(mL * u) * np.array([_ONE_X + half_eu, Q + half_eu2,
-                                       half_eu2 / eta - _TWO_X])
+    return b * np.array([_ONE_X + half_eu, Q + half_eu2, half_eu2 / eta - _TWO_X]), b * e / eta
 
 
 @dataclass(frozen=True)
@@ -312,26 +351,68 @@ class TransformSolution:
     mu).  Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
     q_scaled c': offsets +-eta_k, shift c3, weights q_scaled c_k at the 8
     contour nodes (weight 0 for the other measures of such a batch, whose
-    ``_row_sum`` skips them).  For one measure the scalar fields are numpy
-    scalars and the rows have shape (5,) or (21,); for a batch measure every
-    field is an array of the batch's shape (the rows with one more,
-    trailing, C-contiguous axis).  Every array is read-only.
+    ``_row_sum`` skips them).
+
+    ``k00`` is K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3 in
+    units of c3, the rows' values at z = 0 in closed form (notes above
+    ``_contour``), summed in long double with the contour rows where
+    ``close`` is set and rounded once.  The record fields that no kernel
+    value sums (``roots``, ``p_scaled``, ``q_scaled``, ``det``, ``mu``,
+    ``scale``) are built on first use.
+
+    For one measure the scalar fields are numpy scalars (``k00`` a float)
+    and the rows have shape (5,) or (21,); for a batch measure every field
+    is an array of the batch's shape (the rows with one more, trailing,
+    C-contiguous axis).  Every array is read-only.
 
     The coefficients are stored with the damping e^{-c3 Delta/2} factored
     out of Gamma's entries, which keeps them finite for c3 Delta in the
     thousands, where cosh(eta L) overflows.
     """
 
-    roots: EtaPair
-    p_scaled: complex
-    q_scaled: complex
-    det: complex
-    mu: float
-    scale: float        # c3 * delta / 2
-    close: bool
     offsets: np.ndarray
     shifts: np.ndarray
     weights: np.ndarray
+    close: bool
+    k00: float
+    # (shape, measure solved, det or None, det Gamma', gap, (q, p) or None,
+    # Cramer's w, c3): what the lazy fields are built from
+    _parts: tuple = field(repr=False)
+
+    @functools.cached_property
+    def roots(self) -> EtaPair:
+        m = self._parts[1]
+        return _eta_pair((self.offsets[..., 0][()], self.offsets[..., 1][()]),
+                         m.c2 / m.c1, m.c3 * m.c3)
+
+    @functools.cached_property
+    def det(self) -> complex:
+        shape, _, det, det_g, gap_u = self._parts[:5]
+        return _field((det_g / (gap_u + gap_u) if det is None else det).astype(complex), shape)
+
+    @functools.cached_property
+    def _qp_complex(self) -> np.ndarray:
+        gap_u, qp, w, c3_x = self._parts[4:]
+        qp = (_qp(w, gap_u, c3_x) if qp is None else qp).astype(complex)
+        qp.setflags(write=False)
+        return qp
+
+    @property
+    def p_scaled(self) -> complex:
+        return self._qp_complex[1].reshape(self._parts[0])[()]
+
+    @property
+    def q_scaled(self) -> complex:
+        return self._qp_complex[0].reshape(self._parts[0])[()]
+
+    @functools.cached_property
+    def mu(self) -> float:
+        return _field(np.asarray(mu(self._parts[1])), self._parts[0])
+
+    @functools.cached_property
+    def scale(self) -> float:
+        m = self._parts[1]
+        return _field(np.asarray(m.c3 * (m.delta / 2.0)), self._parts[0])
 
 
 def k0_transform_solution(m: Measure) -> TransformSolution:
@@ -343,14 +424,26 @@ def k0_transform_solution(m: Measure) -> TransformSolution:
     return _transform_solution(m) if isinstance(m.c3, np.ndarray) else _cached_solution(m)
 
 
+def _qp(w, gap_u, c3_x):
+    """(q, p) in units of c3 from Cramer's weights: q = (w1 - w2) (zeta1 -
+    zeta2) c3^2 / 2, p = w1 + w2."""
+    return np.array([(w[0] - w[1]) * (gap_u * (c3_x * c3_x * _HALF_X)), w[0] + w[1]])
+
+
 def _transform_solution(m: Measure) -> TransformSolution:
     _require_two_roots(m)
+    _require_delta_floor(m.delta)
     # below c3 = 1e-60 sqrt(lam), where the section moves by less than 1e-60
-    # with c3, the system in units of c3 is solved at that floor
-    if np.count_nonzero(m.c3 * m.c3 < _C3_FLOOR * _C3_FLOOR * (m.c2 / m.c1)):
-        m = Measure(m.c1, m.c2, np.maximum(m.c3, _C3_FLOOR * np.sqrt(m.c2 / m.c1)), m.delta)
+    # with c3, the system in units of c3 is solved at that floor; below c3 =
+    # 1e-150, where c3^2 and mu would underflow, at that one (there lam <
+    # 1e-180, and the section is the pure atom's up to lam Delta^2)
+    if _any((m.c3 < _C3_TINY) | (m.c3 * m.c3 < _C3_FLOOR * _C3_FLOOR * (m.c2 / m.c1))):
+        floor = np.maximum(_C3_FLOOR * np.sqrt(m.c2 / m.c1), _C3_TINY)
+        m = Measure(m.c1, m.c2, np.maximum(m.c3, floor), m.delta)
     shape = getattr(m.c1, "shape", ())
-    c1, c2, c3, L = _flat(m.c1), _flat(m.c2), _flat(m.c3), _flat(m.delta / 2.0)
+    c1, c2, c3, L = m.c1, m.c2, m.c3, m.delta / 2.0
+    if shape:
+        c1, c2, c3, L = (v.reshape(-1) for v in (c1, c2, c3, L))
     # in units of c3 and long double: lam = c2 / (c1 c3^2), mL = -c3 L, mu,
     # and per (root, measure) P, Q and the roots (notes above ``_contour``)
     mu_v = c3 * c3 / (2.0 * c2 + c3 * c3 * c1)
@@ -364,28 +457,35 @@ def _transform_solution(m: Measure) -> TransformSolution:
     zeta_u = _ONE_X - P
     eta_u = np.sqrt(zeta_u)
     gap_u = zeta_u[0] - zeta_u[1]
-    x = _boundary_entries(eta_u, P, Q, mL)                  # (phi1, F2, gamma; root; measure)
+    x, k = _boundary_entries(eta_u, P, Q, mL)    # (phi1, F2, gamma; root; measure), b E / eta
     f1, g, p_sq = P * x[0], zeta_u * x[2], P * P            # F1, G, P^2
-    eta = (eta_u * c3_x).astype(complex)                    # the rows' roots
-    close = abs(gap_u) < _CLOSE_GAP / ((c3 * L) * (c3 * L))
-    near = close & (abs(gap_u) < _NEAR_GAP * lam.real)
-    n, any_close, any_near = close.size, close.any(), near.any()
+    # one |zeta1 - zeta2| for both masks; a product, so that (c3 L)^2 may
+    # underflow to 0 (c3 L < 1.5e-154 gives sigma < 1e-187: close, rightly)
+    a_gap = abs(gap_u)
+    close = a_gap * ((c3 * L) * (c3 * L)) < _CLOSE_GAP
+    any_close = _any(close)
+    near = close & (a_gap < _NEAR_GAP * lam.real) if any_close else close
+    any_near = any_close and _any(near)
     # Cramer's rule: w1 = mu P1^2 G2 / det Gamma', w2 = -mu P2^2 G1 / det
-    # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1); q and p restate them
-    det_g, gap2 = f1[0] * x[1, 1] - f1[1] * x[1, 0], gap_u + gap_u
+    # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1); q and p restate them.
+    # det unless some measure is near, and (q, p) unless some is close, are
+    # built on first use
+    det_g, det, qp = f1[0] * x[1, 1] - f1[1] * x[1, 0], None, None
     if any_near:    # replaced below: there det Gamma' and the gap can vanish
+        gap2 = gap_u + gap_u
         det_g[near] = gap2[near] = _ONE_X
+        det = det_g / gap2
     w = _W_SIGNS * (p_sq * g[::-1]) * (mu / det_g)
-    det = det_g / gap2
-    qp = np.array([(w[0] - w[1]) * (gap_u * (c3_x * c3_x * _HALF_X)), w[0] + w[1]])
     if any_close:   # the contour rule; near measures' means and divided differences
+        qp = _qp(w, gap_u, c3_x)
         sel = slice(None) if close.all() else close
         gap_c, c3_c = gap_u[sel], c3_x[sel, None]
         nodes, c = _contour(zeta_u[0, sel, None], zeta_u[1, sel, None], -mL[sel, None])
+        zn = nodes * nodes
+        x_c, k_c = _boundary_entries(nodes, _ONE_X - zn, _ONE_X + zn, mL[sel, None])
         if any_near:    # means of (phi1, F2, gamma, F1, G, P, zeta, P^2); F1'
             # and G' by the product rule, with P' = -1 and zeta' = 1
-            zn = nodes * nodes
-            dd = (c * _boundary_entries(nodes, _ONE_X - zn, _ONE_X + zn, mL[sel, None])).sum(-1)
+            dd = (c * x_c).sum(-1)
             both = np.array([x[0], x[1], x[2], f1, g, P, zeta_u, p_sq])[:, :, sel]
             mean = _HALF_X * (both[:, 0] + both[:, 1])
             f1_dd = mean[5] * dd[0] - mean[0]
@@ -400,27 +500,36 @@ def _transform_solution(m: Measure) -> TransformSolution:
             qp[:, sel] = np.where(keep, qp_dd, qp[:, sel])
             det[sel] = np.where(keep, _HALF_X * det_dd, det[sel])
         w[:, sel] = _HALF_X * qp[1, sel]                    # and q c' on 16 more rows
-        nodes = (nodes * c3_c).astype(complex)
-        c = (qp[0, sel, None] * c / (c3_c * c3_c)).astype(complex)
-    w, qp, det = w.astype(complex), qp.astype(complex), det.astype(complex)
-    # the rows, (measure, row): offsets and weights in one table
-    n_rows = 21 if any_close else 5
+        c = qp[0, sel, None] * c / (c3_c * c3_c)
+    # -K(0, 0) c3: the mu row's -2 mu c3 L and each root's pair of rows
+    k00 = w * k
+    k00 = (k00[0] + k00[1]) + (mu + mu) * mL
+    if any_close:
+        k00[sel] += (c * k_c).sum(-1)
+    k00 = k00.real / -c3_x.real
+    # the rows, (measure, row): offsets and weights in one table, offsets
+    # (eta1, eta2, -eta1, -eta2, 0) and weights (w1, w2, w1, w2, 2 mu), these
+    # cast to complex on assignment
+    n, n_rows = close.size, 21 if any_close else 5
     table = np.zeros((2, n, n_rows), dtype=complex)
-    table[0, :, :2] = eta.T
-    np.negative(eta.T, out=table[0, :, 2:4])
-    table[1, :, :2] = table[1, :, 2:4] = w.T                # w1, w2, w1, w2
+    table[0, :, :2] = (eta_u * c3_x).T
+    np.negative(table[0, :, :2], out=table[0, :, 2:4])
+    table[1, :, :4].reshape(n, 2, 2)[...] = w.T[:, None, :]
     table[1, :, 4] = mu_v + mu_v
     if any_close:   # contour rows: node 0 and weight 0 for the measures not close
+        nodes = (nodes * c3_c).astype(complex)
         table[0, close, 5:13], table[0, close, 13:] = nodes, -nodes
         table[1, close, 5:13] = table[1, close, 13:] = c
     rows = shape + (n_rows,)
-    table.flags.writeable = qp.flags.writeable = False
-    return TransformSolution(
-        _eta_pair(eta.reshape((2,) + shape), m.c2 / m.c1, m.c3 * m.c3),
-        qp[1].reshape(shape)[()], qp[0].reshape(shape)[()], _field(det, shape),
-        _field(np.asarray(mu_v), shape), _field(np.asarray(c3 * L), shape), _field(close, shape),
-        table[0].reshape(rows), _field(np.multiply.outer(c3, _SHIFT_PATTERN[n_rows]), rows),
-        table[1].reshape(rows))
+    shifts = c3[:, None] * _SHIFT_PATTERN[n_rows] if shape else c3 * _SHIFT_PATTERN[n_rows]
+    table.setflags(write=False), shifts.setflags(write=False)
+    if shape:
+        close, k00 = close.reshape(shape), k00.astype(float).reshape(shape)
+        close.setflags(write=False), k00.setflags(write=False)
+    else:
+        close, k00 = close[0], float(k00[0])
+    return TransformSolution(table[0].reshape(rows), shifts.reshape(rows), table[1].reshape(rows),
+                             close, k00, (shape, m, det, det_g, gap_u, qp, w, c3_x))
 
 
 def _flat(v):
@@ -483,10 +592,18 @@ def _row_sum(offsets, weights, L, z, head, shifts=None, close=None):
 
 def kernel_k00(m: Measure, extended: bool = False) -> float:
     """K(0, 0), the diagonal kernel value whose reciprocal upper-bounds the
-    optimization constant of the averaged form factor: the real section at
-    z = 0.  For a batch measure, an array over the batch."""
-    k00 = _section(m, _Z0, extended).real
-    return float(k00) if k00.ndim == 0 else k00
+    optimization constant of the averaged form factor, read from each
+    regime's own solve rather than summed from the section's rows: where c3
+    = 0 or c2 = 0, Delta sinc(th) / (c1 (cos th + th sin th)) with th = om
+    Delta / 2 = sqrt(sigma / 2) (``_sinc_k00``; Delta / c1 at a pure atom);
+    where c3 > 0, the TransformSolution's ``k00``.  For a batch measure, an
+    array over the batch, each entry bit-identical to its measure's alone."""
+    k00 = _by_regime(m, extended, _k00, (), float)
+    return np.array(k00) if isinstance(k00, np.ndarray) else float(k00)
+
+
+def _k00(m: Measure, sinc: bool):
+    return _sinc_k00(m.c1, m.c2, m.delta) if sinc else k0_transform_solution(m).k00
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +632,7 @@ def _c3zero_rows(c1, c2, delta, w: complex):
     rows +-eta_k (weight 0 for the other measures of a batch)."""
     if not cmath.isfinite(w):
         raise ValueError(f"w must be finite, got {w}")
+    _require_delta_floor(delta)
     shape = getattr(c1, "shape", ())
     c1, L = _flat(c1), _flat(delta / 2.0)
     om = (np.sqrt if shape else math.sqrt)(2.0 * _flat(c2) / c1)
@@ -522,9 +640,9 @@ def _c3zero_rows(c1, c2, delta, w: complex):
     close = abs(s * s + om * om) * (L * L) < _CLOSE_GAP
     if not shape:
         return (_pole_rows if close else _far_rows)(c1, om, L, s) + (close,)
-    table = np.zeros((2, close.size, 19 if np.count_nonzero(close) else 3), dtype=complex)
+    table = np.zeros((2, close.size, 19 if _any(close) else 3), dtype=complex)
     for mask, rows, width in ((~close, _far_rows, 3), (close, _pole_rows, 19)):
-        if np.count_nonzero(mask):
+        if _any(mask):
             table[:, mask, :width] = rows(c1[mask], om[mask], L[mask], s)
     rows = shape + table.shape[-1:]
     return table[0].reshape(rows), table[1].reshape(rows), close.reshape(shape)
@@ -617,27 +735,46 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
     result has the batch's shape followed by z's, and the regimes are masks
     over the batch."""
     z = np.asarray(z, dtype=complex)
-    if np.count_nonzero(np.isfinite(z)) < z.size:
+    if not np.isfinite(z).all():
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
-    return _section(m, z, extended)
+    return _by_regime(m, extended, lambda m, sinc: _section(m, sinc, z), z.shape, complex)
 
 
-def _section(m: Measure, z: np.ndarray, extended: bool) -> np.ndarray:
-    """``kernel_k0z_grid`` at points known to be finite; the regime is chosen
-    here, once (a batch of both regimes is split by it)."""
+def _section(m: Measure, sinc: bool, z: np.ndarray) -> np.ndarray:
+    """The section at finite points z for measures of one regime."""
+    offsets, weights, shifts, head, close = _section_rows(m, sinc)
+    return np.asarray(_row_sum(offsets, weights, m.delta / 2.0, z, head, shifts, close))
+
+
+def _by_regime(m: Measure, extended: bool, value, tail: tuple, dtype):
+    """value(measures, sinc) for admissible measures, the regime chosen here,
+    once: sinc where c2 = 0 or c3 = 0.  A batch of both regimes is split by
+    it into an array of the batch's shape followed by ``tail``."""
     m.require_admissible(extended=extended)
     sinc = (m.c2 == 0.0) | (m.c3 == 0.0)
     if isinstance(sinc, np.ndarray):
-        n_sinc = np.count_nonzero(sinc)
-        if 0 < n_sinc < sinc.size:
-            out = np.empty(sinc.shape + z.shape, dtype=complex)
+        if _any(sinc) and not sinc.all():
+            out = np.empty(sinc.shape + tail, dtype=dtype)
             for mask in (sinc, ~sinc):
-                out[mask] = _section(Measure(m.c1[mask], m.c2[mask], m.c3[mask], m.delta[mask]),
-                                     z, extended)
+                out[mask] = _by_regime(Measure(m.c1[mask], m.c2[mask], m.c3[mask],
+                                               m.delta[mask]), extended, value, tail, dtype)
             return out
-        sinc = n_sinc > 0
-    offsets, weights, shifts, head, close = _section_rows(m, sinc)
-    return np.asarray(_row_sum(offsets, weights, m.delta / 2.0, z, head, shifts, close))
+        sinc = _any(sinc)
+    return value(m, sinc)
+
+
+def _sinc_k00(c1, c2, delta):
+    """K(0, 0) where c3 = 0 or c2 = 0: the transform of u_0's rows +-i om
+    at z = 0, Delta sin(th) / (th c1 (cos th + th sin th)) with th = om
+    Delta / 2 = sqrt(sigma / 2), whose denominator stays positive for th <=
+    0.92 (its first zero is at th = 2.80).  In long double, rounded once;
+    th + 1e-300 moves no bit of th above 1e-280, and below it sin(th) / th
+    rounds to 1: Delta / c1 at a pure atom."""
+    _require_delta_floor(delta)
+    c1, c2, delta = np.array([c1, c2, delta], dtype=np.longdouble)
+    th = np.sqrt((c2 + c2) / c1) * (delta * _HALF) + _TINY
+    sin_th = np.sin(th)
+    return (delta * (sin_th / th) / (c1 * (np.cos(th) + th * sin_th))).astype(float)
 
 
 def k0_endpoint_value(m: Measure) -> float:

@@ -1,5 +1,6 @@
 """Stable evaluation of the sinc-type quotients with removable zeros that
-every closed-form kernel value sums (``kernels._row_sum``): complex arrays,
+every closed-form kernel value sums (``kernels._row_sum``; the diagonal
+K(0, 0) is read from the solves instead): complex arrays,
 with ``L`` and ``shift`` broadcasting against them, so that one call
 evaluates a batch of measures, and one expm1 formula for every s.  (The
 c3 > 0 section's boundary system needs no moment integral.)

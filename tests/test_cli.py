@@ -80,6 +80,17 @@ class TestKernelCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [("--delta", "1e-300", "--c2", "1", "--c3", "1"),
+                                      ("--delta", "1e-80", "--c2", "1")])
+    def test_delta_below_the_floor_is_one(self, argv):
+        # once a traceback (c3 > 0: (c3 L)^2 underflowed) or K00,nan with
+        # exit 0 (c3 = 0: the contour overflowed); now one error line
+        proc = subprocess.run([sys.executable, "-m", "pairpack.cli", "kernel", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: delta must be >= 1e-70, got {float(argv[1]):g}\n"
+
     def test_bad_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["kernel", "--c1", "not-a-number"])

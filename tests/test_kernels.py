@@ -13,7 +13,7 @@ from pairpack import (CaseTag, DegenerateRoots, InvalidRegime, LimitPath,
                       Measure, NotAdmissible, k_from_u, kernel_c3zero,
                       kernel_k00, kernel_k0z, kernel_k0z_grid, mu,
                       quartic_roots, script_L, solve_integral_eq)
-from pairpack.kernels import (_CLOSE_GAP, C3_MAX, _contour, k0_endpoint_value,
+from pairpack.kernels import (_CLOSE_GAP, C3_MAX, DELTA_MIN, _contour, k0_endpoint_value,
                               k0_transform_solution, quartic_residual)
 import pairpack.kernels as kernels
 import pairpack.verify as verify
@@ -216,6 +216,31 @@ class TestKernelK00:
         with pytest.raises(NotAdmissible):
             kernel_k00(Measure(1.0, 2.0, 0.0, 1.0))
 
+    def test_planted_k00_fails_the_oracle_check(self, monkeypatch):
+        # a 1e-12 relative change of K(0, 0) fails k00_vs_oracle_c3zero
+        monkeypatch.setattr(verify, "kernel_k00", lambda m: kernel_k00(m) * (1.0 + 1e-12))
+        assert not BY_NAME["k00_vs_oracle_c3zero"].run()[0]
+
+    def test_delta_floor(self):
+        # below DELTA_MIN a measure, or any entry of a batch, is refused in
+        # both regimes (the c3 = 0 contour overflowed below about 1e-77, and
+        # (c3 L)^2 underflowed into a division by zero); at the floor, and
+        # where (c3 L)^2 underflows through c3 and c2, the values are finite
+        for c3 in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"delta must be >= 1e-70"):
+                kernel_k00(Measure(1.0, 1.0, c3, 1e-300))
+            with pytest.raises(ValueError, match=r"delta must be >= 1e-70"):
+                kernel_k0z_grid(Measure(1.0, 1.0, c3, np.array([0.5, 1e-80])), [0.0, 1.0])
+            m = Measure(2.0, 1.0, c3, DELTA_MIN)
+            assert kernel_k00(m) == DELTA_MIN / 2.0
+            assert kernel_k0z_grid(m, [0.0])[0] == pytest.approx(DELTA_MIN / 2.0, rel=1e-15)
+        with pytest.raises(ValueError, match=r"delta must be >= 1e-70"):
+            kernel_c3zero(Measure(1.0, 1.0, 0.0, 1e-80), 0.0, 0.0)
+        tiny = Measure(1.0, 1e-300, 1e-200, 1.0)     # c3 L = 5e-201
+        assert kernel_k00(tiny) == 1.0
+        assert kernel_k0z_grid(tiny, [0.0, 0.3]) == pytest.approx(
+            [1.0, np.sin(0.3 * np.pi) / (0.3 * np.pi)], rel=1e-15)
+
 
 class TestKernelC3Zero:
     test_hermitian_symmetry = registry_test("c3zero_hermitian")
@@ -389,10 +414,15 @@ class TestKernelK0z:
         other = np.array([[1, 0, 3, 0.5], [1, 1, 0, 0.5], [2, 0.5, 0, 1.1]])
         zs = np.array([0.0, 0.3 + 0.1j, 1.1, 2.0])
         alone = kernel_k0z_grid(Measure(*section.T.reshape(4, 2, 3)), zs)
-        mixed = kernel_k0z_grid(Measure(*np.concatenate([other[:2], section, other[2:]]).T), zs)
+        both = Measure(*np.concatenate([other[:2], section, other[2:]]).T)
+        mixed = kernel_k0z_grid(both, zs)
         assert alone.shape == (2, 3, 4)
         np.testing.assert_array_equal(alone.reshape(6, 4), mixed[2:8])
-        np.testing.assert_array_equal(kernel_k00(Measure(*section.T)), mixed[2:8, 0].real)
+        # K(0, 0) comes from the solves: the same bits in both batches, and
+        # within 5e-15 of the rows' sum at z = 0
+        k00 = kernel_k00(Measure(*section.T))
+        np.testing.assert_array_equal(kernel_k00(both)[2:8], k00)
+        np.testing.assert_allclose(mixed[2:8, 0].real, k00, rtol=0, atol=5e-15)
         # and one measure of each regime
         pair = np.array([other[1], section[2]])
         np.testing.assert_array_equal(kernel_k0z_grid(Measure(*pair.T), zs),
@@ -596,19 +626,42 @@ def boundary_zones(n=60):
     return zones
 
 
+def near_degenerate_draws(n=60):
+    """The benchmark mix's near-degenerate measures off the line: |lam / 4
+    c3^2 - 1| log-uniform in [1e-12, 1e-2] of either sign, c1 in [0.5, 2],
+    Delta in [0.3, 1.2], sigma in [0.05, 1.66]."""
+    rng = np.random.default_rng(3232)
+    rows = []
+    for _ in range(n):
+        c1, delta = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.3, 1.2))
+        lam = float(rng.uniform(0.05, 1.66)) / delta ** 2
+        eps = 10.0 ** rng.uniform(-12.0, -2.0) * rng.choice([-1.0, 1.0])
+        rows.append((c1, lam * c1, math.sqrt(lam / (4.0 * (1.0 + eps))), delta))
+    return rows
+
+
+ZS = np.array([0.0, 0.7, 2.3 - 0.4j])
+
+
+@functools.lru_cache(maxsize=1)
+def mp_zones():
+    """Per zone of ``boundary_zones`` and the near-degenerate draws, each
+    measure's row with ``mp_section``'s divisor and K(0, z) at ZS."""
+    zones = dict(boundary_zones(), bench_near_degenerate=near_degenerate_draws())
+    return {zone: [(r,) + mp_section(*r, ZS) for r in rows] for zone, rows in zones.items()}
+
+
 def boundary_errors():
-    """Per zone, the worst relative error of script_L and the worst error of
-    K(0, z) (relative to max(1, |K|)) at z = 0, 0.7, 2.3 - 0.4i against
+    """Per zone of ``mp_zones``, the worst relative error of script_L and the
+    worst error of K(0, z) (relative to max(1, |K|)) at ZS against
     ``mp_section``."""
-    zs = np.array([0.0, 0.7, 2.3 - 0.4j])
     worst = {}
-    for zone, rows in boundary_zones().items():
+    for zone, rows in mp_zones().items():
         e_div = e_k = 0.0
-        for r in rows:
-            div, k = mp_section(*r, zs)
+        for r, div, k in rows:
             m = Measure(*r)
             e_div = max(e_div, abs(script_L(m) - div) / abs(div))
-            e_k = max(e_k, float(np.max(np.abs(kernel_k0z_grid(m, zs) - k)))
+            e_k = max(e_k, float(np.max(np.abs(kernel_k0z_grid(m, ZS) - k)))
                       / max(1.0, float(np.max(np.abs(k)))))
         worst[zone] = (e_div, e_k)
     return worst
@@ -617,7 +670,8 @@ def boundary_errors():
 class TestBoundarySystem:
     # measured worst (script_L, K): large c3 3.3e-16, 3.9e-16; small c3
     # 2.7e-16, 2.4e-16; near the line 3.4e-16, 2.6e-15 (there the five rows'
-    # weights grow like 1 / (zeta1 - zeta2) and round apart)
+    # weights grow like 1 / (zeta1 - zeta2) and round apart); the benchmark's
+    # near-degenerate draws 3.5e-16, 8.3e-16
     DIVISOR_TOL, SECTION_TOL = 2e-15, 8e-15
 
     def test_divisor_and_section_against_mpmath(self):
@@ -625,15 +679,28 @@ class TestBoundarySystem:
             assert e_div <= self.DIVISOR_TOL, zone
             assert e_k <= self.SECTION_TOL, zone
 
+    # K(0, 0) from the solve, relative to max(1, K): measured worst 2.0e-16,
+    # 2.1e-16, 2.2e-16 and 3.2e-16 in the four zones; the rows' sum at z = 0
+    # reads up to 1.9e-15 from both near the line (within K00_GRID_TOL)
+    K00_TOL, K00_GRID_TOL = 8e-16, 5e-15
+
+    def test_k00_against_mpmath(self):
+        for zone, rows in mp_zones().items():
+            for r, _, k in rows:
+                m, ref = Measure(*r), k[0].real
+                k00, scale = kernel_k00(m), max(1.0, abs(ref))
+                assert abs(k00 - ref) <= self.K00_TOL * scale, (zone, r)
+                assert abs(kernel_k0z_grid(m, [0.0])[0] - k00) <= self.K00_GRID_TOL * scale
+
     def test_planted_entry_fails(self, monkeypatch, request):
         # a 1e-12 relative change of one entry of the scaled boundary matrix
         # (F2 at the first root) fails the divisor test and script_L_det_real
         entries = kernels._boundary_entries
 
         def planted(*args):
-            x = entries(*args)
+            x, k = entries(*args)
             x[1, 0] *= 1.0 + 1e-12
-            return x
+            return x, k
 
         def clear():
             kernels._cached_solution.cache_clear(), verify._divisor_margins.cache_clear()

@@ -233,10 +233,16 @@ batches = st.lists(rows, min_size=1, max_size=8)
 class TestMeasureBatches:
     @fixed
     @given(batches)
+    @example([LINE_MEASURE, (1.0, 1.0 + 1e-6, 0.5, 0.5), (1.0, 0.0, 3.0, 0.5),
+              (1.0, 1.0, 0.0, 0.5), (1.3, 1.1, 500.0 / 0.7, 0.7)])
+    @example([(1.0, 1.0, 4.0 * c, 0.5) for c in np.linspace(0.0, 1.0, 17).tolist()])
     def test_batched_k00_matches_single_measures(self, rs):
+        # bit for bit: each regime's K(0, 0) comes from its own solve, for one
+        # measure as for a batch of one regime or of both (the second example
+        # is figure1_data(0, 1, 16)'s batch)
         batch = Measure(*np.array(rs).T)
         single = [kernel_k00(Measure(*r)) for r in rs]
-        np.testing.assert_allclose(kernel_k00(batch), single, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(kernel_k00(batch), single)
 
     @fixed
     @given(batches)
