@@ -175,12 +175,16 @@ def _require_delta_floor(delta) -> None:
 
 
 def mu(m: Measure) -> float:
-    """mu = c3^2 / (2 c2 + c3^2 c1); zero exactly when c3 = 0."""
+    """mu = c3^2 / (2 c2 + c3^2 c1); zero exactly when c3 = 0.  In long
+    double, whose range holds c3^2 and 2 c2 for every admissible measure,
+    and rounded once: in double, c3^2 underflows below c3 = 1.5e-154 and
+    mu with it.  For a batch measure, an array over the batch."""
     _require_c3_bound(m)
     if _any((m.c2 == 0.0) & (m.c3 == 0.0)):
         raise ValueError("mu requires c2 > 0 or c3 > 0")
-    c3_sq = m.c3 * m.c3
-    return c3_sq / (2.0 * m.c2 + c3_sq * m.c1)
+    c1, c2, c3 = np.array([m.c1, m.c2, m.c3], dtype=np.longdouble)
+    c3_sq = c3 * c3
+    return (c3_sq / (c2 + c2 + c3_sq * c1)).astype(float)[()]
 
 
 def script_L(m: Measure) -> complex:
@@ -282,11 +286,17 @@ def _two_product(a, b):
 #
 # * Real parameters are Python floats for one measure and arrays over the
 #   batch, flattened to one axis, for a batch; cast once to long double.
-# * Complex quantities are arrays with the measures on the last axis (one
-#   entry for one measure; numpy's complex multiply on numpy scalars skips
-#   the fused multiply-add of its array loop, so a 0-d product would round
-#   apart from the same measure's product inside a batch), and entries,
-#   roots and contour nodes on leading ones.
+# * The solve runs in complex long double, each root's quantities in a
+#   variable of their own: numpy scalars for one measure, arrays over the
+#   measures for a batch, with contour nodes on a trailing axis.  The same
+#   statements serve both, bit for bit: long double has no fused
+#   multiply-add, so each of numpy's scalar operations (+, -, *, /, exp,
+#   expm1, sqrt, abs, the casts) rounds as its array loop does
+#   (tests/test_kernels.py::TestLongDoubleScalars).  complex128 would not:
+#   its array multiply fuses a product into the sum and its scalar one does
+#   not, so a double solve would round one measure apart from a batch.
+# * Where some measures take another value (near, close), ``_put`` writes it
+#   at their mask, () for every entry, into a copy of the rest.
 # * A square that a Python float can reach is written as a product, c3 * c3:
 #   Python's ``**`` calls libm pow, which rounds apart from numpy's square
 #   in about 0.1% of doubles, and so would tag roots on the degenerate line
@@ -298,11 +308,12 @@ _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which the rows take the cont
 _C3_FLOOR = 1e-60       # c3 / sqrt(lam) below which the section is solved at that floor
 _C3_TINY = 1e-150       # and c3 itself, so that c3^2 stays a normal double
 _NEAR_GAP = 1e-3        # |zeta1 - zeta2| / lam below which Cramer's rule loses digits
+_CLOSE_GAP_X = np.longdouble(_CLOSE_GAP)    # a long-double array's test against it
 # c3 on the four root rows and the contour rows, 0 on the mu row
 _SHIFT_PATTERN = {n: np.array([1.0] * 4 + [0.0] + [1.0] * (n - 5)) for n in (5, 21)}
-_W_SIGNS = np.array([[1.0], [-1.0]], dtype=np.clongdouble)    # w1, w2
-# complex long-double constants, as 0-d arrays
-_ONE_X, _TWO_X, _FOUR_X, _HALF_X = (np.array(v, dtype=np.clongdouble) for v in (1, 2, 4, 0.5))
+# complex long-double constants, as numpy scalars: a 0-d array operand would
+# send a scalar operation through the array machinery
+_ONE_X, _TWO_X, _FOUR_X, _HALF_X = (np.clongdouble(v) for v in (1, 2, 4, 0.5))
 _HALF, _TINY = np.longdouble(0.5), np.longdouble(1e-300)     # real long-double constants
 
 
@@ -320,18 +331,26 @@ def _contour(zeta1, zeta2, L):
 
 
 def _boundary_entries(eta, P, Q, mL):
-    """((phi1, F2, gamma), k) at the points eta (Re eta >= 0, eta != 0) in
+    """(phi1, F2, gamma, k) at the points eta (Re eta >= 0, eta != 0) in
     units of c3: the scaled boundary matrix's entries F1 = P phi1, F2 and G
-    = F1 - F2 = eta^2 gamma on a new leading axis, and k = b E / eta, -c3
-    times a row pair's value at z = 0 (the notes above ``_contour``).  P =
-    1 - eta^2, Q = 1 + eta^2 and mL = -c3 Delta / 2 broadcast against eta;
-    complex long doubles."""
+    = F1 - F2 = eta^2 gamma, and k = b E / eta, -c3 times a row pair's value
+    at z = 0 (the notes above ``_contour``).  P = 1 - eta^2, Q = 1 + eta^2
+    and mL = -c3 Delta / 2 broadcast against eta; complex long doubles,
+    numpy scalars or arrays."""
     u = P / (_ONE_X + eta)
     b, e = np.exp(mL * u), np.expm1((eta + eta) * mL)
     half_u = u * _HALF_X
     half_eu = e * half_u
     half_eu2 = half_eu * u
-    return b * np.array([_ONE_X + half_eu, Q + half_eu2, half_eu2 / eta - _TWO_X]), b * e / eta
+    return b * (_ONE_X + half_eu), b * (Q + half_eu2), b * (half_eu2 / eta - _TWO_X), b * e / eta
+
+
+def _put(x, sel, v):
+    """A copy of x with v at ``sel``, a mask or () for every entry; for a
+    numpy scalar x, a numpy scalar."""
+    x = np.array(x)
+    x[sel] = v
+    return x[()]
 
 
 @dataclass(frozen=True)
@@ -357,8 +376,11 @@ class TransformSolution:
     units of c3, the rows' values at z = 0 in closed form (notes above
     ``_contour``), summed in long double with the contour rows where
     ``close`` is set and rounded once.  The record fields that no kernel
-    value sums (``roots``, ``p_scaled``, ``q_scaled``, ``det``, ``mu``,
-    ``scale``) are built on first use.
+    value sums are built on first use: ``det``, ``p_scaled`` and
+    ``q_scaled`` from the solve's complex long doubles (numpy scalars for
+    one measure, which round as a batch's arrays do; the layout notes above
+    ``_contour``), ``mu`` from the mu row's weight, ``scale`` and ``roots``
+    from c3 Delta / 2, lam = c2 / c1 and the rows.
 
     For one measure the scalar fields are numpy scalars (``k00`` a float)
     and the rows have shape (5,) or (21,); for a batch measure every field
@@ -375,44 +397,48 @@ class TransformSolution:
     weights: np.ndarray
     close: bool
     k00: float
-    # (shape, measure solved, det or None, det Gamma', gap, (q, p) or None,
-    # Cramer's w, c3): what the lazy fields are built from
-    _parts: tuple = field(repr=False)
+    # what the fields built on first use read, one entry per measure (a
+    # batch's on one axis): in long double, det and (q, p) where the solve
+    # formed them (some measure near, some close), else None, and Cramer's
+    # (det Gamma', zeta1 - zeta2, w1, w2, c3) to form them from; in double,
+    # lam and c3 Delta / 2
+    _det: np.clongdouble = field(repr=False)
+    _qp: tuple = field(repr=False)
+    _cramer: tuple = field(repr=False)
+    _lam: float = field(repr=False)
+    _scale: float = field(repr=False)
 
     @functools.cached_property
     def roots(self) -> EtaPair:
-        m = self._parts[1]
+        c3 = self.shifts[..., 0]
         return _eta_pair((self.offsets[..., 0][()], self.offsets[..., 1][()]),
-                         m.c2 / m.c1, m.c3 * m.c3)
+                         self._lam, c3 * c3)
 
     @functools.cached_property
     def det(self) -> complex:
-        shape, _, det, det_g, gap_u = self._parts[:5]
-        return _field((det_g / (gap_u + gap_u) if det is None else det).astype(complex), shape)
+        det_g, gap = self._cramer[:2]
+        det = det_g / (gap + gap) if self._det is None else self._det
+        return _field(det.astype(complex), self.close.shape)
 
     @functools.cached_property
-    def _qp_complex(self) -> np.ndarray:
-        gap_u, qp, w, c3_x = self._parts[4:]
-        qp = (_qp(w, gap_u, c3_x) if qp is None else qp).astype(complex)
-        qp.setflags(write=False)
-        return qp
-
-    @property
     def p_scaled(self) -> complex:
-        return self._qp_complex[1].reshape(self._parts[0])[()]
+        return _field(self._qp_x[1].astype(complex), self.close.shape)
+
+    @functools.cached_property
+    def q_scaled(self) -> complex:
+        return _field(self._qp_x[0].astype(complex), self.close.shape)
 
     @property
-    def q_scaled(self) -> complex:
-        return self._qp_complex[0].reshape(self._parts[0])[()]
+    def _qp_x(self) -> tuple:
+        return _qp(*self._cramer[1:]) if self._qp is None else self._qp
 
     @functools.cached_property
     def mu(self) -> float:
-        return _field(np.asarray(mu(self._parts[1])), self._parts[0])
+        return _field(self.weights[..., 4].real * 0.5, self.close.shape)
 
     @functools.cached_property
     def scale(self) -> float:
-        m = self._parts[1]
-        return _field(np.asarray(m.c3 * (m.delta / 2.0)), self._parts[0])
+        return _field(np.asarray(self._scale), self.close.shape)
 
 
 def k0_transform_solution(m: Measure) -> TransformSolution:
@@ -424,10 +450,10 @@ def k0_transform_solution(m: Measure) -> TransformSolution:
     return _transform_solution(m) if isinstance(m.c3, np.ndarray) else _cached_solution(m)
 
 
-def _qp(w, gap_u, c3_x):
+def _qp(gap, w1, w2, c3_x):
     """(q, p) in units of c3 from Cramer's weights: q = (w1 - w2) (zeta1 -
     zeta2) c3^2 / 2, p = w1 + w2."""
-    return np.array([(w[0] - w[1]) * (gap_u * (c3_x * c3_x * _HALF_X)), w[0] + w[1]])
+    return (w1 - w2) * (gap * (c3_x * c3_x * _HALF_X)), w1 + w2
 
 
 def _transform_solution(m: Measure) -> TransformSolution:
@@ -437,89 +463,96 @@ def _transform_solution(m: Measure) -> TransformSolution:
     # with c3, the system in units of c3 is solved at that floor; below c3 =
     # 1e-150, where c3^2 and mu would underflow, at that one (there lam <
     # 1e-180, and the section is the pure atom's up to lam Delta^2)
-    if _any((m.c3 < _C3_TINY) | (m.c3 * m.c3 < _C3_FLOOR * _C3_FLOOR * (m.c2 / m.c1))):
-        floor = np.maximum(_C3_FLOOR * np.sqrt(m.c2 / m.c1), _C3_TINY)
+    lam_d = m.c2 / m.c1
+    if _any((m.c3 < _C3_TINY) | (m.c3 * m.c3 < _C3_FLOOR * _C3_FLOOR * lam_d)):
+        floor = np.maximum(_C3_FLOOR * np.sqrt(lam_d), _C3_TINY)
         m = Measure(m.c1, m.c2, np.maximum(m.c3, floor), m.delta)
     shape = getattr(m.c1, "shape", ())
     c1, c2, c3, L = m.c1, m.c2, m.c3, m.delta / 2.0
     if shape:
         c1, c2, c3, L = (v.reshape(-1) for v in (c1, c2, c3, L))
     # in units of c3 and long double: lam = c2 / (c1 c3^2), mL = -c3 L, mu,
-    # and per (root, measure) P, Q and the roots (notes above ``_contour``)
-    mu_v = c3 * c3 / (2.0 * c2 + c3 * c3 * c1)
-    c3_x, c2_x, c1_x, mL, mu = np.array([c3, c2, c1, -L, mu_v],
-                                        dtype=np.clongdouble).reshape(5, -1)
+    # and per root P, Q, zeta and eta (notes above ``_contour``)
+    c3_sq, scale = c3 * c3, c3 * L
+    mu_v = c3_sq / (2.0 * c2 + c3_sq * c1)
+    c3_x, c2_x, c1_x, mL, mu = np.array([c3, c2, c1, -L, mu_v], dtype=np.clongdouble)
     lam, mL = c2_x / (c1_x * c3_x * c3_x), c3_x * mL
     root = np.sqrt(lam * (lam - _FOUR_X))
-    pq2 = np.array([lam + root, (_TWO_X - lam) - root])
-    quot = _FOUR_X / pq2
-    P, Q = np.array([quot[0] * lam, pq2[0]]), np.array([quot[1], pq2[1]])
-    zeta_u = _ONE_X - P
-    eta_u = np.sqrt(zeta_u)
-    gap_u = zeta_u[0] - zeta_u[1]
-    x, k = _boundary_entries(eta_u, P, Q, mL)    # (phi1, F2, gamma; root; measure), b E / eta
-    f1, g, p_sq = P * x[0], zeta_u * x[2], P * P            # F1, G, P^2
+    P2, Q2 = lam + root, (_TWO_X - lam) - root
+    P1, Q1 = _FOUR_X / P2 * lam, _FOUR_X / Q2
+    zeta1, zeta2 = _ONE_X - P1, _ONE_X - P2
+    eta1, eta2 = np.sqrt(zeta1), np.sqrt(zeta2)
+    gap = zeta1 - zeta2
+    phi1_1, f2_1, gamma1, k1 = _boundary_entries(eta1, P1, Q1, mL)
+    phi1_2, f2_2, gamma2, k2 = _boundary_entries(eta2, P2, Q2, mL)
+    f1_1, f1_2, g1, g2 = P1 * phi1_1, P2 * phi1_2, zeta1 * gamma1, zeta2 * gamma2    # F1, G
+    p1_sq, p2_sq = P1 * P1, P2 * P2
     # one |zeta1 - zeta2| for both masks; a product, so that (c3 L)^2 may
     # underflow to 0 (c3 L < 1.5e-154 gives sigma < 1e-187: close, rightly)
-    a_gap = abs(gap_u)
-    close = a_gap * ((c3 * L) * (c3 * L)) < _CLOSE_GAP
+    a_gap = abs(gap)
+    close = a_gap * (scale * scale) < _CLOSE_GAP_X
     any_close = _any(close)
     near = close & (a_gap < _NEAR_GAP * lam.real) if any_close else close
     any_near = any_close and _any(near)
     # Cramer's rule: w1 = mu P1^2 G2 / det Gamma', w2 = -mu P2^2 G1 / det
     # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1); q and p restate them.
     # det unless some measure is near, and (q, p) unless some is close, are
-    # built on first use
-    det_g, det, qp = f1[0] * x[1, 1] - f1[1] * x[1, 0], None, None
+    # formed on first use
+    det_g, det, qp = f1_1 * f2_2 - f1_2 * f2_1, None, None
     if any_near:    # replaced below: there det Gamma' and the gap can vanish
-        gap2 = gap_u + gap_u
-        det_g[near] = gap2[near] = _ONE_X
-        det = det_g / gap2
-    w = _W_SIGNS * (p_sq * g[::-1]) * (mu / det_g)
+        det_g = _put(det_g, near, _ONE_X)
+        det = det_g / _put(gap + gap, near, _ONE_X)
+    ratio = mu / det_g
+    w1, w2 = p1_sq * g2 * ratio, -(p2_sq * g1) * ratio
+    cramer = (det_g, gap, w1, w2, c3_x)
     if any_close:   # the contour rule; near measures' means and divided differences
-        qp = _qp(w, gap_u, c3_x)
-        sel = slice(None) if close.all() else close
-        gap_c, c3_c = gap_u[sel], c3_x[sel, None]
-        nodes, c = _contour(zeta_u[0, sel, None], zeta_u[1, sel, None], -mL[sel, None])
+        q, p = _qp(gap, w1, w2, c3_x)
+        # the close measures: sel reads them (() keeps a numpy scalar one),
+        # at writes their rows of the table
+        sel, at = ((), ...) if close.all() else (close, close)
+        z1_c, z2_c, mL_c, c3_c = (v[sel][..., None] for v in (zeta1, zeta2, mL, c3_x))
+        nodes, c = _contour(z1_c, z2_c, -mL_c)
         zn = nodes * nodes
-        x_c, k_c = _boundary_entries(nodes, _ONE_X - zn, _ONE_X + zn, mL[sel, None])
+        phi1_c, f2_c, gamma_c, k_c = _boundary_entries(nodes, _ONE_X - zn, _ONE_X + zn, mL_c)
         if any_near:    # means of (phi1, F2, gamma, F1, G, P, zeta, P^2); F1'
             # and G' by the product rule, with P' = -1 and zeta' = 1
-            dd = (c * x_c).sum(-1)
-            both = np.array([x[0], x[1], x[2], f1, g, P, zeta_u, p_sq])[:, :, sel]
-            mean = _HALF_X * (both[:, 0] + both[:, 1])
-            f1_dd = mean[5] * dd[0] - mean[0]
-            g_dd = mean[2] + mean[6] * dd[2]
-            det_dd = f1_dd * mean[1] - mean[3] * dd[1]     # det Gamma' / (zeta1 - zeta2)
-            p2_dd = -(mean[5] + mean[5])                    # (P^2)'
-            qp_dd = np.array([
-                c3_c[:, 0] * c3_c[:, 0] * (mean[7] * mean[4]
-                                           - _HALF_X * _HALF_X * gap_c * gap_c * p2_dd * g_dd),
-                p2_dd * mean[4] - mean[7] * g_dd]) * (mu[sel] / det_dd)
+            dd_phi1, dd_f2, dd_gamma = ((c * x).sum(-1) for x in (phi1_c, f2_c, gamma_c))
+            m_phi1, m_f2, m_gamma, m_f1, m_g, m_p, m_zeta, m_p_sq = (
+                _HALF_X * (x1[sel] + x2[sel]) for x1, x2 in (
+                    (phi1_1, phi1_2), (f2_1, f2_2), (gamma1, gamma2), (f1_1, f1_2), (g1, g2),
+                    (P1, P2), (zeta1, zeta2), (p1_sq, p2_sq)))
+            f1_dd = m_p * dd_phi1 - m_phi1
+            g_dd = m_gamma + m_zeta * dd_gamma
+            det_dd = f1_dd * m_f2 - m_f1 * dd_f2       # det Gamma' / (zeta1 - zeta2)
+            p2_dd = -(m_p + m_p)                        # (P^2)'
+            gap_c, ratio = gap[sel], mu[sel] / det_dd
+            q_dd = c3_x[sel] * c3_x[sel] * (
+                m_p_sq * m_g - _HALF_X * _HALF_X * gap_c * gap_c * p2_dd * g_dd) * ratio
+            p_dd = (p2_dd * m_g - m_p_sq * g_dd) * ratio
             keep = near[sel]
-            qp[:, sel] = np.where(keep, qp_dd, qp[:, sel])
-            det[sel] = np.where(keep, _HALF_X * det_dd, det[sel])
-        w[:, sel] = _HALF_X * qp[1, sel]                    # and q c' on 16 more rows
-        c = qp[0, sel, None] * c / (c3_c * c3_c)
+            q = _put(q, sel, np.where(keep, q_dd, q[sel]))
+            p = _put(p, sel, np.where(keep, p_dd, p[sel]))
+            det = _put(det, sel, np.where(keep, _HALF_X * det_dd, det[sel]))
+        half_p = _HALF_X * p[sel]                    # and q c' on 16 more rows
+        w1, w2 = _put(w1, sel, half_p), _put(w2, sel, half_p)
+        c = q[sel][..., None] * c / (c3_c * c3_c)
+        qp = (q, p)
     # -K(0, 0) c3: the mu row's -2 mu c3 L and each root's pair of rows
-    k00 = w * k
-    k00 = (k00[0] + k00[1]) + (mu + mu) * mL
+    k00 = (w1 * k1 + w2 * k2) + (mu + mu) * mL
     if any_close:
-        k00[sel] += (c * k_c).sum(-1)
+        k00 = _put(k00, sel, k00[sel] + (c * k_c).sum(-1))
     k00 = k00.real / -c3_x.real
-    # the rows, (measure, row): offsets and weights in one table, offsets
-    # (eta1, eta2, -eta1, -eta2, 0) and weights (w1, w2, w1, w2, 2 mu), these
-    # cast to complex on assignment
-    n, n_rows = close.size, 21 if any_close else 5
-    table = np.zeros((2, n, n_rows), dtype=complex)
-    table[0, :, :2] = (eta_u * c3_x).T
-    np.negative(table[0, :, :2], out=table[0, :, 2:4])
-    table[1, :, :4].reshape(n, 2, 2)[...] = w.T[:, None, :]
-    table[1, :, 4] = mu_v + mu_v
+    # the rows, (measure, row) for a batch: offsets (eta1, eta2, -eta1,
+    # -eta2, 0) and weights (w1, w2, w1, w2, 2 mu) in one table, cast to
+    # complex on assignment
+    n_rows, e1, e2 = 21 if any_close else 5, eta1 * c3_x, eta2 * c3_x
+    table = np.zeros((2,) + close.shape + (n_rows,), dtype=complex)
+    table[..., :4] = np.array([[e1, e2, -e1, -e2], [w1, w2, w1, w2]]).swapaxes(1, -1)
+    table[1, ..., 4] = mu_v + mu_v
     if any_close:   # contour rows: node 0 and weight 0 for the measures not close
         nodes = (nodes * c3_c).astype(complex)
-        table[0, close, 5:13], table[0, close, 13:] = nodes, -nodes
-        table[1, close, 5:13] = table[1, close, 13:] = c
+        table[0, at, 5:13], table[0, at, 13:] = nodes, -nodes
+        table[1, at, 5:13] = table[1, at, 13:] = c
     rows = shape + (n_rows,)
     shifts = c3[:, None] * _SHIFT_PATTERN[n_rows] if shape else c3 * _SHIFT_PATTERN[n_rows]
     table.setflags(write=False), shifts.setflags(write=False)
@@ -527,9 +560,9 @@ def _transform_solution(m: Measure) -> TransformSolution:
         close, k00 = close.reshape(shape), k00.astype(float).reshape(shape)
         close.setflags(write=False), k00.setflags(write=False)
     else:
-        close, k00 = close[0], float(k00[0])
+        k00 = float(k00)
     return TransformSolution(table[0].reshape(rows), shifts.reshape(rows), table[1].reshape(rows),
-                             close, k00, (shape, m, det, det_g, gap_u, qp, w, c3_x))
+                             close, k00, det, qp, cramer, lam_d, scale)
 
 
 def _flat(v):

@@ -1,7 +1,9 @@
 """Closed-form kernels: roots, moment functions, sections, the divisor."""
 
 import functools
+import itertools
 import math
+import operator
 import types
 
 import numpy as np
@@ -27,6 +29,17 @@ class TestQuarticRoots:
         assert roots.case_tag is CaseTag.DEGENERATE
         assert roots.eta1 == pytest.approx(1j * np.sqrt(3.0) * 0.5, abs=1e-12)
         assert roots.eta2 == pytest.approx(roots.eta1, abs=1e-12)
+
+    @pytest.mark.parametrize("root", [0, 1])
+    def test_planted_root_fails_the_residual_check(self, monkeypatch, root):
+        # a 1e-12 relative error in one of the solve's roots
+        def planted(m):
+            offsets = k0_transform_solution(m).offsets.copy()
+            offsets[root] *= 1.0 + 1e-12
+            return types.SimpleNamespace(offsets=offsets)
+        monkeypatch.setattr(verify, "k0_transform_solution", planted)
+        measured, tol = verify._quartic_residual()
+        assert measured > 10.0 * tol
 
     def test_purely_imaginary_case(self):
         roots = quartic_roots(Measure(1.0, 1.0, 0.1, 0.5))
@@ -202,6 +215,23 @@ class TestMu:
 
     def test_c2_to_zero_limit(self):
         assert mu(Measure(2.0, 1e-14, 3.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
+
+    def test_tiny_c3_against_mpmath(self):
+        # in long double and rounded once: in double c3^2 underflows below
+        # c3 = 1.5e-154, and mu read 0 at (c3, c2) = (1e-200, 1e-300) for
+        # 5e-101, and 4.99994e-321 at (1e-160, 1) for 5e-321.  Every value
+        # is within half an ulp of mpmath's, alone and in a batch
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 300
+        rs = [(1.0, c2, c3, 1.0) for c3 in (1e-160, 1e-200, 1e-300) for c2 in (1.0, 1e-300)]
+        batch = mu(Measure(*np.array(rs).T))
+        for (c1, c2, c3, _), in_batch in zip(rs, batch):
+            one = mu(Measure(c1, c2, c3, 1.0))
+            c3_sq = mpmath.mpf(c3) ** 2
+            ref = c3_sq / (2 * mpmath.mpf(c2) + c3_sq * c1)
+            half_ulp = mpmath.mpf(math.ulp(float(ref))) / 2
+            assert abs(mpmath.mpf(float(one)) - ref) <= half_ulp, (c2, c3)
+            assert one == in_batch
 
 
 class TestKernelK00:
@@ -694,13 +724,16 @@ class TestBoundarySystem:
 
     def test_planted_entry_fails(self, monkeypatch, request):
         # a 1e-12 relative change of one entry of the scaled boundary matrix
-        # (F2 at the first root) fails the divisor test and script_L_det_real
-        entries = kernels._boundary_entries
+        # (F2 at the first root) fails the divisor test and script_L_det_real.
+        # Each solve takes the roots' entries in two calls, eta1's first, then
+        # the contour nodes' (eta with a trailing node axis that mL lacks)
+        entries, root_calls = kernels._boundary_entries, itertools.count()
 
-        def planted(*args):
-            x, k = entries(*args)
-            x[1, 0] *= 1.0 + 1e-12
-            return x, k
+        def planted(eta, P, Q, mL):
+            phi1, f2, gamma, k = entries(eta, P, Q, mL)
+            if np.shape(eta) == np.shape(mL) and next(root_calls) % 2 == 0:
+                f2 = f2 * (1.0 + 1e-12)
+            return phi1, f2, gamma, k
 
         def clear():
             kernels._cached_solution.cache_clear(), verify._divisor_margins.cache_clear()
@@ -772,3 +805,102 @@ class TestTransformSolutionCache:
         assert batch.weights.shape == (1, 2, 21) and batch.weights.flags.c_contiguous
         for name in ("p_scaled", "mu", "close", "offsets", "shifts", "weights"):
             assert not getattr(batch, name).flags.writeable, name
+
+
+def _components(x):
+    """The real parts of x, then its imaginary parts if it is complex."""
+    x = np.asarray(x)
+    return np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x
+
+
+def _differences(x, y) -> int:
+    """How many components of x and y differ (a NaN equals a NaN; the sign
+    of a zero counts)."""
+    x, y = _components(x), _components(y)
+    same = (x == y) & (np.signbit(x) == np.signbit(y))
+    return int(np.count_nonzero(~(same | (np.isnan(x) & np.isnan(y)))))
+
+
+def _rounding_differences(f, *args) -> int:
+    """How many components of f over arrays args differ from f applied to
+    their entries one numpy scalar at a time."""
+    with np.errstate(all="ignore"):
+        one = np.array([f(*xs) for xs in zip(*args)])    # first: f may reuse a buffer
+        return _differences(f(*args), one)
+
+
+class TestLongDoubleScalars:
+    """The c3 > 0 solve runs one measure's values as numpy clongdouble
+    scalars and a batch's as arrays, with the same statements (the layout
+    notes above ``kernels._contour``).  That is bit for bit only if each
+    operation it applies rounds a scalar as its array loop rounds the same
+    entry; long double has no fused multiply-add for the loop to apply.  A
+    numpy whose scalar and array paths part fails here."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        # magnitudes 1e-300 to 1e300; every fourth entry of b within 1e-18
+        # of a's (near roots: sums and differences that cancel), real and
+        # purely imaginary entries, signed zeros, and unit-size values
+        rng, n = np.random.default_rng(33), self.N
+
+        def complex_draws():
+            z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).astype(np.clongdouble)
+            z *= (10.0 ** rng.uniform(-300, 300, n)).astype(np.longdouble)
+            z[::7] = z[::7].real
+            z[1::7] = 1j * z[1::7].imag
+            z[2::7] = rng.standard_normal(z[2::7].size) + 1j * rng.standard_normal(z[2::7].size)
+            zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+            z[3::97] = np.array(zeros * n)[:z[3::97].size]
+            return z
+
+        with np.errstate(all="ignore"):
+            a, b = complex_draws(), complex_draws()
+            tiny = (1e-18 * rng.standard_normal(a[::4].size)).astype(np.longdouble)
+            b[::4] = a[::4] * (1 + tiny) + tiny
+            # exponents of both signs and sizes up to 60, and near 0 for expm1
+            arg = a / abs(a) * rng.uniform(-60, 60, n).astype(np.longdouble)
+            arg[::3] *= np.longdouble(1e-12)
+            return a, b, np.nan_to_num(arg)
+
+    @pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+    def test_binary(self, draws, name):
+        f = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "div": operator.truediv}[name]
+        a, b, _ = draws
+        assert _rounding_differences(f, a, b) == 0
+        # with a Python float, as the solve's constants 0.5 and 8 meet it
+        for v in (0.5, 8.0, -1.7):
+            assert _rounding_differences(lambda x: f(x, v), a) == 0
+            assert _rounding_differences(lambda x: f(v, x), a) == 0
+
+    @pytest.mark.parametrize("name", ["exp", "expm1", "sqrt", "abs", "conj", "neg", "real"])
+    def test_unary(self, draws, name):
+        f = {"exp": np.exp, "expm1": np.expm1, "sqrt": np.sqrt, "abs": abs, "conj": np.conj,
+             "neg": operator.neg, "real": lambda x: x.real}[name]
+        a, _, arg = draws
+        assert _rounding_differences(f, arg if name in ("exp", "expm1") else a) == 0
+
+    def test_real_parts_and_casts(self, draws):
+        a, b, _ = draws
+        re, im = a.real, b.real
+        for f in (operator.mul, operator.truediv):
+            assert _rounding_differences(f, re, im) == 0
+            assert _rounding_differences(lambda x: f(x, 1e-2), re) == 0
+        assert _rounding_differences(operator.neg, re) == 0
+        # the rows and K(0, 0) are rounded to double once, by a cast or on
+        # assignment into a complex128 table
+        assert _rounding_differences(lambda x: x.astype(complex), a) == 0
+        assert _rounding_differences(lambda x: x.astype(float), re) == 0
+        table = np.empty(a.shape, dtype=complex)
+        for i, x in enumerate(a):
+            table[i] = x
+        assert _differences(a.astype(complex), table) == 0
+
+    def test_node_sums(self, draws):
+        # the contour's sums over 8 nodes: one measure's row and a batch's rows
+        a = draws[0][:8 * (self.N // 8)].reshape(-1, 8)
+        with np.errstate(all="ignore"):
+            assert _differences(a.sum(-1), np.array([row.sum(-1) for row in a])) == 0
