@@ -1,8 +1,15 @@
 """Closed-form reproducing kernels of the weighted band-limited spaces.
 
-Every kernel value K(w, z) is one sum of sinh quotients over a table of
-rows, ``_row_sum``: ``kernel_c3zero`` sums ``_c3zero_rows``, and every entry
-point of the section K(0, .) the table that ``_section_rows`` chooses.  The
+Every kernel value K(w, z) is a sum over a table of rows e^{-shift L}
+sinh((s + o) L) / (s + o), s = 2 pi i z: ``kernel_c3zero`` sums
+``_c3zero_rows``, and every entry point of the section K(0, .) the table
+that ``_section_rows`` chooses.  One point and complex points sum the rows'
+sinh quotients (``_row_sum``).  A grid of real points reads rows with
+purely imaginary offsets as real sines (``_sine_rows``) and sums the other
+c3 > 0 sections' rows as +- pairs, (u sin(u) A L + cos(u) B L^2) / (u^2 +
+(o L)^2) with u = 2 pi z L, one real sine and cosine per point for every
+row (``_pair_sum``), taking the two quotients only where a pair cancels,
+near its removable points s = +-o.  The
 diagonal K(0, 0), whose reciprocal every printed bound is, is read from each
 regime's own solve instead (``kernel_k00``).  Two regimes:
 
@@ -302,7 +309,16 @@ def _two_product(a, b):
 #   in about 0.1% of doubles, and so would tag roots on the degenerate line
 #   differently alone and in a batch.
 # * Every sum over rows or over contour nodes runs over a contiguous last
-#   axis, so that one measure and a batch sum in the same order.
+#   axis, and every sum over rows or pairs at a grid of points over an axis
+#   just before the points' (numpy adds whole rows of points in sequence),
+#   so that one measure and a batch sum in the same order.
+#
+# The rows come in pairs +-o with one weight w, and at real points a pair
+# is summed from the factors C = b (1 + E / 2) = e^{-c3 L} cosh(eta c3 L)
+# and S = -eta b E / 2 = e^{-c3 L} eta sinh(eta c3 L) (``_pair_sum``), which
+# the solve forms from the same b and E in long double, at the roots and at
+# the contour nodes, so that neither cosh(o L) nor sinh(o L) overflows where
+# c3 Delta runs into the thousands.
 
 _CLOSE_GAP = 1e-2       # |zeta1 - zeta2| L^2 below which the rows take the contour
 _C3_FLOOR = 1e-60       # c3 / sqrt(lam) below which the section is solved at that floor
@@ -331,18 +347,19 @@ def _contour(zeta1, zeta2, L):
 
 
 def _boundary_entries(eta, P, Q, mL):
-    """(phi1, F2, gamma, k) at the points eta (Re eta >= 0, eta != 0) in
-    units of c3: the scaled boundary matrix's entries F1 = P phi1, F2 and G
-    = F1 - F2 = eta^2 gamma, and k = b E / eta, -c3 times a row pair's value
-    at z = 0 (the notes above ``_contour``).  P = 1 - eta^2, Q = 1 + eta^2
-    and mL = -c3 Delta / 2 broadcast against eta; complex long doubles,
-    numpy scalars or arrays."""
+    """(phi1, F2, gamma, b, b E) at the points eta (Re eta >= 0, eta != 0)
+    in units of c3: the scaled boundary matrix's entries F1 = P phi1, F2 and
+    G = F1 - F2 = eta^2 gamma, and the factors b and b E, from which a row
+    pair's value at z = 0 (the notes above ``_contour``) and its factors at
+    real points (``_pair_sum``) follow.  P = 1 - eta^2, Q = 1 + eta^2 and mL
+    = -c3 Delta / 2 broadcast against eta; complex long doubles, numpy
+    scalars or arrays."""
     u = P / (_ONE_X + eta)
     b, e = np.exp(mL * u), np.expm1((eta + eta) * mL)
     half_u = u * _HALF_X
     half_eu = e * half_u
     half_eu2 = half_eu * u
-    return b * (_ONE_X + half_eu), b * (Q + half_eu2), b * (half_eu2 / eta - _TWO_X), b * e / eta
+    return b * (_ONE_X + half_eu), b * (Q + half_eu2), b * (half_eu2 / eta - _TWO_X), b, b * e
 
 
 def _put(x, sel, v):
@@ -370,7 +387,13 @@ class TransformSolution:
     mu).  Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
     q_scaled c': offsets +-eta_k, shift c3, weights q_scaled c_k at the 8
     contour nodes (weight 0 for the other measures of such a batch, whose
-    ``_row_sum`` skips them).
+    ``_row_sum`` skips them).  ``pairs`` holds, for each pair of rows +-o
+    with weight w (eta1, eta2, then the contour nodes), ((o L)^2, A L, B
+    L^2) with A = 2 w C and B = 2 w c3 S, which ``_pair_sum`` sums at real
+    points in place of the quotients: shape (3,) + the batch's shape + (2,)
+    or (10,) (zeros for the measures of a batch not close).  ``clear`` is
+    set where both roots' pairs have no removable point s = +-o within the
+    pair gap of a real z: |Re eta| c3 Delta / 2 > sqrt(2) _PAIR_GAP.
 
     ``k00`` is K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3 in
     units of c3, the rows' values at z = 0 in closed form (notes above
@@ -395,7 +418,9 @@ class TransformSolution:
     offsets: np.ndarray
     shifts: np.ndarray
     weights: np.ndarray
+    pairs: np.ndarray
     close: bool
+    clear: bool
     k00: float
     # what the fields built on first use read, one entry per measure (a
     # batch's on one axis): in long double, det and (q, p) where the solve
@@ -476,15 +501,15 @@ def _transform_solution(m: Measure) -> TransformSolution:
     c3_sq, scale = c3 * c3, c3 * L
     mu_v = c3_sq / (2.0 * c2 + c3_sq * c1)
     c3_x, c2_x, c1_x, mL, mu = np.array([c3, c2, c1, -L, mu_v], dtype=np.clongdouble)
-    lam, mL = c2_x / (c1_x * c3_x * c3_x), c3_x * mL
+    lam, mL, L_x = c2_x / (c1_x * c3_x * c3_x), c3_x * mL, -mL
     root = np.sqrt(lam * (lam - _FOUR_X))
     P2, Q2 = lam + root, (_TWO_X - lam) - root
     P1, Q1 = _FOUR_X / P2 * lam, _FOUR_X / Q2
     zeta1, zeta2 = _ONE_X - P1, _ONE_X - P2
     eta1, eta2 = np.sqrt(zeta1), np.sqrt(zeta2)
     gap = zeta1 - zeta2
-    phi1_1, f2_1, gamma1, k1 = _boundary_entries(eta1, P1, Q1, mL)
-    phi1_2, f2_2, gamma2, k2 = _boundary_entries(eta2, P2, Q2, mL)
+    phi1_1, f2_1, gamma1, b1, be1 = _boundary_entries(eta1, P1, Q1, mL)
+    phi1_2, f2_2, gamma2, b2, be2 = _boundary_entries(eta2, P2, Q2, mL)
     f1_1, f1_2, g1, g2 = P1 * phi1_1, P2 * phi1_2, zeta1 * gamma1, zeta2 * gamma2    # F1, G
     p1_sq, p2_sq = P1 * P1, P2 * P2
     # one |zeta1 - zeta2| for both masks; a product, so that (c3 L)^2 may
@@ -513,7 +538,8 @@ def _transform_solution(m: Measure) -> TransformSolution:
         z1_c, z2_c, mL_c, c3_c = (v[sel][..., None] for v in (zeta1, zeta2, mL, c3_x))
         nodes, c = _contour(z1_c, z2_c, -mL_c)
         zn = nodes * nodes
-        phi1_c, f2_c, gamma_c, k_c = _boundary_entries(nodes, _ONE_X - zn, _ONE_X + zn, mL_c)
+        phi1_c, f2_c, gamma_c, b_c, be_c = _boundary_entries(
+            nodes, _ONE_X - zn, _ONE_X + zn, mL_c)
         if any_near:    # means of (phi1, F2, gamma, F1, G, P, zeta, P^2); F1'
             # and G' by the product rule, with P' = -1 and zeta' = 1
             dd_phi1, dd_f2, dd_gamma = ((c * x).sum(-1) for x in (phi1_c, f2_c, gamma_c))
@@ -538,31 +564,44 @@ def _transform_solution(m: Measure) -> TransformSolution:
         c = q[sel][..., None] * c / (c3_c * c3_c)
         qp = (q, p)
     # -K(0, 0) c3: the mu row's -2 mu c3 L and each root's pair of rows
-    k00 = (w1 * k1 + w2 * k2) + (mu + mu) * mL
+    k00 = (w1 * (be1 / eta1) + w2 * (be2 / eta2)) + (mu + mu) * mL
     if any_close:
-        k00 = _put(k00, sel, k00[sel] + (c * k_c).sum(-1))
+        k00 = _put(k00, sel, k00[sel] + (c * (be_c / nodes)).sum(-1))
     k00 = k00.real / -c3_x.real
     # the rows, (measure, row) for a batch: offsets (eta1, eta2, -eta1,
     # -eta2, 0) and weights (w1, w2, w1, w2, 2 mu) in one table, cast to
-    # complex on assignment
-    n_rows, e1, e2 = 21 if any_close else 5, eta1 * c3_x, eta2 * c3_x
+    # complex on assignment; and the pairs' table ((o L)^2, A L, B L^2) at
+    # (eta1, eta2): A L = 2 w C L = w L (2 b + b E) and B L^2 = 2 w c3 S L^2
+    # = -w L eta b E c3 L (``_pair_sum``)
+    n_rows, o1, o2, cl_sq = 21 if any_close else 5, eta1 * c3_x, eta2 * c3_x, mL * mL
+    wl1, wl2 = w1 * L_x, w2 * L_x
     table = np.zeros((2,) + close.shape + (n_rows,), dtype=complex)
-    table[..., :4] = np.array([[e1, e2, -e1, -e2], [w1, w2, w1, w2]]).swapaxes(1, -1)
+    table[..., :4] = np.array([[o1, o2, -o1, -o2], [w1, w2, w1, w2]]).swapaxes(1, -1)
     table[1, ..., 4] = mu_v + mu_v
+    pairs = np.zeros((3,) + close.shape + (n_rows // 2,), dtype=complex)
+    pairs[..., :2] = np.array([[zeta1 * cl_sq, zeta2 * cl_sq],
+                               [wl1 * (b1 + b1 + be1), wl2 * (b2 + b2 + be2)],
+                               [wl1 * eta1 * (be1 * mL), wl2 * eta2 * (be2 * mL)]]).swapaxes(1, -1)
     if any_close:   # contour rows: node 0 and weight 0 for the measures not close
-        nodes = (nodes * c3_c).astype(complex)
-        table[0, at, 5:13], table[0, at, 13:] = nodes, -nodes
+        o_c, wl_c = (nodes * c3_c).astype(complex), c * L_x[sel][..., None]
+        table[0, at, 5:13], table[0, at, 13:] = o_c, -o_c
         table[1, at, 5:13] = table[1, at, 13:] = c
+        pairs[0, at, 2:] = zn * (mL_c * mL_c)
+        pairs[1, at, 2:] = wl_c * (b_c + b_c + be_c)
+        pairs[2, at, 2:] = wl_c * nodes * (be_c * mL_c)
+    # both roots' removable points s = +-o more than the pair gap off real z
+    clear = (abs(eta1.real) * scale > _AXIS_GAP) & (abs(eta2.real) * scale > _AXIS_GAP)
     rows = shape + (n_rows,)
     shifts = c3[:, None] * _SHIFT_PATTERN[n_rows] if shape else c3 * _SHIFT_PATTERN[n_rows]
-    table.setflags(write=False), shifts.setflags(write=False)
+    table.setflags(write=False), shifts.setflags(write=False), pairs.setflags(write=False)
     if shape:
-        close, k00 = close.reshape(shape), k00.astype(float).reshape(shape)
-        close.setflags(write=False), k00.setflags(write=False)
+        close, k00, clear = (v.reshape(shape) for v in (close, k00.astype(float), clear))
+        close.setflags(write=False), k00.setflags(write=False), clear.setflags(write=False)
+        pairs = pairs.reshape((3,) + shape + pairs.shape[-1:])
     else:
         k00 = float(k00)
     return TransformSolution(table[0].reshape(rows), shifts.reshape(rows), table[1].reshape(rows),
-                             close, k00, det, qp, cramer, lam_d, scale)
+                             pairs, close, clear, k00, det, qp, cramer, lam_d, scale)
 
 
 def _flat(v):
@@ -621,6 +660,92 @@ def _row_sum(offsets, weights, L, z, head, shifts=None, close=None):
     if terms.shape[-1] <= head:
         return np.add.reduce(terms, -1)
     return np.add.reduce(terms[..., :head], -1) + np.add.reduce(terms[..., head:], -1)
+
+
+# The section at a grid of real points z, where s = 2 pi i z = i x, and u =
+# x L.  Rows whose offsets are purely imaginary, o = i nu (u_0's +-i om away
+# from its pole, purely imaginary roots, the mu row), have real quotients
+# there, e^{-shift L} sinh((s + o) L) / (s + o) = L e^{-shift L} sin(u + nu
+# L) / (u + nu L): one real sine per row and point, which no removable point
+# cancels (``_sine_rows``).
+#
+# The other c3 > 0 sections' rows come in pairs +-o with one weight w and
+# the shift c3 (u_0 is even), besides the mu row o = 0.  With q(x) = e^{-c3
+# L} sinh(x L) / x, a pair sums to
+#
+#     w (q(s + o) + q(s - o)) = (s sinh(s L) A - cosh(s L) B) / (s^2 - o^2)
+#                             = (u sin(u) A L + cos(u) B L^2) / (u^2 + (o L)^2),
+#
+# A = 2 w e^{-c3 L} cosh(o L), B = 2 w e^{-c3 L} o sinh(o L): per point one
+# real sin(u) and cos(u) for every pair instead of a complex expm1 and exp
+# per row (``_pair_sum``).  The solve gives ((o L)^2, A L, B L^2) from its
+# long-double b and E (notes above ``_contour``), so that neither cosh(o L)
+# nor sinh(o L) overflows where c3 Delta runs into the thousands; the mu row
+# adds 2 mu L sin(u) / u.  At s = +-o the numerator cancels: where |u^2 +
+# (o L)^2| <= _PAIR_GAP (|u| + |o L|), that is min |s -+ o| L below about
+# _PAIR_GAP, the entry is the two rows' ``special._sinh_quot``.
+_PAIR_GAP = 0.1
+# |Re o| L above which no real z is near o: near entries have min |s -+ o| L
+# <= sqrt(2) _PAIR_GAP, since max |s -+ o| >= (|s| + |o|) / sqrt(2)
+_AXIS_GAP = math.sqrt(2.0) * _PAIR_GAP
+# a near entry's two rows s + o and s - o, and the row of o for each pair
+_PLUS_MINUS = np.array([[1.0], [-1.0]], dtype=complex)
+_PAIR_ROWS = np.array([0, 1] + list(range(5, 13)))
+# added to u and to u + nu L, so that sin(u) / u is 1 at u = 0; it moves no
+# bit where |u| > 1e-274
+_U_TINY = 1e-290
+
+
+def _sine_rows(offsets, weights, shifts, L, u):
+    """sum_r weights_r e^{-shifts_r L} sinh((s + o_r) L) / (s + o_r) at real
+    points u = x L for purely imaginary offsets o_r = i nu_r: rows on the
+    last axis (after a batch's measure axis), points on u's; shifts None is
+    shift 0.  The rows are summed in sequence."""
+    if np.ndim(L):
+        L = L[:, None]
+    w = weights * L if shifts is None else weights * (L * np.exp(shifts * -L))
+    v = u[..., None, :] + (offsets.imag * L)[..., None]
+    v += _U_TINY
+    t = np.sin(v)
+    t /= v
+    return np.add.reduce(w[..., None] * t, -2)
+
+
+def _pair_sum(pairs, offsets, weights, c3, L, u, z, test: bool) -> np.ndarray:
+    """The c3 > 0 section at real points u = x L (z = x / (2 pi)) from the
+    solve's pair table ((o L)^2, A L, B L^2), its two root pairs or, for
+    close measures, all ten, and the mu row's weight, the fifth; the rows'
+    offsets, weights and shift c3 give a near entry's two rows.  Without
+    ``test`` no entry is tested for a removable point (the caller knows
+    there is none).  Entries are (measures, pairs, points), and the pairs
+    are summed in sequence."""
+    sn, cs = np.sin(u), np.cos(u)
+    usn, uu = u * sn, u * u
+    mu_l = weights[..., 4] * L
+    if np.ndim(L):      # a batch: a pair axis between the measures' and the points'
+        usn, cs, uu, mu_l = usn[:, None], cs[:, None], uu[:, None], mu_l[:, None]
+    d = uu + pairs[0][..., None]
+    t = usn * pairs[1][..., None]
+    t += cs * pairs[2][..., None]
+    near = test and np.abs(d) <= ((np.abs(u) * _PAIR_GAP)[..., None, :]
+                                  + (np.sqrt(np.abs(pairs[0])) * _PAIR_GAP)[..., None])
+    if _any(near):
+        d[near] = 1.0
+        t /= d
+        # the near entries' z, o, w, L and c3 by their (measures, pair,
+        # points) index
+        *at, z_at = near.nonzero()
+        at = tuple(at[:-1]) + (_PAIR_ROWS[at[-1]],)
+        s_n, o_n, w_n = _TWO_PI_I * z[z_at], offsets[at], weights[at]
+        if np.ndim(L):
+            L, c3 = L[at[0]], c3[at[0]]
+        q = _sinh_quot(s_n + o_n * _PLUS_MINUS, L, c3)
+        t[near] = w_n * (q[0] + q[1])
+    else:
+        t /= d
+    total = np.add.reduce(t, -2)
+    total += mu_l * (sn / u)
+    return total
 
 
 def kernel_k00(m: Measure, extended: bool = False) -> float:
@@ -763,10 +888,10 @@ _cached_c3zero_section = functools.lru_cache(maxsize=8)(_c3zero_section)
 
 
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
-    """K(0, z) over an array of finite points, for any c3 >= 0: one
-    ``_row_sum`` per regime over ``_section_rows``.  For a batch measure the
-    result has the batch's shape followed by z's, and the regimes are masks
-    over the batch."""
+    """K(0, z) over an array of finite points, for any c3 >= 0, over
+    ``_section_rows`` (``_section`` chooses how the rows are summed).  For a
+    batch measure the result has the batch's shape followed by z's, and the
+    regimes are masks over the batch."""
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
@@ -774,9 +899,50 @@ def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.nda
 
 
 def _section(m: Measure, sinc: bool, z: np.ndarray) -> np.ndarray:
-    """The section at finite points z for measures of one regime."""
+    """The section at finite points z for measures of one regime:
+    ``_row_sum`` at one point or at complex points.  At a grid of real
+    points (notes above ``_sine_rows``), sections whose offsets are all
+    purely imaginary by ``_sine_rows``, the other c3 > 0 sections by
+    ``_pair_sum``, and u_0 at its pole by ``_row_sum``; in a batch each
+    measure takes its own route."""
+    L = m.delta / 2.0
     offsets, weights, shifts, head, close = _section_rows(m, sinc)
-    return np.asarray(_row_sum(offsets, weights, m.delta / 2.0, z, head, shifts, close))
+    if z.size < 2 or np.count_nonzero(z.imag):
+        return np.asarray(_row_sum(offsets, weights, L, z, head, shifts, close))
+    sol, x = None if sinc else k0_transform_solution(m), z.real.reshape(-1)
+    if not np.ndim(L):
+        sine = not np.count_nonzero(offsets.real)       # purely imaginary offsets
+        if sinc and not sine:                           # u_0 at its pole
+            return np.asarray(_row_sum(offsets, weights, L, z, head, shifts, close))
+        u = x * (2.0 * np.pi * L) + _U_TINY
+        if sine:
+            rows = [None if r is None else r[:head] for r in (offsets, weights, shifts)]
+            return _sine_rows(*rows, L, u).reshape(z.shape)
+        return _pair_sum(sol.pairs, offsets, weights, shifts[0], L, u, x,
+                         bool(close) or not sol.clear).reshape(z.shape)
+    # a batch: measures on one axis, each by its own route
+    shape, n = L.shape, L.size
+    offsets, weights, close, L = (v.reshape((n,) + v.shape[len(shape):])
+                                  for v in (offsets, weights, close, L))
+    sine = ~offsets.real.any(-1)
+    u = (2.0 * np.pi * L)[:, None] * x + _U_TINY
+    out = np.empty((n, x.size), dtype=complex)
+    if _any(sine):
+        rows = [None if r is None else r.reshape(n, -1)[sine][:, :head]
+                for r in (offsets, weights, shifts)]
+        out[sine] = _sine_rows(*rows, L[sine], u[sine])
+    rest = ~sine
+    if _any(rest) and sinc:
+        out[rest] = _row_sum(offsets[rest], weights[rest], L[rest], z.reshape(-1), head, None,
+                             close[rest])
+    elif _any(rest):        # the close measures' ten pairs apart from the others' two
+        pairs, clear = sol.pairs.reshape(3, n, -1), sol.clear.reshape(n)
+        for at, width in ((rest & ~close, 2), (rest & close, None)):
+            if _any(at):
+                out[at] = _pair_sum(pairs[:, at, :width], offsets[at], weights[at],
+                                    shifts.reshape(n, -1)[at][:, 0], L[at], u[at], x,
+                                    width is None or not clear[at].all())
+    return out.reshape(shape + z.shape)
 
 
 def _by_regime(m: Measure, extended: bool, value, tail: tuple, dtype):

@@ -30,6 +30,9 @@ SUP_G = 0.5865682833393334
 SUP_G_ARGMAX = 4.085573885476822
 EXTENDED_SIGMA = 1.0 / SUP_G
 _FIELDS = ("c1", "c2", "c3", "delta")
+# per field, the least value a finite one may take: c1 and delta > 0 (the
+# least positive double), c2 and c3 >= 0
+_SIGN_FLOOR = np.array([5e-324, 0.0, 0.0, 5e-324])
 
 
 @dataclass(frozen=True)
@@ -58,23 +61,45 @@ class Measure:
 
     def __post_init__(self):
         values = (self.c1, self.c2, self.c3, self.delta)
-        batch = any(isinstance(v, np.ndarray) for v in values)
-        if batch:
-            values = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-            values = [v if v.ndim else float(v) for v in values]
+        if any(isinstance(v, np.ndarray) for v in values):
+            shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+            if shape:
+                self._validate_batch(shape, values)
+                return
+            values = [float(v) for v in values]
             for name, value in zip(_FIELDS, values):
                 object.__setattr__(self, name, value)
-            batch = isinstance(self.c1, np.ndarray)
-        every, finite = (np.all, np.isfinite) if batch else (bool, math.isfinite)
         c1, c2, c3, delta = values
-        for name, rule, ok in [(n, "finite", finite(v)) for n, v in zip(_FIELDS, values)] + [
+        for name, rule, ok in [(n, "finite", math.isfinite(v))
+                               for n, v in zip(_FIELDS, values)] + [
                 ("c1", "> 0", c1 > 0), ("c2", ">= 0", c2 >= 0),
                 ("c3", ">= 0", c3 >= 0), ("delta", "> 0", delta > 0)]:
-            if not every(ok):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+
+    def _validate_batch(self, shape, values) -> None:
+        """Store a batch's fields as rows of one (4,) + shape float array, with
+        one finiteness test and one sign test over all of it; a failure names
+        the first bad field (finiteness first), its first bad value and how
+        many there are, in the order the single-measure checks run."""
+        stacked = np.empty((4,) + shape)
+        for row, value in zip(stacked, values):
+            row[...] = value
+        for name, row in zip(_FIELDS, stacked):
+            object.__setattr__(self, name, row)
+        finite = np.isfinite(stacked)
+        if not finite.all():
+            self._refuse(finite, ["finite"] * 4)
+        signs = stacked >= _SIGN_FLOOR.reshape((4,) + (1,) * len(shape))
+        if not signs.all():
+            self._refuse(signs, ["> 0", ">= 0", ">= 0", "> 0"])
+
+    def _refuse(self, ok, rules) -> None:
+        for name, rule, row_ok in zip(_FIELDS, rules, ok):
+            if not row_ok.all():            # its first bad value and how many, not the array
                 value = getattr(self, name)
-                if batch:           # its first bad value and how many, not the array
-                    value = f"{value[~ok][0]} ({np.count_nonzero(~ok)} of {value.size} values)"
-                raise ValueError(f"{name} must be {rule}, got {value}")
+                raise ValueError(f"{name} must be {rule}, got {value[~row_ok][0]} "
+                                 f"({np.count_nonzero(~row_ok)} of {value.size} values)")
 
     def sigma(self) -> float:
         """(c2/c1) Delta^2, the quantity every admissibility test is stated in."""

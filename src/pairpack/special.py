@@ -1,9 +1,13 @@
 """Stable evaluation of the sinc-type quotients with removable zeros that
-every closed-form kernel value sums (``kernels._row_sum``; the diagonal
-K(0, 0) is read from the solves instead): complex arrays,
-with ``L`` and ``shift`` broadcasting against them, so that one call
-evaluates a batch of measures, and one expm1 formula for every s.  (The
-c3 > 0 section's boundary system needs no moment integral.)
+the closed-form kernel values sum: every row at a single point, at complex
+points and at u_0's pole (``kernels._row_sum``), and at a grid of real
+points the removable-point rule, the two rows of a +- pair where the pair
+formula of ``kernels._pair_sum`` cancels (rows with purely imaginary
+offsets are real sines there; the diagonal K(0, 0) is read from the solves
+instead): complex arrays, with ``L`` and ``shift`` broadcasting against
+them, so that one call evaluates a batch of measures, and one expm1
+formula for every s.  (The c3 > 0 section's boundary system needs no
+moment integral.)
 """
 
 from __future__ import annotations

@@ -278,6 +278,16 @@ class TestKernelC3Zero:
 
     m = Measure(1.0, 1.0, 0.0, 0.5)
 
+    def test_planted_asymmetry_fails_hermitian(self, monkeypatch):
+        # a 1e-12 relative error in K(w, z) where Re w > Re z
+        def planted(m, w, z, extended=False):
+            ev = kernel_c3zero(m, w, z, extended)
+            scale = 1.0 + 1e-12 if complex(w).real > complex(z).real else 1.0
+            return types.SimpleNamespace(value=ev.value * scale)
+        monkeypatch.setattr(verify, "kernel_c3zero", planted)
+        measured, tol = verify._c3zero_hermitian()
+        assert measured > 10.0 * tol
+
     def test_origin_matches_k00(self):
         ev = kernel_c3zero(self.m, 0.0, 0.0)
         assert ev.value == pytest.approx(kernel_k00(self.m), abs=1e-14)
@@ -368,6 +378,20 @@ class TestKernelK0z:
     test_oracle_agreement = registry_test("k0z_vs_oracle_c3_1.0")
     test_even = registry_test("k0z_even")
     test_degenerate_bracketed_by_generic = registry_test("degenerate_bracket")
+
+    @pytest.mark.parametrize("route", ["kernel_k0z", "kernel_k0z_grid"])
+    def test_planted_odd_error_fails_even(self, monkeypatch, route):
+        # a 1e-12 relative error in K(0, z) where Re z > 0, in the single
+        # points or in the grid
+        def planted(m, z, extended=False):
+            value = getattr(kernels, route)(m, z, extended)
+            if route == "kernel_k0z":
+                scale = 1.0 + 1e-12 if complex(z).real > 0 else 1.0
+                return types.SimpleNamespace(value=value.value * scale)
+            return value * np.where(np.real(z) > 0, 1.0 + 1e-12, 1.0)
+        monkeypatch.setattr(verify, route, planted)
+        measured, tol = verify._k0z_even()
+        assert measured > 10.0 * tol
 
     def test_z_zero_equals_k00(self):
         m = Measure(1.0, 1.0, 1.0, 0.5)
@@ -730,10 +754,10 @@ class TestBoundarySystem:
         entries, root_calls = kernels._boundary_entries, itertools.count()
 
         def planted(eta, P, Q, mL):
-            phi1, f2, gamma, k = entries(eta, P, Q, mL)
+            phi1, f2, *rest = entries(eta, P, Q, mL)
             if np.shape(eta) == np.shape(mL) and next(root_calls) % 2 == 0:
                 f2 = f2 * (1.0 + 1e-12)
-            return phi1, f2, gamma, k
+            return (phi1, f2, *rest)
 
         def clear():
             kernels._cached_solution.cache_clear(), verify._divisor_margins.cache_clear()
@@ -749,6 +773,93 @@ class TestBoundarySystem:
         at_zero = kernel_c3zero(Measure(1.0, 1e-6, 0.0, 1.0), 0.0, 0.0).value.real
         for c3 in (1e-59, 1e-61, 1e-200, 5e-324):
             assert kernel_k00(Measure(1.0, 1e-6, c3, 1.0)) == pytest.approx(at_zero, rel=1e-15)
+
+
+def mp_c3zero_section(c1, c2, delta, zs):
+    """K(0, z) at c3 = 0 at 40 digits: u_0 = (cos(om xi) / (c1 (cos th + th sin
+    th))) on the support, om = sqrt(2 c2 / c1), th = om Delta / 2, so K(0, z)
+    = a (sinh((s + i om) L) / (s + i om) + sinh((s - i om) L) / (s - i om))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c1, c2, L = (mpmath.mpf(v) for v in (c1, c2, delta / 2))
+        om = mpmath.sqrt(2 * c2 / c1)
+        a = 1 / (c1 * (mpmath.cos(om * L) + om * L * mpmath.sin(om * L)))
+        sh = lambda x: mpmath.sinh(x * L) / x if x != 0 else L      # noqa: E731
+        s = [2j * mpmath.pi * mpmath.mpc(z) for z in zs]
+        return np.array([complex(a * (sh(x + 1j * om) + sh(x - 1j * om))) for x in s])
+
+
+# c3 = 0, purely imaginary roots, the conjugate quadrant, the zone just
+# outside the contour band near the line, close roots, and c3 Delta = 500
+REMOVABLE_CASES = {"c3zero": (1.2, 1.5, 0.0, 0.8), "purely_imaginary": (1.3, 2.0, 0.4, 0.7),
+                   "conjugate": (1.1, 1.0, 1.5, 0.9), "near_line": (1.0, 2.5536, 0.8, 0.6),
+                   "close": (1.0, 1.0 + 1e-6, 0.5, 0.5), "large_c3": (0.9, 1.2, 500 / 0.8, 0.8)}
+
+
+@functools.lru_cache(maxsize=1)
+def removable_points():
+    """Per case, points around every removable point s = 2 pi i z = +-o of
+    the section's rows (the roots, the contour nodes, +-i om at c3 = 0), at
+    relative steps 1e-6 to 0.3 of 1 / (2 pi L) on both sides of the pair
+    gap: real z beside its real part (the pair formula's points), and
+    complex z around it in four directions; and the mpmath section there."""
+    out = {}
+    for name, r in REMOVABLE_CASES.items():
+        m = Measure(*r)
+        if r[2] == 0.0:
+            offsets = [1j * math.sqrt(2.0 * r[1] / r[0])]
+        else:
+            sol = k0_transform_solution(m)
+            offsets = list(sol.offsets[:2]) + list(sol.offsets[5:13])
+        step = 1.0 / (np.pi * r[3])
+        rel = [1e-6, 1e-3, 0.03, 0.09, 0.11, 0.16, 0.3]
+        z0 = [-1j * o / (2.0 * np.pi) for o in offsets]
+        real = np.array([z.real + d * e * step for z in z0 for e in rel for d in (1.0, -1.0)])
+        cplx = np.array([z + d * e * step for z in z0 for e in rel for d in (1.0, -1.0, 1j, -1j)])
+        zs = np.concatenate([real, cplx])
+        ref = mp_c3zero_section(r[0], r[1], r[3], zs) if r[2] == 0.0 else mp_section(*r, zs)[1]
+        out[name] = (m, (real, ref[:real.size]), (cplx, ref[real.size:]))
+    return out
+
+
+def removable_errors():
+    """Per case, the worst error of kernel_k0z_grid at ``removable_points``,
+    the real points in one call and the complex ones in another, over max(1,
+    |K|) max(1, |s| L): the factor is the value's own conditioning, s = 2 pi
+    i z rounded to double moving K by about |s| L ulps (4e-14 at c3 Delta =
+    500, where |s| L = 250)."""
+    worst = {}
+    for name, (m, *parts) in removable_points().items():
+        for zs, ref in parts:
+            s_l = 2.0 * np.pi * np.abs(zs) * m.delta / 2.0
+            scale = np.maximum(1.0, np.abs(ref)) * np.maximum(1.0, s_l)
+            err = float(np.max(np.abs(kernel_k0z_grid(m, zs) - ref) / scale))
+            worst[name] = max(worst.get(name, 0.0), err)
+    return worst
+
+
+class TestRemovablePoints:
+    # measured worst, in REMOVABLE_CASES' order: 2.2e-16, 1.7e-16, 2.5e-16,
+    # 1.1e-15, 2.2e-16 and 1.7e-16; with the pair gap 0, 2.2e-14 (near the
+    # line) and 3.1e-12 (close roots)
+    SECTION_TOL = TestBoundarySystem.SECTION_TOL
+
+    def test_against_mpmath(self):
+        for name, err in removable_errors().items():
+            assert err <= self.SECTION_TOL, (name, err)
+
+    def test_without_the_pair_gap_the_pairs_cancel(self, monkeypatch):
+        # the pair formula alone at the real points near a removable point
+        monkeypatch.setattr(kernels, "_PAIR_GAP", 0.0)
+        assert max(removable_errors().values()) > 10.0 * self.SECTION_TOL
+
+    def test_a_batch_gives_the_same_bits(self):
+        cases = list(removable_points().values())
+        batch = Measure(*np.array([[m.c1, m.c2, m.c3, m.delta] for m, *_ in cases]).T)
+        for part in (1, 2):
+            zs = np.concatenate([case[part][0] for case in cases])
+            np.testing.assert_array_equal(kernel_k0z_grid(batch, zs),
+                                          [kernel_k0z_grid(m, zs) for m, *_ in cases])
 
 
 class TestLargeC3Stability:

@@ -67,6 +67,22 @@ class TestMeasure:
         # a 0-d array is one measure, stored as a float (hashable, cacheable)
         assert hash(Measure(np.array(1.0), 1.0, 0.5, 0.5)) == hash(Measure(1.0, 1.0, 0.5, 0.5))
 
+    def test_batch_checks_in_the_single_measure_order(self):
+        # every field finite before any sign, fields in order, over the
+        # broadcast shape; -0.0 is >= 0 and 5e-324 > 0, as for one measure
+        c3 = np.array([[0.1, -0.2], [0.3, -0.4]])
+        with pytest.raises(ValueError, match=r"^delta must be finite, got inf \(2 of 4 values\)$"):
+            Measure(1.0, np.array([-1.0, 1.0]), c3, np.array([0.5, np.inf]))
+        with pytest.raises(ValueError, match=r"^c2 must be >= 0, got -1.0 \(2 of 4 values\)$"):
+            Measure(1.0, np.array([-1.0, 1.0]), c3, 0.5)
+        with pytest.raises(ValueError, match=r"^c3 must be >= 0, got -0.2 \(2 of 4 values\)$"):
+            Measure(1.0, 1.0, c3, 0.5)
+        with pytest.raises(ValueError, match=r"^c1 must be > 0, got 0.0 \(1 of 2 values\)$"):
+            Measure(np.array([5e-324, 0.0]), 1.0, 0.5, 0.5)
+        m = Measure(1.0, np.array([0.0, -0.0]), 0.5, np.array([[0.5], [1.0]]))
+        assert all(getattr(m, f).shape == (2, 2) and getattr(m, f).dtype == float
+                   for f in ("c1", "c2", "c3", "delta"))
+
     def test_batch_gate_names_worst_sigma(self):
         Measure(1.0, np.array([1.0, 6.0]), 0.0, 0.5).require_admissible()
         with pytest.raises(NotAdmissible, match="sigma = 2 "):
