@@ -28,10 +28,14 @@ diagonal block is one per x per matrix A, and every block off the diagonal
 has rank 2: the panels to one side of a row reach it through a 2-vector
 that a 2 x 2 semigroup step T carries from panel to panel.  The system is
 never formed.  A is inverted once, the interface unknowns form a
-block-tridiagonal system with 4 x 4 blocks that is factored once, and a
-solve or a product with the matrix costs O(P per^2) (_PanelOperator).  The
-uniqueness certificate runs Lanczos through the same solve; only the tests
-build the dense matrix, as their reference.
+block-tridiagonal system with 4 x 4 blocks that is factored once, each
+block's inverse in closed form from a 2 x 2 adjugate, and a solve or a
+product with the matrix costs O(P per^2) (_PanelOperator).  At the default
+five panels that cost is numpy's per-call overhead, so each solve and
+product is a fixed handful of calls: one product in, the recurrences by
+doubling, one product out.  The uniqueness certificate runs Lanczos
+through the same solve; only the tests build the dense matrix, as their
+reference.
 
 Because u extends to an entire function, the scheme converges spectrally; at
 the default 200 nodes (five panels of 40) it reproduces the closed forms to
@@ -46,7 +50,9 @@ Everything downstream of a solve (transform evaluation, reproducing-property
 residuals, differential-equation residuals) never touches the closed-form
 kernels, so agreement between the two routes is a genuine cross-check.  The
 residuals take u's derivatives at the ends of the support from the integral
-equation differentiated under the integral sign, never from a fit.
+equation differentiated under the integral sign, never from a fit: the
+system keeps the rows of those integrals (_jet_rows), and the ODE residual
+integrates twice per pass over all panels at once (_integrate_twice).
 """
 
 from __future__ import annotations
@@ -156,22 +162,47 @@ def _integration_matrix(n: int) -> np.ndarray:
     return J
 
 
-def _indefinite_integrals(v: np.ndarray, panels: int) -> np.ndarray:
-    """J v on panels of half-width 1: the panel's J plus the whole integrals
-    of the panels before it, for each column of v.  Scale by the half-width
-    for panels of another width.  The panel totals are summed in long double
-    (in doubles, ``ode_residual`` read 2.9e-15 at 2000 panels, not 4.3e-16)."""
-    per = len(v) // panels
-    J = _integration_matrix(per)
-    if panels == 1:                      # nothing before it: J alone, at J's cost
-        return J @ v
-    # the panels' columns side by side, so that J acts on all in one product
-    cols = v.reshape(panels, per, -1).swapaxes(0, 1).reshape(per, -1)
-    totals = (gauss_legendre(per, -1.0, 1.0)[1] @ cols).reshape(panels, -1)
-    before = np.zeros_like(totals)
-    before[1:] = np.cumsum(totals[:-1], axis=0, dtype=np.longdouble)
-    out = J @ cols + before.ravel()
-    return out.reshape(per, panels, -1).swapaxes(0, 1).reshape(v.shape)
+@functools.lru_cache(maxsize=4)
+def _twofold_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two products of _integrate_twice for the n Gauss-Legendre nodes x
+    and weights w of [-1, 1], read-only: rows v times the (n, 2) array
+    [(w J)^T | w^T] give each row's whole integrals of J v and v, and rows
+    [v | T | S] times the (n + 2, n) array [(J^2)^T; 1; x + 1] give
+    J^2 v + T + S (x + 1)."""
+    J = _integration_matrix(n)
+    x, w = gauss_legendre(n, -1.0, 1.0)
+    whole = np.stack([w @ J, w], axis=1)
+    twice = np.concatenate([(J @ J).T, [np.ones(n), x + 1.0]])
+    for arr in (whole, twice):
+        arr.flags.writeable = False
+    return whole, twice
+
+
+def _integrate_twice(v: np.ndarray, panels: int) -> np.ndarray:
+    """J^2 of each row of v, (k, P per), on panels of half-width 1, J the
+    indefinite integral from the first panel's left end; scale by the
+    squared half-width for panels of another width.  On panel p, with x its
+    nodes,
+
+        J^2 v = J^2_p v_p + S_p (x + 1) + T_p,
+        S_p = sum_(q < p) w v_q,   T_p = sum_(q < p) ((w J) v_q + 2 S_q),
+
+    S_p the integral of v over the panels before p and T_p that of J v.
+    Two products with _twofold_rows serve every panel of every row: one for
+    the panels' whole integrals, one for J^2 v with S and T.  S and T are
+    summed in long double (in doubles, ``ode_residual`` read 2.9e-15 at
+    2000 panels, not 4.3e-16)."""
+    per = v.shape[-1] // panels
+    whole_t, twice_t = _twofold_rows(per)
+    rows = v.reshape(-1, per)
+    if panels == 1:                      # nothing before it: J^2 alone
+        return (rows @ twice_t[:per]).reshape(v.shape)
+    whole = (rows @ whole_t).reshape(-1, panels, 2)
+    TS = np.zeros(whole.shape, dtype=np.longdouble)
+    np.cumsum(whole[:, :-1], axis=1, out=TS[:, 1:])
+    TS[:, 2:, 0] += 2.0 * np.cumsum(TS[:, 1:-1, 1], axis=1)
+    rows = np.concatenate([rows, TS.reshape(-1, 2).astype(float)], axis=1)
+    return (rows @ twice_t).reshape(v.shape)
 
 
 @functools.lru_cache(maxsize=4)
@@ -209,22 +240,77 @@ def _panel_block(m: Measure, x: np.ndarray, w: np.ndarray, h: float) -> np.ndarr
 def _doubling(N: np.ndarray, length: int) -> list:
     """The steps of _scan for x_i = c_i + x_(i-1) N_i, 0 < i < length: the
     pairs (s, Pi_s) for s = 1, 2, 4, ... < length, where Pi_s[i] is the
-    product N_(i-s+1) ... N_i (entries i < s are never read).  N is one
-    matrix for every i, or a stack of length matrices."""
+    product N_(i-s+1) ... N_i.  N is one matrix for every i, and so is each
+    Pi_s, or a stack of length matrices, and Pi_s holds the rows i >= s."""
     steps, s = [], 1
     while s < length:
-        steps.append((s, N))
+        steps.append((s, N if N.ndim == 2 else N[s:]))
         N = N @ N if N.ndim == 2 else np.concatenate([N[:s], N[:-s] @ N[s:]])
         s *= 2
     return steps
 
 
 def _scan(x: np.ndarray, steps: list) -> None:
-    """x_i = c_i + x_(i-1) N_i along the first axis of x, which holds c on
-    entry, in place: x_i += x_(i-s) Pi_s[i] for each doubling step, so
-    log2 of the length array steps instead of one step per i."""
-    for s, Pi in steps:
-        x[s:] += x[:-s] @ (Pi if Pi.ndim == 2 else Pi[s:])
+    """x_i = c_i + x_(i-1) N_i along the first axis of x, a (length, k, 4)
+    table of k rows that holds c on entry, in place: x_i += x_(i-s) Pi_s[i]
+    for each doubling step, so log2 of the length array steps instead of
+    one step per i.  With one N for every i, x is C-contiguous and each
+    step is one 2-D product on its (length k, 4) rows."""
+    if steps and steps[0][1].ndim == 2:
+        k, x = x.shape[1], x.reshape(-1, 4)
+        for s, Pi in steps:
+            x[s * k:] += x[:-s * k] @ Pi
+    else:
+        for s, Pi in steps:
+            x[s:] += x[:-s] @ Pi
+
+
+def _interface_inverses(Q: np.ndarray, T: np.ndarray, count: int) -> np.ndarray:
+    """S_i^-1 for the count diagonal blocks S_i = [[I, C_i], [D, I]] of the
+    interface system, D = Q_RL: with X = (I - C_i D)^-1,
+
+        S_i^-1 = [[X, -X C_i], [-D X, I + D X C_i]],
+
+    and the corner follows C_0 = Q_LR, C_i = Q_LR + low X_(i-1) C_(i-1) up,
+    low = Q_LL - T and up = Q_RR - T.  Each X is the 2 x 2 adjugate over the
+    determinant, all in Python floats: a numpy call on a 2 x 2 block costs
+    more than its arithmetic.  Once a corner repeats, so do all the blocks
+    after it, which repeat the last one computed."""
+    # Q's blocks [[Q_LL, Q_LR], [Q_RL, Q_RR]] as l, q, d and u; T is taken
+    # from l and u below
+    (l00, l01, q00, q01), (l10, l11, q10, q11), (d00, d01, u00, u01), (d10, d11, u10, u11) = \
+        Q.tolist()
+    t00, t01, t10, t11 = T.ravel().tolist()
+    l00, l01, l10, l11 = l00 - t00, l01 - t01, l10 - t10, l11 - t11
+    u00, u01, u10, u11 = u00 - t00, u01 - t01, u10 - t10, u11 - t11
+    c00, c01, c10, c11 = q00, q01, q10, q11
+    blocks = []
+    while len(blocks) < count:
+        if blocks:
+            # low (X C) up, with X C from the last block
+            a00, a01 = l00 * p00 + l01 * p10, l00 * p01 + l01 * p11
+            a10, a11 = l10 * p00 + l11 * p10, l10 * p01 + l11 * p11
+            corner = (q00 + (a00 * u00 + a01 * u10), q01 + (a00 * u01 + a01 * u11),
+                      q10 + (a10 * u00 + a11 * u10), q11 + (a10 * u01 + a11 * u11))
+            if corner == (c00, c01, c10, c11):       # a fixed point: so are the rest
+                break
+            c00, c01, c10, c11 = corner
+        m00, m01 = 1.0 - (c00 * d00 + c01 * d10), -(c00 * d01 + c01 * d11)
+        m10, m11 = -(c10 * d00 + c11 * d10), 1.0 - (c10 * d01 + c11 * d11)
+        det = m00 * m11 - m01 * m10
+        x00, x01, x10, x11 = m11 / det, -m01 / det, -m10 / det, m00 / det
+        p00, p01 = x00 * c00 + x01 * c10, x00 * c01 + x01 * c11          # X C
+        p10, p11 = x10 * c00 + x11 * c10, x10 * c01 + x11 * c11
+        r00, r01 = d00 * x00 + d01 * x10, d00 * x01 + d01 * x11          # D X
+        r10, r11 = d10 * x00 + d11 * x10, d10 * x01 + d11 * x11
+        blocks.append((x00, x01, -p00, -p01, x10, x11, -p10, -p11,
+                       -r00, -r01, 1.0 + (r00 * c00 + r01 * c10), r00 * c01 + r01 * c11,
+                       -r10, -r11, r10 * c00 + r11 * c10, 1.0 + (r10 * c01 + r11 * c11)))
+    S_inv = np.empty((count, 4, 4))
+    if blocks:
+        S_inv[:len(blocks)] = np.reshape(blocks, (-1, 4, 4))
+        S_inv[len(blocks):] = S_inv[len(blocks) - 1]
+    return S_inv
 
 
 class _PanelOperator:
@@ -250,11 +336,16 @@ class _PanelOperator:
         F_(i+1) + Q_LR G_i + (Q_LL - T) F_i = beta_L,i,
         G_i + Q_RL F_(i+1) + (Q_RR - T) G_(i+1) = beta_R,(i+1).
 
-    Its diagonal block S_i differs from D = [[I, Q_LR], [Q_RL, I]] only in
-    the top right, and is factored once, block Thomas without pivoting, in
-    O(P) 4 x 4 blocks.  Every recurrence, the sweeps of the product and both
-    passes of the solve, runs by doubling (_scan), on tables of
-    O(P log P) 4 x 4 blocks: 2.9 MB for each pass at MAX_PANELS.
+    Its diagonal block S_i differs from [[I, Q_LR], [Q_RL, I]] only in the
+    top right.  It is factored once, block Thomas without pivoting, in O(P)
+    4 x 4 blocks, each inverse in closed form (_interface_inverses).  Every
+    recurrence runs by doubling (_scan).  The product's two sweeps are one
+    (P, k, 4) table whose row p holds (F_p, G_(P-1-p)): both run forward
+    with the one step diag(T^T, T^T), one 2-D product per doubling step.
+    The solve's two passes run on tables of O(P log P) 4 x 4 blocks, 2.9 MB
+    for each pass at MAX_PANELS.  Each ends in one product of the rows and
+    their (F_p, G_p) with a stacked matrix: [A^T; E^T] for the product,
+    [A^-T; -(A^-1 E)^T] for the solve.
 
     Vectors are rows: a (k, P per) array holds k of them, so that a panel's
     matrix acts on every panel of every row in one product.
@@ -263,66 +354,65 @@ class _PanelOperator:
     def __init__(self, A, E, R, T, panels: int):
         self.A, self.E, self.panels = A, E, panels
         A_inv = np.linalg.inv(A)
-        # rows times [A^T | R^T] and [A^-T | (R A^-1)^T]: one product each
-        self.apply_t = np.hstack([A.T, R.T])
-        self.inv_t = np.hstack([A_inv.T, (R @ A_inv).T])
-        self.corr_t = (A_inv @ E).T
-        self.sweep = _doubling(T.T, panels)
-        Q = R @ A_inv @ E
-        low, up = Q[:2, :2] - T, Q[2:, 2:] - T
-        S = np.eye(4)
-        S[:2, 2:], S[2:, :2] = Q[:2, 2:], Q[2:, :2]
-        S_inv = np.empty((max(panels - 1, 0), 4, 4))
-        for i in range(len(S_inv)):
-            if i:
-                corner = Q[:2, 2:] - low @ S_inv[i - 1, :2, 2:] @ up
-                if np.array_equal(corner, S[:2, 2:]):     # a fixed point: so are the rest
-                    S_inv[i:] = S_inv[i - 1]
-                    break
-                S[:2, 2:] = corner
-            S_inv[i] = np.linalg.inv(S)
+        RA = R @ A_inv
+        self.moments_t, self.beta_t = R.T.copy(), RA.T.copy()
+        self.apply_t = np.concatenate([A.T, E.T])
+        self.inv_t = np.concatenate([A_inv.T, -(A_inv @ E).T])
+        step = np.zeros((4, 4))
+        step[:2, :2] = step[2:, 2:] = T.T
+        self.sweep = _doubling(step, panels)
+        Q = RA @ E
+        S_inv = _interface_inverses(Q, T, max(panels - 1, 0))
         # the passes as recurrences on rows, z_i += z_(i-1) N_i: forward
         # z_i -= L S_(i-1)^-1 z_(i-1), L = [[low, 0], [0, 0]], then w = S^-1 z,
         # then backward Z_i = w_i - S_i^-1 U Z_(i+1), U = [[0, 0], [0, up]]
         self.S_inv_t = S_inv.swapaxes(1, 2)
         n_f, n_b = np.zeros((2, max(panels - 1, 0), 4, 4))
-        n_f[1:, :, :2] = -(low @ S_inv[:-1, :2]).swapaxes(1, 2)
-        n_b[:, 2:] = -(S_inv[:, :, 2:] @ up).swapaxes(1, 2)
+        n_f[1:, :, :2] = -((Q[:2, :2] - T) @ S_inv[:-1, :2]).swapaxes(1, 2)
+        n_b[:, 2:] = -(S_inv[:, :, 2:] @ (Q[2:, 2:] - T)).swapaxes(1, 2)
         self.forward = _doubling(n_f, panels - 1)
         self.backward = _doubling(n_b[::-1], panels - 1)
-        for arr in (A, E, self.apply_t, self.inv_t, self.corr_t, self.S_inv_t):
+        for arr in (A, E, self.moments_t, self.beta_t, self.apply_t, self.inv_t, self.S_inv_t):
             arr.flags.writeable = False
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """M v for (k, P per) rows v."""
+        """M v for (k, P per) rows v: the moments of every panel in one
+        product, the sweeps as one _scan of the table whose row p holds
+        (F_p, G_(P-1-p)), and A u_p + E_L F_p + E_R G_p as one product of
+        [u_p | F_p | G_p] with [A^T; E^T]."""
         P, per = self.panels, len(self.A)
-        out = v.reshape(-1, per) @ self.apply_t
-        Mv = out[:, :per]
-        if P > 1:
-            # (F_p, G_p) from the moments (m_p, n_p), each (P, k, 2)
-            moments = out[:, per:].reshape(len(v), P, 4).swapaxes(0, 1)
-            X = np.zeros(moments.shape)
-            X[1:, :, :2], X[:-1, :, 2:] = moments[:-1, :, :2], moments[1:, :, 2:]
-            _scan(X[:, :, :2], self.sweep)
-            _scan(X[::-1, :, 2:], self.sweep)
-            Mv += X.swapaxes(0, 1).reshape(-1, 4) @ self.E.T
-        return Mv.reshape(v.shape)
+        rows = v.reshape(-1, per)
+        if P == 1:
+            return (rows @ self.apply_t[:per]).reshape(v.shape)
+        k = len(v)
+        moments = (rows @ self.moments_t).reshape(k, P, 4)
+        X = np.zeros((P, k, 4))
+        X[1:, :, :2] = moments[:, :-1, :2].swapaxes(0, 1)
+        X[1:, :, 2:] = moments[:, :0:-1, 2:].swapaxes(0, 1)
+        _scan(X, self.sweep)
+        FG = np.empty((k, P, 4))
+        FG[:, :, :2] = X[:, :, :2].swapaxes(0, 1)
+        FG[:, :, 2:] = X[::-1, :, 2:].swapaxes(0, 1)
+        return (np.concatenate([rows, FG.reshape(-1, 4)], axis=1) @ self.apply_t).reshape(v.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """M^-1 b for (k, P per) rows b."""
+        """M^-1 b for (k, P per) rows b: beta in one product, the interface
+        system's two passes, and A^-1 (b_p - E_L F_p - E_R G_p) as one
+        product of [b_p | F_p | G_p] with [A^-T; -(A^-1 E)^T]."""
         P, per = self.panels, len(self.A)
-        y = b.reshape(-1, per) @ self.inv_t
-        u = y[:, :per]
-        if P > 1:
-            beta = y[:, per:].reshape(len(b), P, 4).swapaxes(0, 1)
-            z = np.concatenate([beta[:-1, :, :2], beta[1:, :, 2:]], axis=2)
-            _scan(z, self.forward)
-            z = z @ self.S_inv_t
-            _scan(z[::-1], self.backward)
-            X = np.zeros((P, len(b), 4))
-            X[1:, :, :2], X[:-1, :, 2:] = z[:, :, :2], z[:, :, 2:]
-            u -= X.swapaxes(0, 1).reshape(-1, 4) @ self.corr_t
-        return u.reshape(b.shape)
+        rows = b.reshape(-1, per)
+        if P == 1:
+            return (rows @ self.inv_t[:per]).reshape(b.shape)
+        k = len(b)
+        beta = (rows @ self.beta_t).reshape(k, P, 4).swapaxes(0, 1)
+        z = np.concatenate([beta[:-1, :, :2], beta[1:, :, 2:]], axis=2)
+        _scan(z, self.forward)
+        z = z @ self.S_inv_t
+        _scan(z[::-1], self.backward)
+        FG = np.zeros((k, P, 4))
+        FG[:, 1:, :2] = z[:, :, :2].swapaxes(0, 1)
+        FG[:, :-1, 2:] = z[:, :, 2:].swapaxes(0, 1)
+        return (np.concatenate([rows, FG.reshape(-1, 4)], axis=1) @ self.inv_t).reshape(b.shape)
 
 
 def _panel_operator(m: Measure, x: np.ndarray, w: np.ndarray, h: float,
@@ -339,15 +429,19 @@ def _panel_operator(m: Measure, x: np.ndarray, w: np.ndarray, h: float,
     a_q = sum_j w_j e^{-c3 s_j} u_j and b_q = sum_j w_j s_j e^{-c3 s_j} u_j,
     it steps by T = e^{-c3 2h} [[1, 0], [2h, 1]], and row i reads
     c2 e^{-c3 t_i} (t_i f_0 + f_1).  Panels to the right mirror this with t
-    and s exchanged.  Every exponential is at most 1.
+    and s exchanged.  Every exponential is at most 1.  The panel's nodes
+    are symmetric bit for bit (quadrature._gl_rule), so s and its
+    exponential are t's reversed: E's columns t e^{-c3 t}, e^{-c3 t} and
+    their reverses, R's rows w times the same four in reverse order.
     """
     A = _panel_block(m, x, w, h)
-    t, s = h + x, h - x
-    et, es = np.exp(-m.c3 * t), np.exp(-m.c3 * s)
-    E = m.c2 * np.stack([t * et, et, s * es, es], axis=1)
-    R = np.stack([w * es, w * s * es, w * et, w * t * et])
+    t = h + x
+    base = np.empty((4, len(x)))
+    base[1] = np.exp(-m.c3 * t)
+    base[0] = t * base[1]
+    base[2:] = base[:2, ::-1]
     T = math.exp(-2.0 * m.c3 * h) * np.array([[1.0, 0.0], [2.0 * h, 1.0]])
-    return _PanelOperator(A, E, R, T, panels)
+    return _PanelOperator(A, m.c2 * base.T, w * base[::-1], T, panels)
 
 
 def _inverse_norm1(op: _PanelOperator, weights: np.ndarray, start: int) -> float:
@@ -371,8 +465,11 @@ def _inverse_norm1(op: _PanelOperator, weights: np.ndarray, start: int) -> float
     solves, and 0.87 to 1 on one panel of 32 nodes; from the uniform start
     it needed about ten solves to read 0.88 to 1 at 200 nodes."""
     n = len(weights)
-    i = np.arange(n)
-    y = op.solve(np.stack([i == start, (-1.0) ** i * (1.0 + i / max(n - 1, 1))]).astype(float))
+    b = np.zeros((2, n))
+    b[0, start] = 1.0
+    b[1] = 1.0 + np.arange(n) / max(n - 1, 1)
+    b[1, 1::2] *= -1.0
+    y = op.solve(b)
     alt = 2.0 * float(np.abs(y[1]).sum()) / (3.0 * n)
     y, est = y[:1], float(np.abs(y[0]).sum())
     sign, j = None, start
@@ -384,7 +481,9 @@ def _inverse_norm1(op: _PanelOperator, weights: np.ndarray, start: int) -> float
         j, j_last = int(np.argmax(z)), j
         if z[j_last] == z[j]:
             break
-        y = op.solve((i == j)[None, :].astype(float))
+        b = np.zeros((1, n))
+        b[0, j] = 1.0
+        y = op.solve(b)
         new = float(np.abs(y).sum())
         if new <= est:
             break
@@ -398,7 +497,7 @@ def _column_sums(op: _PanelOperator, weights: np.ndarray) -> np.ndarray:
     blocks' share, to which the column sums of |A| are added."""
     w = weights[:len(op.A)]
     columns = weights * op.matvec(1.0 / weights[None, :])[0]
-    columns += np.tile(np.abs(op.A).sum(axis=0) - w * (op.A @ (1.0 / w)), op.panels)
+    columns.reshape(op.panels, -1)[...] += np.abs(op.A).sum(axis=0) - w * (op.A @ (1.0 / w))
     return columns
 
 
@@ -407,18 +506,20 @@ def _nystrom_system(m: Measure, n: int):
     """(nodes, weights, M in panel form, cond) for the measure and node
     count, laid out by _layout.  M does not depend on w, so every solve and
     residual of one measure shares one panel block, one inverse of it and
-    one factored interface system; the arrays are read-only.
+    one factored interface system, and the operator carries the system's
+    boundary-jet rows (``op.jet``, _jet_rows); the arrays are read-only.
 
     cond = ||M||_1 from _column_sums times _inverse_norm1's estimate."""
     panels, per = _layout(m, n)
     h = m.delta / (2 * panels)
     x, w = gauss_legendre(per, -h, h)
     nodes = ((h * (2 * np.arange(panels) + 1) - m.delta / 2.0)[:, None] + x).ravel()
-    weights = np.tile(w, panels)
+    weights = np.broadcast_to(w, (panels, per)).ravel()
     op = _panel_operator(m, x, w, h, panels)
     columns = _column_sums(op, weights)
     widest = int(np.argmax(columns))
     cond = float(columns[widest]) * _inverse_norm1(op, weights, widest)
+    op.jet = _jet_rows(m, nodes, weights)
     for arr in (nodes, weights):
         arr.flags.writeable = False
     return nodes, weights, op, cond
@@ -442,10 +543,10 @@ def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> Nystrom
     nodes, weights, op, cond = _nystrom_system(m, n)
     if cond > CONDITION_LIMIT:
         raise IllConditioned(f"1-norm condition estimate {cond:.3e} > {CONDITION_LIMIT:.0e}")
-    data = np.exp(-2j * np.pi * w * nodes)
-    b = np.stack([data.real, data.imag])
-    u = op.solve(b)
-    return NystromSolution(nodes=nodes, weights=weights, u_values=u[0] + 1j * u[1],
+    # the real and imaginary parts of the data as two rows, and of u back
+    u = op.solve(np.exp(-2j * np.pi * w * nodes).view(float).reshape(-1, 2).T)
+    return NystromSolution(nodes=nodes, weights=weights,
+                           u_values=np.ascontiguousarray(u.T).view(complex).ravel(),
                            measure=m, w=w, condition_estimate=cond,
                            panels=op.panels, per=len(op.A), _system=op)
 
@@ -453,9 +554,9 @@ def solve_integral_eq(m: Measure, w: complex, n: int = DEFAULT_NODES) -> Nystrom
 def system_residual(sol: NystromSolution) -> float:
     """Relative residual of the solved linear system, ||M u - b|| / ||b||,
     with M u by the panel product (the recurrences, not the solve)."""
-    data = np.exp(-2j * np.pi * sol.w * sol.nodes)
-    b = np.stack([data.real, data.imag])
-    r = sol._system.matvec(np.stack([sol.u_values.real, sol.u_values.imag])) - b
+    b = np.exp(-2j * np.pi * sol.w * sol.nodes).view(float).reshape(-1, 2).T
+    u = np.ascontiguousarray(sol.u_values, dtype=complex)
+    r = sol._system.matvec(u.view(float).reshape(-1, 2).T) - b
     return float(np.linalg.norm(r) / np.linalg.norm(b))
 
 
@@ -521,19 +622,37 @@ def k_from_u(sol: NystromSolution, z) -> Union[complex, np.ndarray]:
     the fixed quadrature rule cannot resolve the oscillation.  Summed
     pairwise: a running sum of the 48000 nodes of c3 Delta = 10^4 is off by 3e-15.
     """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.ndim(z) == 0:                # one point, without the outer product
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise ValueError(f"z must be finite, got {z}")
+        return complex((np.exp(2j * np.pi * (z * sol.nodes)) * (sol.weights * sol.u_values)).sum())
+    z_arr = np.asarray(z, dtype=complex)
     if not np.isfinite(z_arr).all():
         raise ValueError(f"z must be finite, got {z_arr[~np.isfinite(z_arr)][0]}")
-    vals = (np.exp(2j * np.pi * np.outer(z_arr, sol.nodes))
+    return (np.exp(2j * np.pi * np.outer(z_arr, sol.nodes))
             * (sol.weights * sol.u_values)).sum(axis=1)
-    if np.isscalar(z) or np.asarray(z).shape == ():
-        return complex(vals[0])
-    return vals
 
 
 # ---------------------------------------------------------------------------
 # residuals, from u's derivatives at the ends of the support
 # ---------------------------------------------------------------------------
+
+def _jet_rows(m: Measure, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """side^k w_j h^(k)(s_j), k < 4, for side = -1 and +1: _boundary_jet's
+    sums as one read-only (2, 4, nodes) array of rows.  h(s) = s e^{-c3 s}
+    and s_j = Delta/2 - side x_j is the nodes' distance from the end, so the
+    rows depend on the system alone, not on w."""
+    c3 = m.c3
+    s = m.delta / 2.0 + np.stack([nodes, -nodes])
+    # h^(k)(s) = (alpha_k + beta_k s) e^{-c3 s}
+    alpha = np.array([[0.0], [1.0], [-2.0 * c3], [3.0 * c3 * c3]])
+    beta = np.array([[1.0], [-c3], [c3 * c3], [-c3 * c3 * c3]])
+    rows = (alpha + beta * s[:, None]) * (np.exp(-c3 * s) * weights)[:, None]
+    rows[0, 1::2] *= -1.0
+    rows.flags.writeable = False
+    return rows
+
 
 def _boundary_jet(sol: NystromSolution, side: int) -> np.ndarray:
     """u, u', u'', u''' at xi = side Delta/2 (side = -1 or +1), from the
@@ -546,19 +665,19 @@ def _boundary_jet(sol: NystromSolution, side: int) -> np.ndarray:
 
     and c1 u^(m) = (-2 pi i w)^m e^{-2 pi i w xi} - c2 F_m.  The kernel's
     kink, which gives the 2 u^(m-2), sits at the end, so every integrand is
-    smooth and the nodes' Gauss rule integrates it.
+    smooth and the nodes' Gauss rule integrates it.  The sums are one
+    product of the system's jet rows (_jet_rows) with u's real and
+    imaginary parts; the rest is four Python scalars.
     """
     m, w = sol.measure, sol.w
-    L, c3 = m.delta / 2.0, m.c3
-    s = L - side * sol.nodes
-    e = np.exp(-c3 * s)
-    h = np.stack([s * e, (1.0 - c3 * s) * e, c3 * (c3 * s - 2.0) * e,
-                  c3 * c3 * (3.0 - c3 * s) * e])
-    k = np.arange(4)
-    F = side ** k * (h @ (sol.weights * sol.u_values))
-    jet = ((-2j * np.pi * w) ** k * np.exp(-2j * np.pi * w * side * L) - m.c2 * F) / m.c1
-    jet[2:] -= 2.0 * m.c2 / m.c1 * jet[:2]        # the kink's 2 u^(m-2) in F_m
-    return jet
+    u = np.ascontiguousarray(sol.u_values, dtype=complex)
+    sums = sol._system.jet[(side + 1) // 2] @ u.view(float).reshape(-1, 2)
+    s = -2j * np.pi * w
+    e = cmath.exp(s * side * (m.delta / 2.0))
+    jet = [(s ** k * e - m.c2 * complex(re, im)) / m.c1
+           for k, (re, im) in enumerate(sums.tolist())]
+    kink = 2.0 * m.c2 / m.c1                  # the kink's 2 u^(m-2) in F_m
+    return np.array(jet[:2] + [jet[2] - kink * jet[0], jet[3] - kink * jet[1]])
 
 
 def reproducing_residual(m: Measure, w: complex,
@@ -642,32 +761,38 @@ def ode_residual(m: Measure, sol: NystromSolution) -> float:
         v = c1 u + a J^2 u + b J^4 u - J^4 f = P,
 
     P the cubic in t = xi + Delta/2 with Taylor coefficients c1 u, c1 u',
-    c1 u'' + a u and c1 u''' + a u' at -Delta/2.  v comes from the nodal u
-    and P from the boundary jet, the integral equation itself, so v = P
-    holds to rounding exactly when the nodal u solves the equation.  Returns
-    max |v - P| over the nodes relative to the largest term of v; 0 by
-    convention when c2 = 0.
+    c1 u'' + a u and c1 u''' + a u' at -Delta/2.  J^2 and J^4 are two
+    twofold passes (_integrate_twice) over u and f's exponential side by
+    side.  v comes from the nodal u and P from the boundary jet, the
+    integral equation itself, so v = P holds to rounding exactly when the
+    nodal u solves the equation.  Returns max |v - P| over the nodes
+    relative to the largest term of v; 0 by convention when c2 = 0.
     """
     if m.c2 == 0.0:
         return 0.0
     c1, c2, c3, w = m.c1, m.c2, m.c3, sol.w
-    L, panels = m.delta / 2.0, sol.panels
-    h = m.delta / (2 * panels)
-
-    def twice(v):
-        return h * h * _indefinite_integrals(_indefinite_integrals(v, panels), panels)
-
-    u, t = sol.u_values, sol.nodes + L
-    u0, u1, u2, u3 = _boundary_jet(sol, -1)
-    f = (4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) ** 2 * np.exp(-2j * np.pi * w * sol.nodes)
-    # J acts column by column: the real and imaginary parts of u and f go
-    # through it as four interleaved real columns
-    uf_2 = twice(np.stack([u, f], axis=1).view(float))
-    u_2 = np.ascontiguousarray(uf_2).view(complex)[:, 0]
-    u_4, f_4 = np.ascontiguousarray(twice(uf_2)).view(complex).T
+    h2 = (m.delta / (2 * sol.panels)) ** 2
+    u0, u1, u2, u3 = _boundary_jet(sol, -1).tolist()
     a, b = 2.0 * (c2 - c1 * c3 ** 2), 2.0 * c2 * c3 ** 2 + c1 * c3 ** 4
-    terms = (c1 * u, a * u_2, b * u_4, -f_4)
-    P = c1 * u0 + t * (c1 * u1 + t * ((c1 * u2 + a * u0) / 2.0
-                                      + t * (c1 * u3 + a * u1) / 6.0))
-    largest = max(float(np.max(np.abs(x))) for x in terms)
-    return float(np.max(np.abs(sum(terms) - P))) / largest
+    # real rows 1, t, u and f's exponential e; their J^2; J^4 u and J^4 e
+    rows = np.empty((16, len(sol.nodes)))
+    rows[0], rows[1] = 1.0, sol.nodes + m.delta / 2.0
+    rows[2:6] = np.stack([sol.u_values, np.exp(-2j * np.pi * w * sol.nodes)], axis=1).view(
+        float).T
+    rows[6:12] = _integrate_twice(rows[:6], sol.panels)
+    rows[12:] = _integrate_twice(rows[8:12], sol.panels)
+    # v - P as the rows' complex coefficients, with J^2 1 = t^2 / 2 and
+    # J^2 t = t^3 / 6 over h^2: P's c1 u, c1 u', c1 u'' + a u and
+    # c1 u''' + a u' at -Delta/2, then a J^2 u, b J^4 u and -J^4 f
+    p0, p1, p2, p3 = c1 * u0, c1 * u1, (c1 * u2 + a * u0) * h2, (c1 * u3 + a * u1) * h2
+    q = -(4.0 * np.pi ** 2 * w ** 2 + c3 ** 2) ** 2 * h2 * h2
+    ah, bh = a * h2, b * h2 * h2
+    coef = np.array([[-p0.real, -p1.real, c1, 0.0, 0.0, 0.0, -p2.real, -p3.real, ah, 0.0,
+                      0.0, 0.0, bh, 0.0, q.real, -q.imag],
+                     [-p0.imag, -p1.imag, 0.0, c1, 0.0, 0.0, -p2.imag, -p3.imag, 0.0, ah,
+                      0.0, 0.0, 0.0, bh, q.imag, q.real]])
+    # the largest term of v, from the moduli of u, J^2 u, J^4 u and J^4 e
+    pairs = rows.reshape(8, 2, -1)[[1, 4, 6, 7]]
+    largest = max(np.hypot(pairs[:, 0], pairs[:, 1]).max(axis=1)
+                  * (abs(c1), abs(ah), abs(bh), abs(q)))
+    return float(np.hypot(*(coef @ rows)).max() / largest)

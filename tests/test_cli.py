@@ -251,6 +251,13 @@ class TestExitCodes:
         assert "OK (0 failures)" in out
 
 
+def test_python_dash_m_pairpack_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "pairpack", "verify", "--suite", "appendix"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "OK (0 failures)"
+
+
 def test_verify_suite_choices_follow_registry():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

@@ -114,6 +114,25 @@ class TestSolver:
         monkeypatch.setattr(fredholm, "_nystrom_system", lambda _, n: system(shifted, n))
         assert abs(uniqueness_ratio(m) * a_sq - sigma_min) <= 1e-12 * sigma_min
 
+    @pytest.mark.parametrize("name, plant", [
+        ("linear_system_residual", lambda sol: 1.0 + 1e-12 * np.cos(7.0 * sol.nodes)),
+        ("w0_solution_even", lambda sol: 1.0 + 1e-12 * np.sin(7.0 * sol.nodes)),
+        # on the 400-node solves only, which the 200-node ones check
+        ("self_convergence_200_400",
+         lambda sol: 1.0 + 1e-12 * np.cos(7.0 * sol.nodes) * (len(sol.nodes) == 400))])
+    def test_tolerance_catches_planted_perturbation(self, monkeypatch, name, plant):
+        # a 1e-12 relative change of u fails the check that reads it
+        check = next(c for c in verify.CHECKS if c.name == name)
+        assert check.run()[0]
+        solve = verify.solve_integral_eq
+
+        def planted(m, w, n=fredholm.DEFAULT_NODES):
+            sol = solve(m, w, n)
+            return dataclasses.replace(sol, u_values=sol.u_values * plant(sol))
+
+        monkeypatch.setattr(verify, "solve_integral_eq", planted)
+        assert not check.run()[0]
+
     def test_node_count_guard(self):
         with pytest.raises(ValueError):
             solve_integral_eq(Measure(1, 1, 0, 0.5), 0.0, n=8)
@@ -221,27 +240,43 @@ class TestSharedSystem:
 
     def test_one_operator_per_system(self, monkeypatch):
         # the condition estimate takes M^T's column sums and solves from M
-        # itself: a cold system builds one panel operator, not M and M^T
-        built = []
-        init = fredholm._PanelOperator.__init__
+        # itself: a cold system builds one panel operator, not M and M^T.
+        # Its boundary-jet rows are built once with it, however many solves,
+        # jets and ODE residuals read them, and the twofold integration rows
+        # once per node count
+        built, jets = [], []
+        init, jet_rows = fredholm._PanelOperator.__init__, fredholm._jet_rows
 
         def counted(self, *args):
             built.append(self)
             init(self, *args)
 
+        def counted_jet(*args):
+            jets.append(jet_rows(*args))
+            return jets[-1]
+
         monkeypatch.setattr(fredholm._PanelOperator, "__init__", counted)
+        monkeypatch.setattr(fredholm, "_jet_rows", counted_jet)
+        fredholm._twofold_rows.cache_clear()
         for m, n in ((Measure(1.1, 0.9, 0.8, 0.6), 200), (Measure(1, 4, 100, 0.5), 200),
                      (Measure(1, 1, 0, 0.5), 32)):
             fredholm._nystrom_system.cache_clear()
             built.clear()
+            jets.clear()
             assert fredholm._nystrom_system(m, n)[2] is built[0]
-            assert len(built) == 1
+            for w in (0.0, 0.4, -1.3):
+                sol = solve_integral_eq(m, w, n)
+                assert ode_residual(m, sol) <= ODE_TOL
+                fredholm._boundary_jet(sol, 1)
+            assert len(built) == len(jets) == 1 and sol._system.jet is jets[0]
+        # 40, 24 and 32 nodes per panel
+        assert fredholm._twofold_rows.cache_info().misses == 3
 
     def test_shared_arrays_are_read_only(self):
         sol = solve_integral_eq(Measure(1.0, 1.0, 1.0, 0.5), 0.3)
         op = sol._system
-        for shared in (sol.nodes, sol.weights, op.A, op.E, op.apply_t, op.inv_t, op.corr_t,
-                       op.S_inv_t):
+        for shared in (sol.nodes, sol.weights, op.A, op.E, op.moments_t, op.beta_t, op.apply_t,
+                       op.inv_t, op.S_inv_t, op.jet, *fredholm._twofold_rows(sol.per)):
             with pytest.raises(ValueError):
                 shared[(0,) * shared.ndim] = 0.0
         sol.u_values[0] += 0.0          # the solution itself is the caller's
@@ -288,19 +323,34 @@ class TestSpectralIntegration:
         got = fredholm._integration_matrix(n) @ x[:, None] ** k
         assert np.max(np.abs(got - exact)) <= 1e-14
 
-    @pytest.mark.parametrize("panels, per", [(1, 16), (3, 24), (10, 24), (7, 40)])
+    @pytest.mark.parametrize("panels, per", [(1, 16), (3, 24), (10, 24), (7, 40), (2000, 24)])
     def test_piecewise_integrates_piecewise_monomials(self, panels, per):
-        # panels of half-width 1 from -1: on panel p the columns are
-        # (1 + p / panels) x^k in the panel's own coordinate x, k < per
+        # the twofold pass on panels of half-width 1 from -1: on panel p the
+        # columns are (1 + p / panels) x^k in the panel's own coordinate x,
+        # k < per - 1 (J's exact degrees, less the one the first integral
+        # adds), whose integral from -1 is g1 and twofold integral g2; before
+        # panel p, S_p sums the panels' g1(1) and T_p their 2 S_q + g2(1).
+        # Measured worst: 3.4e-16 of the largest value, at 1 panel of 16
         x, _ = gauss_legendre(per, -1.0, 1.0)
-        k = np.arange(per)
+        k = np.arange(per - 1)
         scale = 1.0 + np.arange(panels)[:, None, None] / panels
-        v = (scale * x[:, None] ** k).reshape(-1, per)
-        whole = scale[:, 0] * (1.0 - (-1.0) ** (k + 1)) / (k + 1)
-        before = np.concatenate([np.zeros((1, per)), np.cumsum(whole, axis=0)[:-1]])
-        exact = before[:, None] + scale * (x[:, None] ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
-        got = fredholm._indefinite_integrals(v, panels)
-        assert np.max(np.abs(got - exact.reshape(-1, per))) <= 1e-14 * panels
+        v = (scale * x[:, None] ** k).reshape(-1, per - 1).T          # one row per k
+
+        def g1(t):
+            return (t ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+
+        def g2(t):
+            return ((t ** (k + 2) - (-1.0) ** (k + 2)) / ((k + 1) * (k + 2))
+                    - (-1.0) ** (k + 1) * (t + 1.0) / (k + 1))
+
+        S = np.zeros((panels, per - 1), dtype=np.longdouble)
+        T = np.zeros_like(S)
+        S[1:] = np.cumsum(scale[:-1, 0] * g1(1.0), axis=0, dtype=np.longdouble)
+        T[1:] = np.cumsum(2.0 * S[:-1] + scale[:-1, 0] * g2(1.0), axis=0)
+        exact = (T[:, None] + S[:, None] * (x[:, None] + 1.0) + scale * g2(x[:, None]))
+        got = fredholm._integrate_twice(v, panels)
+        err = np.max(np.abs(got.T - exact.reshape(-1, per - 1).astype(float)))
+        assert err <= 1e-15 * float(np.max(np.abs(exact)))
 
     def test_panel_layout(self):
         # up to 40 nodes and c3 Delta = 5 the plain n-point Gauss rule; above
