@@ -110,14 +110,18 @@ class NystromSolution:
     _system: "_PanelOperator" = field(repr=False)
 
     def interpolate(self, targets) -> np.ndarray:
-        """Barycentric interpolation of u to arbitrary points of the support,
-        each point from the nodes of its panel."""
+        """Barycentric interpolation of u to finite points, each point of the
+        support from the nodes of its panel; zero outside the support (with
+        ``closed_form_u``'s slack of 1e-15)."""
         t = np.atleast_1d(np.asarray(targets, dtype=float))
+        if not np.isfinite(t).all():
+            raise ValueError(f"targets must be finite, got {t[~np.isfinite(t)][0]}")
         panels, per = self.panels, self.per
+        inside = np.abs(t) <= self.measure.delta / 2.0 + 1e-15
         which = np.clip(np.floor((t / self.measure.delta + 0.5) * panels), 0, panels - 1)
-        out = np.empty(len(t), dtype=complex)
-        for p in np.unique(which).astype(int):
-            at, own = which == p, slice(p * per, (p + 1) * per)
+        out = np.zeros(len(t), dtype=complex)
+        for p in np.unique(which[inside]).astype(int):
+            at, own = inside & (which == p), slice(p * per, (p + 1) * per)
             out[at] = barycentric_matrix(self.nodes[own], _barycentric_weights(per),
                                          t[at]) @ self.u_values[own]
         return out

@@ -9,9 +9,10 @@ purely imaginary offsets as real sines (``_sine_rows``) and sums the other
 c3 > 0 sections' rows as +- pairs, (u sin(u) A L + cos(u) B L^2) / (u^2 +
 (o L)^2) with u = 2 pi z L, one real sine and cosine per point for every
 row (``_pair_sum``), taking the two quotients only where a pair cancels,
-near its removable points s = +-o.  The
-diagonal K(0, 0), whose reciprocal every printed bound is, is read from each
-regime's own solve instead (``kernel_k00``).  Two regimes:
+near its removable points s = +-o.  The section is summed for one measure
+at a time.  The diagonal K(0, 0), whose reciprocal every printed bound is,
+is read from each regime's own solve instead (``kernel_k00``), for one
+measure or a batch.  Two regimes:
 
 * c3 = 0: the full kernel K(w, z) for all complex w, z, the transform of
   the solution u_w: rows e^{eta xi} at eta = +-i om and -2 pi i w.  Its
@@ -28,9 +29,9 @@ regime's own solve instead (``kernel_k00``).  Two regimes:
   line lam = 4 c3^2 the system is solved in means and divided differences,
   Cauchy integrals taken by the contour rule, whose nodes give 16 more
   rows.  K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3 comes from
-  the same solve, from the factors b and E its boundary entries form.  One
-  measure is the 0-d case of a batch, bit-identical alone and inside a
-  batch (the layout notes above ``_contour`` say why).
+  the same solve, from the factors b and E its boundary entries form.  The
+  solve takes one measure as the 0-d case of a batch, bit-identical alone
+  and inside a batch (the layout notes above ``_contour`` say why).
 
 Sign convention: B carries a minus sign on its integral term, fixed by
 requiring the removable singularities to cancel and confirmed against the
@@ -161,7 +162,8 @@ def _eta_pair(eta, lam, c3_sq) -> EtaPair:
 
 
 def quartic_residual(m: Measure, eta: complex) -> float:
-    """Relative residual of eta in the characteristic quartic (test hook)."""
+    """Relative residual of eta in the characteristic quartic, which verify's
+    ``quartic_residual`` check reads."""
     lam, c3_sq = m.lam(), m.c3 * m.c3
     val = eta ** 4 + 2.0 * (lam - c3_sq) * eta ** 2 + c3_sq * (2.0 * lam + c3_sq)
     scale = abs(eta) ** 4 + 2.0 * abs(lam - c3_sq) * abs(eta) ** 2 \
@@ -309,9 +311,7 @@ def _two_product(a, b):
 #   in about 0.1% of doubles, and so would tag roots on the degenerate line
 #   differently alone and in a batch.
 # * Every sum over rows or over contour nodes runs over a contiguous last
-#   axis, and every sum over rows or pairs at a grid of points over an axis
-#   just before the points' (numpy adds whole rows of points in sequence),
-#   so that one measure and a batch sum in the same order.
+#   axis, so that one measure and a batch sum in the same order.
 #
 # The rows come in pairs +-o with one weight w, and at real points a pair
 # is summed from the factors C = b (1 + E / 2) = e^{-c3 L} cosh(eta c3 L)
@@ -372,38 +372,32 @@ def _put(x, sel, v):
 
 @dataclass(frozen=True)
 class TransformSolution:
-    """Fourier-side solution u0 of the kernel section K(0, .):
+    """Fourier-side solution u0 of the kernel section K(0, .), as rows.
 
-        u0(t) = e^{-scale} (p_scaled cbar(t) + q_scaled c'(t)) + mu,
-
-    with cbar and c' the mean and eta^2-divided difference of cosh(eta1 t)
-    and cosh(eta2 t), finite where the roots meet: w1,2 = p_scaled/2 +-
-    q_scaled/(eta1^2 - eta2^2) solve the boundary system (see above).
-    ``det`` = script_L / (eta1^2 - eta2^2) = det Gamma' / (2 c3^3 (eta1^2 -
-    eta2^2)), read as (F1' F2bar - F1bar F2') / (2 c3^3) where the roots are
-    near.  ``close`` is set where the rows take the contour rule.  The
-    section K(0, z) is ``_row_sum`` over five rows: offsets (eta1, eta2,
+    The section K(0, z) is ``_row_sum`` over five rows: offsets (eta1, eta2,
     -eta1, -eta2, 0), shifts (c3, c3, c3, c3, 0), weights (w1, w2, w1, w2, 2
-    mu).  Where ``close`` is set, w1,2 = p_scaled/2 and 16 more rows carry
-    q_scaled c': offsets +-eta_k, shift c3, weights q_scaled c_k at the 8
-    contour nodes (weight 0 for the other measures of such a batch, whose
-    ``_row_sum`` skips them).  ``pairs`` holds, for each pair of rows +-o
-    with weight w (eta1, eta2, then the contour nodes), ((o L)^2, A L, B
-    L^2) with A = 2 w C and B = 2 w c3 S, which ``_pair_sum`` sums at real
-    points in place of the quotients: shape (3,) + the batch's shape + (2,)
-    or (10,) (zeros for the measures of a batch not close).  ``clear`` is
-    set where both roots' pairs have no removable point s = +-o within the
-    pair gap of a real z: |Re eta| c3 Delta / 2 > sqrt(2) _PAIR_GAP.
+    mu), with w1, w2 the boundary system's solution (see above).  ``close``
+    is set where the rows take the contour rule: there w1,2 = p/2 and 16
+    more rows carry q c', c' the eta^2-divided difference of cosh(eta1 t)
+    and cosh(eta2 t), with p = w1 + w2 and q = (w1 - w2) (eta1^2 - eta2^2) /
+    2: offsets +-eta_k, shift c3, weights q c_k at the 8 contour nodes
+    (weight 0 for the other measures of such a batch).  ``pairs`` holds, for
+    each pair of rows +-o with weight w (eta1, eta2, then the contour
+    nodes), ((o L)^2, A L, B L^2) with A = 2 w C and B = 2 w c3 S, which
+    ``_pair_sum`` sums at real points in place of the quotients: shape (3,)
+    + the batch's shape + (2,) or (10,) (zeros for the measures of a batch
+    not close).  ``clear`` is set where both roots' pairs have no removable
+    point s = +-o within the pair gap of a real z: |Re eta| c3 Delta / 2 >
+    sqrt(2) _PAIR_GAP.
 
     ``k00`` is K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3 in
     units of c3, the rows' values at z = 0 in closed form (notes above
     ``_contour``), summed in long double with the contour rows where
-    ``close`` is set and rounded once.  The record fields that no kernel
-    value sums are built on first use: ``det``, ``p_scaled`` and
-    ``q_scaled`` from the solve's complex long doubles (numpy scalars for
-    one measure, which round as a batch's arrays do; the layout notes above
-    ``_contour``), ``mu`` from the mu row's weight, ``scale`` and ``roots``
-    from c3 Delta / 2, lam = c2 / c1 and the rows.
+    ``close`` is set and rounded once.  ``det`` = script_L / (eta1^2 -
+    eta2^2) = det Gamma' / (2 c3^3 (eta1^2 - eta2^2)), read as (F1' F2bar -
+    F1bar F2') / (2 c3^3) where the roots are near, sums no row and is built
+    on first use from the solve's complex long doubles (numpy scalars for one
+    measure, which round as a batch's arrays do).
 
     For one measure the scalar fields are numpy scalars (``k00`` a float)
     and the rows have shape (5,) or (21,); for a batch measure every field
@@ -422,48 +416,20 @@ class TransformSolution:
     close: bool
     clear: bool
     k00: float
-    # what the fields built on first use read, one entry per measure (a
-    # batch's on one axis): in long double, det and (q, p) where the solve
-    # formed them (some measure near, some close), else None, and Cramer's
-    # (det Gamma', zeta1 - zeta2, w1, w2, c3) to form them from; in double,
-    # lam and c3 Delta / 2
+    # what det reads, one entry per measure (a batch's on one axis), in long
+    # double: det where the solve formed it (some measure near), else None,
+    # and Cramer's (det Gamma', zeta1 - zeta2) to form it from
     _det: np.clongdouble = field(repr=False)
-    _qp: tuple = field(repr=False)
     _cramer: tuple = field(repr=False)
-    _lam: float = field(repr=False)
-    _scale: float = field(repr=False)
-
-    @functools.cached_property
-    def roots(self) -> EtaPair:
-        c3 = self.shifts[..., 0]
-        return _eta_pair((self.offsets[..., 0][()], self.offsets[..., 1][()]),
-                         self._lam, c3 * c3)
 
     @functools.cached_property
     def det(self) -> complex:
-        det_g, gap = self._cramer[:2]
+        det_g, gap = self._cramer
         det = det_g / (gap + gap) if self._det is None else self._det
-        return _field(det.astype(complex), self.close.shape)
-
-    @functools.cached_property
-    def p_scaled(self) -> complex:
-        return _field(self._qp_x[1].astype(complex), self.close.shape)
-
-    @functools.cached_property
-    def q_scaled(self) -> complex:
-        return _field(self._qp_x[0].astype(complex), self.close.shape)
-
-    @property
-    def _qp_x(self) -> tuple:
-        return _qp(*self._cramer[1:]) if self._qp is None else self._qp
-
-    @functools.cached_property
-    def mu(self) -> float:
-        return _field(self.weights[..., 4].real * 0.5, self.close.shape)
-
-    @functools.cached_property
-    def scale(self) -> float:
-        return _field(np.asarray(self._scale), self.close.shape)
+        det = det.astype(complex).reshape(self.close.shape)
+        if det.ndim:
+            det.flags.writeable = False
+        return det[()]
 
 
 def k0_transform_solution(m: Measure) -> TransformSolution:
@@ -473,12 +439,6 @@ def k0_transform_solution(m: Measure) -> TransformSolution:
     shared and read-only.  A batch is solved in one
     uncached pass."""
     return _transform_solution(m) if isinstance(m.c3, np.ndarray) else _cached_solution(m)
-
-
-def _qp(gap, w1, w2, c3_x):
-    """(q, p) in units of c3 from Cramer's weights: q = (w1 - w2) (zeta1 -
-    zeta2) c3^2 / 2, p = w1 + w2."""
-    return (w1 - w2) * (gap * (c3_x * c3_x * _HALF_X)), w1 + w2
 
 
 def _transform_solution(m: Measure) -> TransformSolution:
@@ -520,18 +480,17 @@ def _transform_solution(m: Measure) -> TransformSolution:
     near = close & (a_gap < _NEAR_GAP * lam.real) if any_close else close
     any_near = any_close and _any(near)
     # Cramer's rule: w1 = mu P1^2 G2 / det Gamma', w2 = -mu P2^2 G1 / det
-    # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1); q and p restate them.
-    # det unless some measure is near, and (q, p) unless some is close, are
-    # formed on first use
-    det_g, det, qp = f1_1 * f2_2 - f1_2 * f2_1, None, None
+    # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1).  det is formed on first
+    # use unless some measure is near
+    det_g, det = f1_1 * f2_2 - f1_2 * f2_1, None
     if any_near:    # replaced below: there det Gamma' and the gap can vanish
         det_g = _put(det_g, near, _ONE_X)
         det = det_g / _put(gap + gap, near, _ONE_X)
     ratio = mu / det_g
     w1, w2 = p1_sq * g2 * ratio, -(p2_sq * g1) * ratio
-    cramer = (det_g, gap, w1, w2, c3_x)
     if any_close:   # the contour rule; near measures' means and divided differences
-        q, p = _qp(gap, w1, w2, c3_x)
+        # q = (w1 - w2) (zeta1 - zeta2) c3^2 / 2 and p = w1 + w2 in units of c3
+        q, p = (w1 - w2) * (gap * (c3_x * c3_x * _HALF_X)), w1 + w2
         # the close measures: sel reads them (() keeps a numpy scalar one),
         # at writes their rows of the table
         sel, at = ((), ...) if close.all() else (close, close)
@@ -562,7 +521,6 @@ def _transform_solution(m: Measure) -> TransformSolution:
         half_p = _HALF_X * p[sel]                    # and q c' on 16 more rows
         w1, w2 = _put(w1, sel, half_p), _put(w2, sel, half_p)
         c = q[sel][..., None] * c / (c3_c * c3_c)
-        qp = (q, p)
     # -K(0, 0) c3: the mu row's -2 mu c3 L and each root's pair of rows
     k00 = (w1 * (be1 / eta1) + w2 * (be2 / eta2)) + (mu + mu) * mL
     if any_close:
@@ -601,21 +559,7 @@ def _transform_solution(m: Measure) -> TransformSolution:
     else:
         k00 = float(k00)
     return TransformSolution(table[0].reshape(rows), shifts.reshape(rows), table[1].reshape(rows),
-                             pairs, close, clear, k00, det, qp, cramer, lam_d, scale)
-
-
-def _flat(v):
-    """A batch parameter on one axis; a Python float as it is."""
-    return v.reshape(-1) if isinstance(v, np.ndarray) else v
-
-
-def _field(v, shape):
-    """Array v in the batch's shape and read-only, or a numpy scalar for one
-    measure."""
-    v = v.reshape(shape)
-    if v.ndim:
-        v.flags.writeable = False
-    return v[()]
+                             pairs, close, clear, k00, det, (det_g, gap))
 
 
 _cached_solution = functools.lru_cache(maxsize=8)(_transform_solution)
@@ -638,24 +582,10 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
     return KernelEvaluation(value=complex(value), limit_path=path)
 
 
-def _row_sum(offsets, weights, L, z, head, shifts=None, close=None):
+def _row_sum(offsets, weights, L, z, head, shifts=None):
     """sum_r weights_r e^{-shifts_r L} sinh((s + offsets_r) L) / (s + offsets_r),
-    s = 2 pi i z, over rows on a last axis, the measures' axes followed by
-    z's.  The first ``head`` rows are summed apart from the contour rows after
-    them; in a batch, the contour rows of the measures that ``close`` marks
-    alone, so that every measure's value is its own."""
-    if offsets.ndim > 1 and offsets.shape[-1] > head:   # a batch with contour rows
-        (o, w, sh), (o_c, w_c, sh_c) = (
-            [None if r is None else r[rows] for r in (offsets, weights, shifts)]
-            for rows in ((Ellipsis, slice(None, head)), (close, slice(head, None))))
-        out = _row_sum(o, w, L, z, head, sh)
-        out[close] += _row_sum(o_c, w_c, L[close], z, o_c.shape[-1], sh_c)
-        return out
-    if offsets.ndim > 1:        # a batch: z's axes go between the measures' and the rows'
-        units = (1,) * z.ndim
-        offsets, weights, shifts = (r if r is None else r.reshape(r.shape[:-1] + units + (-1,))
-                                    for r in (offsets, weights, shifts))
-        L = L.reshape(L.shape + units + (1,))
+    s = 2 pi i z, over one measure's rows at the points z.  The first
+    ``head`` rows are summed apart from the contour rows after them."""
     terms = weights * _sinh_quot(_TWO_PI_I * z[..., None] + offsets, L, shifts)
     if terms.shape[-1] <= head:
         return np.add.reduce(terms, -1)
@@ -698,17 +628,14 @@ _U_TINY = 1e-290
 
 def _sine_rows(offsets, weights, shifts, L, u):
     """sum_r weights_r e^{-shifts_r L} sinh((s + o_r) L) / (s + o_r) at real
-    points u = x L for purely imaginary offsets o_r = i nu_r: rows on the
-    last axis (after a batch's measure axis), points on u's; shifts None is
-    shift 0.  The rows are summed in sequence."""
-    if np.ndim(L):
-        L = L[:, None]
+    points u = x L (one axis) for one measure's purely imaginary offsets o_r
+    = i nu_r; shifts None is shift 0.  The rows are summed in sequence."""
     w = weights * L if shifts is None else weights * (L * np.exp(shifts * -L))
-    v = u[..., None, :] + (offsets.imag * L)[..., None]
+    v = u + (offsets.imag * L)[:, None]
     v += _U_TINY
     t = np.sin(v)
     t /= v
-    return np.add.reduce(w[..., None] * t, -2)
+    return np.add.reduce(w[:, None] * t, 0)
 
 
 def _pair_sum(pairs, offsets, weights, c3, L, u, z, test: bool) -> np.ndarray:
@@ -717,34 +644,28 @@ def _pair_sum(pairs, offsets, weights, c3, L, u, z, test: bool) -> np.ndarray:
     close measures, all ten, and the mu row's weight, the fifth; the rows'
     offsets, weights and shift c3 give a near entry's two rows.  Without
     ``test`` no entry is tested for a removable point (the caller knows
-    there is none).  Entries are (measures, pairs, points), and the pairs
-    are summed in sequence."""
+    there is none).  Entries are (pairs, points), and the pairs are summed
+    in sequence."""
     sn, cs = np.sin(u), np.cos(u)
     usn, uu = u * sn, u * u
-    mu_l = weights[..., 4] * L
-    if np.ndim(L):      # a batch: a pair axis between the measures' and the points'
-        usn, cs, uu, mu_l = usn[:, None], cs[:, None], uu[:, None], mu_l[:, None]
-    d = uu + pairs[0][..., None]
-    t = usn * pairs[1][..., None]
-    t += cs * pairs[2][..., None]
-    near = test and np.abs(d) <= ((np.abs(u) * _PAIR_GAP)[..., None, :]
-                                  + (np.sqrt(np.abs(pairs[0])) * _PAIR_GAP)[..., None])
+    d = uu + pairs[0][:, None]
+    t = usn * pairs[1][:, None]
+    t += cs * pairs[2][:, None]
+    near = test and np.abs(d) <= (np.abs(u) * _PAIR_GAP
+                                  + (np.sqrt(np.abs(pairs[0])) * _PAIR_GAP)[:, None])
     if _any(near):
         d[near] = 1.0
         t /= d
-        # the near entries' z, o, w, L and c3 by their (measures, pair,
-        # points) index
-        *at, z_at = near.nonzero()
-        at = tuple(at[:-1]) + (_PAIR_ROWS[at[-1]],)
+        # the near entries' z, and o and w by their rows
+        pair_at, z_at = near.nonzero()
+        at = _PAIR_ROWS[pair_at]
         s_n, o_n, w_n = _TWO_PI_I * z[z_at], offsets[at], weights[at]
-        if np.ndim(L):
-            L, c3 = L[at[0]], c3[at[0]]
         q = _sinh_quot(s_n + o_n * _PLUS_MINUS, L, c3)
         t[near] = w_n * (q[0] + q[1])
     else:
         t /= d
-    total = np.add.reduce(t, -2)
-    total += mu_l * (sn / u)
+    total = np.add.reduce(t, 0)
+    total += weights[4] * L * (sn / u)
     return total
 
 
@@ -756,11 +677,23 @@ def kernel_k00(m: Measure, extended: bool = False) -> float:
     Delta / 2 = sqrt(sigma / 2) (``_sinc_k00``; Delta / c1 at a pure atom);
     where c3 > 0, the TransformSolution's ``k00``.  For a batch measure, an
     array over the batch, each entry bit-identical to its measure's alone."""
-    k00 = _by_regime(m, extended, _k00, (), float)
+    k00 = _k00(m, extended)
     return np.array(k00) if isinstance(k00, np.ndarray) else float(k00)
 
 
-def _k00(m: Measure, sinc: bool):
+def _k00(m: Measure, extended: bool):
+    """K(0, 0) of admissible measures, the regime chosen here, once: sinc
+    where c2 = 0 or c3 = 0.  A batch of both regimes is split by it."""
+    m.require_admissible(extended=extended)
+    sinc = (m.c2 == 0.0) | (m.c3 == 0.0)
+    if isinstance(sinc, np.ndarray):
+        if _any(sinc) and not sinc.all():
+            out = np.empty(sinc.shape)
+            for mask in (sinc, ~sinc):
+                out[mask] = _k00(Measure(m.c1[mask], m.c2[mask], m.c3[mask], m.delta[mask]),
+                                 extended)
+            return out
+        sinc = _any(sinc)
     return _sinc_k00(m.c1, m.c2, m.delta) if sinc else k0_transform_solution(m).k00
 
 
@@ -783,55 +716,40 @@ def _k00(m: Measure, sinc: bool):
 # L^2 < _CLOSE_GAP it is ``_contour``'s 8-node sum.
 
 def _c3zero_rows(c1, c2, delta, w: complex):
-    """(offsets, weights, close) of u_w (c3 = 0, one finite w): u_w(xi) = 1/2
-    sum_r weights_r e^{offsets_r xi}, whose ``_row_sum`` at z is K(conj w, z).
-    The rows, on a last axis after a batch's axes, are (i om, -i om, s)
-    with weights (a - i b, a + i b, 2 c), and where ``close`` the 16 contour
-    rows +-eta_k (weight 0 for the other measures of a batch)."""
+    """(offsets, weights, close) of u_w (c3 = 0, one measure, one finite w):
+    u_w(xi) = 1/2 sum_r weights_r e^{offsets_r xi}, whose ``_row_sum`` at z
+    is K(conj w, z).  The rows are (i om, -i om, s) with weights (a - i b, a
+    + i b, 2 c), and where ``close`` the 16 contour rows +-eta_k."""
     if not cmath.isfinite(w):
         raise ValueError(f"w must be finite, got {w}")
     _require_delta_floor(delta)
-    shape = getattr(c1, "shape", ())
-    c1, L = _flat(c1), _flat(delta / 2.0)
-    om = (np.sqrt if shape else math.sqrt)(2.0 * _flat(c2) / c1)
+    L, om = delta / 2.0, math.sqrt(2.0 * c2 / c1)
     s = -2j * np.pi * w
     close = abs(s * s + om * om) * (L * L) < _CLOSE_GAP
-    if not shape:
-        return (_pole_rows if close else _far_rows)(c1, om, L, s) + (close,)
-    table = np.zeros((2, close.size, 19 if _any(close) else 3), dtype=complex)
-    for mask, rows, width in ((~close, _far_rows, 3), (close, _pole_rows, 19)):
-        if _any(mask):
-            table[:, mask, :width] = rows(c1[mask], om[mask], L[mask], s)
-    rows = shape + table.shape[-1:]
-    return table[0].reshape(rows), table[1].reshape(rows), close.reshape(shape)
+    return (_pole_rows if close else _far_rows)(c1, om, L, s) + (close,)
 
 
 def _far_rows(c1, om, L, s):
-    """The three rows with D[g] = g(zeta) / (zeta + om^2): a batch's values
-    are arrays, one measure's complex values Python numbers (``cmath``),
-    the faster route for one measure.  The two round apart: numpy's cos and
-    cosh differ from libm's by an ulp at some arguments, so a measure's
-    weights can differ in the last bit between a batch and its own
-    evaluation (2.2e-16 relative at most on closed_sweep's c3 = 0 draws,
-    pinned in tests/test_kernels.py)."""
-    cm = np if isinstance(L, np.ndarray) else cmath
+    """The three rows with D[g] = g(zeta) / (zeta + om^2), from Python
+    complex numbers (``cmath``)."""
     zeta, sL, th = s * s, s * L, om * L
-    gap, ch, cos_th = zeta + om * om, cm.cosh(sL), np.cos(th)
+    gap, ch, cos_th = zeta + om * om, cmath.cosh(sL), np.cos(th)
     # om^2 / gap is 1 at w = 0: a(0) = 1 / (c1 E(i om)) exactly
-    alpha = om * om / gap * (ch - sL * cm.sinh(sL)) / (c1 * (cos_th + th * np.sin(th)))
+    alpha = om * om / gap * (ch - sL * cmath.sinh(sL)) / (c1 * (cos_th + th * np.sin(th)))
     i_beta = 1j * s * om * ch / (c1 * gap * cos_th)
-    return (np.array([1j * om, -1j * om, s + 0.0 * om]).T,
-            np.array([alpha - i_beta, alpha + i_beta, 2.0 * zeta / (c1 * gap) + 0.0 * om]).T)
+    # + 0.0 turns a zero part -0 into +0: the rows' quotients reflect s + o
+    # by the sign of its real part
+    return (np.array([1j * om, -1j * om, s + 0.0]),
+            np.array([alpha - i_beta, alpha + i_beta, 2.0 * zeta / (c1 * gap) + 0.0]))
 
 
 def _pole_rows(c1, om, L, s):
     """The 19 rows with D[g] = sum_k c_k g(eta_k^2) at ``_contour``'s nodes
     (d: om^2 D[E] and om D[cosh(. L)]), whose cosh(eta_k xi) and s sinh(eta_k
     xi) / eta_k are the rows +-eta_k."""
-    rows = np.shape(c1) + (19,)
-    c1, om, L = np.array([c1, om, L], dtype=float).reshape(3, -1, 1)
+    c1, om, L = np.array([c1, om, L], dtype=float).reshape(3, 1, 1)
     om_sq, th, cos_th = om * om, om * L, np.cos(om * L)
-    nodes, c = _contour(s * s, -om_sq, L)                   # (measure, node)
+    nodes, c = _contour(s * s, -om_sq, L)                   # (1, node)
     nL = nodes * L
     ch = np.cosh(nL)
     d = (c * np.array([om_sq * (ch - nL * np.sinh(nL)), om * ch])).sum(-1, keepdims=True)
@@ -840,7 +758,7 @@ def _pole_rows(c1, om, L, s):
     offsets = np.concatenate([1j * om * ones, -1j * om * ones, s * ones, nodes, -nodes], -1)
     weights = np.concatenate([alpha - i_beta, alpha + i_beta, 2.0 / c1 * ones,
                               k * (1.0 + ratio), k * (1.0 - ratio)], -1)
-    return offsets.reshape(rows), weights.reshape(rows)
+    return offsets.reshape(19), weights.reshape(19)
 
 
 def kernel_c3zero(m: Measure, w: complex, z: complex,
@@ -867,104 +785,57 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
 # ---------------------------------------------------------------------------
 
 def _section_rows(m: Measure, sinc: bool):
-    """``_row_sum``'s (offsets, weights, shifts, head, close) of K(0, .) for
-    measures of one regime: u_0's (head 3, shifts None) where ``sinc`` (c2 =
-    0 or c3 = 0), else the TransformSolution's (head 5).  One measure's are
-    cached."""
+    """``_row_sum``'s (offsets, weights, shifts, head, close) of one
+    measure's K(0, .), cached: u_0's (head 3, shifts None) where ``sinc``
+    (c2 = 0 or c3 = 0), else the TransformSolution's (head 5)."""
     if sinc:
-        rows = _c3zero_section if isinstance(m.c1, np.ndarray) else _cached_c3zero_section
-        offsets, weights, close = rows(m.c1, m.c2, m.delta)
+        offsets, weights, close = _c3zero_section(m.c1, m.c2, m.delta)
         return offsets, weights, None, 3, close
     sol = k0_transform_solution(m)
     return sol.offsets, sol.weights, sol.shifts, 5, sol.close
 
 
+@functools.lru_cache(maxsize=8)
 def _c3zero_section(c1, c2, delta):
-    """u_0's rows and close mask; away from the pole c(0) = 0, leaving the two
+    """u_0's rows and close flag; away from the pole c(0) = 0, leaving the two
     rows +-i om."""
     offsets, weights, close = _c3zero_rows(c1, c2, delta, 0j)
-    if offsets.shape[-1] == 3:
-        offsets, weights = offsets[..., :2], weights[..., :2]
+    if not close:
+        offsets, weights = offsets[:2], weights[:2]
     offsets.setflags(write=False), weights.setflags(write=False)
     return offsets, weights, close
 
 
-_cached_c3zero_section = functools.lru_cache(maxsize=8)(_c3zero_section)
-
-
 def kernel_k0z_grid(m: Measure, z: np.ndarray, extended: bool = False) -> np.ndarray:
-    """K(0, z) over an array of finite points, for any c3 >= 0, over
-    ``_section_rows`` (``_section`` chooses how the rows are summed).  For a
-    batch measure the result has the batch's shape followed by z's, and the
-    regimes are masks over the batch."""
+    """K(0, z) of one measure over an array of finite points, for any c3 >=
+    0, over ``_section_rows`` (``_section`` chooses how the rows are
+    summed); the result has z's shape."""
+    m.require_single()
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError(f"z must be finite, got {z[~np.isfinite(z)][0]}")
-    return _by_regime(m, extended, lambda m, sinc: _section(m, sinc, z), z.shape, complex)
+    m.require_admissible(extended=extended)
+    return _section(m, m.c2 == 0.0 or m.c3 == 0.0, z)
 
 
 def _section(m: Measure, sinc: bool, z: np.ndarray) -> np.ndarray:
-    """The section at finite points z for measures of one regime:
-    ``_row_sum`` at one point or at complex points.  At a grid of real
-    points (notes above ``_sine_rows``), sections whose offsets are all
-    purely imaginary by ``_sine_rows``, the other c3 > 0 sections by
-    ``_pair_sum``, and u_0 at its pole by ``_row_sum``; in a batch each
-    measure takes its own route."""
+    """One measure's section at finite points z: ``_row_sum`` at one point
+    or at complex points.  At a grid of real points (notes above
+    ``_sine_rows``), a section whose offsets are all purely imaginary by
+    ``_sine_rows``, another c3 > 0 section by ``_pair_sum``, and u_0 at its
+    pole by ``_row_sum``."""
     L = m.delta / 2.0
     offsets, weights, shifts, head, close = _section_rows(m, sinc)
-    if z.size < 2 or np.count_nonzero(z.imag):
-        return np.asarray(_row_sum(offsets, weights, L, z, head, shifts, close))
-    sol, x = None if sinc else k0_transform_solution(m), z.real.reshape(-1)
-    if not np.ndim(L):
-        sine = not np.count_nonzero(offsets.real)       # purely imaginary offsets
-        if sinc and not sine:                           # u_0 at its pole
-            return np.asarray(_row_sum(offsets, weights, L, z, head, shifts, close))
-        u = x * (2.0 * np.pi * L) + _U_TINY
-        if sine:
-            rows = [None if r is None else r[:head] for r in (offsets, weights, shifts)]
-            return _sine_rows(*rows, L, u).reshape(z.shape)
-        return _pair_sum(sol.pairs, offsets, weights, shifts[0], L, u, x,
-                         bool(close) or not sol.clear).reshape(z.shape)
-    # a batch: measures on one axis, each by its own route
-    shape, n = L.shape, L.size
-    offsets, weights, close, L = (v.reshape((n,) + v.shape[len(shape):])
-                                  for v in (offsets, weights, close, L))
-    sine = ~offsets.real.any(-1)
-    u = (2.0 * np.pi * L)[:, None] * x + _U_TINY
-    out = np.empty((n, x.size), dtype=complex)
-    if _any(sine):
-        rows = [None if r is None else r.reshape(n, -1)[sine][:, :head]
-                for r in (offsets, weights, shifts)]
-        out[sine] = _sine_rows(*rows, L[sine], u[sine])
-    rest = ~sine
-    if _any(rest) and sinc:
-        out[rest] = _row_sum(offsets[rest], weights[rest], L[rest], z.reshape(-1), head, None,
-                             close[rest])
-    elif _any(rest):        # the close measures' ten pairs apart from the others' two
-        pairs, clear = sol.pairs.reshape(3, n, -1), sol.clear.reshape(n)
-        for at, width in ((rest & ~close, 2), (rest & close, None)):
-            if _any(at):
-                out[at] = _pair_sum(pairs[:, at, :width], offsets[at], weights[at],
-                                    shifts.reshape(n, -1)[at][:, 0], L[at], u[at], x,
-                                    width is None or not clear[at].all())
-    return out.reshape(shape + z.shape)
-
-
-def _by_regime(m: Measure, extended: bool, value, tail: tuple, dtype):
-    """value(measures, sinc) for admissible measures, the regime chosen here,
-    once: sinc where c2 = 0 or c3 = 0.  A batch of both regimes is split by
-    it into an array of the batch's shape followed by ``tail``."""
-    m.require_admissible(extended=extended)
-    sinc = (m.c2 == 0.0) | (m.c3 == 0.0)
-    if isinstance(sinc, np.ndarray):
-        if _any(sinc) and not sinc.all():
-            out = np.empty(sinc.shape + tail, dtype=dtype)
-            for mask in (sinc, ~sinc):
-                out[mask] = _by_regime(Measure(m.c1[mask], m.c2[mask], m.c3[mask],
-                                               m.delta[mask]), extended, value, tail, dtype)
-            return out
-        sinc = _any(sinc)
-    return value(m, sinc)
+    sine = not np.count_nonzero(offsets.real)           # purely imaginary offsets
+    if z.size < 2 or np.count_nonzero(z.imag) or (sinc and not sine):
+        return np.asarray(_row_sum(offsets, weights, L, z, head, shifts))
+    x = z.real.reshape(-1)
+    u = x * (2.0 * np.pi * L) + _U_TINY
+    if sine:
+        return _sine_rows(offsets, weights, shifts, L, u).reshape(z.shape)
+    sol = k0_transform_solution(m)
+    return _pair_sum(sol.pairs, offsets, weights, shifts[0], L, u, x,
+                     bool(close) or not sol.clear).reshape(z.shape)
 
 
 def _sinc_k00(c1, c2, delta):

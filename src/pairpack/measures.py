@@ -47,11 +47,11 @@ class Measure:
     The parameters may also be arrays that broadcast together (they are
     stored broadcast): the Measure is then a batch, one measure per element,
     which the closed forms ``quartic_roots``, ``k0_transform_solution`` (one
-    boundary system per measure, in one pass), ``script_L``,
-    ``kernel_k0z_grid``, ``kernel_k00`` and ``average_bounds`` evaluate in one
-    call; a measure's values are the same alone and in a batch.  A batch is
-    not hashable; the functions that take one measure refuse it
-    (``require_single``).
+    boundary system per measure, in one pass), ``script_L``, ``kernel_k00``,
+    ``average_bounds`` and ``figure1_data`` evaluate in one call; a measure's
+    values are the same alone and in a batch.  A batch is not hashable; the
+    functions that take one measure, the section ``kernel_k0z_grid`` among
+    them, refuse it (``require_single``).
     """
 
     c1: float

@@ -5,9 +5,8 @@ points the removable-point rule, the two rows of a +- pair where the pair
 formula of ``kernels._pair_sum`` cancels (rows with purely imaginary
 offsets are real sines there; the diagonal K(0, 0) is read from the solves
 instead): complex arrays, with ``L`` and ``shift`` broadcasting against
-them, so that one call evaluates a batch of measures, and one expm1
-formula for every s.  (The c3 > 0 section's boundary system needs no
-moment integral.)
+them, and one expm1 formula for every s.  (The c3 > 0 section's boundary
+system needs no moment integral.)
 """
 
 from __future__ import annotations

@@ -573,15 +573,11 @@ class TestPhiFunctional:
         m = Measure(1.0, 1.0, 1.0, 0.5)
         sol = k0_transform_solution(m)
         L = m.delta / 2.0
-        damp = np.exp(-sol.scale)
-        e1, e2 = sol.roots.eta1, sol.roots.eta2
 
         def u0(t):
-            # mean and eta^2-divided difference of cosh(eta1 t), cosh(eta2 t)
-            t = np.asarray(t, dtype=complex)
-            mean = 0.5 * (np.cosh(e1 * t) + np.cosh(e2 * t))
-            dd = (np.cosh(e1 * t) - np.cosh(e2 * t)) / (e1 ** 2 - e2 ** 2)
-            return (damp * (sol.p_scaled * mean + sol.q_scaled * dd) + sol.mu).real
+            # half the rows' sum of weights e^{offsets t - shifts L}
+            t = np.asarray(t, dtype=float)[..., None]
+            return 0.5 * (sol.weights * np.exp(sol.offsets * t - sol.shifts * L)).sum(-1).real
 
         def g_hat(a):
             # autocorrelation int u0(t) u0(t - a) dt over the overlap

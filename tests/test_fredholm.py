@@ -56,6 +56,25 @@ class TestSolver:
         assert len(sol.nodes) == len(sol.weights) == len(sol.u_values)
         assert sol.condition_estimate < 100.0
 
+    def test_interpolate_is_zero_outside_the_support(self):
+        # as closed_form_u: zero past Delta/2 (with its 1e-15 slack), on one
+        # panel and on four (c3 Delta = 20); the ends themselves interpolate
+        for m, w in ((Measure(1, 1, 0, 0.5), 0.3), (Measure(1, 1, 40.0, 0.5), 0.7)):
+            sol, L = solve_integral_eq(m, w), m.delta / 2.0
+            assert np.all(sol.interpolate([-10.0, -L - 1e-12, L + 1e-12, 0.4, 1.0, 10.0]) == 0.0)
+            ends = sol.interpolate([-L - 5e-16, L])
+            assert np.all(np.abs(ends) > 0.1)
+            if m.c3 == 0.0:
+                np.testing.assert_allclose(ends, closed_form_u(m, w, [-L, L]), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_interpolate_refuses_a_non_finite_target(self, bad):
+        # refused before any arithmetic: a RuntimeWarning would fail the
+        # test session before the ValueError
+        sol = solve_integral_eq(Measure(1, 1, 0, 0.5), 0.3)
+        with pytest.raises(ValueError, match="targets must be finite, got (nan|inf|-inf)"):
+            sol.interpolate([0.1, bad])
+
     def test_residual_against_quadrature_oracle(self):
         m = Measure(1.0, 1.0, 2.0, 0.5)
         sol = solve_integral_eq(m, 0.3)
@@ -115,6 +134,7 @@ class TestSolver:
         assert abs(uniqueness_ratio(m) * a_sq - sigma_min) <= 1e-12 * sigma_min
 
     @pytest.mark.parametrize("name, plant", [
+        ("nystrom_vs_closed_form", lambda sol: 1.0 + 1e-12 * np.cos(7.0 * sol.nodes)),
         ("linear_system_residual", lambda sol: 1.0 + 1e-12 * np.cos(7.0 * sol.nodes)),
         ("w0_solution_even", lambda sol: 1.0 + 1e-12 * np.sin(7.0 * sol.nodes)),
         # on the 400-node solves only, which the 200-node ones check

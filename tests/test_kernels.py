@@ -260,7 +260,7 @@ class TestKernelK00:
             with pytest.raises(ValueError, match=r"delta must be >= 1e-70"):
                 kernel_k00(Measure(1.0, 1.0, c3, 1e-300))
             with pytest.raises(ValueError, match=r"delta must be >= 1e-70"):
-                kernel_k0z_grid(Measure(1.0, 1.0, c3, np.array([0.5, 1e-80])), [0.0, 1.0])
+                kernel_k00(Measure(1.0, 1.0, c3, np.array([0.5, 1e-80])))
             m = Measure(2.0, 1.0, c3, DELTA_MIN)
             assert kernel_k00(m) == DELTA_MIN / 2.0
             assert kernel_k0z_grid(m, [0.0])[0] == pytest.approx(DELTA_MIN / 2.0, rel=1e-15)
@@ -273,8 +273,18 @@ class TestKernelK00:
 
 
 class TestKernelC3Zero:
+    test_oracle_agreement = registry_test("c3zero_vs_oracle")
     test_hermitian_symmetry = registry_test("c3zero_hermitian")
     test_diagonal_positive = registry_test("diagonal_positive")
+
+    def test_planted_error_fails_the_oracle_check(self, monkeypatch):
+        # a 1e-12 relative error in K(w, z) fails c3zero_vs_oracle
+        def planted(m, w, z, extended=False):
+            value = kernel_c3zero(m, w, z, extended).value
+            return types.SimpleNamespace(value=value * (1.0 + 1e-12))
+        monkeypatch.setattr(verify, "kernel_c3zero", planted)
+        measured, tol = verify._c3zero_vs_oracle()
+        assert measured > 2.0 * tol
 
     m = Measure(1.0, 1.0, 0.0, 0.5)
 
@@ -444,72 +454,26 @@ class TestKernelK0z:
         for i in (0, 7, 20, 33):
             assert grid[i] == pytest.approx(kernel_k0z(m, zs[i]).value, abs=1e-13)
 
-    def test_grid_of_a_batch_matches_single_measures(self):
-        # every regime in one 2 x 4 batch (pure atom, c3 = 0, close roots on
-        # and off the degenerate line, generic, c3 Delta = 200 and 500, and a
-        # measure on the line built as c2 = 4 c3 c3 c1) on a 2 x 2 grid, bit
-        # for bit
-        rows = np.array([[1, 0, 3, 0.5], [1, 1, 0, 0.5], [1, 1, 0.5, 0.5],
-                         [1, 1 + 1e-6, 0.5, 0.5], [1.3, 1.1, 2.0, 0.7], [1, 1, 400, 0.5],
-                         [1.3, 1.1, 500 / 0.7, 0.7], LINE_MEASURE])
-        batch = Measure(*rows.T.reshape(4, 2, 4))
-        zs = np.array([[0.0, 0.3 + 0.1j], [1.1, 2.0]])
-        grid = kernel_k0z_grid(batch, zs)
-        assert grid.shape == (2, 4, 2, 2)
-        single = np.array([kernel_k0z_grid(Measure(*r), zs) for r in rows])
-        np.testing.assert_array_equal(grid.reshape(8, 2, 2), single)
-
     def test_all_section_batch_inside_a_mixed_batch(self):
-        # the section measures of a batch give the same bits whether the batch
-        # holds only section measures (one regime, no per-regime measure) or
-        # c3 = 0 and pure atoms as well
+        # K(0, 0) comes from the solves: the section measures give the same
+        # bits whether the batch holds only section measures (one regime, no
+        # per-regime measure) or c3 = 0 and pure atoms as well, and each
+        # measure's rows summed at z = 0 are within 5e-15 of it
         section = np.array([[1, 1, 0.5, 0.5], [1, 1 + 1e-6, 0.5, 0.5], [1.3, 1.1, 2.0, 0.7],
                             [1, 1, 400, 0.5], LINE_MEASURE, [0.7, 1.2, 0.3, 0.9]])
         other = np.array([[1, 0, 3, 0.5], [1, 1, 0, 0.5], [2, 0.5, 0, 1.1]])
-        zs = np.array([0.0, 0.3 + 0.1j, 1.1, 2.0])
-        alone = kernel_k0z_grid(Measure(*section.T.reshape(4, 2, 3)), zs)
-        both = Measure(*np.concatenate([other[:2], section, other[2:]]).T)
-        mixed = kernel_k0z_grid(both, zs)
-        assert alone.shape == (2, 3, 4)
-        np.testing.assert_array_equal(alone.reshape(6, 4), mixed[2:8])
-        # K(0, 0) comes from the solves: the same bits in both batches, and
-        # within 5e-15 of the rows' sum at z = 0
-        k00 = kernel_k00(Measure(*section.T))
-        np.testing.assert_array_equal(kernel_k00(both)[2:8], k00)
-        np.testing.assert_allclose(mixed[2:8, 0].real, k00, rtol=0, atol=5e-15)
-        # and one measure of each regime
-        pair = np.array([other[1], section[2]])
-        np.testing.assert_array_equal(kernel_k0z_grid(Measure(*pair.T), zs),
-                                      [kernel_k0z_grid(Measure(*r), zs) for r in pair])
-
-    def test_c3zero_batch_within_an_ulp_of_single_measures(self):
-        # u_0's rows take cmath and libm for one measure and numpy's loops
-        # for a batch (kernels._far_rows), whose cos and cosh differ by an
-        # ulp at some arguments: on 1,000 closed_sweep-style c3 = 0 draws
-        # (sigma to 1.66) 149 measures' weights differ, by at most 2.2e-16
-        # relative, and the 65-point real grids by 3.2e-16 of max(1, |K|)
-        rng = np.random.default_rng(3500)
-        rows = []
-        for _ in range(400):
-            c1, delta = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.2)
-            rows.append((c1, rng.uniform(0.05, 1.66) * c1 / delta ** 2, 0.0, delta))
-        zp = np.sort(rng.uniform(0.0, 4.0, 32))
-        zs = np.concatenate([-zp[::-1], zp, [0.0]])
-        batch = Measure(*np.array(rows).T)
-        weights, grid = kernels._c3zero_section(batch.c1, batch.c2, batch.delta)[1], \
-            kernel_k0z_grid(batch, zs)
-        differ = 0
-        for r, w_batch, g in zip(rows, weights, grid):
-            w_one = kernels._c3zero_section(*np.array(r)[[0, 1, 3]].tolist())[1]
-            one = kernel_k0z_grid(Measure(*r), zs)
-            differ += not np.array_equal(w_batch, w_one)
-            assert np.max(np.abs(w_batch - w_one) / np.abs(w_one)) <= 4.5e-16
-            assert np.max(np.abs(g - one) / np.maximum(1.0, np.abs(one))) <= 6.7e-16
-        assert differ > 0              # the two routes do round apart
+        rows = np.concatenate([other[:2], section, other[2:]])
+        alone = kernel_k00(Measure(*section.T.reshape(4, 2, 3)))
+        k00 = kernel_k00(Measure(*rows.T))
+        assert alone.shape == (2, 3)
+        np.testing.assert_array_equal(alone.reshape(6), k00[2:8])
+        np.testing.assert_array_equal(k00, [kernel_k00(Measure(*r)) for r in rows])
+        grid = [kernel_k0z_grid(Measure(*r), [0.0])[0] for r in rows]
+        np.testing.assert_allclose(np.real(grid), k00, rtol=0, atol=5e-15)
 
     def test_degenerate_line_alone_and_in_a_batch(self):
         # measures with c2 = 4 c3 c3 c1 bit for bit, built as the benchmark
-        # builds them: tags, roots and K(0, z) are the same alone and in a
+        # builds them: tags, roots and K(0, 0) are the same alone and in a
         # batch (on a Python float, c3 ** 2 is libm pow, which rounds apart
         # from c3 * c3 and would tag LINE_MEASURE's roots purely imaginary)
         rng = np.random.default_rng(1717)
@@ -519,22 +483,12 @@ class TestKernelK0z:
             c3 = math.sqrt(float(rng.uniform(0.05, 1.66)) / delta ** 2) / 2.0
             rows.append((c1, 4.0 * c3 * c3 * c1, c3, delta))
         batch = Measure(*np.array(rows).T)
-        zs = np.array([0.0, 1.3, 2.5 - 0.4j])
-        roots, grid = quartic_roots(batch), kernel_k0z_grid(batch, zs)
+        roots, k00 = quartic_roots(batch), kernel_k00(batch)
         for i, r in enumerate(rows):
             one = quartic_roots(Measure(*r))
             assert one.case_tag is roots.case_tag[i] is CaseTag.DEGENERATE
             assert (one.eta1, one.eta2) == (roots.eta1[i], roots.eta2[i])
-            np.testing.assert_array_equal(kernel_k0z_grid(Measure(*r), zs), grid[i])
-
-    def test_batch_padding_keeps_values_exact(self):
-        # a batch with a close-root measure gives the others 16 zero-weight
-        # rows; their values stay bit-identical to their own evaluation
-        zs = np.linspace(-5.0, 5.0, 33) + 0.5j
-        rows = np.array([[1.3, 1.1, 2.0, 0.7], [1, 1 + 1e-6, 0.5, 0.5], [1, 1, 400, 0.5]])
-        grid = kernel_k0z_grid(Measure(*rows.T), zs)
-        for r, g in zip(rows, grid):
-            np.testing.assert_array_equal(g, kernel_k0z_grid(Measure(*r), zs))
+            assert kernel_k00(Measure(*r)) == k00[i]
 
     def test_wrong_regime(self):
         with pytest.raises(InvalidRegime):
@@ -878,14 +832,6 @@ class TestRemovablePoints:
         monkeypatch.setattr(kernels, "_PAIR_GAP", 0.0)
         assert max(removable_errors().values()) > 10.0 * self.SECTION_TOL
 
-    def test_a_batch_gives_the_same_bits(self):
-        cases = list(removable_points().values())
-        batch = Measure(*np.array([[m.c1, m.c2, m.c3, m.delta] for m, *_ in cases]).T)
-        for part in (1, 2):
-            zs = np.concatenate([case[part][0] for case in cases])
-            np.testing.assert_array_equal(kernel_k0z_grid(batch, zs),
-                                          [kernel_k0z_grid(m, zs) for m, *_ in cases])
-
 
 class TestLargeC3Stability:
     def test_no_overflow_far_into_asymptotics(self):
@@ -921,25 +867,23 @@ class TestTransformSolutionCache:
         with pytest.raises(ValueError):
             sol.weights[0] = 0.0
         with pytest.raises(AttributeError):
-            sol.mu = 0.0
+            sol.k00 = 0.0
         assert k0_transform_solution(Measure(1.0, 1.0, 1.5, 0.5)) is not sol
 
     def test_one_measure_has_numpy_scalars_and_read_only_rows(self):
         # one measure is the 0-d case: numpy scalars, not 1-element arrays
         for m, rows in ((Measure(1.3, 1.1, 2.0, 0.7), 5), (Measure(1.0, 1.0, 0.5, 0.5), 21)):
             sol = k0_transform_solution(m)
-            for name in ("p_scaled", "q_scaled", "det"):
-                assert type(getattr(sol, name)) is np.complex128, name
-            assert type(sol.mu) is np.float64 and type(sol.scale) is np.float64
+            assert type(sol.det) is np.complex128 and type(sol.k00) is float
             assert type(sol.close) is np.bool_ and sol.close == (rows == 21)
-            assert type(sol.roots.eta1) is np.complex128
+            assert type(sol.clear) is np.bool_
             for name, dtype in (("offsets", complex), ("shifts", float), ("weights", complex)):
                 v = getattr(sol, name)
                 assert v.shape == (rows,) and v.dtype == dtype, name
                 assert not v.flags.writeable and v.flags.c_contiguous, name
         batch = k0_transform_solution(Measure(1.0, 1.0, np.array([[0.5, 2.0]]), 0.5))
         assert batch.weights.shape == (1, 2, 21) and batch.weights.flags.c_contiguous
-        for name in ("p_scaled", "mu", "close", "offsets", "shifts", "weights"):
+        for name in ("det", "k00", "close", "clear", "offsets", "shifts", "weights", "pairs"):
             assert not getattr(batch, name).flags.writeable, name
 
 

@@ -294,7 +294,7 @@ class TestMeasureBatches:
               on_the_line(2.0, 0.61, 0.9), (1.0, 1.0 + 1e-6, 0.5, 0.5)])
     def test_batched_transform_solution_matches_single_measures(self, rs):
         # every field bit-identical; the batch pads a measure's rows with
-        # zero weights up to 21
+        # zero weights up to 21, and its pairs with zeros up to 10
         rs = [r for r in rs if r[1] > 0.0 and r[2] > 0.0]
         assume(rs)
         batch = k0_transform_solution(Measure(*np.array(rs).T))
@@ -305,10 +305,10 @@ class TestMeasureBatches:
             for name in ("offsets", "shifts", "weights"):
                 np.testing.assert_array_equal(getattr(batch, name)[i, :rows],
                                               getattr(one, name), err_msg=name)
-            for name in ("p_scaled", "q_scaled", "det", "mu", "scale", "close"):
+            np.testing.assert_array_equal(batch.pairs[:, i, :rows // 2], one.pairs)
+            assert not np.any(batch.pairs[:, i, rows // 2:])
+            for name in ("k00", "det", "close", "clear"):
                 assert getattr(batch, name)[i] == getattr(one, name), name
-            for name in ("eta1", "eta2", "degenerate", "case_tag"):
-                assert getattr(batch.roots, name)[i] == getattr(one.roots, name), name
 
 
 class TestBoundsProperties:
