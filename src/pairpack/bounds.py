@@ -26,6 +26,7 @@ from .quadrature import bisect
 
 THEOREM2_FLOOR = 0.5
 _REFUTATION_XTOL = 1e-6      # refutation_threshold's bisection tolerance in ell
+_MAX_DEGREE = 2 ** 53        # the degrees up to which floats hold every integer
 # s0 = min sin x / x, attained at the root of tan x = x in (pi, 3 pi / 2):
 # S0 is the largest double <= s0 (rounded down) and S0_ARGMIN the double
 # nearest that root (rounded to nearest), both proved by the interval
@@ -78,9 +79,7 @@ def selberg_bounds(m_degree: int) -> tuple[float, float]:
     upper = (1/sqrt2) cot(1/(sqrt2 m)) + 1/(2m);
     lower = (1/2 + s0 (upper - 1))_+ + 1/2.
     """
-    if m_degree < 1:
-        raise ValueError("degree must be >= 1")
-    md = float(m_degree)
+    md = _degree(m_degree)
     th = 1.0 / (np.sqrt(2.0) * md)
     upper = (1.0 / np.sqrt(2.0)) / np.tan(th) + 1.0 / (2.0 * md)
     inner = 0.5 + S0 * ((1.0 / np.sqrt(2.0)) / np.tan(th) - (2.0 * md - 1.0) / (2.0 * md))
@@ -94,14 +93,19 @@ def dedekind_bounds(n: int) -> tuple[float, float]:
 
     upper = sqrt(n/2) cot(1/sqrt(2n)) + 1/2.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    nd = float(n)
+    nd = _degree(n)
     th = 1.0 / np.sqrt(2.0 * nd)
     upper = np.sqrt(nd / 2.0) / np.tan(th) + 0.5
     inner = 0.5 + S0 * (np.sqrt(nd / 2.0) / np.tan(th) - 0.5)
     lower = max(inner, 0.0) + 0.5
     return lower, upper
+
+
+def _degree(n) -> float:
+    """A degree as a float: a whole number from 1 to _MAX_DEGREE."""
+    if not (1 <= n <= _MAX_DEGREE and n == int(n)):
+        raise ValueError("degree must be a whole number from 1 to 2^53")
+    return float(n)
 
 
 def reim_zeta_bounds(c: float) -> tuple[float, float]:
@@ -143,11 +147,11 @@ def gonek_ki_conjectured_average(b: float, ell: float, c: float) -> float:
     extended continuously by 1/2 at c = 0.  Strictly below 1/2 for every
     c > 0, which is what contradicts the certified lower bounds.
     """
-    if b <= 0.5:
+    if not b > 0.5:
         raise ValueError("b must be > 1/2")
-    if ell <= 0:
+    if not ell > 0:
         raise ValueError("ell must be > 0")
-    if c < 0:
+    if not c >= 0:
         raise ValueError("c must be >= 0")
     if c == 0.0:
         return 0.5
@@ -163,9 +167,9 @@ def refutation_threshold(c: float, b: float, floor: float = THEOREM2_FLOOR) -> f
     Returns 0.0 when the average is already below the floor in the ell -> 0
     limit; for the default floor 1/2 that is always the case when c > 0.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be > 0")
-    if b <= 0.5:
+    if not b > 0.5:
         raise ValueError("b must be > 1/2")
     limit0 = 0.5 * np.exp(-4.0 * c * b)
     if limit0 <= floor:

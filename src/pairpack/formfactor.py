@@ -60,6 +60,9 @@ MAX_ALPHAS = 10 ** 6         # largest alpha grid of an average
 _U_CUTOFF = 10.0             # form_factor_positive's |u| range: e^{-40 pi} < 1e-54
 _FEJER_GRID = 2001           # fejer_check's grid points on each membership condition
 _LATTICE_TERMS = 2000        # fejer_poisson_check's summed terms; the tail is in closed form
+# ep1_ratio_check's largest rule: 10,000 panels of 24 points, where the
+# default truncation 2000 / Delta takes 8,000 for every Delta
+EP1_MAX_POINTS = 240_000
 
 _memo = None                 # (pair_weight, window bytes) and its W, for the last window
 
@@ -467,7 +470,14 @@ def ep1_ratio_check(m: Measure, truncation: float = None,
     k00 = kernel_k00(m, extended=extended)
     if truncation is None:
         truncation = 2000.0 / m.delta
-    pts, wts = panel_rule(-truncation, truncation, 1.0 / (2.0 * m.delta))
+    elif not (math.isfinite(truncation) and truncation > 0.0):
+        raise ValueError(f"truncation must be finite and > 0, got {truncation}")
+    panel = 1.0 / (2.0 * m.delta)
+    # panel_rule's 24 points on each of ceil(2 truncation / panel) panels
+    if 24.0 * ((truncation + truncation) / panel) > EP1_MAX_POINTS:
+        raise ValueError(f"truncation {truncation:g} takes more than EP1_MAX_POINTS = "
+                         f"{EP1_MAX_POINTS} quadrature points at delta = {m.delta:g}")
+    pts, wts = panel_rule(-truncation, truncation, panel)
     kv = np.real(kernel_k0z_grid(m, pts.astype(complex), extended=extended))
     integral = float(np.dot(wts, kv * kv * nu_hat(m, pts)))
     # far field K(0,x) ~ uL sin(pi Delta x)/(pi x): non-oscillatory tail part
@@ -492,8 +502,7 @@ def fejer_check(beta: float) -> float:
     points and return its value at the origin, which is exactly beta (the
     optimum of the second extremal problem).  Raises InfeasibleWitness when
     a membership condition fails."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    _require_beta(beta)
     a = np.linspace(-2.0 * beta, 2.0 * beta, _FEJER_GRID)
     triangle = np.maximum(1.0 - np.abs(a) / beta, 0.0)
     indicator = (np.abs(a) <= beta).astype(float)
@@ -533,10 +542,10 @@ def fejer_poisson_check(beta: float) -> tuple[float, float, float]:
     Tail machinery: g(n) = sin^2(pi beta n) / (pi^2 beta n^2) for n != 0,
     and sum_{n>N} n^{-2} = psi'(N+1)  while
     sum_{n>N} cos(2 pi beta n)/n^2 = pi^2 (b^2 - b + 1/6) - partial sum,
-    with b the fractional part of beta.
+    with b the fractional part of beta; the right side, sum over |k| <= K =
+    floor(beta) of 1 - |k| / beta, is (2K + 1) - K (K + 1) / beta.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    _require_beta(beta)
     n = np.arange(1, _LATTICE_TERMS + 1, dtype=float)
     s2 = np.sin(np.pi * beta * n) ** 2
     lhs = beta + (2.0 / (np.pi ** 2 * beta)) * float(np.sum(s2 / n ** 2))
@@ -547,7 +556,12 @@ def fejer_poisson_check(beta: float) -> tuple[float, float, float]:
     cos_partial = float(np.sum(np.cos(2.0 * np.pi * beta * n) / n ** 2))
     tail_cos = cos_full - cos_partial
     lhs += (tail_one - tail_cos) / (np.pi ** 2 * beta)
-    kmax = int(np.floor(beta))
-    ks = np.arange(-kmax, kmax + 1, dtype=float)
-    rhs = float(np.sum(np.maximum(1.0 - np.abs(ks) / beta, 0.0)))
+    k = math.floor(beta)
+    rhs = (2.0 * k + 1.0) - k * ((k + 1.0) / beta)
     return lhs, rhs, abs(lhs - rhs)
+
+
+def _require_beta(beta: float) -> None:
+    """Refuse a Fejer witness parameter beta that is not finite and > 0."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")

@@ -607,6 +607,8 @@ def closed_form_u(m: Measure, w: complex, xi) -> Union[complex, np.ndarray]:
         raise InvalidRegime("closed_form_u only covers c3 = 0")
     offsets, weights, close = _c3zero_rows(m.c1, m.c2, m.delta, complex(w))
     xi_arr = np.asarray(xi, dtype=float)
+    if not np.isfinite(xi_arr).all():
+        raise ValueError(f"xi must be finite, got {xi_arr[~np.isfinite(xi_arr)][0]}")
     inside = np.abs(xi_arr) <= m.delta / 2.0 + 1e-15
     # half the rows' sum, the rows +-i om by Euler's formula from cos and sin
     (i_om, _, s), (w_plus, w_minus, w_s) = offsets[:3].tolist(), weights[:3].tolist()

@@ -28,10 +28,12 @@ measure or a batch.  Two regimes:
   determinant is the paper's divisor up to a factor.  Near the degenerate
   line lam = 4 c3^2 the system is solved in means and divided differences,
   Cauchy integrals taken by the contour rule, whose nodes give 16 more
-  rows.  K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3 comes from
-  the same solve, from the factors b and E its boundary entries form.  The
-  solve takes one measure as the 0-d case of a batch, bit-identical alone
-  and inside a batch (the layout notes above ``_contour`` say why).
+  rows, the last 16 of the table.  K(0, 0) = (2 mu c3 L - sum_k w_k b_k
+  E_k / eta_k) / c3 comes from the same solve, from the factors b and E its
+  boundary entries form, and so does the divisor's factor det.  The solve
+  takes one measure as the 0-d case of a batch, bit-identical alone and
+  inside a batch (the layout notes above ``_contour`` say why); a batch
+  stops at K(0, 0) and det, and only one measure's solve builds the rows.
 
 Sign convention: B carries a minus sign on its integral term, fixed by
 requiring the removable singularities to cancel and confirmed against the
@@ -44,7 +46,7 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +63,7 @@ C3_MAX = 1e140
 DELTA_MIN = 1e-70
 SCRIPT_L_SIGMA_MAX = 2.9     # certified nonvanishing range for the divisor
 _CIRCLE = np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4.0)   # _contour's 8 points
+_CONTOUR_ROWS = 2 * _CIRCLE.size    # its rows +-eta_k, the last of a table that has them
 # complex constants, as arrays: their products with complex arrays skip a
 # Python scalar's conversion and a float array's cast
 _TWO_PI_I = np.array(2j * np.pi)
@@ -83,9 +86,6 @@ class LimitPath(enum.Enum):
     NONE = "none"
     REMOVABLE_W = "removable_w"
     DEGENERATE_ETA = "degenerate_eta"
-
-
-_CONTOUR_PATHS = {3: LimitPath.REMOVABLE_W, 5: LimitPath.DEGENERATE_ETA}
 
 
 @dataclass(frozen=True)
@@ -380,64 +380,48 @@ class TransformSolution:
     is set where the rows take the contour rule: there w1,2 = p/2 and 16
     more rows carry q c', c' the eta^2-divided difference of cosh(eta1 t)
     and cosh(eta2 t), with p = w1 + w2 and q = (w1 - w2) (eta1^2 - eta2^2) /
-    2: offsets +-eta_k, shift c3, weights q c_k at the 8 contour nodes
-    (weight 0 for the other measures of such a batch).  ``pairs`` holds, for
-    each pair of rows +-o with weight w (eta1, eta2, then the contour
-    nodes), ((o L)^2, A L, B L^2) with A = 2 w C and B = 2 w c3 S, which
-    ``_pair_sum`` sums at real points in place of the quotients: shape (3,)
-    + the batch's shape + (2,) or (10,) (zeros for the measures of a batch
-    not close).  ``clear`` is set where both roots' pairs have no removable
-    point s = +-o within the pair gap of a real z: |Re eta| c3 Delta / 2 >
-    sqrt(2) _PAIR_GAP.
+    2: offsets +-eta_k, shift c3, weights q c_k at the 8 contour nodes.
+    ``pairs`` holds, for each pair of rows +-o with weight w (eta1, eta2,
+    then the contour nodes), ((o L)^2, A L, B L^2) with A = 2 w C and B = 2
+    w c3 S, which ``_pair_sum`` sums at real points in place of the
+    quotients: shape (3, 2) or (3, 10).  ``clear`` is set where both roots'
+    pairs have no removable point s = +-o within the pair gap of a real z:
+    |Re eta| c3 Delta / 2 > sqrt(2) _PAIR_GAP.
 
     ``k00`` is K(0, 0) = (2 mu c3 L - sum_k w_k b_k E_k / eta_k) / c3 in
     units of c3, the rows' values at z = 0 in closed form (notes above
     ``_contour``), summed in long double with the contour rows where
     ``close`` is set and rounded once.  ``det`` = script_L / (eta1^2 -
     eta2^2) = det Gamma' / (2 c3^3 (eta1^2 - eta2^2)), read as (F1' F2bar -
-    F1bar F2') / (2 c3^3) where the roots are near, sums no row and is built
-    on first use from the solve's complex long doubles (numpy scalars for one
-    measure, which round as a batch's arrays do).
+    F1bar F2') / (2 c3^3) where the roots are near, sums no row.
 
-    For one measure the scalar fields are numpy scalars (``k00`` a float)
-    and the rows have shape (5,) or (21,); for a batch measure every field
-    is an array of the batch's shape (the rows with one more, trailing,
-    C-contiguous axis).  Every array is read-only.
+    For one measure the scalar fields are numpy scalars (``k00`` a float,
+    ``det`` a complex128) and the rows have shape (5,) or (21,).  A batch
+    measure's solution holds only ``k00``, ``det`` and ``close``, arrays of
+    the batch's shape, which its callers read; its rows, ``pairs`` and
+    ``clear`` are None.  Every array is read-only.
 
     The coefficients are stored with the damping e^{-c3 Delta/2} factored
     out of Gamma's entries, which keeps them finite for c3 Delta in the
     thousands, where cosh(eta L) overflows.
     """
 
-    offsets: np.ndarray
-    shifts: np.ndarray
-    weights: np.ndarray
-    pairs: np.ndarray
+    offsets: np.ndarray | None
+    shifts: np.ndarray | None
+    weights: np.ndarray | None
+    pairs: np.ndarray | None
     close: bool
-    clear: bool
+    clear: bool | None
     k00: float
-    # what det reads, one entry per measure (a batch's on one axis), in long
-    # double: det where the solve formed it (some measure near), else None,
-    # and Cramer's (det Gamma', zeta1 - zeta2) to form it from
-    _det: np.clongdouble = field(repr=False)
-    _cramer: tuple = field(repr=False)
-
-    @functools.cached_property
-    def det(self) -> complex:
-        det_g, gap = self._cramer
-        det = det_g / (gap + gap) if self._det is None else self._det
-        det = det.astype(complex).reshape(self.close.shape)
-        if det.ndim:
-            det.flags.writeable = False
-        return det[()]
+    det: complex
 
 
 def k0_transform_solution(m: Measure) -> TransformSolution:
     """The section's TransformSolution (c2 > 0, c3 > 0).  One measure's is
     cached: a bounds sweep and an oracle cross-check each evaluate several
     sections of one measure, and the returned object and its arrays are
-    shared and read-only.  A batch is solved in one
-    uncached pass."""
+    shared and read-only.  A batch is solved in one uncached pass that
+    stops at K(0, 0) and det (rows, pairs and clear None)."""
     return _transform_solution(m) if isinstance(m.c3, np.ndarray) else _cached_solution(m)
 
 
@@ -480,20 +464,19 @@ def _transform_solution(m: Measure) -> TransformSolution:
     near = close & (a_gap < _NEAR_GAP * lam.real) if any_close else close
     any_near = any_close and _any(near)
     # Cramer's rule: w1 = mu P1^2 G2 / det Gamma', w2 = -mu P2^2 G1 / det
-    # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1).  det is formed on first
-    # use unless some measure is near
-    det_g, det = f1_1 * f2_2 - f1_2 * f2_1, None
+    # Gamma', det Gamma' = F1(1) F2(2) - F1(2) F2(1); and the solution's det,
+    # det Gamma' / (2 (zeta1 - zeta2))
+    det_g, two_gap = f1_1 * f2_2 - f1_2 * f2_1, gap + gap
     if any_near:    # replaced below: there det Gamma' and the gap can vanish
-        det_g = _put(det_g, near, _ONE_X)
-        det = det_g / _put(gap + gap, near, _ONE_X)
+        det_g, two_gap = _put(det_g, near, _ONE_X), _put(two_gap, near, _ONE_X)
+    det = det_g / two_gap
     ratio = mu / det_g
     w1, w2 = p1_sq * g2 * ratio, -(p2_sq * g1) * ratio
     if any_close:   # the contour rule; near measures' means and divided differences
         # q = (w1 - w2) (zeta1 - zeta2) c3^2 / 2 and p = w1 + w2 in units of c3
         q, p = (w1 - w2) * (gap * (c3_x * c3_x * _HALF_X)), w1 + w2
-        # the close measures: sel reads them (() keeps a numpy scalar one),
-        # at writes their rows of the table
-        sel, at = ((), ...) if close.all() else (close, close)
+        # the close measures (() keeps one measure's numpy scalars)
+        sel = () if close.all() else close
         z1_c, z2_c, mL_c, c3_c = (v[sel][..., None] for v in (zeta1, zeta2, mL, c3_x))
         nodes, c = _contour(z1_c, z2_c, -mL_c)
         zn = nodes * nodes
@@ -525,41 +508,32 @@ def _transform_solution(m: Measure) -> TransformSolution:
     k00 = (w1 * (be1 / eta1) + w2 * (be2 / eta2)) + (mu + mu) * mL
     if any_close:
         k00 = _put(k00, sel, k00[sel] + (c * (be_c / nodes)).sum(-1))
-    k00 = k00.real / -c3_x.real
-    # the rows, (measure, row) for a batch: offsets (eta1, eta2, -eta1,
-    # -eta2, 0) and weights (w1, w2, w1, w2, 2 mu) in one table, cast to
-    # complex on assignment; and the pairs' table ((o L)^2, A L, B L^2) at
-    # (eta1, eta2): A L = 2 w C L = w L (2 b + b E) and B L^2 = 2 w c3 S L^2
-    # = -w L eta b E c3 L (``_pair_sum``)
-    n_rows, o1, o2, cl_sq = 21 if any_close else 5, eta1 * c3_x, eta2 * c3_x, mL * mL
-    wl1, wl2 = w1 * L_x, w2 * L_x
-    table = np.zeros((2,) + close.shape + (n_rows,), dtype=complex)
-    table[..., :4] = np.array([[o1, o2, -o1, -o2], [w1, w2, w1, w2]]).swapaxes(1, -1)
-    table[1, ..., 4] = mu_v + mu_v
-    pairs = np.zeros((3,) + close.shape + (n_rows // 2,), dtype=complex)
-    pairs[..., :2] = np.array([[zeta1 * cl_sq, zeta2 * cl_sq],
-                               [wl1 * (b1 + b1 + be1), wl2 * (b2 + b2 + be2)],
-                               [wl1 * eta1 * (be1 * mL), wl2 * eta2 * (be2 * mL)]]).swapaxes(1, -1)
-    if any_close:   # contour rows: node 0 and weight 0 for the measures not close
-        o_c, wl_c = (nodes * c3_c).astype(complex), c * L_x[sel][..., None]
-        table[0, at, 5:13], table[0, at, 13:] = o_c, -o_c
-        table[1, at, 5:13] = table[1, at, 13:] = c
-        pairs[0, at, 2:] = zn * (mL_c * mL_c)
-        pairs[1, at, 2:] = wl_c * (b_c + b_c + be_c)
-        pairs[2, at, 2:] = wl_c * nodes * (be_c * mL_c)
+    k00, det = k00.real / -c3_x.real, det.astype(complex)
+    if shape:       # a batch stops here
+        close, k00, det = (v.reshape(shape) for v in (close, k00.astype(float), det))
+        close.setflags(write=False), k00.setflags(write=False), det.setflags(write=False)
+        return TransformSolution(None, None, None, None, close, None, k00, det)
+    # one measure's rows: offsets (eta1, eta2, -eta1, -eta2, 0) and weights
+    # (w1, w2, w1, w2, 2 mu), then where close the contour rows +-nodes with
+    # weights c; and the pairs' table ((o L)^2, A L, B L^2) at eta1, eta2 and
+    # the nodes: A L = 2 w C L = w L (2 b + b E) and B L^2 = 2 w c3 S L^2 =
+    # -w L eta b E c3 L (``_pair_sum``)
+    o1, o2, wl1, wl2, cl_sq = eta1 * c3_x, eta2 * c3_x, w1 * L_x, w2 * L_x, mL * mL
+    rows = [[o1, o2, -o1, -o2, 0.0], [w1, w2, w1, w2, mu + mu]]
+    pairs = [[zeta1 * cl_sq, zeta2 * cl_sq], [wl1 * (b1 + b1 + be1), wl2 * (b2 + b2 + be2)],
+             [wl1 * eta1 * (be1 * mL), wl2 * eta2 * (be2 * mL)]]
+    if close:
+        o_c, wl_c = nodes * c3_c, c * L_x
+        rows = np.concatenate([rows, [o_c, c], [-o_c, c]], -1)
+        pairs = np.concatenate([pairs, [zn * cl_sq, wl_c * (b_c + b_c + be_c),
+                                        wl_c * nodes * (be_c * mL)]], -1)
+    (offsets, weights), pairs = np.array(rows, dtype=complex), np.array(pairs, dtype=complex)
+    shifts = c3 * _SHIFT_PATTERN[len(offsets)]
     # both roots' removable points s = +-o more than the pair gap off real z
     clear = (abs(eta1.real) * scale > _AXIS_GAP) & (abs(eta2.real) * scale > _AXIS_GAP)
-    rows = shape + (n_rows,)
-    shifts = c3[:, None] * _SHIFT_PATTERN[n_rows] if shape else c3 * _SHIFT_PATTERN[n_rows]
-    table.setflags(write=False), shifts.setflags(write=False), pairs.setflags(write=False)
-    if shape:
-        close, k00, clear = (v.reshape(shape) for v in (close, k00.astype(float), clear))
-        close.setflags(write=False), k00.setflags(write=False), clear.setflags(write=False)
-        pairs = pairs.reshape((3,) + shape + pairs.shape[-1:])
-    else:
-        k00 = float(k00)
-    return TransformSolution(table[0].reshape(rows), shifts.reshape(rows), table[1].reshape(rows),
-                             pairs, close, clear, k00, det, (det_g, gap))
+    offsets.setflags(write=False), weights.setflags(write=False)
+    shifts.setflags(write=False), pairs.setflags(write=False)
+    return TransformSolution(offsets, shifts, weights, pairs, close, clear, float(k00), det)
 
 
 _cached_solution = functools.lru_cache(maxsize=8)(_transform_solution)
@@ -576,20 +550,22 @@ def kernel_k0z(m: Measure, z: complex, extended: bool = False) -> KernelEvaluati
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     m.require_admissible(extended=extended)
-    offsets, weights, shifts, head, _ = _section_rows(m, m.c2 == 0.0)
-    value = _row_sum(offsets, weights, m.delta / 2.0, np.array(z), head, shifts)
-    path = _CONTOUR_PATHS[head] if offsets.shape[-1] > head else LimitPath.NONE
+    offsets, weights, shifts, close = _section_rows(m, m.c2 == 0.0)
+    value = _row_sum(offsets, weights, m.delta / 2.0, np.array(z), shifts)
+    path = LimitPath.NONE if not close else (
+        LimitPath.REMOVABLE_W if m.c2 == 0.0 else LimitPath.DEGENERATE_ETA)
     return KernelEvaluation(value=complex(value), limit_path=path)
 
 
-def _row_sum(offsets, weights, L, z, head, shifts=None):
+def _row_sum(offsets, weights, L, z, shifts=None):
     """sum_r weights_r e^{-shifts_r L} sinh((s + offsets_r) L) / (s + offsets_r),
-    s = 2 pi i z, over one measure's rows at the points z.  The first
-    ``head`` rows are summed apart from the contour rows after them."""
+    s = 2 pi i z, over one measure's rows at the points z.  The contour
+    rows, the last 16 of a longer table, are summed apart from the rest."""
     terms = weights * _sinh_quot(_TWO_PI_I * z[..., None] + offsets, L, shifts)
-    if terms.shape[-1] <= head:
+    if terms.shape[-1] <= _CONTOUR_ROWS:
         return np.add.reduce(terms, -1)
-    return np.add.reduce(terms[..., :head], -1) + np.add.reduce(terms[..., head:], -1)
+    return (np.add.reduce(terms[..., :-_CONTOUR_ROWS], -1)
+            + np.add.reduce(terms[..., -_CONTOUR_ROWS:], -1))
 
 
 # The section at a grid of real points z, where s = 2 pi i z = i x, and u =
@@ -775,7 +751,7 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
     offsets, weights, close = _c3zero_rows(m.c1, m.c2, m.delta, w.conjugate())
-    val = _row_sum(offsets, weights, m.delta / 2.0, np.array(z), 3)
+    val = _row_sum(offsets, weights, m.delta / 2.0, np.array(z))
     return KernelEvaluation(value=complex(val),
                             limit_path=LimitPath.REMOVABLE_W if close else LimitPath.NONE)
 
@@ -785,14 +761,14 @@ def kernel_c3zero(m: Measure, w: complex, z: complex,
 # ---------------------------------------------------------------------------
 
 def _section_rows(m: Measure, sinc: bool):
-    """``_row_sum``'s (offsets, weights, shifts, head, close) of one
-    measure's K(0, .), cached: u_0's (head 3, shifts None) where ``sinc``
-    (c2 = 0 or c3 = 0), else the TransformSolution's (head 5)."""
+    """``_row_sum``'s (offsets, weights, shifts, close) of one measure's
+    K(0, .), cached: u_0's (shifts None) where ``sinc`` (c2 = 0 or c3 = 0),
+    else the TransformSolution's."""
     if sinc:
         offsets, weights, close = _c3zero_section(m.c1, m.c2, m.delta)
-        return offsets, weights, None, 3, close
+        return offsets, weights, None, close
     sol = k0_transform_solution(m)
-    return sol.offsets, sol.weights, sol.shifts, 5, sol.close
+    return sol.offsets, sol.weights, sol.shifts, sol.close
 
 
 @functools.lru_cache(maxsize=8)
@@ -825,10 +801,10 @@ def _section(m: Measure, sinc: bool, z: np.ndarray) -> np.ndarray:
     ``_sine_rows``, another c3 > 0 section by ``_pair_sum``, and u_0 at its
     pole by ``_row_sum``."""
     L = m.delta / 2.0
-    offsets, weights, shifts, head, close = _section_rows(m, sinc)
+    offsets, weights, shifts, close = _section_rows(m, sinc)
     sine = not np.count_nonzero(offsets.real)           # purely imaginary offsets
     if z.size < 2 or np.count_nonzero(z.imag) or (sinc and not sine):
-        return np.asarray(_row_sum(offsets, weights, L, z, head, shifts))
+        return np.asarray(_row_sum(offsets, weights, L, z, shifts))
     x = z.real.reshape(-1)
     u = x * (2.0 * np.pi * L) + _U_TINY
     if sine:
@@ -859,6 +835,6 @@ def k0_endpoint_value(m: Measure) -> float:
     measure must pass the extended admissibility gate."""
     m.require_single()
     m.require_admissible(extended=True)
-    offsets, weights, shifts, _, _ = _section_rows(m, m.c2 == 0.0 or m.c3 == 0.0)
+    offsets, weights, shifts, _ = _section_rows(m, m.c2 == 0.0 or m.c3 == 0.0)
     exponents = offsets if shifts is None else offsets - shifts
     return float(0.5 * np.sum(weights * np.exp(exponents * (m.delta / 2.0))).real)

@@ -86,6 +86,11 @@ class TestSelberg:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             selberg_bounds(0)
+        # and any degree that is not a whole number a float holds
+        for degree in (1.5, np.nan, np.inf, 10 ** 400):
+            for bounds_fn in (selberg_bounds, dedekind_bounds):
+                with pytest.raises(ValueError, match="whole number from 1 to 2\\^53"):
+                    bounds_fn(degree)
 
 
 class TestDedekind:
@@ -180,6 +185,14 @@ class TestGonekKi:
         assert gonek_ki_conjectured_average(1.0, 2.0, 0.5) < base
         assert gonek_ki_conjectured_average(1.0, 1.0, 0.9) < base
 
+    def test_nan_argument_refused(self):
+        # nan takes each argument's own message, not a nan average
+        for args, message in (((np.nan, 1.0, 1.0), "b must be > 1/2"),
+                              ((1.0, np.nan, 1.0), "ell must be > 0"),
+                              ((1.0, 1.0, np.nan), "c must be >= 0")):
+            with pytest.raises(ValueError, match=message):
+                gonek_ki_conjectured_average(*args)
+
 
 class TestRefutationThreshold:
     test_already_below_at_default_floor = registry_test("gonek_ki_threshold_floor_half")
@@ -195,3 +208,8 @@ class TestRefutationThreshold:
             refutation_threshold(0.0, 1.0)
         with pytest.raises(ValueError):
             refutation_threshold(0.1, 0.4)
+        # nan takes each argument's own message
+        with pytest.raises(ValueError, match="c must be > 0"):
+            refutation_threshold(np.nan, 1.0)
+        with pytest.raises(ValueError, match="b must be > 1/2"):
+            refutation_threshold(0.1, np.nan)

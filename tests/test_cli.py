@@ -310,6 +310,14 @@ class TestBoundsCommand:
         assert float(lo) == pytest.approx(ref[0], abs=1e-11)
         assert float(up) == pytest.approx(ref[1], abs=1e-11)
 
+    @pytest.mark.parametrize("flag", ["--selberg-degree", "--dedekind-degree"])
+    def test_degree_beyond_floats_is_one(self, capsys, flag):
+        # a 400-digit degree is refused with one error line, not a traceback
+        code, out, err = run_cli(capsys, "bounds", flag, "9" * 400)
+        assert code == 1
+        assert out == ""
+        assert err == "error: degree must be a whole number from 1 to 2^53\n"
+
     def test_measure_report(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--c1", "1", "--c2", "1",
                                "--c3", "0", "--delta", "0.5")

@@ -1,6 +1,7 @@
 """Empirical form factor, functionals, and the triangle-transform witness."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,12 +13,13 @@ from conftest import BY_NAME, registry_test
 
 from pairpack import (EmptyDataset, EmptyWindow, Measure, NotCancelled,
                       ParseError, Window,
-                      ZeroDataset, ep1_ratio_check, fejer_poisson_check,
+                      ZeroDataset, ep1_ratio_check, fejer_check, fejer_poisson_check,
                       form_factor, form_factor_positive,
                       kernel_k00, kernel_k0z_grid, load_zeros, phi_functional,
                       symmetric_average, windowed_average)
 from pairpack import formfactor, verify
-from pairpack.formfactor import MAX_ALPHAS, MAX_ORDINATES, fejer_witness, pair_weight
+from pairpack.formfactor import (EP1_MAX_POINTS, MAX_ALPHAS, MAX_ORDINATES, fejer_witness,
+                                 pair_weight)
 from pairpack.kernels import k0_transform_solution
 from pairpack.quadrature import gauss_legendre
 
@@ -609,6 +611,21 @@ class TestEp1Ratio:
         assert errs[0] > errs[1] > errs[2]
         assert errs[0] <= 1e-5
 
+    @pytest.mark.parametrize("truncation", [np.nan, np.inf, 0.0, -5.0])
+    def test_truncation_refused(self, truncation):
+        with pytest.raises(ValueError, match="truncation must be finite and > 0"):
+            ep1_ratio_check(Measure(1.0, 1.0, 0.7, 0.5), truncation)
+
+    def test_rule_over_the_cap_refused_before_it_is_built(self, monkeypatch):
+        # at delta = 0.5 each unit of truncation takes 2 panels of 24 points:
+        # 5000 reaches EP1_MAX_POINTS, 5001 passes it; the default takes 4000
+        def refuse(*args):
+            raise AssertionError("panel_rule called")
+        monkeypatch.setattr(formfactor, "panel_rule", refuse)
+        assert 24 * 2 * 5001 > EP1_MAX_POINTS >= 24 * 2 * 5000
+        with pytest.raises(ValueError, match="more than EP1_MAX_POINTS"):
+            ep1_ratio_check(Measure(1.0, 1.0, 0.7, 0.5), 5001.0)
+
 
 class TestFejer:
     test_witness_value_is_beta = registry_test(
@@ -628,6 +645,18 @@ class TestFejer:
             lhs_mp = beta + 2 * series / (mpmath.pi ** 2 * mpmath.mpf(str(beta)))
             lhs, _, _ = fejer_poisson_check(beta)
             assert lhs == pytest.approx(float(lhs_mp), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_non_positive_beta_refused(self, beta):
+        for check in (fejer_check, fejer_poisson_check):
+            with pytest.raises(ValueError, match="beta must be finite and > 0"):
+                check(beta)
+
+    def test_poisson_right_side_is_the_triangle_sum(self):
+        for beta in (0.5, 1.0, 1.3, 2.5, 7.9, 40.25):
+            k = np.arange(-math.floor(beta), math.floor(beta) + 1)
+            _, rhs, _ = fejer_poisson_check(beta)
+            assert rhs == pytest.approx(math.fsum(1.0 - np.abs(k) / beta), rel=1e-15)
 
     def test_competitors_do_not_beat_witness(self):
         # shrunken and shift-averaged triangle transforms stay feasible and

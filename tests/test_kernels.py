@@ -881,10 +881,14 @@ class TestTransformSolutionCache:
                 v = getattr(sol, name)
                 assert v.shape == (rows,) and v.dtype == dtype, name
                 assert not v.flags.writeable and v.flags.c_contiguous, name
+        # a batch stops at K(0, 0) and det: read-only arrays of its shape
         batch = k0_transform_solution(Measure(1.0, 1.0, np.array([[0.5, 2.0]]), 0.5))
-        assert batch.weights.shape == (1, 2, 21) and batch.weights.flags.c_contiguous
-        for name in ("det", "k00", "close", "clear", "offsets", "shifts", "weights", "pairs"):
-            assert not getattr(batch, name).flags.writeable, name
+        for name, dtype in (("det", complex), ("k00", float), ("close", bool)):
+            v = getattr(batch, name)
+            assert v.shape == (1, 2) and v.dtype == dtype, name
+            assert not v.flags.writeable, name
+        for name in ("clear", "offsets", "shifts", "weights", "pairs"):
+            assert getattr(batch, name) is None, name
 
 
 def _components(x):

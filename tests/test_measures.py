@@ -113,9 +113,10 @@ class TestMeasure:
         (1.0, lambda m: kernel_k0z_grid(m, [0.3, np.inf])),
         (1.0, lambda m: solve_integral_eq(m, np.inf)),
         (0.0, lambda m: closed_form_u(m, np.nan, 0.1)),
+        (0.0, lambda m: closed_form_u(m, 0.3, [0.1, np.nan])),
         (1.0, lambda m: k_from_u(solve_integral_eq(m, 0.3), [0.2, -np.inf])),
     ], ids=["kernel_c3zero_w", "kernel_c3zero_z", "kernel_k0z", "kernel_k0z_grid",
-            "solve_integral_eq", "closed_form_u", "k_from_u"])
+            "solve_integral_eq", "closed_form_u", "closed_form_u_xi", "k_from_u"])
     def test_non_finite_point_refused(self, c3, call):
         # refused before any arithmetic: a RuntimeWarning would fail the
         # test session before the ValueError
