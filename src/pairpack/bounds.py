@@ -130,9 +130,9 @@ def figure1_data(c_min: float, c_max: float, steps: int) -> list[tuple[float, fl
         raise ValueError("need 0 <= c_min < c_max")
     if c_max > C3_MAX / 4.0:
         raise ValueError(f"c_max must keep c3 = 4 c_max <= {C3_MAX:g}, got {c_max:g}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    cs = np.linspace(c_min, c_max, steps + 1)
+    if not (1 <= steps < math.inf and steps == int(steps)):
+        raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
+    cs = np.linspace(c_min, c_max, int(steps) + 1)
     rep = average_bounds(Measure(1.0, 1.0, 4.0 * cs, 0.5))
     return list(zip(cs.tolist(), np.maximum(rep.lower_thm1, rep.lower_cor8).tolist(),
                     rep.upper.tolist()))
@@ -171,6 +171,8 @@ def refutation_threshold(c: float, b: float, floor: float = THEOREM2_FLOOR) -> f
         raise ValueError("c must be > 0")
     if not b > 0.5:
         raise ValueError("b must be > 1/2")
+    if not math.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor}")
     limit0 = 0.5 * np.exp(-4.0 * c * b)
     if limit0 <= floor:
         return 0.0

@@ -27,8 +27,10 @@ class IllConditioned(PairpackError):
 
 
 class NotCancelled(PairpackError):
-    """A part of a sum that must cancel exactly (such as the imaginary part
-    of a form-factor double sum) did not cancel to rounding."""
+    """A part of a sum that must cancel exactly cannot be shown to: the
+    imaginary part of a form-factor double sum, which the pair sums drop
+    because it cancels for a weight with w(u) == w(-u) at every pair of the
+    window.  Raised when that evenness fails, or when a sum is not finite."""
 
 
 class InfeasibleWitness(PairpackError):

@@ -22,13 +22,20 @@ uniform grid theta_j = theta_0 + j dtheta, on which the phases are
 geometric in j: a batch starts from one row e^{i theta_a0 g}, and each next
 alpha's row is the last times the call's one step row e^{i dtheta g}, written
 straight into a C-contiguous operand, so two exponentials per ordinate per
-batch.  A window of at most 724 ordinates (n^2 weights in
-_MEMO_BYTES = 4 MiB) keeps its whole weight matrix W, which does not depend
-on alpha: each batch is one BLAS product of the table with W, and a
+batch.  The weight matrix W_ij = w(g_i - g_j) is symmetric, so each
+quadratic form is taken over its upper triangle, with the blocks off the
+diagonal counted twice: 3/4 of the whole W's multiply-adds in a kept
+window's two strips, about half in streamed tiles.  The imaginary part of
+the sum cancels exactly for a weight that is even bit for bit, so it is not
+summed: the weight's evenness is checked on every entry used, and each
+batch's sums for finiteness, and NotCancelled is raised when either fails.
+A window of at most 724 ordinates (n^2 weights in _MEMO_BYTES = 4 MiB) keeps
+its whole W, which does not depend on alpha, as two row strips of its upper
+triangle: each batch is one BLAS product of the table with each strip, and a
 single-entry memo of the last window lets the next call on it build no
-weight.  A larger window streams W in square _TILE x _TILE tiles (128 KB,
-which stays in L2 while it is multiplied), built again for each batch, and
-keeps no array of n^2 weights or an n-wide row of them.
+weight.  A larger window streams the upper triangle in square _TILE x _TILE
+tiles (128 KB, which stays in L2 while it is multiplied), built again for
+each batch, and keeps no array of n^2 weights or an n-wide row of them.
 Two independent routes check it: the term-by-term hand expansion of the
 verify registry (pairpack.verify._hand_form_factor) and the positive-definite
 integral representation (form_factor_positive); the registry check
@@ -55,7 +62,7 @@ from .quadrature import panel_rule
 _TILE = 128                  # ordinates per side of a tile of W (128 KB, stays in L2 when streamed)
 _ALPHA_BATCH = 64            # alphas per pass over W
 _MEMO_BYTES = 4 * 2 ** 20    # W kept whole, and for the next call, up to n^2 * 8 bytes (n <= 724)
-MAX_ORDINATES = 100_000      # one alpha at 1e5 ordinates: 35 s, peak RSS 37 MB (2-vCPU Xeon)
+MAX_ORDINATES = 100_000      # one alpha at 1e5 ordinates: 23 s, peak RSS 40 MB (2-vCPU Xeon)
 MAX_ALPHAS = 10 ** 6         # largest alpha grid of an average
 _U_CUTOFF = 10.0             # form_factor_positive's |u| range: e^{-40 pi} < 1e-54
 _FEJER_GRID = 2001           # fejer_check's grid points on each membership condition
@@ -64,7 +71,9 @@ _LATTICE_TERMS = 2000        # fejer_poisson_check's summed terms; the tail is i
 # default truncation 2000 / Delta takes 8,000 for every Delta
 EP1_MAX_POINTS = 240_000
 
-_memo = None                 # (pair_weight, window bytes) and its W, for the last window
+_memo = None                 # (pair_weight, window bytes) and its W's strips, for the last window
+# NotCancelled's message when w(u) != w(-u) somewhere in a window
+_UNEVEN = "imaginary part does not cancel: the weight is not even, w(u) != w(-u)"
 
 
 class Window(enum.Enum):
@@ -191,24 +200,42 @@ def _normalizer(ds: ZeroDataset, T: float) -> tuple[float, float]:
     return norm, ds.lam * log_t
 
 
-def _weight_tiles(g):
-    """The tiles W[r, c] = pair_weight(g[r] - g[c]) in column-major tile order."""
-    for c0 in range(0, len(g), _TILE):
-        cols = g[c0:c0 + _TILE]
-        for r0 in range(0, len(g), _TILE):
-            yield pair_weight(g[r0:r0 + _TILE, None] - cols)
-
-
-def _weight_matrix(g):
-    """The whole n x n matrix W, filled from _weight_tiles, so the build
-    holds one tile beside it."""
+def _kept_strips(g):
+    """The whole n x n matrix W, filled one _TILE x _TILE tile at a time (so
+    the build holds one tile beside it) and refused unless it equals its
+    transpose, as its upper-triangle row strips (s, W'[s:e, s:]), views of
+    W in which the blocks right of the diagonal blocks are doubled in place."""
     n = len(g)
     w = np.empty((n, n))
-    tiles = _weight_tiles(g)
     for c0 in range(0, n, _TILE):
+        cols = g[c0:c0 + _TILE]
         for r0 in range(0, n, _TILE):
-            w[r0:r0 + _TILE, c0:c0 + _TILE] = next(tiles)
-    return w
+            w[r0:r0 + _TILE, c0:c0 + _TILE] = pair_weight(g[r0:r0 + _TILE, None] - cols)
+    if not np.array_equal(w, w.T):
+        raise NotCancelled(_UNEVEN)
+    m = n // 2
+    w[:m, m:] *= 2.0
+    return tuple((s, w[s:e, s:]) for s, e in ((0, m), (m, n)) if s < e)
+
+
+def _upper_tiles(g):
+    """The tiles W'[r, c], r <= c, of the upper triangle in column-major
+    tile order, each one checked even on its own layout: a diagonal tile
+    against its transpose, one off the diagonal, pair_weight(d), against
+    pair_weight(-d), which is then doubled in place (the factor 2 is
+    exact).  Both checks together build as many tiles as the whole W."""
+    for c0 in range(0, len(g), _TILE):
+        cols = g[c0:c0 + _TILE]
+        for r0 in range(0, c0, _TILE):
+            d = g[r0:r0 + _TILE, None] - cols
+            w = pair_weight(d)
+            if not np.array_equal(w, pair_weight(np.negative(d, out=d))):
+                raise NotCancelled(_UNEVEN)
+            yield np.multiply(w, 2.0, out=w)
+        w = pair_weight(cols[:, None] - cols)
+        if not np.array_equal(w, w.T):
+            raise NotCancelled(_UNEVEN)
+        yield w
 
 
 def _require_finite_phases(thetas, ordinates) -> None:
@@ -278,24 +305,29 @@ def _pair_sums(ds: ZeroDataset, T: float, count: int, phases):
     either memory order (a value does not depend on it).
 
     With c = cos(theta g), s = sin(theta g) and W_ij = pair_weight(g_i - g_j),
-    the sum is  Re = c.(W c) + s.(W s)  and  Im = c.(W s) - s.(W c).  Each
-    batch of alphas forms P = [c | s]^T W one column tile of W at a time and
-    sums P times [c | s]^T along the tile pairwise for Re (a second matrix
-    product would sum it as a dot, which rounds further from the exact sum);
-    Im, from the cross terms of the same P, cancels for an even weight and is
-    checked.
+    the sum is  Re = c.(W c) + s.(W s); each quadratic form x.(W x) is taken
+    over the upper triangle of W, as  sum_b x_b.(W_bb x_b)
+    + 2 sum_{b < b'} x_b.(W_bb' x_b'),  with the factor 2 folded into the
+    blocks right of the diagonal ones.  Each product's rows are summed
+    against their columns pairwise (a second matrix product would sum them
+    as a dot, which rounds further from the exact sum).  The imaginary part
+    c.(W s) - s.(W c) cancels exactly when W equals its transpose, so it is
+    not summed: the weight is checked even bit for bit, and each batch's
+    sums finite, and either failure raises NotCancelled.
 
-    A window whose n^2 weights fit in _MEMO_BYTES (n <= 724) is one tile: W
-    is built once per call, from _TILE x _TILE pieces into one array, so each
-    batch is a single BLAS product.  W is kept in a module-level memo of one
-    entry keyed by (pair_weight, the window's bytes), written only after
-    every batch has passed the cancellation check, so a call that raises
-    NotCancelled leaves none, and a call on the same window with the same
-    weight builds no weight.  Above the cap nothing is kept: each batch
-    streams W in _TILE x _TILE tiles that stay in L2, and no temporary grows
-    with the square of the ordinate count or with the ordinate count times
-    the alpha count.  W and the batches have a fixed layout and order, so a
-    value does not depend on whether W came from the memo.
+    A window whose n^2 weights fit in _MEMO_BYTES (n <= 724) builds W once
+    per call, from _TILE x _TILE pieces into one array, and keeps it as two
+    row strips W'[s:e, s:] split at n / 2, views that hold no more than its
+    n^2 weights, so each batch is one BLAS product per strip.  The strips
+    are kept in a module-level memo of one entry keyed by (pair_weight, the
+    window's bytes), written only after every batch has passed its checks,
+    so a call that raises NotCancelled leaves none, and a call on the same
+    window with the same weight builds no weight.  Above the cap nothing is
+    kept: each batch streams the upper triangle's _TILE x _TILE tiles
+    (_upper_tiles), which stay in L2, and no temporary grows with the
+    square of the ordinate count or with the ordinate count times the alpha
+    count.  The strips, tiles and batches have a fixed layout and order, so
+    a value does not depend on whether the strips came from the memo.
     """
     global _memo
     g = ds.in_window(T)
@@ -303,32 +335,33 @@ def _pair_sums(ds: ZeroDataset, T: float, count: int, phases):
     if n == 0:
         raise EmptyWindow(f"no ordinates in the {ds.window.value} window for T={T}")
     keep = n * n * 8 <= _MEMO_BYTES
-    w = None
+    strips = None
     if keep:
         key = (pair_weight, g.tobytes())
         if _memo is not None and _memo[0] == key:
-            w = _memo[1]
+            strips = _memo[1]
     out = np.empty(count)
     for a0, cs in zip(range(0, count, _ALPHA_BATCH), phases(g)):
         k = len(cs) // 2
-        if keep and w is None:
-            w = _weight_matrix(g)
-        tile, tiles = (n, iter((w,))) if keep else (_TILE, _weight_tiles(g))
-        re, im = np.zeros(k), np.zeros(k)
-        for c0 in range(0, n, tile):
-            pw = cs[:, :tile] @ next(tiles)         # pw[a] = (cs[a] W)[c0:c0 + tile]
-            for r0 in range(tile, n, tile):
-                pw += cs[:, r0:r0 + tile] @ next(tiles)
-            cols = cs[:, c0:c0 + tile]
-            p3, c3 = pw.reshape(k, 2, -1), cols.reshape(k, 2, -1)
-            im += np.vecdot(p3[:, 0], c3[:, 1]) - np.vecdot(p3[:, 1], c3[:, 0])
-            re += np.multiply(pw, cols, out=pw).reshape(k, -1).sum(axis=1)
-        worst = np.max(np.abs(im))
-        if not worst <= 1e-10 * n * n:      # a nan fails too
-            raise NotCancelled(f"imaginary part {worst:.3e} did not cancel")
+        re = np.zeros(k)
+        if keep:
+            if strips is None:
+                strips = _kept_strips(g)
+            for s, strip in strips:
+                pw = cs[:, s:s + len(strip)] @ strip
+                re += np.multiply(pw, cs[:, s:], out=pw).reshape(k, -1).sum(axis=1)
+        else:
+            tiles = _upper_tiles(g)
+            for c0 in range(0, n, _TILE):
+                pw = cs[:, :_TILE] @ next(tiles)    # pw[a] = (cs[a] W')[c0:c0 + _TILE]
+                for r0 in range(_TILE, c0 + 1, _TILE):
+                    pw += cs[:, r0:r0 + _TILE] @ next(tiles)
+                re += np.multiply(pw, cs[:, c0:c0 + _TILE], out=pw).reshape(k, -1).sum(axis=1)
+        if not np.all(np.isfinite(re)):
+            raise NotCancelled("imaginary part cannot cancel in a pair sum that is not finite")
         out[a0:a0 + k] = re
-    if w is not None:
-        _memo = (key, w)
+    if strips is not None:
+        _memo = (key, strips)
     return out
 
 

@@ -168,6 +168,13 @@ class TestFigure1:
         with pytest.raises(ValueError, match=r"c3 = 4 c_max <= 1e\+140"):
             figure1_data(0.0, 1e308, 10)
 
+    def test_steps_must_be_a_positive_whole_number(self):
+        # refused with ValueError, not a TypeError from np.linspace
+        for steps in (np.nan, 2.5, np.inf, -3, 0.5):
+            with pytest.raises(ValueError, match="steps must be a whole number >= 1"):
+                figure1_data(0.0, 1.0, steps)
+        assert figure1_data(0.0, 1.0, 4.0) == figure1_data(0.0, 1.0, np.int64(4))
+
 
 class TestGonekKi:
     test_point_value = registry_test("gonek_ki_value")
@@ -213,3 +220,13 @@ class TestRefutationThreshold:
             refutation_threshold(np.nan, 1.0)
         with pytest.raises(ValueError, match="b must be > 1/2"):
             refutation_threshold(0.1, np.nan)
+
+    def test_non_finite_floor_refused(self, monkeypatch):
+        # refused before anything is bracketed or bisected
+        import pairpack.bounds as bounds_mod
+        monkeypatch.setattr(bounds_mod, "bisect", lambda *a, **k: pytest.fail("bisected"))
+        monkeypatch.setattr(bounds_mod, "gonek_ki_conjectured_average",
+                            lambda *a: pytest.fail("bracketed"))
+        for floor in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="floor must be finite"):
+                refutation_threshold(0.1, 1.0, floor=floor)

@@ -164,22 +164,27 @@ class TestFormFactor:
 
     def test_uncancelled_imaginary_part(self, monkeypatch):
         # an asymmetric weight leaves an imaginary part behind: everywhere on
-        # three ordinates, and on 300 unit-spaced ordinates only for
-        # g - g' > 200, which no diagonal tile holds; a nan weight fails too.
-        # form_factor hands the pair sum a transposed view, the averages a
-        # C-contiguous operand: the check sees both
+        # three ordinates; on 300 unit-spaced ordinates, kept whole, only for
+        # g - g' > 200, which no diagonal tile holds; on 800, whose tiles
+        # stream, only for g - g' > 600, which only tiles far off the diagonal
+        # hold; a nan weight fails too.  form_factor hands the pair sum a
+        # transposed view, the averages a C-contiguous operand: the check
+        # sees both
         import pairpack.formfactor as formfactor
         three = ZeroDataset(ordinates=np.array([10.0, 10.5, 12.0]), lam=1.0)
         unit = ZeroDataset(ordinates=10.0 + np.arange(300.0), lam=1.0)
+        wide = ZeroDataset(ordinates=10.0 + np.arange(800.0), lam=1.0)
         assert len(unit.ordinates) > 2 * formfactor._TILE
-        for weight, ds in ((lambda u: 4.0 / (4.0 + u * u) * (1.0 + u), three),
-                           (lambda u: 4.0 / (4.0 + u * u) * (1.0 + (u > 200.0)), unit),
-                           (lambda u: u * float("nan"), three)):
+        assert len(wide.ordinates) ** 2 * 8 > formfactor._MEMO_BYTES
+        for weight, ds, T in ((lambda u: 4.0 / (4.0 + u * u) * (1.0 + u), three, 400.0),
+                              (lambda u: 4.0 / (4.0 + u * u) * (1.0 + (u > 200.0)), unit, 400.0),
+                              (lambda u: 4.0 / (4.0 + u * u) * (1.0 + (u > 600.0)), wide, 1000.0),
+                              (lambda u: u * float("nan"), three, 400.0)):
             monkeypatch.setattr(formfactor, "pair_weight", weight)
-            for call in (lambda: form_factor(ds, 400.0, 0.8),
-                         lambda: windowed_average(ds, 400.0, 0.8, 0.25, 1.0 / 64.0),
-                         lambda: symmetric_average(ds, 400.0, 1.0, 1.0 / 64.0)):
-                with pytest.raises(NotCancelled):
+            for call in (lambda: form_factor(ds, T, 0.8),
+                         lambda: windowed_average(ds, T, 0.8, 0.25, 1.0 / 64.0),
+                         lambda: symmetric_average(ds, T, 1.0, 1.0 / 64.0)):
+                with pytest.raises(NotCancelled, match="^imaginary part"):
                     call()
 
     def test_non_finite_inputs_refused(self, monkeypatch):
@@ -366,6 +371,24 @@ class TestWeightMemo:
         with pytest.raises(NotCancelled):
             form_factor(three, 100.0, 0.8)
         assert formfactor._memo is kept
+
+    def test_memo_holds_at_most_n_squared_weights(self, monkeypatch):
+        # the kept strips are views of one n x n array: the memo holds its
+        # n^2 * 8 bytes and the window's n * 8-byte key, and a call builds
+        # no copy of a strip beside it
+        import tracemalloc
+        monkeypatch.setattr(formfactor, "_memo", None)
+        ds = self.window(724)
+        n = len(ds.in_window(900.0))
+        tracemalloc.start()
+        try:
+            form_factor(ds, 900.0, 0.3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert formfactor._memo is not None
+        assert held <= (n * n + n) * 8 + 4096, held
+        assert peak <= n * n * 8 + 2 ** 20, peak
 
     def test_nothing_kept_above_the_cap(self, monkeypatch):
         monkeypatch.setattr(formfactor, "_memo", None)
